@@ -1,4 +1,4 @@
-.PHONY: all check test lint doc clean bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
+.PHONY: all check test lint doc clean bench-e2e bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
 
 all:
 	dune build
@@ -51,6 +51,23 @@ analyze-examples:
 	dune exec bin/fabric_tool.exe -- analyze --existence --min-layers \
 	  ring:8 torus:4x4 hypercube:4 tree:4,2 xgft:2,4/1,2:16 kautz:2,3 \
 	  dragonfly:4,2,2 hyperx:3x3 random:8,10,16,14:7
+
+# The end-to-end benchmark declared in BENCHMARK.json (e2ebench/README.md):
+# fabric bring-up on a fat tree and a jellyfish, and a live daemon under
+# link churn and route queries. Each workload runs for BENCHMARK.json's
+# run_seconds (25) in release mode, seed 1, untraced, and its final JSON
+# line lands in bench_results/e2e_<workload>.json; fails if a run fails or
+# reports incorrect outputs. One-off seeds, lengths and traced runs go
+# through `sh e2ebench/run.sh` directly.
+bench-e2e:
+	@set -e; mkdir -p bench_results; \
+	for w in bringup-fattree bringup-jellyfish serve-churn; do \
+	  out=$$(sh e2ebench/run.sh --workload $$w --seed 1 --seconds 25 --trace 0); \
+	  printf '%s\n' "$$out" | tail -n 1 > bench_results/e2e_$$w.json; \
+	  grep -q '"correct":true' bench_results/e2e_$$w.json || \
+	    { echo "bench-e2e: $$w reported incorrect outputs"; exit 1; }; \
+	  echo "bench-e2e: $$w -> bench_results/e2e_$$w.json"; \
+	done
 
 # Route-store / CSR CDG microbenchmark (DESIGN.md §10). Writes
 # bench_results/route_store.json; fails if the >= 2x build+cycle-breaking

@@ -27,17 +27,35 @@ let t_certify = Obs.Registry.timer "analysis.certify" ~desc:"seconds per certifi
 
 let t_analyze = Obs.Registry.timer "analysis.analyze" ~desc:"seconds per full analyzer run"
 
-let certify ft =
+type refusal =
+  | Uncertifiable of Cert.error
+  | Refuted of string
+
+let refusal_to_string = function
+  | Uncertifiable e -> Cert.error_to_string e
+  | Refuted msg -> Printf.sprintf "checker refuted the generated witness: %s" msg
+
+(* One materialisation per run: the witness is generated from, and then
+   checked against, the store this function derives from the table
+   itself. The generated witness is untrusted until the checker
+   re-derives every dependency from that store and accepts it. *)
+let certify_artifacts ft =
+  match Cert.artifacts_of_table ft with
+  | Error msg -> Error (Uncertifiable (Cert.Incomplete msg))
+  | Ok (store, layer_of_path) -> (
+    match Cert.of_artifacts ft store ~layer_of_path with
+    | Error e -> Error (Uncertifiable e)
+    | Ok cert -> (
+      match Cert.check cert store ~layer_of_path with
+      | Ok () -> Ok (cert, store, layer_of_path)
+      | Error msg -> Error (Refuted msg)))
+
+let certify_store ft =
   Obs.Counter.incr c_certify;
   Obs.Timer.time t_certify (fun () ->
-      match Cert.of_table ft with
-      | Error e -> Error (Cert.error_to_string e)
-      | Ok cert -> (
-        (* the generated witness is untrusted until the checker re-derives
-           every dependency from the artifact and accepts it *)
-        match Cert.check_table cert ft with
-        | Ok () -> Ok cert
-        | Error msg -> Error (Printf.sprintf "checker refuted the generated witness: %s" msg)))
+      Result.map_error refusal_to_string (certify_artifacts ft))
+
+let certify ft = Result.map (fun (cert, _, _) -> cert) (certify_store ft)
 
 (* Topology-level findings (A008/A009/A010): computed on the fabric the
    table is judged against, so a degraded [?graph] override is analyzed,
@@ -80,19 +98,16 @@ let analyze_inner ?hop_budget ?graph ft =
   let ex = Existence.analyze fabric in
   let findings = findings @ existence_findings ex ~num_layers:(Ftable.num_layers ft) in
   let findings, verdict =
-    match Cert.of_table ft with
-    | Error (Cert.Cycle { layer; stuck } as e) ->
+    match certify_artifacts ft with
+    | Ok (cert, _, _) -> (findings, Certified cert)
+    | Error (Uncertifiable (Cert.Cycle { layer; stuck }) as r) ->
       ( findings
         @ [
             Diag.finding ~count:stuck Diag.a007_cdg_cycle
               (Printf.sprintf "layer %d: %d channel(s) stuck on a dependency cycle" layer stuck);
           ],
-        Rejected (Cert.error_to_string e) )
-    | Error (Cert.Incomplete _ as e) -> (findings, Rejected (Cert.error_to_string e))
-    | Ok cert -> (
-      match Cert.check_table cert ft with
-      | Ok () -> (findings, Certified cert)
-      | Error msg -> (findings, Rejected (Printf.sprintf "checker refuted the generated witness: %s" msg)))
+        Rejected (refusal_to_string r) )
+    | Error r -> (findings, Rejected (refusal_to_string r))
   in
   let g = Ftable.graph ft in
   {

@@ -4,7 +4,9 @@
     touching the construction code in [lib/cdg] or [lib/core]. A table is
     {e certified} only when the checker accepts a topological witness for
     every virtual layer; lint errors independently veto installation
-    ({!ok}). *)
+    ({!ok}). Every certification materializes the table's routes exactly
+    once, and neither it nor {!Cert} uses [Deadlock.Cdg], [Layers] or
+    [Acyclic]. *)
 
 type verdict =
   | Certified of Cert.t
@@ -33,9 +35,18 @@ type report = {
     feasible one the informational {!Diag.a010_layer_slack}. *)
 val analyze : ?hop_budget:Lint.hop_budget -> ?graph:Graph.t -> Ftable.t -> report
 
-(** [certify ft] is the install gate used by {!Fabric.Epoch}: generate a
-    certificate and have the trusted checker validate it against the
-    table's own routes. [Error] explains the refusal. *)
+(** [certify_store ft] is the install gate used by {!Fabric.Epoch}: walk
+    [ft]'s routes into a store once ({!Cert.artifacts_of_table}), generate
+    a certificate from that store and have the trusted checker validate it
+    against the same store. On success it also returns the store and its
+    pair-indexed layers, so the caller can serve and measure exactly the
+    routes that were proven deadlock-free without walking the tables
+    again. The store is always one this function built from [ft] itself;
+    no store from construction code is ever accepted. [Error] explains the
+    refusal. *)
+val certify_store : Ftable.t -> (Cert.t * Route_store.t * int array, string) result
+
+(** [certify ft] is {!certify_store} without the store. *)
 val certify : Ftable.t -> (Cert.t, string) result
 
 (** [ok r] is [true] iff the verdict is [Certified] and no finding has

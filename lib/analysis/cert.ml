@@ -80,21 +80,13 @@ let generate store ~layer_of_path ~num_layers =
 let artifacts_of_table ft =
   match Ftable.to_store ft with
   | Error _ as e -> e
-  | Ok store ->
-    let layer_of_path = Array.make (Route_store.capacity store) (-1) in
-    Route_store.iter_pairs store (fun pair ->
-        let src, dst = Ftable.pair_of_id ft pair in
-        layer_of_path.(pair) <- Ftable.layer ft ~src ~dst);
-    Ok (store, layer_of_path)
+  | Ok store -> Ok (store, Ftable.layers_of_store ft store)
 
-let table_num_layers ft layer_of_path =
-  max (Ftable.num_layers ft) (1 + Array.fold_left max 0 layer_of_path)
-
-let of_table ft =
-  match artifacts_of_table ft with
-  | Error msg -> Error (Incomplete msg)
-  | Ok (store, layer_of_path) ->
-    generate store ~layer_of_path ~num_layers:(table_num_layers ft layer_of_path)
+(* Layers cover both the declared layer count and the highest layer any
+   route uses. *)
+let of_artifacts ft store ~layer_of_path =
+  generate store ~layer_of_path
+    ~num_layers:(max (Ftable.num_layers ft) (1 + Array.fold_left max 0 layer_of_path))
 
 exception Violation of string
 
@@ -124,11 +116,6 @@ let check cert store ~layer_of_path =
       Ok ()
     with Violation msg -> Error msg
   end
-
-let check_table cert ft =
-  match artifacts_of_table ft with
-  | Error msg -> Error (Printf.sprintf "routes not materializable: %s" msg)
-  | Ok (store, layer_of_path) -> check cert store ~layer_of_path
 
 let to_string t =
   let buf = Buffer.create (16 * t.num_channels * Array.length t.layers) in

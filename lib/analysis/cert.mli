@@ -45,10 +45,10 @@ val error_to_string : error -> string
     or [num_layers < 1]. *)
 val generate : Route_store.t -> layer_of_path:int array -> num_layers:int -> (t, error) result
 
-(** [of_table ft] materializes the table's routes and layer assignment
-    and certifies them; layers are sized to cover both the declared
-    layer count and the highest layer any route uses. *)
-val of_table : Ftable.t -> (t, error) result
+(** [of_artifacts ft store ~layer_of_path] certifies the artifacts of
+    [ft] ({!artifacts_of_table}); layers are sized to cover both the
+    declared layer count and the highest layer any route uses. *)
+val of_artifacts : Ftable.t -> Route_store.t -> layer_of_path:int array -> (t, error) result
 
 (** {1 Checking (trusted side)} *)
 
@@ -58,10 +58,6 @@ val of_table : Ftable.t -> (t, error) result
     every dependency [(c1, c2)] strictly ascending in its layer's
     numbering. [Error] names the first violation. *)
 val check : t -> Route_store.t -> layer_of_path:int array -> (unit, string) result
-
-(** {!check} against a forwarding table's materialized routes. [Error]
-    also covers tables whose routes cannot be materialized at all. *)
-val check_table : t -> Ftable.t -> (unit, string) result
 
 (** {1 Artifacts}
 

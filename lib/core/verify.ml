@@ -5,39 +5,29 @@ type report = {
   deadlock_free : bool;
 }
 
-let collect_store ft =
-  match Routing.Ftable.to_store ft with
-  | Error _ as e -> e
-  | Ok store ->
-    let layer_of_path = Array.make (Route_store.capacity store) (-1) in
-    Route_store.iter_pairs store (fun pair ->
-        let src, dst = Routing.Ftable.pair_of_id ft pair in
-        layer_of_path.(pair) <- Routing.Ftable.layer ft ~src ~dst);
-    Ok (store, layer_of_path)
+let of_store ft store ~layer_of_path ~deadlock_free =
+  {
+    stats = Routing.Ftable.store_stats ft store;
+    num_layers = Routing.Ftable.num_layers ft;
+    max_layer_seen = Array.fold_left max 0 layer_of_path;
+    deadlock_free;
+  }
+
+let acyclic ?domains store ~layer_of_path =
+  Acyclic.layers_acyclic_store ?domains store ~layer_of_path
+    ~num_layers:(1 + Array.fold_left max 0 layer_of_path)
 
 let deadlock_free ?(domains = 1) ft =
-  match collect_store ft with
+  match Routing.Ftable.to_store ft with
   | Error _ -> false (* some pair unroutable; report this via {!report} *)
-  | Ok (store, layer_of_path) ->
-    let num_layers = 1 + Array.fold_left max 0 layer_of_path in
-    Acyclic.layers_acyclic_store ~domains store ~layer_of_path ~num_layers
+  | Ok store -> acyclic ~domains store ~layer_of_path:(Routing.Ftable.layers_of_store ft store)
 
 let report ft =
-  match Routing.Ftable.validate ft with
-  | Error _ as e -> e |> Result.map (fun _ -> assert false)
-  | Ok stats -> (
-    match collect_store ft with
-    | Error _ as e -> e |> Result.map (fun _ -> assert false)
-    | Ok (store, layer_of_path) ->
-      let max_layer_seen = Array.fold_left max 0 layer_of_path in
-      Ok
-        {
-          stats;
-          num_layers = Routing.Ftable.num_layers ft;
-          max_layer_seen;
-          deadlock_free =
-            Acyclic.layers_acyclic_store store ~layer_of_path ~num_layers:(1 + max_layer_seen);
-        })
+  match Routing.Ftable.to_store ft with
+  | Error msg -> Error msg
+  | Ok store ->
+    let layer_of_path = Routing.Ftable.layers_of_store ft store in
+    Ok (of_store ft store ~layer_of_path ~deadlock_free:(acyclic store ~layer_of_path))
 
 let pp_report ppf r =
   Format.fprintf ppf "%a layers=%d (max used %d) deadlock_free=%b" Routing.Ftable.pp_stats r.stats

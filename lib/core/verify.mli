@@ -2,7 +2,14 @@
     pair reachable by following the tables), minimality, and
     deadlock-freedom (per-layer channel dependency graphs rebuilt from
     scratch and checked acyclic — Dally & Seitz's sufficient condition,
-    independent of the assignment machinery that produced the layers). *)
+    independent of the assignment machinery that produced the layers).
+
+    The fabric manager's epoch gate does not run the acyclicity check:
+    there the checked certificate of [Analysis.Analyzer.certify_store]
+    is the deadlock proof, and {!of_store} turns the certifier's own
+    route store into the report. {!deadlock_free} stays as the
+    independent oracle that tests and the churn soak compare the
+    certificate against. *)
 
 type report = {
   stats : Ftable.stats;
@@ -11,13 +18,22 @@ type report = {
   deadlock_free : bool;
 }
 
+(** [of_store ft store ~layer_of_path ~deadlock_free] is the report of a
+    complete store of [ft]'s routes ({!Routing.Ftable.to_store}) with its
+    layers ({!Routing.Ftable.layers_of_store}); completeness is the
+    store's, the statistics come from {!Routing.Ftable.store_stats}, and
+    the deadlock verdict is the caller's proof, passed through.
+    @raise Invalid_argument if [store] lacks some pair of [ft]. *)
+val of_store : Ftable.t -> Route_store.t -> layer_of_path:int array -> deadlock_free:bool -> report
+
 (** [deadlock_free ?domains ft] rebuilds one CDG per virtual layer from
     the routes and checks each for cycles; [domains > 1] checks layers in
     parallel. *)
 val deadlock_free : ?domains:int -> Ftable.t -> bool
 
-(** [report ft] validates routes and checks deadlock-freedom; [Error] if
-    some pair is unroutable. *)
+(** [report ft] materializes the routes once, collects their statistics
+    ({!of_store}) and checks every layer's CDG acyclic; [Error] names the
+    first pair with no loop-free route. *)
 val report : Ftable.t -> (report, string) result
 
 val pp_report : Format.formatter -> report -> unit

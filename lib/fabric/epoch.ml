@@ -9,88 +9,76 @@ type snapshot = {
   tables : Ftable.t;
   store : Route_store.t;
   num_layers : int;
+  report : Dfsssp.Verify.report;
 }
 
 type t = {
   mutable epoch : int;
-  mutable active : Ftable.t option;
+  mutable snap : snapshot option; (* the current epoch's export *)
   mutable entries : entry list; (* newest first *)
-  mutable snap : snapshot option; (* cached export of the current epoch *)
 }
 
-let create () = { epoch = 0; active = None; entries = []; snap = None }
+let create () = { epoch = 0; snap = None; entries = [] }
 
 let epoch t = t.epoch
 
-let active t = t.active
+let active t = Option.map (fun s -> s.tables) t.snap
 
 let history t = List.rev t.entries
 
-(* Built lazily — paid once per epoch on the first route query, never by
-   code paths that only replay schedules — and cached until the next
-   swap. The returned record is never mutated afterwards, so readers may
-   keep it across swaps and stay internally consistent. *)
 let snapshot t =
   match t.snap with
-  | Some s when s.snap_epoch = t.epoch -> Ok s
-  | _ -> (
-    match t.active with
-    | None -> Error "no active epoch"
-    | Some tables -> (
-      match Ftable.to_store tables with
-      | Error msg -> Error (Printf.sprintf "epoch %d: %s" t.epoch msg)
-      | Ok store ->
-        let s = { snap_epoch = t.epoch; tables; store; num_layers = Ftable.num_layers tables } in
-        t.snap <- Some s;
-        Ok s))
+  | Some s -> Ok s
+  | None -> Error "no active epoch"
 
-let try_swap t ~label candidate =
-  let span =
-    Obs.Trace.begin_span "fabric.try_swap" ~attrs:(fun () -> [("label", Obs.Trace.Str label)])
-  in
-  let finish ((result, _) as r) =
-    Obs.Trace.end_span span
-      ~attrs:
-        [
-          ("ok", Obs.Trace.Bool (Result.is_ok result));
-          ("epoch", Obs.Trace.Int t.epoch);
-        ];
-    r
-  in
-  finish
-  @@
-  let t0 = Unix.gettimeofday () in
+(* Existence, then the certificate, then statistics from the certified
+   store: [Ok (store, report)] names the store the snapshot will serve. *)
+let vet candidate =
   (* The topology-level existence gate runs before anything touches the
      candidate's routes: a layer budget below the fabric's provable
      minimum (Analysis.Existence) cannot be certified by any table, so
      the candidate is refused without spending a certificate run on it. *)
   let ex = Analysis.Existence.analyze (Ftable.graph candidate) in
   if ex.Analysis.Existence.min_layers_lb > Ftable.num_layers candidate then
-    ( Error
-        (Printf.sprintf
-           "existence: layer budget %d is below the provable minimum %d for this fabric"
-           (Ftable.num_layers candidate) ex.Analysis.Existence.min_layers_lb),
-      Unix.gettimeofday () -. t0 )
+    Error
+      (Printf.sprintf "existence: layer budget %d is below the provable minimum %d for this fabric"
+         (Ftable.num_layers candidate) ex.Analysis.Existence.min_layers_lb)
   else
-  (* The independent certificate gate runs next: the trusted checker in
-     lib/analysis must accept a topological witness for every layer
-     before the (construction-side) verifier is even consulted. A table
-     the checker cannot certify never goes live, whatever the code that
-     built it believes. *)
-  match Analysis.Analyzer.certify candidate with
-  | Error msg ->
-    (Error (Printf.sprintf "certificate: %s" msg), Unix.gettimeofday () -. t0)
-  | Ok _cert -> (
-    let verdict = Dfsssp.Verify.report candidate in
-    let verify_s = Unix.gettimeofday () -. t0 in
-    match verdict with
-    | Error msg -> (Error (Printf.sprintf "incomplete routing: %s" msg), verify_s)
-    | Ok r ->
-      if not r.Dfsssp.Verify.deadlock_free then
-        (Error "candidate tables are not deadlock-free", verify_s)
-      else begin
-        t.epoch <- t.epoch + 1;
-        t.active <- Some candidate;
-        t.entries <- { epoch = t.epoch; label; verify_s } :: t.entries;
-        (Ok r, verify_s)
-      end)
+    (* The certificate is the one deadlock gate: the trusted checker in
+       lib/analysis walks the candidate's routes into its own store and
+       must accept a topological witness for every layer over it. A table
+       the checker cannot certify never goes live, whatever the code that
+       built it believes. Completeness and path statistics then come from
+       that same store, which the snapshot goes on to serve. *)
+    match Analysis.Analyzer.certify_store candidate with
+    | Error msg -> Error (Printf.sprintf "certificate: %s" msg)
+    | Ok (_cert, store, layer_of_path) ->
+      Ok (store, Dfsssp.Verify.of_store candidate store ~layer_of_path ~deadlock_free:true)
+
+let try_swap t ~label candidate =
+  let span =
+    Obs.Trace.begin_span "fabric.try_swap" ~attrs:(fun () -> [("label", Obs.Trace.Str label)])
+  in
+  let t0 = Unix.gettimeofday () in
+  let vetted = vet candidate in
+  let verify_s = Unix.gettimeofday () -. t0 in
+  let result =
+    match vetted with
+    | Error msg -> Error msg
+    | Ok (store, report) ->
+      t.epoch <- t.epoch + 1;
+      t.snap <-
+        Some
+          {
+            snap_epoch = t.epoch;
+            tables = candidate;
+            store;
+            num_layers = Ftable.num_layers candidate;
+            report;
+          };
+      t.entries <- { epoch = t.epoch; label; verify_s } :: t.entries;
+      Ok report
+  in
+  Obs.Trace.end_span span
+    ~attrs:[("ok", Obs.Trace.Bool (Result.is_ok result)); ("epoch", Obs.Trace.Int t.epoch)];
+  (result, verify_s)

@@ -1,13 +1,25 @@
 (** Epoch-based verified table swaps — the manager's safety gate. The
-    active forwarding tables only ever advance to a candidate that (1)
-    carries a deadlock-freedom certificate accepted by the trusted
-    checker ({!Analysis.Analyzer.certify} — a per-layer topological
-    witness validated independently of every piece of construction code)
-    and (2) passed the full verifier ({!Dfsssp.Verify.report}:
-    completeness over every terminal pair, per-layer CDG acyclicity). A
-    rejected candidate leaves the active epoch untouched, exactly like a
-    subnet manager that keeps serving the old LFTs until the new ones
-    check out. *)
+    active forwarding tables only ever advance to a candidate that passes,
+    in order:
+
+    + the topology-level existence gate ({!Analysis.Existence}): a layer
+      budget below the fabric's provable minimum is refused outright;
+    + the deadlock-freedom certificate ({!Analysis.Analyzer.certify_store}):
+      the trusted checker walks the candidate's routes into its own route
+      store — the one materialization of the swap — and accepts a
+      per-layer topological witness over it. A checked witness proves
+      every layer's channel dependency graph acyclic, so this is the only
+      deadlock gate; the [Acyclic] CDG rebuild runs only as an oracle in
+      the tests and the churn soak;
+    + statistics from the certified store ({!Dfsssp.Verify.of_store}):
+      completeness is the successful materialization, hop counts are
+      slice lengths, minimality one reverse BFS per destination.
+
+    The new epoch's snapshot then shares the certified store, so the first
+    route query after a swap walks nothing. A rejected candidate leaves
+    the active epoch and its snapshot untouched, exactly like a subnet
+    manager that keeps serving the old LFTs until the new ones check
+    out. *)
 
 type entry = {
   epoch : int;
@@ -25,8 +37,11 @@ type entry = {
 type snapshot = {
   snap_epoch : int;
   tables : Ftable.t;  (** the tables this epoch serves *)
-  store : Route_store.t;  (** every ordered terminal pair's path, arena form *)
+  store : Route_store.t;
+      (** every ordered terminal pair's path, arena form: the very store
+          the certificate was checked against *)
   num_layers : int;  (** layer count of [tables] at snapshot time *)
+  report : Dfsssp.Verify.report;  (** the gate's report on [tables] *)
 }
 
 type t
@@ -42,16 +57,15 @@ val active : t -> Ftable.t option
 (** Installed epochs, oldest first. *)
 val history : t -> entry list
 
-(** [snapshot t] is the current epoch's read-only export, built on first
-    request after a swap and cached for the epoch's lifetime (the arena
-    walk is paid once, not per query). [Error] when no epoch is active
-    or the active tables cannot be walked — impossible for tables that
-    passed {!try_swap}'s completeness gate. *)
+(** [snapshot t] is the current epoch's read-only export, installed by
+    the swap that created the epoch. [Error] when no epoch is active. *)
 val snapshot : t -> (snapshot, string) result
 
-(** [try_swap t ~label candidate] certifies and verifies [candidate] and,
-    on success, installs it as the next epoch. Always returns the
-    certify-plus-verify wall time; [Error] means the active tables were
-    kept (a certificate refusal is prefixed ["certificate:"]). *)
+(** [try_swap t ~label candidate] runs the gate on [candidate] and, on
+    success, installs it as the next epoch, whose snapshot serves the
+    certified store. Always returns the gate's wall time. [Error] names
+    the refusal — a certificate refusal is prefixed ["certificate:"], an
+    existence refusal ["existence:"] — and means the active tables and
+    snapshot were kept. *)
 val try_swap :
   t -> label:string -> Ftable.t -> (Dfsssp.Verify.report, string) result * float

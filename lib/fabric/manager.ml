@@ -376,12 +376,9 @@ let pp_outcome ppf o =
 let pp_summary ppf t =
   Format.fprintf ppf "@[<v>%a@," Metrics.pp t.metrics;
   Format.fprintf ppf "fabric: %a@," Graph.pp_stats (graph t);
-  (match Epoch.active t.epochs with
-  | None -> Format.fprintf ppf "no active tables@]"
-  | Some ft ->
-    (match Dfsssp.Verify.report ft with
-    | Ok r -> Format.fprintf ppf "active tables: %a@]" Dfsssp.Verify.pp_report r
-    | Error msg -> Format.fprintf ppf "active tables: INVALID (%s)@]" msg))
+  match Epoch.snapshot t.epochs with
+  | Error _ -> Format.fprintf ppf "no active tables@]"
+  | Ok s -> Format.fprintf ppf "active tables: %a@]" Dfsssp.Verify.pp_report s.Epoch.report
 
 let converged t =
   List.for_all

@@ -126,5 +126,6 @@ val shutdown : t -> unit
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** Metrics, fabric stats and a fresh verification of the active tables. *)
+(** Metrics, fabric stats and the epoch gate's report on the active
+    tables (no fresh walk of the tables). *)
 val pp_summary : Format.formatter -> t -> unit

@@ -102,10 +102,7 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
                         | Fabric.Manager.Full _ -> incr full
                         | Fabric.Manager.Noop -> ());
                         (match (o.Fabric.Manager.action, o.Fabric.Manager.verify) with
-                        | Fabric.Manager.Noop, _ -> ()
-                        | _, Some v ->
-                          if not v.Dfsssp.Verify.deadlock_free then
-                            fail "%s: swapped tables not deadlock-free" tag
+                        | Fabric.Manager.Noop, _ | _, Some _ -> ()
                         | _, None ->
                           fail "%s: no verified swap (%s)" tag o.Fabric.Manager.note)
                       end;
@@ -113,11 +110,24 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
                       if epoch <> !prev_epoch then begin
                         incr swaps;
                         prev_epoch := epoch;
-                        (* Independent recertification on every swap: the
-                           trusted checker, not the manager's verifier. *)
-                        match Analysis.Analyzer.certify (Fabric.Manager.tables m) with
-                        | Ok _ -> ()
-                        | Error msg -> fail "%s: epoch %d recertification: %s" tag epoch msg
+                        (* Two independent opinions on every swap: the
+                           trusted checker recertifies the live tables, and
+                           the Acyclic CDG oracle — which the epoch gate no
+                           longer runs — must reach the same verdict. *)
+                        let tables = Fabric.Manager.tables m in
+                        let certified =
+                          match Analysis.Analyzer.certify tables with
+                          | Ok _ -> true
+                          | Error msg ->
+                            fail "%s: epoch %d recertification: %s" tag epoch msg;
+                            false
+                        in
+                        let acyclic = Dfsssp.Verify.deadlock_free tables in
+                        if acyclic <> certified then
+                          fail "%s: epoch %d: the CDG oracle finds the layers %s but the certificate %s"
+                            tag epoch
+                            (if acyclic then "acyclic" else "cyclic")
+                            (if certified then "was accepted" else "was refused")
                       end)
                     schedule;
                   if not (Fabric.Manager.converged m) then

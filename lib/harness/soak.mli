@@ -3,11 +3,11 @@
     ({!Fabric.Schedule.generate}), and re-verify invariants after every
     event:
 
-    - an applied, table-changing event must end in a verified epoch swap
-      whose {!Dfsssp.Verify} report says deadlock-free;
+    - an applied, table-changing event must end in a verified epoch swap;
     - on every epoch swap the active tables must re-certify under the
-      trusted checker ({!Analysis.Analyzer.certify}) — the independent
-      gate, not the manager's own verifier;
+      trusted checker ({!Analysis.Analyzer.certify}), and the [Acyclic]
+      CDG oracle ({!Dfsssp.Verify.deadlock_free}) — which the manager's
+      epoch gate no longer runs — must agree with that verdict;
     - the manager must report {!Fabric.Manager.converged} at the end,
       and the final tables must pass the full analyzer.
 

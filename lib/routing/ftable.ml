@@ -102,7 +102,11 @@ let path_into t store ~pair ~src ~dst =
     follow src 0
   end
 
+let c_to_store =
+  Obs.Registry.counter "routing.to_store" ~desc:"forwarding tables walked into a route store"
+
 let to_store t =
+  Obs.Counter.incr c_to_store;
   let terminals = Graph.terminals t.graph in
   let nt = Array.length terminals in
   let store = Route_store.create t.graph ~capacity:(nt * nt) in
@@ -160,6 +164,16 @@ let set_num_layers t n =
   if n < 1 then invalid_arg "Ftable.set_num_layers";
   t.num_layers <- n
 
+let layers_of_store t store =
+  let layer_of_path = Array.make (Route_store.capacity store) (-1) in
+  (match t.layers with
+  | None -> Route_store.iter_pairs store (fun pair -> layer_of_path.(pair) <- 0)
+  | Some l ->
+    let nt = Graph.num_terminals t.graph in
+    Route_store.iter_pairs store (fun pair ->
+        layer_of_path.(pair) <- Char.code (Bytes.get l.(pair / nt) (pair mod nt))));
+  layer_of_path
+
 type diff = {
   dsts_changed : int;
   entries_changed : int;
@@ -197,59 +211,58 @@ type stats = {
   minimal : bool;
 }
 
-let validate t =
+let store_stats t store =
   let g = t.graph in
   let terminals = Graph.terminals g in
-  let pairs = ref 0 and max_hops = ref 0 and total_hops = ref 0 and minimal = ref true in
-  let failure = ref None in
-  Array.iter
-    (fun dst ->
-      if !failure = None then begin
-        (* Hop distances for minimality are measured against BFS on the
-           reversed graph (distance from every node TO dst). *)
-        let dist = Array.make (Graph.num_nodes g) max_int in
-        let queue = Queue.create () in
+  let nt = Array.length terminals in
+  if Route_store.capacity store <> nt * nt then
+    invalid_arg "Ftable.store_stats: store does not match the table";
+  let n = Graph.num_nodes g in
+  let dist = Array.make n max_int and queue = Array.make n 0 in
+  let max_hops = ref 0 and total_hops = ref 0 and minimal = ref true in
+  Array.iteri
+    (fun di dst ->
+      (* Hop distances for minimality are measured against BFS on the
+         reversed graph (distance from every node TO dst); once one route
+         is known to detour, the remaining searches are skipped. *)
+      if !minimal then begin
+        Array.fill dist 0 n max_int;
         dist.(dst) <- 0;
-        Queue.add dst queue;
-        while not (Queue.is_empty queue) do
-          let v = Queue.take queue in
+        queue.(0) <- dst;
+        let head = ref 0 and tail = ref 1 in
+        while !head < !tail do
+          let v = queue.(!head) in
+          incr head;
           Array.iter
             (fun c ->
               let u = (Graph.channel g c).Channel.src in
               if dist.(u) = max_int then begin
                 dist.(u) <- dist.(v) + 1;
-                Queue.add u queue
+                queue.(!tail) <- u;
+                incr tail
               end)
             (Graph.in_channels g v)
-        done;
-        Array.iter
-          (fun src ->
-            if src <> dst && !failure = None then
-              match path t ~src ~dst with
-              | None -> failure := Some (Printf.sprintf "no loop-free route %d -> %d" src dst)
-              | Some p ->
-                if not (Path.is_consistent g p) then
-                  failure := Some (Printf.sprintf "inconsistent path %d -> %d" src dst)
-                else begin
-                  let hops = Path.length p in
-                  incr pairs;
-                  total_hops := !total_hops + hops;
-                  if hops > !max_hops then max_hops := hops;
-                  if hops > dist.(src) then minimal := false
-                end)
-          terminals
-      end)
+        done
+      end;
+      Array.iteri
+        (fun si src ->
+          if si <> di then begin
+            let hops = Route_store.length store ~pair:((si * nt) + di) in
+            total_hops := !total_hops + hops;
+            if hops > !max_hops then max_hops := hops;
+            if !minimal && hops > dist.(src) then minimal := false
+          end)
+        terminals)
     terminals;
-  match !failure with
-  | Some msg -> Error msg
-  | None ->
-    Ok
-      {
-        pairs = !pairs;
-        max_hops = !max_hops;
-        avg_hops = (if !pairs = 0 then 0.0 else float_of_int !total_hops /. float_of_int !pairs);
-        minimal = !minimal;
-      }
+  let pairs = nt * (nt - 1) in
+  {
+    pairs;
+    max_hops = !max_hops;
+    avg_hops = (if pairs = 0 then 0.0 else float_of_int !total_hops /. float_of_int pairs);
+    minimal = !minimal;
+  }
+
+let validate t = Result.map (store_stats t) (to_store t)
 
 let pp_stats ppf s =
   Format.fprintf ppf "pairs=%d max_hops=%d avg_hops=%.2f minimal=%b" s.pairs s.max_hops s.avg_hops s.minimal

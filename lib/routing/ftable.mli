@@ -59,8 +59,12 @@ val pair_of_id : t -> int -> int * int
 val path_into : t -> Deadlock.Route_store.t -> pair:int -> src:int -> dst:int -> bool
 
 (** [to_store t] walks every ordered pair of distinct terminals into a
-    fresh arena of capacity {!num_pairs}, pair ids as above. [Error]
-    names the first pair with no loop-free route. *)
+    fresh arena of capacity {!num_pairs}, pair ids as above; each pair's
+    slice is its {!path}. [Error] names the first pair
+    (in pair-id order) with no loop-free route. Every call bumps the
+    [routing.to_store] counter of the default {!Obs.Registry}: a full walk
+    is the dominant cost of an epoch swap, so the number of them per
+    swap is part of the fabric manager's contract. *)
 val to_store : t -> (Deadlock.Route_store.t, string) result
 
 (** [iter_pairs t f] calls [f ~src ~dst path] for every ordered pair of
@@ -79,6 +83,11 @@ val set_layer : t -> src:int -> dst:int -> int -> unit
 val num_layers : t -> int
 
 val set_num_layers : t -> int -> unit
+
+(** [layers_of_store t store] is the layer of every pair present in
+    [store], indexed by pair id over the store's capacity; absent pairs
+    carry [-1]. [store] must use this table's pair ids ({!to_store}). *)
+val layers_of_store : t -> Deadlock.Route_store.t -> int array
 
 (** {1 Diffing} *)
 
@@ -109,8 +118,16 @@ type stats = {
   minimal : bool;  (** every route has min-hop length *)
 }
 
+(** [store_stats t store] collects the statistics of a complete store of
+    [t]'s routes (as {!to_store} returns it) without walking the tables
+    again: hop counts are the slice lengths, and minimality compares them
+    with one reverse BFS per destination over the enabled channels.
+    @raise Invalid_argument if [store] lacks some pair of [t]. *)
+val store_stats : t -> Deadlock.Route_store.t -> stats
+
 (** Check that every ordered terminal pair has a loop-free path and collect
-    statistics. [Error msg] names the first offending pair. *)
+    statistics: {!to_store} then {!store_stats}. [Error msg] names the
+    first offending pair. *)
 val validate : t -> (stats, string) result
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -112,19 +112,57 @@ let has_rule findings id = Analysis.Diag.has_rule findings id
 (* Certificates on the paper's seeds                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The certifier's artifacts of a table, from one walk, as the analyzer
+   takes them. *)
+let artifacts ft =
+  match Analysis.Cert.artifacts_of_table ft with
+  | Ok a -> a
+  | Error msg -> Alcotest.failf "artifacts: %s" msg
+
+let cert_of_table ft =
+  let store, layer_of_path = artifacts ft in
+  Analysis.Cert.of_artifacts ft store ~layer_of_path
+
+let check_table cert ft =
+  let store, layer_of_path = artifacts ft in
+  Analysis.Cert.check cert store ~layer_of_path
+
 let test_certify_seeds () =
   List.iter
     (fun (name, g) ->
       let ft = route "dfsssp" g in
-      match Analysis.Cert.of_table ft with
+      match cert_of_table ft with
       | Error e -> Alcotest.failf "%s: generate: %s" name (Analysis.Cert.error_to_string e)
       | Ok cert ->
         check Alcotest.int (name ^ " layer count") (Routing.Ftable.num_layers ft)
           (Analysis.Cert.num_layers cert);
-        (match Analysis.Cert.check_table cert ft with
+        (match check_table cert ft with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "%s: check: %s" name msg))
     (seeds ())
+
+(* certify_store hands back the artifacts it certified: a complete store
+   of the table's own routes, and one the checker accepts the returned
+   certificate against; refusals read exactly like certify's. *)
+let test_certify_store () =
+  List.iter
+    (fun (name, g) ->
+      let ft = route "dfsssp" g in
+      match Analysis.Analyzer.certify_store ft with
+      | Error msg -> Alcotest.failf "%s: %s" name msg
+      | Ok (cert, store, layer_of_path) ->
+        let nt = Graph.num_terminals g in
+        check Alcotest.int (name ^ " every pair stored") (nt * (nt - 1))
+          (Deadlock.Route_store.num_paths store);
+        check Alcotest.bool (name ^ " layers are the table's") true
+          (layer_of_path = Routing.Ftable.layers_of_store ft store);
+        check Alcotest.bool (name ^ " certificate checks against the store") true
+          (Result.is_ok (Analysis.Cert.check cert store ~layer_of_path)))
+    (seeds ());
+  let bad = clockwise_ring ~switches:8 in
+  match (Analysis.Analyzer.certify_store bad, Analysis.Analyzer.certify bad) with
+  | Error a, Error b -> check Alcotest.string "same refusal as certify" b a
+  | _ -> Alcotest.fail "clockwise ring must not certify"
 
 let test_fresh_tables_clean () =
   let g = fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1) in
@@ -145,7 +183,7 @@ let test_fresh_tables_clean () =
 let test_cert_rejects_corruption () =
   let ft = route "dfsssp" (fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1)) in
   let cert =
-    match Analysis.Cert.of_table ft with
+    match cert_of_table ft with
     | Ok c -> c
     | Error e -> Alcotest.failf "generate: %s" (Analysis.Cert.error_to_string e)
   in
@@ -163,7 +201,7 @@ let test_cert_rejects_corruption () =
     { cert with Analysis.Cert.layers }
   in
   check Alcotest.bool "reversed numbering rejected" true
-    (Result.is_error (Analysis.Cert.check_table swapped ft));
+    (Result.is_error (check_table swapped ft));
   (* truncated numbering: wrong shape *)
   let truncated =
     {
@@ -172,12 +210,12 @@ let test_cert_rejects_corruption () =
     }
   in
   check Alcotest.bool "truncated numbering rejected" true
-    (Result.is_error (Analysis.Cert.check_table truncated ft));
+    (Result.is_error (check_table truncated ft));
   (* dropped layer: routes reference a layer outside the certificate *)
   let missing_layer = { cert with Analysis.Cert.layers = [| cert.Analysis.Cert.layers.(0) |] } in
   if Array.length cert.Analysis.Cert.layers > 1 then
     check Alcotest.bool "missing layer rejected" true
-      (Result.is_error (Analysis.Cert.check_table missing_layer ft));
+      (Result.is_error (check_table missing_layer ft));
   (* duplicate position: not a permutation, some dependency ties *)
   let duplicated =
     let layers = Array.map Array.copy cert.Analysis.Cert.layers in
@@ -185,11 +223,11 @@ let test_cert_rejects_corruption () =
     { cert with Analysis.Cert.layers }
   in
   check Alcotest.bool "duplicated position rejected" true
-    (Result.is_error (Analysis.Cert.check_table duplicated ft))
+    (Result.is_error (check_table duplicated ft))
 
 let test_cyclic_layer_refused () =
   let ft = clockwise_ring ~switches:8 in
-  (match Analysis.Cert.of_table ft with
+  (match cert_of_table ft with
   | Error (Analysis.Cert.Cycle _) -> ()
   | Error e -> Alcotest.failf "expected Cycle, got %s" (Analysis.Cert.error_to_string e)
   | Ok _ -> Alcotest.fail "clockwise ring must not certify");
@@ -215,7 +253,7 @@ let test_merged_layers_refused () =
 let test_cert_text_roundtrip () =
   let ft = route "dfsssp" (fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1)) in
   let cert =
-    match Analysis.Cert.of_table ft with
+    match cert_of_table ft with
     | Ok c -> c
     | Error e -> Alcotest.failf "generate: %s" (Analysis.Cert.error_to_string e)
   in
@@ -223,7 +261,7 @@ let test_cert_text_roundtrip () =
   | Error msg -> Alcotest.failf "parse: %s" msg
   | Ok cert' ->
     check Alcotest.bool "identical" true (cert = cert');
-    (match Analysis.Cert.check_table cert' ft with
+    (match check_table cert' ft with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "parsed cert fails check: %s" msg)
 
@@ -681,6 +719,7 @@ let () =
       ( "cert",
         [
           Alcotest.test_case "certifies dfsssp on the paper seeds" `Quick test_certify_seeds;
+          Alcotest.test_case "certify_store returns the checked artifacts" `Quick test_certify_store;
           Alcotest.test_case "fresh dfsssp/lash/updown tables are clean" `Quick test_fresh_tables_clean;
           Alcotest.test_case "checker rejects corrupted certificates" `Quick test_cert_rejects_corruption;
           Alcotest.test_case "cyclic layer refused (clockwise ring)" `Quick test_cyclic_layer_refused;

@@ -371,6 +371,145 @@ let test_shutdown_idempotent_and_usable () =
   Fabric.Manager.shutdown mgr
 
 (* ------------------------------------------------------------------ *)
+(* One materialisation and one proof per swap                           *)
+(* ------------------------------------------------------------------ *)
+
+let to_store_count () =
+  match Obs.Registry.find_counter (Obs.Registry.default ()) "routing.to_store" with
+  | Some c -> Obs.Counter.value c
+  | None -> Alcotest.fail "routing.to_store counter not registered"
+
+(* [materialisations f] is [f ()] and the number of table walks it cost. *)
+let materialisations f =
+  let before = to_store_count () in
+  let r = f () in
+  (r, to_store_count () - before)
+
+let ok_snapshot mgr =
+  match Fabric.Manager.snapshot mgr with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "snapshot: %s" msg
+
+let test_materialisations_per_swap () =
+  let g = torus [| 4; 4 |] in
+  (* bring-up: one walk for layer assignment, one in the trusted checker;
+     the first snapshot is free *)
+  let (mgr, snap1), n =
+    materialisations (fun () ->
+        let mgr = Result.get_ok (Fabric.Manager.create g) in
+        (mgr, ok_snapshot mgr))
+  in
+  check Alcotest.int "create + first snapshot" 2 n;
+  let total = Graph.num_terminals g in
+  let cable =
+    Array.to_list (Degrade.switch_cables g)
+    |> List.find (fun c ->
+           let pair = Option.get (Graph.reverse_channel g c) in
+           let n =
+             List.length
+               (Fabric.Repair.affected_destinations (Fabric.Manager.tables mgr) ~channels:[ c; pair ])
+           in
+           n > 0 && 2 * n <= total)
+  in
+  let (o, snap2), n =
+    materialisations (fun () ->
+        let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down cable) in
+        (o, ok_snapshot mgr))
+  in
+  (match o.Fabric.Manager.action with
+  | Fabric.Manager.Incremental _ -> ()
+  | _ -> Alcotest.fail "expected an incremental repair");
+  check Alcotest.int "incremental down + snapshot" 1 n;
+  check Alcotest.bool "new epoch, new store" false (snap1.Fabric.Epoch.store == snap2.Fabric.Epoch.store);
+  check Alcotest.bool "snapshot serves the swapped tables" true
+    (snap2.Fabric.Epoch.tables == Fabric.Manager.tables mgr)
+
+(* Epoch-level view of the same contract: the swap walks the tables once,
+   inside the certifier, and the snapshot walks nothing — so the store it
+   serves can only be the one the certificate was checked against. *)
+let test_snapshot_is_certified_store () =
+  let g = torus [| 4; 4 |] in
+  let ft = route_dfsssp g in
+  let epochs = Fabric.Epoch.create () in
+  let (swapped, _), n = materialisations (fun () -> Fabric.Epoch.try_swap epochs ~label:"first" ft) in
+  let gate_report =
+    match swapped with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "try_swap: %s" msg
+  in
+  check Alcotest.int "the swap walks the tables once" 1 n;
+  let (snap, again), n =
+    materialisations (fun () ->
+        (Result.get_ok (Fabric.Epoch.snapshot epochs), Result.get_ok (Fabric.Epoch.snapshot epochs)))
+  in
+  check Alcotest.int "snapshots walk nothing" 0 n;
+  check Alcotest.bool "one store per epoch" true (snap.Fabric.Epoch.store == again.Fabric.Epoch.store);
+  check Alcotest.bool "snapshot carries the gate's report" true (snap.Fabric.Epoch.report == gate_report);
+  check Alcotest.int "epoch 1" 1 snap.Fabric.Epoch.snap_epoch;
+  (* the store-based report agrees with the full verifier *)
+  match Dfsssp.Verify.report ft with
+  | Error msg -> Alcotest.failf "verify: %s" msg
+  | Ok r ->
+    let s = snap.Fabric.Epoch.report in
+    check Alcotest.bool "same statistics" true (s.Dfsssp.Verify.stats = r.Dfsssp.Verify.stats);
+    check Alcotest.int "same max layer" r.Dfsssp.Verify.max_layer_seen s.Dfsssp.Verify.max_layer_seen;
+    check Alcotest.bool "oracle agrees: deadlock-free" true r.Dfsssp.Verify.deadlock_free
+
+(* Every pair's snapshot slice is the table walk. *)
+let check_snapshot_parity name g =
+  let mgr = Result.get_ok (Fabric.Manager.create g) in
+  let snap = ok_snapshot mgr in
+  let ft = snap.Fabric.Epoch.tables in
+  let terms = Graph.terminals g in
+  check Alcotest.int (name ^ ": every pair stored")
+    (Array.length terms * (Array.length terms - 1))
+    (Deadlock.Route_store.num_paths snap.Fabric.Epoch.store);
+  Array.iter
+    (fun src ->
+      Array.iter
+        (fun dst ->
+          if src <> dst then
+            let pair = Routing.Ftable.pair_id ft ~src ~dst in
+            check
+              Alcotest.(option (array int))
+              (Printf.sprintf "%s: %d -> %d" name src dst)
+              (Routing.Ftable.path ft ~src ~dst)
+              (Some (Deadlock.Route_store.to_path snap.Fabric.Epoch.store ~pair)))
+        terms)
+    terms;
+  Fabric.Manager.shutdown mgr
+
+let test_snapshot_parity () =
+  check_snapshot_parity "torus 4x4" (torus [| 4; 4 |]);
+  match Harness.Topospec.parse "jellyfish:10,6,3:3" with
+  | Ok t -> check_snapshot_parity "jellyfish" t.Harness.Topospec.graph
+  | Error msg -> Alcotest.failf "jellyfish spec: %s" msg
+
+(* A candidate the certificate refuses changes nothing that is served. *)
+let test_refused_candidate_keeps_snapshot () =
+  let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
+  let epochs = Fabric.Epoch.create () in
+  (match Fabric.Epoch.try_swap epochs ~label:"good" (route_dfsssp g) with
+  | Ok _, _ -> ()
+  | Error msg, _ -> Alcotest.failf "dfsssp refused: %s" msg);
+  let before = Result.get_ok (Fabric.Epoch.snapshot epochs) in
+  (* plain SSSP in one layer: cyclic on the ring, so no certificate *)
+  let bad = Result.get_ok (Routing.Sssp.route g) in
+  check Alcotest.bool "oracle: candidate is cyclic" false (Dfsssp.Verify.deadlock_free bad);
+  let (result, _), n = materialisations (fun () -> Fabric.Epoch.try_swap epochs ~label:"bad" bad) in
+  (match result with
+  | Ok _ -> Alcotest.fail "cyclic candidate installed"
+  | Error msg ->
+    check Alcotest.bool "refused by the certificate" true (Testutil.contains msg "certificate:"));
+  check Alcotest.int "refusal walks the tables once" 1 n;
+  let after = Result.get_ok (Fabric.Epoch.snapshot epochs) in
+  check Alcotest.bool "snapshot unchanged" true (after == before);
+  check Alcotest.int "epoch unchanged" 1 (Fabric.Epoch.epoch epochs);
+  check Alcotest.bool "refused tables not active" true
+    (match Fabric.Epoch.active epochs with Some ft -> ft == before.Fabric.Epoch.tables | None -> false);
+  check Alcotest.int "no history entry" 1 (List.length (Fabric.Epoch.history epochs))
+
+(* ------------------------------------------------------------------ *)
 (* Schedules                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -431,6 +570,15 @@ let () =
         [
           Alcotest.test_case "cached per epoch, immutable" `Quick test_snapshot_cached_per_epoch;
           Alcotest.test_case "shutdown idempotent, manager usable" `Quick test_shutdown_idempotent_and_usable;
+        ] );
+      ( "swap-cost",
+        [
+          Alcotest.test_case "2 walks per bring-up, 1 per incremental swap" `Quick
+            test_materialisations_per_swap;
+          Alcotest.test_case "snapshot is the certified store" `Quick test_snapshot_is_certified_store;
+          Alcotest.test_case "snapshot slices equal table walks" `Quick test_snapshot_parity;
+          Alcotest.test_case "refused candidate keeps the snapshot" `Quick
+            test_refused_candidate_keeps_snapshot;
         ] );
       ( "schedule",
         [

@@ -445,6 +445,113 @@ let updown_random_qcheck =
         | Error _ -> false
         | Ok s -> s.Ftable.pairs = 20 * 19))
 
+(* Ftable.to_store streams every pair into one arena; Ftable.path walks
+   every pair on its own. On intact and damaged tables alike (entries
+   dropped, entries redirected, often into loops) the two must agree: the
+   same slice for every pair, or the same first failing pair. *)
+let to_store_qcheck =
+  qtest ~count:60 "to_store agrees with per-pair walks, damaged tables too"
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Topo_random.make ~switches:8 ~switch_radix:8 ~terminals:12 ~inter_links:12 ~rng in
+      let good = expect "sssp" (Sssp.route g) in
+      let ft = Ftable.create g ~algorithm:"damaged" in
+      let terms = Graph.terminals g in
+      let damage = seed mod 3 (* 0 intact, 1 drop entries, 2 redirect entries *) in
+      for node = 0 to Graph.num_nodes g - 1 do
+        Array.iter
+          (fun dst ->
+            match Ftable.next good ~node ~dst with
+            | None -> ()
+            | Some c ->
+              if damage = 0 || Rng.int rng 30 > 0 then Ftable.set_next ft ~node ~dst ~channel:c
+              else if damage = 2 then
+                let outs = Graph.out_channels g node in
+                Ftable.set_next ft ~node ~dst ~channel:outs.(Rng.int rng (Array.length outs)))
+          terms
+      done;
+      let first_bad = ref None in
+      Array.iter
+        (fun src ->
+          Array.iter
+            (fun dst ->
+              if src <> dst && !first_bad = None && Ftable.path ft ~src ~dst = None then
+                first_bad := Some (src, dst))
+            terms)
+        terms;
+      match (Ftable.to_store ft, !first_bad) with
+      | Error msg, Some (src, dst) -> msg = Printf.sprintf "no loop-free route %d -> %d" src dst
+      | Ok store, None ->
+        let nt = Array.length terms in
+        Deadlock.Route_store.num_paths store = nt * (nt - 1)
+        && Array.for_all
+             (fun src ->
+               Array.for_all
+                 (fun dst ->
+                   src = dst
+                   || Deadlock.Route_store.to_path store ~pair:(Ftable.pair_id ft ~src ~dst)
+                      = Option.get (Ftable.path ft ~src ~dst))
+                 terms)
+             terms
+      | _ -> false)
+
+(* The path-walk oracle for Ftable.validate, which now reads its
+   statistics off the route store: every pair walked with Ftable.path and
+   measured against a reverse BFS from its destination. *)
+let walk_stats ft =
+  let g = Ftable.graph ft in
+  let terminals = Graph.terminals g in
+  let pairs = ref 0 and max_hops = ref 0 and total = ref 0 and minimal = ref true in
+  Array.iter
+    (fun dst ->
+      let dist = Array.make (Graph.num_nodes g) max_int in
+      let queue = Queue.create () in
+      dist.(dst) <- 0;
+      Queue.add dst queue;
+      while not (Queue.is_empty queue) do
+        let v = Queue.take queue in
+        Array.iter
+          (fun c ->
+            let u = (Graph.channel g c).Channel.src in
+            if dist.(u) = max_int then begin
+              dist.(u) <- dist.(v) + 1;
+              Queue.add u queue
+            end)
+          (Graph.in_channels g v)
+      done;
+      Array.iter
+        (fun src ->
+          if src <> dst then begin
+            let p = Option.get (Ftable.path ft ~src ~dst) in
+            let hops = Path.length p in
+            incr pairs;
+            total := !total + hops;
+            max_hops := max !max_hops hops;
+            if hops > dist.(src) then minimal := false
+          end)
+        terminals)
+    terminals;
+  (!pairs, !max_hops, !total, !minimal)
+
+let store_stats_qcheck =
+  qtest ~count:25 "store statistics agree with the path-walk oracle"
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Topo_random.make ~switches:10 ~switch_radix:10 ~terminals:20 ~inter_links:16 ~rng in
+      (* up*/down* detours on most seeds, SSSP never does *)
+      List.for_all
+        (fun route ->
+          match route g with
+          | Error _ -> true
+          | Ok ft ->
+            let s = stats "validate" ft in
+            let pairs, max_hops, total, minimal = walk_stats ft in
+            s.Ftable.pairs = pairs && s.Ftable.max_hops = max_hops && s.Ftable.minimal = minimal
+            && Float.abs (s.Ftable.avg_hops -. (float_of_int total /. float_of_int pairs)) < 1e-9)
+        [ Updown.route; Sssp.route ])
+
 (* ------------------------------------------------------------------ *)
 (* Ftable_io round trip                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -619,6 +726,8 @@ let () =
           Alcotest.test_case "loop detection" `Quick test_ftable_loop_detection;
           Alcotest.test_case "loop bound tight" `Quick test_ftable_loop_bound_tight;
           Alcotest.test_case "cyclic table" `Quick test_ftable_cyclic_table;
+          to_store_qcheck;
+          store_stats_qcheck;
         ] );
       ( "minhop",
         [
