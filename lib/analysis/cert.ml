@@ -20,37 +20,47 @@ let error_to_string = function
 (* One topological numbering per layer, each by Kahn's algorithm over a
    throwaway CSR adjacency built straight from the store's dependencies —
    deliberately NOT Deadlock.Cdg: the certifier must not share code with
-   the machinery it certifies. Multi-edges are kept (indegree counts
-   multiplicity); they change nothing about the order. *)
+   the machinery it certifies. The loops read the route arena directly
+   (the dependencies of a slice are the consecutive [buf.(i), buf.(i+1)]).
+   Multi-edges are kept (indegree counts multiplicity); they change
+   nothing about the order. *)
 let generate store ~layer_of_path ~num_layers =
   if num_layers < 1 then invalid_arg "Cert.generate: num_layers < 1";
   if Array.length layer_of_path <> Route_store.capacity store then
     invalid_arg "Cert.generate: layer_of_path does not cover the store";
   let g = Route_store.graph store in
   let m = Graph.num_channels g in
+  let buf = Route_store.buffer store
+  and off = Route_store.offsets store
+  and len = Route_store.lengths store in
   let failure = ref None in
   let layers =
     Array.init num_layers (fun l ->
         match !failure with
         | Some _ -> [||]
         | None ->
-          let cnt = Array.make (m + 1) 0 in
-          Route_store.iter_pairs store (fun pair ->
-              if layer_of_path.(pair) = l then
-                Route_store.iter_deps store ~pair (fun c1 _ -> cnt.(c1 + 1) <- cnt.(c1 + 1) + 1));
-          let row = cnt in
+          let row = Array.make (m + 1) 0 in
+          for pair = 0 to Array.length len - 1 do
+            if len.(pair) >= 0 && layer_of_path.(pair) = l then
+              for i = off.(pair) to off.(pair) + len.(pair) - 2 do
+                row.(buf.(i) + 1) <- row.(buf.(i) + 1) + 1
+              done
+          done;
           for c = 0 to m - 1 do
             row.(c + 1) <- row.(c + 1) + row.(c)
           done;
           let col = Array.make row.(m) 0 in
           let cursor = Array.copy row in
           let indeg = Array.make m 0 in
-          Route_store.iter_pairs store (fun pair ->
-              if layer_of_path.(pair) = l then
-                Route_store.iter_deps store ~pair (fun c1 c2 ->
-                    col.(cursor.(c1)) <- c2;
-                    cursor.(c1) <- cursor.(c1) + 1;
-                    indeg.(c2) <- indeg.(c2) + 1));
+          for pair = 0 to Array.length len - 1 do
+            if len.(pair) >= 0 && layer_of_path.(pair) = l then
+              for i = off.(pair) to off.(pair) + len.(pair) - 2 do
+                let c1 = buf.(i) and c2 = buf.(i + 1) in
+                col.(cursor.(c1)) <- c2;
+                cursor.(c1) <- cursor.(c1) + 1;
+                indeg.(c2) <- indeg.(c2) + 1
+              done
+          done;
           let pos = Array.make m 0 in
           let queue = Queue.create () in
           for c = 0 to m - 1 do
@@ -100,19 +110,27 @@ let check cert store ~layer_of_path =
     Error "a layer's numbering does not cover every channel"
   else begin
     let k = Array.length cert.layers in
+    let buf = Route_store.buffer store
+    and off = Route_store.offsets store
+    and len = Route_store.lengths store in
     try
-      Route_store.iter_pairs store (fun pair ->
+      for pair = 0 to Array.length len - 1 do
+        if len.(pair) >= 0 then begin
           let l = layer_of_path.(pair) in
           if l < 0 || l >= k then
             raise
               (Violation (Printf.sprintf "pair %d rides layer %d outside the certificate's %d" pair l k));
           let pos = cert.layers.(l) in
-          Route_store.iter_deps store ~pair (fun c1 c2 ->
-              if pos.(c1) >= pos.(c2) then
-                raise
-                  (Violation
-                     (Printf.sprintf "layer %d: dependency %d -> %d not ascending (%d >= %d)" l c1 c2
-                        pos.(c1) pos.(c2)))));
+          for i = off.(pair) to off.(pair) + len.(pair) - 2 do
+            let c1 = buf.(i) and c2 = buf.(i + 1) in
+            if pos.(c1) >= pos.(c2) then
+              raise
+                (Violation
+                   (Printf.sprintf "layer %d: dependency %d -> %d not ascending (%d >= %d)" l c1 c2
+                      pos.(c1) pos.(c2)))
+          done
+        end
+      done;
       Ok ()
     with Violation msg -> Error msg
   end

@@ -325,28 +325,45 @@ let iter_edges t f =
 
 (* One-pass CSR construction from a route store: counting sort of all
    dependency occurrences by head channel, then per-row successor
-   dedup via stamps. O(total dependencies + channels). *)
+   dedup via stamps. O(total dependencies + channels). Both sweeps read
+   the arena directly — the dependencies of a slice are the consecutive
+   [buf.(i), buf.(i+1)] — with no call per dependency. *)
 let of_store ?filter ?pairs store =
   let g = Route_store.graph store in
   let m = Graph.num_channels g in
-  let keep = match filter with None -> fun _ -> true | Some f -> f in
+  let buf = Route_store.buffer store
+  and off = Route_store.offsets store
+  and len = Route_store.lengths store in
+  let keep pr = match filter with None -> true | Some f -> f pr in
   (* [pairs] narrows the sweep to an explicit id list (each present in the
      store, no duplicates) — the streaming handoff of the SCC engine,
      which knows exactly which pairs it moved into the next layer and
      skips the full-capacity scan. *)
-  let iter_members f =
+  let sweep f =
     match pairs with
-    | None -> Route_store.iter_pairs store f
-    | Some ids -> Array.iter f ids
+    | None ->
+      for pr = 0 to Array.length len - 1 do
+        if len.(pr) >= 0 && keep pr then f pr
+      done
+    | Some ids ->
+      Array.iter
+        (fun pr ->
+          if keep pr then begin
+            (* an absent id raises, as reading its slice would *)
+            ignore (Route_store.length store ~pair:pr);
+            f pr
+          end)
+        ids
   in
   (* occurrence counts per head channel, shifted by one for the prefix sum *)
   let occ = Array.make (m + 1) 0 in
   let npaths = ref 0 in
-  iter_members (fun pr ->
-      if keep pr then begin
-        incr npaths;
-        Route_store.iter_deps store ~pair:pr (fun a _ -> occ.(a + 1) <- occ.(a + 1) + 1)
-      end);
+  sweep (fun pr ->
+      incr npaths;
+      for i = off.(pr) to off.(pr) + len.(pr) - 2 do
+        let a = buf.(i) in
+        occ.(a + 1) <- occ.(a + 1) + 1
+      done);
   for c = 1 to m do
     occ.(c) <- occ.(c) + occ.(c - 1)
   done;
@@ -354,13 +371,14 @@ let of_store ?filter ?pairs store =
   let dep_col = Array.make total 0 in
   let dep_pair = Array.make total 0 in
   let cursor = Array.copy occ in
-  iter_members (fun pr ->
-      if keep pr then
-        Route_store.iter_deps store ~pair:pr (fun a b ->
-            let k = cursor.(a) in
-            dep_col.(k) <- b;
-            dep_pair.(k) <- pr;
-            cursor.(a) <- k + 1));
+  sweep (fun pr ->
+      for i = off.(pr) to off.(pr) + len.(pr) - 2 do
+        let a = buf.(i) in
+        let j = cursor.(a) in
+        dep_col.(j) <- buf.(i + 1);
+        dep_pair.(j) <- pr;
+        cursor.(a) <- j + 1
+      done);
   (* distinct successors per row *)
   let stamp = Array.make m (-1) in
   let nslots = ref 0 in

@@ -35,6 +35,22 @@ let create graph ~capacity =
     start = 0;
   }
 
+let of_arena graph ~buf ~off ~len ~num_paths =
+  let capacity = Array.length off in
+  if Array.length len <> capacity then invalid_arg "Route_store.of_arena: off and len differ in length";
+  let fill = Array.length buf and present = ref 0 in
+  for pair = 0 to capacity - 1 do
+    let l = len.(pair) in
+    if l < -1 then invalid_arg "Route_store.of_arena: slice length below -1";
+    if l >= 0 then begin
+      let o = off.(pair) in
+      if o < 0 || o > fill - l then invalid_arg "Route_store.of_arena: slice outside the arena";
+      incr present
+    end
+  done;
+  if !present <> num_paths then invalid_arg "Route_store.of_arena: num_paths does not match the slices";
+  { graph; buf; fill; off; len; num_paths; building = -1; start = 0 }
+
 let graph t = t.graph
 
 let capacity t = Array.length t.off
@@ -124,6 +140,10 @@ let get t ~pair i =
   t.buf.(t.off.(pair) + i)
 
 let buffer t = t.buf
+
+let offsets t = t.off
+
+let lengths t = t.len
 
 let to_path t ~pair = Array.sub t.buf (offset t ~pair) (length t ~pair)
 

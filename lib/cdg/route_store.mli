@@ -9,7 +9,10 @@
     caller-chosen dense integers in [[0, capacity)]. Routing code derives
     them from terminal indices via {!Pair}; simulators use flow indices.
     Replacing a pair's path appends the new slice and abandons the old one
-    (the arena is append-only; it is sized for write-once workloads). *)
+    (the arena is append-only; it is sized for write-once workloads).
+    Producers that know every slice length up front build the finished
+    arrays themselves and wrap them with {!of_arena}: one exactly-sized
+    arena, no growth copies. *)
 
 module Pair : sig
   (** Dense pair identifier: [src_index * num_terminals + dst_index] over
@@ -32,6 +35,16 @@ val create : Graph.t -> capacity:int -> t
 (** [of_paths g paths] stores path [i] under pair id [i]. *)
 val of_paths : Graph.t -> Path.t array -> t
 
+(** [of_arena g ~buf ~off ~len ~num_paths] wraps finished arrays as a
+    store without copying them: pair [p] is present iff [len.(p) >= 0],
+    its path being [buf.(off.(p)) .. buf.(off.(p) + len.(p) - 1)]. The
+    bulk constructor of {!Routing.Ftable.to_store}, which sizes [buf] to
+    exactly the sum of its slices. The store owns the arrays afterwards.
+    @raise Invalid_argument if [off] and [len] differ in length, some
+    length is below [-1], a present slice leaves [buf], or [num_paths] is
+    not the number of present slices. *)
+val of_arena : Graph.t -> buf:int array -> off:int array -> len:int array -> num_paths:int -> t
+
 val graph : t -> Graph.t
 
 (** Number of pair slots (present or absent). *)
@@ -47,9 +60,9 @@ val mem : t -> pair:int -> bool
 
     Paths are either written whole with {!set_path} or streamed channel by
     channel between {!begin_path} and {!commit_path} — the streaming form
-    lets {!Routing.Ftable} walk forwarding tables straight into the arena
-    with no intermediate list. At most one path may be under construction
-    at a time. *)
+    lets {!Routing.Ftable.path_into} walk a forwarding table straight into
+    the arena with no intermediate list. At most one path may be under
+    construction at a time. The arena doubles when a write outgrows it. *)
 
 (** [set_path t ~pair p] copies [p] into the arena (replacing any previous
     path of [pair]). *)
@@ -80,8 +93,23 @@ val get : t -> pair:int -> int -> int
 
 (** The shared arena. Hot loops index it directly as
     [buffer.(offset + hop)] — zero allocation per lookup. The array is
-    replaced when the arena grows, so re-fetch it after any write. *)
+    replaced when the arena grows, so re-fetch it after any write. Its
+    length is the arena's capacity, which may exceed {!total_channels}
+    (growth slack, abandoned slices); a store built by {!of_arena} from
+    an exactly-sized buffer has none. *)
 val buffer : t -> int array
+
+(** The per-pair slice offsets into {!buffer}, indexed by pair id. The
+    entry of an absent pair is meaningless. Do not mutate. *)
+val offsets : t -> int array
+
+(** The per-pair slice lengths, indexed by pair id; [-1] marks an absent
+    pair. Together with {!buffer} and {!offsets} this lets all-pairs
+    scans (CDG construction, certification) walk every dependency in
+    plain loops — [buf.(i), buf.(i + 1)] for [i] in
+    [[off.(p), off.(p) + len.(p) - 2]] — with no call per pair or per
+    dependency. Do not mutate. *)
+val lengths : t -> int array
 
 (** Fresh copy of the pair's path (for consumers that outlive the store). *)
 val to_path : t -> pair:int -> Path.t

@@ -15,9 +15,7 @@ let error_to_string = function
   | Layers_exhausted msg -> "dfsssp: virtual layers exhausted: " ^ msg
 
 let apply_layers ft store layer_of_path layers_used =
-  Route_store.iter_pairs store (fun pair ->
-      let src, dst = Routing.Ftable.pair_of_id ft pair in
-      Routing.Ftable.set_layer ft ~src ~dst layer_of_path.(pair));
+  Routing.Ftable.set_layers_of_store ft store layer_of_path;
   Routing.Ftable.set_num_layers ft layers_used
 
 let assign_layers ?(variant = Offline) ?engine ?domains ?(heuristic = Heuristic.Weakest)

@@ -105,26 +105,93 @@ let path_into t store ~pair ~src ~dst =
 let c_to_store =
   Obs.Registry.counter "routing.to_store" ~desc:"forwarding tables walked into a route store"
 
-let to_store t =
-  Obs.Counter.incr c_to_store;
+let t_to_store =
+  Obs.Registry.timer "routing.to_store_walk" ~desc:"seconds per forwarding-table walk into a route store"
+
+(* Hop counts of every pair toward terminal index [di], written to
+   [len.(si * nt + di)] (-1 when the walk from [si] fails). Each node's
+   outcome is memoised in [memo] (unknown / [on_walk] / [failed] / hops),
+   so every node is walked once per destination. A walk that revisits a
+   node still on it is a forwarding loop: the walk is deterministic, so it
+   would cycle forever, whereas one that reaches [dst] without a repeat
+   visits distinct nodes and takes at most num_nodes - 1 hops — exactly
+   the verdict of {!path}'s hop-limit walk. *)
+let unknown = -1
+
+let on_walk = -2
+
+let failed = -3
+
+let count_hops t ~head ~memo ~stack ~len ~di =
   let terminals = Graph.terminals t.graph in
   let nt = Array.length terminals in
-  let store = Route_store.create t.graph ~capacity:(nt * nt) in
-  let failure = ref None in
-  Array.iteri
-    (fun si src ->
-      if !failure = None then
-        Array.iteri
-          (fun di dst ->
-            if si <> di && !failure = None then
-              let pair = (si * nt) + di in
-              if not (path_into t store ~pair ~src ~dst) then
-                failure := Some (Printf.sprintf "no loop-free route %d -> %d" src dst))
-          terminals)
-    terminals;
-  match !failure with
-  | Some msg -> Error msg
-  | None -> Ok store
+  Array.fill memo 0 (Array.length memo) unknown;
+  memo.(terminals.(di)) <- 0;
+  for si = 0 to nt - 1 do
+    if si <> di then begin
+      let u = ref terminals.(si) and top = ref 0 in
+      while memo.(!u) = unknown do
+        memo.(!u) <- on_walk;
+        stack.(!top) <- !u;
+        incr top;
+        let c = t.next.(!u).(di) in
+        if c < 0 then memo.(!u) <- failed else u := head.(c)
+      done;
+      (* [!u] is the dead end itself, a node on this walk, or a node
+         settled by an earlier walk *)
+      let base = if memo.(!u) = on_walk then failed else memo.(!u) in
+      for k = !top - 1 downto 0 do
+        memo.(stack.(k)) <- (if base = failed then failed else base + !top - k)
+      done;
+      len.((si * nt) + di) <- (if base = failed then -1 else base + !top)
+    end
+  done
+
+(* Two passes: hop counts of every pair (memoised per destination), then
+   one arena of exactly their sum filled in pair order. *)
+let walk_to_store t =
+  let g = t.graph in
+  let terminals = Graph.terminals g in
+  let nt = Array.length terminals and n = Graph.num_nodes g in
+  let head = Array.map (fun c -> c.Channel.dst) (Graph.channels g) in
+  let len = Array.make (nt * nt) (-1) in
+  let memo = Array.make n unknown and stack = Array.make n 0 in
+  for di = 0 to nt - 1 do
+    count_hops t ~head ~memo ~stack ~len ~di
+  done;
+  let off = Array.make (nt * nt) 0 in
+  let total = ref 0 and failure = ref (-1) in
+  for p = 0 to (nt * nt) - 1 do
+    if len.(p) >= 0 then begin
+      off.(p) <- !total;
+      total := !total + len.(p)
+    end
+    else if !failure < 0 && p / nt <> p mod nt then failure := p
+  done;
+  if !failure >= 0 then
+    Error
+      (Printf.sprintf "no loop-free route %d -> %d" terminals.(!failure / nt) terminals.(!failure mod nt))
+  else begin
+    let buf = Array.make !total 0 in
+    for si = 0 to nt - 1 do
+      for di = 0 to nt - 1 do
+        if si <> di then begin
+          let p = (si * nt) + di in
+          let u = ref terminals.(si) and o = off.(p) in
+          for k = o to o + len.(p) - 1 do
+            let c = t.next.(!u).(di) in
+            buf.(k) <- c;
+            u := head.(c)
+          done
+        end
+      done
+    done;
+    Ok (Route_store.of_arena g ~buf ~off ~len ~num_paths:(nt * (nt - 1)))
+  end
+
+let to_store t =
+  Obs.Counter.incr c_to_store;
+  Obs.Timer.time t_to_store (fun () -> walk_to_store t)
 
 let iter_pairs t f =
   let terminals = Graph.terminals t.graph in
@@ -165,14 +232,40 @@ let set_num_layers t n =
   t.num_layers <- n
 
 let layers_of_store t store =
-  let layer_of_path = Array.make (Route_store.capacity store) (-1) in
+  let len = Route_store.lengths store in
+  let layer_of_path = Array.make (Array.length len) (-1) in
   (match t.layers with
-  | None -> Route_store.iter_pairs store (fun pair -> layer_of_path.(pair) <- 0)
+  | None ->
+    for pair = 0 to Array.length len - 1 do
+      if len.(pair) >= 0 then layer_of_path.(pair) <- 0
+    done
   | Some l ->
     let nt = Graph.num_terminals t.graph in
-    Route_store.iter_pairs store (fun pair ->
-        layer_of_path.(pair) <- Char.code (Bytes.get l.(pair / nt) (pair mod nt))));
+    for pair = 0 to Array.length len - 1 do
+      if len.(pair) >= 0 then layer_of_path.(pair) <- Char.code (Bytes.get l.(pair / nt) (pair mod nt))
+    done);
   layer_of_path
+
+let set_layers_of_store t store layer_of_path =
+  let nt = Graph.num_terminals t.graph in
+  if Route_store.capacity store <> nt * nt then
+    invalid_arg "Ftable.set_layers_of_store: store does not match the table";
+  if Array.length layer_of_path <> nt * nt then
+    invalid_arg "Ftable.set_layers_of_store: layer_of_path does not cover the store";
+  if Route_store.num_paths store > 0 then begin
+    let l = ensure_layers t and len = Route_store.lengths store in
+    for si = 0 to nt - 1 do
+      let row = l.(si) in
+      for di = 0 to nt - 1 do
+        let pair = (si * nt) + di in
+        if len.(pair) >= 0 then begin
+          let vl = layer_of_path.(pair) in
+          if vl < 0 || vl > 255 then invalid_arg "Ftable.set_layers_of_store: layer out of range";
+          Bytes.set row di (Char.chr vl)
+        end
+      done
+    done
+  end
 
 type diff = {
   dsts_changed : int;

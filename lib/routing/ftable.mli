@@ -61,10 +61,22 @@ val path_into : t -> Deadlock.Route_store.t -> pair:int -> src:int -> dst:int ->
 (** [to_store t] walks every ordered pair of distinct terminals into a
     fresh arena of capacity {!num_pairs}, pair ids as above; each pair's
     slice is its {!path}. [Error] names the first pair
-    (in pair-id order) with no loop-free route. Every call bumps the
-    [routing.to_store] counter of the default {!Obs.Registry}: a full walk
-    is the dominant cost of an epoch swap, so the number of them per
-    swap is part of the fabric manager's contract. *)
+    (in pair-id order) with no loop-free route.
+
+    Two passes. The first follows the tables toward each destination in
+    turn, memoising every node's hop count, so each node is walked once
+    per destination; a node revisited while still on the current walk
+    proves a forwarding loop and a missing entry a dead end (the same
+    verdicts as {!path}'s hop-limit walk, since a loop-free walk takes at
+    most [num_nodes - 1] hops). The second allocates one arena of exactly
+    the summed hop counts — [Array.length (Route_store.buffer s)] equals
+    [Route_store.total_channels s] — and fills the slices in pair order.
+
+    Every call bumps the [routing.to_store] counter of the default
+    {!Obs.Registry} and records its duration in the
+    [routing.to_store_walk] timer: a full walk is the dominant cost of an
+    epoch swap, so the number of them per swap is part of the fabric
+    manager's contract. *)
 val to_store : t -> (Deadlock.Route_store.t, string) result
 
 (** [iter_pairs t f] calls [f ~src ~dst path] for every ordered pair of
@@ -88,6 +100,14 @@ val set_num_layers : t -> int -> unit
     [store], indexed by pair id over the store's capacity; absent pairs
     carry [-1]. [store] must use this table's pair ids ({!to_store}). *)
 val layers_of_store : t -> Deadlock.Route_store.t -> int array
+
+(** [set_layers_of_store t store layer_of_path] is the inverse of
+    {!layers_of_store}: it writes [layer_of_path.(pair)] as the layer of
+    every pair present in [store], by pair id, and leaves absent pairs
+    alone. [store] must use this table's pair ids ({!to_store}).
+    @raise Invalid_argument if the store or [layer_of_path] does not span
+    {!num_pairs}, or a present pair's layer is outside [[0, 255]]. *)
+val set_layers_of_store : t -> Deadlock.Route_store.t -> int array -> unit
 
 (** {1 Diffing} *)
 

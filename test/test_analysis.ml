@@ -271,6 +271,84 @@ let test_cert_text_roundtrip () =
 
 let torus_table () = route "dfsssp" (fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1))
 
+(* Cert.check scans the route arena directly; this reference walks the
+   same store pair by pair through Route_store.iter_deps and reports the
+   first violation in the same words. *)
+let reference_check (cert : Analysis.Cert.t) store ~layer_of_path =
+  let k = Array.length cert.Analysis.Cert.layers in
+  let first = ref None in
+  Deadlock.Route_store.iter_pairs store (fun pair ->
+      if !first = None then begin
+        let l = layer_of_path.(pair) in
+        if l < 0 || l >= k then
+          first := Some (Printf.sprintf "pair %d rides layer %d outside the certificate's %d" pair l k)
+        else
+          let pos = cert.Analysis.Cert.layers.(l) in
+          Deadlock.Route_store.iter_deps store ~pair (fun c1 c2 ->
+              if !first = None && pos.(c1) >= pos.(c2) then
+                first :=
+                  Some
+                    (Printf.sprintf "layer %d: dependency %d -> %d not ascending (%d >= %d)" l c1 c2 pos.(c1)
+                       pos.(c2)))
+      end);
+  match !first with None -> Ok () | Some msg -> Error msg
+
+let test_cert_check_matches_reference () =
+  let ft = torus_table () in
+  let store, layer_of_path = artifacts ft in
+  let cert =
+    match Analysis.Cert.of_artifacts ft store ~layer_of_path with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "generate: %s" (Analysis.Cert.error_to_string e)
+  in
+  let swapped l a b =
+    let layers = Array.map Array.copy cert.Analysis.Cert.layers in
+    let pos = layers.(l) in
+    let tmp = pos.(a) in
+    pos.(a) <- pos.(b);
+    pos.(b) <- tmp;
+    { cert with Analysis.Cert.layers }
+  in
+  let agree label corrupt =
+    check
+      Alcotest.(result unit string)
+      label
+      (reference_check corrupt store ~layer_of_path)
+      (Analysis.Cert.check corrupt store ~layer_of_path)
+  in
+  (* swapping the two ends of a dependency always breaks it: one such swap
+     on the first, a middle and the last pair's route *)
+  let present = List.filter (fun pair -> Deadlock.Route_store.mem store ~pair) (List.init (Deadlock.Route_store.capacity store) Fun.id) in
+  List.iter
+    (fun pair ->
+      let path = Deadlock.Route_store.to_path store ~pair in
+      let corrupt = swapped layer_of_path.(pair) path.(0) path.(1) in
+      check Alcotest.bool "dependency swap rejected" true (Result.is_error (Analysis.Cert.check corrupt store ~layer_of_path));
+      agree "dependency swap" corrupt)
+    [ List.hd present; List.nth present (List.length present / 2); List.nth present (List.length present - 1) ];
+  (* arbitrary swaps, violating or not *)
+  let rng = Rng.create 5 in
+  let m = cert.Analysis.Cert.num_channels in
+  for _ = 1 to 40 do
+    agree "random swap" (swapped (Rng.int rng (Analysis.Cert.num_layers cert)) (Rng.int rng m) (Rng.int rng m))
+  done
+
+let test_set_layers_of_store () =
+  let ft = torus_table () in
+  let store, layer_of_path = artifacts ft in
+  let copy = copy_table ft in
+  let shifted = Array.map (fun l -> if l < 0 then l else (l + 1) mod 3) layer_of_path in
+  Routing.Ftable.set_layers_of_store copy store shifted;
+  check Alcotest.(array int) "set then read is the identity" shifted (Routing.Ftable.layers_of_store copy store);
+  Routing.Ftable.set_layers_of_store copy store layer_of_path;
+  check Alcotest.(array int) "restored" layer_of_path (Routing.Ftable.layers_of_store copy store);
+  let terms = Graph.terminals (Routing.Ftable.graph ft) in
+  let pair = Routing.Ftable.pair_id ft ~src:terms.(1) ~dst:terms.(0) in
+  let too_high = Array.copy layer_of_path in
+  too_high.(pair) <- 256;
+  Alcotest.check_raises "layer above 255" (Invalid_argument "Ftable.set_layers_of_store: layer out of range")
+    (fun () -> Routing.Ftable.set_layers_of_store copy store too_high)
+
 let test_a001_dropped_entry () =
   let ft = torus_table () in
   let _, dst, p = long_pair ft in
@@ -725,6 +803,9 @@ let () =
           Alcotest.test_case "cyclic layer refused (clockwise ring)" `Quick test_cyclic_layer_refused;
           Alcotest.test_case "merged layers refused" `Quick test_merged_layers_refused;
           Alcotest.test_case "certificate text round trip" `Quick test_cert_text_roundtrip;
+          Alcotest.test_case "check names the reference scan's first violation" `Quick
+            test_cert_check_matches_reference;
+          Alcotest.test_case "set_layers_of_store inverts layers_of_store" `Quick test_set_layers_of_store;
         ] );
       ( "lint",
         [

@@ -157,6 +157,46 @@ let test_cdg_of_store_and_compact () =
   check Alcotest.int "filtered paths" 1 (Cdg.num_paths only0);
   check Alcotest.int "filtered edges" 3 (Cdg.num_edges only0)
 
+(* Cdg.of_store reads the route arena directly; the reference adds the
+   same pairs one by one through the overlay and compacts. Random stores
+   mix absent pairs, 0- and 1-channel slices and replaced paths (whose
+   abandoned slices leave dead arena between live ones). *)
+let of_store_parity_qcheck =
+  qtest ~count:100 "of_store (full, ~pairs, ~filter) agrees with add_pair + compact"
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Topo_ring.make ~switches:6 ~terminals_per_switch:1 in
+      let m = Graph.num_channels g in
+      let capacity = 1 + Rng.int rng 40 in
+      let store = Route_store.create g ~capacity in
+      let random_path () = Array.init (Rng.int rng 7) (fun _ -> Rng.int rng m) in
+      for pair = 0 to capacity - 1 do
+        if Rng.int rng 4 > 0 then Route_store.set_path store ~pair (random_path ());
+        if Rng.int rng 5 = 0 then Route_store.set_path store ~pair (random_path ())
+      done;
+      let present = List.filter (fun pair -> Route_store.mem store ~pair) (List.init capacity Fun.id) in
+      let agrees built ids =
+        let reference = Cdg.create g in
+        List.iter (fun pair -> Cdg.add_pair reference store ~pair) ids;
+        Cdg.compact reference;
+        let same = ref (Cdg.num_edges built = Cdg.num_edges reference && Cdg.num_paths built = List.length ids) in
+        Cdg.iter_edges reference (fun c1 c2 count ->
+            if Cdg.edge_count built ~c1 ~c2 <> count
+               || List.sort compare (Cdg.edge_pairs built ~c1 ~c2)
+                  <> List.sort compare (Cdg.edge_pairs reference ~c1 ~c2)
+            then same := false);
+        !same
+      in
+      let subset = List.filter (fun _ -> Rng.int rng 2 = 0) present in
+      let keep pair = pair mod 3 <> seed mod 3 in
+      agrees (Cdg.of_store store) present
+      && agrees (Cdg.of_store ~pairs:(Array.of_list (List.rev subset)) store) subset
+      && agrees (Cdg.of_store ~filter:keep store) (List.filter keep present)
+      && agrees
+           (Cdg.of_store ~filter:keep ~pairs:(Array.of_list subset) store)
+           (List.filter keep subset))
+
 let test_cdg_successors () =
   let g, paths = ring_fixture 5 in
   let cdg = Cdg.create g in
@@ -722,6 +762,7 @@ let () =
           Alcotest.test_case "shared edges" `Quick test_cdg_shared_edges;
           Alcotest.test_case "successors" `Quick test_cdg_successors;
           Alcotest.test_case "of_store and compact" `Quick test_cdg_of_store_and_compact;
+          of_store_parity_qcheck;
         ] );
       ("route_store", [ Alcotest.test_case "basics" `Quick test_route_store_basics ]);
       ( "cycle",

@@ -496,6 +496,114 @@ let to_store_qcheck =
              terms
       | _ -> false)
 
+(* Deterministic edge cases of the two-pass Ftable.to_store: a chain of
+   [k] switches with one terminal per listed switch, routed by SSSP and
+   then edited entry by entry ([Some c] redirects, [None] drops). *)
+let chain k ~hosts =
+  let b = Builder.create () in
+  let sw = Array.init k (fun i -> Builder.add_switch b ~name:(Printf.sprintf "s%d" i)) in
+  List.iteri (fun j i -> ignore (Builder.add_terminal b ~name:(Printf.sprintf "t%d" j) ~switch:sw.(i))) hosts;
+  let links = Array.init (k - 1) (fun i -> Builder.add_link b sw.(i) sw.(i + 1)) in
+  let g = Builder.build b in
+  (g, sw, links, expect "sssp" (Sssp.route g))
+
+let edited g good edits =
+  let ft = Ftable.create g ~algorithm:"edited" in
+  for node = 0 to Graph.num_nodes g - 1 do
+    Array.iter
+      (fun dst ->
+        match List.assoc_opt (node, dst) edits with
+        | Some (Some channel) -> Ftable.set_next ft ~node ~dst ~channel
+        | Some None -> ()
+        | None -> Option.iter (fun channel -> Ftable.set_next ft ~node ~dst ~channel) (Ftable.next good ~node ~dst))
+      (Graph.terminals g)
+  done;
+  ft
+
+let to_store_error ft =
+  match Ftable.to_store ft with
+  | Ok _ -> Alcotest.fail "damaged table materialised"
+  | Error msg -> msg
+
+let to_store_walks () =
+  match Obs.Registry.find_timer (Obs.Registry.default ()) "routing.to_store_walk" with
+  | Some t -> Obs.Timer.count t
+  | None -> Alcotest.fail "routing.to_store_walk timer not registered"
+
+let test_to_store_longest_route () =
+  (* t0 and t1 at the two ends of the chain: the route visits every node,
+     num_nodes - 1 hops, the longest a loop-free walk can take *)
+  let g, _, _, ft = chain 4 ~hosts:[ 0; 3 ] in
+  let terms = Graph.terminals g in
+  let store = expect "to_store" (Ftable.to_store ft) in
+  let pair = Ftable.pair_id ft ~src:terms.(0) ~dst:terms.(1) in
+  check Alcotest.int "num_nodes - 1 hops" (Graph.num_nodes g - 1) (Deadlock.Route_store.length store ~pair);
+  check Alcotest.(array int) "slice is the walk" (Option.get (Ftable.path ft ~src:terms.(0) ~dst:terms.(1)))
+    (Deadlock.Route_store.to_path store ~pair)
+
+let test_to_store_loop_and_dead_end () =
+  let g, sw, links, good = chain 4 ~hosts:[ 0; 3 ] in
+  let terms = Graph.terminals g in
+  let t0 = terms.(0) and t1 = terms.(1) in
+  let want = Printf.sprintf "no loop-free route %d -> %d" t0 t1 in
+  (* s1 bounces traffic for t1 back to s0, which forwards it to s1 again *)
+  let loop = edited g good [ ((sw.(1), t1), Some (snd links.(0))) ] in
+  check Alcotest.string "two-node loop" want (to_store_error loop);
+  let dead = edited g good [ ((sw.(2), t1), None) ] in
+  let before = to_store_walks () in
+  check Alcotest.string "mid-route dead end" want (to_store_error dead);
+  check Alcotest.int "failed walks are timed too" (before + 1) (to_store_walks ());
+  check Alcotest.bool "reverse direction intact" true (Option.is_some (Ftable.path dead ~src:t1 ~dst:t0))
+
+let test_to_store_first_failure_row_major () =
+  (* one terminal per switch; failing pairs (0,2) and (1,2) by a loop
+     s0 <-> s1 toward t2, and (2,0) by a dead end at t2 itself. Row-major
+     order names (0,2) although the per-destination pass meets (2,0)
+     first. *)
+  let g, sw, links, good = chain 3 ~hosts:[ 0; 1; 2 ] in
+  let terms = Graph.terminals g in
+  let ft =
+    edited g good
+      [ ((sw.(0), terms.(2)), Some (fst links.(0))); ((sw.(1), terms.(2)), Some (snd links.(0))); ((terms.(2), terms.(0)), None) ]
+  in
+  check Alcotest.string "first in pair-id order"
+    (Printf.sprintf "no loop-free route %d -> %d" terms.(0) terms.(2))
+    (to_store_error ft)
+
+let test_to_store_layout () =
+  let g = fst (Lazy.force torus44) in
+  let ft = expect "sssp" (Sssp.route g) in
+  let before = to_store_walks () in
+  let store = expect "to_store" (Ftable.to_store ft) in
+  check Alcotest.int "one timed walk" (before + 1) (to_store_walks ());
+  let terms = Graph.terminals g in
+  let nt = Array.length terms in
+  Array.iter
+    (fun t -> check Alcotest.bool "diagonal absent" false (Deadlock.Route_store.mem store ~pair:(Ftable.pair_id ft ~src:t ~dst:t)))
+    terms;
+  check Alcotest.int "every other pair present" (nt * (nt - 1)) (Deadlock.Route_store.num_paths store);
+  check Alcotest.int "arena has no slack" (Deadlock.Route_store.total_channels store)
+    (Array.length (Deadlock.Route_store.buffer store))
+
+let test_of_arena_rejects () =
+  let g = Lazy.force ring5 in
+  let buf = [| 0; 1; 2 |] in
+  let of_arena ~off ~len ~num_paths () = ignore (Deadlock.Route_store.of_arena g ~buf ~off ~len ~num_paths) in
+  let store = Deadlock.Route_store.of_arena g ~buf ~off:[| 0; 0; 2 |] ~len:[| 2; -1; 1 |] ~num_paths:2 in
+  check Alcotest.(array int) "slice" [| 2 |] (Deadlock.Route_store.to_path store ~pair:2);
+  check Alcotest.bool "absent" false (Deadlock.Route_store.mem store ~pair:1);
+  let rejects label f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "off/len lengths differ" (of_arena ~off:[| 0; 0 |] ~len:[| 1 |] ~num_paths:1);
+  rejects "slice past the arena end" (of_arena ~off:[| 2 |] ~len:[| 2 |] ~num_paths:1);
+  rejects "negative offset" (of_arena ~off:[| -1 |] ~len:[| 1 |] ~num_paths:1);
+  rejects "length below -1" (of_arena ~off:[| 0 |] ~len:[| -2 |] ~num_paths:0);
+  rejects "num_paths too high" (of_arena ~off:[| 0; 0 |] ~len:[| 1; -1 |] ~num_paths:2);
+  rejects "num_paths too low" (of_arena ~off:[| 0; 0 |] ~len:[| 1; 3 |] ~num_paths:1)
+
 (* The path-walk oracle for Ftable.validate, which now reads its
    statistics off the route store: every pair walked with Ftable.path and
    measured against a reverse BFS from its destination. *)
@@ -727,6 +835,11 @@ let () =
           Alcotest.test_case "loop bound tight" `Quick test_ftable_loop_bound_tight;
           Alcotest.test_case "cyclic table" `Quick test_ftable_cyclic_table;
           to_store_qcheck;
+          Alcotest.test_case "to_store longest route" `Quick test_to_store_longest_route;
+          Alcotest.test_case "to_store loop and dead end" `Quick test_to_store_loop_and_dead_end;
+          Alcotest.test_case "to_store first failure row-major" `Quick test_to_store_first_failure_row_major;
+          Alcotest.test_case "to_store layout" `Quick test_to_store_layout;
+          Alcotest.test_case "of_arena rejects" `Quick test_of_arena_rejects;
           store_stats_qcheck;
         ] );
       ( "minhop",
