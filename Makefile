@@ -25,9 +25,12 @@ zoo:
 # Quick churn soak, part of `check`: three fabrics, >= 200 applied
 # seeded events total, every epoch swap recertified by the trusted
 # checker. Failing runs dump a reproduction artifact (seed + trace)
-# under _build/soak/ and print its path.
+# under _build/soak/ and print its path. The second run holds a torus to
+# three layers, where some full recomputes run out of layers and the
+# rescue must converge instead.
 soak-smoke:
 	dune exec bin/fabric_tool.exe -- soak torus:4x4 torus:3x3x3 xpander:4,5:11 --events 90 --seed 7
+	dune exec bin/fabric_tool.exe -- soak torus:5x5 --events 90 --seed 7 --max-layers 3
 
 # Long-haul churn soak (not part of `check`): larger fabrics, more
 # events, switch removals and drains included.

@@ -386,7 +386,7 @@ let write_stats_json mgr path =
   end
 
 (* Shared by manage and serve: the shortest-path kernel behind full
-   recomputes and incremental repairs (DESIGN.md §15). *)
+   recomputes and rescues (DESIGN.md §15). *)
 let kernel_conv =
   let parse s = Result.map_error (fun e -> `Msg e) (Routing.Spf.kind_of_string s) in
   Arg.conv (parse, Routing.Spf.pp_kind)
@@ -419,9 +419,8 @@ let engine_arg =
 (* manage: the live fabric manager — replay a fault schedule and report
    convergence after every event. *)
 let manage_cmd =
-  let run spec events seed schedule_file removals drains algorithm max_layers layer_budget
-      repair_fraction batch domains kernel engine print_schedule stats_out =
-    let layer_budget = Option.value ~default:max_layers layer_budget in
+  let run spec events seed schedule_file removals drains algorithm max_layers batch domains kernel
+      engine print_schedule stats_out =
     (* --batch unset: snapshot in recommended batches when the pipeline
        is on (--domains > 1), stay on the sequential recurrence
        otherwise. *)
@@ -430,12 +429,8 @@ let manage_cmd =
       | Some b -> b
       | None -> if domains > 1 then Routing.Sssp.recommended_batch else 1
     in
-    if max_layers < 1 || layer_budget < 1 then begin
-      prerr_endline "manage: --max-layers and --layer-budget must be at least 1";
-      2
-    end
-    else if repair_fraction < 0.0 || repair_fraction > 1.0 then begin
-      prerr_endline "manage: --repair-fraction must be within [0, 1]";
+    if max_layers < 1 then begin
+      prerr_endline "manage: --max-layers must be at least 1";
       2
     end
     else if batch < 1 || domains < 1 then begin
@@ -449,18 +444,7 @@ let manage_cmd =
         2
       | Ok t -> (
         let g = t.Harness.Topospec.graph in
-        let config =
-          {
-            Fabric.Manager.algorithm;
-            max_layers;
-            layer_budget;
-            repair_fraction;
-            batch;
-            domains;
-            kernel;
-            engine;
-          }
-        in
+        let config = { Fabric.Manager.algorithm; max_layers; batch; domains; kernel; engine } in
       match load_schedule g ~schedule_file ~seed ~events ~removals ~drains with
       | Error msg ->
         prerr_endline msg;
@@ -520,23 +504,10 @@ let manage_cmd =
     Arg.(
       value & opt string "dfsssp"
       & info [ "algorithm" ] ~docv:"NAME"
-          ~doc:"Routing algorithm for full recomputes; only dfsssp repairs incrementally.")
+          ~doc:"Routing algorithm for full recomputes; only dfsssp rescues a failed one.")
   in
   let max_layers =
     Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
-  in
-  let layer_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "layer-budget" ] ~docv:"K"
-          ~doc:"Layers the incremental path may use before falling back (default: max-layers).")
-  in
-  let repair_fraction =
-    Arg.(
-      value & opt float 0.5
-      & info [ "repair-fraction" ] ~docv:"F"
-          ~doc:"Max fraction of destinations repaired incrementally; above it, full recompute.")
   in
   let batch =
     Arg.(
@@ -568,8 +539,7 @@ let manage_cmd =
        ~doc:"run the live fabric manager over a fault schedule and print a convergence report")
     Term.(
       const run $ spec $ events $ seed $ schedule_file $ removals $ drains $ algorithm $ max_layers
-      $ layer_budget $ repair_fraction $ batch $ domains $ kernel_arg $ engine_arg
-      $ print_schedule $ stats_out)
+      $ batch $ domains $ kernel_arg $ engine_arg $ print_schedule $ stats_out)
 
 (* trace: the manage path again, but with observability enabled and a
    JSON-lines span sink — one compact JSON object per span, innermost
@@ -695,15 +665,14 @@ let host_arg =
    and observability snapshots to many concurrent clients. *)
 let serve_cmd =
   let run spec socket tcp host replace queue_depth max_frame trace_capacity algorithm max_layers
-      layer_budget repair_fraction batch domains kernel engine =
-    let layer_budget = Option.value ~default:max_layers layer_budget in
+      batch domains kernel engine =
     let batch =
       match batch with
       | Some b -> b
       | None -> if domains > 1 then Routing.Sssp.recommended_batch else 1
     in
-    if max_layers < 1 || layer_budget < 1 || batch < 1 || domains < 1 || queue_depth < 1 then begin
-      prerr_endline "serve: --max-layers, --layer-budget, --batch, --domains and --queue-depth must be at least 1";
+    if max_layers < 1 || batch < 1 || domains < 1 || queue_depth < 1 then begin
+      prerr_endline "serve: --max-layers, --batch, --domains and --queue-depth must be at least 1";
       2
     end
     else
@@ -723,17 +692,7 @@ let serve_cmd =
             queue_depth;
             max_frame;
             trace_capacity;
-            manager =
-              {
-                Fabric.Manager.algorithm;
-                max_layers;
-                layer_budget;
-                repair_fraction;
-                batch;
-                domains;
-                kernel;
-                engine;
-              };
+            manager = { Fabric.Manager.algorithm; max_layers; batch; domains; kernel; engine };
           }
         in
         match Service.Server.create ~config t.Harness.Topospec.graph with
@@ -797,19 +756,6 @@ let serve_cmd =
   let max_layers =
     Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
   in
-  let layer_budget =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "layer-budget" ] ~docv:"K"
-          ~doc:"Layers the incremental path may use before falling back (default: max-layers).")
-  in
-  let repair_fraction =
-    Arg.(
-      value & opt float 0.5
-      & info [ "repair-fraction" ] ~docv:"F"
-          ~doc:"Max fraction of destinations repaired incrementally.")
-  in
   let batch =
     Arg.(
       value
@@ -828,8 +774,7 @@ let serve_cmd =
           stats served to concurrent clients over a socket")
     Term.(
       const run $ spec $ socket_arg $ tcp_arg $ host_arg $ replace $ queue_depth $ max_frame
-      $ trace_capacity $ algorithm $ max_layers $ layer_budget $ repair_fraction $ batch $ domains
-      $ kernel_arg $ engine_arg)
+      $ trace_capacity $ algorithm $ max_layers $ batch $ domains $ kernel_arg $ engine_arg)
 
 (* client: one-shot requests, schedule replay and raw JSON scripting
    against a running daemon. *)
@@ -1124,7 +1069,7 @@ let soak_cmd =
       exit 2
     end;
     let config =
-      { Fabric.Manager.default_config with max_layers; layer_budget = max_layers }
+      { Fabric.Manager.default_config with max_layers }
     in
     let results =
       Harness.Soak.run ~config ?switch_removals:removals ?drains ~artifact_dir ~specs ~seed

@@ -15,8 +15,6 @@ type report = {
 (* Certifier telemetry: one counter/timer sample per run, a span per
    analyze — the per-engine "performance counters" the InfiniBand
    controller literature exports for its routing engines. *)
-let c_certify = Obs.Registry.counter "analysis.certify" ~desc:"certificate generate+check runs"
-
 let c_analyses = Obs.Registry.counter "analysis.analyses" ~desc:"full analyzer runs"
 
 let c_certified = Obs.Registry.counter "analysis.certified" ~desc:"analyzer verdicts: certified"
@@ -51,7 +49,6 @@ let certify_artifacts ft =
       | Error msg -> Error (Refuted msg)))
 
 let certify_store ft =
-  Obs.Counter.incr c_certify;
   Obs.Timer.time t_certify (fun () ->
       Result.map_error refusal_to_string (certify_artifacts ft))
 

@@ -41,12 +41,13 @@ let fresh_dependencies cdg store ~pair =
       if not (Cdg.live cdg ~c1:a ~c2:b) then fresh := (a, b) :: !fresh);
   !fresh
 
-let assign_store ?(engine = `Dfs) store ~max_layers =
-  if max_layers < 1 then invalid_arg "Online.assign: max_layers < 1";
+(* Places every pair not yet in [layer_of_path] into the lowest layer of
+   [cdgs] it keeps acyclic, opening layers up to [max_layers]. *)
+let place ~engine store ~max_layers layer_of_path cdgs =
   let g = Route_store.graph store in
-  let layer_of_path = Array.make (Route_store.capacity store) (-1) in
-  let cdgs = ref [| Cdg.create g |] in
-  let pks = ref [| (match engine with `Pk -> Some (Pk_order.create !cdgs.(0)) | `Dfs -> None) |] in
+  let pk_of cdg = match engine with `Pk -> Some (Pk_order.create cdg) | `Dfs -> None in
+  let pks = ref (Array.map pk_of cdgs) in
+  let cdgs = ref cdgs in
   let stamps = Array.make (Graph.num_channels g) 0 in
   let stamp = ref 0 in
   let checks = ref 0 in
@@ -64,7 +65,7 @@ let assign_store ?(engine = `Dfs) store ~max_layers =
     go (List.rev fresh)
   in
   Route_store.iter_pairs store (fun i ->
-      if !error = None then begin
+      if !error = None && layer_of_path.(i) < 0 then begin
         let placed = ref false in
         let vl = ref 0 in
         while (not !placed) && !error = None do
@@ -74,8 +75,7 @@ let assign_store ?(engine = `Dfs) store ~max_layers =
             else begin
               let cdg = Cdg.create g in
               cdgs := Array.append !cdgs [| cdg |];
-              pks :=
-                Array.append !pks [| (match engine with `Pk -> Some (Pk_order.create cdg) | `Dfs -> None) |]
+              pks := Array.append !pks [| pk_of cdg |]
             end;
           if !error = None then begin
             let cdg = !cdgs.(!vl) in
@@ -105,6 +105,25 @@ let assign_store ?(engine = `Dfs) store ~max_layers =
         m "placed %d routes over %d layer(s) with %d cycle probes" (Route_store.num_paths store)
           layers_used !checks);
     Ok { layer_of_path; layers_used; cycle_checks = !checks }
+
+let assign_store ?(engine = `Dfs) ?seed store ~max_layers =
+  if max_layers < 1 then invalid_arg "Online.assign: max_layers < 1";
+  let n = Route_store.capacity store in
+  let seed = Option.value seed ~default:(Array.make n (-1)) in
+  if Array.length seed <> n then invalid_arg "Online.assign_store: seed does not cover the store";
+  (* Seeded pairs are pinned: each seeded layer's CDG is built in bulk from
+     them and checked once, instead of probing their dependencies. *)
+  let layer_of_path = Array.make n (-1) in
+  Route_store.iter_pairs store (fun p -> layer_of_path.(p) <- seed.(p));
+  let layers = 1 + Array.fold_left max (-1) layer_of_path in
+  if layers > max_layers then Error (Printf.sprintf "seed uses %d layer(s) (max %d)" layers max_layers)
+  else
+    let cdgs =
+      Array.init (max 1 layers) (fun vl -> Cdg.of_store ~filter:(fun p -> layer_of_path.(p) = vl) store)
+    in
+    match List.find_opt (fun vl -> not (Acyclic.is_acyclic cdgs.(vl))) (List.init layers Fun.id) with
+    | Some vl -> Error (Printf.sprintf "seeded layer %d is cyclic" vl)
+    | None -> place ~engine store ~max_layers layer_of_path cdgs
 
 let assign ?engine g ~paths ~max_layers =
   assign_store ?engine (Route_store.of_paths g paths) ~max_layers

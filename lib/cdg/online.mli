@@ -18,12 +18,24 @@ type outcome = {
       visited, which makes the online variant far cheaper on large
       fabrics. Both engines accept and reject exactly the same paths. *)
 
-(** [assign_store ?engine store ~max_layers] places every present pair of
-    [store] in id order, reading dependencies from arena slices.
+(** [assign_store ?engine ?seed store ~max_layers] places every present
+    pair of [store] in id order, reading dependencies from arena slices.
     [layer_of_path] covers the store's full capacity; absent pairs are
-    [-1]. *)
+    [-1].
+
+    [seed] (indexed by pair id over the store's capacity) pins every
+    present pair with [seed.(p) >= 0] to that layer: the seeded layers'
+    CDGs are built in bulk, checked acyclic once, and the remaining pairs
+    are placed online around them. [Error] if the seed uses more than
+    [max_layers] layers or a seeded layer is cyclic. Without [seed] the
+    assignment is the plain online one.
+    @raise Invalid_argument if [seed] does not span the store's capacity. *)
 val assign_store :
-  ?engine:[ `Dfs | `Pk ] -> Route_store.t -> max_layers:int -> (outcome, string) result
+  ?engine:[ `Dfs | `Pk ] ->
+  ?seed:int array ->
+  Route_store.t ->
+  max_layers:int ->
+  (outcome, string) result
 
 (** [assign g ~paths ~max_layers] is {!assign_store} over a store holding
     path [i] under pair id [i]. *)

@@ -13,11 +13,13 @@
 
 type t
 
-(** [create cdg] builds an order for [cdg]'s current nodes. The CDG must
-    be acyclic and is typically empty. DFS probes traverse only edges that
-    are live in [cdg] {e and} were accepted by {!insert} — a freshly added
-    path's not-yet-registered dependencies are invisible until their own
-    insertion, where any cycle they complete is caught. *)
+(** [create cdg] builds a topological order of [cdg]'s current live
+    edges and counts them all as accepted (the identity order when [cdg]
+    is empty). After that, DFS probes traverse only edges that are live in
+    [cdg] {e and} were accepted — a freshly added path's not-yet-registered
+    dependencies are invisible until their own {!insert}, where any cycle
+    they complete is caught.
+    @raise Invalid_argument if [cdg] is cyclic. *)
 val create : Cdg.t -> t
 
 (** [insert t ~c1 ~c2] registers the dependency (c1, c2).

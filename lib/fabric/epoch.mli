@@ -23,7 +23,7 @@
 
 type entry = {
   epoch : int;
-  label : string;  (** what produced this epoch, e.g. ["down 42 (incremental)"] *)
+  label : string;  (** what produced this epoch, e.g. ["down 42 (full)"] or ["down 42 (rescue)"] *)
   verify_s : float;
 }
 

@@ -5,8 +5,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type config = {
   algorithm : string;
   max_layers : int;
-  layer_budget : int;
-  repair_fraction : float;
   batch : int;
   domains : int;
   kernel : Spf.kind;
@@ -17,8 +15,6 @@ let default_config =
   {
     algorithm = "dfsssp";
     max_layers = 8;
-    layer_budget = 8;
-    repair_fraction = 0.5;
     batch = 1;
     domains = 1;
     kernel = Spf.Auto;
@@ -73,8 +69,7 @@ let epoch_history t = Epoch.history t.epochs
 let event_log t = List.rev t.outcomes
 
 (* Full recompute: fresh weight state, route everything, re-break all
-   cycles. The incremental path's last resort and the only path for
-   structural rebuilds and non-DFSSSP algorithms. *)
+   cycles. The first attempt for every table-changing event. *)
 let full_route t =
   let g = Fabstate.graph t.state in
   Obs.Trace.with_span "fabric.full_route"
@@ -126,7 +121,6 @@ let snapshot t = Epoch.snapshot t.epochs
 
 let create ?(config = default_config) g =
   if config.max_layers < 1 then invalid_arg "Manager.create: max_layers < 1";
-  if config.layer_budget < 1 then invalid_arg "Manager.create: layer_budget < 1";
   if config.batch < 1 then invalid_arg "Manager.create: batch < 1";
   if config.domains < 1 then invalid_arg "Manager.create: domains < 1";
   if Graph.num_terminals g < 2 then Error "Manager.create: fabric has fewer than two terminals"
@@ -163,131 +157,102 @@ let finish t outcome =
   Log.info (fun m ->
       m "%s: %s%s epoch %d" (Event.to_string outcome.event)
         (match outcome.action with
-        | Incremental { repaired; total } -> Printf.sprintf "incremental %d/%d" repaired total
+        | Incremental { repaired; total } -> Printf.sprintf "rescue %d/%d" repaired total
         | Full reason -> "full (" ^ reason ^ ")"
         | Noop -> "noop")
         (if outcome.note = "" then "" else " [" ^ outcome.note ^ "]")
         outcome.epoch);
   outcome
 
-let full_swap t ~event ~t0 ~reason ~fallback ~diff_against =
+(* Routes one candidate and runs it through the epoch gate:
+   [Ok (tables, report)] once it is the active epoch. *)
+let try_candidate t ~label route =
   let m = t.metrics in
   let tr0 = Unix.gettimeofday () in
-  match full_route t with
-  | Error msg ->
-    Obs.Timer.add m.Metrics.repair (Unix.gettimeofday () -. tr0);
+  let candidate = route () in
+  Obs.Timer.add m.Metrics.repair (Unix.gettimeofday () -. tr0);
+  match candidate with
+  | Error msg -> Error msg
+  | Ok ft -> (
+    match Epoch.try_swap t.epochs ~label ft with
+    | Error msg, verify_s ->
+      Obs.Timer.add m.Metrics.verify verify_s;
+      Obs.Counter.incr m.Metrics.verify_failures;
+      Error ("tables rejected: " ^ msg)
+    | Ok r, verify_s ->
+      Obs.Timer.add m.Metrics.verify verify_s;
+      Obs.Counter.set m.Metrics.swap_epochs (Epoch.epoch t.epochs);
+      Ok (ft, r))
+
+(* Every table-changing event runs the full recompute. Only when that
+   fails does an id-stable event under dfsssp go to the rescue
+   ({!Repair.patch}), which re-routes the destinations that used
+   [channels] and keeps every other route and its layer. *)
+let reconverge t ~event ~t0 ~old_ft ~reason ~channels =
+  let m = t.metrics in
+  let g = Fabstate.graph t.state in
+  (* A structural rebuild removes a switch, so the active tables index
+     the current fabric's ids iff the node counts agree. *)
+  let same_ids = Graph.num_nodes (Ftable.graph old_ft) = Graph.num_nodes g in
+  let outcome ~action ~fallback ~note swapped =
     finish t
       {
         event;
         applied = true;
-        action = Full reason;
+        action;
         fallback;
         epoch = Epoch.epoch t.epochs;
-        verify = None;
-        table_diff = None;
-        note = "FULL RECOMPUTE FAILED, serving stale tables: " ^ msg;
+        verify = Option.map snd swapped;
+        table_diff =
+          (match swapped with
+          | Some (ft, _) when same_ids -> Some (Ftable.diff old_ft ft)
+          | _ -> None);
+        note;
         elapsed_s = Unix.gettimeofday () -. t0;
       }
-  | Ok ft -> (
-    Obs.Timer.add m.Metrics.repair (Unix.gettimeofday () -. tr0);
-    match Epoch.try_swap t.epochs ~label:(Event.to_string event ^ " (full)") ft with
-    | Error msg, verify_s ->
-      Obs.Timer.add m.Metrics.verify verify_s;
-      Obs.Counter.incr m.Metrics.verify_failures;
-      finish t
-        {
-          event;
-          applied = true;
-          action = Full reason;
-          fallback;
-          epoch = Epoch.epoch t.epochs;
-          verify = None;
-          table_diff = None;
-          note = "full recompute rejected, serving stale tables: " ^ msg;
-          elapsed_s = Unix.gettimeofday () -. t0;
-        }
-    | Ok r, verify_s ->
-      Obs.Timer.add m.Metrics.verify verify_s;
-      Obs.Counter.incr m.Metrics.full_recomputes;
-      Obs.Counter.set m.Metrics.swap_epochs (Epoch.epoch t.epochs);
-      let table_diff = Option.map (fun old -> Ftable.diff old ft) diff_against in
-      finish t
-        {
-          event;
-          applied = true;
-          action = Full reason;
-          fallback;
-          epoch = Epoch.epoch t.epochs;
-          verify = Some r;
-          table_diff;
-          note = "";
-          elapsed_s = Unix.gettimeofday () -. t0;
-        })
-
-let incremental_swap t ~event ~t0 ~old_ft ~affected =
-  let m = t.metrics in
-  let g = Fabstate.graph t.state in
-  let total = Graph.num_terminals g in
-  let budget = int_of_float (t.config.repair_fraction *. float_of_int total) in
-  if t.config.algorithm <> "dfsssp" then
-    full_swap t ~event ~t0 ~reason:(t.config.algorithm ^ " has no incremental path") ~fallback:false
-      ~diff_against:(Some old_ft)
-  else if List.length affected > budget then
-    full_swap t ~event ~t0
-      ~reason:(Printf.sprintf "%d/%d destinations affected, over repair budget" (List.length affected) total)
-      ~fallback:false ~diff_against:(Some old_ft)
-  else begin
-    let tr0 = Unix.gettimeofday () in
-    let layer_budget = min t.config.layer_budget t.config.max_layers in
-    let patched =
-      Obs.Trace.with_span "fabric.repair"
-        ~attrs:(fun () ->
-          [("destinations", Obs.Trace.Int (List.length affected)); ("total", Obs.Trace.Int total)])
-        (fun () ->
-          Repair.patch ~kernel:t.config.kernel ~graph:g ~old:old_ft ~dsts:affected
-            ~weights:t.weights ~layer_budget ())
-    in
-    match patched with
-    | Error msg ->
-      Obs.Timer.add m.Metrics.repair (Unix.gettimeofday () -. tr0);
+  in
+  let label kind = Printf.sprintf "%s (%s)" (Event.to_string event) kind in
+  match try_candidate t ~label:(label "full") (fun () -> full_route t) with
+  | Ok swapped ->
+    Obs.Counter.incr m.Metrics.full_recomputes;
+    outcome ~action:(Full reason) ~fallback:false ~note:"" (Some swapped)
+  | Error msg -> (
+    let failed = "full recompute failed: " ^ msg in
+    let stale why = outcome ~action:(Full reason) ~fallback:false ~note:(failed ^ why) None in
+    match channels with
+    | None -> stale ", serving stale tables"
+    | Some _ when t.config.algorithm <> "dfsssp" ->
+      stale (Printf.sprintf "; %s has no rescue, serving stale tables" t.config.algorithm)
+    | Some _ when not same_ids ->
+      stale "; the active tables predate a structural rebuild, so no rescue, serving stale tables"
+    | Some channels -> (
       Obs.Counter.incr m.Metrics.fallbacks;
-      full_swap t ~event ~t0 ~reason:("incremental repair failed: " ^ msg) ~fallback:true
-        ~diff_against:(Some old_ft)
-    | Ok patched -> (
-      Obs.Timer.add m.Metrics.repair (Unix.gettimeofday () -. tr0);
-      match Epoch.try_swap t.epochs ~label:(Event.to_string event ^ " (incremental)") patched.Repair.table with
-      | Error msg, verify_s ->
-        Obs.Timer.add m.Metrics.verify verify_s;
-        Obs.Counter.incr m.Metrics.verify_failures;
-        Obs.Counter.incr m.Metrics.fallbacks;
-        full_swap t ~event ~t0 ~reason:("incremental tables rejected: " ^ msg) ~fallback:true
-          ~diff_against:(Some old_ft)
-      | Ok r, verify_s ->
-        Obs.Timer.add m.Metrics.verify verify_s;
+      let dsts = Repair.affected_destinations old_ft ~channels in
+      let repaired = List.length dsts and total = Graph.num_terminals g in
+      let action = Incremental { repaired; total } in
+      let rescue () =
+        Obs.Trace.with_span "fabric.repair"
+          ~attrs:(fun () -> [("destinations", Obs.Trace.Int repaired); ("total", Obs.Trace.Int total)])
+          (fun () ->
+            Repair.patch ~kernel:t.config.kernel ~graph:g ~old:old_ft ~dsts ~weights:t.weights
+              ~max_layers:t.config.max_layers ())
+      in
+      match try_candidate t ~label:(label "rescue") rescue with
+      | Ok swapped ->
         Obs.Counter.incr m.Metrics.incremental_repairs;
-        Obs.Counter.incr ~n:(List.length affected) m.Metrics.dsts_repaired;
+        Obs.Counter.incr ~n:repaired m.Metrics.dsts_repaired;
         Obs.Counter.incr ~n:total m.Metrics.dsts_total;
-        Obs.Counter.set m.Metrics.swap_epochs (Epoch.epoch t.epochs);
-        finish t
-          {
-            event;
-            applied = true;
-            action = Incremental { repaired = List.length affected; total };
-            fallback = false;
-            epoch = Epoch.epoch t.epochs;
-            verify = Some r;
-            table_diff = Some (Ftable.diff old_ft patched.Repair.table);
-            note = "";
-            elapsed_s = Unix.gettimeofday () -. t0;
-          })
-  end
+        outcome ~action ~fallback:true ~note:failed (Some swapped)
+      | Error rmsg ->
+        outcome ~action ~fallback:true
+          ~note:(Printf.sprintf "%s; rescue failed: %s, serving stale tables" failed rmsg)
+          None))
 
 let apply_inner t event =
   let t0 = Unix.gettimeofday () in
   let m = t.metrics in
   Obs.Counter.incr m.Metrics.events_seen;
   let old_ft = tables t in
-  let old_graph = Fabstate.graph t.state in
   match Fabstate.apply t.state event with
   | Error msg ->
     Obs.Counter.incr m.Metrics.events_rejected;
@@ -306,8 +271,7 @@ let apply_inner t event =
   | Ok change -> (
     Obs.Counter.incr m.Metrics.events_applied;
     match change with
-    | Fabstate.Rebuilt ->
-      full_swap t ~event ~t0 ~reason:"structural rebuild" ~fallback:false ~diff_against:None
+    | Fabstate.Rebuilt -> reconverge t ~event ~t0 ~old_ft ~reason:"structural rebuild" ~channels:None
     | Fabstate.Disabled [] ->
       (* a drain that could spare no cable: topology unchanged *)
       finish t
@@ -323,12 +287,13 @@ let apply_inner t event =
           elapsed_s = Unix.gettimeofday () -. t0;
         }
     | Fabstate.Disabled chans ->
-      incremental_swap t ~event ~t0 ~old_ft
-        ~affected:(Repair.affected_destinations old_ft ~channels:chans)
+      reconverge t ~event ~t0 ~old_ft
+        ~reason:(Printf.sprintf "%d channel(s) down" (List.length chans))
+        ~channels:(Some chans)
     | Fabstate.Restored chans ->
-      incremental_swap t ~event ~t0 ~old_ft
-        ~affected:
-          (Repair.beneficiary_destinations ~old_graph ~graph:(Fabstate.graph t.state) ~restored:chans))
+      reconverge t ~event ~t0 ~old_ft
+        ~reason:(Printf.sprintf "%d channel(s) restored" (List.length chans))
+        ~channels:(Some chans))
 
 let apply t event =
   let span =
@@ -354,14 +319,13 @@ let run t schedule = List.map (apply t) schedule
 
 let pp_action ppf = function
   | Incremental { repaired; total } ->
-    Format.fprintf ppf "incremental %d/%d dsts (%.0f%%)" repaired total
+    Format.fprintf ppf "rescue %d/%d dsts (%.0f%%)" repaired total
       (if total = 0 then 0.0 else 100.0 *. float_of_int repaired /. float_of_int total)
   | Full reason -> Format.fprintf ppf "full recompute (%s)" reason
   | Noop -> Format.pp_print_string ppf "no-op"
 
 let pp_outcome ppf o =
   Format.fprintf ppf "%-12s %a" (Event.to_string o.event) pp_action o.action;
-  if o.fallback then Format.fprintf ppf " [fallback]";
   (match o.table_diff with
   | Some d when o.applied -> Format.fprintf ppf ", %d entries rewritten" d.Ftable.entries_changed
   | _ -> ());

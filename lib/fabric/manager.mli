@@ -1,26 +1,23 @@
 (** The live fabric manager: an event-driven subnet-manager loop that owns
     a running fabric and its routing state, the way OpenSM owns an
     InfiniBand subnet. Feed it {!Event}s (or a whole {!Schedule}) and it
-    converges after each one to forwarding tables that passed the full
-    deadlock-freedom verifier, preferring {e incremental} repair —
-    recompute only the destinations whose forwarding trees the event
-    touched ({!Repair}) — and falling back to a full
-    SSSP-plus-cycle-breaking recompute when the incremental path exceeds
-    its budgets or its candidate fails verification. Tables advance by
+    converges after each one to forwarding tables that passed the epoch
+    gate. Every table-changing event runs a full SSSP-plus-cycle-breaking
+    recompute. Only when that fails — typically because the offline pass
+    runs out of virtual layers — does an id-stable event under dfsssp go
+    to the rescue ({!Repair}): re-route just the destinations whose trees
+    used the changed channels, keep every other route and its layer, and
+    place the new routes online within [max_layers]. Tables advance by
     verified epoch swaps ({!Epoch}); {!Metrics} counts everything. *)
 
 type config = {
   algorithm : string;
       (** registry name used for full recomputes (default ["dfsssp"]);
-          only ["dfsssp"] has an incremental path — anything else makes
-          every event a full recompute *)
-  max_layers : int;  (** hard virtual-layer budget (hardware VLs) *)
-  layer_budget : int;
-      (** layers the incremental path may use before falling back to a
-          full recompute (clamped to [max_layers]) *)
-  repair_fraction : float;
-      (** incremental repair only when at most this fraction of
-          destinations is affected; above it, recompute everything *)
+          only ["dfsssp"] has a rescue — under anything else a failed
+          recompute leaves the stale tables active *)
+  max_layers : int;
+      (** hard virtual-layer budget (hardware VLs), for full recomputes
+          and rescues alike *)
   batch : int;
       (** destinations per weight snapshot in full recomputes (the
           batched-snapshot pipeline, DESIGN.md section 12); 1 = the
@@ -32,8 +29,8 @@ type config = {
           with {!release}). Never changes the tables, only the
           wall-clock *)
   kernel : Spf.kind;
-      (** shortest-path kernel for full recomputes and incremental
-          repairs (DESIGN.md §15). Never changes the tables, only the
+      (** shortest-path kernel for full recomputes and rescues
+          (DESIGN.md §15). Never changes the tables, only the
           wall-clock *)
   engine : Layers.engine;
       (** offline cycle-break engine for full recomputes (DESIGN.md
@@ -42,32 +39,34 @@ type config = {
           the [`Dfs] oracle *)
 }
 
-(** [{ algorithm = "dfsssp"; max_layers = 8; layer_budget = 8;
-    repair_fraction = 0.5; batch = 1; domains = 1; kernel = Spf.Auto;
-    engine = `Scc }] *)
+(** [{ algorithm = "dfsssp"; max_layers = 8; batch = 1; domains = 1;
+    kernel = Spf.Auto; engine = `Scc }] *)
 val default_config : config
 
 type action =
   | Incremental of {
-      repaired : int;  (** destinations recomputed *)
+      repaired : int;  (** destinations the rescue re-routed *)
       total : int;  (** destinations in the fabric *)
     }
-  | Full of string  (** full recompute, with the reason *)
+      (** the full recompute failed and the rescue ran; [note] holds the
+          full recompute's failure *)
+  | Full of string  (** full recompute, with the event's reason *)
   | Noop
 
 type outcome = {
   event : Event.t;
   applied : bool;  (** [false]: event rejected, topology unchanged *)
   action : action;
-  fallback : bool;  (** incremental was attempted and abandoned *)
+  fallback : bool;  (** the full recompute failed and the rescue ran *)
   epoch : int;  (** active epoch after the event *)
   verify : Dfsssp.Verify.report option;
       (** verification report of the swapped-in tables; [None] when no
           swap happened (rejected event, no-op, or a failed recompute
-          that left stale tables active — see [note]) *)
+          and rescue that left stale tables active — see [note]) *)
   table_diff : Ftable.diff option;
       (** forwarding-entry diff against the previous tables; [None]
-          across structural rebuilds (ids re-assigned) *)
+          when the previous tables index another fabric (a structural
+          rebuild re-assigned the ids) *)
   note : string;  (** human-readable detail, [""] when all went well *)
   elapsed_s : float;
 }
@@ -96,8 +95,11 @@ val epoch_history : t -> Epoch.entry list
 val event_log : t -> outcome list
 
 (** [apply t ev] processes one topology event end to end: mutate the
-    topology, repair or recompute routes, verify, swap. Never raises on
-    fabric-level failures — inspect the outcome. *)
+    topology, recompute routes (rescuing if that fails), verify, swap.
+    Never raises on fabric-level failures — inspect the outcome. When the
+    active tables predate a structural rebuild whose recompute failed,
+    they cannot seed a rescue: a failed recompute then leaves them active
+    and the outcome's [note] says so. *)
 val apply : t -> Event.t -> outcome
 
 (** [run t schedule] applies every event in order. *)

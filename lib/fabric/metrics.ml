@@ -29,11 +29,11 @@ let create () =
     events_seen = counter "fabric.events_seen" "events offered to the manager";
     events_applied = counter "fabric.events_applied" "events that changed the topology";
     events_rejected = counter "fabric.events_rejected" "events refused (would disconnect, unknown id, ...)";
-    incremental_repairs = counter "fabric.incremental_repairs" "events settled by partial recompute";
+    incremental_repairs = counter "fabric.incremental_repairs" "events settled by the rescue";
     full_recomputes = counter "fabric.full_recomputes" "events settled by full reroute";
-    fallbacks = counter "fabric.fallbacks" "incremental attempts abandoned for a full recompute";
-    dsts_repaired = counter "fabric.dsts_repaired" "destinations recomputed, incremental events only";
-    dsts_total = counter "fabric.dsts_total" "destinations present, summed over incremental events";
+    fallbacks = counter "fabric.fallbacks" "full recomputes that failed and went to the rescue";
+    dsts_repaired = counter "fabric.dsts_repaired" "destinations re-routed, rescued events only";
+    dsts_total = counter "fabric.dsts_total" "destinations present, summed over rescued events";
     swap_epochs = counter "fabric.swap_epochs" "epoch counter after the latest swap";
     verify_failures = counter "fabric.verify_failures" "candidate tables rejected by the verifier";
     repair = timer "fabric.repair" "seconds computing routes/layers";
@@ -65,11 +65,11 @@ let to_json m = Obs.Registry.to_json m.registry
 let pp ppf m =
   Format.fprintf ppf
     "events: %d seen, %d applied, %d rejected@,\
-     incremental repairs: %d (%d/%d destinations recomputed, %.1f%%)@,\
-     full recomputes: %d (fallbacks from incremental: %d, verify failures: %d)@,\
+     full recomputes: %d (verify failures: %d)@,\
+     rescues: %d attempted, %d swapped (%d/%d destinations re-routed, %.1f%%)@,\
      swap epochs: %d@,\
-     time: repair %.3f s, verify %.3f s"
-    (events_seen m) (events_applied m) (events_rejected m) (incremental_repairs m) (dsts_repaired m)
-    (dsts_total m)
+     time: route %.3f s, verify %.3f s"
+    (events_seen m) (events_applied m) (events_rejected m) (full_recomputes m) (verify_failures m)
+    (fallbacks m) (incremental_repairs m) (dsts_repaired m) (dsts_total m)
     (100.0 *. repaired_fraction m)
-    (full_recomputes m) (fallbacks m) (verify_failures m) (swap_epochs m) (repair_s m) (verify_s m)
+    (swap_epochs m) (repair_s m) (verify_s m)

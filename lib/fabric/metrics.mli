@@ -8,13 +8,13 @@ type t = {
   events_seen : Obs.Counter.t;
   events_applied : Obs.Counter.t;  (** topology actually changed *)
   events_rejected : Obs.Counter.t;  (** refused (would disconnect, unknown id, ...) *)
-  incremental_repairs : Obs.Counter.t;  (** events settled by partial recompute *)
+  incremental_repairs : Obs.Counter.t;  (** events settled by the rescue ({!Repair}) *)
   full_recomputes : Obs.Counter.t;  (** events settled by full reroute *)
   fallbacks : Obs.Counter.t;
-      (** incremental attempts abandoned for a full recompute (layer
-          budget exhausted or verification rejected the candidate) *)
-  dsts_repaired : Obs.Counter.t;  (** destinations recomputed, incremental events only *)
-  dsts_total : Obs.Counter.t;  (** destinations present, summed over incremental events *)
+      (** full recomputes that failed (layers exhausted or the gate
+          refused the candidate) and went to the rescue *)
+  dsts_repaired : Obs.Counter.t;  (** destinations re-routed, rescued events only *)
+  dsts_total : Obs.Counter.t;  (** destinations present, summed over rescued events *)
   swap_epochs : Obs.Counter.t;  (** gauge: epoch counter after the latest swap *)
   verify_failures : Obs.Counter.t;  (** candidate tables rejected by the verifier *)
   repair : Obs.Timer.t;  (** seconds spent computing routes/layers *)
@@ -39,7 +39,7 @@ val verify_failures : t -> int
 val repair_s : t -> float
 val verify_s : t -> float
 
-(** [dsts_repaired / dsts_total] ([0.] when no incremental repair ran). *)
+(** [dsts_repaired / dsts_total] ([0.] when no rescue swapped). *)
 val repaired_fraction : t -> float
 
 (** Snapshot of the per-manager registry. *)

@@ -23,7 +23,7 @@ type result = {
   scheduled : int;  (** events in the generated schedule *)
   applied : int;  (** events the manager accepted *)
   swaps : int;  (** verified epoch swaps *)
-  incremental : int;  (** events served by incremental repair *)
+  rescued : int;  (** events served by the rescue after a failed full recompute *)
   full : int;  (** events served by full recompute *)
   failures : string list;  (** invariant violations; empty means pass *)
   artifact : string option;

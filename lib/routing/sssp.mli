@@ -120,7 +120,8 @@ val route_plane :
 (** [route_destinations g ~weights ~ft ~dsts] is {!route_plane}
     restricted to the given destination terminals, writing into an
     existing table — the batch building block behind {!route_plane}
-    itself, incremental repair and the routing bench. Destinations are
+    itself, the fabric manager's rescue ({!Fabric.Repair}) and the routing
+    bench. Destinations are
     processed in [dsts] order. Stops at the first failing destination
     (lowest index, as a sequential scan would find it); on [Error],
     [weights] and [ft] retain the contributions of the destinations
@@ -143,9 +144,8 @@ val initial_weights : Graph.t -> int array
     step of {!route_plane} for a single terminal [dst]: one
     shortest-path tree toward [dst] (using the kernel [ws] was created
     with), forwarding entries written into [ft], and the new routes'
-    load added to [weights]. This is the building block of incremental
-    route repair (see {!Fabric.Repair}): after a topology event only the
-    affected destinations are re-run over the surviving weight state.
-    Fails if some node cannot reach [dst]. *)
+    load added to [weights]. Routing a list of destinations one step
+    each is {!route_destinations} without batching. Fails if some node
+    cannot reach [dst]. *)
 val route_destination :
   Spf.workspace -> Graph.t -> weights:int array -> ft:Ftable.t -> dst:int -> (unit, string) result

@@ -164,6 +164,27 @@ let test_certify_store () =
   | Error a, Error b -> check Alcotest.string "same refusal as certify" b a
   | _ -> Alcotest.fail "clockwise ring must not certify"
 
+(* The process registry (what the daemon's stats op reports under
+   "process") carries analysis.certify as one timer, counting runs. *)
+let test_certify_telemetry () =
+  let entry () =
+    match Obs.Json.member "analysis.certify" (Obs.Registry.to_json (Obs.Registry.default ())) with
+    | Some j -> j
+    | None -> Alcotest.fail "analysis.certify not in the registry snapshot"
+  in
+  let count () =
+    match Obs.Json.member "count" (entry ()) with
+    | Some (Obs.Json.Num n) -> int_of_float n
+    | _ -> Alcotest.fail "analysis.certify has no count"
+  in
+  check Alcotest.bool "a timer" true (Obs.Json.member "kind" (entry ()) = Some (Obs.Json.Str "timer"));
+  let ft = route "dfsssp" (fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:1)) in
+  let before = count () in
+  ignore (Analysis.Analyzer.certify ft);
+  check Alcotest.int "one more per certify" (before + 1) (count ());
+  ignore (Analysis.Analyzer.certify (clockwise_ring ~switches:8));
+  check Alcotest.int "refusals count too" (before + 2) (count ())
+
 let test_fresh_tables_clean () =
   let g = fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1) in
   List.iter
@@ -798,6 +819,7 @@ let () =
         [
           Alcotest.test_case "certifies dfsssp on the paper seeds" `Quick test_certify_seeds;
           Alcotest.test_case "certify_store returns the checked artifacts" `Quick test_certify_store;
+          Alcotest.test_case "certify telemetry is one timer" `Quick test_certify_telemetry;
           Alcotest.test_case "fresh dfsssp/lash/updown tables are clean" `Quick test_fresh_tables_clean;
           Alcotest.test_case "checker rejects corrupted certificates" `Quick test_cert_rejects_corruption;
           Alcotest.test_case "cyclic layer refused (clockwise ring)" `Quick test_cyclic_layer_refused;

@@ -547,6 +547,101 @@ let online_matches_offline_soundness_qcheck =
           Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
             ~num_layers:outcome.Online.layers_used))
 
+(* Reference online placement: pinned pairs first, then every other
+   present pair in id order into the lowest layer the Kahn oracle still
+   finds acyclic. [None] when some pair fits no layer. *)
+let reference_online store ~pinned ~max_layers =
+  let g = Route_store.graph store in
+  let layer = Array.copy pinned in
+  let cdgs = Array.init max_layers (fun _ -> Cdg.create g) in
+  Route_store.iter_pairs store (fun p -> if layer.(p) >= 0 then Cdg.add_pair cdgs.(layer.(p)) store ~pair:p);
+  Route_store.iter_pairs store (fun p ->
+      let vl = ref 0 in
+      while layer.(p) < 0 && !vl < max_layers do
+        Cdg.add_pair cdgs.(!vl) store ~pair:p;
+        if Acyclic.is_acyclic cdgs.(!vl) then layer.(p) <- !vl
+        else begin
+          Cdg.remove_pair cdgs.(!vl) store ~pair:p;
+          incr vl
+        end
+      done);
+  let placed = ref true in
+  Route_store.iter_pairs store (fun p -> if layer.(p) < 0 then placed := false);
+  if !placed then Some layer else None
+
+(* A certified DFSSSP assignment on a random fabric, with a random third
+   of the destinations unseeded and re-routed min-hop: the rescue's
+   situation. Returns the mixed store and the seed (-1 = unseeded). *)
+let seeded_fixture seed =
+  let rng = Rng.create seed in
+  let g = Topo_random.make ~switches:8 ~switch_radix:8 ~terminals:16 ~inter_links:12 ~rng in
+  match (Routing.Sssp.route g, Routing.Minhop.route g) with
+  | Ok ft, Ok minhop -> (
+    match Dfsssp.assign_layers ~max_layers:16 ft with
+    | Error _ -> None
+    | Ok ft ->
+      let certified = Result.get_ok (Routing.Ftable.to_store ft) in
+      let layers = Routing.Ftable.layers_of_store ft certified in
+      let rerouted = Array.map (fun _ -> Rng.int rng 3 = 0) (Array.make (Graph.num_nodes g) ()) in
+      let store = Route_store.create g ~capacity:(Route_store.capacity certified) in
+      let seed = Array.make (Route_store.capacity certified) (-1) in
+      Route_store.iter_pairs certified (fun pair ->
+          let src, dst = Routing.Ftable.pair_of_id ft pair in
+          if rerouted.(dst) then
+            Route_store.set_path store ~pair (Option.get (Routing.Ftable.path minhop ~src ~dst))
+          else begin
+            Route_store.set_path store ~pair (Route_store.to_path certified ~pair);
+            seed.(pair) <- layers.(pair)
+          end);
+      Some (store, seed))
+  | _ -> None
+
+let online_seed_qcheck =
+  qtest ~count:20 "online: seeded placement keeps the seed, stays acyclic" QCheck2.Gen.(int_range 0 10_000)
+    (fun seed_ ->
+      match seeded_fixture seed_ with
+      | None -> false
+      | Some (store, seed) ->
+        let unseeded = Array.make (Array.length seed) (-1) in
+        let run ?seed engine = Online.assign_store ~engine ?seed store ~max_layers:16 in
+        let layers = function
+          | Ok o -> Some o.Online.layer_of_path
+          | Error _ -> None
+        in
+        (* without a seed: the plain online placement, on both engines *)
+        let plain = layers (run `Dfs) in
+        plain = reference_online store ~pinned:unseeded ~max_layers:16
+        && plain = layers (run `Pk)
+        && plain = layers (run ~seed:unseeded `Dfs)
+        &&
+        match (run ~seed `Dfs, run ~seed `Pk) with
+        | Ok a, Ok b ->
+          let kept = ref true in
+          Array.iteri (fun p vl -> if vl >= 0 && a.Online.layer_of_path.(p) <> vl then kept := false) seed;
+          !kept
+          && a.Online.layer_of_path = b.Online.layer_of_path
+          && a.Online.layers_used = b.Online.layers_used
+          && Some a.Online.layer_of_path = reference_online store ~pinned:seed ~max_layers:16
+          && Acyclic.layers_acyclic_store store ~layer_of_path:a.Online.layer_of_path
+               ~num_layers:a.Online.layers_used
+        | Error _, Error _ -> reference_online store ~pinned:seed ~max_layers:16 = None
+        | _ -> false)
+
+let test_online_seed_rejections () =
+  let g, paths = ring_fixture 5 in
+  let store = Route_store.of_paths g paths in
+  let n = Route_store.capacity store in
+  (* every clockwise path pinned to layer 0 closes the ring's cycle *)
+  (match Online.assign_store ~seed:(Array.make n 0) store ~max_layers:8 with
+  | Error msg -> Alcotest.(check bool) "names the cyclic layer" true (Testutil.contains msg "seeded layer 0")
+  | Ok _ -> Alcotest.fail "cyclic seed accepted");
+  (match Online.assign_store ~seed:(Array.make n 3) store ~max_layers:2 with
+  | Error msg -> Alcotest.(check bool) "names the budget" true (Testutil.contains msg "max 2")
+  | Ok _ -> Alcotest.fail "seed over max_layers accepted");
+  match Online.assign_store ~seed:[| 0 |] store ~max_layers:8 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "short seed accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Pk_order                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -802,6 +897,8 @@ let () =
           Alcotest.test_case "ring needs 2" `Quick test_online_ring;
           Alcotest.test_case "budget exhausted" `Quick test_online_budget;
           online_matches_offline_soundness_qcheck;
+          Alcotest.test_case "seed rejections" `Quick test_online_seed_rejections;
+          online_seed_qcheck;
         ] );
       ( "pk_order",
         [

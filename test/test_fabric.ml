@@ -1,6 +1,6 @@
 (* Tests for the live fabric manager subsystem: id-stable fault
-   injection, forwarding-table diffing, incremental repair, verified
-   epoch swaps, the fallback policy, and the end-to-end acceptance run
+   injection, forwarding-table diffing, verified epoch swaps, the
+   full-recompute-then-rescue policy, and the end-to-end acceptance run
    on a 4x4x4 torus under a mixed fault schedule. *)
 
 let check = Alcotest.check
@@ -191,11 +191,11 @@ let test_diff_mismatch_rejected () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental repair                                                   *)
+(* Rescue                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The regression the subsystem exists for: on a single-link failure the
-   incremental path recomputes strictly fewer destinations than the full
+(* What makes the rescue cheaper than a full recompute: on a single-link
+   failure it re-routes strictly fewer destinations than the full
    recompute would (which touches all of them). *)
 let test_affected_strictly_fewer_than_full () =
   let g = torus [| 4; 4 |] in
@@ -216,40 +216,49 @@ let test_affected_strictly_fewer_than_full () =
 (* Manager                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_manager_single_link_incremental () =
+let spec_graph spec =
+  match Harness.Topospec.parse spec with
+  | Ok t -> t.Harness.Topospec.graph
+  | Error msg -> Alcotest.failf "%s: %s" spec msg
+
+(* A switch cable some of the manager's active routes use. *)
+let used_cable mgr g =
+  Array.to_list (Degrade.switch_cables g)
+  |> List.find (fun c ->
+         let pair = Option.get (Graph.reverse_channel g c) in
+         Fabric.Repair.affected_destinations (Fabric.Manager.tables mgr) ~channels:[ c; pair ] <> [])
+
+let check_verified what (o : Fabric.Manager.outcome) =
+  match o.Fabric.Manager.verify with
+  | Some r -> check Alcotest.bool (what ^ " verified deadlock-free") true r.Dfsssp.Verify.deadlock_free
+  | None -> Alcotest.failf "%s: no verified swap (%s)" what o.Fabric.Manager.note
+
+let test_manager_single_link_full () =
   let g = torus [| 4; 4 |] in
   let mgr = Result.get_ok (Fabric.Manager.create g) in
-  let total = Graph.num_terminals g in
-  (* pick a cable some routes use but under the 50% repair budget *)
-  let cable =
-    Array.to_list (Degrade.switch_cables g)
-    |> List.find (fun c ->
-           let pair = Option.get (Graph.reverse_channel g c) in
-           let n =
-             List.length
-               (Fabric.Repair.affected_destinations (Fabric.Manager.tables mgr) ~channels:[ c; pair ])
-           in
-           n > 0 && 2 * n <= total)
+  let cable = used_cable mgr g in
+  let full_swap what (o : Fabric.Manager.outcome) =
+    check Alcotest.bool (what ^ " applied") true o.Fabric.Manager.applied;
+    (match o.Fabric.Manager.action with
+    | Fabric.Manager.Full _ -> ()
+    | _ -> Alcotest.failf "%s: expected a full recompute" what);
+    check Alcotest.bool (what ^ ": no rescue") false o.Fabric.Manager.fallback;
+    check_verified what o;
+    match o.Fabric.Manager.table_diff with
+    | Some d -> check Alcotest.bool (what ^ ": routes moved") true (d.Routing.Ftable.entries_changed > 0)
+    | None -> Alcotest.failf "%s: full swap on the same fabric without a table diff" what
   in
   let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down cable) in
-  check Alcotest.bool "applied" true o.Fabric.Manager.applied;
-  (match o.Fabric.Manager.action with
-  | Fabric.Manager.Incremental { repaired; total = t } ->
-    check Alcotest.bool "repaired a strict subset" true (repaired > 0 && repaired < t);
-    (match o.Fabric.Manager.table_diff with
-    | Some d ->
-      check Alcotest.bool "kept trees copied verbatim" true (d.Routing.Ftable.dsts_changed <= repaired)
-    | None -> Alcotest.fail "incremental swap without a table diff")
-  | _ -> Alcotest.fail "expected an incremental repair");
-  check Alcotest.bool "no fallback" false o.Fabric.Manager.fallback;
+  full_swap "down" o;
   check Alcotest.int "epoch advanced" 2 o.Fabric.Manager.epoch;
-  (match o.Fabric.Manager.verify with
-  | Some r -> check Alcotest.bool "verified deadlock-free" true r.Dfsssp.Verify.deadlock_free
-  | None -> Alcotest.fail "swap without a verification report");
-  (* bring the link back: the beneficiary repair must also end verified *)
-  let o2 = Fabric.Manager.apply mgr (Fabric.Event.Link_up cable) in
-  check Alcotest.bool "restore applied" true o2.Fabric.Manager.applied;
-  check Alcotest.bool "restore ends verified" true (o2.Fabric.Manager.verify <> None);
+  check Alcotest.bool "no route uses the failed cable" true
+    (Fabric.Repair.affected_destinations (Fabric.Manager.tables mgr)
+       ~channels:[ cable; Option.get (Graph.reverse_channel g cable) ]
+    = []);
+  full_swap "up" (Fabric.Manager.apply mgr (Fabric.Event.Link_up cable));
+  let m = Fabric.Manager.metrics mgr in
+  check Alcotest.int "two full recomputes" 2 (Fabric.Metrics.full_recomputes m);
+  check Alcotest.int "no rescue" 0 (Fabric.Metrics.fallbacks m);
   check Alcotest.bool "converged" true (Fabric.Manager.converged mgr)
 
 let test_manager_rejects_bad_event () =
@@ -263,31 +272,74 @@ let test_manager_rejects_bad_event () =
   check Alcotest.int "counted as rejected" 1 (Fabric.Metrics.events_rejected (Fabric.Manager.metrics mgr));
   check Alcotest.bool "rejection does not break convergence" true (Fabric.Manager.converged mgr)
 
-(* Deterministic fallback: a ring needs two virtual layers, so with
-   layer_budget = 1 the incremental path must refuse and the manager must
-   fall back to a (verified) full recompute. *)
-let test_manager_fallback_on_layer_budget () =
-  let g = Topo_ring.make ~switches:8 ~terminals_per_switch:1 in
-  let config = { Fabric.Manager.default_config with layer_budget = 1; repair_fraction = 1.0 } in
+(* torus:5x5 with three layers: after "down 2" the offline pass runs out
+   of layers, and the rescue fits by keeping every untouched route and its
+   layer and placing only the re-routed pairs. *)
+let test_manager_rescue_on_layer_budget () =
+  let g = spec_graph "torus:5x5" in
+  let config = { Fabric.Manager.default_config with max_layers = 3 } in
   let mgr = Result.get_ok (Fabric.Manager.create ~config g) in
-  check Alcotest.bool "ring routing needs multiple layers" true
-    (Routing.Ftable.num_layers (Fabric.Manager.tables mgr) > 1);
-  let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down (first_switch_cable g)) in
+  let old = Fabric.Manager.tables mgr in
+  let affected =
+    Fabric.Repair.affected_destinations old ~channels:[ 2; Option.get (Graph.reverse_channel g 2) ]
+  in
+  let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down 2) in
   check Alcotest.bool "applied" true o.Fabric.Manager.applied;
-  check Alcotest.bool "fell back" true o.Fabric.Manager.fallback;
+  check Alcotest.bool "went to the rescue" true o.Fabric.Manager.fallback;
   (match o.Fabric.Manager.action with
-  | Fabric.Manager.Full _ -> ()
-  | _ -> Alcotest.fail "expected a full recompute after the fallback");
-  (match o.Fabric.Manager.verify with
-  | Some r -> check Alcotest.bool "fallback tables verified deadlock-free" true r.Dfsssp.Verify.deadlock_free
-  | None -> Alcotest.fail "fallback swap without a verification report");
-  check Alcotest.bool "fallback counted" true (Fabric.Metrics.fallbacks (Fabric.Manager.metrics mgr) >= 1);
-  check Alcotest.bool "converged despite the fallback" true (Fabric.Manager.converged mgr)
+  | Fabric.Manager.Incremental { repaired; total } ->
+    check Alcotest.int "re-routed the affected destinations" (List.length affected) repaired;
+    check Alcotest.bool "a strict subset" true (repaired > 0 && repaired < total)
+  | _ -> Alcotest.fail "expected the rescue");
+  check Alcotest.bool "note names the failed full recompute" true
+    (Testutil.contains o.Fabric.Manager.note "full recompute failed");
+  check_verified "rescue" o;
+  let ft = Fabric.Manager.tables mgr in
+  check Alcotest.bool "within max_layers" true (Routing.Ftable.num_layers ft <= 3);
+  Array.iter
+    (fun src ->
+      Array.iter
+        (fun dst ->
+          if src <> dst && not (List.mem dst affected) then begin
+            check Alcotest.(option (array int)) "kept route" (Routing.Ftable.path old ~src ~dst)
+              (Routing.Ftable.path ft ~src ~dst);
+            check Alcotest.int "kept layer" (Routing.Ftable.layer old ~src ~dst)
+              (Routing.Ftable.layer ft ~src ~dst)
+          end)
+        (Graph.terminals g))
+    (Graph.terminals g);
+  let m = Fabric.Manager.metrics mgr in
+  check Alcotest.int "one rescue attempted" 1 (Fabric.Metrics.fallbacks m);
+  check Alcotest.int "one rescue swapped" 1 (Fabric.Metrics.incremental_repairs m);
+  check Alcotest.int "no full recompute swapped" 0 (Fabric.Metrics.full_recomputes m);
+  check Alcotest.bool "converged" true (Fabric.Manager.converged mgr)
 
-(* The acceptance run from the issue: 4x4x4 torus, 10-event mixed
-   schedule (link downs, a link up, one switch removal). Every applied
-   event must end in a verified deadlock-free swap, and single-link
-   events must repair under 50% of the destinations. *)
+(* After a structural rebuild whose recompute fails, the active tables
+   index the pre-rebuild fabric: they can neither seed a rescue nor be
+   diffed, so the next failed recompute must come back stale, naming why. *)
+let test_manager_stale_after_failed_rebuild () =
+  let g = spec_graph "torus:4x4" in
+  let config = { Fabric.Manager.default_config with max_layers = 2 } in
+  let mgr = Result.get_ok (Fabric.Manager.create ~config g) in
+  let schedule =
+    Result.get_ok
+      (Fabric.Schedule.of_string
+         "down 92\ndown 26\nup 26\ndown 80\ndrain 12\nup 92\nup 72\nup 48\nup 80\ndown 66\ndown 54\n\
+          remove 12\ndown 56\n")
+  in
+  let outcomes = Array.of_list (Fabric.Manager.run mgr schedule) in
+  let rebuild = outcomes.(11) and next = outcomes.(12) in
+  check Alcotest.bool "the rebuild's recompute failed" true (rebuild.Fabric.Manager.verify = None);
+  check Alcotest.bool "next event applied" true next.Fabric.Manager.applied;
+  check Alcotest.bool "no swap" true (next.Fabric.Manager.verify = None);
+  check Alcotest.bool "no rescue" false next.Fabric.Manager.fallback;
+  check Alcotest.bool "note names the reason" true
+    (Testutil.contains next.Fabric.Manager.note "predate a structural rebuild");
+  check Alcotest.bool "not converged" false (Fabric.Manager.converged mgr)
+
+(* The acceptance run: 4x4x4 torus, 10-event mixed schedule (link downs, a
+   link up, one switch removal). With layers to spare every applied event
+   ends in a verified full swap and the rescue never runs. *)
 let test_manager_acceptance_4x4x4 () =
   let g = torus [| 4; 4; 4 |] in
   let rng = Rng.create 3 in
@@ -299,25 +351,21 @@ let test_manager_acceptance_4x4x4 () =
     (List.exists (function Fabric.Event.Switch_remove _ -> true | _ -> false) schedule);
   let mgr = Result.get_ok (Fabric.Manager.create g) in
   let outcomes = Fabric.Manager.run mgr schedule in
+  let full = ref 0 in
   List.iter
     (fun (o : Fabric.Manager.outcome) ->
       check Alcotest.bool "event applied" true o.Fabric.Manager.applied;
       match o.Fabric.Manager.action with
       | Fabric.Manager.Noop -> ()
-      | Fabric.Manager.Incremental { repaired; total } ->
-        check Alcotest.bool "single-link repair under 50% of destinations" true (2 * repaired < total);
-        (match o.Fabric.Manager.verify with
-        | Some r -> check Alcotest.bool "incremental swap verified" true r.Dfsssp.Verify.deadlock_free
-        | None -> Alcotest.fail "incremental swap without verification")
-      | Fabric.Manager.Full _ -> (
-        match o.Fabric.Manager.verify with
-        | Some r -> check Alcotest.bool "full swap verified" true r.Dfsssp.Verify.deadlock_free
-        | None -> Alcotest.fail "full swap without verification"))
+      | Fabric.Manager.Incremental _ -> Alcotest.fail "rescue on a fabric with layers to spare"
+      | Fabric.Manager.Full _ ->
+        incr full;
+        check_verified "full swap" o)
     outcomes;
   let m = Fabric.Manager.metrics mgr in
-  check Alcotest.bool "the switch removal forced a full recompute" true (Fabric.Metrics.full_recomputes m >= 1);
-  check Alcotest.bool "incremental repairs dominated" true (Fabric.Metrics.incremental_repairs m >= 5);
-  check Alcotest.bool "overall repaired fraction under 50%" true (Fabric.Metrics.repaired_fraction m < 0.5);
+  check Alcotest.int "every table-changing event a full swap" !full (Fabric.Metrics.full_recomputes m);
+  check Alcotest.int "zero rescues" 0 (Fabric.Metrics.fallbacks m);
+  check Alcotest.int "zero rescued swaps" 0 (Fabric.Metrics.incremental_repairs m);
   check Alcotest.bool "converged" true (Fabric.Manager.converged mgr);
   match Dfsssp.Verify.report (Fabric.Manager.tables mgr) with
   | Ok r -> check Alcotest.bool "final tables deadlock-free" true r.Dfsssp.Verify.deadlock_free
@@ -400,29 +448,32 @@ let test_materialisations_per_swap () =
         (mgr, ok_snapshot mgr))
   in
   check Alcotest.int "create + first snapshot" 2 n;
-  let total = Graph.num_terminals g in
-  let cable =
-    Array.to_list (Degrade.switch_cables g)
-    |> List.find (fun c ->
-           let pair = Option.get (Graph.reverse_channel g c) in
-           let n =
-             List.length
-               (Fabric.Repair.affected_destinations (Fabric.Manager.tables mgr) ~channels:[ c; pair ])
-           in
-           n > 0 && 2 * n <= total)
-  in
+  (* a full event costs the same two walks *)
   let (o, snap2), n =
     materialisations (fun () ->
-        let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down cable) in
+        let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down (used_cable mgr g)) in
+        (o, ok_snapshot mgr))
+  in
+  (match o.Fabric.Manager.action with
+  | Fabric.Manager.Full _ -> ()
+  | _ -> Alcotest.fail "expected a full recompute");
+  check Alcotest.int "full down + snapshot" 2 n;
+  check Alcotest.bool "new epoch, new store" false (snap1.Fabric.Epoch.store == snap2.Fabric.Epoch.store);
+  check Alcotest.bool "snapshot serves the swapped tables" true
+    (snap2.Fabric.Epoch.tables == Fabric.Manager.tables mgr);
+  (* a rescue: the failed layer assignment's walk, the rescue's own walk
+     for the online placement, and the checker's *)
+  let config = { Fabric.Manager.default_config with max_layers = 3 } in
+  let mgr = Result.get_ok (Fabric.Manager.create ~config (spec_graph "torus:5x5")) in
+  let (o, _), n =
+    materialisations (fun () ->
+        let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down 2) in
         (o, ok_snapshot mgr))
   in
   (match o.Fabric.Manager.action with
   | Fabric.Manager.Incremental _ -> ()
-  | _ -> Alcotest.fail "expected an incremental repair");
-  check Alcotest.int "incremental down + snapshot" 1 n;
-  check Alcotest.bool "new epoch, new store" false (snap1.Fabric.Epoch.store == snap2.Fabric.Epoch.store);
-  check Alcotest.bool "snapshot serves the swapped tables" true
-    (snap2.Fabric.Epoch.tables == Fabric.Manager.tables mgr)
+  | _ -> Alcotest.fail "expected the rescue");
+  check Alcotest.int "rescued down + snapshot" 3 n
 
 (* Epoch-level view of the same contract: the swap walks the tables once,
    inside the certifier, and the snapshot walks nothing — so the store it
@@ -561,9 +612,10 @@ let () =
         ] );
       ( "manager",
         [
-          Alcotest.test_case "single link down/up incremental" `Quick test_manager_single_link_incremental;
+          Alcotest.test_case "single link down/up full swap" `Quick test_manager_single_link_full;
           Alcotest.test_case "bad events rejected" `Quick test_manager_rejects_bad_event;
-          Alcotest.test_case "layer budget fallback" `Quick test_manager_fallback_on_layer_budget;
+          Alcotest.test_case "layer budget fallback" `Quick test_manager_rescue_on_layer_budget;
+          Alcotest.test_case "stale after a failed rebuild" `Quick test_manager_stale_after_failed_rebuild;
           Alcotest.test_case "acceptance: 4x4x4 torus, mixed schedule" `Quick test_manager_acceptance_4x4x4;
         ] );
       ( "epoch-snapshot",
@@ -573,8 +625,7 @@ let () =
         ] );
       ( "swap-cost",
         [
-          Alcotest.test_case "2 walks per bring-up, 1 per incremental swap" `Quick
-            test_materialisations_per_swap;
+          Alcotest.test_case "walks per bring-up, swap, rescue" `Quick test_materialisations_per_swap;
           Alcotest.test_case "snapshot is the certified store" `Quick test_snapshot_is_certified_store;
           Alcotest.test_case "snapshot slices equal table walks" `Quick test_snapshot_parity;
           Alcotest.test_case "refused candidate keeps the snapshot" `Quick
