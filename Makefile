@@ -1,4 +1,4 @@
-.PHONY: all check test lint doc clean bench-e2e bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
+.PHONY: all check test lint doc clean no-oracles bench-e2e bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
 
 all:
 	dune build
@@ -10,10 +10,22 @@ all:
 # on the example topologies, the SSSP kernels agree bit-for-bit on
 # the quick equivalence fixtures, the two cycle-break engines agree
 # on a small torus (break-smoke), the topology-zoo conformance battery
-# certifies every corpus file and generator sample, and a quick churn
-# soak (>= 200 seeded events) survives with every epoch recertified.
+# certifies every corpus file and generator sample, a quick churn
+# soak (>= 200 seeded events) survives with every epoch recertified, and
+# no oracle has leaked back into the shipped code (no-oracles).
 check:
-	dune build && dune build --profile release && dune runtest && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke
+	dune build && dune build --profile release && dune runtest && $(MAKE) no-oracles && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke
+
+# Oracles and reference implementations live in the test-only `oracles`
+# library (test/oracles/), linked by the test suites and benches alone.
+# Fails if a shipped dune file names that library, or if code under lib/
+# or bin/ (comments stripped, nested ones included) mentions Dijkstra or
+# Cdg_ref, the two oracles that used to ship.
+no-oracles:
+	@if grep -lw oracles lib/*/dune bin/dune; then \
+	  echo "no-oracles: the dune files above link the test-only oracles library"; exit 1; fi
+	@find lib bin \( -name '*.ml' -o -name '*.mli' \) | sort | xargs perl -0777 -n test/oracles/shipped_names.pl
+	@echo "no-oracles: OK"
 
 # Topology-zoo conformance battery (doc/topology_ingestion.md): every
 # file under examples/zoo plus the seeded jellyfish/xpander samples,

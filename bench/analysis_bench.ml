@@ -59,10 +59,7 @@ let measure name g =
      is the dominant term by design *)
   let t0 = Unix.gettimeofday () in
   let ft =
-    match
-      Harness.Runs.run_named ~max_layers:64 ~batch:Routing.Sssp.recommended_batch
-        ~kernel:Routing.Spf.Auto "dfsssp" g
-    with
+    match Harness.Runs.run_named ~max_layers:64 ~batch:Routing.Sssp.recommended_batch "dfsssp" g with
     | Ok ft -> ft
     | Error msg -> failwith (Printf.sprintf "%s: dfsssp refused: %s" name msg)
   in

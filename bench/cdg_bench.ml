@@ -1,7 +1,7 @@
 (* Microbenchmark for the route-store / CSR CDG refactor: CDG build,
    weakest-edge scanning, offline cycle-breaking (Algorithm 2) and
    per-layer verification, measured against the pre-refactor Hashtbl
-   representation ({!Deadlock.Cdg_ref}) on a 4096-endpoint XGFT and a
+   representation ({!Oracles.Cdg_ref}) on a 4096-endpoint XGFT and a
    16x16 torus. Also verifies that the simulator hot-loop path lookup
    allocates nothing per hop. Results land in
    bench_results/route_store.json; exits non-zero if the >= 2x speedup

@@ -9,6 +9,19 @@ let load_spec spec =
   | Ok t -> Ok t
   | Error msg -> Error (Printf.sprintf "topology: %s" msg)
 
+(* --max-layers, shared by analyze, manage, trace, serve and soak: a
+   virtual-layer budget below 1 is a usage error. *)
+let max_layers_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 8
+    & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget (at least 1).")
+
 let print_info (t : Harness.Topospec.t) =
   let g = t.Harness.Topospec.graph in
   Format.printf "%s@." t.Harness.Topospec.description;
@@ -298,9 +311,6 @@ let analyze_cmd =
   let algorithm =
     Arg.(value & opt string "dfsssp" & info [ "algorithm" ] ~docv:"NAME" ~doc:"Routing algorithm for SPEC targets.")
   in
-  let max_layers =
-    Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget for SPEC targets.")
-  in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"One JSON object per target instead of text.") in
   let minimal =
     Arg.(value & flag & info [ "minimal" ] ~doc:"Enable A006: flag routes longer than shortest-path.")
@@ -351,7 +361,7 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"lint forwarding tables and check their deadlock-freedom certificate (exit 0 iff all certified and lint-clean)")
     Term.(
-      const run $ specs $ tables $ algorithm $ max_layers $ json $ minimal $ slack $ cert_out
+      const run $ specs $ tables $ algorithm $ max_layers_arg $ json $ minimal $ slack $ cert_out
       $ existence $ min_layers $ witness_out $ explain)
 
 (* Schedule source shared by manage and trace: a file to replay, or a
@@ -385,42 +395,11 @@ let write_stats_json mgr path =
     Format.printf "wrote %s@." path
   end
 
-(* Shared by manage and serve: the shortest-path kernel behind full
-   recomputes and rescues (DESIGN.md §15). *)
-let kernel_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Routing.Spf.kind_of_string s) in
-  Arg.conv (parse, Routing.Spf.pp_kind)
-
-let kernel_arg =
-  Arg.(
-    value
-    & opt kernel_conv Routing.Spf.Auto
-    & info [ "kernel" ] ~docv:"KERNEL"
-        ~doc:
-          "Shortest-path kernel for routing computations: auto, heap (binary-heap oracle), bucket \
-           (Dial bucket queue), or incremental (switch-tree reuse). Kernel choice never changes \
-           the tables.")
-
-let engine_conv =
-  let parse s = Result.map_error (fun e -> `Msg e) (Deadlock.Layers.engine_of_string s) in
-  let pp ppf e = Format.pp_print_string ppf (Deadlock.Layers.engine_to_string e) in
-  Arg.conv (parse, pp)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv `Scc
-    & info [ "break-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Cycle-break engine for full recomputes: scc (SCC condensation, the default) or dfs \
-           (the one-cycle-at-a-time oracle). Layer counts stay within one layer of each other \
-           (DESIGN.md section 17).")
-
 (* manage: the live fabric manager — replay a fault schedule and report
    convergence after every event. *)
 let manage_cmd =
-  let run spec events seed schedule_file removals drains algorithm max_layers batch domains kernel
-      engine print_schedule stats_out =
+  let run spec events seed schedule_file removals drains algorithm max_layers batch domains
+      print_schedule stats_out =
     (* --batch unset: snapshot in recommended batches when the pipeline
        is on (--domains > 1), stay on the sequential recurrence
        otherwise. *)
@@ -429,11 +408,7 @@ let manage_cmd =
       | Some b -> b
       | None -> if domains > 1 then Routing.Sssp.recommended_batch else 1
     in
-    if max_layers < 1 then begin
-      prerr_endline "manage: --max-layers must be at least 1";
-      2
-    end
-    else if batch < 1 || domains < 1 then begin
+    if batch < 1 || domains < 1 then begin
       prerr_endline "manage: --batch and --domains must be at least 1";
       2
     end
@@ -444,7 +419,9 @@ let manage_cmd =
         2
       | Ok t -> (
         let g = t.Harness.Topospec.graph in
-        let config = { Fabric.Manager.algorithm; max_layers; batch; domains; kernel; engine } in
+        let config =
+          { Fabric.Manager.default_config with algorithm; max_layers; batch; domains }
+        in
       match load_schedule g ~schedule_file ~seed ~events ~removals ~drains with
       | Error msg ->
         prerr_endline msg;
@@ -506,9 +483,6 @@ let manage_cmd =
       & info [ "algorithm" ] ~docv:"NAME"
           ~doc:"Routing algorithm for full recomputes; only dfsssp rescues a failed one.")
   in
-  let max_layers =
-    Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
-  in
   let batch =
     Arg.(
       value
@@ -538,8 +512,8 @@ let manage_cmd =
     (Cmd.info "manage"
        ~doc:"run the live fabric manager over a fault schedule and print a convergence report")
     Term.(
-      const run $ spec $ events $ seed $ schedule_file $ removals $ drains $ algorithm $ max_layers
-      $ batch $ domains $ kernel_arg $ engine_arg $ print_schedule $ stats_out)
+      const run $ spec $ events $ seed $ schedule_file $ removals $ drains $ algorithm $ max_layers_arg
+      $ batch $ domains $ print_schedule $ stats_out)
 
 (* trace: the manage path again, but with observability enabled and a
    JSON-lines span sink — one compact JSON object per span, innermost
@@ -615,9 +589,6 @@ let trace_cmd =
   let algorithm =
     Arg.(value & opt string "dfsssp" & info [ "algorithm" ] ~docv:"NAME" ~doc:"Routing algorithm.")
   in
-  let max_layers =
-    Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
-  in
   let out =
     Arg.(
       value & opt string "-"
@@ -634,7 +605,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"replay a fault schedule with tracing enabled, emitting JSON-lines spans")
     Term.(
-      const run $ spec $ events $ seed $ schedule_file $ removals $ drains $ algorithm $ max_layers
+      const run $ spec $ events $ seed $ schedule_file $ removals $ drains $ algorithm $ max_layers_arg
       $ out $ stats_out)
 
 (* Shared by serve and client: where the daemon listens. --tcp wins over
@@ -665,14 +636,14 @@ let host_arg =
    and observability snapshots to many concurrent clients. *)
 let serve_cmd =
   let run spec socket tcp host replace queue_depth max_frame trace_capacity algorithm max_layers
-      batch domains kernel engine =
+      batch domains =
     let batch =
       match batch with
       | Some b -> b
       | None -> if domains > 1 then Routing.Sssp.recommended_batch else 1
     in
-    if max_layers < 1 || batch < 1 || domains < 1 || queue_depth < 1 then begin
-      prerr_endline "serve: --max-layers, --batch, --domains and --queue-depth must be at least 1";
+    if batch < 1 || domains < 1 || queue_depth < 1 then begin
+      prerr_endline "serve: --batch, --domains and --queue-depth must be at least 1";
       2
     end
     else
@@ -692,7 +663,8 @@ let serve_cmd =
             queue_depth;
             max_frame;
             trace_capacity;
-            manager = { Fabric.Manager.algorithm; max_layers; batch; domains; kernel; engine };
+            manager =
+              { Fabric.Manager.default_config with algorithm; max_layers; batch; domains };
           }
         in
         match Service.Server.create ~config t.Harness.Topospec.graph with
@@ -753,9 +725,6 @@ let serve_cmd =
       value & opt string "dfsssp"
       & info [ "algorithm" ] ~docv:"NAME" ~doc:"Routing algorithm for full recomputes.")
   in
-  let max_layers =
-    Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget.")
-  in
   let batch =
     Arg.(
       value
@@ -774,7 +743,7 @@ let serve_cmd =
           stats served to concurrent clients over a socket")
     Term.(
       const run $ spec $ socket_arg $ tcp_arg $ host_arg $ replace $ queue_depth $ max_frame
-      $ trace_capacity $ algorithm $ max_layers $ batch $ domains $ kernel_arg $ engine_arg)
+      $ trace_capacity $ algorithm $ max_layers_arg $ batch $ domains)
 
 (* client: one-shot requests, schedule replay and raw JSON scripting
    against a running daemon. *)
@@ -1087,7 +1056,6 @@ let soak_cmd =
   let drains =
     Arg.(value & opt (some int) None & info [ "drains" ] ~docv:"N" ~doc:"Switch drains (default events/10).")
   in
-  let max_layers = Arg.(value & opt int 8 & info [ "max-layers" ] ~docv:"N") in
   let artifact_dir =
     Arg.(
       value
@@ -1099,7 +1067,7 @@ let soak_cmd =
        ~doc:
          "churn soak: drive the fabric manager through a seeded schedule of failures, recoveries, \
           drains and removals, recertifying every epoch swap; failures dump a reproduction artifact")
-    Term.(const run $ specs $ events $ seed $ removals $ drains $ max_layers $ artifact_dir)
+    Term.(const run $ specs $ events $ seed $ removals $ drains $ max_layers_arg $ artifact_dir)
 
 let () =
   let doc = "fabric generation, inspection and conversion utilities" in

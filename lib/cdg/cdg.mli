@@ -96,9 +96,7 @@ val overlay_successors : t -> int -> int array
     without allocating. *)
 val iter_successors : t -> int -> (int -> unit) -> unit
 
-(** Short-circuiting successor scans, for DFS probes over the CSR rows. *)
-val exists_successor : t -> int -> (int -> bool) -> bool
-
+(** Short-circuiting successor scan, for DFS probes over the CSR rows. *)
 val for_all_successors : t -> int -> (int -> bool) -> bool
 
 (** Number of live edges. *)

@@ -7,13 +7,6 @@ type engine =
   | `Dfs
   ]
 
-let engine_to_string = function `Scc -> "scc" | `Dfs -> "dfs"
-
-let engine_of_string = function
-  | "scc" -> Ok `Scc
-  | "dfs" -> Ok `Dfs
-  | s -> Error (Printf.sprintf "unknown break engine %S (expected \"scc\" or \"dfs\")" s)
-
 type outcome = {
   layer_of_path : int array;
   layers_used : int;
@@ -402,7 +395,7 @@ let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
         [
           ("paths", Obs.Trace.Int (Route_store.num_paths store));
           ("max_layers", Obs.Trace.Int max_layers);
-          ("engine", Obs.Trace.Str (engine_to_string engine));
+          ("engine", Obs.Trace.Str (match engine with `Scc -> "scc" | `Dfs -> "dfs"));
         ])
   in
   let result =

@@ -21,12 +21,6 @@ type engine =
   | `Dfs
   ]
 
-val engine_to_string : engine -> string
-
-(** Inverse of {!engine_to_string} ("scc" | "dfs"); [Error] explains the
-    accepted spellings. *)
-val engine_of_string : string -> (engine, string) result
-
 type outcome = {
   layer_of_path : int array;  (** pair id -> virtual layer; -1 for absent pairs *)
   layers_used : int;  (** number of non-empty layers, the paper's VL count *)

@@ -8,33 +8,6 @@ type outcome = {
   cycle_checks : int;
 }
 
-(* Adding path edges E_new to an acyclic CDG creates a cycle iff some
-   {e newly created} edge (a, b) has a directed route from b back to a
-   afterwards — dependencies the layer already carried cannot close
-   anything new, so only 0->1 count transitions are probed (this is what
-   keeps LASH tractable on fabrics with millions of routes: distinct
-   routes share almost all their dependencies). One DFS from each new
-   edge's head suffices; stamped visit marks avoid reinitialization, and
-   the probe walks CSR successor rows without allocating. *)
-let creates_cycle cdg fresh_edges stamp stamps checks =
-  let rec probe = function
-    | [] -> false
-    | (a, b) :: rest ->
-      incr checks;
-      incr stamp;
-      let target = a in
-      let rec dfs c =
-        if c = target then true
-        else if stamps.(c) = !stamp then false
-        else begin
-          stamps.(c) <- !stamp;
-          Cdg.exists_successor cdg c dfs
-        end
-      in
-      if dfs b then true else probe rest
-  in
-  probe fresh_edges
-
 let fresh_dependencies cdg store ~pair =
   let fresh = ref [] in
   Route_store.iter_deps store ~pair (fun a b ->
@@ -42,20 +15,19 @@ let fresh_dependencies cdg store ~pair =
   !fresh
 
 (* Places every pair not yet in [layer_of_path] into the lowest layer of
-   [cdgs] it keeps acyclic, opening layers up to [max_layers]. *)
-let place ~engine store ~max_layers layer_of_path cdgs =
+   [cdgs] it keeps acyclic, opening layers up to [max_layers]. Each layer's
+   Pearce–Kelly order registers a path's fresh dependencies one by one
+   (only 0->1 count transitions: dependencies the layer already carried
+   cannot close anything new); a rejected edge leaves the order untouched
+   and the path is rolled out of the CDG (edge deletions never invalidate
+   a topological order). *)
+let place store ~max_layers layer_of_path cdgs =
   let g = Route_store.graph store in
-  let pk_of cdg = match engine with `Pk -> Some (Pk_order.create cdg) | `Dfs -> None in
-  let pks = ref (Array.map pk_of cdgs) in
   let cdgs = ref cdgs in
-  let stamps = Array.make (Graph.num_channels g) 0 in
-  let stamp = ref 0 in
+  let pks = ref (Array.map Pk_order.create !cdgs) in
   let checks = ref 0 in
   let error = ref None in
-  (* [`Pk] registers the fresh dependencies one by one; a rejected edge
-     leaves the order untouched and the path is rolled out of the CDG
-     (edge deletions never invalidate a topological order). *)
-  let pk_rejects pk fresh =
+  let rejects pk fresh =
     let rec go = function
       | [] -> false
       | (a, b) :: rest ->
@@ -75,18 +47,13 @@ let place ~engine store ~max_layers layer_of_path cdgs =
             else begin
               let cdg = Cdg.create g in
               cdgs := Array.append !cdgs [| cdg |];
-              pks := Array.append !pks [| pk_of cdg |]
+              pks := Array.append !pks [| Pk_order.create cdg |]
             end;
           if !error = None then begin
             let cdg = !cdgs.(!vl) in
             let fresh = fresh_dependencies cdg store ~pair:i in
             Cdg.add_pair cdg store ~pair:i;
-            let rejected =
-              match !pks.(!vl) with
-              | Some pk -> pk_rejects pk fresh
-              | None -> creates_cycle cdg fresh stamp stamps checks
-            in
-            if rejected then begin
+            if rejects !pks.(!vl) fresh then begin
               Cdg.remove_pair cdg store ~pair:i;
               incr vl
             end
@@ -106,7 +73,7 @@ let place ~engine store ~max_layers layer_of_path cdgs =
           layers_used !checks);
     Ok { layer_of_path; layers_used; cycle_checks = !checks }
 
-let assign_store ?(engine = `Dfs) ?seed store ~max_layers =
+let assign_store ?seed store ~max_layers =
   if max_layers < 1 then invalid_arg "Online.assign: max_layers < 1";
   let n = Route_store.capacity store in
   let seed = Option.value seed ~default:(Array.make n (-1)) in
@@ -123,7 +90,6 @@ let assign_store ?(engine = `Dfs) ?seed store ~max_layers =
     in
     match List.find_opt (fun vl -> not (Acyclic.is_acyclic cdgs.(vl))) (List.init layers Fun.id) with
     | Some vl -> Error (Printf.sprintf "seeded layer %d is cyclic" vl)
-    | None -> place ~engine store ~max_layers layer_of_path cdgs
+    | None -> place store ~max_layers layer_of_path cdgs
 
-let assign ?engine g ~paths ~max_layers =
-  assign_store ?engine (Route_store.of_paths g paths) ~max_layers
+let assign g ~paths ~max_layers = assign_store (Route_store.of_paths g paths) ~max_layers

@@ -1,24 +1,20 @@
 (** Online (path-at-a-time) virtual-layer assignment, as used by LASH and
     by the paper's first, slower DFSSSP variant: each route is placed into
     the lowest layer where its dependencies close no cycle; a fresh layer
-    is opened when none fits. Requires a cycle check per path — the
-    O(|N|^2 (|C|+|E|)) cost the offline algorithm avoids. *)
+    is opened when none fits. Requires a cycle check per path, the cost
+    the offline algorithm avoids. Each layer keeps a Pearce–Kelly dynamic
+    topological order ({!Pk_order}): a path's fresh dependencies are
+    registered one by one, and only the affected region between an
+    edge's endpoints is visited. The Kahn-based reference placement in
+    [test/test_cdg.ml] is the oracle it is checked against. *)
 
 type outcome = {
   layer_of_path : int array;  (** pair id -> virtual layer; -1 for absent pairs *)
   layers_used : int;
-  cycle_checks : int;  (** number of cycle probes performed *)
+  cycle_checks : int;  (** fresh dependencies registered with the Pearce–Kelly orders *)
 }
 
-(** Incremental cycle-check engine:
-    - [`Dfs] (default): one reachability DFS per fresh dependency — the
-      straightforward implementation whose cost the paper complains about;
-    - [`Pk]: Pearce–Kelly dynamic topological ordering ({!Pk_order}) —
-      only the affected region between the new edge's endpoints is
-      visited, which makes the online variant far cheaper on large
-      fabrics. Both engines accept and reject exactly the same paths. *)
-
-(** [assign_store ?engine ?seed store ~max_layers] places every present
+(** [assign_store ?seed store ~max_layers] places every present
     pair of [store] in id order, reading dependencies from arena slices.
     [layer_of_path] covers the store's full capacity; absent pairs are
     [-1].
@@ -31,7 +27,6 @@ type outcome = {
     assignment is the plain online one.
     @raise Invalid_argument if [seed] does not span the store's capacity. *)
 val assign_store :
-  ?engine:[ `Dfs | `Pk ] ->
   ?seed:int array ->
   Route_store.t ->
   max_layers:int ->
@@ -40,7 +35,6 @@ val assign_store :
 (** [assign g ~paths ~max_layers] is {!assign_store} over a store holding
     path [i] under pair id [i]. *)
 val assign :
-  ?engine:[ `Dfs | `Pk ] ->
   Graph.t ->
   paths:Path.t array ->
   max_layers:int ->

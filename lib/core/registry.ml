@@ -4,32 +4,32 @@ type algorithm = {
   run : Graph.t -> (Ftable.t, string) result;
 }
 
-let dfsssp_run ?variant ?engine ~max_layers ?batch ?domains ?kernel g =
-  match Router.route ?variant ?engine ~max_layers ?batch ?domains ?kernel g with
+let dfsssp_run ?variant ~max_layers ?batch ?domains g =
+  match Router.route ?variant ~max_layers ?batch ?domains g with
   | Ok ft -> Ok ft
   | Error e -> Error (Router.error_to_string e)
 
 (* Harden an arbitrary base routing with the offline layer assignment —
    the APP machinery is routing-agnostic (DESIGN.md: ablations). *)
-let hardened ?engine ?domains base ~max_layers g =
+let hardened ?domains base ~max_layers g =
   match base g with
   | Error _ as e -> e
   | Ok ft ->
-    Result.map_error Router.error_to_string (Router.assign_layers ?engine ?domains ~max_layers ft)
+    Result.map_error Router.error_to_string (Router.assign_layers ?domains ~max_layers ft)
 
-let all ?coords ?(max_layers = 8) ?engine ?batch ?domains ?kernel () =
+let all ?coords ?(max_layers = 8) ?batch ?domains () =
   [
     {
       name = "minhop";
       deadlock_free_by_design = false;
-      run = Routing.Minhop.route ?batch ?domains ?kernel;
+      run = Routing.Minhop.route ?batch ?domains;
     };
     {
       name = "updown";
       deadlock_free_by_design = true;
-      run = Routing.Updown.route ?batch ?domains ?kernel;
+      run = Routing.Updown.route ?batch ?domains;
     };
-    { name = "ftree"; deadlock_free_by_design = true; run = Routing.Ftree.route ?domains ?kernel };
+    { name = "ftree"; deadlock_free_by_design = true; run = Routing.Ftree.route ?domains };
     {
       name = "dor";
       deadlock_free_by_design = false;
@@ -37,32 +37,32 @@ let all ?coords ?(max_layers = 8) ?engine ?batch ?domains ?kernel () =
         (fun g ->
           match coords with
           | None -> Error "dor: no grid coordinates available for this fabric"
-          | Some c -> Routing.Dor.route ?domains ?kernel g c);
+          | Some c -> Routing.Dor.route ?domains g c);
     };
     {
       name = "lash";
       deadlock_free_by_design = true;
-      run = (fun g -> Routing.Lash.route ~max_layers ?kernel g);
+      run = (fun g -> Routing.Lash.route ~max_layers g);
     };
     {
       name = "sssp";
       deadlock_free_by_design = false;
-      run = Routing.Sssp.route ?batch ?domains ?kernel;
+      run = Routing.Sssp.route ?batch ?domains;
     };
     {
       name = "dfsssp";
       deadlock_free_by_design = true;
-      run = dfsssp_run ?engine ~max_layers ?batch ?domains ?kernel;
+      run = dfsssp_run ~max_layers ?batch ?domains;
     };
     {
       name = "dfsssp-online";
       deadlock_free_by_design = true;
-      run = dfsssp_run ~variant:Router.Online ~max_layers ?batch ?domains ?kernel;
+      run = dfsssp_run ~variant:Router.Online ~max_layers ?batch ?domains;
     };
     {
       name = "dfminhop";
       deadlock_free_by_design = true;
-      run = (fun g -> hardened ?engine ?domains (Routing.Minhop.route ?batch ?domains ?kernel) ~max_layers g);
+      run = (fun g -> hardened ?domains (Routing.Minhop.route ?batch ?domains) ~max_layers g);
     };
     {
       name = "dfdor";
@@ -71,12 +71,12 @@ let all ?coords ?(max_layers = 8) ?engine ?batch ?domains ?kernel () =
         (fun g ->
           match coords with
           | None -> Error "dfdor: no grid coordinates available for this fabric"
-          | Some c -> hardened ?engine ?domains (fun g -> Routing.Dor.route ?domains ?kernel g c) ~max_layers g);
+          | Some c -> hardened ?domains (fun g -> Routing.Dor.route ?domains g c) ~max_layers g);
     };
   ]
 
 let names = List.map (fun a -> a.name) (all ())
 
-let find ?coords ?max_layers ?engine ?batch ?domains ?kernel name =
+let find ?coords ?max_layers ?batch ?domains name =
   let target = String.lowercase_ascii name in
-  List.find_opt (fun a -> a.name = target) (all ?coords ?max_layers ?engine ?batch ?domains ?kernel ())
+  List.find_opt (fun a -> a.name = target) (all ?coords ?max_layers ?batch ?domains ())

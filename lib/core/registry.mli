@@ -15,33 +15,15 @@ type algorithm = {
     [batch]/[domains] select the batched-snapshot pipeline (DESIGN.md
     section 12) on the engines that support it — [batch] changes the
     tables (defaults to the sequential recurrence), [domains] only the
-    wall-clock; LASH ignores both. [kernel] selects the shortest-path
-    core (DESIGN.md §15) on the engines that compute shortest paths
-    (MinHop, LASH, SSSP, DFSSSP and the hardened variants); it never
-    changes any table. [engine] selects the offline cycle-break engine
-    (DESIGN.md section 17) on DFSSSP and the hardened variants; it
-    changes only the wall-clock of the break stage, with layer counts
-    within +1 of the DFS oracle. *)
-val all :
-  ?coords:Coords.t ->
-  ?max_layers:int ->
-  ?engine:Layers.engine ->
-  ?batch:int ->
-  ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
-  unit ->
-  algorithm list
+    wall-clock; LASH ignores both. Every entry runs the default
+    shortest-path kernel and the default offline cycle-break engine;
+    kernel and engine parity is checked below this layer, on
+    {!Routing.Sssp} and {!Router.assign_layers} (DESIGN.md §15, §17). *)
+val all : ?coords:Coords.t -> ?max_layers:int -> ?batch:int -> ?domains:int -> unit -> algorithm list
 
 (** [find ?coords name] is case-insensitive; accepts "dfsssp-online" for
     the online variant. *)
 val find :
-  ?coords:Coords.t ->
-  ?max_layers:int ->
-  ?engine:Layers.engine ->
-  ?batch:int ->
-  ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
-  string ->
-  algorithm option
+  ?coords:Coords.t -> ?max_layers:int -> ?batch:int -> ?domains:int -> string -> algorithm option
 
 val names : string list

@@ -45,7 +45,7 @@ let assign_layers ?(variant = Offline) ?engine ?domains ?(heuristic = Heuristic.
       apply_layers ft store layer_of_path layers_used;
       Ok ft)
 
-let route ?variant ?engine ?heuristic ?max_layers ?balance ?batch ?domains ?pool ?kernel g =
+let route ?variant ?heuristic ?max_layers ?balance ?batch ?domains ?pool g =
   let span =
     Obs.Trace.begin_span "dfsssp.route" ~attrs:(fun () ->
         [
@@ -56,10 +56,10 @@ let route ?variant ?engine ?heuristic ?max_layers ?balance ?batch ?domains ?pool
         ])
   in
   let result =
-    match Routing.Sssp.route ?batch ?domains ?pool ?kernel g with
+    match Routing.Sssp.route ?batch ?domains ?pool g with
     | Error msg -> Error (Routing_failed msg)
     | Ok ft -> (
-      match assign_layers ?variant ?engine ?domains ?heuristic ?max_layers ?balance ft with
+      match assign_layers ?variant ?domains ?heuristic ?max_layers ?balance ft with
       | Ok ft as ok ->
         Log.info (fun m ->
             m "routed %d terminals over %d channels: %d virtual layer(s)"
@@ -78,12 +78,12 @@ let route ?variant ?engine ?heuristic ?max_layers ?balance ?batch ?domains ?pool
   | Error e -> Obs.Trace.end_span span ~attrs:[ ("error", Obs.Trace.Str (error_to_string e)) ]);
   result
 
-let layers_required ?variant ?engine ?heuristic ?max_layers ?batch ?domains ?kernel g =
-  match route ?variant ?engine ?heuristic ?max_layers ?batch ?domains ?kernel g with
+let layers_required ?variant ?heuristic ?max_layers ?batch ?domains g =
+  match route ?variant ?heuristic ?max_layers ?batch ?domains g with
   | Error e -> Error e
   | Ok ft -> Ok (Routing.Ftable.num_layers ft)
 
-let route_min_layers ?engine ?(max_layers = 8) ?batch ?(domains = 1) ?kernel g =
+let route_min_layers ?(max_layers = 8) ?batch ?(domains = 1) g =
   (* Try every cycle-breaking heuristic and keep the assignment with the
      fewest layers — cheap insurance against the APP heuristic gap the
      paper leaves open (Section IV). With [domains > 1] the heuristics
@@ -95,7 +95,7 @@ let route_min_layers ?engine ?(max_layers = 8) ?batch ?(domains = 1) ?kernel g =
   let nh = Array.length heuristics in
   let results = Array.make nh (Error (Routing_failed "not attempted")) in
   let run _scratch i =
-    results.(i) <- route ?engine ~heuristic:heuristics.(i) ~max_layers ?batch ?kernel g
+    results.(i) <- route ~heuristic:heuristics.(i) ~max_layers ?batch g
   in
   if domains > 1 && nh > 1 then
     Parallel.Pool.with_pool ~domains

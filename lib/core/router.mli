@@ -5,6 +5,14 @@
     graph is acyclic (the APP problem), using the offline cycle-breaking
     of Algorithm 2 by default.
 
+    Only {!assign_layers} takes a cycle-break engine, and the
+    shortest-path kernel is chosen one layer down, on
+    {!Routing.Sssp}: those are the entry points the parity suites and the
+    bring-up benchmark drive. {!route} runs the defaults ([`Scc],
+    {!Routing.Spf.Auto}): kernel choice never changes a table, and the
+    [`Dfs] oracle engine stays within one layer of [`Scc] (DESIGN.md
+    §15, §17).
+
     {[
       let fabric = Netgraph.Topo_torus.torus ~dims:[|4;4|] ~terminals_per_switch:2 |> fst in
       match Dfsssp.route fabric with
@@ -27,8 +35,6 @@ val error_to_string : error -> string
     deadlock-free.
 
     - [variant] (default [Offline]) selects the layer-assignment engine.
-    - [engine] (default [`Scc]) selects the offline cycle-break engine
-      ({!Layers.engine}; DESIGN.md section 17). Ignored by [Online].
     - [heuristic] (default {!Cdg.Heuristic.Weakest}) picks the cycle edge
       to evict (offline variant only).
     - [max_layers] (default 8, the virtual lanes current InfiniBand
@@ -41,22 +47,17 @@ val error_to_string : error -> string
       pipeline for the SSSP stage (defaults reproduce the sequential
       recurrence; see DESIGN.md section 12). [domains] also fans the
       [`Scc] break planning out across components.
-    - [kernel] selects the shortest-path core of the SSSP stage
-      (default {!Routing.Spf.Auto}; DESIGN.md §15). Never changes the
-      tables.
 
     The result carries per-route layers; {!Verify.deadlock_free} holds on
     every successful result. *)
 val route :
   ?variant:variant ->
-  ?engine:Layers.engine ->
   ?heuristic:Heuristic.t ->
   ?max_layers:int ->
   ?balance:bool ->
   ?batch:int ->
   ?domains:int ->
   ?pool:Routing.Sssp.pool ->
-  ?kernel:Routing.Spf.kind ->
   Graph.t ->
   (Ftable.t, error) result
 
@@ -64,12 +65,10 @@ val route :
     layer count alone (the quantity of the paper's Figs. 9/10). *)
 val layers_required :
   ?variant:variant ->
-  ?engine:Layers.engine ->
   ?heuristic:Heuristic.t ->
   ?max_layers:int ->
   ?batch:int ->
   ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
   Graph.t ->
   (int, error) result
 
@@ -78,8 +77,9 @@ val layers_required :
     oblivious routing (DOR on a torus, MinHop on an irregular fabric)
     becomes deadlock-free this way, not only SSSP; the APP machinery is
     routing-agnostic. Overwrites [ft]'s layer table in place and returns
-    it. [engine]/[domains] select and parallelise the offline break
-    engine as in {!route}. *)
+    it. [engine] (default [`Scc]) selects the offline cycle-break engine
+    ({!Layers.engine}; DESIGN.md section 17; ignored by [Online]), and
+    [domains] fans its [`Scc] planning out across components. *)
 val assign_layers :
   ?variant:variant ->
   ?engine:Layers.engine ->
@@ -100,10 +100,8 @@ val assign_layers :
     identical to the sequential scan's. [batch] is forwarded to the SSSP
     stage and, unlike [domains], changes the routes themselves. *)
 val route_min_layers :
-  ?engine:Layers.engine ->
   ?max_layers:int ->
   ?batch:int ->
   ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
   Graph.t ->
   (Ftable.t * Heuristic.t, error) result

@@ -96,9 +96,8 @@ let full_route t =
   end
   else
     match
-      Dfsssp.Registry.find ~max_layers:t.config.max_layers ~engine:t.config.engine
-        ~batch:t.config.batch ~domains:t.config.domains ~kernel:t.config.kernel
-        t.config.algorithm
+      Dfsssp.Registry.find ~max_layers:t.config.max_layers ~batch:t.config.batch
+        ~domains:t.config.domains t.config.algorithm
     with
     | None -> Error (Printf.sprintf "unknown algorithm %S" t.config.algorithm)
     | Some a -> a.Dfsssp.Registry.run g

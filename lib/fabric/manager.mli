@@ -29,14 +29,16 @@ type config = {
           with {!release}). Never changes the tables, only the
           wall-clock *)
   kernel : Spf.kind;
-      (** shortest-path kernel for full recomputes and rescues
-          (DESIGN.md §15). Never changes the tables, only the
-          wall-clock *)
+      (** shortest-path kernel for dfsssp full recomputes and rescues
+          (DESIGN.md §15); other algorithms run the default. Never
+          changes the tables, only the wall-clock. No CLI flag sets it:
+          it stays because the bring-up benchmark reads it *)
   engine : Layers.engine;
-      (** offline cycle-break engine for full recomputes (DESIGN.md
-          section 17; default [`Scc]). [domains] also fans its
-          per-component planning out. Layer counts stay within +1 of
-          the [`Dfs] oracle *)
+      (** offline cycle-break engine for dfsssp full recomputes
+          (DESIGN.md section 17; default [`Scc]); other algorithms run
+          the default. [domains] also fans its per-component planning
+          out. Layer counts stay within +1 of the [`Dfs] oracle. No CLI
+          flag sets it, for the same reason as [kernel] *)
 }
 
 (** [{ algorithm = "dfsssp"; max_layers = 8; batch = 1; domains = 1;

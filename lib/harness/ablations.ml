@@ -203,14 +203,12 @@ let online_engines ?(max_endpoints = 512) () =
             | Ok _ -> Report.Time dt
             | Error _ -> Report.Missing
           in
-          let online engine () = Online.assign_store ~engine store ~max_layers:16 in
           let offline engine () =
             Layers.assign_store ~engine store ~max_layers:16 ~heuristic:Heuristic.Weakest
           in
           [
             Report.Int r.Tableone.endpoints;
-            time (online `Dfs);
-            time (online `Pk);
+            time (fun () -> Online.assign_store store ~max_layers:16);
             time (offline `Dfs);
             time (offline `Scc);
           ]))
@@ -219,9 +217,9 @@ let online_engines ?(max_endpoints = 512) () =
   {
     Report.title = "Ablation: online cycle-check engines vs offline sweep (k-ary n-tree, SSSP paths)";
     columns =
-      [ "#endpoints"; "online DFS"; "online Pearce-Kelly"; "offline DFS"; "offline SCC" ];
+      [ "#endpoints"; "online Pearce-Kelly"; "offline DFS"; "offline SCC" ];
     rows;
-    notes = [ "assignment time only (routes precomputed); all four are deadlock-free" ];
+    notes = [ "assignment time only (routes precomputed); all three are deadlock-free" ];
   }
 
 let adversarial_patterns () =

@@ -32,11 +32,11 @@ val random_graphs : ?max_layers:int -> unit -> Report.table
 (** Packet-simulator throughput with and without layer balancing. *)
 val balancing : ?seed:int -> unit -> Report.table
 
-(** Online-assignment engines (naive DFS probe vs Pearce-Kelly dynamic
-    topological ordering) vs the paper's offline algorithm: wall-clock
-    over a k-ary n-tree sweep. All three produce deadlock-free
-    assignments; the offline sweep is the paper's answer to the online
-    cost, PK is ours. *)
+(** The online assignment (Pearce-Kelly dynamic topological ordering)
+    vs the paper's offline algorithm under both break engines
+    (one-cycle-at-a-time DFS and SCC condensation): wall-clock over a
+    k-ary n-tree sweep. All three produce deadlock-free assignments; the
+    offline sweep is the paper's answer to the online cost. *)
 val online_engines : ?max_endpoints:int -> unit -> Report.table
 
 (** Classic adversarial permutations (bit complement/reverse, transpose,

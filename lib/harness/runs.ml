@@ -1,7 +1,7 @@
 let paper_algorithms = [ "minhop"; "updown"; "ftree"; "dor"; "lash"; "sssp"; "dfsssp" ]
 
-let run_named ?coords ?max_layers ?engine ?batch ?domains ?kernel name g =
-  match Dfsssp.Registry.find ?coords ?max_layers ?engine ?batch ?domains ?kernel name with
+let run_named ?coords ?max_layers ?batch ?domains name g =
+  match Dfsssp.Registry.find ?coords ?max_layers ?batch ?domains name with
   | None -> Error (Printf.sprintf "unknown algorithm %S" name)
   | Some alg -> alg.Dfsssp.Registry.run g
 

@@ -7,19 +7,10 @@ val paper_algorithms : string list
 
 (** [run_named ?coords ?max_layers name g] routes [g], or explains why the
     algorithm refused. [batch]/[domains] select the batched-snapshot
-    pipeline, [kernel] the shortest-path core and [engine] the offline
-    cycle-break engine on supporting algorithms (see
-    {!Dfsssp.Registry.all}). *)
+    pipeline on supporting algorithms (see {!Dfsssp.Registry.all}); the
+    shortest-path kernel and cycle-break engine are the defaults. *)
 val run_named :
-  ?coords:Coords.t ->
-  ?max_layers:int ->
-  ?engine:Layers.engine ->
-  ?batch:int ->
-  ?domains:int ->
-  ?kernel:Routing.Spf.kind ->
-  string ->
-  Graph.t ->
-  (Ftable.t, string) result
+  ?coords:Coords.t -> ?max_layers:int -> ?batch:int -> ?domains:int -> string -> Graph.t -> (Ftable.t, string) result
 
 (** [timed f] is [(wall-clock seconds, f ())]. *)
 val timed : (unit -> 'a) -> float * 'a

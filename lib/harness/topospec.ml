@@ -171,9 +171,12 @@ let parse spec =
         | None -> Error "cluster: missing system name"
         | Some name -> (
           let* scale = opt_int 1 1 in
-          match Clusters.by_name ~scale name with
-          | None -> Error (Printf.sprintf "unknown system %S" name)
-          | Some s -> wrap s.Clusters.description s.Clusters.graph))
+          if scale < 1 then
+            Error (Printf.sprintf "cluster: scale %S must be at least 1" (Option.get (arg 1)))
+          else
+            match Clusters.by_name ~scale name with
+            | None -> Error (Printf.sprintf "unknown system %S" name)
+            | Some s -> wrap s.Clusters.description s.Clusters.graph))
       | "jellyfish" -> (
         let* params = match arg 0 with Some s -> ints_of ',' s | None -> Error "jellyfish: missing parameters" in
         match params with

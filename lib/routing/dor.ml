@@ -65,9 +65,7 @@ let route_destination g coords ~dims ~wrap ~ndims ~ft ~dst =
   | Some msg -> Error msg
   | None -> Ok ()
 
-(* [kernel] is accepted for registry/CLI uniformity but unused:
-   dimension-ordered routing is coordinate arithmetic. *)
-let route ?(domains = 1) ?kernel:(_ : Spf.kind option) g coords =
+let route ?(domains = 1) g coords =
   let ft = Ftable.create g ~algorithm:"dor" in
   let dims = Coords.dims coords and wrap = Coords.wrap coords in
   let ndims = Array.length dims in

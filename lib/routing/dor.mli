@@ -11,7 +11,5 @@
 
     Forwarding is a pure function of coordinates, so [domains] (default
     1) parallelizes the per-destination fills with no snapshotting;
-    tables are identical for any [domains]. [kernel] is accepted for
-    registry uniformity and ignored: dimension-ordered routing is
-    coordinate arithmetic. *)
-val route : ?domains:int -> ?kernel:Spf.kind -> Graph.t -> Coords.t -> (Ftable.t, string) result
+    tables are identical for any [domains]. *)
+val route : ?domains:int -> Graph.t -> Coords.t -> (Ftable.t, string) result

@@ -84,9 +84,7 @@ let route_destination g ~level ~up_channels ~order_by_level ~anc_channel ~ft ~ds
   | Some msg -> Error msg
   | None -> Ok ()
 
-(* [kernel] is accepted for registry/CLI uniformity but unused: fat-tree
-   routing follows ancestor levels, not a shortest-path kernel. *)
-let route ?(domains = 1) ?kernel:(_ : Spf.kind option) g =
+let route ?(domains = 1) g =
   match levels g with
   | Error msg -> Error msg
   | Ok level ->

@@ -12,10 +12,8 @@
 
     d-mod-k spreading makes every destination independent of the others,
     so [domains] (default 1) parallelizes the fill with no snapshotting;
-    tables are identical for any [domains]. [kernel] is accepted for
-    registry uniformity and ignored: fat-tree routing is ancestor-level
-    arithmetic, not a shortest-path kernel. *)
-val route : ?domains:int -> ?kernel:Spf.kind -> Graph.t -> (Ftable.t, string) result
+    tables are identical for any [domains]. *)
+val route : ?domains:int -> Graph.t -> (Ftable.t, string) result
 
 (** Levels as ftree sees them: distance of each switch from the leaf
     (terminal-holding) layer; exposed for tests. Fails on fabrics without

@@ -8,10 +8,10 @@
    sparse irregular fabrics, Fig. 9). *)
 let tie_break c dst = ((c * 0x9E3779B1) lxor (dst * 0x85EBCA77)) land max_int
 
-let plain_minhop ?(kernel = Spf.Auto) g =
+let plain_minhop g =
   let n = Graph.num_nodes g in
   let ft = Ftable.create g ~algorithm:"lash" in
-  let ws = Spf.workspace ~kernel g in
+  let ws = Spf.workspace g in
   (* Unit weights never change, so one stamp serves every destination
      and the incremental kernel reuses each switch's tree. *)
   let stamp = Spf.fresh_stamp () in
@@ -42,8 +42,8 @@ let plain_minhop ?(kernel = Spf.Auto) g =
   | Error msg -> Error msg
   | Ok () -> Ok ft
 
-let route ?(max_layers = 16) ?kernel g =
-  match plain_minhop ?kernel g with
+let route ?(max_layers = 16) g =
+  match plain_minhop g with
   | Error msg -> Error ("lash: " ^ msg)
   | Ok ft -> (
     match Ftable.to_store ft with

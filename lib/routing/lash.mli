@@ -6,7 +6,5 @@
     on sparse irregular fabrics, fewer on dense ones — its Fig. 9/10). *)
 
 (** [route ?max_layers g] (default 16 layers, the InfiniBand ceiling).
-    Fails if the fabric is disconnected or the layer budget is exceeded.
-    [kernel] selects the shortest-path core computing the hop distances
-    (default {!Spf.Auto}); it never changes the tables. *)
-val route : ?max_layers:int -> ?kernel:Spf.kind -> Graph.t -> (Ftable.t, string) result
+    Fails if the fabric is disconnected or the layer budget is exceeded. *)
+val route : ?max_layers:int -> Graph.t -> (Ftable.t, string) result

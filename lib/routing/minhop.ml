@@ -53,7 +53,7 @@ type scratch = {
   mutable num_delta : int;
 }
 
-let route ?(batch = 1) ?(domains = 1) ?(kernel = Spf.Auto) g =
+let route ?(batch = 1) ?(domains = 1) g =
   let n = Graph.num_nodes g in
   let m = Graph.num_channels g in
   let ft = Ftable.create g ~algorithm:"minhop" in
@@ -65,7 +65,7 @@ let route ?(batch = 1) ?(domains = 1) ?(kernel = Spf.Auto) g =
   let stamp = Spf.fresh_stamp () in
   let result =
     if batch <= 1 && domains <= 1 then begin
-      let ws = Spf.workspace ~kernel g in
+      let ws = Spf.workspace g in
       let nt = Array.length dsts in
       let rec go i =
         if i >= nt then Ok ()
@@ -86,7 +86,7 @@ let route ?(batch = 1) ?(domains = 1) ?(kernel = Spf.Auto) g =
       Parallel.Pool.with_pool ~domains
         (fun _slot ->
           {
-            ws = Spf.workspace ~kernel g;
+            ws = Spf.workspace g;
             local = Array.make m 0;
             local_touched = Array.make m 0;
             num_local = 0;

@@ -13,11 +13,7 @@
     snapshot plus its own increments (MinHop reads loads mid-destination,
     so the snapshot alone is not enough). [~batch:1] reproduces the
     sequential tables bit-for-bit; for any fixed [batch] the result is
-    independent of [domains].
-
-    [kernel] selects the shortest-path core computing the hop distances
-    (default {!Spf.Auto}); hop distances are load-independent, so the
-    incremental kernel shares one switch tree across the whole run.
-    Kernel choice never changes the tables. *)
-val route :
-  ?batch:int -> ?domains:int -> ?kernel:Spf.kind -> Graph.t -> (Ftable.t, string) result
+    independent of [domains]. Hop distances come from the default
+    {!Spf} kernel; they are load-independent, so its incremental core
+    shares one switch tree across the whole run. *)
+val route : ?batch:int -> ?domains:int -> Graph.t -> (Ftable.t, string) result

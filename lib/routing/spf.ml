@@ -5,9 +5,8 @@
    owns that inner loop behind a small kernel interface so engines can
    select the core that fits their weight structure:
 
-   - [Heap]: the binary-heap Dijkstra previously embedded in
-     {!Dijkstra.toward}; the oracle the other kernels are tested
-     against.
+   - [Heap]: binary-heap Dijkstra with decrease-key; the oracle the
+     other kernels are tested against, and the bucket core's fallback.
    - [Bucket]: a Dial-style bucket queue specialised to the bounded
      weight ratios we actually route (SSSP weights start at |V|^2 per
      channel and loads stay below |V|^2, so max/min < 2; MinHop/LASH
@@ -38,17 +37,6 @@ let kind_to_string = function
   | Heap -> "heap"
   | Bucket -> "bucket"
   | Incremental -> "incremental"
-
-let kind_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Ok Auto
-  | "heap" | "binary-heap" | "dijkstra" -> Ok Heap
-  | "bucket" | "dial" | "delta-stepping" -> Ok Bucket
-  | "incremental" | "reuse" -> Ok Incremental
-  | _ ->
-    Error (Printf.sprintf "unknown SSSP kernel %S (expected auto|heap|bucket|incremental)" s)
-
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
 
 (* [Auto] resolves to the incremental kernel: it contains the bucket
    core (used for both cache fills and non-terminal destinations) and

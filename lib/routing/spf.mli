@@ -7,7 +7,9 @@
     rule makes [via u] the minimum channel id among shortest-path
     achievers, a quantity independent of the settle order — so kernel
     choice is purely a performance knob.  [test/test_spf.ml] enforces
-    the equivalence against the heap oracle property-style. *)
+    the equivalence against the heap oracle property-style.  Above this
+    module only {!Sssp}'s entry points (and the fabric manager's rescue
+    through them) take a kernel; every other engine runs [Auto]. *)
 
 (** Kernel selector. [Auto] (the default everywhere) currently resolves
     to [Incremental], which embeds the bucket core and adds switch-tree
@@ -29,12 +31,6 @@ type kind = Auto | Heap | Bucket | Incremental
 val all_kinds : kind list
 
 val kind_to_string : kind -> string
-
-(** Inverse of {!kind_to_string}; also accepts a few aliases
-    ("dijkstra", "dial", "reuse", ...). *)
-val kind_of_string : string -> (kind, string) result
-
-val pp_kind : Format.formatter -> kind -> unit
 
 (** [resolve k] is [k] with [Auto] replaced by the concrete default
     kernel. *)

@@ -151,9 +151,7 @@ let route_destination g ~up ~order ~get_load ~bump sc ~ft ~dst =
   | Some msg -> Error msg
   | None -> Ok ()
 
-(* [kernel] is accepted for registry/CLI uniformity but unused: the
-   up/down-restricted BFS is not a shortest-path-kernel computation. *)
-let route ?(batch = 1) ?(domains = 1) ?kernel:(_ : Spf.kind option) g =
+let route ?(batch = 1) ?(domains = 1) g =
   match pick_root g with
   | Error msg -> Error msg
   | Ok root ->

@@ -13,12 +13,8 @@
     pipeline of DESIGN.md section 12: the load counters behind the
     equal-length tie-break are frozen per batch of [batch] destinations.
     [~batch:1] reproduces the sequential tables bit-for-bit; for any
-    fixed [batch] the result is independent of [domains]. [kernel] is
-    accepted so every registry engine shares one option surface, but the
-    up/down-restricted BFS runs no shortest-path kernel; it is
-    ignored. *)
-val route :
-  ?batch:int -> ?domains:int -> ?kernel:Spf.kind -> Graph.t -> (Ftable.t, string) result
+    fixed [batch] the result is independent of [domains]. *)
+val route : ?batch:int -> ?domains:int -> Graph.t -> (Ftable.t, string) result
 
 (** Expose the orientation for tests: [up_channels g] maps channel id to
     [true] iff the channel is an up channel for the root [route] would

@@ -2,7 +2,7 @@
     plain lists — the representation {!Cdg} used before the CSR refactor.
     Kept as the oracle for the representation-equivalence property tests
     and as the baseline of the [bench/cdg_bench] microbenchmark. Not for
-    production use: {!Cdg} is the real thing. *)
+    production use: [Deadlock.Cdg] is the real thing. *)
 
 type t
 

@@ -389,14 +389,18 @@ let heuristics_all_sound_qcheck =
 (* Scc and the break-engine knob                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_engine_strings () =
-  List.iter
-    (fun e ->
-      match Layers.engine_of_string (Layers.engine_to_string e) with
-      | Ok e' -> Alcotest.(check bool) "round trip" true (e = e')
-      | Error msg -> Alcotest.fail msg)
-    [ `Scc; `Dfs ];
-  Alcotest.(check bool) "unknown rejected" true (Result.is_error (Layers.engine_of_string "bogus"))
+(* Everything above [Layers]/[Dfsssp.assign_layers] runs the default
+   engine: an engine-free [Dfsssp.route] equals SSSP plus an explicit
+   [`Scc] assignment, layer for layer. *)
+let test_default_engine_is_scc () =
+  let rng = Rng.create 5 in
+  let g = Topo_random.make ~switches:8 ~switch_radix:8 ~terminals:16 ~inter_links:12 ~rng in
+  let routed = Result.get_ok (Dfsssp.route ~max_layers:16 g) in
+  let scc = Result.get_ok (Testutil.dfsssp ~engine:`Scc ~max_layers:16 g) in
+  check Alcotest.int "layer count" (Routing.Ftable.num_layers scc) (Routing.Ftable.num_layers routed);
+  Routing.Ftable.iter_pairs routed (fun ~src ~dst _ ->
+      if Routing.Ftable.layer routed ~src ~dst <> Routing.Ftable.layer scc ~src ~dst then
+        Alcotest.failf "pair %d->%d: layer differs from the scc engine's" src dst)
 
 let test_scc_condensation () =
   let g, paths = ring_fixture 5 in
@@ -603,29 +607,25 @@ let online_seed_qcheck =
       | None -> false
       | Some (store, seed) ->
         let unseeded = Array.make (Array.length seed) (-1) in
-        let run ?seed engine = Online.assign_store ~engine ?seed store ~max_layers:16 in
+        let run ?seed () = Online.assign_store ?seed store ~max_layers:16 in
         let layers = function
           | Ok o -> Some o.Online.layer_of_path
           | Error _ -> None
         in
-        (* without a seed: the plain online placement, on both engines *)
-        let plain = layers (run `Dfs) in
+        (* without a seed (or with an all -1 one): the plain online placement *)
+        let plain = layers (run ()) in
         plain = reference_online store ~pinned:unseeded ~max_layers:16
-        && plain = layers (run `Pk)
-        && plain = layers (run ~seed:unseeded `Dfs)
+        && plain = layers (run ~seed:unseeded ())
         &&
-        match (run ~seed `Dfs, run ~seed `Pk) with
-        | Ok a, Ok b ->
+        match run ~seed () with
+        | Ok a ->
           let kept = ref true in
           Array.iteri (fun p vl -> if vl >= 0 && a.Online.layer_of_path.(p) <> vl then kept := false) seed;
           !kept
-          && a.Online.layer_of_path = b.Online.layer_of_path
-          && a.Online.layers_used = b.Online.layers_used
           && Some a.Online.layer_of_path = reference_online store ~pinned:seed ~max_layers:16
           && Acyclic.layers_acyclic_store store ~layer_of_path:a.Online.layer_of_path
                ~num_layers:a.Online.layers_used
-        | Error _, Error _ -> reference_online store ~pinned:seed ~max_layers:16 = None
-        | _ -> false)
+        | Error _ -> reference_online store ~pinned:seed ~max_layers:16 = None)
 
 let test_online_seed_rejections () =
   let g, paths = ring_fixture 5 in
@@ -665,8 +665,8 @@ let test_pk_accepts_and_rejects () =
   Alcotest.(check bool) "order still consistent" true (Pk_order.consistent pk);
   Alcotest.(check bool) "self edge rejected" false (Pk_order.insert pk ~c1:p.(0) ~c2:p.(0))
 
-let pk_matches_dfs_qcheck =
-  qtest ~count:30 "online: PK and DFS engines agree exactly" QCheck2.Gen.(int_range 0 10_000)
+let online_matches_reference_qcheck =
+  qtest ~count:30 "online: placement equals the Kahn reference" QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create seed in
       let g = Topo_random.make ~switches:8 ~switch_radix:8 ~terminals:16 ~inter_links:12 ~rng in
@@ -676,15 +676,17 @@ let pk_matches_dfs_qcheck =
         let paths = ref [] in
         Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
         let paths = Array.of_list (List.rev !paths) in
-        (match (Online.assign ~engine:`Dfs g ~paths ~max_layers:16,
-                Online.assign ~engine:`Pk g ~paths ~max_layers:16) with
-        | Ok a, Ok b ->
-          a.Online.layer_of_path = b.Online.layer_of_path
-          && a.Online.layers_used = b.Online.layers_used
-          && Acyclic.layers_acyclic g ~paths ~layer_of_path:b.Online.layer_of_path
-               ~num_layers:b.Online.layers_used
-        | Error _, Error _ -> true
-        | _ -> false))
+        let reference =
+          reference_online (Route_store.of_paths g paths)
+            ~pinned:(Array.make (Array.length paths) (-1)) ~max_layers:16
+        in
+        (match Online.assign g ~paths ~max_layers:16 with
+        | Ok a ->
+          Some a.Online.layer_of_path = reference
+          && a.Online.layers_used = 1 + Array.fold_left max 0 a.Online.layer_of_path
+          && Acyclic.layers_acyclic g ~paths ~layer_of_path:a.Online.layer_of_path
+               ~num_layers:a.Online.layers_used
+        | Error _ -> reference = None))
 
 let pk_order_invariant_qcheck =
   qtest ~count:30 "pk_order: random insertions keep a valid order" QCheck2.Gen.(int_range 0 10_000)
@@ -883,7 +885,7 @@ let () =
         ] );
       ( "scc",
         [
-          Alcotest.test_case "engine strings" `Quick test_engine_strings;
+          Alcotest.test_case "default engine is scc" `Quick test_default_engine_is_scc;
           Alcotest.test_case "condensation" `Quick test_scc_condensation;
           Alcotest.test_case "self-loop" `Quick test_scc_self_loop_nontrivial;
           Alcotest.test_case "ring needs 2 (both engines)" `Quick test_layers_ring_both_engines;
@@ -903,7 +905,7 @@ let () =
       ( "pk_order",
         [
           Alcotest.test_case "accepts and rejects" `Quick test_pk_accepts_and_rejects;
-          pk_matches_dfs_qcheck;
+          online_matches_reference_qcheck;
           pk_order_invariant_qcheck;
         ] );
       ( "app",

@@ -74,7 +74,11 @@ let test_budget_exhaustion () =
    same heuristic, same eviction order within each component. *)
 let test_fig_layer_parity () =
   let parity name g =
-    let vl engine = expect name (Dfsssp.layers_required ~engine ~max_layers:64 g) in
+    let vl engine =
+      match Testutil.dfsssp ~engine ~max_layers:64 g with
+      | Ok ft -> Routing.Ftable.num_layers ft
+      | Error msg -> Alcotest.failf "%s: %s" name msg
+    in
     check Alcotest.int (name ^ ": scc matches dfs") (vl `Dfs) (vl `Scc)
   in
   for t = 0 to 2 do

@@ -334,7 +334,12 @@ let test_topospec_cluster_and_errors () =
       "dragonfly:4,2";
       "file:/does/not/exist";
       "torus:0x3";
-    ]
+      "cluster:chic:0";
+      "cluster:chic:-2";
+    ];
+  match Harness.Topospec.parse "cluster:chic:0" with
+  | Error msg -> Alcotest.(check bool) "names the scale token" true (Testutil.contains msg "\"0\"")
+  | Ok _ -> Alcotest.fail "zero cluster scale accepted"
 
 let test_topospec_file_roundtrip () =
   let g = Topo_ring.make ~switches:4 ~terminals_per_switch:1 in

@@ -292,38 +292,38 @@ let cdg_matches_reference =
         | Error _ -> false
         | Ok store ->
           let csr = Deadlock.Cdg.of_store store in
-          let rc = Deadlock.Cdg_ref.create g in
+          let rc = Oracles.Cdg_ref.create g in
           Deadlock.Route_store.iter_pairs store (fun pair ->
-              Deadlock.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair));
+              Oracles.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair));
           let agree () =
             let ok = ref true in
-            if Deadlock.Cdg.num_edges csr <> Deadlock.Cdg_ref.num_edges rc then ok := false;
-            if Deadlock.Cdg.num_paths csr <> Deadlock.Cdg_ref.num_paths rc then ok := false;
-            Deadlock.Cdg_ref.iter_edges rc (fun c1 c2 count ->
+            if Deadlock.Cdg.num_edges csr <> Oracles.Cdg_ref.num_edges rc then ok := false;
+            if Deadlock.Cdg.num_paths csr <> Oracles.Cdg_ref.num_paths rc then ok := false;
+            Oracles.Cdg_ref.iter_edges rc (fun c1 c2 count ->
                 if Deadlock.Cdg.edge_count csr ~c1 ~c2 <> count then ok := false;
                 if
                   List.sort compare (Deadlock.Cdg.edge_pairs csr ~c1 ~c2)
-                  <> List.sort compare (Deadlock.Cdg_ref.edge_pairs rc ~c1 ~c2)
+                  <> List.sort compare (Oracles.Cdg_ref.edge_pairs rc ~c1 ~c2)
                 then ok := false);
             for c = 0 to Graph.num_channels g - 1 do
               if
                 List.sort compare (Array.to_list (Deadlock.Cdg.successors csr c))
-                <> List.sort compare (Array.to_list (Deadlock.Cdg_ref.successors rc c))
+                <> List.sort compare (Array.to_list (Oracles.Cdg_ref.successors rc c))
               then ok := false
             done;
             (* weakest-edge choice over all live edges, in a fixed order:
                identical counts must yield the identical pick *)
             let edges = ref [] in
-            Deadlock.Cdg_ref.iter_edges rc (fun c1 c2 _ -> edges := (c1, c2) :: !edges);
+            Oracles.Cdg_ref.iter_edges rc (fun c1 c2 _ -> edges := (c1, c2) :: !edges);
             let edges = Array.of_list (List.sort compare !edges) in
             if Array.length edges > 0 then begin
               let expected = ref edges.(0) in
               let expected_count =
-                ref (Deadlock.Cdg_ref.edge_count rc ~c1:(fst edges.(0)) ~c2:(snd edges.(0)))
+                ref (Oracles.Cdg_ref.edge_count rc ~c1:(fst edges.(0)) ~c2:(snd edges.(0)))
               in
               Array.iter
                 (fun (c1, c2) ->
-                  let count = Deadlock.Cdg_ref.edge_count rc ~c1 ~c2 in
+                  let count = Oracles.Cdg_ref.edge_count rc ~c1 ~c2 in
                   if count < !expected_count then begin
                     expected := (c1, c2);
                     expected_count := count
@@ -342,13 +342,13 @@ let cdg_matches_reference =
           List.iter
             (fun pair ->
               Deadlock.Cdg.remove_pair csr store ~pair;
-              Deadlock.Cdg_ref.remove_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
+              Oracles.Cdg_ref.remove_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
             !removed;
           if not (agree ()) then ok := false;
           List.iter
             (fun pair ->
               Deadlock.Cdg.add_pair csr store ~pair;
-              Deadlock.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
+              Oracles.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
             !removed;
           if not (agree ()) then ok := false;
           (* compaction is invisible to every observer *)
@@ -580,7 +580,7 @@ let break_engines_certify =
         | _ -> Topo_kautz.make ~b:2 ~n:3 ~endpoints:18
       in
       let layers engine =
-        match Dfsssp.route ~engine ~max_layers:16 g with
+        match Testutil.dfsssp ~engine ~max_layers:16 g with
         | Error _ -> None
         | Ok ft -> (
           let report = Analysis.Analyzer.analyze ft in

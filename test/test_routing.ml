@@ -1,4 +1,4 @@
-(* Tests for the routing engines: Dijkstra machinery, forwarding tables,
+(* Tests for the routing engines: the heap shortest-path core, forwarding tables,
    and the six algorithms the paper compares (MinHop, SSSP, Up*/Down*,
    DOR, FatTree, LASH). *)
 
@@ -23,15 +23,16 @@ let xgft_small = lazy (Topo_xgft.make ~ms:[| 4; 4 |] ~ws:[| 2; 2 |] ~endpoints:4
 let kautz23 = lazy (Topo_kautz.make ~b:2 ~n:3 ~endpoints:36)
 
 (* ------------------------------------------------------------------ *)
-(* Dijkstra                                                             *)
+(* Heap shortest-path core                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_dijkstra_matches_bfs () =
   let g = fst (Lazy.force torus44) in
-  let ws = Dijkstra.workspace g in
+  let ws = Spf.workspace ~kernel:Spf.Heap g in
+  let stamp = Spf.fresh_stamp () in
   Array.iter
     (fun dst ->
-      let dist, via = Dijkstra.hops_toward ws g ~dst in
+      let { Spf.dist; via; _ } = Spf.compute_hops ws g ~stamp ~dst in
       let dist = Array.copy dist and via = Array.copy via in
       (* reference: reverse BFS *)
       let refd = Array.make (Graph.num_nodes g) max_int in
@@ -73,8 +74,8 @@ let test_dijkstra_weighted () =
   let g = Builder.build b in
   let weights = Array.make (Graph.num_channels g) 1 in
   weights.(c02) <- 10;
-  let ws = Dijkstra.workspace g in
-  let dist, via = Dijkstra.toward ws g ~weights ~dst:s2 in
+  let ws = Spf.workspace ~kernel:Spf.Heap g in
+  let { Spf.dist; via; _ } = Spf.compute ws g ~weights ~stamp:(Spf.fresh_stamp ()) ~dst:s2 in
   check Alcotest.int "detour distance" 2 dist.(s0);
   check Alcotest.int "detour first hop" c01 via.(s0);
   check Alcotest.int "direct from middle" c12 via.(s1)

@@ -40,40 +40,42 @@ let random_weights ?(spread = 37) seed g =
 let copy_tree (t : Spf.tree) =
   (Array.copy t.Spf.dist, Array.copy t.Spf.via, t.Spf.reached)
 
-(* Compare a kernel's tree against the oracle's for every destination
-   node of [g] under [weights]. One stamp per kernel: weights are frozen
-   here, so the incremental kernel is allowed (and expected) to reuse
-   switch trees across consecutive same-switch terminals. *)
-let check_trees_against_oracle name g ~weights =
+(* Compare a kernel's tree against the oracle's for every destination in
+   [dsts] (default: every node of [g]), computed by [tree] — a weighted
+   {!Spf.compute} or {!Spf.compute_hops}. One stamp per kernel: weights
+   are frozen here, so the incremental kernel is allowed (and expected)
+   to reuse switch trees across consecutive same-switch terminals. *)
+let check_trees_against_oracle ?dsts name g ~tree =
   let oracle = Spf.workspace ~kernel:Spf.Heap g in
   let ostamp = Spf.fresh_stamp () in
-  let n = Graph.num_nodes g in
+  let dsts = Option.value dsts ~default:(Array.init (Graph.num_nodes g) Fun.id) in
   List.iter
     (fun kernel ->
       if kernel <> Spf.Heap then begin
         let ws = Spf.workspace ~kernel g in
         let stamp = Spf.fresh_stamp () in
-        for dst = 0 to n - 1 do
-          let odist, ovia, oreached =
-            copy_tree (Spf.compute oracle g ~weights ~stamp:ostamp ~dst)
-          in
-          let t = Spf.compute ws g ~weights ~stamp ~dst in
-          if t.Spf.reached <> oreached then
-            Alcotest.failf "%s/%s dst %d: reached %d, oracle %d" name (kernel_name kernel) dst
-              t.Spf.reached oreached;
-          if t.Spf.dist <> odist then
-            Alcotest.failf "%s/%s dst %d: dist differs from oracle" name (kernel_name kernel) dst;
-          if t.Spf.via <> ovia then
-            Alcotest.failf "%s/%s dst %d: via differs from oracle" name (kernel_name kernel) dst
-        done
+        Array.iter
+          (fun dst ->
+            let odist, ovia, oreached = copy_tree (tree oracle ~stamp:ostamp ~dst) in
+            let t = tree ws ~stamp ~dst in
+            if t.Spf.reached <> oreached then
+              Alcotest.failf "%s/%s dst %d: reached %d, oracle %d" name (kernel_name kernel) dst
+                t.Spf.reached oreached;
+            if t.Spf.dist <> odist then
+              Alcotest.failf "%s/%s dst %d: dist differs from oracle" name (kernel_name kernel) dst;
+            if t.Spf.via <> ovia then
+              Alcotest.failf "%s/%s dst %d: via differs from oracle" name (kernel_name kernel) dst)
+          dsts
       end)
     kernels;
   true
 
+let weighted weights g ws ~stamp ~dst = Spf.compute ws g ~weights ~stamp ~dst
+
 let tree_equivalence =
   qtest "spf: every kernel matches the heap oracle tree-for-tree" seed_gen (fun seed ->
       let name, g = fabric seed in
-      check_trees_against_oracle name g ~weights:(random_weights seed g))
+      check_trees_against_oracle name g ~tree:(weighted (random_weights seed g) g))
 
 let degraded_tree_equivalence =
   qtest "spf: kernel equivalence survives cable faults" seed_gen (fun seed ->
@@ -86,7 +88,7 @@ let degraded_tree_equivalence =
           | Ok (g', _) -> g'
           | Error _ -> g
       in
-      check_trees_against_oracle name g ~weights:(random_weights seed g))
+      check_trees_against_oracle name g ~tree:(weighted (random_weights seed g) g))
 
 let plane_equivalence =
   qtest "sssp: kernel choice never changes tables or final weights" seed_gen (fun seed ->
@@ -151,7 +153,7 @@ let bucket_fallback_extreme_weights () =
   let before = fallback_counter () in
   Alcotest.(check bool)
     "extreme-spread trees equal oracle" true
-    (check_trees_against_oracle "torus-4x4" g ~weights);
+    (check_trees_against_oracle "torus-4x4" g ~tree:(weighted weights g));
   Alcotest.(check bool) "fallback recorded" true (fallback_counter () > before);
   (* In-window spreads must NOT fall back. *)
   let tame = Array.make (Graph.num_channels g) 3 in
@@ -205,12 +207,9 @@ let dfsssp_certifiable =
           | Error _ -> g
       in
       let run kernel =
-        match Dfsssp.Registry.find ~kernel "dfsssp" with
-        | None -> Alcotest.fail "dfsssp not registered"
-        | Some algo -> (
-          match algo.Dfsssp.Registry.run g with
-          | Ok ft -> ft
-          | Error msg -> Alcotest.failf "dfsssp (%s) failed: %s" (kernel_name kernel) msg)
+        match Testutil.dfsssp ~kernel g with
+        | Ok ft -> ft
+        | Error msg -> Alcotest.failf "dfsssp (%s) failed: %s" (kernel_name kernel) msg
       in
       let oracle = run Spf.Heap in
       Dfsssp.Verify.deadlock_free oracle
@@ -221,25 +220,14 @@ let dfsssp_certifiable =
            kernels)
 
 (* MinHop and LASH route over hop counts: one shared stamp per run, so
-   the incremental kernel reuses switch trees aggressively. Tables must
-   still match the oracle's exactly. *)
+   the incremental kernel reuses switch trees aggressively. Their
+   unit-weight trees, walked in their terminal order, must still match
+   the oracle's exactly. *)
 let hop_engines_kernel_invariant =
-  qtest ~count:10 "minhop/lash: kernel choice never changes tables" seed_gen (fun seed ->
-      let _, g = fabric seed in
-      let minhop kernel =
-        match Routing.Minhop.route ~kernel g with
-        | Ok ft -> ft
-        | Error msg -> Alcotest.failf "minhop (%s) failed: %s" (kernel_name kernel) msg
-      in
-      let lash kernel =
-        match Routing.Lash.route ~kernel g with
-        | Ok ft -> ft
-        | Error msg -> Alcotest.failf "lash (%s) failed: %s" (kernel_name kernel) msg
-      in
-      let mh = minhop Spf.Heap and ls = lash Spf.Heap in
-      List.for_all
-        (fun kernel -> same_tables mh (minhop kernel) && same_tables ls (lash kernel))
-        kernels)
+  qtest ~count:10 "minhop/lash: hop trees identical under every kernel" seed_gen (fun seed ->
+      let name, g = fabric seed in
+      check_trees_against_oracle ~dsts:(Graph.terminals g) name g ~tree:(fun ws ~stamp ~dst ->
+          Spf.compute_hops ws g ~stamp ~dst))
 
 let () =
   Alcotest.run "spf kernels"

@@ -32,3 +32,11 @@ let random_graph ?(switches = 8) ?(switch_radix = 10) ?(terminals = 16) ?(inter_
   Topo_random.make ~switches ~switch_radix ~terminals ~inter_links ~rng
 
 let same_tables a b = (Routing.Ftable.diff a b).Routing.Ftable.entries_changed = 0
+
+(* DFSSSP through the two entry points that take the knobs: SSSP under
+   [kernel], then the offline layer assignment under [engine]. The
+   kernel/engine parity cases route through here. *)
+let dfsssp ?kernel ?engine ?max_layers g =
+  match Routing.Sssp.route ?kernel g with
+  | Error msg -> Error msg
+  | Ok ft -> Result.map_error Dfsssp.error_to_string (Dfsssp.assign_layers ?engine ?max_layers ft)
