@@ -1,6 +1,7 @@
-(* Regenerates every table and figure of the paper's evaluation (see
-   DESIGN.md for the per-experiment index) at scaled default sizes, then
-   runs a bechamel micro-benchmark suite over the routing engines.
+(* Regenerates every table and figure of the paper's evaluation — every
+   entry of Harness.Experiments (see DESIGN.md for the per-experiment
+   index) — at scaled default sizes, then runs a bechamel
+   micro-benchmark suite over the routing engines.
 
    Environment knobs:
      BENCH_SCALE    divisor for real-system sizes      (default 4)
@@ -18,13 +19,14 @@ let env_int name default =
   | None -> default
   | Some v -> ( match int_of_string_opt v with Some i when i > 0 -> i | _ -> default)
 
-let scale = env_int "BENCH_SCALE" 4
-let max_endpoints = env_int "BENCH_MAX_EP" 512
-let patterns = env_int "BENCH_PATTERNS" 30
-let trials = env_int "BENCH_TRIALS" 5
-
-let section title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '#')
+let params =
+  {
+    Harness.Experiments.scale = env_int "BENCH_SCALE" 4;
+    max_endpoints = env_int "BENCH_MAX_EP" 512;
+    patterns = env_int "BENCH_PATTERNS" 30;
+    trials = env_int "BENCH_TRIALS" 5;
+    domains = None;
+  }
 
 let show table =
   Harness.Report.print table;
@@ -35,27 +37,10 @@ let show table =
   print_newline ()
 
 let timed_section title f =
-  section title;
+  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '#');
   let t0 = Unix.gettimeofday () in
   f ();
   Printf.printf "[section took %.1fs]\n" (Unix.gettimeofday () -. t0)
-
-(* Fig. 2: the ring deadlock, demonstrated on the packet simulator. *)
-let fig2 () =
-  let ring = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let terminals = Graph.terminals ring in
-  let flows = Array.init 5 (fun i -> (terminals.(i), terminals.((i + 2) mod 5), 64)) in
-  let run name ft vls =
-    let config = { Simulator.Flitsim.default_config with num_vls = vls } in
-    Format.printf "  %-22s %a@." name Simulator.Flitsim.pp_outcome
-      (Simulator.Flitsim.run ~config ft ~flows)
-  in
-  (match Routing.Sssp.route ring with
-  | Ok ft -> run "SSSP (1 VL)" ft 1
-  | Error e -> Printf.printf "  sssp failed: %s\n" e);
-  match Dfsssp.route ring with
-  | Ok ft -> run (Printf.sprintf "DFSSSP (%d VLs)" (Routing.Ftable.num_layers ft)) ft 8
-  | Error e -> Printf.printf "  dfsssp failed: %s\n" (Dfsssp.error_to_string e)
 
 let micro () =
   let open Bechamel in
@@ -100,60 +85,11 @@ let micro () =
 
 let () =
   Printf.printf "DFSSSP reproduction bench — scale=1/%d, sweeps to %d endpoints, %d patterns, %d trials\n"
-    scale max_endpoints patterns trials;
-  timed_section "Fig. 2: ring deadlock (packet-level simulation)" fig2;
-  timed_section "Table I" (fun () -> show (Harness.Tableone.table ()));
-  timed_section "Fig. 4" (fun () -> show (Harness.Fig_bandwidth.fig4 ~scale ~patterns ()));
-  timed_section "Fig. 5" (fun () -> show (Harness.Fig_bandwidth.fig5 ~max_endpoints ~patterns ()));
-  timed_section "Fig. 6" (fun () -> show (Harness.Fig_bandwidth.fig6 ~max_endpoints ~patterns ()));
-  timed_section "Fig. 7" (fun () -> show (Harness.Fig_runtime.fig7 ~max_endpoints ()));
-  timed_section "Fig. 8" (fun () -> show (Harness.Fig_runtime.fig8 ~scale ()));
-  timed_section "Fig. 9" (fun () -> show (Harness.Fig_vls.fig9 ~trials ()));
-  timed_section "Fig. 10" (fun () -> show (Harness.Fig_vls.fig10 ~scale ()));
-  timed_section "Heuristics (Section IV)" (fun () -> show (Harness.Fig_vls.heuristics ~trials ()));
-  timed_section "Fig. 12" (fun () -> show (Harness.Fig_deimos.fig12 ~scale ~patterns ()));
-  timed_section "Fig. 12 (dynamic)" (fun () ->
-      show (Harness.Fig_deimos.fig12_dynamic ~scale ()));
-  timed_section "Fig. 13" (fun () -> show (Harness.Fig_deimos.fig13 ~scale ()));
-  timed_section "Fig. 14 (NAS BT)" (fun () -> show (Harness.Fig_deimos.fig14 ~scale ()));
-  timed_section "Fig. 15 (NAS SP)" (fun () -> show (Harness.Fig_deimos.fig15 ~scale ()));
-  timed_section "Fig. 16 (NAS FT)" (fun () -> show (Harness.Fig_deimos.fig16 ~scale ()));
-  timed_section "Table II" (fun () -> show (Harness.Fig_deimos.table2 ~scale ()));
-  timed_section "Ablation: SSSP initial weight (Fig. 1)" (fun () ->
-      show (Harness.Ablations.sssp_initial_weight ()));
-  timed_section "Ablation: hardened routings" (fun () ->
-      show (Harness.Ablations.hardened_routings ~patterns ()));
-  timed_section "Extension: dragonfly" (fun () -> show (Harness.Ablations.dragonfly ~patterns ()));
-  timed_section "Ablation: layer balancing" (fun () -> show (Harness.Ablations.balancing ()));
-  timed_section "Complexity (Props. 1-2)" (fun () ->
-      show (Harness.Ablations.complexity ~max_endpoints ()));
-  timed_section "Ablation: online cycle-check engines" (fun () ->
-      show (Harness.Ablations.online_engines ~max_endpoints ()));
-  timed_section "Quality: path length and balance" (fun () ->
-      show (Harness.Ablations.routing_quality ()));
-  timed_section "Ablation: virtual-lane budget" (fun () -> show (Harness.Ablations.vl_budget ()));
-  timed_section "Extension: multipath (LMC)" (fun () -> show (Harness.Ablations.multipath ()));
-  timed_section "Extension: phased collectives" (fun () ->
-      show (Harness.Ablations.collectives ()));
-  timed_section "Extension: adversarial patterns" (fun () ->
-      show (Harness.Ablations.adversarial_patterns ()));
-  timed_section "Growth: fat tree accretes extensions" (fun () ->
-      show (Harness.Growth.sweep ~patterns ()));
-  timed_section "Capacity planner (Deimos)" (fun () ->
-      let g = (Clusters.deimos ~scale:8 ()).Clusters.graph in
-      match Harness.Planner.suggest ~candidates:5 ~patterns ~algorithm:"dfsssp" g with
-      | Error e -> Printf.printf "  planner failed: %s\n" e
-      | Ok suggestions ->
-        List.iter
-          (fun (s : Harness.Planner.suggestion) ->
-            Printf.printf "  %-14s -- %-14s  eBB %.4f -> %.4f (%+.1f%%)\n" s.Harness.Planner.from_switch
-              s.Harness.Planner.to_switch s.Harness.Planner.ebb_before s.Harness.Planner.ebb_after
-              (100.0 *. s.Harness.Planner.gain))
-          suggestions);
-  timed_section "Fault tolerance (torus)" (fun () ->
-      show (Harness.Fault_tolerance.sweep ~fabric:Harness.Fault_tolerance.Torus ~patterns ()));
-  timed_section "Fault tolerance (fat tree)" (fun () ->
-      show (Harness.Fault_tolerance.sweep ~fabric:Harness.Fault_tolerance.Fat_tree ~patterns ()));
+    params.scale params.max_endpoints params.patterns params.trials;
+  List.iter
+    (fun { Harness.Experiments.title; full_scale; run; _ } ->
+      if not full_scale then timed_section title (fun () -> show (run params)))
+    Harness.Experiments.all;
   if Sys.getenv_opt "BENCH_SKIP_MICRO" = None then
     timed_section "Bechamel micro-benchmarks" micro;
   print_newline ();

@@ -160,24 +160,23 @@ let pp ppf r =
   Format.fprintf ppf "@]"
 
 let to_json ?target r =
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '{';
-  (match target with
-  | Some t -> Buffer.add_string buf (Printf.sprintf {|"target":"%s",|} (Diag.json_escape t))
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|"algorithm":"%s","terminals":%d,"channels":%d,"num_layers":%d,"min_layers_lb":%d,|}
-       (Diag.json_escape r.algorithm) r.terminals r.channels r.num_layers r.min_layers_lb);
-  Buffer.add_string buf
-    (Printf.sprintf {|"errors":%d,"warnings":%d,"findings":[%s],|} (Diag.num_errors r.findings)
-       (Diag.num_warnings r.findings)
-       (String.concat "," (List.map Diag.finding_to_json r.findings)));
-  (match r.verdict with
-  | Certified cert ->
-    Buffer.add_string buf
-      (Printf.sprintf {|"verdict":"certified","certificate_layers":%d|} (Cert.num_layers cert))
-  | Rejected msg ->
-    Buffer.add_string buf (Printf.sprintf {|"verdict":"rejected","reason":"%s"|} (Diag.json_escape msg)));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let num i = Obs.Json.Num (float_of_int i) in
+  let verdict =
+    match r.verdict with
+    | Certified cert ->
+      [ ("verdict", Obs.Json.Str "certified"); ("certificate_layers", num (Cert.num_layers cert)) ]
+    | Rejected msg -> [ ("verdict", Obs.Json.Str "rejected"); ("reason", Obs.Json.Str msg) ]
+  in
+  Obs.Json.Obj
+    ((match target with Some t -> [ ("target", Obs.Json.Str t) ] | None -> [])
+    @ [
+        ("algorithm", Obs.Json.Str r.algorithm);
+        ("terminals", num r.terminals);
+        ("channels", num r.channels);
+        ("num_layers", num r.num_layers);
+        ("min_layers_lb", num r.min_layers_lb);
+        ("errors", num (Diag.num_errors r.findings));
+        ("warnings", num (Diag.num_warnings r.findings));
+        ("findings", Obs.Json.List (List.map Diag.finding_to_json r.findings));
+      ]
+    @ verdict)

@@ -57,4 +57,4 @@ val pp : Format.formatter -> report -> unit
 
 (** One JSON object; [target] labels the analyzed artifact (a topology
     spec or file name). *)
-val to_json : ?target:string -> report -> string
+val to_json : ?target:string -> report -> Obs.Json.t

@@ -153,25 +153,12 @@ let pp_finding ppf f =
   if f.count > 1 then Format.fprintf ppf " (%d)" f.count;
   Format.fprintf ppf ": %s" f.detail
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let finding_to_json f =
-  Printf.sprintf {|{"rule":"%s","severity":"%s","dst":%s,"count":%d,"detail":"%s"}|}
-    (json_escape f.rule.id)
-    (severity_to_string f.rule.severity)
-    (match f.dst with
-    | Some d -> string_of_int d
-    | None -> "null")
-    f.count (json_escape f.detail)
+  Obs.Json.Obj
+    [
+      ("rule", Obs.Json.Str f.rule.id);
+      ("severity", Obs.Json.Str (severity_to_string f.rule.severity));
+      ("dst", match f.dst with Some d -> Obs.Json.Num (float_of_int d) | None -> Obs.Json.Null);
+      ("count", Obs.Json.Num (float_of_int f.count));
+      ("detail", Obs.Json.Str f.detail);
+    ]

@@ -93,8 +93,5 @@ val num_warnings : finding list -> int
 
 val pp_finding : Format.formatter -> finding -> unit
 
-(** One JSON object (no trailing newline); strings are escaped. *)
-val finding_to_json : finding -> string
-
-(** Escape a string for embedding in a JSON string literal. *)
-val json_escape : string -> string
+(** One JSON object. *)
+val finding_to_json : finding -> Obs.Json.t

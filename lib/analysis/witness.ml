@@ -430,17 +430,20 @@ let of_string s =
   | Failure msg -> Error (Printf.sprintf "witness: %s" msg)
 
 let to_json w =
-  let n = Array.length w.cycle in
-  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
-  let deps =
-    String.concat ","
-      (List.init n (fun p -> Printf.sprintf {|{"src":%d,"dst":%d}|} w.srcs.(p) w.dsts.(p)))
+  let num i = Obs.Json.Num (float_of_int i) in
+  let kind, bound =
+    match w.kind with
+    | Layer_cycle { layer } -> ("layer-cycle", ("layer", num layer))
+    | Topology_core { min_layers } -> ("topology-core", ("min_layers", num min_layers))
   in
-  match w.kind with
-  | Layer_cycle { layer } ->
-    Printf.sprintf {|{"kind":"layer-cycle","layer":%d,"channels":%d,"cycle":[%s],"deps":[%s]}|}
-      layer w.num_channels (ints w.cycle) deps
-  | Topology_core { min_layers } ->
-    Printf.sprintf
-      {|{"kind":"topology-core","min_layers":%d,"channels":%d,"cycle":[%s],"deps":[%s]}|}
-      min_layers w.num_channels (ints w.cycle) deps
+  Obs.Json.Obj
+    [
+      ("kind", Obs.Json.Str kind);
+      bound;
+      ("channels", num w.num_channels);
+      ("cycle", Obs.Json.List (Array.to_list (Array.map num w.cycle)));
+      ( "deps",
+        Obs.Json.List
+          (List.init (Array.length w.cycle) (fun p ->
+               Obs.Json.Obj [ ("src", num w.srcs.(p)); ("dst", num w.dsts.(p)) ])) );
+    ]

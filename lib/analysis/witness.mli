@@ -80,5 +80,5 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 
-(** One JSON object (no trailing newline). *)
-val to_json : t -> string
+(** One JSON object. *)
+val to_json : t -> Obs.Json.t

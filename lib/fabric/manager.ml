@@ -66,8 +66,6 @@ let epoch t = Epoch.epoch t.epochs
 
 let epoch_history t = Epoch.history t.epochs
 
-let event_log t = List.rev t.outcomes
-
 (* Full recompute: fresh weight state, route everything, re-break all
    cycles. The first attempt for every table-changing event. *)
 let full_route t =

@@ -93,9 +93,6 @@ val metrics : t -> Metrics.t
 val epoch : t -> int
 val epoch_history : t -> Epoch.entry list
 
-(** All outcomes so far, oldest first — the manager's event log. *)
-val event_log : t -> outcome list
-
 (** [apply t ev] processes one topology event end to end: mutate the
     topology, recompute routes (rescuing if that fails), verify, swap.
     Never raises on fabric-level failures — inspect the outcome. When the

@@ -1,6 +1,6 @@
-(** Parse compact command-line topology specifications into fabrics. Used
-    by the [dfsssp_route] and [experiments] executables and handy in user
-    scripts.
+(** Parse compact command-line topology specifications into fabrics. Every
+    [fabric_tool] subcommand takes its SPEC through this parser, and it is
+    handy in user scripts.
 
     Grammar (parameters after [:]):
     - [ring:<switches>[:<terminals_per_switch>]]

@@ -54,8 +54,6 @@ let sum_s t = Array.fold_left (fun acc c -> acc +. c.sum_s) 0.0 t.cells
 
 let slot_count t slot = t.cells.(slot).count
 
-let slot_sum_s t slot = t.cells.(slot).sum_s
-
 (* Recent samples, merged across slots (each slot keeps its newest
    [capacity]); order is unspecified, which the summary does not care
    about. *)

@@ -22,7 +22,6 @@ val time : ?slot:int -> t -> (unit -> 'a) -> 'a
 val count : t -> int
 val sum_s : t -> float
 val slot_count : t -> int -> int
-val slot_sum_s : t -> int -> float
 
 (** Retained recent samples, merged across slots (unspecified order). *)
 val samples : t -> float array

@@ -294,9 +294,6 @@ let diff a b =
   let per_dst = Array.of_list (List.rev !per_dst) in
   { dsts_changed = Array.length per_dst; entries_changed = !entries; per_dst }
 
-let pp_diff ppf d =
-  Format.fprintf ppf "%d destination(s) changed, %d entries rewritten" d.dsts_changed d.entries_changed
-
 type stats = {
   pairs : int;
   max_hops : int;

@@ -127,8 +127,6 @@ type diff = {
     @raise Invalid_argument if node counts or terminal ids differ. *)
 val diff : t -> t -> diff
 
-val pp_diff : Format.formatter -> diff -> unit
-
 (** {1 Validation} *)
 
 type stats = {

@@ -123,8 +123,6 @@ let create_pool ?domains () = Parallel.Pool.create ?domains fresh_scratch
 
 let destroy_pool = Parallel.Pool.shutdown
 
-let pool_domains = Parallel.Pool.size
-
 let plane_epoch = Atomic.make 0
 
 let revalidate sc ~kernel g ~epoch =

@@ -75,9 +75,6 @@ val create_pool : ?domains:int -> unit -> pool
 
 val destroy_pool : pool -> unit
 
-(** Number of domains the pool runs on (including the caller). *)
-val pool_domains : pool -> int
-
 (** [route ?initial_weight ?batch ?domains ?pool ?kernel g] fails only
     on disconnected fabrics.
 

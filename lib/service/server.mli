@@ -27,7 +27,7 @@
 type config = {
   addr : Proto.addr;
   queue_depth : int;  (** admission bound for pending topology events *)
-  max_frame : int;  (** refuse request frames larger than this *)
+  max_frame : int;  (** refuse request frames larger than this; at least {!min_max_frame} *)
   tick_s : float;  (** select timeout: stop/drain latency bound *)
   trace_capacity : int;
       (** keep the most recent N trace spans in a ring served by the
@@ -40,6 +40,9 @@ type config = {
     frames, 512-span ring, 20 ms tick, 5 s drain,
     {!Fabric.Manager.default_config}. *)
 val default_config : config
+
+(** The smallest [max_frame] {!create} accepts (16 bytes). *)
+val min_max_frame : int
 
 type t
 

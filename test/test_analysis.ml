@@ -683,7 +683,7 @@ let test_core_witness () =
     (match Analysis.Witness.check_graph w' g with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "parsed witness fails re-check: %s" msg));
-  let json = Analysis.Witness.to_json w in
+  let json = Obs.Json.to_string (Analysis.Witness.to_json w) in
   check Alcotest.bool "json names the kind" true (Testutil.contains json "core")
 
 let test_core_witness_rejects_corruption () =
