@@ -18,6 +18,17 @@ let int_at_least lo what =
 
 let pos_int = int_at_least 1 "a positive integer"
 
+(* Layer ids are bytes in a forwarding table, so a budget holds at most
+   Ftable.max_layer_ids layers. *)
+let layer_budget =
+  let top = Routing.Ftable.max_layer_ids in
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 && k <= top -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a layer budget in 1..%d, got %S" top s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let nonneg_int = int_at_least 0 "a non-negative integer"
 
 (* A topology spec as typed, and the fabric Harness.Topospec built from
@@ -54,8 +65,9 @@ let algorithm =
 
 let max_layers =
   Arg.(
-    value & opt pos_int 8
-    & info [ "max-layers" ] ~docv:"K" ~doc:"Virtual layer budget (InfiniBand hardware: 8 virtual lanes).")
+    value & opt layer_budget 8
+    & info [ "max-layers" ] ~docv:"K"
+        ~doc:"Virtual layer budget, 1..256 (InfiniBand hardware: 8 virtual lanes).")
 
 (* The live manager's configuration, shared by manage and serve. *)
 let manager_config =

@@ -33,26 +33,34 @@ let refusal_to_string = function
   | Uncertifiable e -> Cert.error_to_string e
   | Refuted msg -> Printf.sprintf "checker refuted the generated witness: %s" msg
 
-(* One materialisation per run: the witness is generated from, and then
-   checked against, the store this function derives from the table
-   itself. The generated witness is untrusted until the checker
-   re-derives every dependency from that store and accepts it. *)
-let certify_artifacts ft =
-  match Cert.artifacts_of_table ft with
+(* One class walk per run: the witness is generated from, and then
+   checked against, the route classes this function derives from the
+   table itself, with the table's per-pair layers. The generated witness
+   is untrusted until the checker re-derives every dependency from those
+   classes and accepts it. *)
+let certify_routes ft =
+  match Ftable.to_classes ft with
   | Error msg -> Error (Uncertifiable (Cert.Incomplete msg))
-  | Ok (store, layer_of_path) -> (
-    match Cert.of_artifacts ft store ~layer_of_path with
+  | Ok cls -> (
+    let routes = Cert.Routes.of_classes ft cls in
+    match Cert.of_routes ft routes with
     | Error e -> Error (Uncertifiable e)
     | Ok cert -> (
-      match Cert.check cert store ~layer_of_path with
-      | Ok () -> Ok (cert, store, layer_of_path)
+      match Cert.check_routes cert routes with
+      | Ok () -> Ok (cert, cls)
       | Error msg -> Error (Refuted msg)))
 
-let certify_store ft =
-  Obs.Timer.time t_certify (fun () ->
-      Result.map_error refusal_to_string (certify_artifacts ft))
+let certify_classes ft =
+  Obs.Timer.time t_certify (fun () -> Result.map_error refusal_to_string (certify_routes ft))
 
-let certify ft = Result.map (fun (cert, _, _) -> cert) (certify_store ft)
+let certify_store ft =
+  match certify_classes ft with
+  | Error _ as e -> e
+  | Ok (cert, cls) ->
+    let store = Ftable.expand ft cls in
+    Ok (cert, store, Ftable.layers_of_store ft store)
+
+let certify ft = Result.map fst (certify_classes ft)
 
 (* Topology-level findings (A008/A009/A010): computed on the fabric the
    table is judged against, so a degraded [?graph] override is analyzed,
@@ -95,8 +103,8 @@ let analyze_inner ?hop_budget ?graph ft =
   let ex = Existence.analyze fabric in
   let findings = findings @ existence_findings ex ~num_layers:(Ftable.num_layers ft) in
   let findings, verdict =
-    match certify_artifacts ft with
-    | Ok (cert, _, _) -> (findings, Certified cert)
+    match certify_routes ft with
+    | Ok (cert, _) -> (findings, Certified cert)
     | Error (Uncertifiable (Cert.Cycle { layer; stuck }) as r) ->
       ( findings
         @ [

@@ -4,9 +4,9 @@
     touching the construction code in [lib/cdg] or [lib/core]. A table is
     {e certified} only when the checker accepts a topological witness for
     every virtual layer; lint errors independently veto installation
-    ({!ok}). Every certification materializes the table's routes exactly
-    once, and neither it nor {!Cert} uses [Deadlock.Cdg], [Layers] or
-    [Acyclic]. *)
+    ({!ok}). Every certification walks the table's route classes exactly
+    once ({!Routing.Ftable.to_classes}), and neither it nor {!Cert} uses
+    [Deadlock.Cdg], [Layers] or [Acyclic]. *)
 
 type verdict =
   | Certified of Cert.t
@@ -35,18 +35,24 @@ type report = {
     feasible one the informational {!Diag.a010_layer_slack}. *)
 val analyze : ?hop_budget:Lint.hop_budget -> ?graph:Graph.t -> Ftable.t -> report
 
-(** [certify_store ft] is the install gate used by {!Fabric.Epoch}: walk
-    [ft]'s routes into a store once ({!Cert.artifacts_of_table}), generate
-    a certificate from that store and have the trusted checker validate it
-    against the same store. On success it also returns the store and its
-    pair-indexed layers, so the caller can serve and measure exactly the
-    routes that were proven deadlock-free without walking the tables
-    again. The store is always one this function built from [ft] itself;
-    no store from construction code is ever accepted. [Error] explains the
+(** [certify_classes ft] is the install gate used by {!Fabric.Epoch}: walk
+    [ft]'s route classes once ({!Routing.Ftable.to_classes}), generate a
+    certificate over them and the table's per-pair layers
+    ({!Cert.Routes.of_classes}), and have the trusted checker validate it
+    against the same classes. On success it also returns the classes, so
+    the caller can measure and serve ({!Routing.Ftable.expand}) exactly
+    the routes that were proven deadlock-free without walking the tables
+    again. The classes are always ones this function derived from [ft]
+    itself; none from construction code is ever accepted. One
+    [analysis.certify] timer sample per call. [Error] explains the
     refusal. *)
+val certify_classes : Ftable.t -> (Cert.t * Ftable.classes, string) result
+
+(** [certify_store ft] is {!certify_classes} with the certified classes
+    expanded into the per-pair store and its pair-indexed layers. *)
 val certify_store : Ftable.t -> (Cert.t * Route_store.t * int array, string) result
 
-(** [certify ft] is {!certify_store} without the store. *)
+(** [certify ft] is {!certify_classes} without the classes. *)
 val certify : Ftable.t -> (Cert.t, string) result
 
 (** [ok r] is [true] iff the verdict is [Certified] and no finding has

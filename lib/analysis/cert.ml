@@ -17,22 +17,132 @@ let error_to_string = function
   | Cycle { layer; stuck } ->
     Printf.sprintf "layer %d: channel dependency cycle (%d channel(s) unsortable)" layer stuck
 
+(* The dependencies a certificate speaks about: route slices of a store,
+   each riding one or more layers ([rides], in check order), plus single
+   dependencies ([hops]) — the injection hops of route classes. *)
+module Routes = struct
+  type t = {
+    store : Route_store.t;
+    noun : string; (* what a slice is, for refusals *)
+    ride_slice : int array;
+    ride_layer : int array;
+    hop_layer : int array;
+    hop_from : int array;
+    hop_to : int array;
+  }
+
+  let of_store store ~layer_of_path =
+    let len = Route_store.lengths store in
+    let ride_slice = Array.make (Route_store.num_paths store) 0 and n = ref 0 in
+    Array.iteri
+      (fun p l ->
+        if l >= 0 then begin
+          ride_slice.(!n) <- p;
+          incr n
+        end)
+      len;
+    {
+      store;
+      noun = "pair";
+      ride_slice;
+      ride_layer = Array.map (fun p -> layer_of_path.(p)) ride_slice;
+      hop_layer = [||];
+      hop_from = [||];
+      hop_to = [||];
+    }
+
+  (* A class rides every layer one of its pairs rides, and pair (t, d)
+     adds the injection hop (entry t d, first channel of its class) to
+     its own layer: together exactly the dependencies of the per-pair
+     store, layer by layer. Repeated hops are dropped where cheap (a
+     stamp per channel); a repeat left in only adds multiplicity. *)
+  let of_classes ft (cls : Ftable.classes) =
+    let store = cls.Ftable.store in
+    let nt = Graph.num_terminals (Ftable.graph ft) in
+    let m = Graph.num_channels (Route_store.graph store) in
+    let buf = Route_store.buffer store
+    and off = Route_store.offsets store
+    and len = Route_store.lengths store in
+    let layer = Ftable.pair_layers ft in
+    let first = Array.make (Array.length len) (-1) in
+    let extra = Hashtbl.create 16 in
+    let stamp = Array.make m (-1) in
+    let hops = ref [] in
+    for si = 0 to nt - 1 do
+      for di = 0 to nt - 1 do
+        let p = (si * nt) + di in
+        let k = cls.Ftable.class_of_pair.(p) in
+        if k >= 0 then begin
+          let l = layer.(p) in
+          if first.(k) < 0 then first.(k) <- l
+          else if first.(k) <> l then Hashtbl.replace extra (k, l) ();
+          if len.(k) > 0 then begin
+            let e = Ftable.entry ft ~src_index:si ~dst_index:di and f = buf.(off.(k)) in
+            let key = (e * 256) + l in
+            if stamp.(f) <> key then begin
+              stamp.(f) <- key;
+              hops := (l, e, f) :: !hops
+            end
+          end
+        end
+      done
+    done;
+    (* every class at its first pair's layer, then the other layers of
+       the classes whose pairs ride several *)
+    let extra = Array.of_list (List.sort compare (Hashtbl.fold (fun kl () acc -> kl :: acc) extra [])) in
+    let nc = Array.fold_left (fun n l -> if l >= 0 then n + 1 else n) 0 first in
+    let present = Array.make nc 0 and fill = ref 0 in
+    Array.iteri
+      (fun k l ->
+        if l >= 0 then begin
+          present.(!fill) <- k;
+          incr fill
+        end)
+      first;
+    let ne = Array.length extra in
+    let hops = Array.of_list (List.rev !hops) in
+    {
+      store;
+      noun = "class";
+      ride_slice = Array.init (nc + ne) (fun i -> if i < nc then present.(i) else fst extra.(i - nc));
+      ride_layer = Array.init (nc + ne) (fun i -> if i < nc then first.(present.(i)) else snd extra.(i - nc));
+      hop_layer = Array.map (fun (l, _, _) -> l) hops;
+      hop_from = Array.map (fun (_, e, _) -> e) hops;
+      hop_to = Array.map (fun (_, _, f) -> f) hops;
+    }
+
+  let layers r =
+    1 + Array.fold_left max (Array.fold_left max (-1) r.ride_layer) r.hop_layer
+end
+
 (* One topological numbering per layer, each by Kahn's algorithm over a
-   throwaway CSR adjacency built straight from the store's dependencies —
+   throwaway CSR adjacency built straight from the routes' dependencies —
    deliberately NOT Deadlock.Cdg: the certifier must not share code with
    the machinery it certifies. The loops read the route arena directly
    (the dependencies of a slice are the consecutive [buf.(i), buf.(i+1)]).
    Multi-edges are kept (indegree counts multiplicity); they change
    nothing about the order. *)
-let generate store ~layer_of_path ~num_layers =
+let generate (r : Routes.t) ~num_layers =
   if num_layers < 1 then invalid_arg "Cert.generate: num_layers < 1";
-  if Array.length layer_of_path <> Route_store.capacity store then
-    invalid_arg "Cert.generate: layer_of_path does not cover the store";
-  let g = Route_store.graph store in
+  let g = Route_store.graph r.store in
   let m = Graph.num_channels g in
-  let buf = Route_store.buffer store
-  and off = Route_store.offsets store
-  and len = Route_store.lengths store in
+  let buf = Route_store.buffer r.store
+  and off = Route_store.offsets r.store
+  and len = Route_store.lengths r.store in
+  (* [f c1 c2] on every dependency riding layer [l] *)
+  let iter_layer l f =
+    for i = 0 to Array.length r.ride_slice - 1 do
+      if r.ride_layer.(i) = l then begin
+        let s = r.ride_slice.(i) in
+        for j = off.(s) to off.(s) + len.(s) - 2 do
+          f buf.(j) buf.(j + 1)
+        done
+      end
+    done;
+    for i = 0 to Array.length r.hop_layer - 1 do
+      if r.hop_layer.(i) = l then f r.hop_from.(i) r.hop_to.(i)
+    done
+  in
   let failure = ref None in
   let layers =
     Array.init num_layers (fun l ->
@@ -40,27 +150,17 @@ let generate store ~layer_of_path ~num_layers =
         | Some _ -> [||]
         | None ->
           let row = Array.make (m + 1) 0 in
-          for pair = 0 to Array.length len - 1 do
-            if len.(pair) >= 0 && layer_of_path.(pair) = l then
-              for i = off.(pair) to off.(pair) + len.(pair) - 2 do
-                row.(buf.(i) + 1) <- row.(buf.(i) + 1) + 1
-              done
-          done;
+          iter_layer l (fun c1 _ -> row.(c1 + 1) <- row.(c1 + 1) + 1);
           for c = 0 to m - 1 do
             row.(c + 1) <- row.(c + 1) + row.(c)
           done;
           let col = Array.make row.(m) 0 in
           let cursor = Array.copy row in
           let indeg = Array.make m 0 in
-          for pair = 0 to Array.length len - 1 do
-            if len.(pair) >= 0 && layer_of_path.(pair) = l then
-              for i = off.(pair) to off.(pair) + len.(pair) - 2 do
-                let c1 = buf.(i) and c2 = buf.(i + 1) in
-                col.(cursor.(c1)) <- c2;
-                cursor.(c1) <- cursor.(c1) + 1;
-                indeg.(c2) <- indeg.(c2) + 1
-              done
-          done;
+          iter_layer l (fun c1 c2 ->
+              col.(cursor.(c1)) <- c2;
+              cursor.(c1) <- cursor.(c1) + 1;
+              indeg.(c2) <- indeg.(c2) + 1);
           let pos = Array.make m 0 in
           let queue = Queue.create () in
           for c = 0 to m - 1 do
@@ -94,46 +194,60 @@ let artifacts_of_table ft =
 
 (* Layers cover both the declared layer count and the highest layer any
    route uses. *)
+let of_routes ft r = generate r ~num_layers:(max (Ftable.num_layers ft) (Routes.layers r))
+
 let of_artifacts ft store ~layer_of_path =
-  generate store ~layer_of_path
-    ~num_layers:(max (Ftable.num_layers ft) (1 + Array.fold_left max 0 layer_of_path))
+  if Array.length layer_of_path <> Route_store.capacity store then
+    invalid_arg "Cert.of_artifacts: layer_of_path does not cover the store";
+  of_routes ft (Routes.of_store store ~layer_of_path)
 
 exception Violation of string
 
-let check cert store ~layer_of_path =
-  let m = Graph.num_channels (Route_store.graph store) in
+let check_routes cert (r : Routes.t) =
+  let m = Graph.num_channels (Route_store.graph r.store) in
   if cert.num_channels <> m then
     Error (Printf.sprintf "certificate covers %d channels, fabric has %d" cert.num_channels m)
-  else if Array.length layer_of_path <> Route_store.capacity store then
-    Error "layer assignment does not cover the store"
   else if Array.exists (fun pos -> Array.length pos <> m) cert.layers then
     Error "a layer's numbering does not cover every channel"
   else begin
     let k = Array.length cert.layers in
-    let buf = Route_store.buffer store
-    and off = Route_store.offsets store
-    and len = Route_store.lengths store in
+    let buf = Route_store.buffer r.store
+    and off = Route_store.offsets r.store
+    and len = Route_store.lengths r.store in
+    let ascending l c1 c2 =
+      let pos = cert.layers.(l) in
+      if pos.(c1) >= pos.(c2) then
+        raise
+          (Violation
+             (Printf.sprintf "layer %d: dependency %d -> %d not ascending (%d >= %d)" l c1 c2 pos.(c1)
+                pos.(c2)))
+    in
+    let within what id l =
+      if l < 0 || l >= k then
+        raise (Violation (Printf.sprintf "%s %d rides layer %d outside the certificate's %d" what id l k))
+    in
     try
-      for pair = 0 to Array.length len - 1 do
-        if len.(pair) >= 0 then begin
-          let l = layer_of_path.(pair) in
-          if l < 0 || l >= k then
-            raise
-              (Violation (Printf.sprintf "pair %d rides layer %d outside the certificate's %d" pair l k));
-          let pos = cert.layers.(l) in
-          for i = off.(pair) to off.(pair) + len.(pair) - 2 do
-            let c1 = buf.(i) and c2 = buf.(i + 1) in
-            if pos.(c1) >= pos.(c2) then
-              raise
-                (Violation
-                   (Printf.sprintf "layer %d: dependency %d -> %d not ascending (%d >= %d)" l c1 c2
-                      pos.(c1) pos.(c2)))
-          done
-        end
-      done;
+      Array.iteri
+        (fun i s ->
+          let l = r.ride_layer.(i) in
+          within r.noun s l;
+          for j = off.(s) to off.(s) + len.(s) - 2 do
+            ascending l buf.(j) buf.(j + 1)
+          done)
+        r.ride_slice;
+      Array.iteri
+        (fun i l ->
+          within "injection hop" i l;
+          ascending l r.hop_from.(i) r.hop_to.(i))
+        r.hop_layer;
       Ok ()
     with Violation msg -> Error msg
   end
+
+let check cert store ~layer_of_path =
+  if Array.length layer_of_path <> Route_store.capacity store then
+    Error "layer assignment does not cover the store"
+  else check_routes cert (Routes.of_store store ~layer_of_path)
 
 let to_string t =
   let buf = Buffer.create (16 * t.num_channels * Array.length t.layers) in

@@ -14,7 +14,11 @@
 
     The checker runs in one O(V+E) pass (V = channels, E = route
     dependencies); the generator is a per-layer Kahn sort, also
-    O(V+E). *)
+    O(V+E). Over a table's route classes ({!Routes.of_classes}) E counts
+    each class's dependencies once per layer its pairs ride, plus one
+    injection hop per (entry channel, class first channel, layer): the
+    dependency set of the per-pair routes, at a fraction of the
+    multiplicity. *)
 
 type t = {
   num_channels : int;
@@ -38,16 +42,43 @@ type error =
 
 val error_to_string : error -> string
 
-(** [generate store ~layer_of_path ~num_layers] builds one topological
-    numbering per layer from the route store ([layer_of_path] indexed by
-    pair id, [-1] for absent pairs).
-    @raise Invalid_argument if [layer_of_path] does not cover the store
-    or [num_layers < 1]. *)
-val generate : Route_store.t -> layer_of_path:int array -> num_layers:int -> (t, error) result
+(** The dependencies a certificate speaks about, layer by layer: route
+    slices of a store, each riding one or more layers, plus single
+    dependencies. *)
+module Routes : sig
+  type t
 
-(** [of_artifacts ft store ~layer_of_path] certifies the artifacts of
-    [ft] ({!artifacts_of_table}); layers are sized to cover both the
-    declared layer count and the highest layer any route uses. *)
+  (** [of_store store ~layer_of_path]: every present slice rides its
+      [layer_of_path] entry (indexed by pair id); no single
+      dependencies. The per-pair artifacts of {!artifacts_of_table}. *)
+  val of_store : Route_store.t -> layer_of_path:int array -> t
+
+  (** [of_classes ft cls] reads [ft]'s per-pair layers through its route
+      classes ({!Routing.Ftable.to_classes}): a class rides every layer
+      one of its pairs rides, and each pair adds its injection hop
+      [(entry, first channel of its class)] to its own layer. The result
+      carries exactly the dependencies of {!Routing.Ftable.to_store}'s
+      per-pair store under the table's layers, so verdicts and [stuck]
+      counts are the per-pair ones — also when one class's pairs ride
+      different layers. *)
+  val of_classes : Ftable.t -> Ftable.classes -> t
+
+  (** One more than the highest layer any slice or dependency rides. *)
+  val layers : t -> int
+end
+
+(** [generate routes ~num_layers] builds one topological numbering per
+    layer; slices riding a layer outside [[0, num_layers)] are ignored.
+    @raise Invalid_argument if [num_layers < 1]. *)
+val generate : Routes.t -> num_layers:int -> (t, error) result
+
+(** [of_routes ft routes] generates over layers sized to cover both
+    [ft]'s declared layer count and the highest layer any route uses. *)
+val of_routes : Ftable.t -> Routes.t -> (t, error) result
+
+(** [of_artifacts ft store ~layer_of_path] is {!of_routes} over the
+    per-pair artifacts of [ft] ({!artifacts_of_table}).
+    @raise Invalid_argument if [layer_of_path] does not cover the store. *)
 val of_artifacts : Ftable.t -> Route_store.t -> layer_of_path:int array -> (t, error) result
 
 (** {1 Checking (trusted side)} *)
@@ -58,6 +89,13 @@ val of_artifacts : Ftable.t -> Route_store.t -> layer_of_path:int array -> (t, e
     every dependency [(c1, c2)] strictly ascending in its layer's
     numbering. [Error] names the first violation. *)
 val check : t -> Route_store.t -> layer_of_path:int array -> (unit, string) result
+
+(** [check_routes cert routes] is {!check} over any {!Routes.t}: every
+    slice's layer within the certificate and every dependency of a slice
+    in each layer it rides, then every single dependency, strictly
+    ascending. Over route classes it runs once per (class, layer) plus
+    the injection hops. *)
+val check_routes : t -> Routes.t -> (unit, string) result
 
 (** {1 Artifacts}
 

@@ -8,7 +8,8 @@
    go to the per-slot [extra] list. Edges absent from the base live in the
    [over] overlay (a nested hashtable) until [compact] folds everything
    back into a fresh base. The invariant throughout: [cnt] / [o_count] of
-   an edge equals its number of live pair memberships. *)
+   an edge equals the summed {!Route_store.weight} of its live pair
+   memberships (their number, in a per-pair store). *)
 
 type over_edge = {
   mutable o_count : int;
@@ -19,7 +20,7 @@ type t = {
   graph : Graph.t;
   mutable row : int array; (* length m+1 *)
   mutable col : int array; (* length nslots *)
-  mutable cnt : int array; (* per slot: live inducing routes; 0 = dead edge *)
+  mutable cnt : int array; (* per slot: weight of the live inducing routes; 0 = dead edge *)
   mutable poff : int array; (* length nslots+1 *)
   mutable pbuf : int array; (* inducing pair ids; -1 = tombstone *)
   mutable extra : int list array; (* per slot: pairs added after the build *)
@@ -65,7 +66,10 @@ let compact t =
   for sl = 0 to Array.length t.col - 1 do
     if t.cnt.(sl) > 0 then begin
       incr nslots;
-      npairs := !npairs + t.cnt.(sl)
+      for i = t.poff.(sl) to t.poff.(sl + 1) - 1 do
+        if t.pbuf.(i) >= 0 then incr npairs
+      done;
+      npairs := !npairs + List.length t.extra.(sl)
     end
   done;
   Hashtbl.iter
@@ -73,7 +77,7 @@ let compact t =
       Hashtbl.iter
         (fun _ e ->
           incr nslots;
-          npairs := !npairs + e.o_count)
+          npairs := !npairs + List.length e.o_pairs)
         tbl)
     t.over;
   let row = Array.make (m + 1) 0 in
@@ -135,11 +139,11 @@ let compact t =
    scan-friendly CSR path, with geometrically amortized rebuild cost. *)
 let maybe_compact t = if t.over_edges > 256 && t.over_edges > Array.length t.col then compact t
 
-let add_edge t c1 c2 pair =
+let add_edge t c1 c2 pair w =
   let sl = find_slot t c1 c2 in
   if sl >= 0 then begin
     if t.cnt.(sl) = 0 then t.num_edges <- t.num_edges + 1;
-    t.cnt.(sl) <- t.cnt.(sl) + 1;
+    t.cnt.(sl) <- t.cnt.(sl) + w;
     t.extra.(sl) <- pair :: t.extra.(sl)
   end
   else begin
@@ -153,10 +157,10 @@ let add_edge t c1 c2 pair =
     in
     match Hashtbl.find_opt tbl c2 with
     | Some e ->
-      e.o_count <- e.o_count + 1;
+      e.o_count <- e.o_count + w;
       e.o_pairs <- pair :: e.o_pairs
     | None ->
-      Hashtbl.replace tbl c2 { o_count = 1; o_pairs = [ pair ] };
+      Hashtbl.replace tbl c2 { o_count = w; o_pairs = [ pair ] };
       t.over_edges <- t.over_edges + 1;
       t.num_edges <- t.num_edges + 1
   end
@@ -169,7 +173,7 @@ let rec drop_one x = function
 
 let not_present () = invalid_arg "Cdg.remove_path: edge not present"
 
-let remove_edge t c1 c2 pair =
+let remove_edge t c1 c2 pair w =
   let sl = find_slot t c1 c2 in
   if sl >= 0 && t.cnt.(sl) > 0 then begin
     (match drop_one pair t.extra.(sl) with
@@ -182,7 +186,7 @@ let remove_edge t c1 c2 pair =
         else tombstone (i + 1)
       in
       tombstone t.poff.(sl));
-    t.cnt.(sl) <- t.cnt.(sl) - 1;
+    t.cnt.(sl) <- t.cnt.(sl) - w;
     if t.cnt.(sl) = 0 then t.num_edges <- t.num_edges - 1
   end
   else
@@ -195,7 +199,7 @@ let remove_edge t c1 c2 pair =
         (match drop_one pair e.o_pairs with
         | None -> invalid_arg "Cdg.remove_path: pair not on edge"
         | Some rest -> e.o_pairs <- rest);
-        e.o_count <- e.o_count - 1;
+        e.o_count <- e.o_count - w;
         if e.o_count = 0 then begin
           Hashtbl.remove tbl c2;
           t.over_edges <- t.over_edges - 1;
@@ -204,24 +208,26 @@ let remove_edge t c1 c2 pair =
 
 let add_path t ~pair p =
   for i = 0 to Array.length p - 2 do
-    add_edge t p.(i) p.(i + 1) pair
+    add_edge t p.(i) p.(i + 1) pair 1
   done;
   t.num_paths <- t.num_paths + 1;
   maybe_compact t
 
 let remove_path t ~pair p =
   for i = 0 to Array.length p - 2 do
-    remove_edge t p.(i) p.(i + 1) pair
+    remove_edge t p.(i) p.(i + 1) pair 1
   done;
   t.num_paths <- t.num_paths - 1
 
 let add_pair t store ~pair =
-  Route_store.iter_deps store ~pair (fun c1 c2 -> add_edge t c1 c2 pair);
+  let w = Route_store.weight store ~pair in
+  Route_store.iter_deps store ~pair (fun c1 c2 -> add_edge t c1 c2 pair w);
   t.num_paths <- t.num_paths + 1;
   maybe_compact t
 
 let remove_pair t store ~pair =
-  Route_store.iter_deps store ~pair (fun c1 c2 -> remove_edge t c1 c2 pair);
+  let w = Route_store.weight store ~pair in
+  Route_store.iter_deps store ~pair (fun c1 c2 -> remove_edge t c1 c2 pair w);
   t.num_paths <- t.num_paths - 1
 
 let edge_count t ~c1 ~c2 =
@@ -327,13 +333,16 @@ let iter_edges t f =
    dependency occurrences by head channel, then per-row successor
    dedup via stamps. O(total dependencies + channels). Both sweeps read
    the arena directly — the dependencies of a slice are the consecutive
-   [buf.(i), buf.(i+1)] — with no call per dependency. *)
+   [buf.(i), buf.(i+1)] — with no call per dependency. A slot's count
+   sums the weights of its inducing slices; its membership lists each
+   slice once. *)
 let of_store ?filter ?pairs store =
   let g = Route_store.graph store in
   let m = Graph.num_channels g in
   let buf = Route_store.buffer store
   and off = Route_store.offsets store
-  and len = Route_store.lengths store in
+  and len = Route_store.lengths store
+  and weight = Route_store.weights store in
   let keep pr = match filter with None -> true | Some f -> f pr in
   (* [pairs] narrows the sweep to an explicit id list (each present in the
      store, no duplicates) — the streaming handoff of the SCC engine,
@@ -412,6 +421,7 @@ let of_store ?filter ?pairs store =
         col.(!slot) <- s;
         incr slot
       end;
+      (* members per slot for now; weighted below *)
       let sl = slot_of.(s) in
       cnt.(sl) <- cnt.(sl) + 1
     done;
@@ -428,6 +438,16 @@ let of_store ?filter ?pairs store =
   done;
   row.(m) <- !slot;
   poff.(nslots) <- !pfill;
+  (match weight with
+  | None -> ()
+  | Some w ->
+    for sl = 0 to nslots - 1 do
+      let sum = ref 0 in
+      for i = poff.(sl) to poff.(sl + 1) - 1 do
+        sum := !sum + w.(pbuf.(i))
+      done;
+      cnt.(sl) <- !sum
+    done);
   {
     graph = g;
     row;

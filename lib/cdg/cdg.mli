@@ -6,7 +6,10 @@
     Each edge carries the multiset of routes ("pairs") inducing it — the
     bookkeeping the paper's offline algorithm needs to relocate all routes
     of a broken edge to the next virtual layer. Pair identifiers are
-    caller-chosen dense integers.
+    caller-chosen dense integers. A pair added from a {!Route_store}
+    counts {!Route_store.weight} times: a route-class slice moves as one
+    member but weighs as many routes as it stands for, so edge counts —
+    the weakest-edge heuristic's input — equal those of the per-pair CDG.
 
     Representation: a CSR (compressed-sparse-row) adjacency over channels
     — [row_ptr]/[col]/[count] int arrays built in one pass from a
@@ -39,8 +42,9 @@ val compact : t -> unit
 val graph : t -> Graph.t
 
 (** [add_path t ~pair p] inserts every dependency of path [p], crediting
-    [pair]. A pair must not be added to the same CDG twice. Paths shorter
-    than two channels induce nothing but still count as carried paths. *)
+    [pair] with weight 1. A pair must not be added to the same CDG twice.
+    Paths shorter than two channels induce nothing but still count as
+    carried paths. *)
 val add_path : t -> pair:int -> Path.t -> unit
 
 (** [remove_path t ~pair p] removes [pair]'s membership from every
@@ -50,7 +54,8 @@ val add_path : t -> pair:int -> Path.t -> unit
 val remove_path : t -> pair:int -> Path.t -> unit
 
 (** {!add_path} / {!remove_path} reading the path from a store slice
-    instead of a materialized array. *)
+    instead of a materialized array, with the slice's
+    {!Route_store.weight}. *)
 val add_pair : t -> Route_store.t -> pair:int -> unit
 
 val remove_pair : t -> Route_store.t -> pair:int -> unit
@@ -59,7 +64,8 @@ val remove_pair : t -> Route_store.t -> pair:int -> unit
     count. *)
 val live : t -> c1:int -> c2:int -> bool
 
-(** Current number of inducing routes of an edge (0 if absent). *)
+(** Current weight of the routes inducing an edge (0 if absent): their
+    number, in a per-pair store. *)
 val edge_count : t -> c1:int -> c2:int -> int
 
 (** Exactly the pairs currently inducing a live edge (a multiset, in
@@ -80,7 +86,7 @@ val slot_col : t -> int -> int
 
 val slot_live : t -> int -> bool
 
-(** Live inducing-route count of one base slot (0 = dead edge). *)
+(** Live inducing-route weight of one base slot (0 = dead edge). *)
 val slot_count : t -> int -> int
 
 (** [iter_slot_pairs t sl f] calls [f] on each live inducing pair of base

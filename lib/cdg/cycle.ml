@@ -23,11 +23,34 @@ type t = {
   stack_pos : int array; (* channel -> depth in stack, or -1 *)
   mutable depth : int;
   mutable next_root : int;
+  injection : bool array; (* channel -> leaves a terminal for a switch *)
 }
 
+(* Roots skip injection channels (terminal -> switch). No cycle consists
+   of them alone — each one's successor leaves a switch — so every cycle
+   still has a root. A table's routes never enter an injection channel
+   after their first hop, so a search rooted there would only visit
+   switch channels out of channel-id order. Skipping them makes the
+   search order a function of the switch-level CDG alone: a route-class
+   store, which leaves the injection dependencies out, searches exactly
+   as the per-pair store does (DESIGN.md §10). *)
 let create cdg =
-  let m = Graph.num_channels (Cdg.graph cdg) in
-  { cdg; color = Array.make m White; stack = []; stack_pos = Array.make m (-1); depth = 0; next_root = 0 }
+  let g = Cdg.graph cdg in
+  let m = Graph.num_channels g in
+  let injection =
+    Array.map
+      (fun (c : Channel.t) -> Graph.is_terminal g c.Channel.src && Graph.is_switch g c.Channel.dst)
+      (Graph.channels g)
+  in
+  {
+    cdg;
+    color = Array.make m White;
+    stack = [];
+    stack_pos = Array.make m (-1);
+    depth = 0;
+    next_root = 0;
+    injection;
+  }
 
 let push t node =
   t.color.(node) <- Gray;
@@ -77,7 +100,7 @@ let find_cycle t =
     match t.stack with
     | [] ->
       if t.next_root >= m then running := false
-      else if t.color.(t.next_root) = White then push t t.next_root
+      else if t.color.(t.next_root) = White && not t.injection.(t.next_root) then push t t.next_root
       else t.next_root <- t.next_root + 1
     | f :: _ ->
       if f.sl < f.sl_hi then begin

@@ -5,7 +5,13 @@
     removed while a layer is processed, removal cannot create cycles, so
     finished ("black") regions stay certified and only the invalidated
     part of the DFS stack is re-explored. This is what makes offline
-    DFSSSP need one amortized traversal per layer. *)
+    DFSSSP need one amortized traversal per layer.
+
+    Search roots run in channel-id order but skip injection channels
+    (terminal to switch): no cycle consists of them alone, and skipping
+    them makes the search order a function of the switch-level CDG, so a
+    route-class store — which leaves the injection dependencies out —
+    is searched exactly as its per-pair store. *)
 
 type t
 

@@ -40,34 +40,25 @@ let budget_error vl max_layers =
 (* ------------------------------------------------------------------ *)
 
 let assign_store_dfs store ~max_layers ~heuristic =
-  let g = Route_store.graph store in
   let layer_of_path = Array.make (Route_store.capacity store) (-1) in
   Route_store.iter_pairs store (fun pr -> layer_of_path.(pr) <- 0);
   let cycles_broken = ref 0 in
-  let cdgs = Array.make max_layers None in
-  let cdg i =
-    match cdgs.(i) with
-    | Some c -> c
-    | None ->
-      let c = Cdg.create g in
-      cdgs.(i) <- Some c;
-      c
-  in
-  cdgs.(0) <- Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store store));
+  let current = ref (Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store store))) in
   let error = ref None in
   let vl = ref 0 in
-  while !error = None && !vl < max_layers && cdgs.(!vl) <> None do
-    let current = cdg !vl in
+  while !error = None && !current <> None do
+    let current_cdg = Option.get !current in
     let span =
       Obs.Trace.begin_span "layers.layer" ~attrs:(fun () ->
           [ ("layer", Obs.Trace.Int !vl); ("engine", Obs.Trace.Str "dfs") ])
     in
-    (* Layers above 0 were filled through {!Cdg.add_pair}, i.e. the
-       overlay; fold them into a CSR base so the sweep runs on array
-       scans (and {!Cycle}'s slot cursors stay valid: nothing below adds
-       to or compacts [current] while [search] is alive). *)
-    if Cdg.overlay_edges current > 0 then Obs.Timer.time t_rebuild (fun () -> Cdg.compact current);
-    let search = Cycle.create current in
+    (* Nothing adds to or compacts the layer while [search] is alive, so
+       {!Cycle}'s slot cursors stay valid. The pairs evicted from it are
+       collected and built into the next layer's CSR base in one
+       {!Cdg.of_store} once the sweep is done, exactly as the SCC engine
+       does. *)
+    let search = Cycle.create current_cdg in
+    let next = ref [] in
     let layer_cycles = ref 0 in
     let layer_movers = ref 0 in
     let sweeping = ref true in
@@ -80,19 +71,18 @@ let assign_store_dfs store ~max_layers ~heuristic =
         if !vl + 1 >= max_layers then error := Some (budget_error !vl max_layers)
         else begin
           Obs.Timer.time t_evict (fun () ->
-              let c1, c2 = Heuristic.choose heuristic current cycle in
+              let c1, c2 = Heuristic.choose heuristic current_cdg cycle in
               (* membership is exact, so every inducing pair lives here;
                  the multiset may repeat a pair, hence the dedup *)
-              let movers = List.sort_uniq compare (Cdg.edge_pairs current ~c1 ~c2) in
+              let movers = List.sort_uniq compare (Cdg.edge_pairs current_cdg ~c1 ~c2) in
               Log.debug (fun m ->
-                  m "layer %d: cycle of %d edges; evicting edge (%d,%d) with %d routes" !vl
+                  m "layer %d: cycle of %d edges; evicting edge (%d,%d) with %d slices" !vl
                     (Array.length cycle) c1 c2 (List.length movers));
-              let next = cdg (!vl + 1) in
-              layer_movers := !layer_movers + List.length movers;
               List.iter
                 (fun pr ->
-                  Cdg.remove_pair current store ~pair:pr;
-                  Cdg.add_pair next store ~pair:pr;
+                  Cdg.remove_pair current_cdg store ~pair:pr;
+                  layer_movers := !layer_movers + Route_store.weight store ~pair:pr;
+                  next := pr :: !next;
                   layer_of_path.(pr) <- !vl + 1)
                 movers);
           Obs.Timer.time t_condense (fun () -> Cycle.notify_removed search)
@@ -102,6 +92,14 @@ let assign_store_dfs store ~max_layers ~heuristic =
     Obs.Trace.end_span span
       ~attrs:
         [ ("evictions", Obs.Trace.Int !layer_cycles); ("movers", Obs.Trace.Int !layer_movers) ];
+    current :=
+      (match !next with
+      | [] -> None
+      | _ when !error <> None -> None
+      | movers ->
+        let movers = Array.of_list movers in
+        Array.sort compare movers;
+        Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store ~pairs:movers store)));
     incr vl
   done;
   match !error with
@@ -184,15 +182,16 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
   let ev_order = ref [] in
   let edges_evicted = ref 0 in
   (* Evict every still-live pair of edge [e]: replaying a pair's path
-     deps decrements exactly the counts its insertion bumped. *)
+     deps decrements exactly the (weighted) counts its insertion bumped. *)
   let evict_pairs e =
     Cdg.iter_slot_pairs cdg eslot.(e) (fun pr ->
         if not (Hashtbl.mem evicted pr) then begin
           Hashtbl.add evicted pr ();
           ev_order := pr :: !ev_order;
+          let w = Route_store.weight store ~pair:pr in
           Route_store.iter_deps store ~pair:pr (fun c1 c2 ->
               match Hashtbl.find_opt e_of ((c1 * m) + c2) with
-              | Some e' -> elive.(e') <- elive.(e') - 1
+              | Some e' -> elive.(e') <- elive.(e') - w
               | None -> ())
         end)
   in
@@ -355,7 +354,7 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
               if layer_of_path.(pr) = !vl then begin
                 layer_of_path.(pr) <- !vl + 1;
                 movers := pr :: !movers;
-                incr n_movers
+                n_movers := !n_movers + Route_store.weight store ~pair:pr
               end)
             p.p_evicted)
         plans;

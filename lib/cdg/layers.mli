@@ -14,7 +14,13 @@
       so planning fans out over [domains] OCaml domains; results are
       identical for any domain count.
     - [`Dfs]: the original one-cycle-at-a-time resumable DFS
-      ({!Cycle}) — the oracle the SCC engine is validated against. *)
+      ({!Cycle}) — the oracle the SCC engine is validated against.
+
+    Both engines read edge weights through {!Cdg}, which counts every
+    slice {!Route_store.weight} times, and move slices whole. Over a
+    route-class store ({!Routing.Ftable.to_classes}) this gives every
+    pair of a class the layer the per-pair store gives it, with the same
+    [layers_used] and [cycles_broken] (DESIGN.md §10). *)
 
 type engine =
   [ `Scc
@@ -32,8 +38,8 @@ type outcome = {
 (** [assign_store store ~max_layers ~heuristic] distributes every present
     pair of [store] over at most [max_layers] virtual layers so every
     layer's CDG is acyclic. Layer 0's CDG is built in one CSR pass
-    ({!Cdg.of_store}); under [`Scc] each next layer is likewise built in
-    one pass over just the moved pairs. [layer_of_path] is indexed by
+    ({!Cdg.of_store}); each next layer is likewise built in one pass over
+    just the pairs moved into it, once the layer below is done. [layer_of_path] is indexed by
     pair id over the store's full capacity, with [-1] marking absent
     pairs. [domains] (default 1) parallelises [`Scc] planning across
     components and is ignored by [`Dfs]. Returns [Error] if a cycle

@@ -17,6 +17,7 @@ type t = {
   mutable fill : int; (* arena high-water mark *)
   off : int array; (* pair id -> arena offset *)
   len : int array; (* pair id -> slice length, -1 = absent *)
+  weight : int array option; (* pair id -> routes the slice stands for; None = all 1 *)
   mutable num_paths : int;
   mutable building : int; (* pair id being streamed, or -1 *)
   mutable start : int; (* arena offset where the streamed path began *)
@@ -30,14 +31,19 @@ let create graph ~capacity =
     fill = 0;
     off = Array.make capacity 0;
     len = Array.make capacity (-1);
+    weight = None;
     num_paths = 0;
     building = -1;
     start = 0;
   }
 
-let of_arena graph ~buf ~off ~len ~num_paths =
+let of_arena ?weight graph ~buf ~off ~len ~num_paths =
   let capacity = Array.length off in
   if Array.length len <> capacity then invalid_arg "Route_store.of_arena: off and len differ in length";
+  (match weight with
+  | Some w when Array.length w <> capacity ->
+    invalid_arg "Route_store.of_arena: weight and off differ in length"
+  | _ -> ());
   let fill = Array.length buf and present = ref 0 in
   for pair = 0 to capacity - 1 do
     let l = len.(pair) in
@@ -45,11 +51,14 @@ let of_arena graph ~buf ~off ~len ~num_paths =
     if l >= 0 then begin
       let o = off.(pair) in
       if o < 0 || o > fill - l then invalid_arg "Route_store.of_arena: slice outside the arena";
+      (match weight with
+      | Some w when w.(pair) < 1 -> invalid_arg "Route_store.of_arena: weight below 1"
+      | _ -> ());
       incr present
     end
   done;
   if !present <> num_paths then invalid_arg "Route_store.of_arena: num_paths does not match the slices";
-  { graph; buf; fill; off; len; num_paths; building = -1; start = 0 }
+  { graph; buf; fill; off; len; weight; num_paths; building = -1; start = 0 }
 
 let graph t = t.graph
 
@@ -138,6 +147,12 @@ let get t ~pair i =
   let l = length t ~pair in
   if i < 0 || i >= l then invalid_arg "Route_store.get: index out of slice";
   t.buf.(t.off.(pair) + i)
+
+let weight t ~pair =
+  check_pair t pair;
+  match t.weight with None -> 1 | Some w -> w.(pair)
+
+let weights t = t.weight
 
 let buffer t = t.buf
 

@@ -35,15 +35,20 @@ val create : Graph.t -> capacity:int -> t
 (** [of_paths g paths] stores path [i] under pair id [i]. *)
 val of_paths : Graph.t -> Path.t array -> t
 
-(** [of_arena g ~buf ~off ~len ~num_paths] wraps finished arrays as a
-    store without copying them: pair [p] is present iff [len.(p) >= 0],
-    its path being [buf.(off.(p)) .. buf.(off.(p) + len.(p) - 1)]. The
-    bulk constructor of {!Routing.Ftable.to_store}, which sizes [buf] to
-    exactly the sum of its slices. The store owns the arrays afterwards.
-    @raise Invalid_argument if [off] and [len] differ in length, some
-    length is below [-1], a present slice leaves [buf], or [num_paths] is
-    not the number of present slices. *)
-val of_arena : Graph.t -> buf:int array -> off:int array -> len:int array -> num_paths:int -> t
+(** [of_arena ?weight g ~buf ~off ~len ~num_paths] wraps finished arrays
+    as a store without copying them: pair [p] is present iff
+    [len.(p) >= 0], its path being
+    [buf.(off.(p)) .. buf.(off.(p) + len.(p) - 1)]. The bulk constructor
+    of {!Routing.Ftable.to_store} and {!Routing.Ftable.to_classes}, which
+    size [buf] to exactly the sum of their slices. [weight.(p)] is the
+    number of routes slice [p] stands for (see {!weight}); omitted, every
+    slice weighs 1. The store owns the arrays afterwards.
+    @raise Invalid_argument if [off], [len] and [weight] differ in
+    length, some length is below [-1], a present slice leaves [buf] or
+    weighs less than 1, or [num_paths] is not the number of present
+    slices. *)
+val of_arena :
+  ?weight:int array -> Graph.t -> buf:int array -> off:int array -> len:int array -> num_paths:int -> t
 
 val graph : t -> Graph.t
 
@@ -55,6 +60,17 @@ val num_paths : t -> int
 
 (** Whether the pair currently holds a path. *)
 val mem : t -> pair:int -> bool
+
+(** [weight t ~pair] is the number of routes slice [pair] stands for: 1
+    in a per-pair store, the pair count of a route class in the store
+    {!Routing.Ftable.to_classes} builds (DESIGN.md §10). {!Cdg} counts
+    every dependency of the slice [weight] times, so Algorithm 2 sees the
+    same edge weights as over the per-pair store. *)
+val weight : t -> pair:int -> int
+
+(** The per-slice weights, indexed by pair id, or [None] when every
+    slice weighs 1. Do not mutate. *)
+val weights : t -> int array option
 
 (** {1 Producing}
 

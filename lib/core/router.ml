@@ -9,41 +9,63 @@ type variant =
 type error =
   | Routing_failed of string
   | Layers_exhausted of string
+  | Bad_budget of int
 
 let error_to_string = function
   | Routing_failed msg -> "dfsssp: routing failed: " ^ msg
   | Layers_exhausted msg -> "dfsssp: virtual layers exhausted: " ^ msg
+  | Bad_budget k ->
+    Printf.sprintf "dfsssp: max_layers %d exceeds the %d layer ids a table holds" k
+      Routing.Ftable.max_layer_ids
 
-let apply_layers ft store layer_of_path layers_used =
-  Routing.Ftable.set_layers_of_store ft store layer_of_path;
-  Routing.Ftable.set_num_layers ft layers_used
+let t_class_walk =
+  Obs.Registry.timer "dfsssp.class_walk" ~desc:"seconds per route-class walk of the layer assignment"
 
+(* Algorithm 2 (or the online placement) runs on the table's route
+   classes: one slice per (entry switch, destination), weighted by its
+   pair count, so every pair of a class gets the class's layer — the
+   layers the per-pair store would get (DESIGN.md §10). [balance] then
+   spreads the expanded per-pair assignment. *)
 let assign_layers ?(variant = Offline) ?engine ?domains ?(heuristic = Heuristic.Weakest)
     ?(max_layers = 8) ?(balance = false) ft =
-  match Routing.Ftable.to_store ft with
-  | Error msg -> Error (Routing_failed msg)
-  | Ok store -> (
-    let assignment =
-      match variant with
-      | Offline -> (
-        match Layers.assign_store ?engine ?domains store ~max_layers ~heuristic with
-        | Error msg -> Error msg
-        | Ok outcome ->
-          let layer_of_path, layers_in_use =
-            if balance then Layers.balance outcome ~max_layers
-            else (outcome.Layers.layer_of_path, outcome.Layers.layers_used)
-          in
-          Ok (layer_of_path, layers_in_use))
-      | Online -> (
-        match Online.assign_store store ~max_layers with
-        | Error msg -> Error msg
-        | Ok outcome -> Ok (outcome.Online.layer_of_path, outcome.Online.layers_used))
-    in
-    match assignment with
-    | Error msg -> Error (Layers_exhausted msg)
-    | Ok (layer_of_path, layers_used) ->
-      apply_layers ft store layer_of_path layers_used;
-      Ok ft)
+  if max_layers > Routing.Ftable.max_layer_ids then Error (Bad_budget max_layers)
+  else
+    match Obs.Timer.time t_class_walk (fun () -> Routing.Ftable.to_classes ft) with
+    | Error msg -> Error (Routing_failed msg)
+    | Ok cls -> (
+      let store = cls.Routing.Ftable.store in
+      let assignment =
+        match variant with
+        | Offline ->
+          Result.map
+            (fun o -> (o.Layers.layer_of_path, o.Layers.layers_used, o.Layers.cycles_broken))
+            (Layers.assign_store ?engine ?domains store ~max_layers ~heuristic)
+        | Online ->
+          Result.map
+            (fun o -> (o.Online.layer_of_path, o.Online.layers_used, 0))
+            (Online.assign_store store ~max_layers)
+      in
+      match assignment with
+      | Error msg -> Error (Layers_exhausted msg)
+      | Ok (class_layer, layers_used, cycles_broken) ->
+        let layers_used =
+          if balance then begin
+            let per_pair =
+              Array.map (fun k -> if k < 0 then -1 else class_layer.(k)) cls.Routing.Ftable.class_of_pair
+            in
+            let per_pair, used =
+              Layers.balance { Layers.layer_of_path = per_pair; layers_used; cycles_broken } ~max_layers
+            in
+            Routing.Ftable.set_pair_layers ft per_pair;
+            used
+          end
+          else begin
+            Routing.Ftable.set_class_layers ft cls class_layer;
+            layers_used
+          end
+        in
+        Routing.Ftable.set_num_layers ft layers_used;
+        Ok ft)
 
 let route ?variant ?heuristic ?max_layers ?balance ?batch ?domains ?pool g =
   let span =

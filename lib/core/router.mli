@@ -28,6 +28,7 @@ type variant =
 type error =
   | Routing_failed of string  (** SSSP could not route (disconnected fabric) *)
   | Layers_exhausted of string  (** no deadlock-free assignment within [max_layers] *)
+  | Bad_budget of int  (** [max_layers] above the 256 layer ids a table holds *)
 
 val error_to_string : error -> string
 
@@ -79,7 +80,14 @@ val layers_required :
     routing-agnostic. Overwrites [ft]'s layer table in place and returns
     it. [engine] (default [`Scc]) selects the offline cycle-break engine
     ({!Layers.engine}; DESIGN.md section 17; ignored by [Online]), and
-    [domains] fans its [`Scc] planning out across components. *)
+    [domains] fans its [`Scc] planning out across components.
+
+    The assignment runs once per route class ({!Routing.Ftable.to_classes},
+    timed by the [dfsssp.class_walk] timer), not once per pair; the
+    layers, layer count and evictions equal those of
+    {!Layers.assign_store} over {!Routing.Ftable.to_store}'s per-pair
+    store. [Error (Bad_budget k)] if [max_layers > 256]: layer ids are
+    bytes. *)
 val assign_layers :
   ?variant:variant ->
   ?engine:Layers.engine ->

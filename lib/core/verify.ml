@@ -13,6 +13,14 @@ let of_store ft store ~layer_of_path ~deadlock_free =
     deadlock_free;
   }
 
+let of_classes ft cls ~deadlock_free =
+  {
+    stats = Routing.Ftable.class_stats ft cls;
+    num_layers = Routing.Ftable.num_layers ft;
+    max_layer_seen = Routing.Ftable.max_layer ft;
+    deadlock_free;
+  }
+
 let acyclic ?domains store ~layer_of_path =
   Acyclic.layers_acyclic_store ?domains store ~layer_of_path
     ~num_layers:(1 + Array.fold_left max 0 layer_of_path)

@@ -5,9 +5,9 @@
     independent of the assignment machinery that produced the layers).
 
     The fabric manager's epoch gate does not run the acyclicity check:
-    there the checked certificate of [Analysis.Analyzer.certify_store]
-    is the deadlock proof, and {!of_store} turns the certifier's own
-    route store into the report. {!deadlock_free} stays as the
+    there the checked certificate of [Analysis.Analyzer.certify_classes]
+    is the deadlock proof, and {!of_classes} turns the certifier's own
+    route classes into the report. {!deadlock_free} stays as the
     independent oracle that tests and the churn soak compare the
     certificate against. *)
 
@@ -25,6 +25,12 @@ type report = {
     the deadlock verdict is the caller's proof, passed through.
     @raise Invalid_argument if [store] lacks some pair of [ft]. *)
 val of_store : Ftable.t -> Route_store.t -> layer_of_path:int array -> deadlock_free:bool -> report
+
+(** [of_classes ft cls ~deadlock_free] is {!of_store} of
+    [Routing.Ftable.expand ft cls] with [ft]'s layers, read off the
+    route classes ({!Routing.Ftable.class_stats}) without expanding
+    them. *)
+val of_classes : Ftable.t -> Ftable.classes -> deadlock_free:bool -> report
 
 (** [deadlock_free ?domains ft] rebuilds one CDG per virtual layer from
     the routes and checks each for cycles; [domains > 1] checks layers in

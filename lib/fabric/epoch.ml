@@ -31,8 +31,16 @@ let snapshot t =
   | Some s -> Ok s
   | None -> Error "no active epoch"
 
+let t_stats =
+  Obs.Registry.timer "epoch.swap_stats" ~desc:"seconds computing a swap's route statistics"
+
+let t_expand =
+  Obs.Registry.timer "epoch.snapshot_expand"
+    ~desc:"seconds expanding a swap's certified route classes into the per-pair snapshot store"
+
 (* Existence, then the certificate, then statistics from the certified
-   store: [Ok (store, report)] names the store the snapshot will serve. *)
+   classes and their per-pair expansion: [Ok (store, report)] names the
+   store the snapshot will serve. *)
 let vet candidate =
   (* The topology-level existence gate runs before anything touches the
      candidate's routes: a layer budget below the fabric's provable
@@ -45,15 +53,19 @@ let vet candidate =
          (Ftable.num_layers candidate) ex.Analysis.Existence.min_layers_lb)
   else
     (* The certificate is the one deadlock gate: the trusted checker in
-       lib/analysis walks the candidate's routes into its own store and
-       must accept a topological witness for every layer over it. A table
+       lib/analysis walks the candidate's route classes itself and must
+       accept a topological witness for every layer over them. A table
        the checker cannot certify never goes live, whatever the code that
        built it believes. Completeness and path statistics then come from
-       that same store, which the snapshot goes on to serve. *)
-    match Analysis.Analyzer.certify_store candidate with
+       those same classes, and the snapshot serves their per-pair
+       expansion — the daemon reads slices by pair id. *)
+    match Analysis.Analyzer.certify_classes candidate with
     | Error msg -> Error (Printf.sprintf "certificate: %s" msg)
-    | Ok (_cert, store, layer_of_path) ->
-      Ok (store, Dfsssp.Verify.of_store candidate store ~layer_of_path ~deadlock_free:true)
+    | Ok (_cert, cls) ->
+      let report =
+        Obs.Timer.time t_stats (fun () -> Dfsssp.Verify.of_classes candidate cls ~deadlock_free:true)
+      in
+      Ok (Obs.Timer.time t_expand (fun () -> Ftable.expand candidate cls), report)
 
 let try_swap t ~label candidate =
   let span =

@@ -4,19 +4,23 @@
 
     + the topology-level existence gate ({!Analysis.Existence}): a layer
       budget below the fabric's provable minimum is refused outright;
-    + the deadlock-freedom certificate ({!Analysis.Analyzer.certify_store}):
-      the trusted checker walks the candidate's routes into its own route
-      store — the one materialization of the swap — and accepts a
-      per-layer topological witness over it. A checked witness proves
-      every layer's channel dependency graph acyclic, so this is the only
+    + the deadlock-freedom certificate
+      ({!Analysis.Analyzer.certify_classes}): the trusted checker walks
+      the candidate's route classes itself — the one table walk of the
+      swap — and accepts a per-layer topological witness over them and
+      the candidate's per-pair layers. A checked witness proves every
+      layer's channel dependency graph acyclic, so this is the only
       deadlock gate; the [Acyclic] CDG rebuild runs only as an oracle in
       the tests and the churn soak;
-    + statistics from the certified store ({!Dfsssp.Verify.of_store}):
-      completeness is the successful materialization, hop counts are
-      slice lengths, minimality one reverse BFS per destination.
+    + statistics from the certified classes ({!Dfsssp.Verify.of_classes},
+      timer [epoch.swap_stats]): completeness is the successful walk, a
+      pair's hop count is one plus its class's length, minimality one
+      reverse BFS per destination.
 
-    The new epoch's snapshot then shares the certified store, so the first
-    route query after a swap walks nothing. A rejected candidate leaves
+    The new epoch's snapshot then serves the certified classes expanded
+    into a per-pair store ({!Routing.Ftable.expand}, timer
+    [epoch.snapshot_expand]) — no second table walk — so the first route
+    query after a swap walks nothing. A rejected candidate leaves
     the active epoch and its snapshot untouched, exactly like a subnet
     manager that keeps serving the old LFTs until the new ones check
     out. *)
@@ -28,7 +32,7 @@ type entry = {
 }
 
 (** A read-only export of one epoch's routing state: the verified tables
-    plus their routes materialized once into a {!Route_store} arena, so
+    plus their per-pair routes expanded once into a {!Route_store} arena, so
     route queries resolve as O(1) slices of a flat buffer with no
     per-query path allocation. Snapshots are immutable — a swap installs
     a {e new} snapshot and never mutates an exported one, so readers
@@ -38,8 +42,9 @@ type snapshot = {
   snap_epoch : int;
   tables : Ftable.t;  (** the tables this epoch serves *)
   store : Route_store.t;
-      (** every ordered terminal pair's path, arena form: the very store
-          the certificate was checked against *)
+      (** every ordered terminal pair's path, arena form: the per-pair
+          expansion of the very route classes the certificate was checked
+          against *)
   num_layers : int;  (** layer count of [tables] at snapshot time *)
   report : Dfsssp.Verify.report;  (** the gate's report on [tables] *)
 }

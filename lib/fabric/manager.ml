@@ -120,7 +120,11 @@ let create ?(config = default_config) g =
   if config.max_layers < 1 then invalid_arg "Manager.create: max_layers < 1";
   if config.batch < 1 then invalid_arg "Manager.create: batch < 1";
   if config.domains < 1 then invalid_arg "Manager.create: domains < 1";
-  if Graph.num_terminals g < 2 then Error "Manager.create: fabric has fewer than two terminals"
+  if config.max_layers > Ftable.max_layer_ids then
+    Error
+      (Printf.sprintf "Manager.create: max_layers %d exceeds the %d layer ids a table holds"
+         config.max_layers Ftable.max_layer_ids)
+  else if Graph.num_terminals g < 2 then Error "Manager.create: fabric has fewer than two terminals"
   else begin
     let t =
       {

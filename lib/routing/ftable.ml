@@ -122,6 +122,26 @@ let on_walk = -2
 
 let failed = -3
 
+(* [settle t ~head ~memo ~stack ~di u] is [u]'s hop count toward
+   terminal index [di], or [failed]; it memoises every node the walk
+   passes. *)
+let settle t ~head ~memo ~stack ~di u =
+  let u = ref u and top = ref 0 in
+  while memo.(!u) = unknown do
+    memo.(!u) <- on_walk;
+    stack.(!top) <- !u;
+    incr top;
+    let c = t.next.(!u).(di) in
+    if c < 0 then memo.(!u) <- failed else u := head.(c)
+  done;
+  (* [!u] is the dead end itself, a node on this walk, or a node settled
+     by an earlier walk *)
+  let base = if memo.(!u) = on_walk then failed else memo.(!u) in
+  for k = !top - 1 downto 0 do
+    memo.(stack.(k)) <- (if base = failed then failed else base + !top - k)
+  done;
+  if base = failed then failed else base + !top
+
 let count_hops t ~head ~memo ~stack ~len ~di =
   let terminals = Graph.terminals t.graph in
   let nt = Array.length terminals in
@@ -129,23 +149,15 @@ let count_hops t ~head ~memo ~stack ~len ~di =
   memo.(terminals.(di)) <- 0;
   for si = 0 to nt - 1 do
     if si <> di then begin
-      let u = ref terminals.(si) and top = ref 0 in
-      while memo.(!u) = unknown do
-        memo.(!u) <- on_walk;
-        stack.(!top) <- !u;
-        incr top;
-        let c = t.next.(!u).(di) in
-        if c < 0 then memo.(!u) <- failed else u := head.(c)
-      done;
-      (* [!u] is the dead end itself, a node on this walk, or a node
-         settled by an earlier walk *)
-      let base = if memo.(!u) = on_walk then failed else memo.(!u) in
-      for k = !top - 1 downto 0 do
-        memo.(stack.(k)) <- (if base = failed then failed else base + !top - k)
-      done;
-      len.((si * nt) + di) <- (if base = failed then -1 else base + !top)
+      let h = settle t ~head ~memo ~stack ~di terminals.(si) in
+      len.((si * nt) + di) <- (if h = failed then -1 else h)
     end
   done
+
+let no_route t pair =
+  let terminals = Graph.terminals t.graph in
+  let nt = Array.length terminals in
+  Error (Printf.sprintf "no loop-free route %d -> %d" terminals.(pair / nt) terminals.(pair mod nt))
 
 (* Two passes: hop counts of every pair (memoised per destination), then
    one arena of exactly their sum filled in pair order. *)
@@ -168,9 +180,7 @@ let walk_to_store t =
     end
     else if !failure < 0 && p / nt <> p mod nt then failure := p
   done;
-  if !failure >= 0 then
-    Error
-      (Printf.sprintf "no loop-free route %d -> %d" terminals.(!failure / nt) terminals.(!failure mod nt))
+  if !failure >= 0 then no_route t !failure
   else begin
     let buf = Array.make !total 0 in
     for si = 0 to nt - 1 do
@@ -192,6 +202,163 @@ let walk_to_store t =
 let to_store t =
   Obs.Counter.incr c_to_store;
   Obs.Timer.time t_to_store (fun () -> walk_to_store t)
+
+(* ------------------------------------------------------------------ *)
+(* Route classes                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type classes = {
+  store : Route_store.t;
+  class_of_pair : int array;
+}
+
+let c_class_walks =
+  Obs.Registry.counter "routing.class_walks" ~desc:"forwarding tables walked into a route-class store"
+
+(* Pair (t, d) leaves t by [e = next t d] and then follows the walk of
+   class (head e, d). Entry nodes — the heads of the channels leaving a
+   terminal — are ranked by the smallest terminal index entering them,
+   and class (s, d) gets id [rank s * nt + index d]; a class no pair
+   enters stays absent. Three passes: every pair's class and each class's
+   weight, in pair order; each class's hop count by a memoised walk per
+   destination in which every terminal but the destination counts as
+   failed; then one exactly-sized arena filled class by class. *)
+let walk_classes t =
+  let g = t.graph in
+  let terminals = Graph.terminals g in
+  let nt = Array.length terminals and n = Graph.num_nodes g in
+  let head = Array.map (fun c -> c.Channel.dst) (Graph.channels g) in
+  let first_in = Array.make n max_int in
+  Array.iter
+    (fun (c : Channel.t) ->
+      let i = t.index_of.(c.src) in
+      if i >= 0 && i < first_in.(c.dst) then first_in.(c.dst) <- i)
+    (Graph.channels g);
+  let entries = List.filter (fun v -> first_in.(v) < max_int) (List.init n Fun.id) in
+  let entries = Array.of_list (List.stable_sort (fun a b -> compare first_in.(a) first_in.(b)) entries) in
+  let ne = Array.length entries in
+  let rank = Array.make n (-1) in
+  Array.iteri (fun r v -> rank.(v) <- r) entries;
+  let cap = ne * nt in
+  let class_of_pair = Array.make (nt * nt) (-1) and weight = Array.make cap 0 in
+  let dead = ref (-1) in
+  for si = 0 to nt - 1 do
+    let row = t.next.(terminals.(si)) and base = si * nt in
+    (* one entry channel per terminal, as a rule: cache its class base *)
+    let last = ref (-1) and kbase = ref 0 in
+    for di = 0 to nt - 1 do
+      if si <> di then begin
+        let e = row.(di) in
+        if e < 0 then (if !dead < 0 then dead := base + di)
+        else begin
+          if e <> !last then begin
+            last := e;
+            kbase := rank.(head.(e)) * nt
+          end;
+          let k = !kbase + di in
+          weight.(k) <- weight.(k) + 1;
+          class_of_pair.(base + di) <- k
+        end
+      end
+    done
+  done;
+  let len = Array.make cap (-1) and failed_class = ref false in
+  let memo = Array.make n unknown and stack = Array.make n 0 in
+  let fresh = Array.make n unknown in
+  Array.iter (fun v -> fresh.(v) <- failed) terminals;
+  for di = 0 to nt - 1 do
+    Array.blit fresh 0 memo 0 n;
+    memo.(terminals.(di)) <- 0;
+    for r = 0 to ne - 1 do
+      let k = (r * nt) + di in
+      if weight.(k) > 0 then begin
+        let h = settle t ~head ~memo ~stack ~di entries.(r) in
+        if h = failed then failed_class := true else len.(k) <- h
+      end
+    done
+  done;
+  if !failed_class || !dead >= 0 then begin
+    (* the first pair in pair order with a dead first hop or a failed
+       class *)
+    let p = ref 0 in
+    while
+      let k = class_of_pair.(!p) in
+      (k >= 0 && len.(k) >= 0) || (k < 0 && !p / nt = !p mod nt)
+    do
+      incr p
+    done;
+    no_route t !p
+  end
+  else begin
+    let off = Array.make cap 0 and total = ref 0 and present = ref 0 in
+    for k = 0 to cap - 1 do
+      if len.(k) >= 0 then begin
+        off.(k) <- !total;
+        total := !total + len.(k);
+        incr present
+      end
+    done;
+    let buf = Array.make !total 0 in
+    (* destination by destination: the walks toward one destination
+       share the table column they read *)
+    for di = 0 to nt - 1 do
+      for r = 0 to ne - 1 do
+        let k = (r * nt) + di in
+        if len.(k) >= 0 then begin
+          let u = ref entries.(r) in
+          for o = off.(k) to off.(k) + len.(k) - 1 do
+            let c = t.next.(!u).(di) in
+            buf.(o) <- c;
+            u := head.(c)
+          done
+        end
+      done
+    done;
+    Ok { store = Route_store.of_arena ~weight g ~buf ~off ~len ~num_paths:!present; class_of_pair }
+  end
+
+let to_classes t =
+  Obs.Counter.incr c_class_walks;
+  walk_classes t
+
+let entry t ~src_index ~dst_index = t.next.((Graph.terminals t.graph).(src_index)).(dst_index)
+
+let expand t cls =
+  let g = t.graph in
+  let terminals = Graph.terminals g in
+  let nt = Array.length terminals in
+  let class_of_pair = cls.class_of_pair in
+  if Array.length class_of_pair <> nt * nt then invalid_arg "Ftable.expand: classes do not match the table";
+  let cbuf = Route_store.buffer cls.store
+  and coff = Route_store.offsets cls.store
+  and clen = Route_store.lengths cls.store in
+  let off = Array.make (nt * nt) 0 and len = Array.make (nt * nt) (-1) in
+  let total = ref 0 and present = ref 0 in
+  for p = 0 to (nt * nt) - 1 do
+    let k = class_of_pair.(p) in
+    if k >= 0 then begin
+      let l = 1 + clen.(k) in
+      off.(p) <- !total;
+      len.(p) <- l;
+      total := !total + l;
+      incr present
+    end
+  done;
+  let buf = Array.make !total 0 in
+  for si = 0 to nt - 1 do
+    let row = t.next.(terminals.(si)) and base = si * nt in
+    for di = 0 to nt - 1 do
+      let k = class_of_pair.(base + di) in
+      if k >= 0 then begin
+        let o = off.(base + di) and co = coff.(k) in
+        buf.(o) <- row.(di);
+        for i = 1 to clen.(k) do
+          buf.(o + i) <- cbuf.(co + i - 1)
+        done
+      end
+    done
+  done;
+  Route_store.of_arena g ~buf ~off ~len ~num_paths:!present
 
 let iter_pairs t f =
   let terminals = Graph.terminals t.graph in
@@ -227,6 +394,8 @@ let set_layer t ~src ~dst vl =
 
 let num_layers t = t.num_layers
 
+let max_layer_ids = 256
+
 let set_num_layers t n =
   if n < 1 then invalid_arg "Ftable.set_num_layers";
   t.num_layers <- n
@@ -246,26 +415,93 @@ let layers_of_store t store =
     done);
   layer_of_path
 
+(* Writes [layer_of_pair.(p)] for every off-diagonal pair [p] that
+   [present] (the lengths of a store over this table's pair ids, or every
+   pair) holds, after checking all of them, so a refusal leaves the table
+   untouched. *)
+let write_layers t ~what ?present layer_of_pair =
+  let nt = Graph.num_terminals t.graph in
+  let keep p = match present with None -> true | Some len -> len.(p) >= 0 in
+  for si = 0 to nt - 1 do
+    for di = 0 to nt - 1 do
+      let p = (si * nt) + di in
+      if si <> di && keep p then begin
+        let vl = layer_of_pair.(p) in
+        if vl < 0 || vl > 255 then invalid_arg (Printf.sprintf "Ftable.%s: layer out of range" what)
+      end
+    done
+  done;
+  let l = ensure_layers t in
+  for si = 0 to nt - 1 do
+    let row = l.(si) in
+    for di = 0 to nt - 1 do
+      let p = (si * nt) + di in
+      if si <> di && keep p then Bytes.unsafe_set row di (Char.unsafe_chr layer_of_pair.(p))
+    done
+  done
+
 let set_layers_of_store t store layer_of_path =
   let nt = Graph.num_terminals t.graph in
   if Route_store.capacity store <> nt * nt then
     invalid_arg "Ftable.set_layers_of_store: store does not match the table";
   if Array.length layer_of_path <> nt * nt then
     invalid_arg "Ftable.set_layers_of_store: layer_of_path does not cover the store";
-  if Route_store.num_paths store > 0 then begin
-    let l = ensure_layers t and len = Route_store.lengths store in
+  if Route_store.num_paths store > 0 then
+    write_layers t ~what:"set_layers_of_store" ~present:(Route_store.lengths store) layer_of_path
+
+let set_pair_layers t layer_of_pair =
+  let nt = Graph.num_terminals t.graph in
+  if Array.length layer_of_pair <> nt * nt then invalid_arg "Ftable.set_pair_layers: wrong length";
+  write_layers t ~what:"set_pair_layers" layer_of_pair
+
+let set_class_layers t cls class_layer =
+  let nt = Graph.num_terminals t.graph in
+  let class_of_pair = cls.class_of_pair in
+  if Array.length class_of_pair <> nt * nt then
+    invalid_arg "Ftable.set_class_layers: classes do not match the table";
+  if Array.length class_layer <> Route_store.capacity cls.store then
+    invalid_arg "Ftable.set_class_layers: class_layer does not cover the classes";
+  Array.iteri
+    (fun k len ->
+      let vl = class_layer.(k) in
+      if len >= 0 && (vl < 0 || vl > 255) then invalid_arg "Ftable.set_class_layers: layer out of range")
+    (Route_store.lengths cls.store);
+  let l = ensure_layers t in
+  for si = 0 to nt - 1 do
+    let row = l.(si) and base = si * nt in
+    for di = 0 to nt - 1 do
+      let k = class_of_pair.(base + di) in
+      if k >= 0 then Bytes.unsafe_set row di (Char.unsafe_chr class_layer.(k))
+    done
+  done
+
+let pair_layers t =
+  let nt = Graph.num_terminals t.graph in
+  let out = Array.make (nt * nt) 0 in
+  (match t.layers with
+  | None -> ()
+  | Some l ->
     for si = 0 to nt - 1 do
       let row = l.(si) in
       for di = 0 to nt - 1 do
-        let pair = (si * nt) + di in
-        if len.(pair) >= 0 then begin
-          let vl = layer_of_path.(pair) in
-          if vl < 0 || vl > 255 then invalid_arg "Ftable.set_layers_of_store: layer out of range";
-          Bytes.set row di (Char.chr vl)
-        end
+        out.((si * nt) + di) <- Char.code (Bytes.unsafe_get row di)
       done
-    done
-  end
+    done);
+  for i = 0 to nt - 1 do
+    out.((i * nt) + i) <- -1
+  done;
+  out
+
+let max_layer t =
+  match t.layers with
+  | None -> 0
+  | Some l ->
+    let top = ref 0 in
+    Array.iteri
+      (fun si row ->
+        Bytes.iteri (fun di c -> if si <> di && Char.code c > !top then top := Char.code c) row)
+      l;
+    !top
 
 type diff = {
   dsts_changed : int;
@@ -301,56 +537,158 @@ type stats = {
   minimal : bool;
 }
 
+(* Statistics from every pair's hop count [hops pair]. *)
+(* [dist.(u)] := hops from [u] to [root] over the enabled channels
+   ([max_int] if unreachable), by BFS on the reversed graph. *)
+let bfs_to g ~dist ~queue root =
+  Array.fill dist 0 (Array.length dist) max_int;
+  dist.(root) <- 0;
+  queue.(0) <- root;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let ins = Graph.in_channels g v in
+    for i = 0 to Array.length ins - 1 do
+      let u = (Graph.channel g ins.(i)).Channel.src in
+      if dist.(u) = max_int then begin
+        dist.(u) <- dist.(v) + 1;
+        queue.(!tail) <- u;
+        incr tail
+      end
+    done
+  done
+
+(* The BFS that measures distances to destination [d]: a destination
+   entered by one channel only, from [w], is [1 + d(u, w)] away from
+   every other node [u] — a shortest walk to [w] never passes it — so
+   all destinations fed by [w] (the terminals of one switch) share one
+   BFS from [w]; any other destination gets its own. *)
+let bfs_root t di =
+  let g = t.graph in
+  let dst = (Graph.terminals g).(di) in
+  let ins = Graph.in_channels g dst in
+  if Array.length ins = 1 then ((Graph.channel g ins.(0)).Channel.src, true) else (dst, false)
+
+(* [distances t] is the destination indices ordered so that those sharing
+   a BFS are adjacent, and a function from a destination index (taken in
+   that order) to [dist_d], the hop distance of every node to that
+   destination over the enabled channels; [dist_d] is valid until the
+   next call. *)
+let distances t =
+  let g = t.graph in
+  let terminals = Graph.terminals g in
+  let n = Graph.num_nodes g in
+  let order = Array.init (Array.length terminals) Fun.id in
+  let root = Array.map (bfs_root t) order in
+  Array.stable_sort (fun a b -> compare root.(a) root.(b)) order;
+  let dist = Array.make n max_int and queue = Array.make n 0 in
+  let searched = ref (-1, false) in
+  let dist_to di =
+    let dst = terminals.(di) in
+    let ((w, via) as r) = root.(di) in
+    if !searched <> r then begin
+      bfs_to g ~dist ~queue w;
+      searched := r
+    end;
+    fun u ->
+      let d = dist.(u) in
+      if via && u <> dst && d < max_int then d + 1 else if via && u = dst then 0 else d
+  in
+  (order, dist_to)
+
+let stats ~pairs ~total_hops ~max_hops ~minimal =
+  {
+    pairs;
+    max_hops;
+    avg_hops = (if pairs = 0 then 0.0 else float_of_int total_hops /. float_of_int pairs);
+    minimal;
+  }
+
+(* Statistics from every pair's hop count [hops pair], compared with the
+   BFS distance to its destination for minimality; once one route is
+   known to detour, the remaining searches are skipped. *)
+let stats_of_hops t hops =
+  let terminals = Graph.terminals t.graph in
+  let nt = Array.length terminals in
+  let order, dist_to = distances t in
+  let max_hops = ref 0 and total_hops = ref 0 and minimal = ref true in
+  Array.iter
+    (fun di ->
+      let dist = if !minimal then dist_to di else fun _ -> max_int in
+      for si = 0 to nt - 1 do
+        if si <> di then begin
+          let h = hops ((si * nt) + di) in
+          total_hops := !total_hops + h;
+          if h > !max_hops then max_hops := h;
+          if h > dist terminals.(si) then minimal := false
+        end
+      done)
+    order;
+  stats ~pairs:(nt * (nt - 1)) ~total_hops:!total_hops ~max_hops:!max_hops ~minimal:!minimal
+
 let store_stats t store =
+  let nt = Graph.num_terminals t.graph in
+  if Route_store.capacity store <> nt * nt then
+    invalid_arg "Ftable.store_stats: store does not match the table";
+  stats_of_hops t (fun pair -> Route_store.length store ~pair)
+
+(* When every pair leaves its source by the source's one enabled
+   channel, a pair of class (s, d) is [1 + d(s, d)] away from [d], so a
+   class is minimal iff its slice is no longer than [d(s, d)]: the
+   statistics then read one entry per class. Any other table is measured
+   pair by pair. *)
+let class_stats t cls =
   let g = t.graph in
   let terminals = Graph.terminals g in
   let nt = Array.length terminals in
-  if Route_store.capacity store <> nt * nt then
-    invalid_arg "Ftable.store_stats: store does not match the table";
-  let n = Graph.num_nodes g in
-  let dist = Array.make n max_int and queue = Array.make n 0 in
-  let max_hops = ref 0 and total_hops = ref 0 and minimal = ref true in
-  Array.iteri
-    (fun di dst ->
-      (* Hop distances for minimality are measured against BFS on the
-         reversed graph (distance from every node TO dst); once one route
-         is known to detour, the remaining searches are skipped. *)
-      if !minimal then begin
-        Array.fill dist 0 n max_int;
-        dist.(dst) <- 0;
-        queue.(0) <- dst;
-        let head = ref 0 and tail = ref 1 in
-        while !head < !tail do
-          let v = queue.(!head) in
-          incr head;
-          Array.iter
-            (fun c ->
-              let u = (Graph.channel g c).Channel.src in
-              if dist.(u) = max_int then begin
-                dist.(u) <- dist.(v) + 1;
-                queue.(!tail) <- u;
-                incr tail
-              end)
-            (Graph.in_channels g v)
-        done
-      end;
-      Array.iteri
-        (fun si src ->
-          if si <> di then begin
-            let hops = Route_store.length store ~pair:((si * nt) + di) in
-            total_hops := !total_hops + hops;
-            if hops > !max_hops then max_hops := hops;
-            if !minimal && hops > dist.(src) then minimal := false
-          end)
-        terminals)
-    terminals;
-  let pairs = nt * (nt - 1) in
-  {
-    pairs;
-    max_hops = !max_hops;
-    avg_hops = (if pairs = 0 then 0.0 else float_of_int !total_hops /. float_of_int pairs);
-    minimal = !minimal;
-  }
+  let class_of_pair = cls.class_of_pair in
+  if Array.length class_of_pair <> nt * nt then
+    invalid_arg "Ftable.class_stats: classes do not match the table";
+  let buf = Route_store.buffer cls.store
+  and off = Route_store.offsets cls.store
+  and len = Route_store.lengths cls.store
+  and weight = Route_store.weights cls.store in
+  let regular = ref true in
+  for si = 0 to nt - 1 do
+    let outs = Graph.out_channels g terminals.(si) and row = t.next.(terminals.(si)) in
+    let only = if Array.length outs = 1 then outs.(0) else -1 in
+    for di = 0 to nt - 1 do
+      if si <> di && (row.(di) <> only || class_of_pair.((si * nt) + di) < 0) then regular := false
+    done
+  done;
+  if not !regular then
+    stats_of_hops t (fun pair ->
+        let k = class_of_pair.(pair) in
+        if k < 0 then invalid_arg "Ftable.class_stats: pair without a class";
+        1 + len.(k))
+  else begin
+    let w k = match weight with None -> 1 | Some w -> w.(k) in
+    let cap = Array.length len in
+    let max_hops = ref 0 and total_hops = ref 0 and minimal = ref true in
+    Array.iteri
+      (fun k l ->
+        if l >= 0 then begin
+          total_hops := !total_hops + (w k * (1 + l));
+          if 1 + l > !max_hops then max_hops := 1 + l
+        end)
+      len;
+    (* class ids are [rank * nt + destination index] *)
+    let order, dist_to = distances t in
+    Array.iter
+      (fun di ->
+        if !minimal then begin
+          let dist = dist_to di in
+          let k = ref di in
+          while !k < cap do
+            let l = len.(!k) in
+            if l > 0 && l > dist (Graph.channel g buf.(off.(!k))).Channel.src then minimal := false;
+            k := !k + nt
+          done
+        end)
+      order;
+    stats ~pairs:(nt * (nt - 1)) ~total_hops:!total_hops ~max_hops:!max_hops ~minimal:!minimal
+  end
 
 let validate t = Result.map (store_stats t) (to_store t)
 

@@ -79,6 +79,51 @@ val path_into : t -> Deadlock.Route_store.t -> pair:int -> src:int -> dst:int ->
     manager's contract. *)
 val to_store : t -> (Deadlock.Route_store.t, string) result
 
+(** {1 Route classes}
+
+    Tables are destination-based, so pair [(t, d)] leaves [t] by the
+    channel [e = next t d] and then follows exactly the walk of the node
+    [s = head e] toward [d]. A {e route class} is such an [(s, d)]: in a
+    fabric where every terminal hangs off one switch, [s] is [t]'s
+    switch, and the class stands for every terminal of [s] but [d]. One
+    class slice replaces all of its pairs' slices in the CDG,
+    Algorithm 2, the certifier and the statistics (DESIGN.md §10). *)
+
+type classes = {
+  store : Deadlock.Route_store.t;
+      (** slice [k] is class [k]'s walk from [s] to [d], ending in [d]'s
+          ejection channel; {!Deadlock.Route_store.weight} is its number
+          of pairs. Entry nodes [s] are ranked by the smallest terminal
+          index entering them, and class [(s, d)] has id
+          [rank s * num_terminals + dst_index d] (absent when no pair
+          enters it): ids follow (smallest terminal index on [s],
+          destination index), the order in which a per-pair store first
+          meets every switch-level dependency. *)
+  class_of_pair : int array;
+      (** pair id ({!pair_id}) -> class id; [-1] on the diagonal *)
+}
+
+(** [to_classes t] walks every route class of [t] into a fresh arena:
+    one memoised walk per destination, so each node is walked once per
+    destination, then one exactly-sized arena filled class by class. A
+    walk that reaches a terminal other than its destination fails (a
+    terminal is an endpoint; in a fabric where each terminal hangs off
+    one switch such a walk loops anyway), so no class slice holds a
+    channel that leaves a terminal. [Error] names the first pair, in
+    pair-id order, with no loop-free route — the message {!to_store}
+    gives. Every call bumps the [routing.class_walks] counter. *)
+val to_classes : t -> (classes, string) result
+
+(** [entry t ~src_index ~dst_index] is the channel the pair leaves its
+    source by ([-1] if unset), over terminal indices. *)
+val entry : t -> src_index:int -> dst_index:int -> int
+
+(** [expand t cls] is the per-pair store of [t] ({!to_store}'s, slice for
+    slice) rebuilt from its classes: pair [(t, d)]'s slice is
+    [entry t d] followed by its class's slice. One exactly-sized arena,
+    no table walk. *)
+val expand : t -> classes -> Deadlock.Route_store.t
+
 (** [iter_pairs t f] calls [f ~src ~dst path] for every ordered pair of
     distinct terminals, in a deterministic order.
     @raise Failure if some pair has no path. *)
@@ -90,6 +135,10 @@ val iter_pairs : t -> (src:int -> dst:int -> Path.t -> unit) -> unit
 val layer : t -> src:int -> dst:int -> int
 
 val set_layer : t -> src:int -> dst:int -> int -> unit
+
+(** Layer ids are bytes: a table holds at most [max_layer_ids] (256)
+    layers, ids [0 .. 255]. *)
+val max_layer_ids : int
 
 (** Number of virtual layers the assignment uses ([>= 1]). *)
 val num_layers : t -> int
@@ -104,10 +153,34 @@ val layers_of_store : t -> Deadlock.Route_store.t -> int array
 (** [set_layers_of_store t store layer_of_path] is the inverse of
     {!layers_of_store}: it writes [layer_of_path.(pair)] as the layer of
     every pair present in [store], by pair id, and leaves absent pairs
-    alone. [store] must use this table's pair ids ({!to_store}).
+    alone. [store] must use this table's pair ids ({!to_store}). Every
+    layer is checked before any is written, so a refusal leaves the
+    table untouched.
     @raise Invalid_argument if the store or [layer_of_path] does not span
     {!num_pairs}, or a present pair's layer is outside [[0, 255]]. *)
 val set_layers_of_store : t -> Deadlock.Route_store.t -> int array -> unit
+
+(** [pair_layers t] is the layer of every pair by pair id, [-1] on the
+    diagonal. *)
+val pair_layers : t -> int array
+
+(** [set_pair_layers t layer_of_pair] is the inverse of {!pair_layers}:
+    every off-diagonal pair gets [layer_of_pair.(pair)]. Every layer is
+    checked before any is written.
+    @raise Invalid_argument if the array does not span {!num_pairs} or an
+    off-diagonal layer is outside [[0, 255]]. *)
+val set_pair_layers : t -> int array -> unit
+
+(** [set_class_layers t cls class_layer] gives every pair of class [k]
+    the layer [class_layer.(k)] (the per-pair expansion of a class-keyed
+    assignment). Every layer is checked before any is written.
+    @raise Invalid_argument if [cls] does not span {!num_pairs},
+    [class_layer] does not cover [cls]'s store, or a layer is outside
+    [[0, 255]]. *)
+val set_class_layers : t -> classes -> int array -> unit
+
+(** The highest layer any pair rides (0 for a table without layers). *)
+val max_layer : t -> int
 
 (** {1 Diffing} *)
 
@@ -142,6 +215,12 @@ type stats = {
     with one reverse BFS per destination over the enabled channels.
     @raise Invalid_argument if [store] lacks some pair of [t]. *)
 val store_stats : t -> Deadlock.Route_store.t -> stats
+
+(** [class_stats t cls] is {!store_stats} of [expand t cls], read off the
+    classes: a pair's hop count is 1 + its class's slice length.
+    @raise Invalid_argument if [cls] does not span {!num_pairs} or an
+    off-diagonal pair has no class. *)
+val class_stats : t -> classes -> stats
 
 (** Check that every ordered terminal pair has a loop-free path and collect
     statistics: {!to_store} then {!store_stats}. [Error msg] names the

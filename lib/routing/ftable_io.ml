@@ -55,16 +55,18 @@ let of_string text =
   let lines = String.split_on_char '\n' text in
   let err lineno fmt = Format.kasprintf (fun s -> Error (Printf.sprintf "line %d: %s" lineno s)) fmt in
   match lines with
-  | [] -> Error "empty input"
+  | [] -> err 1 "empty input"
   | header :: rest -> (
     let header_words = List.filter (fun w -> w <> "") (String.split_on_char ' ' header) in
     match header_words with
     | [ "routing"; algorithm; "layers"; layers ] -> (
       match int_of_string_opt layers with
-      | None -> Error "bad layer count in header"
+      | None -> err 1 "bad layer count in header"
+      | Some num_layers when num_layers < 1 || num_layers > Ftable.max_layer_ids ->
+        err 1 "layer count %d outside 1..%d" num_layers Ftable.max_layer_ids
       | Some num_layers -> (
         let rec split acc lineno = function
-          | [] -> Error "missing 'endtopology'"
+          | [] -> err lineno "missing 'endtopology'"
           | l :: tl when String.trim l = "endtopology" -> Ok (List.rev acc, tl, lineno + 1)
           | l :: tl -> split (l :: acc) (lineno + 1) tl
         in
@@ -75,7 +77,7 @@ let of_string text =
           | Error msg -> Error msg
           | Ok g ->
             let ft = Ftable.create g ~algorithm in
-            Ftable.set_num_layers ft (max 1 num_layers);
+            Ftable.set_num_layers ft num_layers;
             let by_name = Hashtbl.create (Graph.num_nodes g) in
             Array.iter (fun (nd : Node.t) -> Hashtbl.replace by_name nd.name nd.id) (Graph.nodes g);
             let rec go lineno = function
@@ -90,6 +92,8 @@ let of_string text =
                     match
                       (Hashtbl.find_opt by_name node, Hashtbl.find_opt by_name dst, int_of_string_opt k)
                     with
+                    | Some _, Some dst, _ when not (Graph.is_terminal g dst) ->
+                      err lineno "entry destination %s is not a terminal" (Graph.node g dst).Node.name
                     | Some node, Some dst, Some k -> (
                       match resolve_channel g ~node ~neighbor:via ~k with
                       | None -> err lineno "no cable %d to %s" k via
@@ -100,6 +104,9 @@ let of_string text =
                     | _, _, None -> err lineno "bad cable index")
                   | [ "lane"; src; dst; vl ] -> (
                     match (Hashtbl.find_opt by_name src, Hashtbl.find_opt by_name dst, int_of_string_opt vl) with
+                    | Some src, Some dst, _ when not (Graph.is_terminal g src && Graph.is_terminal g dst) ->
+                      err lineno "lane %s -> %s: both ends must be terminals" (Graph.node g src).Node.name
+                        (Graph.node g dst).Node.name
                     | Some src, Some dst, Some vl when vl >= 0 && vl < 256 ->
                       Ftable.set_layer ft ~src ~dst vl;
                       go (lineno + 1) tl
@@ -108,7 +115,7 @@ let of_string text =
                   | _ -> err lineno "unrecognized directive %S" line)
             in
             go entries_start entry_lines)))
-    | _ -> Error "bad header (want: routing <algorithm> layers <n>)")
+    | _ -> err 1 "bad header (want: routing <algorithm> layers <n>)")
 
 let save path ft =
   let oc = open_out path in

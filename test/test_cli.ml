@@ -70,6 +70,9 @@ let test_out_of_range_counts () =
       ([ "serve"; "torus:3x3"; "--max-frame=-1" ], "--max-frame");
       ([ "serve"; "torus:3x3"; "--max-frame=15" ], "--max-frame");
       ([ "route"; "ring:8"; "--max-layers"; "0" ], "--max-layers");
+      (* layer ids are bytes: 300 used to die inside the balancer *)
+      ([ "route"; "ring:8"; "--balance"; "--max-layers"; "300" ], "--max-layers");
+      ([ "manage"; "torus:3x3"; "--max-layers"; "257" ], "--max-layers");
       ([ "simulate"; "torus:3x3"; "-e"; "event"; "--bytes=-5" ], "--bytes");
       ([ "experiment"; "fig4"; "--scale"; "0" ], "--scale");
       ([ "experiment"; "fig4"; "--patterns"; "0" ], "--patterns");
@@ -77,6 +80,23 @@ let test_out_of_range_counts () =
       ([ "degrade"; "torus:3x3"; "--cables=-1" ], "--cables");
       ([ "serve"; "torus:3x3"; "--trace-capacity=-1" ], "--trace-capacity");
     ]
+
+(* The largest layer budget is accepted and balanced over in full. *)
+let test_max_layers_256 () =
+  let stdout = succeeds [ "route"; "ring:8"; "--balance"; "--max-layers"; "256" ] in
+  Alcotest.(check bool) "deadlock-free" true (Testutil.contains stdout "deadlock_free=true")
+
+(* A table artifact naming a switch as a destination is refused as input
+   (exit 2, the line named), not an uncaught exception. *)
+let test_analyze_bad_table () =
+  let path = Filename.temp_file "ftable" ".txt" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "routing x layers 2\nswitch a\nswitch b\nlink a b\nterminal t0 a\nterminal t1 b\nendtopology\nentry a b b 0\n");
+  let code, _, stderr = run [ "analyze"; "--table"; path ] in
+  Sys.remove path;
+  Alcotest.(check int) "input error" 2 code;
+  Alcotest.(check bool) "names the line" true (Testutil.contains stderr "line 8")
 
 let test_closed_choices () =
   usage_error [ "info"; "nope:3" ] ~naming:"SPEC";
@@ -135,6 +155,8 @@ let () =
           Alcotest.test_case "--max-layers 0 is a usage error everywhere" `Quick test_max_layers_zero;
           Alcotest.test_case "--kernel and --break-engine are unknown options" `Quick test_removed_flags;
           Alcotest.test_case "out-of-range counts are usage errors" `Quick test_out_of_range_counts;
+          Alcotest.test_case "--max-layers 256 balances" `Quick test_max_layers_256;
+          Alcotest.test_case "analyze --table refuses a switch destination" `Quick test_analyze_bad_table;
           Alcotest.test_case "closed choices are checked by cmdliner" `Quick test_closed_choices;
           Alcotest.test_case "route prints its result line" `Quick test_route;
           Alcotest.test_case "simulate shows the ring deadlock" `Quick test_simulate_deadlock;

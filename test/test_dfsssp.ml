@@ -306,6 +306,82 @@ let test_registry_deadlock_free_flags () =
             true (Dfsssp.Verify.deadlock_free ft))
     (Dfsssp.Registry.all ())
 
+(* Layer ids are bytes: a budget above 256 is refused up front, and the
+   table keeps its layers. *)
+let test_budget_over_256 () =
+  let g = Topo_ring.make ~switches:8 ~terminals_per_switch:1 in
+  let ft = Result.get_ok (Routing.Sssp.route g) in
+  (match Dfsssp.assign_layers ~balance:true ~max_layers:300 ft with
+  | Error (Dfsssp.Bad_budget 300) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Dfsssp.error_to_string e)
+  | Ok _ -> Alcotest.fail "300 layers accepted");
+  check Alcotest.int "layers untouched" 1 (Routing.Ftable.num_layers ft);
+  (match Fabric.Manager.create ~config:{ Fabric.Manager.default_config with max_layers = 300 } g with
+  | Error msg -> Alcotest.(check bool) "explains" true (Testutil.contains msg "256")
+  | Ok _ -> Alcotest.fail "manager accepted 300 layers");
+  let balanced = expect "256" (Dfsssp.assign_layers ~balance:true ~max_layers:256 ft) in
+  check Alcotest.int "256 layers" 256 (Routing.Ftable.num_layers balanced)
+
+(* Route classes of a torus with two terminals per switch: one class per
+   (switch, destination), weighing the switch's terminals other than the
+   destination; expanded, they are to_store's store slice for slice, and
+   a broken table fails both walks with the same message. *)
+let test_route_classes () =
+  let g = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:2) in
+  let ft = Result.get_ok (Routing.Sssp.route g) in
+  let cls = Result.get_ok (Routing.Ftable.to_classes ft) in
+  let store = Result.get_ok (Routing.Ftable.to_store ft) in
+  let classes = cls.Routing.Ftable.store in
+  check Alcotest.int "9 switches x 18 destinations" 162 (Dfsssp.Route_store.num_paths classes);
+  let weights = List.init 162 (fun k -> Dfsssp.Route_store.weight classes ~pair:k) in
+  check Alcotest.int "every pair in one class" (18 * 17) (List.fold_left ( + ) 0 weights);
+  check Alcotest.(list int) "weights" [ 1; 2 ] (List.sort_uniq compare weights);
+  let expanded = Routing.Ftable.expand ft cls in
+  check Alcotest.int "same pairs" (Dfsssp.Route_store.num_paths store) (Dfsssp.Route_store.num_paths expanded);
+  Dfsssp.Route_store.iter_pairs store (fun pair ->
+      check Alcotest.(array int) "same slice" (Dfsssp.Route_store.to_path store ~pair)
+        (Dfsssp.Route_store.to_path expanded ~pair));
+  check Alcotest.bool "same statistics" true
+    (Routing.Ftable.store_stats ft store = Routing.Ftable.class_stats ft cls);
+  (* the same routes over a fabric where terminal 0's cable is down and
+     a detour is cheaper: measured pair by pair, as to_store's store *)
+  let t0 = (Graph.terminals g).(0) in
+  let enabled =
+    Array.map (fun (c : Channel.t) -> c.Channel.src <> t0 && c.Channel.dst <> t0) (Graph.channels g)
+  in
+  let degraded = Graph.with_enabled g ~enabled in
+  let copy = Routing.Ftable.create degraded ~algorithm:"copy" in
+  Array.iter
+    (fun (nd : Node.t) ->
+      Array.iter
+        (fun d ->
+          Option.iter
+            (fun c -> Routing.Ftable.set_next copy ~node:nd.Node.id ~dst:d ~channel:c)
+            (Routing.Ftable.next ft ~node:nd.Node.id ~dst:d))
+        (Graph.terminals g))
+    (Graph.nodes g);
+  check Alcotest.bool "same statistics, degraded" true
+    (Routing.Ftable.store_stats copy (Result.get_ok (Routing.Ftable.to_store copy))
+    = Routing.Ftable.class_stats copy (Result.get_ok (Routing.Ftable.to_classes copy)));
+  (* cut one switch's entry toward the last terminal *)
+  let terms = Graph.terminals g in
+  let dst = terms.(17) in
+  let sw = (Graph.channel g (Graph.out_channels g terms.(0)).(0)).Channel.dst in
+  let broken = Routing.Ftable.create g ~algorithm:"broken" in
+  Array.iter
+    (fun (nd : Node.t) ->
+      Array.iter
+        (fun d ->
+          match Routing.Ftable.next ft ~node:nd.Node.id ~dst:d with
+          | Some c when not (nd.Node.id = sw && d = dst) ->
+            Routing.Ftable.set_next broken ~node:nd.Node.id ~dst:d ~channel:c
+          | _ -> ())
+        terms)
+    (Graph.nodes g);
+  match (Routing.Ftable.to_store broken, Routing.Ftable.to_classes broken) with
+  | Error a, Error b -> check Alcotest.string "same refusal" a b
+  | _ -> Alcotest.fail "a dead entry must fail both walks"
+
 let () =
   Alcotest.run "dfsssp"
     [
@@ -316,6 +392,8 @@ let () =
           Alcotest.test_case "ring needs 2 layers" `Quick test_ring_needs_two_layers;
           Alcotest.test_case "tree needs 1 layer" `Quick test_tree_needs_one_layer;
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
+          Alcotest.test_case "budget over 256 refused" `Quick test_budget_over_256;
+          Alcotest.test_case "route classes" `Quick test_route_classes;
           Alcotest.test_case "fig 9/10 layer parity across engines" `Quick test_fig_layer_parity;
           Alcotest.test_case "variants and heuristics" `Quick test_variants_and_heuristics;
           Alcotest.test_case "balance spreads" `Quick test_balance_spreads;

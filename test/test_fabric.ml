@@ -422,16 +422,19 @@ let test_shutdown_idempotent_and_usable () =
 (* One materialisation and one proof per swap                           *)
 (* ------------------------------------------------------------------ *)
 
-let to_store_count () =
-  match Obs.Registry.find_counter (Obs.Registry.default ()) "routing.to_store" with
+let counter name =
+  match Obs.Registry.find_counter (Obs.Registry.default ()) name with
   | Some c -> Obs.Counter.value c
-  | None -> Alcotest.fail "routing.to_store counter not registered"
+  | None -> Alcotest.failf "%s counter not registered" name
+
+(* Table walks: per-pair ones into a route store and route-class ones. *)
+let walk_count () = counter "routing.to_store" + counter "routing.class_walks"
 
 (* [materialisations f] is [f ()] and the number of table walks it cost. *)
 let materialisations f =
-  let before = to_store_count () in
+  let before = walk_count () in
   let r = f () in
-  (r, to_store_count () - before)
+  (r, walk_count () - before)
 
 let ok_snapshot mgr =
   match Fabric.Manager.snapshot mgr with
@@ -505,6 +508,38 @@ let test_snapshot_is_certified_store () =
     check Alcotest.bool "same statistics" true (s.Dfsssp.Verify.stats = r.Dfsssp.Verify.stats);
     check Alcotest.int "same max layer" r.Dfsssp.Verify.max_layer_seen s.Dfsssp.Verify.max_layer_seen;
     check Alcotest.bool "oracle agrees: deadlock-free" true r.Dfsssp.Verify.deadlock_free
+
+(* The runtime stage split: every stage of a bring-up fires exactly one
+   sample of its own registry timer, so the stages a bench reports are
+   the ones a running manager exports. *)
+let stage_timers =
+  [
+    "sssp.route_destinations";
+    "dfsssp.class_walk";
+    "layers.assign";
+    "analysis.existence";
+    "analysis.certify";
+    "epoch.swap_stats";
+    "epoch.snapshot_expand";
+  ]
+
+let timer_count name =
+  match Obs.Registry.find_timer (Obs.Registry.default ()) name with
+  | Some t -> Obs.Timer.count t
+  | None -> Alcotest.failf "%s timer not registered" name
+
+let test_stage_timers_per_create () =
+  let g = torus [| 3; 3 |] in
+  Obs.Control.with_enabled true (fun () ->
+      for _ = 1 to 2 do
+        let before = List.map timer_count stage_timers in
+        let mgr = Result.get_ok (Fabric.Manager.create g) in
+        ignore (ok_snapshot mgr);
+        Fabric.Manager.shutdown mgr;
+        List.iter2
+          (fun name b -> check Alcotest.int (name ^ ": one sample per create") (b + 1) (timer_count name))
+          stage_timers before
+      done)
 
 (* Every pair's snapshot slice is the table walk. *)
 let check_snapshot_parity name g =
@@ -628,6 +663,7 @@ let () =
           Alcotest.test_case "walks per bring-up, swap, rescue" `Quick test_materialisations_per_swap;
           Alcotest.test_case "snapshot is the certified store" `Quick test_snapshot_is_certified_store;
           Alcotest.test_case "snapshot slices equal table walks" `Quick test_snapshot_parity;
+          Alcotest.test_case "one stage-timer sample per create" `Quick test_stage_timers_per_create;
           Alcotest.test_case "refused candidate keeps the snapshot" `Quick
             test_refused_candidate_keeps_snapshot;
         ] );

@@ -593,6 +593,148 @@ let break_engines_certify =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Route classes: class-keyed Algorithm 2 and certifier                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A jellyfish, random or torus fabric with 1-4 terminals per switch. *)
+let class_fabric rng =
+  let tps = 1 + Rng.int rng 4 in
+  match Rng.int rng 3 with
+  | 0 -> Topo_jellyfish.make ~switches:(8 + Rng.int rng 5) ~ports:(3 + tps) ~net_ports:3 ~rng
+  | 1 ->
+    let switches = 6 + Rng.int rng 4 in
+    Topo_random.make ~switches ~switch_radix:(4 + tps) ~terminals:(switches * tps)
+      ~inter_links:(switches + 2 + Rng.int rng 4) ~rng
+  | _ -> fst (Topo_torus.torus ~dims:[| 3 + Rng.int rng 2; 3 |] ~terminals_per_switch:tps)
+
+let sssp_table g = Result.get_ok (Routing.Sssp.route g)
+
+let classes_of ft = Result.get_ok (Routing.Ftable.to_classes ft)
+
+(* Class layers spread over the pairs, [-1] on the diagonal. *)
+let per_pair (cls : Routing.Ftable.classes) class_layer =
+  Array.map (fun k -> if k < 0 then -1 else class_layer.(k)) cls.Routing.Ftable.class_of_pair
+
+(* Algorithm 2 over the weighted class store gives every pair the layer
+   the weight-1 per-pair store gives it, with the same layer count and
+   evictions, for every heuristic and both engines — and so does the
+   online placement. Dfsssp.assign_layers, which runs on the classes,
+   writes exactly the per-pair outcome into the table. *)
+let classes_algorithm2_parity =
+  qtest ~count:12 "route classes: Algorithm 2 equals the per-pair run" seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let g = class_fabric rng in
+      let ft = sssp_table g in
+      let store = Result.get_ok (Routing.Ftable.to_store ft) in
+      let cls = classes_of ft in
+      let same name a b =
+        match (a, b) with
+        | Ok (pl, pu, pc), Ok (cl, cu, cc) ->
+          let ok = pl = per_pair cls cl && pu = cu && pc = cc in
+          if not ok then QCheck2.Test.fail_reportf "%s: class run differs" name;
+          ok
+        | Error a, Error b -> a = b
+        | _ -> QCheck2.Test.fail_reportf "%s: one run failed" name
+      in
+      let offline engine heuristic st =
+        Result.map
+          (fun (o : Deadlock.Layers.outcome) -> (o.layer_of_path, o.layers_used, o.cycles_broken))
+          (Deadlock.Layers.assign_store ~engine st ~max_layers:16 ~heuristic)
+      in
+      let online st =
+        Result.map
+          (fun (o : Deadlock.Online.outcome) -> (o.layer_of_path, o.layers_used, 0))
+          (Deadlock.Online.assign_store st ~max_layers:16)
+      in
+      List.for_all
+        (fun engine ->
+          List.for_all
+            (fun h ->
+              let name =
+                Printf.sprintf "%s/%s"
+                  (match engine with `Scc -> "scc" | `Dfs -> "dfs")
+                  (Deadlock.Heuristic.to_string h)
+              in
+              same name (offline engine h store) (offline engine h cls.Routing.Ftable.store)
+              &&
+              let copy = sssp_table g in
+              match (offline engine h store, Dfsssp.assign_layers ~engine ~heuristic:h ~max_layers:16 copy) with
+              | Ok (pl, pu, _), Ok t -> Routing.Ftable.pair_layers t = pl && Routing.Ftable.num_layers t = pu
+              | Error _, Error _ -> true
+              | _ -> QCheck2.Test.fail_reportf "%s: assign_layers disagrees" name)
+            Deadlock.Heuristic.all)
+        [ `Scc; `Dfs ]
+      && same "online" (online store) (online cls.Routing.Ftable.store))
+
+(* The certified classes stand in for the per-pair store on the swap
+   path: their expansion is to_store's store slice for slice, and their
+   statistics are its statistics. *)
+let classes_expand_parity =
+  qtest ~count:20 "route classes: expansion and statistics equal the per-pair store" seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = class_fabric rng in
+      (* SSSP's minimal routes and up*/down*'s detours *)
+      List.for_all
+        (fun ft ->
+          let store = Result.get_ok (Routing.Ftable.to_store ft) in
+          let cls = classes_of ft in
+          let expanded = Routing.Ftable.expand ft cls in
+          let same = ref (Deadlock.Route_store.num_paths store = Deadlock.Route_store.num_paths expanded) in
+          Deadlock.Route_store.iter_pairs store (fun pair ->
+              if Deadlock.Route_store.to_path store ~pair <> Deadlock.Route_store.to_path expanded ~pair then
+                same := false);
+          !same && Routing.Ftable.store_stats ft store = Routing.Ftable.class_stats ft cls)
+        (sssp_table g :: Result.to_list (Routing.Updown.route g)))
+
+(* Random per-pair layerings — a DFSSSP layering with random pairs moved
+   to a shadow copy of their layer (certifiable, and one class's pairs
+   then ride two layers), or layers drawn at random (mostly cyclic): the
+   class certifier gives the per-pair verdict and [stuck] count, and every
+   certificate it generates checks against the per-pair store. *)
+let classes_certifier_parity =
+  qtest ~count:20 "route classes: certifier verdicts equal the per-pair ones" seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let g = class_fabric rng in
+      let ft =
+        match Dfsssp.assign_layers ~max_layers:16 (sssp_table g) with
+        | Ok ft -> ft
+        | Error e -> QCheck2.Test.fail_reportf "dfsssp: %s" (Dfsssp.error_to_string e)
+      in
+      let layers = Routing.Ftable.pair_layers ft and used = Routing.Ftable.num_layers ft in
+      let shadow = Rng.int rng 2 = 0 in
+      let k = if shadow then 2 * used else 1 + Rng.int rng 3 in
+      Array.iteri
+        (fun p l ->
+          if l >= 0 then
+            layers.(p) <-
+              (if shadow then if Rng.int rng 3 = 0 then l + used else l else Rng.int rng k))
+        layers;
+      Routing.Ftable.set_pair_layers ft layers;
+      Routing.Ftable.set_num_layers ft k;
+      let store, layer_of_path = Result.get_ok (Analysis.Cert.artifacts_of_table ft) in
+      let per_pair =
+        match Analysis.Cert.of_artifacts ft store ~layer_of_path with
+        | Ok cert -> Result.map_error (fun m -> `Refuted m) (Analysis.Cert.check cert store ~layer_of_path)
+        | Error e -> Error (`Cert e)
+      in
+      let routes = Analysis.Cert.Routes.of_classes ft (classes_of ft) in
+      let by_class =
+        match Analysis.Cert.of_routes ft routes with
+        | Ok cert -> (
+          match Analysis.Cert.check_routes cert routes with
+          | Error m -> Error (`Refuted m)
+          | Ok () ->
+            (* the class certificate is a certificate of the per-pair routes *)
+            Result.map_error
+              (fun m -> `Refuted ("per-pair check: " ^ m))
+              (Analysis.Cert.check cert store ~layer_of_path))
+        | Error e -> Error (`Cert e)
+      in
+      (if shadow && Result.is_error by_class then QCheck2.Test.fail_report "shadow layering refused");
+      per_pair = by_class)
+
+(* ------------------------------------------------------------------ *)
 (* Collective schedules partition the pair space                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -660,6 +802,7 @@ let () =
       ("interop", [ sl_dump_matches_layers; ftable_io_random ]);
       ("degradation", [ switch_removal_sound ]);
       ("certification", [ registry_engines_certify; break_engines_certify ]);
+      ("route-classes", [ classes_algorithm2_parity; classes_expand_parity; classes_certifier_parity ]);
       ("fabric", [ fabric_manager_converges ]);
       ("collectives", [ a2a_rounds_partition ]);
       ("multipath", [ multipath_sound ]);

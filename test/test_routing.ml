@@ -110,7 +110,22 @@ let test_ftable_layers () =
   Ftable.set_num_layers ft 4;
   check Alcotest.int "num_layers" 4 (Ftable.num_layers ft);
   Alcotest.check_raises "layer range" (Invalid_argument "Ftable.set_layer: layer out of range")
-    (fun () -> Ftable.set_layer ft ~src:t ~dst:t' 256)
+    (fun () -> Ftable.set_layer ft ~src:t ~dst:t' 256);
+  (* bulk writes check every layer first: a refusal leaves the table as
+     it was, even when only the last pair is out of range *)
+  let routed = expect "sssp" (Sssp.route g) in
+  let store = expect "to_store" (Ftable.to_store routed) in
+  let before = Ftable.layers_of_store routed store in
+  let bad = Array.map (fun l -> if l < 0 then l else 1) before in
+  let last = ref (-1) in
+  Array.iteri (fun p l -> if l >= 0 then last := p) bad;
+  bad.(!last) <- 256;
+  Alcotest.check_raises "set_layers_of_store range"
+    (Invalid_argument "Ftable.set_layers_of_store: layer out of range") (fun () ->
+      Ftable.set_layers_of_store routed store bad);
+  Alcotest.check_raises "set_pair_layers range" (Invalid_argument "Ftable.set_pair_layers: layer out of range")
+    (fun () -> Ftable.set_pair_layers routed bad);
+  check Alcotest.(array int) "untouched" before (Ftable.layers_of_store routed store)
 
 let test_ftable_loop_detection () =
   (* two switches, each forwarding to the other: a forwarding loop *)
@@ -740,7 +755,16 @@ let test_ftable_io_errors () =
   reject "routing x layers 1\nswitch a\n" "endtopology";
   reject "routing x layers 1\nswitch a\nswitch b\nlink a b\nterminal t0 a\nendtopology\nentry a zz b 0\n" "unknown node";
   reject "routing x layers 1\nswitch a\nswitch b\nlink a b\nterminal t0 a\nendtopology\nentry b t0 a 7\n" "no cable";
-  reject "routing x layers 1\nswitch a\nswitch b\nlink a b\nterminal t0 a\nendtopology\nfrobnicate\n" "unrecognized"
+  reject "routing x layers 1\nswitch a\nswitch b\nlink a b\nterminal t0 a\nendtopology\nfrobnicate\n" "unrecognized";
+  (* layer ids are bytes, so the header's count is 1..256 *)
+  reject "routing x layers 100000\nswitch a\nendtopology\n" "line 1: layer count 100000 outside 1..256";
+  reject "routing x layers 0\nswitch a\nendtopology\n" "line 1: layer count 0";
+  (* destinations and lane ends are terminals; a switch used to raise *)
+  let fabric = "routing x layers 2\nswitch a\nswitch b\nlink a b\nterminal t0 a\nterminal t1 b\nendtopology\n" in
+  reject (fabric ^ "entry a b b 0\n") "line 8: entry destination b is not a terminal";
+  reject (fabric ^ "# lanes\nlane a t1 1\n") "line 9: lane a -> t1";
+  reject (fabric ^ "lane t0 b 1\n") "line 8: lane t0 -> b";
+  reject (fabric ^ "entry a t1 b 0\nentry b t1 t1 0\nentry b t9 t1 0\n") "line 10: unknown node"
 
 (* ------------------------------------------------------------------ *)
 (* Opensm dumps                                                         *)
