@@ -59,13 +59,19 @@ lint:
 
 # The full static-analysis sweep (doc/static_analysis.md): route and
 # analyze one example of every topology family the spec grammar knows,
-# with the existence check and the layer lower bound enabled. Exit 0
-# iff every fabric is feasible and every table certifies with zero
-# analyzer errors.
+# with the existence check and the layer lower bound enabled, then the
+# two online (path-at-a-time) placements, LASH and dfsssp-online, on
+# tori large enough that rejected paths leave accepted edges behind.
+# Exit 0 iff every fabric is feasible and every table certifies with
+# zero analyzer errors.
 analyze-examples:
 	dune exec bin/fabric_tool.exe -- analyze --existence --min-layers \
 	  ring:8 torus:4x4 hypercube:4 tree:4,2 xgft:2,4/1,2:16 kautz:2,3 \
 	  dragonfly:4,2,2 hyperx:3x3 random:8,10,16,14:7
+	dune exec bin/fabric_tool.exe -- analyze --existence --min-layers --algorithm lash \
+	  torus:8x8:4 torus:12x12 torus:16x16
+	dune exec bin/fabric_tool.exe -- analyze --existence --min-layers --algorithm dfsssp-online \
+	  torus:8x8:4 torus:12x12 torus:16x16
 
 # The end-to-end benchmark declared in BENCHMARK.json (e2ebench/README.md):
 # fabric bring-up on a fat tree and a jellyfish, and a live daemon under

@@ -103,8 +103,9 @@ let build_workload name g ~num_dsts ~gated_2x =
       Array.iteri
         (fun j dst ->
           if src <> dst then
-            if not (Ftable.path_into ft store ~pair:((si * num_dsts) + j) ~src ~dst) then
-              failwith (Printf.sprintf "%s: no route %d -> %d" name src dst))
+            match Ftable.path ft ~src ~dst with
+            | Some p -> Route_store.set_path store ~pair:((si * num_dsts) + j) p
+            | None -> failwith (Printf.sprintf "%s: no route %d -> %d" name src dst))
         dsts)
     terminals;
   let cdg_edges = Cdg.num_edges (Cdg.of_store store) in

@@ -235,11 +235,10 @@ let build_workload name g ~num_dsts =
     (fun si src ->
       Array.iteri
         (fun j dst ->
-          if src <> dst then begin
-            let pair = (si * num_dsts) + j in
-            if not (Ftable.path_into ft store ~pair ~src ~dst) then
-              failwith (Printf.sprintf "%s: no route %d -> %d" name src dst)
-          end)
+          if src <> dst then
+            match Ftable.path ft ~src ~dst with
+            | Some p -> Route_store.set_path store ~pair:((si * num_dsts) + j) p
+            | None -> failwith (Printf.sprintf "%s: no route %d -> %d" name src dst))
         dsts)
     terminals;
   let path_of_pair =

@@ -126,9 +126,9 @@ let break_stage ?domains w ft () =
       Array.iteri
         (fun j dst ->
           if src <> dst then
-            let pair = (si * num_dsts) + j in
-            if not (Ftable.path_into ft store ~pair ~src ~dst) then
-              failwith (Printf.sprintf "%s: no route %d -> %d" w.name src dst))
+            match Ftable.path ft ~src ~dst with
+            | Some p -> Route_store.set_path store ~pair:((si * num_dsts) + j) p
+            | None -> failwith (Printf.sprintf "%s: no route %d -> %d" w.name src dst))
         w.dsts)
     terminals;
   match Layers.assign_store ?domains store ~max_layers:64 ~heuristic:Heuristic.Weakest with

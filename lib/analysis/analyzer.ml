@@ -53,13 +53,6 @@ let certify_routes ft =
 let certify_classes ft =
   Obs.Timer.time t_certify (fun () -> Result.map_error refusal_to_string (certify_routes ft))
 
-let certify_store ft =
-  match certify_classes ft with
-  | Error _ as e -> e
-  | Ok (cert, cls) ->
-    let store = Ftable.expand ft cls in
-    Ok (cert, store, Ftable.layers_of_store ft store)
-
 let certify ft = Result.map fst (certify_classes ft)
 
 (* Topology-level findings (A008/A009/A010): computed on the fabric the

@@ -48,10 +48,6 @@ val analyze : ?hop_budget:Lint.hop_budget -> ?graph:Graph.t -> Ftable.t -> repor
     refusal. *)
 val certify_classes : Ftable.t -> (Cert.t * Ftable.classes, string) result
 
-(** [certify_store ft] is {!certify_classes} with the certified classes
-    expanded into the per-pair store and its pair-indexed layers. *)
-val certify_store : Ftable.t -> (Cert.t * Route_store.t * int array, string) result
-
 (** [certify ft] is {!certify_classes} without the classes. *)
 val certify : Ftable.t -> (Cert.t, string) result
 

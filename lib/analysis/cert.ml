@@ -187,19 +187,9 @@ let generate (r : Routes.t) ~num_layers =
   | Some e -> Error e
   | None -> Ok { num_channels = m; layers }
 
-let artifacts_of_table ft =
-  match Ftable.to_store ft with
-  | Error _ as e -> e
-  | Ok store -> Ok (store, Ftable.layers_of_store ft store)
-
 (* Layers cover both the declared layer count and the highest layer any
    route uses. *)
 let of_routes ft r = generate r ~num_layers:(max (Ftable.num_layers ft) (Routes.layers r))
-
-let of_artifacts ft store ~layer_of_path =
-  if Array.length layer_of_path <> Route_store.capacity store then
-    invalid_arg "Cert.of_artifacts: layer_of_path does not cover the store";
-  of_routes ft (Routes.of_store store ~layer_of_path)
 
 exception Violation of string
 
@@ -243,11 +233,6 @@ let check_routes cert (r : Routes.t) =
       Ok ()
     with Violation msg -> Error msg
   end
-
-let check cert store ~layer_of_path =
-  if Array.length layer_of_path <> Route_store.capacity store then
-    Error "layer assignment does not cover the store"
-  else check_routes cert (Routes.of_store store ~layer_of_path)
 
 let to_string t =
   let buf = Buffer.create (16 * t.num_channels * Array.length t.layers) in

@@ -50,7 +50,9 @@ module Routes : sig
 
   (** [of_store store ~layer_of_path]: every present slice rides its
       [layer_of_path] entry (indexed by pair id); no single
-      dependencies. The per-pair artifacts of {!artifacts_of_table}. *)
+      dependencies. Over {!Routing.Ftable.to_store} and
+      {!Routing.Ftable.pair_layers} these are a table's per-pair routes,
+      the dependencies {!of_classes} must reproduce. *)
   val of_store : Route_store.t -> layer_of_path:int array -> t
 
   (** [of_classes ft cls] reads [ft]'s per-pair layers through its route
@@ -76,25 +78,15 @@ val generate : Routes.t -> num_layers:int -> (t, error) result
     [ft]'s declared layer count and the highest layer any route uses. *)
 val of_routes : Ftable.t -> Routes.t -> (t, error) result
 
-(** [of_artifacts ft store ~layer_of_path] is {!of_routes} over the
-    per-pair artifacts of [ft] ({!artifacts_of_table}).
-    @raise Invalid_argument if [layer_of_path] does not cover the store. *)
-val of_artifacts : Ftable.t -> Route_store.t -> layer_of_path:int array -> (t, error) result
-
 (** {1 Checking (trusted side)} *)
 
-(** [check cert store ~layer_of_path] validates the certificate against
-    the routing artifact in one pass: shape (channel count, one complete
-    numbering per layer), every pair's layer within the certificate, and
-    every dependency [(c1, c2)] strictly ascending in its layer's
-    numbering. [Error] names the first violation. *)
-val check : t -> Route_store.t -> layer_of_path:int array -> (unit, string) result
-
-(** [check_routes cert routes] is {!check} over any {!Routes.t}: every
-    slice's layer within the certificate and every dependency of a slice
-    in each layer it rides, then every single dependency, strictly
-    ascending. Over route classes it runs once per (class, layer) plus
-    the injection hops. *)
+(** [check_routes cert routes] validates the certificate against the
+    routes in one pass: shape (channel count, one complete numbering per
+    layer), every slice's layer within the certificate, and every
+    dependency of a slice in each layer it rides, then every single
+    dependency, strictly ascending in its layer's numbering. [Error]
+    names the first violation. Over route classes it runs once per
+    (class, layer) plus the injection hops. *)
 val check_routes : t -> Routes.t -> (unit, string) result
 
 (** {1 Artifacts}
@@ -109,8 +101,3 @@ val check_routes : t -> Routes.t -> (unit, string) result
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
-
-(** Extract the per-pair artifacts ([store], [layer_of_path]) the
-    certifier works over from a forwarding table. Shared by the analyzer
-    and the generator; independent of [lib/cdg]. *)
-val artifacts_of_table : Ftable.t -> (Route_store.t * int array, string) result

@@ -12,7 +12,7 @@ type t = {
   cores : core list;
 }
 
-let c_analyses = Obs.Registry.counter "analysis.existence" ~desc:"topology existence analyses"
+let c_analyses = Obs.Registry.counter "analysis.existence_runs" ~desc:"topology existence analyses"
 
 let t_analyze = Obs.Registry.timer "analysis.existence" ~desc:"seconds per topology existence analysis"
 

@@ -45,9 +45,10 @@ let minimize cdg seq0 =
   !seq
 
 let of_table ft =
-  match Cert.artifacts_of_table ft with
+  match Ftable.to_store ft with
   | Error msg -> Error msg
-  | Ok (store, layer_of_path) ->
+  | Ok store ->
+    let layer_of_path = Ftable.pair_layers ft in
     let num_layers =
       Array.fold_left (fun acc l -> max acc (l + 1)) (Ftable.num_layers ft) layer_of_path
     in
@@ -183,9 +184,10 @@ let check_table w ft =
     let* () = check_shape w g in
     if layer < 0 then err "negative layer %d" layer
     else
-      match Cert.artifacts_of_table ft with
+      match Ftable.to_store ft with
       | Error msg -> err "routes not materializable: %s" msg
-      | Ok (store, layer_of_path) ->
+      | Ok store ->
+        let layer_of_path = Ftable.pair_layers ft in
         let n = Array.length w.cycle in
         let result = ref (Ok ()) in
         for p = 0 to n - 1 do

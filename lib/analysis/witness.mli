@@ -21,8 +21,8 @@
 
     Both checks are independent of [lib/cdg] and of the generation code
     here: they consume only the graph, the table's materialized routes
-    ({!Cert.artifacts_of_table}) and the pure {!Existence.piercing}
-    arithmetic.
+    ({!Routing.Ftable.to_store}, {!Routing.Ftable.pair_layers}) and the
+    pure {!Existence.piercing} arithmetic.
 
     Text format (line-oriented, [#] comments):
     {v

@@ -19,8 +19,10 @@ let fresh_dependencies cdg store ~pair =
    Pearce–Kelly order registers a path's fresh dependencies one by one
    (only 0->1 count transitions: dependencies the layer already carried
    cannot close anything new); a rejected edge leaves the order untouched
-   and the path is rolled out of the CDG (edge deletions never invalidate
-   a topological order). *)
+   and the path is rolled out of the CDG. Edge deletions never invalidate
+   a topological order, but the fresh edges the order accepted before the
+   rejection are forgotten with it: later reorderings stop respecting
+   them, so a later path reviving one must register it anew. *)
 let place store ~max_layers layer_of_path cdgs =
   let g = Route_store.graph store in
   let cdgs = ref cdgs in
@@ -55,6 +57,7 @@ let place store ~max_layers layer_of_path cdgs =
             Cdg.add_pair cdg store ~pair:i;
             if rejects !pks.(!vl) fresh then begin
               Cdg.remove_pair cdg store ~pair:i;
+              List.iter (fun (a, b) -> Pk_order.forget !pks.(!vl) ~c1:a ~c2:b) fresh;
               incr vl
             end
             else begin

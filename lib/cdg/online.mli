@@ -5,7 +5,9 @@
     the offline algorithm avoids. Each layer keeps a Pearce–Kelly dynamic
     topological order ({!Pk_order}): a path's fresh dependencies are
     registered one by one, and only the affected region between an
-    edge's endpoints is visited. The Kahn-based reference placement in
+    edge's endpoints is visited; a rejected path's already registered
+    dependencies are forgotten with its rollback. The Kahn-based
+    reference placement in
     [test/test_cdg.ml] is the oracle it is checked against. *)
 
 type outcome = {

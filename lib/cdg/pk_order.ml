@@ -5,12 +5,13 @@ type t = {
   visited : int array; (* stamp marks *)
   mutable stamp : int;
   registered : (int * int, unit) Hashtbl.t;
-      (* Edges this structure has accepted. DFS probes traverse only
-         registered live edges: the CDG may hold a just-added path whose
-         remaining dependencies are not ordered yet, and walking those
-         would break the bounded-search invariant (their endpoints can sit
-         anywhere in the order). A cycle is still always caught — at the
-         insertion of its last unregistered edge. *)
+      (* Edges this structure has accepted and not forgotten. DFS probes
+         traverse only registered live edges: the CDG may hold a
+         just-added path whose remaining dependencies are not ordered
+         yet, and walking those would break the bounded-search invariant
+         (their endpoints can sit anywhere in the order). A cycle is
+         still always caught — at the insertion of its last unregistered
+         edge. *)
 }
 
 (* Kahn's order over the CDG's live edges, all of which count as
@@ -111,6 +112,8 @@ let insert t ~c1 ~c2 =
       true
     end
   end
+
+let forget t ~c1 ~c2 = Hashtbl.remove t.registered (c1, c2)
 
 let consistent t =
   let ok = ref true in

@@ -7,9 +7,10 @@
 
     The structure shadows a {!Cdg.t}: the caller adds dependencies to the
     CDG first and then registers them here; an insertion that would close
-    a cycle is reported {e before} the order is disturbed. Edge deletions
-    never invalidate a topological order, so the caller may remove paths
-    from the CDG (rollback) without telling this structure. *)
+    a cycle is reported {e before} the order is disturbed. A removed edge
+    that was accepted must be {!forget}-ten: later reorderings no longer
+    respect it, so were it revived in the CDG while still counted as
+    accepted, probes would cross it out of order and miss cycles. *)
 
 type t
 
@@ -27,6 +28,12 @@ val create : Cdg.t -> t
     create a cycle (the caller must then remove it from the CDG);
     [true] otherwise, with the order updated. Self edges are rejected. *)
 val insert : t -> c1:int -> c2:int -> bool
+
+(** [forget t ~c1 ~c2] drops the dependency (c1, c2) from the accepted
+    set, after the caller removed its last occurrence from the CDG (a
+    rolled-back path). Once revived, it counts again only from its own
+    {!insert}. A no-op for an edge never accepted. *)
+val forget : t -> c1:int -> c2:int -> unit
 
 (** Current position of a channel in the topological order (test hook). *)
 val position : t -> int -> int

@@ -19,8 +19,6 @@ type t = {
   len : int array; (* pair id -> slice length, -1 = absent *)
   weight : int array option; (* pair id -> routes the slice stands for; None = all 1 *)
   mutable num_paths : int;
-  mutable building : int; (* pair id being streamed, or -1 *)
-  mutable start : int; (* arena offset where the streamed path began *)
 }
 
 let create graph ~capacity =
@@ -33,8 +31,6 @@ let create graph ~capacity =
     len = Array.make capacity (-1);
     weight = None;
     num_paths = 0;
-    building = -1;
-    start = 0;
   }
 
 let of_arena ?weight graph ~buf ~off ~len ~num_paths =
@@ -58,7 +54,7 @@ let of_arena ?weight graph ~buf ~off ~len ~num_paths =
     end
   done;
   if !present <> num_paths then invalid_arg "Route_store.of_arena: num_paths does not match the slices";
-  { graph; buf; fill; off; len; weight; num_paths; building = -1; start = 0 }
+  { graph; buf; fill; off; len; weight; num_paths }
 
 let graph t = t.graph
 
@@ -85,43 +81,16 @@ let ensure t n =
     t.buf <- fresh
   end
 
-let begin_path t ~pair =
-  if t.building >= 0 then invalid_arg "Route_store.begin_path: a path is already being built";
-  check_pair t pair;
-  if t.len.(pair) >= 0 then begin
-    (* replacing: the old slice stays in the arena but is unreachable *)
-    t.len.(pair) <- -1;
-    t.num_paths <- t.num_paths - 1
-  end;
-  t.building <- pair;
-  t.start <- t.fill
-
-let push t c =
-  if t.building < 0 then invalid_arg "Route_store.push: no path being built";
-  ensure t 1;
-  t.buf.(t.fill) <- c;
-  t.fill <- t.fill + 1
-
-let commit_path t =
-  if t.building < 0 then invalid_arg "Route_store.commit_path: no path being built";
-  let pair = t.building in
-  t.off.(pair) <- t.start;
-  t.len.(pair) <- t.fill - t.start;
-  t.num_paths <- t.num_paths + 1;
-  t.building <- -1
-
-let abort_path t =
-  if t.building < 0 then invalid_arg "Route_store.abort_path: no path being built";
-  t.fill <- t.start;
-  t.building <- -1
-
 let set_path t ~pair p =
-  begin_path t ~pair;
+  check_pair t pair;
+  (* replacing: the old slice stays in the arena but is unreachable *)
+  if t.len.(pair) < 0 then t.num_paths <- t.num_paths + 1;
   let n = Array.length p in
   ensure t n;
   Array.blit p 0 t.buf t.fill n;
-  t.fill <- t.fill + n;
-  commit_path t
+  t.off.(pair) <- t.fill;
+  t.len.(pair) <- n;
+  t.fill <- t.fill + n
 
 let remove t ~pair =
   check_pair t pair;

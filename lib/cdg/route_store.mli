@@ -72,24 +72,11 @@ val weight : t -> pair:int -> int
     slice weighs 1. Do not mutate. *)
 val weights : t -> int array option
 
-(** {1 Producing}
-
-    Paths are either written whole with {!set_path} or streamed channel by
-    channel between {!begin_path} and {!commit_path} — the streaming form
-    lets {!Routing.Ftable.path_into} walk a forwarding table straight into
-    the arena with no intermediate list. At most one path may be under
-    construction at a time. The arena doubles when a write outgrows it. *)
+(** {1 Producing} *)
 
 (** [set_path t ~pair p] copies [p] into the arena (replacing any previous
-    path of [pair]). *)
+    path of [pair]). The arena doubles when a write outgrows it. *)
 val set_path : t -> pair:int -> Path.t -> unit
-
-val begin_path : t -> pair:int -> unit
-val push : t -> int -> unit
-val commit_path : t -> unit
-
-(** Drop the path under construction; the pair is left absent. *)
-val abort_path : t -> unit
 
 (** Mark the pair absent (its arena slice is abandoned). *)
 val remove : t -> pair:int -> unit

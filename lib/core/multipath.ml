@@ -24,9 +24,9 @@ let combined_store planes =
           Array.iteri
             (fun di dst ->
               if si <> di then
-                let pair = (plane * per_plane) + (si * nt) + di in
-                if not (Routing.Ftable.path_into ft store ~pair ~src ~dst) then
-                  failwith (Printf.sprintf "Multipath: no route %d -> %d in plane %d" src dst plane))
+                match Routing.Ftable.path ft ~src ~dst with
+                | Some p -> Route_store.set_path store ~pair:((plane * per_plane) + (si * nt) + di) p
+                | None -> failwith (Printf.sprintf "Multipath: no route %d -> %d in plane %d" src dst plane))
             terminals)
         terminals)
     planes;

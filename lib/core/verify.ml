@@ -5,14 +5,6 @@ type report = {
   deadlock_free : bool;
 }
 
-let of_store ft store ~layer_of_path ~deadlock_free =
-  {
-    stats = Routing.Ftable.store_stats ft store;
-    num_layers = Routing.Ftable.num_layers ft;
-    max_layer_seen = Array.fold_left max 0 layer_of_path;
-    deadlock_free;
-  }
-
 let of_classes ft cls ~deadlock_free =
   {
     stats = Routing.Ftable.class_stats ft cls;
@@ -21,21 +13,21 @@ let of_classes ft cls ~deadlock_free =
     deadlock_free;
   }
 
-let acyclic ?domains store ~layer_of_path =
+(* The Acyclic oracle over a per-pair store of [ft]'s routes. *)
+let acyclic ?domains ft store =
+  let layer_of_path = Routing.Ftable.pair_layers ft in
   Acyclic.layers_acyclic_store ?domains store ~layer_of_path
     ~num_layers:(1 + Array.fold_left max 0 layer_of_path)
 
 let deadlock_free ?(domains = 1) ft =
   match Routing.Ftable.to_store ft with
   | Error _ -> false (* some pair unroutable; report this via {!report} *)
-  | Ok store -> acyclic ~domains store ~layer_of_path:(Routing.Ftable.layers_of_store ft store)
+  | Ok store -> acyclic ~domains ft store
 
 let report ft =
-  match Routing.Ftable.to_store ft with
-  | Error msg -> Error msg
-  | Ok store ->
-    let layer_of_path = Routing.Ftable.layers_of_store ft store in
-    Ok (of_store ft store ~layer_of_path ~deadlock_free:(acyclic store ~layer_of_path))
+  Result.map
+    (fun cls -> of_classes ft cls ~deadlock_free:(acyclic ft (Routing.Ftable.expand ft cls)))
+    (Routing.Ftable.to_classes ft)
 
 let pp_report ppf r =
   Format.fprintf ppf "%a layers=%d (max used %d) deadlock_free=%b" Routing.Ftable.pp_stats r.stats

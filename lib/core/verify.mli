@@ -18,18 +18,10 @@ type report = {
   deadlock_free : bool;
 }
 
-(** [of_store ft store ~layer_of_path ~deadlock_free] is the report of a
-    complete store of [ft]'s routes ({!Routing.Ftable.to_store}) with its
-    layers ({!Routing.Ftable.layers_of_store}); completeness is the
-    store's, the statistics come from {!Routing.Ftable.store_stats}, and
-    the deadlock verdict is the caller's proof, passed through.
-    @raise Invalid_argument if [store] lacks some pair of [ft]. *)
-val of_store : Ftable.t -> Route_store.t -> layer_of_path:int array -> deadlock_free:bool -> report
-
-(** [of_classes ft cls ~deadlock_free] is {!of_store} of
-    [Routing.Ftable.expand ft cls] with [ft]'s layers, read off the
-    route classes ({!Routing.Ftable.class_stats}) without expanding
-    them. *)
+(** [of_classes ft cls ~deadlock_free] is the report of [ft]'s routes
+    from its classes ({!Routing.Ftable.to_classes}): completeness is the
+    classes', the statistics come from {!Routing.Ftable.class_stats}, and
+    the deadlock verdict is the caller's proof, passed through. *)
 val of_classes : Ftable.t -> Ftable.classes -> deadlock_free:bool -> report
 
 (** [deadlock_free ?domains ft] rebuilds one CDG per virtual layer from
@@ -37,9 +29,10 @@ val of_classes : Ftable.t -> Ftable.classes -> deadlock_free:bool -> report
     parallel. *)
 val deadlock_free : ?domains:int -> Ftable.t -> bool
 
-(** [report ft] materializes the routes once, collects their statistics
-    ({!of_store}) and checks every layer's CDG acyclic; [Error] names the
-    first pair with no loop-free route. *)
+(** [report ft] walks the route classes once, collects their statistics
+    ({!of_classes}) and checks every layer's CDG, rebuilt from the
+    classes' per-pair expansion, acyclic; [Error] names the first pair
+    with no loop-free route. *)
 val report : Ftable.t -> (report, string) result
 
 val pp_report : Format.formatter -> report -> unit

@@ -188,7 +188,8 @@ let try_candidate t ~label route =
 (* Every table-changing event runs the full recompute. Only when that
    fails does an id-stable event under dfsssp go to the rescue
    ({!Repair.patch}), which re-routes the destinations that used
-   [channels] and keeps every other route and its layer. *)
+   [channels] or any down channel and keeps every other route and its
+   layer. *)
 let reconverge t ~event ~t0 ~old_ft ~reason ~channels =
   let m = t.metrics in
   let g = Fabstate.graph t.state in
@@ -228,7 +229,12 @@ let reconverge t ~event ~t0 ~old_ft ~reason ~channels =
       stale "; the active tables predate a structural rebuild, so no rescue, serving stale tables"
     | Some channels -> (
       Obs.Counter.incr m.Metrics.fallbacks;
-      let dsts = Repair.affected_destinations old_ft ~channels in
+      (* Tables left stale by an earlier failed event can still use
+         channels that event took down: those trees are re-routed too. *)
+      let down =
+        List.filter (fun c -> not (Graph.channel_enabled g c)) (List.init (Graph.num_channels g) Fun.id)
+      in
+      let dsts = Repair.affected_destinations old_ft ~channels:(channels @ down) in
       let repaired = List.length dsts and total = Graph.num_terminals g in
       let action = Incremental { repaired; total } in
       let rescue () =

@@ -5,6 +5,8 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 let affected_destinations ft ~channels =
   let g = Ftable.graph ft in
   let n = Graph.num_nodes g in
+  let listed = Array.make (Graph.num_channels g) false in
+  List.iter (fun c -> listed.(c) <- true) channels;
   let hit_dsts = ref [] in
   Array.iter
     (fun dst ->
@@ -12,7 +14,7 @@ let affected_destinations ft ~channels =
       let u = ref 0 in
       while (not !hit) && !u < n do
         (match Ftable.next ft ~node:!u ~dst with
-        | Some c when List.mem c channels -> hit := true
+        | Some c when listed.(c) -> hit := true
         | _ -> ());
         incr u
       done;
@@ -38,11 +40,11 @@ let patch ?kernel ~graph ~old ~dsts ~weights ~max_layers () =
   let* store = Ftable.to_store ft in
   (* Kept pairs keep their layer; pairs toward repaired destinations are
      placed online around them. *)
-  let seed = Ftable.layers_of_store old store in
+  let seed = Ftable.pair_layers old in
   Route_store.iter_pairs store (fun p ->
       if repaired.(snd (Ftable.pair_of_id ft p)) then seed.(p) <- -1);
   let* o = Online.assign_store ~seed store ~max_layers in
-  Ftable.set_layers_of_store ft store o.Online.layer_of_path;
+  Ftable.set_pair_layers ft o.Online.layer_of_path;
   Ftable.set_num_layers ft o.Online.layers_used;
   Log.debug (fun m ->
       m "patched %d destination(s) over %d layer(s)" (List.length dsts) o.Online.layers_used);

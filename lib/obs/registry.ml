@@ -22,12 +22,24 @@ let item_name = function
   | Counter c -> Counter.name c
   | Timer t -> Timer.name t
 
+let same_kind a b =
+  match (a, b) with
+  | Counter _, Counter _ | Timer _, Timer _ -> true
+  | _ -> false
+
 let register ?(registry = default_registry) item =
+  let name = item_name item in
   Mutex.lock registry.lock;
-  (* same-name re-registration replaces: module re-initialization and
-     repeated tool runs must not grow the snapshot *)
-  registry.items <- item :: List.filter (fun i -> item_name i <> item_name item) registry.items;
-  Mutex.unlock registry.lock
+  (* same-name re-registration of the same kind replaces: module
+     re-initialization and repeated tool runs must not grow the snapshot;
+     a counter and a timer cannot share a name, or one would vanish *)
+  match List.find_opt (fun i -> item_name i = name && not (same_kind i item)) registry.items with
+  | Some _ ->
+    Mutex.unlock registry.lock;
+    invalid_arg (Printf.sprintf "Obs.Registry.register: %S is already registered as another kind" name)
+  | None ->
+    registry.items <- item :: List.filter (fun i -> item_name i <> name) registry.items;
+    Mutex.unlock registry.lock
 
 let counter ?registry ?slots ?desc name =
   let c = Counter.create ?slots ?desc name in

@@ -70,52 +70,19 @@ let pair_of_id t id =
   let si, di = Route_store.Pair.decode ~num_terminals:(Array.length terminals) id in
   (terminals.(si), terminals.(di))
 
-let path_into t store ~pair ~src ~dst =
-  if src = dst then begin
-    Route_store.set_path store ~pair [||];
-    true
-  end
-  else begin
-    let di = dst_index t dst in
-    let limit = hop_limit t in
-    Route_store.begin_path store ~pair;
-    let rec follow node steps =
-      if node = dst then begin
-        Route_store.commit_path store;
-        true
-      end
-      else if steps >= limit then begin
-        Route_store.abort_path store;
-        false
-      end
-      else
-        let c = t.next.(node).(di) in
-        if c < 0 then begin
-          Route_store.abort_path store;
-          false
-        end
-        else begin
-          Route_store.push store c;
-          follow (Graph.channel t.graph c).Channel.dst (steps + 1)
-        end
-    in
-    follow src 0
-  end
-
 let c_to_store =
   Obs.Registry.counter "routing.to_store" ~desc:"forwarding tables walked into a route store"
 
 let t_to_store =
   Obs.Registry.timer "routing.to_store_walk" ~desc:"seconds per forwarding-table walk into a route store"
 
-(* Hop counts of every pair toward terminal index [di], written to
-   [len.(si * nt + di)] (-1 when the walk from [si] fails). Each node's
-   outcome is memoised in [memo] (unknown / [on_walk] / [failed] / hops),
-   so every node is walked once per destination. A walk that revisits a
-   node still on it is a forwarding loop: the walk is deterministic, so it
-   would cycle forever, whereas one that reaches [dst] without a repeat
-   visits distinct nodes and takes at most num_nodes - 1 hops — exactly
-   the verdict of {!path}'s hop-limit walk. *)
+(* Walks toward one destination memoise every node's outcome in [memo]
+   (unknown / [on_walk] / [failed] / hops), so every node is walked once
+   per destination. A walk that revisits a node still on it is a
+   forwarding loop: the walk is deterministic, so it would cycle forever,
+   whereas one that reaches [dst] without a repeat visits distinct nodes
+   and takes at most num_nodes - 1 hops — exactly the verdict of
+   {!path}'s hop-limit walk. *)
 let unknown = -1
 
 let on_walk = -2
@@ -142,66 +109,10 @@ let settle t ~head ~memo ~stack ~di u =
   done;
   if base = failed then failed else base + !top
 
-let count_hops t ~head ~memo ~stack ~len ~di =
-  let terminals = Graph.terminals t.graph in
-  let nt = Array.length terminals in
-  Array.fill memo 0 (Array.length memo) unknown;
-  memo.(terminals.(di)) <- 0;
-  for si = 0 to nt - 1 do
-    if si <> di then begin
-      let h = settle t ~head ~memo ~stack ~di terminals.(si) in
-      len.((si * nt) + di) <- (if h = failed then -1 else h)
-    end
-  done
-
 let no_route t pair =
   let terminals = Graph.terminals t.graph in
   let nt = Array.length terminals in
   Error (Printf.sprintf "no loop-free route %d -> %d" terminals.(pair / nt) terminals.(pair mod nt))
-
-(* Two passes: hop counts of every pair (memoised per destination), then
-   one arena of exactly their sum filled in pair order. *)
-let walk_to_store t =
-  let g = t.graph in
-  let terminals = Graph.terminals g in
-  let nt = Array.length terminals and n = Graph.num_nodes g in
-  let head = Array.map (fun c -> c.Channel.dst) (Graph.channels g) in
-  let len = Array.make (nt * nt) (-1) in
-  let memo = Array.make n unknown and stack = Array.make n 0 in
-  for di = 0 to nt - 1 do
-    count_hops t ~head ~memo ~stack ~len ~di
-  done;
-  let off = Array.make (nt * nt) 0 in
-  let total = ref 0 and failure = ref (-1) in
-  for p = 0 to (nt * nt) - 1 do
-    if len.(p) >= 0 then begin
-      off.(p) <- !total;
-      total := !total + len.(p)
-    end
-    else if !failure < 0 && p / nt <> p mod nt then failure := p
-  done;
-  if !failure >= 0 then no_route t !failure
-  else begin
-    let buf = Array.make !total 0 in
-    for si = 0 to nt - 1 do
-      for di = 0 to nt - 1 do
-        if si <> di then begin
-          let p = (si * nt) + di in
-          let u = ref terminals.(si) and o = off.(p) in
-          for k = o to o + len.(p) - 1 do
-            let c = t.next.(!u).(di) in
-            buf.(k) <- c;
-            u := head.(c)
-          done
-        end
-      done
-    done;
-    Ok (Route_store.of_arena g ~buf ~off ~len ~num_paths:(nt * (nt - 1)))
-  end
-
-let to_store t =
-  Obs.Counter.incr c_to_store;
-  Obs.Timer.time t_to_store (fun () -> walk_to_store t)
 
 (* ------------------------------------------------------------------ *)
 (* Route classes                                                        *)
@@ -360,6 +271,12 @@ let expand t cls =
   done;
   Route_store.of_arena g ~buf ~off ~len ~num_paths:!present
 
+(* The per-pair store is the expansion of the class walk; it bumps
+   [routing.to_store], not [routing.class_walks]. *)
+let to_store t =
+  Obs.Counter.incr c_to_store;
+  Obs.Timer.time t_to_store (fun () -> Result.map (expand t) (walk_classes t))
+
 let iter_pairs t f =
   let terminals = Graph.terminals t.graph in
   Array.iter
@@ -400,59 +317,23 @@ let set_num_layers t n =
   if n < 1 then invalid_arg "Ftable.set_num_layers";
   t.num_layers <- n
 
-let layers_of_store t store =
-  let len = Route_store.lengths store in
-  let layer_of_path = Array.make (Array.length len) (-1) in
-  (match t.layers with
-  | None ->
-    for pair = 0 to Array.length len - 1 do
-      if len.(pair) >= 0 then layer_of_path.(pair) <- 0
-    done
-  | Some l ->
-    let nt = Graph.num_terminals t.graph in
-    for pair = 0 to Array.length len - 1 do
-      if len.(pair) >= 0 then layer_of_path.(pair) <- Char.code (Bytes.get l.(pair / nt) (pair mod nt))
-    done);
-  layer_of_path
-
-(* Writes [layer_of_pair.(p)] for every off-diagonal pair [p] that
-   [present] (the lengths of a store over this table's pair ids, or every
-   pair) holds, after checking all of them, so a refusal leaves the table
-   untouched. *)
-let write_layers t ~what ?present layer_of_pair =
+let set_pair_layers t layer_of_pair =
   let nt = Graph.num_terminals t.graph in
-  let keep p = match present with None -> true | Some len -> len.(p) >= 0 in
+  if Array.length layer_of_pair <> nt * nt then invalid_arg "Ftable.set_pair_layers: wrong length";
+  (* every layer is checked before any is written *)
   for si = 0 to nt - 1 do
     for di = 0 to nt - 1 do
-      let p = (si * nt) + di in
-      if si <> di && keep p then begin
-        let vl = layer_of_pair.(p) in
-        if vl < 0 || vl > 255 then invalid_arg (Printf.sprintf "Ftable.%s: layer out of range" what)
-      end
+      let vl = layer_of_pair.((si * nt) + di) in
+      if si <> di && (vl < 0 || vl > 255) then invalid_arg "Ftable.set_pair_layers: layer out of range"
     done
   done;
   let l = ensure_layers t in
   for si = 0 to nt - 1 do
     let row = l.(si) in
     for di = 0 to nt - 1 do
-      let p = (si * nt) + di in
-      if si <> di && keep p then Bytes.unsafe_set row di (Char.unsafe_chr layer_of_pair.(p))
+      if si <> di then Bytes.unsafe_set row di (Char.unsafe_chr layer_of_pair.((si * nt) + di))
     done
   done
-
-let set_layers_of_store t store layer_of_path =
-  let nt = Graph.num_terminals t.graph in
-  if Route_store.capacity store <> nt * nt then
-    invalid_arg "Ftable.set_layers_of_store: store does not match the table";
-  if Array.length layer_of_path <> nt * nt then
-    invalid_arg "Ftable.set_layers_of_store: layer_of_path does not cover the store";
-  if Route_store.num_paths store > 0 then
-    write_layers t ~what:"set_layers_of_store" ~present:(Route_store.lengths store) layer_of_path
-
-let set_pair_layers t layer_of_pair =
-  let nt = Graph.num_terminals t.graph in
-  if Array.length layer_of_pair <> nt * nt then invalid_arg "Ftable.set_pair_layers: wrong length";
-  write_layers t ~what:"set_pair_layers" layer_of_pair
 
 let set_class_layers t cls class_layer =
   let nt = Graph.num_terminals t.graph in
@@ -537,7 +418,6 @@ type stats = {
   minimal : bool;
 }
 
-(* Statistics from every pair's hop count [hops pair]. *)
 (* [dist.(u)] := hops from [u] to [root] over the enabled channels
    ([max_int] if unreachable), by BFS on the reversed graph. *)
 let bfs_to g ~dist ~queue root =
@@ -627,12 +507,6 @@ let stats_of_hops t hops =
     order;
   stats ~pairs:(nt * (nt - 1)) ~total_hops:!total_hops ~max_hops:!max_hops ~minimal:!minimal
 
-let store_stats t store =
-  let nt = Graph.num_terminals t.graph in
-  if Route_store.capacity store <> nt * nt then
-    invalid_arg "Ftable.store_stats: store does not match the table";
-  stats_of_hops t (fun pair -> Route_store.length store ~pair)
-
 (* When every pair leaves its source by the source's one enabled
    channel, a pair of class (s, d) is [1 + d(s, d)] away from [d], so a
    class is minimal iff its slice is no longer than [d(s, d)]: the
@@ -690,7 +564,7 @@ let class_stats t cls =
     stats ~pairs:(nt * (nt - 1)) ~total_hops:!total_hops ~max_hops:!max_hops ~minimal:!minimal
   end
 
-let validate t = Result.map (store_stats t) (to_store t)
+let validate t = Result.map (class_stats t) (to_classes t)
 
 let pp_stats ppf s =
   Format.fprintf ppf "pairs=%d max_hops=%d avg_hops=%.2f minimal=%b" s.pairs s.max_hops s.avg_hops s.minimal

@@ -51,34 +51,6 @@ val pair_id : t -> src:int -> dst:int -> int
 (** [pair_of_id t id] decodes a pair id back to terminal node ids. *)
 val pair_of_id : t -> int -> int * int
 
-(** [path_into t store ~pair ~src ~dst] streams the forwarding walk for
-    [src -> dst] directly into [store] under [pair] — no intermediate
-    path array. Returns [false] (store unchanged for that pair) if an
-    entry is missing or a loop is hit. [src = dst] stores the empty
-    path. *)
-val path_into : t -> Deadlock.Route_store.t -> pair:int -> src:int -> dst:int -> bool
-
-(** [to_store t] walks every ordered pair of distinct terminals into a
-    fresh arena of capacity {!num_pairs}, pair ids as above; each pair's
-    slice is its {!path}. [Error] names the first pair
-    (in pair-id order) with no loop-free route.
-
-    Two passes. The first follows the tables toward each destination in
-    turn, memoising every node's hop count, so each node is walked once
-    per destination; a node revisited while still on the current walk
-    proves a forwarding loop and a missing entry a dead end (the same
-    verdicts as {!path}'s hop-limit walk, since a loop-free walk takes at
-    most [num_nodes - 1] hops). The second allocates one arena of exactly
-    the summed hop counts — [Array.length (Route_store.buffer s)] equals
-    [Route_store.total_channels s] — and fills the slices in pair order.
-
-    Every call bumps the [routing.to_store] counter of the default
-    {!Obs.Registry} and records its duration in the
-    [routing.to_store_walk] timer: a full walk is the dominant cost of an
-    epoch swap, so the number of them per swap is part of the fabric
-    manager's contract. *)
-val to_store : t -> (Deadlock.Route_store.t, string) result
-
 (** {1 Route classes}
 
     Tables are destination-based, so pair [(t, d)] leaves [t] by the
@@ -110,19 +82,31 @@ type classes = {
     terminal is an endpoint; in a fabric where each terminal hangs off
     one switch such a walk loops anyway), so no class slice holds a
     channel that leaves a terminal. [Error] names the first pair, in
-    pair-id order, with no loop-free route — the message {!to_store}
-    gives. Every call bumps the [routing.class_walks] counter. *)
+    pair-id order, with no loop-free route. Every call bumps the
+    [routing.class_walks] counter. *)
 val to_classes : t -> (classes, string) result
 
 (** [entry t ~src_index ~dst_index] is the channel the pair leaves its
     source by ([-1] if unset), over terminal indices. *)
 val entry : t -> src_index:int -> dst_index:int -> int
 
-(** [expand t cls] is the per-pair store of [t] ({!to_store}'s, slice for
-    slice) rebuilt from its classes: pair [(t, d)]'s slice is
-    [entry t d] followed by its class's slice. One exactly-sized arena,
-    no table walk. *)
+(** [expand t cls] is the per-pair store of [t] rebuilt from its
+    classes: pair [(t, d)]'s slice is [entry t d] followed by its class's
+    slice. One exactly-sized arena, no table walk. *)
 val expand : t -> classes -> Deadlock.Route_store.t
+
+(** [to_store t] is the per-pair store of [t]: capacity {!num_pairs},
+    pair ids as above, each pair's slice its {!path}. It is {!expand} of
+    the class walk ({!to_classes}), the one all-pairs walk of a table.
+    [Error] names the first pair (in pair-id order) with no loop-free
+    route.
+
+    Every call bumps the [routing.to_store] counter of the default
+    {!Obs.Registry} (not [routing.class_walks]) and records its duration
+    in the [routing.to_store_walk] timer: a table walk is a dominant cost
+    of an epoch swap, so the number of them per swap is part of the
+    fabric manager's contract. *)
+val to_store : t -> (Deadlock.Route_store.t, string) result
 
 (** [iter_pairs t f] calls [f ~src ~dst path] for every ordered pair of
     distinct terminals, in a deterministic order.
@@ -144,21 +128,6 @@ val max_layer_ids : int
 val num_layers : t -> int
 
 val set_num_layers : t -> int -> unit
-
-(** [layers_of_store t store] is the layer of every pair present in
-    [store], indexed by pair id over the store's capacity; absent pairs
-    carry [-1]. [store] must use this table's pair ids ({!to_store}). *)
-val layers_of_store : t -> Deadlock.Route_store.t -> int array
-
-(** [set_layers_of_store t store layer_of_path] is the inverse of
-    {!layers_of_store}: it writes [layer_of_path.(pair)] as the layer of
-    every pair present in [store], by pair id, and leaves absent pairs
-    alone. [store] must use this table's pair ids ({!to_store}). Every
-    layer is checked before any is written, so a refusal leaves the
-    table untouched.
-    @raise Invalid_argument if the store or [layer_of_path] does not span
-    {!num_pairs}, or a present pair's layer is outside [[0, 255]]. *)
-val set_layers_of_store : t -> Deadlock.Route_store.t -> int array -> unit
 
 (** [pair_layers t] is the layer of every pair by pair id, [-1] on the
     diagonal. *)
@@ -209,21 +178,17 @@ type stats = {
   minimal : bool;  (** every route has min-hop length *)
 }
 
-(** [store_stats t store] collects the statistics of a complete store of
-    [t]'s routes (as {!to_store} returns it) without walking the tables
-    again: hop counts are the slice lengths, and minimality compares them
-    with one reverse BFS per destination over the enabled channels.
-    @raise Invalid_argument if [store] lacks some pair of [t]. *)
-val store_stats : t -> Deadlock.Route_store.t -> stats
-
-(** [class_stats t cls] is {!store_stats} of [expand t cls], read off the
-    classes: a pair's hop count is 1 + its class's slice length.
+(** [class_stats t cls] collects the statistics of [t]'s routes from its
+    classes, without expanding them: a pair's hop count is 1 + its
+    class's slice length, and minimality compares hop counts with reverse
+    BFS distances over the enabled channels (one BFS per switch feeding
+    destinations).
     @raise Invalid_argument if [cls] does not span {!num_pairs} or an
     off-diagonal pair has no class. *)
 val class_stats : t -> classes -> stats
 
 (** Check that every ordered terminal pair has a loop-free path and collect
-    statistics: {!to_store} then {!store_stats}. [Error msg] names the
+    statistics: {!to_classes} then {!class_stats}. [Error msg] names the
     first offending pair. *)
 val validate : t -> (stats, string) result
 

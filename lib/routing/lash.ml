@@ -46,14 +46,13 @@ let route ?(max_layers = 16) g =
   match plain_minhop g with
   | Error msg -> Error ("lash: " ^ msg)
   | Ok ft -> (
-    match Ftable.to_store ft with
+    (* placed by route class: every pair gets its class's layer *)
+    match Ftable.to_classes ft with
     | Error msg -> Error ("lash: " ^ msg)
-    | Ok store -> (
-      match Online.assign_store store ~max_layers with
+    | Ok cls -> (
+      match Online.assign_store cls.Ftable.store ~max_layers with
       | Error msg -> Error ("lash: " ^ msg)
       | Ok outcome ->
-        Route_store.iter_pairs store (fun pair ->
-            let src, dst = Ftable.pair_of_id ft pair in
-            Ftable.set_layer ft ~src ~dst outcome.Online.layer_of_path.(pair));
+        Ftable.set_class_layers ft cls outcome.Online.layer_of_path;
         Ftable.set_num_layers ft outcome.Online.layers_used;
         Ok ft))

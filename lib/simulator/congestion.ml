@@ -58,9 +58,9 @@ let evaluate ft ~flows =
   let store = Deadlock.Route_store.create g ~capacity:(Array.length flows) in
   Array.iteri
     (fun f (src, dst) ->
-      if src = dst then Deadlock.Route_store.set_path store ~pair:f [||]
-      else if not (Ftable.path_into ft store ~pair:f ~src ~dst) then
-        failwith (Printf.sprintf "Congestion.evaluate: no route %d -> %d" src dst))
+      match Ftable.path ft ~src ~dst with
+      | Some p -> Deadlock.Route_store.set_path store ~pair:f p
+      | None -> failwith (Printf.sprintf "Congestion.evaluate: no route %d -> %d" src dst))
     flows;
   evaluate_store store
 

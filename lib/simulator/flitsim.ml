@@ -38,8 +38,9 @@ let run ?(config = default_config) ft ~flows =
     (fun f (src, dst, packets) ->
       if src = dst then invalid_arg "Flitsim.run: flow with src = dst";
       if packets < 0 then invalid_arg "Flitsim.run: negative packet count";
-      if not (Ftable.path_into ft store ~pair:f ~src ~dst) then
-        failwith (Printf.sprintf "Flitsim.run: no route %d -> %d" src dst))
+      match Ftable.path ft ~src ~dst with
+      | Some p -> Deadlock.Route_store.set_path store ~pair:f p
+      | None -> failwith (Printf.sprintf "Flitsim.run: no route %d -> %d" src dst))
     flows;
   let poff = Array.init nflows (fun f -> Deadlock.Route_store.offset store ~pair:f) in
   (* fetched after the last write: arena growth replaces the buffer *)

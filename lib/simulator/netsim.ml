@@ -62,8 +62,9 @@ let run ?(config = default_config) ft ~flows =
     (fun f (src, dst, bytes) ->
       if src = dst then invalid_arg "Netsim.run: flow with src = dst";
       if bytes < 0 then invalid_arg "Netsim.run: negative flow size";
-      if not (Ftable.path_into ft store ~pair:f ~src ~dst) then
-        failwith (Printf.sprintf "Netsim.run: no route %d -> %d" src dst))
+      match Ftable.path ft ~src ~dst with
+      | Some p -> Deadlock.Route_store.set_path store ~pair:f p
+      | None -> failwith (Printf.sprintf "Netsim.run: no route %d -> %d" src dst))
     flows;
   let poff = Array.init nflows (fun f -> Deadlock.Route_store.offset store ~pair:f) in
   let plen = Array.init nflows (fun f -> Deadlock.Route_store.length store ~pair:f) in

@@ -112,20 +112,23 @@ let has_rule findings id = Analysis.Diag.has_rule findings id
 (* Certificates on the paper's seeds                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The certifier's artifacts of a table, from one walk, as the analyzer
-   takes them. *)
+(* A table's per-pair routes and layers: the oracle side the class-keyed
+   certifier is compared with. *)
 let artifacts ft =
-  match Analysis.Cert.artifacts_of_table ft with
-  | Ok a -> a
+  match Routing.Ftable.to_store ft with
+  | Ok store -> (store, Routing.Ftable.pair_layers ft)
   | Error msg -> Alcotest.failf "artifacts: %s" msg
 
-let cert_of_table ft =
+let per_pair_routes ft =
   let store, layer_of_path = artifacts ft in
-  Analysis.Cert.of_artifacts ft store ~layer_of_path
+  Analysis.Cert.Routes.of_store store ~layer_of_path
 
-let check_table cert ft =
-  let store, layer_of_path = artifacts ft in
-  Analysis.Cert.check cert store ~layer_of_path
+let cert_of_table ft = Analysis.Cert.of_routes ft (per_pair_routes ft)
+
+let check_table cert ft = Analysis.Cert.check_routes cert (per_pair_routes ft)
+
+let check_store cert store ~layer_of_path =
+  Analysis.Cert.check_routes cert (Analysis.Cert.Routes.of_store store ~layer_of_path)
 
 let test_certify_seeds () =
   List.iter
@@ -141,26 +144,30 @@ let test_certify_seeds () =
         | Error msg -> Alcotest.failf "%s: check: %s" name msg))
     (seeds ())
 
-(* certify_store hands back the artifacts it certified: a complete store
-   of the table's own routes, and one the checker accepts the returned
-   certificate against; refusals read exactly like certify's. *)
-let test_certify_store () =
+(* certify_classes hands back the classes it certified: they expand to
+   a complete store of the table's own routes, and the checker accepts
+   the returned certificate against that per-pair store under the
+   table's layers; refusals read exactly like certify's. *)
+let test_certify_classes () =
   List.iter
     (fun (name, g) ->
       let ft = route "dfsssp" g in
-      match Analysis.Analyzer.certify_store ft with
+      match Analysis.Analyzer.certify_classes ft with
       | Error msg -> Alcotest.failf "%s: %s" name msg
-      | Ok (cert, store, layer_of_path) ->
+      | Ok (cert, cls) ->
+        let store = Routing.Ftable.expand ft cls in
         let nt = Graph.num_terminals g in
         check Alcotest.int (name ^ " every pair stored") (nt * (nt - 1))
           (Deadlock.Route_store.num_paths store);
-        check Alcotest.bool (name ^ " layers are the table's") true
-          (layer_of_path = Routing.Ftable.layers_of_store ft store);
-        check Alcotest.bool (name ^ " certificate checks against the store") true
-          (Result.is_ok (Analysis.Cert.check cert store ~layer_of_path)))
+        Deadlock.Route_store.iter_pairs store (fun pair ->
+            let src, dst = Routing.Ftable.pair_of_id ft pair in
+            if Some (Deadlock.Route_store.to_path store ~pair) <> Routing.Ftable.path ft ~src ~dst then
+              Alcotest.failf "%s: pair %d is not the table's route" name pair);
+        check Alcotest.bool (name ^ " certificate checks against the per-pair store") true
+          (Result.is_ok (check_store cert store ~layer_of_path:(Routing.Ftable.pair_layers ft))))
     (seeds ());
   let bad = clockwise_ring ~switches:8 in
-  match (Analysis.Analyzer.certify_store bad, Analysis.Analyzer.certify bad) with
+  match (Analysis.Analyzer.certify_classes bad, Analysis.Analyzer.certify bad) with
   | Error a, Error b -> check Alcotest.string "same refusal as certify" b a
   | _ -> Alcotest.fail "clockwise ring must not certify"
 
@@ -292,7 +299,7 @@ let test_cert_text_roundtrip () =
 
 let torus_table () = route "dfsssp" (fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1))
 
-(* Cert.check scans the route arena directly; this reference walks the
+(* Cert.check_routes scans the route arena directly; this reference walks the
    same store pair by pair through Route_store.iter_deps and reports the
    first violation in the same words. *)
 let reference_check (cert : Analysis.Cert.t) store ~layer_of_path =
@@ -318,7 +325,7 @@ let test_cert_check_matches_reference () =
   let ft = torus_table () in
   let store, layer_of_path = artifacts ft in
   let cert =
-    match Analysis.Cert.of_artifacts ft store ~layer_of_path with
+    match Analysis.Cert.of_routes ft (Analysis.Cert.Routes.of_store store ~layer_of_path) with
     | Ok c -> c
     | Error e -> Alcotest.failf "generate: %s" (Analysis.Cert.error_to_string e)
   in
@@ -335,7 +342,7 @@ let test_cert_check_matches_reference () =
       Alcotest.(result unit string)
       label
       (reference_check corrupt store ~layer_of_path)
-      (Analysis.Cert.check corrupt store ~layer_of_path)
+      (check_store corrupt store ~layer_of_path)
   in
   (* swapping the two ends of a dependency always breaks it: one such swap
      on the first, a middle and the last pair's route *)
@@ -344,7 +351,7 @@ let test_cert_check_matches_reference () =
     (fun pair ->
       let path = Deadlock.Route_store.to_path store ~pair in
       let corrupt = swapped layer_of_path.(pair) path.(0) path.(1) in
-      check Alcotest.bool "dependency swap rejected" true (Result.is_error (Analysis.Cert.check corrupt store ~layer_of_path));
+      check Alcotest.bool "dependency swap rejected" true (Result.is_error (check_store corrupt store ~layer_of_path));
       agree "dependency swap" corrupt)
     [ List.hd present; List.nth present (List.length present / 2); List.nth present (List.length present - 1) ];
   (* arbitrary swaps, violating or not *)
@@ -354,21 +361,21 @@ let test_cert_check_matches_reference () =
     agree "random swap" (swapped (Rng.int rng (Analysis.Cert.num_layers cert)) (Rng.int rng m) (Rng.int rng m))
   done
 
-let test_set_layers_of_store () =
+let test_set_pair_layers () =
   let ft = torus_table () in
-  let store, layer_of_path = artifacts ft in
+  let layer_of_path = Routing.Ftable.pair_layers ft in
   let copy = copy_table ft in
   let shifted = Array.map (fun l -> if l < 0 then l else (l + 1) mod 3) layer_of_path in
-  Routing.Ftable.set_layers_of_store copy store shifted;
-  check Alcotest.(array int) "set then read is the identity" shifted (Routing.Ftable.layers_of_store copy store);
-  Routing.Ftable.set_layers_of_store copy store layer_of_path;
-  check Alcotest.(array int) "restored" layer_of_path (Routing.Ftable.layers_of_store copy store);
+  Routing.Ftable.set_pair_layers copy shifted;
+  check Alcotest.(array int) "set then read is the identity" shifted (Routing.Ftable.pair_layers copy);
+  Routing.Ftable.set_pair_layers copy layer_of_path;
+  check Alcotest.(array int) "restored" layer_of_path (Routing.Ftable.pair_layers copy);
   let terms = Graph.terminals (Routing.Ftable.graph ft) in
   let pair = Routing.Ftable.pair_id ft ~src:terms.(1) ~dst:terms.(0) in
   let too_high = Array.copy layer_of_path in
   too_high.(pair) <- 256;
-  Alcotest.check_raises "layer above 255" (Invalid_argument "Ftable.set_layers_of_store: layer out of range")
-    (fun () -> Routing.Ftable.set_layers_of_store copy store too_high)
+  Alcotest.check_raises "layer above 255" (Invalid_argument "Ftable.set_pair_layers: layer out of range")
+    (fun () -> Routing.Ftable.set_pair_layers copy too_high)
 
 let test_a001_dropped_entry () =
   let ft = torus_table () in
@@ -818,7 +825,7 @@ let () =
       ( "cert",
         [
           Alcotest.test_case "certifies dfsssp on the paper seeds" `Quick test_certify_seeds;
-          Alcotest.test_case "certify_store returns the checked artifacts" `Quick test_certify_store;
+          Alcotest.test_case "certify_classes returns its classes" `Quick test_certify_classes;
           Alcotest.test_case "certify telemetry is one timer" `Quick test_certify_telemetry;
           Alcotest.test_case "fresh dfsssp/lash/updown tables are clean" `Quick test_fresh_tables_clean;
           Alcotest.test_case "checker rejects corrupted certificates" `Quick test_cert_rejects_corruption;
@@ -827,7 +834,7 @@ let () =
           Alcotest.test_case "certificate text round trip" `Quick test_cert_text_roundtrip;
           Alcotest.test_case "check names the reference scan's first violation" `Quick
             test_cert_check_matches_reference;
-          Alcotest.test_case "set_layers_of_store inverts layers_of_store" `Quick test_set_layers_of_store;
+          Alcotest.test_case "set_pair_layers inverts pair_layers" `Quick test_set_pair_layers;
         ] );
       ( "lint",
         [

@@ -100,15 +100,9 @@ let test_route_store_basics () =
   Alcotest.(check bool) "present" true (Route_store.mem store ~pair:3);
   check Alcotest.int "length" (Array.length paths.(0)) (Route_store.length store ~pair:3);
   check Alcotest.(array int) "round trip" paths.(0) (Route_store.to_path store ~pair:3);
-  (* streaming producer protocol *)
-  Route_store.begin_path store ~pair:4;
-  Array.iter (Route_store.push store) paths.(1);
-  Route_store.commit_path store;
-  check Alcotest.(array int) "streamed" paths.(1) (Route_store.to_path store ~pair:4);
-  Route_store.begin_path store ~pair:5;
-  Route_store.push store paths.(2).(0);
-  Route_store.abort_path store;
-  Alcotest.(check bool) "aborted absent" false (Route_store.mem store ~pair:5);
+  Route_store.set_path store ~pair:4 paths.(1);
+  check Alcotest.(array int) "second slice" paths.(1) (Route_store.to_path store ~pair:4);
+  Alcotest.(check bool) "untouched pair absent" false (Route_store.mem store ~pair:5);
   (* overwrite, then remove *)
   Route_store.set_path store ~pair:3 paths.(2);
   check Alcotest.(array int) "overwritten" paths.(2) (Route_store.to_path store ~pair:3);
@@ -585,7 +579,7 @@ let seeded_fixture seed =
     | Error _ -> None
     | Ok ft ->
       let certified = Result.get_ok (Routing.Ftable.to_store ft) in
-      let layers = Routing.Ftable.layers_of_store ft certified in
+      let layers = Routing.Ftable.pair_layers ft in
       let rerouted = Array.map (fun _ -> Rng.int rng 3 = 0) (Array.make (Graph.num_nodes g) ()) in
       let store = Route_store.create g ~capacity:(Route_store.capacity certified) in
       let seed = Array.make (Route_store.capacity certified) (-1) in
@@ -664,6 +658,61 @@ let test_pk_accepts_and_rejects () =
   Cdg.remove_path cdg ~pair:99 fake;
   Alcotest.(check bool) "order still consistent" true (Pk_order.consistent pk);
   Alcotest.(check bool) "self edge rejected" false (Pk_order.insert pk ~c1:p.(0) ~c2:p.(0))
+
+(* A path's fresh edges accepted before its rejection are forgotten with
+   the rollback: once a later insertion has reordered their endpoints, a
+   revived copy must not count as accepted before its own insert, or
+   probes would cross it out of order. *)
+let test_pk_rollback_forgets () =
+  let g, paths = ring_fixture 5 in
+  let a = paths.(0).(0) and b = paths.(0).(1) and c = paths.(0).(2) in
+  let cdg = Cdg.create g in
+  let pk = Pk_order.create cdg in
+  Cdg.add_path cdg ~pair:0 [| c; b |];
+  Alcotest.(check bool) "c -> b" true (Pk_order.insert pk ~c1:c ~c2:b);
+  (* a path a -> b -> c: its first edge fits, its second closes b -> c -> b *)
+  let p = [| a; b; c |] in
+  Cdg.add_path cdg ~pair:1 p;
+  Alcotest.(check bool) "e1 = a -> b accepted" true (Pk_order.insert pk ~c1:a ~c2:b);
+  Alcotest.(check bool) "e2 = b -> c rejected" false (Pk_order.insert pk ~c1:b ~c2:c);
+  Cdg.remove_path cdg ~pair:1 p;
+  Pk_order.forget pk ~c1:a ~c2:b;
+  Pk_order.forget pk ~c1:b ~c2:c;
+  (* with e1 gone, b -> a fits and puts b before a *)
+  Cdg.add_path cdg ~pair:2 [| b; a |];
+  Alcotest.(check bool) "b -> a accepted" true (Pk_order.insert pk ~c1:b ~c2:a);
+  Alcotest.(check bool) "b now precedes a" true (Pk_order.position pk b < Pk_order.position pk a);
+  (* revive e1 in the CDG: not yet registered, the order stays valid *)
+  Cdg.add_path cdg ~pair:3 [| a; b |];
+  Alcotest.(check bool) "consistent after the revival" true (Pk_order.consistent pk);
+  Alcotest.(check bool) "revived e1 closes a -> b -> a" false (Pk_order.insert pk ~c1:a ~c2:b);
+  Cdg.remove_path cdg ~pair:3 [| a; b |];
+  Alcotest.(check bool) "consistent after the second rollback" true (Pk_order.consistent pk)
+
+(* The online placement on the SSSP store of a 12x12 torus, pair by pair
+   and class by class, is the Kahn reference's placement, and every layer
+   is acyclic. A rejected path's stale accepted edges used to let a later
+   path close a cycle unseen here (layer 1 cyclic in both stores). *)
+let test_online_torus_matches_reference () =
+  let g = fst (Topo_torus.torus ~dims:[| 12; 12 |] ~terminals_per_switch:1) in
+  let ft = Result.get_ok (Routing.Sssp.route g) in
+  let cls = Result.get_ok (Routing.Ftable.to_classes ft) in
+  List.iter
+    (fun (what, store) ->
+      let pinned = Array.make (Route_store.capacity store) (-1) in
+      match Online.assign_store store ~max_layers:16 with
+      | Error msg -> Alcotest.failf "%s: %s" what msg
+      | Ok o ->
+        let layer_of_path = o.Online.layer_of_path in
+        Alcotest.(check bool)
+          (what ^ ": every layer acyclic")
+          true
+          (Acyclic.layers_acyclic_store store ~layer_of_path ~num_layers:o.Online.layers_used);
+        Alcotest.(check bool)
+          (what ^ ": the Kahn reference placement")
+          true
+          (Some layer_of_path = reference_online store ~pinned ~max_layers:16))
+    [ ("per pair", Result.get_ok (Routing.Ftable.to_store ft)); ("per class", cls.Routing.Ftable.store) ]
 
 let online_matches_reference_qcheck =
   qtest ~count:30 "online: placement equals the Kahn reference" QCheck2.Gen.(int_range 0 10_000)
@@ -905,6 +954,8 @@ let () =
       ( "pk_order",
         [
           Alcotest.test_case "accepts and rejects" `Quick test_pk_accepts_and_rejects;
+          Alcotest.test_case "rollback forgets accepted edges" `Quick test_pk_rollback_forgets;
+          Alcotest.test_case "torus 12x12 equals the Kahn reference" `Slow test_online_torus_matches_reference;
           online_matches_reference_qcheck;
           pk_order_invariant_qcheck;
         ] );

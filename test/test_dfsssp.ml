@@ -324,8 +324,9 @@ let test_budget_over_256 () =
 
 (* Route classes of a torus with two terminals per switch: one class per
    (switch, destination), weighing the switch's terminals other than the
-   destination; expanded, they are to_store's store slice for slice, and
-   a broken table fails both walks with the same message. *)
+   destination; expanded (to_store), every slice is its pair's own table
+   walk, the statistics are the per-pair oracle's, and a broken table's
+   refusal names the first pair, in pair order, whose walk fails. *)
 let test_route_classes () =
   let g = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:2) in
   let ft = Result.get_ok (Routing.Sssp.route g) in
@@ -336,13 +337,13 @@ let test_route_classes () =
   let weights = List.init 162 (fun k -> Dfsssp.Route_store.weight classes ~pair:k) in
   check Alcotest.int "every pair in one class" (18 * 17) (List.fold_left ( + ) 0 weights);
   check Alcotest.(list int) "weights" [ 1; 2 ] (List.sort_uniq compare weights);
-  let expanded = Routing.Ftable.expand ft cls in
-  check Alcotest.int "same pairs" (Dfsssp.Route_store.num_paths store) (Dfsssp.Route_store.num_paths expanded);
+  check Alcotest.int "every pair" (18 * 17) (Dfsssp.Route_store.num_paths store);
   Dfsssp.Route_store.iter_pairs store (fun pair ->
-      check Alcotest.(array int) "same slice" (Dfsssp.Route_store.to_path store ~pair)
-        (Dfsssp.Route_store.to_path expanded ~pair));
+      let src, dst = Routing.Ftable.pair_of_id ft pair in
+      check Alcotest.(option (array int)) "slice is the walk" (Routing.Ftable.path ft ~src ~dst)
+        (Some (Dfsssp.Route_store.to_path store ~pair)));
   check Alcotest.bool "same statistics" true
-    (Routing.Ftable.store_stats ft store = Routing.Ftable.class_stats ft cls);
+    (Oracles.Stats_ref.of_table ft = Ok (Routing.Ftable.class_stats ft cls));
   (* the same routes over a fabric where terminal 0's cable is down and
      a detour is cheaper: measured pair by pair, as to_store's store *)
   let t0 = (Graph.terminals g).(0) in
@@ -361,8 +362,8 @@ let test_route_classes () =
         (Graph.terminals g))
     (Graph.nodes g);
   check Alcotest.bool "same statistics, degraded" true
-    (Routing.Ftable.store_stats copy (Result.get_ok (Routing.Ftable.to_store copy))
-    = Routing.Ftable.class_stats copy (Result.get_ok (Routing.Ftable.to_classes copy)));
+    (Oracles.Stats_ref.of_table copy
+    = Ok (Routing.Ftable.class_stats copy (Result.get_ok (Routing.Ftable.to_classes copy))));
   (* cut one switch's entry toward the last terminal *)
   let terms = Graph.terminals g in
   let dst = terms.(17) in
@@ -378,9 +379,12 @@ let test_route_classes () =
           | _ -> ())
         terms)
     (Graph.nodes g);
-  match (Routing.Ftable.to_store broken, Routing.Ftable.to_classes broken) with
-  | Error a, Error b -> check Alcotest.string "same refusal" a b
-  | _ -> Alcotest.fail "a dead entry must fail both walks"
+  match Oracles.Stats_ref.of_table broken with
+  | Ok _ -> Alcotest.fail "a dead entry must fail the per-pair walk"
+  | Error want -> (
+    match Routing.Ftable.to_classes broken with
+    | Error got -> check Alcotest.string "first failing pair" want got
+    | Ok _ -> Alcotest.fail "a dead entry must fail the class walk")
 
 let () =
   Alcotest.run "dfsssp"

@@ -337,6 +337,41 @@ let test_manager_stale_after_failed_rebuild () =
     (Testutil.contains next.Fabric.Manager.note "predate a structural rebuild");
   check Alcotest.bool "not converged" false (Fabric.Manager.converged mgr)
 
+(* A failed event leaves stale tables that still route over the cable it
+   took down; the next event's rescue must re-route those trees too, not
+   only the ones over its own cable, or it swaps in a certified table
+   with forwarding entries over a dead link. torus:4x4 with two layers:
+   "down 78" fails outright, "down 8" and "down 32" are rescued. *)
+let test_rescue_after_stale_event () =
+  let g = spec_graph "torus:4x4" in
+  let config = { Fabric.Manager.default_config with max_layers = 2 } in
+  let mgr = Result.get_ok (Fabric.Manager.create ~config g) in
+  let schedule = Result.get_ok (Fabric.Schedule.of_string "down 78\ndown 8\ndown 32\n") in
+  let dead_entries ft =
+    let fabric = Routing.Ftable.graph ft in
+    let n = ref 0 in
+    Array.iter
+      (fun dst ->
+        for u = 0 to Graph.num_nodes fabric - 1 do
+          match Routing.Ftable.next ft ~node:u ~dst with
+          | Some c when not (Graph.channel_enabled fabric c) -> incr n
+          | _ -> ()
+        done)
+      (Graph.terminals fabric);
+    !n
+  in
+  List.iteri
+    (fun i event ->
+      let o = Fabric.Manager.apply mgr event in
+      let what = Fabric.Event.to_string event in
+      if i = 0 then check Alcotest.bool (what ^ " left stale") true (o.Fabric.Manager.verify = None)
+      else begin
+        check Alcotest.bool (what ^ " rescued") true o.Fabric.Manager.fallback;
+        check_verified what o;
+        check Alcotest.int (what ^ ": no entry over a down cable") 0 (dead_entries (Fabric.Manager.tables mgr))
+      end)
+    schedule
+
 (* The acceptance run: 4x4x4 torus, 10-event mixed schedule (link downs, a
    link up, one switch removal). With layers to spare every applied event
    ends in a verified full swap and the rescue never runs. *)
@@ -651,6 +686,7 @@ let () =
           Alcotest.test_case "bad events rejected" `Quick test_manager_rejects_bad_event;
           Alcotest.test_case "layer budget fallback" `Quick test_manager_rescue_on_layer_budget;
           Alcotest.test_case "stale after a failed rebuild" `Quick test_manager_stale_after_failed_rebuild;
+          Alcotest.test_case "rescue after a stale event" `Quick test_rescue_after_stale_event;
           Alcotest.test_case "acceptance: 4x4x4 torus, mixed schedule" `Quick test_manager_acceptance_4x4x4;
         ] );
       ( "epoch-snapshot",

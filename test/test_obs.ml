@@ -310,6 +310,41 @@ let registry_snapshot () =
   check Alcotest.int "reset finds zero" 0
     (Option.get (Obs.Registry.find_counter r "snap.counter") |> Obs.Counter.value)
 
+(* A counter and a timer cannot share a name: replacing one by the other
+   would drop it from every snapshot. The existence analysis used to
+   register both of its instruments as "analysis.existence". *)
+let registry_kinds_disjoint () =
+  let r = Obs.Registry.create () in
+  let c = Obs.Registry.counter ~registry:r "same.name" in
+  Alcotest.check_raises "timer over a counter"
+    (Invalid_argument "Obs.Registry.register: \"same.name\" is already registered as another kind") (fun () ->
+      ignore (Obs.Registry.timer ~registry:r "same.name"));
+  Obs.Counter.incr c;
+  check (Alcotest.option Alcotest.int) "the counter stays" (Some 1)
+    (Option.map Obs.Counter.value (Obs.Registry.find_counter r "same.name"));
+  ignore (Obs.Registry.timer ~registry:r "other.name");
+  Alcotest.check_raises "counter over a timer"
+    (Invalid_argument "Obs.Registry.register: \"other.name\" is already registered as another kind") (fun () ->
+      ignore (Obs.Registry.counter ~registry:r "other.name"));
+  check Alcotest.int "two items" 2 (List.length (Obs.Registry.items r));
+  (* both existence instruments show up in the process snapshot *)
+  let d = Obs.Registry.default () in
+  let runs () =
+    Option.fold ~none:(-1) ~some:Obs.Counter.value (Obs.Registry.find_counter d "analysis.existence_runs")
+  in
+  let timed () =
+    Option.fold ~none:(-1) ~some:Obs.Timer.count (Obs.Registry.find_timer d "analysis.existence")
+  in
+  let runs0 = runs () and timed0 = timed () in
+  ignore (Analysis.Existence.analyze (Topo_ring.make ~switches:4 ~terminals_per_switch:1));
+  check Alcotest.int "existence runs counted" (runs0 + 1) (runs ());
+  check Alcotest.int "existence runs timed" (timed0 + 1) (timed ());
+  let json = Obs.Registry.to_json d in
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " in the snapshot") true (Option.is_some (Obs.Json.member name json)))
+    [ "analysis.existence_runs"; "analysis.existence" ]
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance: tracing the fabric manage path                           *)
 (* ------------------------------------------------------------------ *)
@@ -400,6 +435,10 @@ let () =
           Alcotest.test_case "disabled is silent" `Quick trace_disabled_is_silent;
           Alcotest.test_case "error attribute" `Quick trace_error_attr;
         ] );
-      ("registry", [ Alcotest.test_case "snapshot" `Quick registry_snapshot ]);
+      ( "registry",
+        [
+          Alcotest.test_case "snapshot" `Quick registry_snapshot;
+          Alcotest.test_case "a counter and a timer never share a name" `Quick registry_kinds_disjoint;
+        ] );
       ("fabric", [ Alcotest.test_case "manage path traced" `Quick fabric_manage_path_traced ]);
     ]

@@ -666,9 +666,9 @@ let classes_algorithm2_parity =
         [ `Scc; `Dfs ]
       && same "online" (online store) (online cls.Routing.Ftable.store))
 
-(* The certified classes stand in for the per-pair store on the swap
-   path: their expansion is to_store's store slice for slice, and their
-   statistics are its statistics. *)
+(* The certified classes stand in for the per-pair routes on the swap
+   path: their expansion holds every pair's own table walk, slice for
+   slice, and their statistics are the per-pair oracle's. *)
 let classes_expand_parity =
   qtest ~count:20 "route classes: expansion and statistics equal the per-pair store" seed_gen
     (fun seed ->
@@ -677,14 +677,15 @@ let classes_expand_parity =
       (* SSSP's minimal routes and up*/down*'s detours *)
       List.for_all
         (fun ft ->
-          let store = Result.get_ok (Routing.Ftable.to_store ft) in
           let cls = classes_of ft in
           let expanded = Routing.Ftable.expand ft cls in
-          let same = ref (Deadlock.Route_store.num_paths store = Deadlock.Route_store.num_paths expanded) in
-          Deadlock.Route_store.iter_pairs store (fun pair ->
-              if Deadlock.Route_store.to_path store ~pair <> Deadlock.Route_store.to_path expanded ~pair then
+          let nt = Graph.num_terminals g in
+          let same = ref (Deadlock.Route_store.num_paths expanded = nt * (nt - 1)) in
+          Deadlock.Route_store.iter_pairs expanded (fun pair ->
+              let src, dst = Routing.Ftable.pair_of_id ft pair in
+              if Some (Deadlock.Route_store.to_path expanded ~pair) <> Routing.Ftable.path ft ~src ~dst then
                 same := false);
-          !same && Routing.Ftable.store_stats ft store = Routing.Ftable.class_stats ft cls)
+          !same && Oracles.Stats_ref.of_table ft = Ok (Routing.Ftable.class_stats ft cls))
         (sssp_table g :: Result.to_list (Routing.Updown.route g)))
 
 (* Random per-pair layerings — a DFSSSP layering with random pairs moved
@@ -712,10 +713,13 @@ let classes_certifier_parity =
         layers;
       Routing.Ftable.set_pair_layers ft layers;
       Routing.Ftable.set_num_layers ft k;
-      let store, layer_of_path = Result.get_ok (Analysis.Cert.artifacts_of_table ft) in
+      let pair_routes =
+        Analysis.Cert.Routes.of_store (Result.get_ok (Routing.Ftable.to_store ft))
+          ~layer_of_path:(Routing.Ftable.pair_layers ft)
+      in
       let per_pair =
-        match Analysis.Cert.of_artifacts ft store ~layer_of_path with
-        | Ok cert -> Result.map_error (fun m -> `Refuted m) (Analysis.Cert.check cert store ~layer_of_path)
+        match Analysis.Cert.of_routes ft pair_routes with
+        | Ok cert -> Result.map_error (fun m -> `Refuted m) (Analysis.Cert.check_routes cert pair_routes)
         | Error e -> Error (`Cert e)
       in
       let routes = Analysis.Cert.Routes.of_classes ft (classes_of ft) in
@@ -728,7 +732,7 @@ let classes_certifier_parity =
             (* the class certificate is a certificate of the per-pair routes *)
             Result.map_error
               (fun m -> `Refuted ("per-pair check: " ^ m))
-              (Analysis.Cert.check cert store ~layer_of_path))
+              (Analysis.Cert.check_routes cert pair_routes))
         | Error e -> Error (`Cert e)
       in
       (if shadow && Result.is_error by_class then QCheck2.Test.fail_report "shadow layering refused");

@@ -114,18 +114,14 @@ let test_ftable_layers () =
   (* bulk writes check every layer first: a refusal leaves the table as
      it was, even when only the last pair is out of range *)
   let routed = expect "sssp" (Sssp.route g) in
-  let store = expect "to_store" (Ftable.to_store routed) in
-  let before = Ftable.layers_of_store routed store in
+  let before = Ftable.pair_layers routed in
   let bad = Array.map (fun l -> if l < 0 then l else 1) before in
   let last = ref (-1) in
   Array.iteri (fun p l -> if l >= 0 then last := p) bad;
   bad.(!last) <- 256;
-  Alcotest.check_raises "set_layers_of_store range"
-    (Invalid_argument "Ftable.set_layers_of_store: layer out of range") (fun () ->
-      Ftable.set_layers_of_store routed store bad);
   Alcotest.check_raises "set_pair_layers range" (Invalid_argument "Ftable.set_pair_layers: layer out of range")
     (fun () -> Ftable.set_pair_layers routed bad);
-  check Alcotest.(array int) "untouched" before (Ftable.layers_of_store routed store)
+  check Alcotest.(array int) "untouched" before (Ftable.pair_layers routed)
 
 let test_ftable_loop_detection () =
   (* two switches, each forwarding to the other: a forwarding loop *)
@@ -185,11 +181,12 @@ let test_ftable_cyclic_table () =
   Ftable.set_next ft ~node:s1 ~dst:t1 ~channel:c12 (* skips t1's ejection port *);
   Ftable.set_next ft ~node:s2 ~dst:t1 ~channel:c20;
   check Alcotest.(option (array int)) "cycle cut off" None (Ftable.path ft ~src:t0 ~dst:t1);
-  (* the streaming variant must abort and leave the store pair absent *)
-  let store = Deadlock.Route_store.create g ~capacity:(Ftable.num_pairs ft) in
-  let pair = Ftable.pair_id ft ~src:t0 ~dst:t1 in
-  Alcotest.(check bool) "path_into aborts" false (Ftable.path_into ft store ~pair ~src:t0 ~dst:t1);
-  Alcotest.(check bool) "pair left absent" false (Deadlock.Route_store.mem store ~pair)
+  (* the all-pairs walk refuses the table, naming the looping pair *)
+  check
+    Alcotest.(result reject string)
+    "to_store refuses"
+    (Error (Printf.sprintf "no loop-free route %d -> %d" t0 t1))
+    (Result.map ignore (Ftable.to_store ft))
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm conformance on applicable topologies                       *)
@@ -620,61 +617,45 @@ let test_of_arena_rejects () =
   rejects "num_paths too high" (of_arena ~off:[| 0; 0 |] ~len:[| 1; -1 |] ~num_paths:2);
   rejects "num_paths too low" (of_arena ~off:[| 0; 0 |] ~len:[| 1; 3 |] ~num_paths:1)
 
-(* The path-walk oracle for Ftable.validate, which now reads its
-   statistics off the route store: every pair walked with Ftable.path and
-   measured against a reverse BFS from its destination. *)
-let walk_stats ft =
+(* [ft]'s forwarding entries over [g'], a fabric with [ft]'s node and
+   channel ids. *)
+let copy_onto g' ft =
   let g = Ftable.graph ft in
-  let terminals = Graph.terminals g in
-  let pairs = ref 0 and max_hops = ref 0 and total = ref 0 and minimal = ref true in
-  Array.iter
-    (fun dst ->
-      let dist = Array.make (Graph.num_nodes g) max_int in
-      let queue = Queue.create () in
-      dist.(dst) <- 0;
-      Queue.add dst queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.take queue in
-        Array.iter
-          (fun c ->
-            let u = (Graph.channel g c).Channel.src in
-            if dist.(u) = max_int then begin
-              dist.(u) <- dist.(v) + 1;
-              Queue.add u queue
-            end)
-          (Graph.in_channels g v)
-      done;
-      Array.iter
-        (fun src ->
-          if src <> dst then begin
-            let p = Option.get (Ftable.path ft ~src ~dst) in
-            let hops = Path.length p in
-            incr pairs;
-            total := !total + hops;
-            max_hops := max !max_hops hops;
-            if hops > dist.(src) then minimal := false
-          end)
-        terminals)
-    terminals;
-  (!pairs, !max_hops, !total, !minimal)
+  let copy = Ftable.create g' ~algorithm:"copy" in
+  for u = 0 to Graph.num_nodes g - 1 do
+    Array.iter
+      (fun d ->
+        Option.iter (fun c -> Ftable.set_next copy ~node:u ~dst:d ~channel:c) (Ftable.next ft ~node:u ~dst:d))
+      (Graph.terminals g)
+  done;
+  copy
 
-let store_stats_qcheck =
+(* Ftable.validate and Dfsssp.Verify.report read their statistics off
+   the route classes; the oracle walks every pair with Ftable.path and
+   measures it against a reverse BFS from its destination. Tables: SSSP
+   (minimal), up*/down* (detours on most seeds), and the SSSP table over
+   the fabric with one terminal's cable down (no longer every pair leaves
+   by its source's one enabled channel, so the statistics are taken pair
+   by pair). *)
+let stats_oracle_qcheck =
   qtest ~count:25 "store statistics agree with the path-walk oracle"
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create seed in
       let g = Topo_random.make ~switches:10 ~switch_radix:10 ~terminals:20 ~inter_links:16 ~rng in
-      (* up*/down* detours on most seeds, SSSP never does *)
+      let cut = (Graph.terminals g).(Rng.int rng (Graph.num_terminals g)) in
+      let enabled =
+        Array.map (fun (c : Channel.t) -> c.Channel.src <> cut && c.Channel.dst <> cut) (Graph.channels g)
+      in
+      let degraded = Graph.with_enabled g ~enabled in
+      let tables = List.concat_map (fun route -> Result.to_list (route g)) [ Updown.route; Sssp.route ] in
       List.for_all
-        (fun route ->
-          match route g with
-          | Error _ -> true
-          | Ok ft ->
-            let s = stats "validate" ft in
-            let pairs, max_hops, total, minimal = walk_stats ft in
-            s.Ftable.pairs = pairs && s.Ftable.max_hops = max_hops && s.Ftable.minimal = minimal
-            && Float.abs (s.Ftable.avg_hops -. (float_of_int total /. float_of_int pairs)) < 1e-9)
-        [ Updown.route; Sssp.route ])
+        (fun ft ->
+          let oracle = Oracles.Stats_ref.of_table ft in
+          Result.is_ok oracle
+          && Ftable.validate ft = oracle
+          && Result.map (fun r -> r.Dfsssp.Verify.stats) (Dfsssp.Verify.report ft) = oracle)
+        (tables @ List.map (copy_onto degraded) tables))
 
 (* ------------------------------------------------------------------ *)
 (* Ftable_io round trip                                                 *)
@@ -865,7 +846,7 @@ let () =
           Alcotest.test_case "to_store first failure row-major" `Quick test_to_store_first_failure_row_major;
           Alcotest.test_case "to_store layout" `Quick test_to_store_layout;
           Alcotest.test_case "of_arena rejects" `Quick test_of_arena_rejects;
-          store_stats_qcheck;
+          stats_oracle_qcheck;
         ] );
       ( "minhop",
         [
