@@ -1,4 +1,4 @@
-.PHONY: all check test lint doc clean no-oracles bench-e2e bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke
+.PHONY: all check test lint doc clean no-oracles bench-e2e bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke churn-smoke
 
 all:
 	dune build
@@ -11,10 +11,11 @@ all:
 # the quick equivalence fixtures, the two cycle-break engines agree
 # on a small torus (break-smoke), the topology-zoo conformance battery
 # certifies every corpus file and generator sample, a quick churn
-# soak (>= 200 seeded events) survives with every epoch recertified, and
+# soak (>= 200 seeded events) survives with every epoch recertified, a
+# layer-tight torus converges on every churn event (churn-smoke), and
 # no oracle has leaked back into the shipped code (no-oracles).
 check:
-	dune build && dune build --profile release && dune runtest && $(MAKE) no-oracles && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke
+	dune build && dune build --profile release && dune runtest && $(MAKE) no-oracles && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke && $(MAKE) churn-smoke
 
 # Oracles and reference implementations live in the test-only `oracles`
 # library (test/oracles/), linked by the test suites and benches alone.
@@ -38,11 +39,22 @@ zoo:
 # seeded events total, every epoch swap recertified by the trusted
 # checker. Failing runs dump a reproduction artifact (seed + trace)
 # under _build/soak/ and print its path. The second run holds a torus to
-# three layers, where some full recomputes run out of layers and the
-# rescue must converge instead.
+# three layers, where Algorithm 2 can run out of layers and the online
+# placement must fit instead.
 soak-smoke:
 	dune exec bin/fabric_tool.exe -- soak torus:4x4 torus:3x3x3 xpander:4,5:11 --events 90 --seed 7
 	dune exec bin/fabric_tool.exe -- soak torus:5x5 --events 90 --seed 7 --max-layers 3
+
+# Churn on a torus where Algorithm 2 needs all 8 layers, part of `check`:
+# 30 link events on each of three seeds, most of which run it out of
+# layers, so the online placement must fit them. `manage` exits 1 unless
+# every event ends in a verified swap.
+churn-smoke:
+	@set -e; for seed in 1 2 3; do \
+	  out=$$(dune exec bin/fabric_tool.exe -- manage torus:8x8:4 --switch-removals 0 --events 30 --seed $$seed) || \
+	    { printf '%s\n' "$$out"; echo "churn-smoke: torus:8x8:4 seed $$seed did not converge"; exit 1; }; \
+	  echo "churn-smoke: torus:8x8:4 seed $$seed converged"; \
+	done
 
 # Long-haul churn soak (not part of `check`): larger fabrics, more
 # events, switch removals and drains included.

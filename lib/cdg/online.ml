@@ -14,19 +14,20 @@ let fresh_dependencies cdg store ~pair =
       if not (Cdg.live cdg ~c1:a ~c2:b) then fresh := (a, b) :: !fresh);
   !fresh
 
-(* Places every pair not yet in [layer_of_path] into the lowest layer of
-   [cdgs] it keeps acyclic, opening layers up to [max_layers]. Each layer's
-   Pearce–Kelly order registers a path's fresh dependencies one by one
-   (only 0->1 count transitions: dependencies the layer already carried
-   cannot close anything new); a rejected edge leaves the order untouched
-   and the path is rolled out of the CDG. Edge deletions never invalidate
-   a topological order, but the fresh edges the order accepted before the
+(* Places every present pair in id order into the lowest layer it keeps
+   acyclic, opening layers up to [max_layers]. Each layer's Pearce–Kelly
+   order registers a path's fresh dependencies one by one (only 0->1
+   count transitions: dependencies the layer already carried cannot
+   close anything new); a rejected edge leaves the order untouched and
+   the path is rolled out of the CDG. Edge deletions never invalidate a
+   topological order, but the fresh edges the order accepted before the
    rejection are forgotten with it: later reorderings stop respecting
    them, so a later path reviving one must register it anew. *)
-let place store ~max_layers layer_of_path cdgs =
+let assign_store store ~max_layers =
+  if max_layers < 1 then invalid_arg "Online.assign: max_layers < 1";
   let g = Route_store.graph store in
-  let cdgs = ref cdgs in
-  let pks = ref (Array.map Pk_order.create !cdgs) in
+  let layer_of_path = Array.make (Route_store.capacity store) (-1) in
+  let cdgs = ref [||] and pks = ref [||] in
   let checks = ref 0 in
   let error = ref None in
   let rejects pk fresh =
@@ -39,7 +40,7 @@ let place store ~max_layers layer_of_path cdgs =
     go (List.rev fresh)
   in
   Route_store.iter_pairs store (fun i ->
-      if !error = None && layer_of_path.(i) < 0 then begin
+      if !error = None then begin
         let placed = ref false in
         let vl = ref 0 in
         while (not !placed) && !error = None do
@@ -75,24 +76,5 @@ let place store ~max_layers layer_of_path cdgs =
         m "placed %d routes over %d layer(s) with %d cycle probes" (Route_store.num_paths store)
           layers_used !checks);
     Ok { layer_of_path; layers_used; cycle_checks = !checks }
-
-let assign_store ?seed store ~max_layers =
-  if max_layers < 1 then invalid_arg "Online.assign: max_layers < 1";
-  let n = Route_store.capacity store in
-  let seed = Option.value seed ~default:(Array.make n (-1)) in
-  if Array.length seed <> n then invalid_arg "Online.assign_store: seed does not cover the store";
-  (* Seeded pairs are pinned: each seeded layer's CDG is built in bulk from
-     them and checked once, instead of probing their dependencies. *)
-  let layer_of_path = Array.make n (-1) in
-  Route_store.iter_pairs store (fun p -> layer_of_path.(p) <- seed.(p));
-  let layers = 1 + Array.fold_left max (-1) layer_of_path in
-  if layers > max_layers then Error (Printf.sprintf "seed uses %d layer(s) (max %d)" layers max_layers)
-  else
-    let cdgs =
-      Array.init (max 1 layers) (fun vl -> Cdg.of_store ~filter:(fun p -> layer_of_path.(p) = vl) store)
-    in
-    match List.find_opt (fun vl -> not (Acyclic.is_acyclic cdgs.(vl))) (List.init layers Fun.id) with
-    | Some vl -> Error (Printf.sprintf "seeded layer %d is cyclic" vl)
-    | None -> place store ~max_layers layer_of_path cdgs
 
 let assign g ~paths ~max_layers = assign_store (Route_store.of_paths g paths) ~max_layers

@@ -1,5 +1,6 @@
-(** Online (path-at-a-time) virtual-layer assignment, as used by LASH and
-    by the paper's first, slower DFSSSP variant: each route is placed into
+(** Online (path-at-a-time) virtual-layer assignment, as used by LASH, by
+    the paper's first, slower DFSSSP variant, and by the fabric manager
+    when Algorithm 2 runs out of layers: each route is placed into
     the lowest layer where its dependencies close no cycle; a fresh layer
     is opened when none fits. Requires a cycle check per path, the cost
     the offline algorithm avoids. Each layer keeps a Pearce–Kelly dynamic
@@ -16,23 +17,13 @@ type outcome = {
   cycle_checks : int;  (** fresh dependencies registered with the Pearce–Kelly orders *)
 }
 
-(** [assign_store ?seed store ~max_layers] places every present
-    pair of [store] in id order, reading dependencies from arena slices.
+(** [assign_store store ~max_layers] places every present pair of
+    [store] in id order, reading dependencies from arena slices.
     [layer_of_path] covers the store's full capacity; absent pairs are
-    [-1].
-
-    [seed] (indexed by pair id over the store's capacity) pins every
-    present pair with [seed.(p) >= 0] to that layer: the seeded layers'
-    CDGs are built in bulk, checked acyclic once, and the remaining pairs
-    are placed online around them. [Error] if the seed uses more than
-    [max_layers] layers or a seeded layer is cyclic. Without [seed] the
-    assignment is the plain online one.
-    @raise Invalid_argument if [seed] does not span the store's capacity. *)
-val assign_store :
-  ?seed:int array ->
-  Route_store.t ->
-  max_layers:int ->
-  (outcome, string) result
+    [-1]. [Error] names the first pair that fits no layer within
+    [max_layers].
+    @raise Invalid_argument if [max_layers < 1]. *)
+val assign_store : Route_store.t -> max_layers:int -> (outcome, string) result
 
 (** [assign g ~paths ~max_layers] is {!assign_store} over a store holding
     path [i] under pair id [i]. *)

@@ -14,32 +14,19 @@ type t = {
          edge. *)
 }
 
-(* Kahn's order over the CDG's live edges, all of which count as
-   accepted; on an empty CDG this is the identity order. *)
+(* The identity order over an empty CDG: every edge is registered by
+   its own [insert]. *)
 let create cdg =
   let n = Graph.num_channels (Cdg.graph cdg) in
-  let registered = Hashtbl.create 256 in
-  let indeg = Array.make n 0 in
-  Cdg.iter_edges cdg (fun c1 c2 _ ->
-      Hashtbl.replace registered (c1, c2) ();
-      indeg.(c2) <- indeg.(c2) + 1);
-  let ord = Array.make n 0 and at = Array.make n 0 in
-  let queue = Queue.create () in
-  for c = 0 to n - 1 do
-    if indeg.(c) = 0 then Queue.add c queue
-  done;
-  let next = ref 0 in
-  while not (Queue.is_empty queue) do
-    let c = Queue.take queue in
-    ord.(c) <- !next;
-    at.(!next) <- c;
-    incr next;
-    Cdg.iter_successors cdg c (fun s ->
-        indeg.(s) <- indeg.(s) - 1;
-        if indeg.(s) = 0 then Queue.add s queue)
-  done;
-  if !next < n then invalid_arg "Pk_order.create: the CDG is cyclic";
-  { cdg; ord; at; visited = Array.make n 0; stamp = 0; registered }
+  Cdg.iter_edges cdg (fun _ _ _ -> invalid_arg "Pk_order.create: the CDG has live edges");
+  {
+    cdg;
+    ord = Array.init n Fun.id;
+    at = Array.init n Fun.id;
+    visited = Array.make n 0;
+    stamp = 0;
+    registered = Hashtbl.create 256;
+  }
 
 let traversable t a b = Hashtbl.mem t.registered (a, b) && Cdg.live t.cdg ~c1:a ~c2:b
 

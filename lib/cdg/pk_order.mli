@@ -14,13 +14,13 @@
 
 type t
 
-(** [create cdg] builds a topological order of [cdg]'s current live
-    edges and counts them all as accepted (the identity order when [cdg]
-    is empty). After that, DFS probes traverse only edges that are live in
-    [cdg] {e and} were accepted — a freshly added path's not-yet-registered
-    dependencies are invisible until their own {!insert}, where any cycle
-    they complete is caught.
-    @raise Invalid_argument if [cdg] is cyclic. *)
+(** [create cdg] starts from the identity order over [cdg], which must be
+    empty; every dependency the caller later adds to [cdg] counts only
+    from its own {!insert}. DFS probes traverse only edges that are live
+    in [cdg] {e and} were accepted — a freshly added path's
+    not-yet-registered dependencies are invisible until their own
+    {!insert}, where any cycle they complete is caught.
+    @raise Invalid_argument if [cdg] already has live edges. *)
 val create : Cdg.t -> t
 
 (** [insert t ~c1 ~c2] registers the dependency (c1, c2).

@@ -2,7 +2,7 @@
     channel buffer plus a per-pair offset/length table. Consumers read
     paths as O(1) slices of the shared buffer instead of materializing a
     fresh [int array] per query — the representation every layer of the
-    system (layer assignment, verification, simulation, fabric repair)
+    system (layer assignment, verification, simulation)
     shares since the dense-route-store refactor (DESIGN.md §10).
 
     A store is created with a fixed pair capacity; pair identifiers are

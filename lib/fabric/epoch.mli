@@ -27,7 +27,7 @@
 
 type entry = {
   epoch : int;
-  label : string;  (** what produced this epoch, e.g. ["down 42 (full)"] or ["down 42 (rescue)"] *)
+  label : string;  (** what produced this epoch, e.g. ["initial"] or ["down 42 (full)"] *)
   verify_s : float;
 }
 

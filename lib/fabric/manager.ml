@@ -46,7 +46,6 @@ type t = {
   state : Fabstate.t;
   epochs : Epoch.t;
   metrics : Metrics.t;
-  mutable weights : int array;
   mutable outcomes : outcome list; (* newest first *)
   mutable pool : Sssp.pool option;
       (* persistent routing-domain pool ([domains > 1] only): scratch is
@@ -67,7 +66,11 @@ let epoch t = Epoch.epoch t.epochs
 let epoch_history t = Epoch.history t.epochs
 
 (* Full recompute: fresh weight state, route everything, re-break all
-   cycles. The first attempt for every table-changing event. *)
+   cycles. Under dfsssp, when Algorithm 2 runs out of layers, the same
+   SSSP table is placed online (the paper's path-at-a-time variant)
+   within the same budget: a failed offline pass writes no layers, so
+   the table is reused as it is. [Ok (ft, Some note)] says the fallback
+   placed [ft] and why it ran; an [Error] names every failed placement. *)
 let full_route t =
   let g = Fabstate.graph t.state in
   Obs.Trace.with_span "fabric.full_route"
@@ -77,28 +80,30 @@ let full_route t =
         ("terminals", Obs.Trace.Int (Graph.num_terminals g));
       ])
   @@ fun () ->
-  if t.config.algorithm = "dfsssp" then begin
-    t.weights <- Sssp.initial_weights g;
+  if t.config.algorithm = "dfsssp" then
     match
       Sssp.route_plane ~batch:t.config.batch ?pool:t.pool ~kernel:t.config.kernel g
-        ~weights:t.weights
+        ~weights:(Sssp.initial_weights g)
     with
     | Error msg -> Error msg
     | Ok ft -> (
-      match
-        Dfsssp.assign_layers ~engine:t.config.engine ~domains:t.config.domains
-          ~max_layers:t.config.max_layers ft
-      with
-      | Ok ft -> Ok ft
+      let max_layers = t.config.max_layers in
+      match Dfsssp.assign_layers ~engine:t.config.engine ~domains:t.config.domains ~max_layers ft with
+      | Ok ft -> Ok (ft, None)
+      | Error (Dfsssp.Layers_exhausted offline) -> (
+        let failed = "offline layer assignment failed: " ^ offline in
+        match Dfsssp.assign_layers ~variant:Dfsssp.Online ~max_layers ft with
+        | Ok ft -> Ok (ft, Some (failed ^ "; placed online"))
+        | Error (Dfsssp.Layers_exhausted online) -> Error (failed ^ "; online placement failed: " ^ online)
+        | Error e -> Error (failed ^ "; " ^ Dfsssp.error_to_string e))
       | Error e -> Error (Dfsssp.error_to_string e))
-  end
   else
     match
       Dfsssp.Registry.find ~max_layers:t.config.max_layers ~batch:t.config.batch
         ~domains:t.config.domains t.config.algorithm
     with
     | None -> Error (Printf.sprintf "unknown algorithm %S" t.config.algorithm)
-    | Some a -> a.Dfsssp.Registry.run g
+    | Some a -> Result.map (fun ft -> (ft, None)) (a.Dfsssp.Registry.run g)
 
 let release t =
   match t.pool with
@@ -132,7 +137,6 @@ let create ?(config = default_config) g =
         state = Fabstate.create g;
         epochs = Epoch.create ();
         metrics = Metrics.create ();
-        weights = Sssp.initial_weights g;
         outcomes = [];
         pool = (if config.domains > 1 then Some (Sssp.create_pool ~domains:config.domains ()) else None);
       }
@@ -141,7 +145,8 @@ let create ?(config = default_config) g =
     | Error msg ->
       release t;
       Error msg
-    | Ok ft -> (
+    | Ok (ft, online) -> (
+      Option.iter (fun note -> Log.info (fun m -> m "initial tables: %s" note)) online;
       match Epoch.try_swap t.epochs ~label:"initial" ft with
       | Error msg, verify_s ->
         Obs.Timer.add t.metrics.Metrics.verify verify_s;
@@ -158,102 +163,57 @@ let finish t outcome =
   Log.info (fun m ->
       m "%s: %s%s epoch %d" (Event.to_string outcome.event)
         (match outcome.action with
-        | Incremental { repaired; total } -> Printf.sprintf "rescue %d/%d" repaired total
         | Full reason -> "full (" ^ reason ^ ")"
-        | Noop -> "noop")
+        | Noop | Incremental _ -> "noop")
         (if outcome.note = "" then "" else " [" ^ outcome.note ^ "]")
         outcome.epoch);
   outcome
 
-(* Routes one candidate and runs it through the epoch gate:
-   [Ok (tables, report)] once it is the active epoch. *)
-let try_candidate t ~label route =
+(* Every table-changing event runs the full recompute and offers the
+   result to the epoch gate; a failure leaves the active tables in place. *)
+let reconverge t ~event ~t0 ~old_ft ~reason =
   let m = t.metrics in
   let tr0 = Unix.gettimeofday () in
-  let candidate = route () in
+  let candidate = full_route t in
   Obs.Timer.add m.Metrics.repair (Unix.gettimeofday () -. tr0);
-  match candidate with
-  | Error msg -> Error msg
-  | Ok ft -> (
-    match Epoch.try_swap t.epochs ~label ft with
-    | Error msg, verify_s ->
-      Obs.Timer.add m.Metrics.verify verify_s;
-      Obs.Counter.incr m.Metrics.verify_failures;
-      Error ("tables rejected: " ^ msg)
-    | Ok r, verify_s ->
-      Obs.Timer.add m.Metrics.verify verify_s;
-      Obs.Counter.set m.Metrics.swap_epochs (Epoch.epoch t.epochs);
-      Ok (ft, r))
-
-(* Every table-changing event runs the full recompute. Only when that
-   fails does an id-stable event under dfsssp go to the rescue
-   ({!Repair.patch}), which re-routes the destinations that used
-   [channels] or any down channel and keeps every other route and its
-   layer. *)
-let reconverge t ~event ~t0 ~old_ft ~reason ~channels =
-  let m = t.metrics in
-  let g = Fabstate.graph t.state in
-  (* A structural rebuild removes a switch, so the active tables index
-     the current fabric's ids iff the node counts agree. *)
-  let same_ids = Graph.num_nodes (Ftable.graph old_ft) = Graph.num_nodes g in
-  let outcome ~action ~fallback ~note swapped =
+  let outcome ~fallback ~verify ~table_diff ~note =
     finish t
       {
         event;
         applied = true;
-        action;
+        action = Full reason;
         fallback;
         epoch = Epoch.epoch t.epochs;
-        verify = Option.map snd swapped;
-        table_diff =
-          (match swapped with
-          | Some (ft, _) when same_ids -> Some (Ftable.diff old_ft ft)
-          | _ -> None);
+        verify;
+        table_diff;
         note;
         elapsed_s = Unix.gettimeofday () -. t0;
       }
   in
-  let label kind = Printf.sprintf "%s (%s)" (Event.to_string event) kind in
-  match try_candidate t ~label:(label "full") (fun () -> full_route t) with
-  | Ok swapped ->
-    Obs.Counter.incr m.Metrics.full_recomputes;
-    outcome ~action:(Full reason) ~fallback:false ~note:"" (Some swapped)
-  | Error msg -> (
-    let failed = "full recompute failed: " ^ msg in
-    let stale why = outcome ~action:(Full reason) ~fallback:false ~note:(failed ^ why) None in
-    match channels with
-    | None -> stale ", serving stale tables"
-    | Some _ when t.config.algorithm <> "dfsssp" ->
-      stale (Printf.sprintf "; %s has no rescue, serving stale tables" t.config.algorithm)
-    | Some _ when not same_ids ->
-      stale "; the active tables predate a structural rebuild, so no rescue, serving stale tables"
-    | Some channels -> (
-      Obs.Counter.incr m.Metrics.fallbacks;
-      (* Tables left stale by an earlier failed event can still use
-         channels that event took down: those trees are re-routed too. *)
-      let down =
-        List.filter (fun c -> not (Graph.channel_enabled g c)) (List.init (Graph.num_channels g) Fun.id)
-      in
-      let dsts = Repair.affected_destinations old_ft ~channels:(channels @ down) in
-      let repaired = List.length dsts and total = Graph.num_terminals g in
-      let action = Incremental { repaired; total } in
-      let rescue () =
-        Obs.Trace.with_span "fabric.repair"
-          ~attrs:(fun () -> [("destinations", Obs.Trace.Int repaired); ("total", Obs.Trace.Int total)])
-          (fun () ->
-            Repair.patch ~kernel:t.config.kernel ~graph:g ~old:old_ft ~dsts ~weights:t.weights
-              ~max_layers:t.config.max_layers ())
-      in
-      match try_candidate t ~label:(label "rescue") rescue with
-      | Ok swapped ->
-        Obs.Counter.incr m.Metrics.incremental_repairs;
-        Obs.Counter.incr ~n:repaired m.Metrics.dsts_repaired;
-        Obs.Counter.incr ~n:total m.Metrics.dsts_total;
-        outcome ~action ~fallback:true ~note:failed (Some swapped)
-      | Error rmsg ->
-        outcome ~action ~fallback:true
-          ~note:(Printf.sprintf "%s; rescue failed: %s, serving stale tables" failed rmsg)
-          None))
+  let stale msg =
+    outcome ~fallback:false ~verify:None ~table_diff:None
+      ~note:("full recompute failed: " ^ msg ^ ", serving stale tables")
+  in
+  match candidate with
+  | Error msg -> stale msg
+  | Ok (ft, online) -> (
+    match Epoch.try_swap t.epochs ~label:(Event.to_string event ^ " (full)") ft with
+    | Error msg, verify_s ->
+      Obs.Timer.add m.Metrics.verify verify_s;
+      Obs.Counter.incr m.Metrics.verify_failures;
+      stale ("tables rejected: " ^ msg)
+    | Ok r, verify_s ->
+      Obs.Timer.add m.Metrics.verify verify_s;
+      Obs.Counter.set m.Metrics.swap_epochs (Epoch.epoch t.epochs);
+      Obs.Counter.incr m.Metrics.full_recomputes;
+      if online <> None then Obs.Counter.incr m.Metrics.fallbacks;
+      (* A structural rebuild removes a switch, so the active tables
+         index the current fabric's ids, and can be diffed, iff the node
+         counts agree. *)
+      let same_ids = Graph.num_nodes (Ftable.graph old_ft) = Graph.num_nodes (Ftable.graph ft) in
+      outcome ~fallback:(online <> None) ~verify:(Some r)
+        ~table_diff:(if same_ids then Some (Ftable.diff old_ft ft) else None)
+        ~note:(Option.value online ~default:""))
 
 let apply_inner t event =
   let t0 = Unix.gettimeofday () in
@@ -278,7 +238,7 @@ let apply_inner t event =
   | Ok change -> (
     Obs.Counter.incr m.Metrics.events_applied;
     match change with
-    | Fabstate.Rebuilt -> reconverge t ~event ~t0 ~old_ft ~reason:"structural rebuild" ~channels:None
+    | Fabstate.Rebuilt -> reconverge t ~event ~t0 ~old_ft ~reason:"structural rebuild"
     | Fabstate.Disabled [] ->
       (* a drain that could spare no cable: topology unchanged *)
       finish t
@@ -296,11 +256,9 @@ let apply_inner t event =
     | Fabstate.Disabled chans ->
       reconverge t ~event ~t0 ~old_ft
         ~reason:(Printf.sprintf "%d channel(s) down" (List.length chans))
-        ~channels:(Some chans)
     | Fabstate.Restored chans ->
       reconverge t ~event ~t0 ~old_ft
-        ~reason:(Printf.sprintf "%d channel(s) restored" (List.length chans))
-        ~channels:(Some chans))
+        ~reason:(Printf.sprintf "%d channel(s) restored" (List.length chans)))
 
 let apply t event =
   let span =
@@ -314,8 +272,7 @@ let apply t event =
         ( "action",
           Obs.Trace.Str
             (match o.action with
-            | Incremental _ -> "incremental"
-            | Full _ -> "full"
+            | Full _ | Incremental _ -> "full"
             | Noop -> "noop") );
         ("applied", Obs.Trace.Bool o.applied);
         ("epoch", Obs.Trace.Int o.epoch);
@@ -325,11 +282,8 @@ let apply t event =
 let run t schedule = List.map (apply t) schedule
 
 let pp_action ppf = function
-  | Incremental { repaired; total } ->
-    Format.fprintf ppf "rescue %d/%d dsts (%.0f%%)" repaired total
-      (if total = 0 then 0.0 else 100.0 *. float_of_int repaired /. float_of_int total)
   | Full reason -> Format.fprintf ppf "full recompute (%s)" reason
-  | Noop -> Format.pp_print_string ppf "no-op"
+  | Noop | Incremental _ -> Format.pp_print_string ppf "no-op"
 
 let pp_outcome ppf o =
   Format.fprintf ppf "%-12s %a" (Event.to_string o.event) pp_action o.action;

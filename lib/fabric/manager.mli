@@ -3,21 +3,19 @@
     InfiniBand subnet. Feed it {!Event}s (or a whole {!Schedule}) and it
     converges after each one to forwarding tables that passed the epoch
     gate. Every table-changing event runs a full SSSP-plus-cycle-breaking
-    recompute. Only when that fails — typically because the offline pass
-    runs out of virtual layers — does an id-stable event under dfsssp go
-    to the rescue ({!Repair}): re-route just the destinations whose trees
-    used the changed channels, keep every other route and its layer, and
-    place the new routes online within [max_layers]. Tables advance by
+    recompute. Under dfsssp, when the offline pass (Algorithm 2) runs out
+    of virtual layers, the same SSSP routes are placed online, path at a
+    time (the paper's other variant), within the same [max_layers]; the
+    outcome reports that fallback and why it ran. Tables advance by
     verified epoch swaps ({!Epoch}); {!Metrics} counts everything. *)
 
 type config = {
   algorithm : string;
       (** registry name used for full recomputes (default ["dfsssp"]);
-          only ["dfsssp"] has a rescue — under anything else a failed
-          recompute leaves the stale tables active *)
+          only ["dfsssp"] falls back to the online placement *)
   max_layers : int;
-      (** hard virtual-layer budget (hardware VLs), for full recomputes
-          and rescues alike *)
+      (** hard virtual-layer budget (hardware VLs), for the offline pass
+          and the online fallback alike *)
   batch : int;
       (** destinations per weight snapshot in full recomputes (the
           batched-snapshot pipeline, DESIGN.md section 12); 1 = the
@@ -29,7 +27,7 @@ type config = {
           with {!release}). Never changes the tables, only the
           wall-clock *)
   kernel : Spf.kind;
-      (** shortest-path kernel for dfsssp full recomputes and rescues
+      (** shortest-path kernel for dfsssp full recomputes
           (DESIGN.md §15); other algorithms run the default. Never
           changes the tables, only the wall-clock. No CLI flag sets it:
           it stays because the bring-up benchmark reads it *)
@@ -47,11 +45,12 @@ val default_config : config
 
 type action =
   | Incremental of {
-      repaired : int;  (** destinations the rescue re-routed *)
-      total : int;  (** destinations in the fabric *)
+      repaired : int;
+      total : int;
     }
-      (** the full recompute failed and the rescue ran; [note] holds the
-          full recompute's failure *)
+      (** never constructed: it stays only because the end-to-end
+          benchmark ([e2ebench/churn.ml]) matches on it, and goes with
+          ROADMAP item 1 *)
   | Full of string  (** full recompute, with the event's reason *)
   | Noop
 
@@ -59,12 +58,14 @@ type outcome = {
   event : Event.t;
   applied : bool;  (** [false]: event rejected, topology unchanged *)
   action : action;
-  fallback : bool;  (** the full recompute failed and the rescue ran *)
+  fallback : bool;
+      (** Algorithm 2 ran out of layers and the swapped-in tables were
+          placed online; [note] names the offline failure *)
   epoch : int;  (** active epoch after the event *)
   verify : Dfsssp.Verify.report option;
       (** verification report of the swapped-in tables; [None] when no
           swap happened (rejected event, no-op, or a failed recompute
-          and rescue that left stale tables active — see [note]) *)
+          that left stale tables active — see [note]) *)
   table_diff : Ftable.diff option;
       (** forwarding-entry diff against the previous tables; [None]
           when the previous tables index another fabric (a structural
@@ -75,9 +76,10 @@ type outcome = {
 
 type t
 
-(** [create g] routes the initial fabric and installs epoch 1. [Error] if
-    the fabric cannot be routed deadlock-free within [max_layers], or has
-    fewer than two terminals.
+(** [create g] routes the initial fabric and installs epoch 1, with the
+    same online fallback as every full recompute. [Error] if the fabric
+    has fewer than two terminals or cannot be routed deadlock-free within
+    [max_layers]; the message then names both failed placements.
     @raise Invalid_argument on a non-positive layer budget. *)
 val create : ?config:config -> Graph.t -> (t, string) result
 
@@ -94,11 +96,10 @@ val epoch : t -> int
 val epoch_history : t -> Epoch.entry list
 
 (** [apply t ev] processes one topology event end to end: mutate the
-    topology, recompute routes (rescuing if that fails), verify, swap.
-    Never raises on fabric-level failures — inspect the outcome. When the
-    active tables predate a structural rebuild whose recompute failed,
-    they cannot seed a rescue: a failed recompute then leaves them active
-    and the outcome's [note] says so. *)
+    topology, recompute routes (online if Algorithm 2 runs out of
+    layers), verify, swap. Never raises on fabric-level failures — inspect
+    the outcome. A failed recompute leaves the active tables in place and
+    its [note] names every failed placement. *)
 val apply : t -> Event.t -> outcome
 
 (** [run t schedule] applies every event in order. *)

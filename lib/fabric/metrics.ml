@@ -9,11 +9,8 @@ type t = {
   events_seen : Obs.Counter.t;
   events_applied : Obs.Counter.t;
   events_rejected : Obs.Counter.t;
-  incremental_repairs : Obs.Counter.t;
   full_recomputes : Obs.Counter.t;
   fallbacks : Obs.Counter.t;
-  dsts_repaired : Obs.Counter.t;
-  dsts_total : Obs.Counter.t;
   swap_epochs : Obs.Counter.t;
   verify_failures : Obs.Counter.t;
   repair : Obs.Timer.t;
@@ -29,11 +26,8 @@ let create () =
     events_seen = counter "fabric.events_seen" "events offered to the manager";
     events_applied = counter "fabric.events_applied" "events that changed the topology";
     events_rejected = counter "fabric.events_rejected" "events refused (would disconnect, unknown id, ...)";
-    incremental_repairs = counter "fabric.incremental_repairs" "events settled by the rescue";
     full_recomputes = counter "fabric.full_recomputes" "events settled by full reroute";
-    fallbacks = counter "fabric.fallbacks" "full recomputes that failed and went to the rescue";
-    dsts_repaired = counter "fabric.dsts_repaired" "destinations re-routed, rescued events only";
-    dsts_total = counter "fabric.dsts_total" "destinations present, summed over rescued events";
+    fallbacks = counter "fabric.fallbacks" "full recomputes placed online after Algorithm 2 ran out of layers";
     swap_epochs = counter "fabric.swap_epochs" "epoch counter after the latest swap";
     verify_failures = counter "fabric.verify_failures" "candidate tables rejected by the verifier";
     repair = timer "fabric.repair" "seconds computing routes/layers";
@@ -46,19 +40,12 @@ let registry m = m.registry
 let events_seen m = Obs.Counter.value m.events_seen
 let events_applied m = Obs.Counter.value m.events_applied
 let events_rejected m = Obs.Counter.value m.events_rejected
-let incremental_repairs m = Obs.Counter.value m.incremental_repairs
 let full_recomputes m = Obs.Counter.value m.full_recomputes
 let fallbacks m = Obs.Counter.value m.fallbacks
-let dsts_repaired m = Obs.Counter.value m.dsts_repaired
-let dsts_total m = Obs.Counter.value m.dsts_total
 let swap_epochs m = Obs.Counter.value m.swap_epochs
 let verify_failures m = Obs.Counter.value m.verify_failures
 let repair_s m = Obs.Timer.sum_s m.repair
 let verify_s m = Obs.Timer.sum_s m.verify
-
-let repaired_fraction m =
-  let total = dsts_total m in
-  if total = 0 then 0.0 else float_of_int (dsts_repaired m) /. float_of_int total
 
 let to_json m = Obs.Registry.to_json m.registry
 
@@ -66,10 +53,8 @@ let pp ppf m =
   Format.fprintf ppf
     "events: %d seen, %d applied, %d rejected@,\
      full recomputes: %d (verify failures: %d)@,\
-     rescues: %d attempted, %d swapped (%d/%d destinations re-routed, %.1f%%)@,\
+     online fallbacks: %d@,\
      swap epochs: %d@,\
      time: route %.3f s, verify %.3f s"
     (events_seen m) (events_applied m) (events_rejected m) (full_recomputes m) (verify_failures m)
-    (fallbacks m) (incremental_repairs m) (dsts_repaired m) (dsts_total m)
-    (100.0 *. repaired_fraction m)
-    (swap_epochs m) (repair_s m) (verify_s m)
+    (fallbacks m) (swap_epochs m) (repair_s m) (verify_s m)

@@ -4,7 +4,7 @@ type result = {
   scheduled : int;
   applied : int;
   swaps : int;
-  rescued : int;
+  fallbacks : int;
   full : int;
   failures : string list;
   artifact : string option;
@@ -58,7 +58,7 @@ let failed ~dir ~spec ~seed ~events msg =
     scheduled = 0;
     applied = 0;
     swaps = 0;
-    rescued = 0;
+    fallbacks = 0;
     full = 0;
     failures = [ msg ];
     artifact = Some artifact;
@@ -83,7 +83,7 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
     | Ok m ->
       let fails = ref [] in
       let fail fmt = Printf.ksprintf (fun msg -> fails := msg :: !fails) fmt in
-      let applied = ref 0 and swaps = ref 0 and rescued = ref 0 and full = ref 0 in
+      let applied = ref 0 and swaps = ref 0 and fallbacks = ref 0 and full = ref 0 in
       let trace_buf = Buffer.create 4096 in
       Fun.protect
         ~finally:(fun () -> Fabric.Manager.shutdown m)
@@ -98,9 +98,9 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
                       if o.Fabric.Manager.applied then begin
                         incr applied;
                         (match o.Fabric.Manager.action with
-                        | Fabric.Manager.Incremental _ -> incr rescued
-                        | Fabric.Manager.Full _ -> incr full
+                        | Fabric.Manager.Full _ | Fabric.Manager.Incremental _ -> incr full
                         | Fabric.Manager.Noop -> ());
+                        if o.Fabric.Manager.fallback then incr fallbacks;
                         (match (o.Fabric.Manager.action, o.Fabric.Manager.verify) with
                         | Fabric.Manager.Noop, _ | _, Some _ -> ()
                         | _, None ->
@@ -152,7 +152,7 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
         scheduled;
         applied = !applied;
         swaps = !swaps;
-        rescued = !rescued;
+        fallbacks = !fallbacks;
         full = !full;
         failures;
         artifact;
@@ -174,8 +174,8 @@ let pp_summary ppf results =
     (fun r ->
       if r.failures = [] then
         Format.fprintf ppf
-          "PASS %-28s seed=%-4d events=%d/%d swaps=%d rescued=%d full=%d@." r.spec
-          r.seed r.applied r.scheduled r.swaps r.rescued r.full
+          "PASS %-28s seed=%-4d events=%d/%d swaps=%d fallbacks=%d full=%d@." r.spec
+          r.seed r.applied r.scheduled r.swaps r.fallbacks r.full
       else begin
         Format.fprintf ppf "FAIL %s seed=%d@." r.spec r.seed;
         List.iter (fun f -> Format.fprintf ppf "  - %s@." f) r.failures;

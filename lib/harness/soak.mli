@@ -23,7 +23,7 @@ type result = {
   scheduled : int;  (** events in the generated schedule *)
   applied : int;  (** events the manager accepted *)
   swaps : int;  (** verified epoch swaps *)
-  rescued : int;  (** events served by the rescue after a failed full recompute *)
+  fallbacks : int;  (** full recomputes placed online after Algorithm 2 ran out of layers *)
   full : int;  (** events served by full recompute *)
   failures : string list;  (** invariant violations; empty means pass *)
   artifact : string option;

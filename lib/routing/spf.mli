@@ -8,8 +8,9 @@
     achievers, a quantity independent of the settle order — so kernel
     choice is purely a performance knob.  [test/test_spf.ml] enforces
     the equivalence against the heap oracle property-style.  Above this
-    module only {!Sssp}'s entry points (and the fabric manager's rescue
-    through them) take a kernel; every other engine runs [Auto]. *)
+    module only {!Sssp}'s entry points (and the fabric manager's full
+    recompute through them) take a kernel; every other engine runs
+    [Auto]. *)
 
 (** Kernel selector. [Auto] (the default everywhere) currently resolves
     to [Incremental], which embeds the bucket core and adds switch-tree

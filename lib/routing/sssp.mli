@@ -64,7 +64,7 @@ val default_kernel : Spf.kind
     graph-independent — scratch is (re)validated lazily against the
     graph (and requested kernel) of each invocation via epoch stamping —
     so one pool can serve many planes, graphs and engines (e.g. a
-    {!Fabric.Manager} holding a pool across incremental re-routes). Must
+    {!Fabric.Manager} holding a pool across full recomputes). Must
     be released with {!destroy_pool}. *)
 type pool
 
@@ -117,8 +117,7 @@ val route_plane :
 (** [route_destinations g ~weights ~ft ~dsts] is {!route_plane}
     restricted to the given destination terminals, writing into an
     existing table — the batch building block behind {!route_plane}
-    itself, the fabric manager's rescue ({!Fabric.Repair}) and the routing
-    bench. Destinations are
+    itself and the routing bench. Destinations are
     processed in [dsts] order. Stops at the first failing destination
     (lowest index, as a sequential scan would find it); on [Error],
     [weights] and [ft] retain the contributions of the destinations

@@ -38,7 +38,7 @@ type event_reply =
   | Applied of {
       epoch : int;
       applied : bool;
-      action : string;  (** ["full"], ["incremental"] (the rescue ran) or ["noop"] *)
+      action : string;  (** ["full"] or ["noop"] *)
       note : string;
       batch_size : int;  (** events drained in the same manager step group *)
     }

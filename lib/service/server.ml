@@ -389,8 +389,7 @@ let handle_epoch_info t conn ~id =
     ]
 
 let action_string = function
-  | Fabric.Manager.Incremental _ -> "incremental"
-  | Fabric.Manager.Full _ -> "full"
+  | Fabric.Manager.Full _ | Fabric.Manager.Incremental _ -> "full"
   | Fabric.Manager.Noop -> "noop"
 
 (* Drain the whole admission queue in one go: every admitted event

@@ -545,14 +545,13 @@ let online_matches_offline_soundness_qcheck =
           Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
             ~num_layers:outcome.Online.layers_used))
 
-(* Reference online placement: pinned pairs first, then every other
-   present pair in id order into the lowest layer the Kahn oracle still
-   finds acyclic. [None] when some pair fits no layer. *)
-let reference_online store ~pinned ~max_layers =
+(* Reference online placement: every present pair in id order into the
+   lowest layer the Kahn oracle still finds acyclic. [None] when some
+   pair fits no layer. *)
+let reference_online store ~max_layers =
   let g = Route_store.graph store in
-  let layer = Array.copy pinned in
+  let layer = Array.make (Route_store.capacity store) (-1) in
   let cdgs = Array.init max_layers (fun _ -> Cdg.create g) in
-  Route_store.iter_pairs store (fun p -> if layer.(p) >= 0 then Cdg.add_pair cdgs.(layer.(p)) store ~pair:p);
   Route_store.iter_pairs store (fun p ->
       let vl = ref 0 in
       while layer.(p) < 0 && !vl < max_layers do
@@ -567,74 +566,38 @@ let reference_online store ~pinned ~max_layers =
   Route_store.iter_pairs store (fun p -> if layer.(p) < 0 then placed := false);
   if !placed then Some layer else None
 
-(* A certified DFSSSP assignment on a random fabric, with a random third
-   of the destinations unseeded and re-routed min-hop: the rescue's
-   situation. Returns the mixed store and the seed (-1 = unseeded). *)
-let seeded_fixture seed =
+(* The SSSP routes of a random fabric with a random third of the
+   destinations re-routed min-hop: a mix of balanced and min-hop routes
+   that no single routing engine produces. *)
+let mixed_fixture seed =
   let rng = Rng.create seed in
   let g = Topo_random.make ~switches:8 ~switch_radix:8 ~terminals:16 ~inter_links:12 ~rng in
   match (Routing.Sssp.route g, Routing.Minhop.route g) with
-  | Ok ft, Ok minhop -> (
-    match Dfsssp.assign_layers ~max_layers:16 ft with
-    | Error _ -> None
-    | Ok ft ->
-      let certified = Result.get_ok (Routing.Ftable.to_store ft) in
-      let layers = Routing.Ftable.pair_layers ft in
-      let rerouted = Array.map (fun _ -> Rng.int rng 3 = 0) (Array.make (Graph.num_nodes g) ()) in
-      let store = Route_store.create g ~capacity:(Route_store.capacity certified) in
-      let seed = Array.make (Route_store.capacity certified) (-1) in
-      Route_store.iter_pairs certified (fun pair ->
-          let src, dst = Routing.Ftable.pair_of_id ft pair in
-          if rerouted.(dst) then
-            Route_store.set_path store ~pair (Option.get (Routing.Ftable.path minhop ~src ~dst))
-          else begin
-            Route_store.set_path store ~pair (Route_store.to_path certified ~pair);
-            seed.(pair) <- layers.(pair)
-          end);
-      Some (store, seed))
+  | Ok ft, Ok minhop ->
+    let sssp = Result.get_ok (Routing.Ftable.to_store ft) in
+    let rerouted = Array.map (fun _ -> Rng.int rng 3 = 0) (Array.make (Graph.num_nodes g) ()) in
+    let store = Route_store.create g ~capacity:(Route_store.capacity sssp) in
+    Route_store.iter_pairs sssp (fun pair ->
+        let src, dst = Routing.Ftable.pair_of_id ft pair in
+        Route_store.set_path store ~pair
+          (if rerouted.(dst) then Option.get (Routing.Ftable.path minhop ~src ~dst)
+           else Route_store.to_path sssp ~pair));
+    Some store
   | _ -> None
 
-let online_seed_qcheck =
-  qtest ~count:20 "online: seeded placement keeps the seed, stays acyclic" QCheck2.Gen.(int_range 0 10_000)
-    (fun seed_ ->
-      match seeded_fixture seed_ with
+let online_mixed_qcheck =
+  qtest ~count:20 "online: mixed SSSP/minhop store equals the Kahn reference"
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      match mixed_fixture seed with
       | None -> false
-      | Some (store, seed) ->
-        let unseeded = Array.make (Array.length seed) (-1) in
-        let run ?seed () = Online.assign_store ?seed store ~max_layers:16 in
-        let layers = function
+      | Some store ->
+        let placed =
+          match Online.assign_store store ~max_layers:16 with
           | Ok o -> Some o.Online.layer_of_path
           | Error _ -> None
         in
-        (* without a seed (or with an all -1 one): the plain online placement *)
-        let plain = layers (run ()) in
-        plain = reference_online store ~pinned:unseeded ~max_layers:16
-        && plain = layers (run ~seed:unseeded ())
-        &&
-        match run ~seed () with
-        | Ok a ->
-          let kept = ref true in
-          Array.iteri (fun p vl -> if vl >= 0 && a.Online.layer_of_path.(p) <> vl then kept := false) seed;
-          !kept
-          && Some a.Online.layer_of_path = reference_online store ~pinned:seed ~max_layers:16
-          && Acyclic.layers_acyclic_store store ~layer_of_path:a.Online.layer_of_path
-               ~num_layers:a.Online.layers_used
-        | Error _ -> reference_online store ~pinned:seed ~max_layers:16 = None)
-
-let test_online_seed_rejections () =
-  let g, paths = ring_fixture 5 in
-  let store = Route_store.of_paths g paths in
-  let n = Route_store.capacity store in
-  (* every clockwise path pinned to layer 0 closes the ring's cycle *)
-  (match Online.assign_store ~seed:(Array.make n 0) store ~max_layers:8 with
-  | Error msg -> Alcotest.(check bool) "names the cyclic layer" true (Testutil.contains msg "seeded layer 0")
-  | Ok _ -> Alcotest.fail "cyclic seed accepted");
-  (match Online.assign_store ~seed:(Array.make n 3) store ~max_layers:2 with
-  | Error msg -> Alcotest.(check bool) "names the budget" true (Testutil.contains msg "max 2")
-  | Ok _ -> Alcotest.fail "seed over max_layers accepted");
-  match Online.assign_store ~seed:[| 0 |] store ~max_layers:8 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "short seed accepted"
+        placed = reference_online store ~max_layers:16)
 
 (* ------------------------------------------------------------------ *)
 (* Pk_order                                                             *)
@@ -658,6 +621,16 @@ let test_pk_accepts_and_rejects () =
   Cdg.remove_path cdg ~pair:99 fake;
   Alcotest.(check bool) "order still consistent" true (Pk_order.consistent pk);
   Alcotest.(check bool) "self edge rejected" false (Pk_order.insert pk ~c1:p.(0) ~c2:p.(0))
+
+(* Every caller starts from an empty CDG; a CDG with live edges would
+   need an order of its own, so [create] refuses it. *)
+let test_pk_create_requires_empty () =
+  let g, paths = ring_fixture 5 in
+  let cdg = Cdg.create g in
+  Cdg.add_path cdg ~pair:0 paths.(0);
+  match Pk_order.create cdg with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a CDG with live edges accepted"
 
 (* A path's fresh edges accepted before its rejection are forgotten with
    the rollback: once a later insertion has reordered their endpoints, a
@@ -699,7 +672,6 @@ let test_online_torus_matches_reference () =
   let cls = Result.get_ok (Routing.Ftable.to_classes ft) in
   List.iter
     (fun (what, store) ->
-      let pinned = Array.make (Route_store.capacity store) (-1) in
       match Online.assign_store store ~max_layers:16 with
       | Error msg -> Alcotest.failf "%s: %s" what msg
       | Ok o ->
@@ -711,7 +683,7 @@ let test_online_torus_matches_reference () =
         Alcotest.(check bool)
           (what ^ ": the Kahn reference placement")
           true
-          (Some layer_of_path = reference_online store ~pinned ~max_layers:16))
+          (Some layer_of_path = reference_online store ~max_layers:16))
     [ ("per pair", Result.get_ok (Routing.Ftable.to_store ft)); ("per class", cls.Routing.Ftable.store) ]
 
 let online_matches_reference_qcheck =
@@ -726,8 +698,7 @@ let online_matches_reference_qcheck =
         Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
         let paths = Array.of_list (List.rev !paths) in
         let reference =
-          reference_online (Route_store.of_paths g paths)
-            ~pinned:(Array.make (Array.length paths) (-1)) ~max_layers:16
+          reference_online (Route_store.of_paths g paths) ~max_layers:16
         in
         (match Online.assign g ~paths ~max_layers:16 with
         | Ok a ->
@@ -948,13 +919,13 @@ let () =
           Alcotest.test_case "ring needs 2" `Quick test_online_ring;
           Alcotest.test_case "budget exhausted" `Quick test_online_budget;
           online_matches_offline_soundness_qcheck;
-          Alcotest.test_case "seed rejections" `Quick test_online_seed_rejections;
-          online_seed_qcheck;
+          online_mixed_qcheck;
         ] );
       ( "pk_order",
         [
           Alcotest.test_case "accepts and rejects" `Quick test_pk_accepts_and_rejects;
           Alcotest.test_case "rollback forgets accepted edges" `Quick test_pk_rollback_forgets;
+          Alcotest.test_case "create requires an empty CDG" `Quick test_pk_create_requires_empty;
           Alcotest.test_case "torus 12x12 equals the Kahn reference" `Slow test_online_torus_matches_reference;
           online_matches_reference_qcheck;
           pk_order_invariant_qcheck;

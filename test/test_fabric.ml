@@ -1,6 +1,6 @@
 (* Tests for the live fabric manager subsystem: id-stable fault
-   injection, forwarding-table diffing, verified epoch swaps, the
-   full-recompute-then-rescue policy, and the end-to-end acceptance run
+   injection, forwarding-table diffing, verified epoch swaps, the full
+   recompute with its online fallback, and the end-to-end acceptance run
    on a 4x4x4 torus under a mixed fault schedule. *)
 
 let check = Alcotest.check
@@ -29,6 +29,20 @@ let route_dfsssp ?(max_layers = 8) g =
     match Dfsssp.assign_layers ~max_layers ft with
     | Ok ft -> ft
     | Error e -> Alcotest.failf "assign_layers: %s" (Dfsssp.error_to_string e))
+
+(* The terminals whose forwarding tree in [ft] uses any channel in
+   [channels]. *)
+let affected_destinations ft ~channels =
+  let g = Routing.Ftable.graph ft in
+  List.filter
+    (fun dst ->
+      List.exists
+        (fun u ->
+          match Routing.Ftable.next ft ~node:u ~dst with
+          | Some c -> List.mem c channels
+          | None -> false)
+        (List.init (Graph.num_nodes g) Fun.id))
+    (Array.to_list (Graph.terminals g))
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                               *)
@@ -191,12 +205,12 @@ let test_diff_mismatch_rejected () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Rescue                                                               *)
+(* Affected destinations                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* What makes the rescue cheaper than a full recompute: on a single-link
-   failure it re-routes strictly fewer destinations than the full
-   recompute would (which touches all of them). *)
+(* A single switch cable carries the trees of some destinations but never
+   of all of them: the helper behind [used_cable] and the "no route uses
+   the failed cable" checks picks out a strict, non-empty subset. *)
 let test_affected_strictly_fewer_than_full () =
   let g = torus [| 4; 4 |] in
   let ft = route_dfsssp g in
@@ -205,7 +219,7 @@ let test_affected_strictly_fewer_than_full () =
   Array.iter
     (fun cable ->
       let pair = Option.get (Graph.reverse_channel g cable) in
-      let affected = Fabric.Repair.affected_destinations ft ~channels:[ cable; pair ] in
+      let affected = affected_destinations ft ~channels:[ cable; pair ] in
       if affected <> [] then some_cable_in_use := true;
       check Alcotest.bool "strictly fewer destinations than a full recompute" true
         (List.length affected < total))
@@ -226,7 +240,7 @@ let used_cable mgr g =
   Array.to_list (Degrade.switch_cables g)
   |> List.find (fun c ->
          let pair = Option.get (Graph.reverse_channel g c) in
-         Fabric.Repair.affected_destinations (Fabric.Manager.tables mgr) ~channels:[ c; pair ] <> [])
+         affected_destinations (Fabric.Manager.tables mgr) ~channels:[ c; pair ] <> [])
 
 let check_verified what (o : Fabric.Manager.outcome) =
   match o.Fabric.Manager.verify with
@@ -242,7 +256,7 @@ let test_manager_single_link_full () =
     (match o.Fabric.Manager.action with
     | Fabric.Manager.Full _ -> ()
     | _ -> Alcotest.failf "%s: expected a full recompute" what);
-    check Alcotest.bool (what ^ ": no rescue") false o.Fabric.Manager.fallback;
+    check Alcotest.bool (what ^ ": placed offline") false o.Fabric.Manager.fallback;
     check_verified what o;
     match o.Fabric.Manager.table_diff with
     | Some d -> check Alcotest.bool (what ^ ": routes moved") true (d.Routing.Ftable.entries_changed > 0)
@@ -252,13 +266,13 @@ let test_manager_single_link_full () =
   full_swap "down" o;
   check Alcotest.int "epoch advanced" 2 o.Fabric.Manager.epoch;
   check Alcotest.bool "no route uses the failed cable" true
-    (Fabric.Repair.affected_destinations (Fabric.Manager.tables mgr)
+    (affected_destinations (Fabric.Manager.tables mgr)
        ~channels:[ cable; Option.get (Graph.reverse_channel g cable) ]
     = []);
   full_swap "up" (Fabric.Manager.apply mgr (Fabric.Event.Link_up cable));
   let m = Fabric.Manager.metrics mgr in
   check Alcotest.int "two full recomputes" 2 (Fabric.Metrics.full_recomputes m);
-  check Alcotest.int "no rescue" 0 (Fabric.Metrics.fallbacks m);
+  check Alcotest.int "no online fallback" 0 (Fabric.Metrics.fallbacks m);
   check Alcotest.bool "converged" true (Fabric.Manager.converged mgr)
 
 let test_manager_rejects_bad_event () =
@@ -272,109 +286,96 @@ let test_manager_rejects_bad_event () =
   check Alcotest.int "counted as rejected" 1 (Fabric.Metrics.events_rejected (Fabric.Manager.metrics mgr));
   check Alcotest.bool "rejection does not break convergence" true (Fabric.Manager.converged mgr)
 
-(* torus:5x5 with three layers: after "down 2" the offline pass runs out
-   of layers, and the rescue fits by keeping every untouched route and its
-   layer and placing only the re-routed pairs. *)
-let test_manager_rescue_on_layer_budget () =
+(* torus:5x5 with three layers: after "down 2" Algorithm 2 runs out of
+   layers, and the online placement of the same SSSP routes fits. *)
+let test_manager_online_fallback_on_layer_budget () =
   let g = spec_graph "torus:5x5" in
   let config = { Fabric.Manager.default_config with max_layers = 3 } in
   let mgr = Result.get_ok (Fabric.Manager.create ~config g) in
-  let old = Fabric.Manager.tables mgr in
-  let affected =
-    Fabric.Repair.affected_destinations old ~channels:[ 2; Option.get (Graph.reverse_channel g 2) ]
-  in
   let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down 2) in
   check Alcotest.bool "applied" true o.Fabric.Manager.applied;
-  check Alcotest.bool "went to the rescue" true o.Fabric.Manager.fallback;
   (match o.Fabric.Manager.action with
-  | Fabric.Manager.Incremental { repaired; total } ->
-    check Alcotest.int "re-routed the affected destinations" (List.length affected) repaired;
-    check Alcotest.bool "a strict subset" true (repaired > 0 && repaired < total)
-  | _ -> Alcotest.fail "expected the rescue");
-  check Alcotest.bool "note names the failed full recompute" true
-    (Testutil.contains o.Fabric.Manager.note "full recompute failed");
-  check_verified "rescue" o;
-  let ft = Fabric.Manager.tables mgr in
-  check Alcotest.bool "within max_layers" true (Routing.Ftable.num_layers ft <= 3);
-  Array.iter
-    (fun src ->
-      Array.iter
-        (fun dst ->
-          if src <> dst && not (List.mem dst affected) then begin
-            check Alcotest.(option (array int)) "kept route" (Routing.Ftable.path old ~src ~dst)
-              (Routing.Ftable.path ft ~src ~dst);
-            check Alcotest.int "kept layer" (Routing.Ftable.layer old ~src ~dst)
-              (Routing.Ftable.layer ft ~src ~dst)
-          end)
-        (Graph.terminals g))
-    (Graph.terminals g);
+  | Fabric.Manager.Full _ -> ()
+  | _ -> Alcotest.fail "expected a full recompute");
+  check Alcotest.bool "placed online" true o.Fabric.Manager.fallback;
+  check Alcotest.bool "note names the offline exhaustion" true
+    (Testutil.contains o.Fabric.Manager.note "offline layer assignment failed: cycle remains");
+  check_verified "fallback" o;
+  check Alcotest.bool "within max_layers" true
+    (Routing.Ftable.num_layers (Fabric.Manager.tables mgr) <= 3);
   let m = Fabric.Manager.metrics mgr in
-  check Alcotest.int "one rescue attempted" 1 (Fabric.Metrics.fallbacks m);
-  check Alcotest.int "one rescue swapped" 1 (Fabric.Metrics.incremental_repairs m);
-  check Alcotest.int "no full recompute swapped" 0 (Fabric.Metrics.full_recomputes m);
+  check Alcotest.int "one online fallback" 1 (Fabric.Metrics.fallbacks m);
+  check Alcotest.int "one full recompute swapped" 1 (Fabric.Metrics.full_recomputes m);
   check Alcotest.bool "converged" true (Fabric.Manager.converged mgr)
 
-(* After a structural rebuild whose recompute fails, the active tables
-   index the pre-rebuild fabric: they can neither seed a rescue nor be
-   diffed, so the next failed recompute must come back stale, naming why. *)
-let test_manager_stale_after_failed_rebuild () =
+(* torus:5x5 with two layers: neither placement fits, and the refusal
+   names both failures. *)
+let test_manager_create_names_both_failures () =
+  let config = { Fabric.Manager.default_config with max_layers = 2 } in
+  match Fabric.Manager.create ~config (spec_graph "torus:5x5") with
+  | Ok _ -> Alcotest.fail "torus:5x5 fits two layers"
+  | Error msg ->
+    check Alcotest.bool "names the offline failure" true (Testutil.contains msg "cycle remains");
+    check Alcotest.bool "names the online failure" true (Testutil.contains msg "fits no layer")
+
+(* Forwarding entries of [ft] over a channel its fabric has disabled. *)
+let dead_entries ft =
+  let fabric = Routing.Ftable.graph ft in
+  let n = ref 0 in
+  Array.iter
+    (fun dst ->
+      for u = 0 to Graph.num_nodes fabric - 1 do
+        match Routing.Ftable.next ft ~node:u ~dst with
+        | Some c when not (Graph.channel_enabled fabric c) -> incr n
+        | _ -> ()
+      done)
+    (Graph.terminals fabric);
+  !n
+
+(* torus:4x4 with two layers under a mixed schedule (drains and switch
+   removals included): at "down 74" both Algorithm 2 and the online
+   placement run out of layers, so the stale tables stay active. Every
+   later swap is a full recompute of the fabric as it stands, so no swapped
+   table keeps an entry over a cable an earlier event took down. The
+   schedule is [fabric_tool manage torus:4x4 --max-layers 2 --events 40
+   --seed 2 --switch-removals 2 --drains 2 --print-schedule]. *)
+let test_manager_stale_when_both_fail () =
   let g = spec_graph "torus:4x4" in
   let config = { Fabric.Manager.default_config with max_layers = 2 } in
   let mgr = Result.get_ok (Fabric.Manager.create ~config g) in
   let schedule =
     Result.get_ok
       (Fabric.Schedule.of_string
-         "down 92\ndown 26\nup 26\ndown 80\ndrain 12\nup 92\nup 72\nup 48\nup 80\ndown 66\ndown 54\n\
-          remove 12\ndown 56\n")
+         "down 78\ndown 66\ndrain 4\ndown 62\nup 62\nup 26\ndown 12\ndown 38\ndown 74\nup 66\n\
+          up 74\nup 24\ndown 48\ndown 24\ndown 66\ndown 32\ndown 72\nup 48\nup 0\ndown 60\n\
+          up 24\nup 72\ndown 14\nremove 0\ndown 52\nup 52\ndown 44\nremove 14\ndown 54\nup 54\n\
+          down 60\nup 60\ndown 56\ndown 28\nup 56\ndown 46\ndown 56\ndown 52\nup 46\ndrain 0\n")
   in
-  let outcomes = Array.of_list (Fabric.Manager.run mgr schedule) in
-  let rebuild = outcomes.(11) and next = outcomes.(12) in
-  check Alcotest.bool "the rebuild's recompute failed" true (rebuild.Fabric.Manager.verify = None);
-  check Alcotest.bool "next event applied" true next.Fabric.Manager.applied;
-  check Alcotest.bool "no swap" true (next.Fabric.Manager.verify = None);
-  check Alcotest.bool "no rescue" false next.Fabric.Manager.fallback;
-  check Alcotest.bool "note names the reason" true
-    (Testutil.contains next.Fabric.Manager.note "predate a structural rebuild");
-  check Alcotest.bool "not converged" false (Fabric.Manager.converged mgr)
-
-(* A failed event leaves stale tables that still route over the cable it
-   took down; the next event's rescue must re-route those trees too, not
-   only the ones over its own cable, or it swaps in a certified table
-   with forwarding entries over a dead link. torus:4x4 with two layers:
-   "down 78" fails outright, "down 8" and "down 32" are rescued. *)
-let test_rescue_after_stale_event () =
-  let g = spec_graph "torus:4x4" in
-  let config = { Fabric.Manager.default_config with max_layers = 2 } in
-  let mgr = Result.get_ok (Fabric.Manager.create ~config g) in
-  let schedule = Result.get_ok (Fabric.Schedule.of_string "down 78\ndown 8\ndown 32\n") in
-  let dead_entries ft =
-    let fabric = Routing.Ftable.graph ft in
-    let n = ref 0 in
-    Array.iter
-      (fun dst ->
-        for u = 0 to Graph.num_nodes fabric - 1 do
-          match Routing.Ftable.next ft ~node:u ~dst with
-          | Some c when not (Graph.channel_enabled fabric c) -> incr n
-          | _ -> ()
-        done)
-      (Graph.terminals fabric);
-    !n
-  in
+  let stale_at = 8 in
   List.iteri
     (fun i event ->
+      let before = Fabric.Manager.epoch mgr in
       let o = Fabric.Manager.apply mgr event in
       let what = Fabric.Event.to_string event in
-      if i = 0 then check Alcotest.bool (what ^ " left stale") true (o.Fabric.Manager.verify = None)
-      else begin
-        check Alcotest.bool (what ^ " rescued") true o.Fabric.Manager.fallback;
-        check_verified what o;
-        check Alcotest.int (what ^ ": no entry over a down cable") 0 (dead_entries (Fabric.Manager.tables mgr))
-      end)
-    schedule
+      check Alcotest.bool (what ^ " applied") true o.Fabric.Manager.applied;
+      if i = stale_at then begin
+        check Alcotest.string "the stale event" "down 74" what;
+        check Alcotest.bool "no swap" true (o.Fabric.Manager.verify = None);
+        check Alcotest.int "epoch unchanged" before o.Fabric.Manager.epoch;
+        check Alcotest.bool "note names the offline failure" true
+          (Testutil.contains o.Fabric.Manager.note "offline layer assignment failed: cycle remains");
+        check Alcotest.bool "note names the online failure" true
+          (Testutil.contains o.Fabric.Manager.note "online placement failed: path")
+      end
+      else if i > stale_at && o.Fabric.Manager.verify <> None then
+        check Alcotest.int (what ^ ": no entry over a down channel") 0
+          (dead_entries (Fabric.Manager.tables mgr)))
+    schedule;
+  check Alcotest.bool "not converged" false (Fabric.Manager.converged mgr)
 
 (* The acceptance run: 4x4x4 torus, 10-event mixed schedule (link downs, a
    link up, one switch removal). With layers to spare every applied event
-   ends in a verified full swap and the rescue never runs. *)
+   ends in a verified full swap that Algorithm 2 placed. *)
 let test_manager_acceptance_4x4x4 () =
   let g = torus [| 4; 4; 4 |] in
   let rng = Rng.create 3 in
@@ -390,17 +391,16 @@ let test_manager_acceptance_4x4x4 () =
   List.iter
     (fun (o : Fabric.Manager.outcome) ->
       check Alcotest.bool "event applied" true o.Fabric.Manager.applied;
+      check Alcotest.bool "placed offline" false o.Fabric.Manager.fallback;
       match o.Fabric.Manager.action with
       | Fabric.Manager.Noop -> ()
-      | Fabric.Manager.Incremental _ -> Alcotest.fail "rescue on a fabric with layers to spare"
-      | Fabric.Manager.Full _ ->
+      | Fabric.Manager.Full _ | Fabric.Manager.Incremental _ ->
         incr full;
         check_verified "full swap" o)
     outcomes;
   let m = Fabric.Manager.metrics mgr in
   check Alcotest.int "every table-changing event a full swap" !full (Fabric.Metrics.full_recomputes m);
-  check Alcotest.int "zero rescues" 0 (Fabric.Metrics.fallbacks m);
-  check Alcotest.int "zero rescued swaps" 0 (Fabric.Metrics.incremental_repairs m);
+  check Alcotest.int "zero online fallbacks" 0 (Fabric.Metrics.fallbacks m);
   check Alcotest.bool "converged" true (Fabric.Manager.converged mgr);
   match Dfsssp.Verify.report (Fabric.Manager.tables mgr) with
   | Ok r -> check Alcotest.bool "final tables deadlock-free" true r.Dfsssp.Verify.deadlock_free
@@ -499,8 +499,8 @@ let test_materialisations_per_swap () =
   check Alcotest.bool "new epoch, new store" false (snap1.Fabric.Epoch.store == snap2.Fabric.Epoch.store);
   check Alcotest.bool "snapshot serves the swapped tables" true
     (snap2.Fabric.Epoch.tables == Fabric.Manager.tables mgr);
-  (* a rescue: the failed layer assignment's walk, the rescue's own walk
-     for the online placement, and the checker's *)
+  (* an online fallback: the failed offline pass's walk, the online
+     placement's own walk, and the checker's *)
   let config = { Fabric.Manager.default_config with max_layers = 3 } in
   let mgr = Result.get_ok (Fabric.Manager.create ~config (spec_graph "torus:5x5")) in
   let (o, _), n =
@@ -508,10 +508,8 @@ let test_materialisations_per_swap () =
         let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down 2) in
         (o, ok_snapshot mgr))
   in
-  (match o.Fabric.Manager.action with
-  | Fabric.Manager.Incremental _ -> ()
-  | _ -> Alcotest.fail "expected the rescue");
-  check Alcotest.int "rescued down + snapshot" 3 n
+  check Alcotest.bool "placed online" true o.Fabric.Manager.fallback;
+  check Alcotest.int "fallback down + snapshot" 3 n
 
 (* Epoch-level view of the same contract: the swap walks the tables once,
    inside the certifier, and the snapshot walks nothing — so the store it
@@ -684,9 +682,10 @@ let () =
         [
           Alcotest.test_case "single link down/up full swap" `Quick test_manager_single_link_full;
           Alcotest.test_case "bad events rejected" `Quick test_manager_rejects_bad_event;
-          Alcotest.test_case "layer budget fallback" `Quick test_manager_rescue_on_layer_budget;
-          Alcotest.test_case "stale after a failed rebuild" `Quick test_manager_stale_after_failed_rebuild;
-          Alcotest.test_case "rescue after a stale event" `Quick test_rescue_after_stale_event;
+          Alcotest.test_case "layer budget fallback" `Quick test_manager_online_fallback_on_layer_budget;
+          Alcotest.test_case "create names both failed placements" `Quick
+            test_manager_create_names_both_failures;
+          Alcotest.test_case "stale when both placements fail" `Quick test_manager_stale_when_both_fail;
           Alcotest.test_case "acceptance: 4x4x4 torus, mixed schedule" `Quick test_manager_acceptance_4x4x4;
         ] );
       ( "epoch-snapshot",
@@ -696,7 +695,7 @@ let () =
         ] );
       ( "swap-cost",
         [
-          Alcotest.test_case "walks per bring-up, swap, rescue" `Quick test_materialisations_per_swap;
+          Alcotest.test_case "walks per bring-up, swap, fallback" `Quick test_materialisations_per_swap;
           Alcotest.test_case "snapshot is the certified store" `Quick test_snapshot_is_certified_store;
           Alcotest.test_case "snapshot slices equal table walks" `Quick test_snapshot_parity;
           Alcotest.test_case "one stage-timer sample per create" `Quick test_stage_timers_per_create;

@@ -83,7 +83,7 @@ let test_soak_deterministic () =
   let a = run () and b = run () in
   check Alcotest.int "same schedule" a.Harness.Soak.scheduled b.Harness.Soak.scheduled;
   check Alcotest.int "same swaps" a.Harness.Soak.swaps b.Harness.Soak.swaps;
-  check Alcotest.int "same rescue mix" a.Harness.Soak.rescued b.Harness.Soak.rescued
+  check Alcotest.int "same fallback mix" a.Harness.Soak.fallbacks b.Harness.Soak.fallbacks
 
 let test_soak_failure_artifact () =
   let dir = tmp_artifact_dir () in
