@@ -12,8 +12,10 @@ all:
 # on a small torus (break-smoke), the topology-zoo conformance battery
 # certifies every corpus file and generator sample, a quick churn
 # soak (>= 200 seeded events) survives with every epoch recertified, a
-# layer-tight torus converges on every churn event (churn-smoke), and
-# no oracle has leaked back into the shipped code (no-oracles).
+# layer-tight torus converges on every churn event under DFSSSP and
+# under LASH's Pearce-Kelly placement on the degraded fabric
+# (churn-smoke), and no oracle has leaked back into the shipped code
+# (no-oracles).
 check:
 	dune build && dune build --profile release && dune runtest && $(MAKE) no-oracles && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke && $(MAKE) churn-smoke
 
@@ -47,14 +49,19 @@ soak-smoke:
 
 # Churn on a torus where Algorithm 2 needs all 8 layers, part of `check`:
 # 30 link events on each of three seeds, most of which run it out of
-# layers, so the online placement must fit them. `manage` exits 1 unless
-# every event ends in a verified swap.
+# layers, so the online placement must fit them. Then 30 events under
+# LASH with the default switch removals and drains: every event's tables
+# are placed by the Pearce-Kelly order on a degraded fabric. `manage`
+# exits 1 unless every event ends in a verified swap.
 churn-smoke:
 	@set -e; for seed in 1 2 3; do \
 	  out=$$(dune exec bin/fabric_tool.exe -- manage torus:8x8:4 --switch-removals 0 --events 30 --seed $$seed) || \
 	    { printf '%s\n' "$$out"; echo "churn-smoke: torus:8x8:4 seed $$seed did not converge"; exit 1; }; \
 	  echo "churn-smoke: torus:8x8:4 seed $$seed converged"; \
 	done
+	@out=$$(dune exec bin/fabric_tool.exe -- manage torus:8x8:4 --algorithm lash --events 30 --seed 1) || \
+	  { printf '%s\n' "$$out"; echo "churn-smoke: torus:8x8:4 lash seed 1 did not converge"; exit 1; }; \
+	echo "churn-smoke: torus:8x8:4 lash seed 1 converged"
 
 # Long-haul churn soak (not part of `check`): larger fabrics, more
 # events, switch removals and drains included.

@@ -3,17 +3,13 @@ type color =
   | Gray
   | Black
 
-(* A frame walks the CSR base row of [node] by slot index (no per-push
-   successor array), then any overlay successors snapshotted at push
-   time. Liveness is re-checked at consumption either way, so edges
-   removed after the push are skipped. The caller must not compact the
-   CDG while a search is in flight — slot indices would dangle. *)
+(* A frame walks the CSR row of [node] by slot index (no per-push
+   successor array). Liveness is re-checked at consumption, so edges
+   removed after the push are skipped. *)
 type frame = {
   node : int;
-  mutable sl : int; (* next base slot to examine *)
+  mutable sl : int; (* next slot to examine *)
   sl_hi : int;
-  over : int array; (* overlay successors at push time *)
-  mutable oc : int;
 }
 
 type t = {
@@ -57,7 +53,7 @@ let push t node =
   t.stack_pos.(node) <- t.depth;
   t.depth <- t.depth + 1;
   let lo, hi = Cdg.slot_range t.cdg node in
-  t.stack <- { node; sl = lo; sl_hi = hi; over = Cdg.overlay_successors t.cdg node; oc = 0 } :: t.stack
+  t.stack <- { node; sl = lo; sl_hi = hi } :: t.stack
 
 let pop t =
   match t.stack with
@@ -107,11 +103,6 @@ let find_cycle t =
         let sl = f.sl in
         if not (Cdg.slot_live t.cdg sl) then f.sl <- f.sl + 1
         else visit (Cdg.slot_col t.cdg sl) (fun () -> f.sl <- f.sl + 1)
-      end
-      else if f.oc < Array.length f.over then begin
-        let s = f.over.(f.oc) in
-        if not (Cdg.live t.cdg ~c1:f.node ~c2:s) then f.oc <- f.oc + 1
-        else visit s (fun () -> f.oc <- f.oc + 1)
       end
       else pop t
   done;

@@ -5,7 +5,9 @@
     removed while a layer is processed, removal cannot create cycles, so
     finished ("black") regions stay certified and only the invalidated
     part of the DFS stack is re-explored. This is what makes offline
-    DFSSSP need one amortized traversal per layer.
+    DFSSSP need one amortized traversal per layer. Each stack frame is a
+    cursor into its channel's CSR row of the CDG, which never grows, so
+    no successor list is copied.
 
     Search roots run in channel-id order but skip injection channels
     (terminal to switch): no cycle consists of them alone, and skipping
@@ -15,9 +17,9 @@
 
 type t
 
-(** Start a search over [cdg]. The caller must not add paths to [cdg]
-    while the search lives; removing paths is allowed but must be followed
-    by {!notify_removed} before the next {!find_cycle}. *)
+(** Start a search over [cdg]. Removing pairs from [cdg] while the
+    search lives is allowed but must be followed by {!notify_removed}
+    before the next {!find_cycle}. *)
 val create : Cdg.t -> t
 
 (** [find_cycle t] returns the next directed cycle, as the array of CDG

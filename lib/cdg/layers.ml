@@ -24,13 +24,13 @@ let t_assign = Obs.Registry.timer "layers.assign" ~desc:"seconds per offline lay
 
 (* Stage timers, shared by both engines so benches can diff the split:
    condense = SCC condensation / DFS cycle search, evict = eviction
-   planning and pair relocation, rebuild = CDG construction/compaction. *)
+   planning and pair relocation, rebuild = CDG construction. *)
 let t_condense =
   Obs.Registry.timer "layers.condense" ~desc:"seconds condensing/searching layer CDGs for cycles"
 
 let t_evict = Obs.Registry.timer "layers.evict" ~desc:"seconds planning and applying edge evictions"
 
-let t_rebuild = Obs.Registry.timer "layers.rebuild" ~desc:"seconds building/compacting layer CDGs"
+let t_rebuild = Obs.Registry.timer "layers.rebuild" ~desc:"seconds building layer CDGs"
 
 let budget_error vl max_layers =
   Printf.sprintf "cycle remains in layer %d and no layer is left (max %d)" vl max_layers
@@ -52,9 +52,9 @@ let assign_store_dfs store ~max_layers ~heuristic =
       Obs.Trace.begin_span "layers.layer" ~attrs:(fun () ->
           [ ("layer", Obs.Trace.Int !vl); ("engine", Obs.Trace.Str "dfs") ])
     in
-    (* Nothing adds to or compacts the layer while [search] is alive, so
-       {!Cycle}'s slot cursors stay valid. The pairs evicted from it are
-       collected and built into the next layer's CSR base in one
+    (* A built CDG never grows, so {!Cycle}'s slot cursors stay valid
+       while [search] is alive. The pairs evicted from it are
+       collected and built into the next layer's CSR in one
        {!Cdg.of_store} once the sweep is done, exactly as the SCC engine
        does. *)
     let search = Cycle.create current_cdg in
@@ -121,9 +121,8 @@ type plan = {
 
 (* Plan evictions for the non-trivial component [members] of [cdg]
    (whose condensation produced [comp_of]); [local_of] maps each member
-   channel to its index in [members]. Reads [cdg] only through the CSR
-   base — the caller compacts first — so concurrent planning of disjoint
-   components is safe.
+   channel to its index in [members]. Reads [cdg] only, through its CSR
+   slots, so concurrent planning of disjoint components is safe.
 
    The component's internal edges are mirrored into a local CSR with an
    exact live-inducer count per edge and a (c1, c2) -> edge map over
@@ -303,7 +302,6 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
       | Some c -> c
       | None -> assert false
     in
-    if Cdg.overlay_edges cdg > 0 then Cdg.compact cdg;
     let span =
       Obs.Trace.begin_span "layers.layer" ~attrs:(fun () ->
           [ ("layer", Obs.Trace.Int !vl); ("engine", Obs.Trace.Str "scc") ])

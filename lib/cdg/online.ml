@@ -8,26 +8,35 @@ type outcome = {
   cycle_checks : int;
 }
 
-let fresh_dependencies cdg store ~pair =
-  let fresh = ref [] in
-  Route_store.iter_deps store ~pair (fun a b ->
-      if not (Cdg.live cdg ~c1:a ~c2:b) then fresh := (a, b) :: !fresh);
-  !fresh
+let t_assign = Obs.Registry.timer "online.assign" ~desc:"seconds per online layer assignment"
+
+let c_checks =
+  Obs.Registry.counter "online.cycle_checks"
+    ~desc:"dependencies registered with the online placement's Pearce-Kelly orders"
+
+(* The refusal names the route by its endpoints: the node its first
+   channel leaves and the node its last channel enters. *)
+let refusal store ~pair ~max_layers =
+  let g = Route_store.graph store in
+  let name v = (Graph.node g v).Node.name in
+  let first = Route_store.get store ~pair 0
+  and last = Route_store.get store ~pair (Route_store.length store ~pair - 1) in
+  Printf.sprintf "route %d (%s -> %s) fits no layer (max %d)" pair
+    (name (Graph.channel g first).Channel.src)
+    (name (Graph.channel g last).Channel.dst)
+    max_layers
 
 (* Places every present pair in id order into the lowest layer it keeps
-   acyclic, opening layers up to [max_layers]. Each layer's Pearce–Kelly
-   order registers a path's fresh dependencies one by one (only 0->1
-   count transitions: dependencies the layer already carried cannot
-   close anything new); a rejected edge leaves the order untouched and
-   the path is rolled out of the CDG. Edge deletions never invalidate a
-   topological order, but the fresh edges the order accepted before the
-   rejection are forgotten with it: later reorderings stop respecting
-   them, so a later path reviving one must register it anew. *)
-let assign_store store ~max_layers =
-  if max_layers < 1 then invalid_arg "Online.assign: max_layers < 1";
-  let g = Route_store.graph store in
+   acyclic, opening layers up to [max_layers]. A layer is its
+   Pearce–Kelly order's accepted edge set. A path's fresh dependencies —
+   those the layer does not hold yet; the others cannot close anything
+   new — are inserted one by one; a rejected edge leaves the order
+   untouched, and the fresh edges accepted before it are forgotten with
+   the path: later reorderings stop respecting them, so a later path
+   reviving one must insert it anew. *)
+let place store ~max_layers =
   let layer_of_path = Array.make (Route_store.capacity store) (-1) in
-  let cdgs = ref [||] and pks = ref [||] in
+  let pks = ref [||] in
   let checks = ref 0 in
   let error = ref None in
   let rejects pk fresh =
@@ -37,28 +46,24 @@ let assign_store store ~max_layers =
         incr checks;
         if Pk_order.insert pk ~c1:a ~c2:b then go rest else true
     in
-    go (List.rev fresh)
+    go fresh
   in
   Route_store.iter_pairs store (fun i ->
       if !error = None then begin
         let placed = ref false in
         let vl = ref 0 in
         while (not !placed) && !error = None do
-          if !vl >= Array.length !cdgs then
-            if Array.length !cdgs >= max_layers then
-              error := Some (Printf.sprintf "path %d fits no layer (max %d)" i max_layers)
-            else begin
-              let cdg = Cdg.create g in
-              cdgs := Array.append !cdgs [| cdg |];
-              pks := Array.append !pks [| Pk_order.create cdg |]
-            end;
+          if !vl >= Array.length !pks then
+            if Array.length !pks >= max_layers then error := Some (refusal store ~pair:i ~max_layers)
+            else pks := Array.append !pks [| Pk_order.create (Route_store.graph store) |];
           if !error = None then begin
-            let cdg = !cdgs.(!vl) in
-            let fresh = fresh_dependencies cdg store ~pair:i in
-            Cdg.add_pair cdg store ~pair:i;
-            if rejects !pks.(!vl) fresh then begin
-              Cdg.remove_pair cdg store ~pair:i;
-              List.iter (fun (a, b) -> Pk_order.forget !pks.(!vl) ~c1:a ~c2:b) fresh;
+            let pk = !pks.(!vl) in
+            let fresh = ref [] in
+            Route_store.iter_deps store ~pair:i (fun a b ->
+                if not (Pk_order.mem pk ~c1:a ~c2:b) then fresh := (a, b) :: !fresh);
+            let fresh = List.rev !fresh in
+            if rejects pk fresh then begin
+              List.iter (fun (a, b) -> Pk_order.forget pk ~c1:a ~c2:b) fresh;
               incr vl
             end
             else begin
@@ -68,6 +73,7 @@ let assign_store store ~max_layers =
           end
         done
       end);
+  Obs.Counter.incr ~n:!checks c_checks;
   match !error with
   | Some msg -> Error msg
   | None ->
@@ -76,5 +82,9 @@ let assign_store store ~max_layers =
         m "placed %d routes over %d layer(s) with %d cycle probes" (Route_store.num_paths store)
           layers_used !checks);
     Ok { layer_of_path; layers_used; cycle_checks = !checks }
+
+let assign_store store ~max_layers =
+  if max_layers < 1 then invalid_arg "Online.assign: max_layers < 1";
+  Obs.Timer.time t_assign (fun () -> place store ~max_layers)
 
 let assign g ~paths ~max_layers = assign_store (Route_store.of_paths g paths) ~max_layers

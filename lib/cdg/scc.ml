@@ -1,8 +1,7 @@
 (* Iterative Tarjan over the live edges of a CDG. Frames walk the CSR
-   base rows by slot index plus an overlay-successor snapshot (same
-   cursor scheme as {!Cycle}); liveness is checked at consumption, so a
-   compacted CDG condenses on pure array scans. The CDG must not be
-   mutated while [of_cdg] runs. *)
+   rows by slot index (same cursor scheme as {!Cycle}); liveness is
+   checked at consumption, so a CDG condenses on pure array scans. The
+   CDG must not be mutated while [of_cdg] runs. *)
 
 type t = {
   comp_of : int array;
@@ -12,10 +11,8 @@ type t = {
 
 type frame = {
   node : int;
-  mutable sl : int; (* next base slot to examine *)
+  mutable sl : int; (* next slot to examine *)
   sl_hi : int;
-  over : int array; (* overlay successors at push time *)
-  mutable oc : int;
 }
 
 let of_cdg cdg =
@@ -36,7 +33,7 @@ let of_cdg cdg =
     tstack := node :: !tstack;
     on_stack.(node) <- true;
     let lo, hi = Cdg.slot_range cdg node in
-    dfs := { node; sl = lo; sl_hi = hi; over = Cdg.overlay_successors cdg node; oc = 0 } :: !dfs
+    dfs := { node; sl = lo; sl_hi = hi } :: !dfs
   in
   let close_root node =
     let c = !num_comps in
@@ -66,14 +63,6 @@ let of_cdg cdg =
             f.sl <- f.sl + 1;
             if Cdg.slot_live cdg sl then begin
               next := Cdg.slot_col cdg sl;
-              scanning := false
-            end
-          end
-          else if f.oc < Array.length f.over then begin
-            let s = f.over.(f.oc) in
-            f.oc <- f.oc + 1;
-            if Cdg.live cdg ~c1:f.node ~c2:s then begin
-              next := s;
               scanning := false
             end
           end

@@ -3,7 +3,8 @@
     (DESIGN.md §17). Any directed cycle of a CDG lies entirely inside one
     SCC, so condensing once per layer certifies every singleton component
     acyclic for free and confines cycle breaking to the non-trivial
-    components, which are mutually independent. *)
+    components, which are mutually independent. The walk reads the CDG's
+    CSR rows by slot index and allocates one frame per channel pushed. *)
 
 type t = {
   comp_of : int array;  (** channel -> component id, [0 .. num_comps) *)
@@ -15,6 +16,6 @@ type t = {
           (and [comp_of]) are deterministic for a given CDG. *)
 }
 
-(** [of_cdg cdg] condenses the live edges of [cdg] (base and overlay).
+(** [of_cdg cdg] condenses the live edges of [cdg].
     Channels with no live edges form singleton components. *)
 val of_cdg : Cdg.t -> t

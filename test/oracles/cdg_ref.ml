@@ -76,3 +76,22 @@ let num_paths t = t.num_paths
 
 let iter_edges t f =
   Array.iteri (fun c1 tbl -> Hashtbl.iter (fun c2 e -> f c1 c2 e.count) tbl) t.adj
+
+(* Kahn's algorithm: acyclic iff every channel drains. *)
+let is_acyclic t =
+  let m = Array.length t.adj in
+  let indeg = Array.make m 0 in
+  iter_edges t (fun _ c2 _ -> indeg.(c2) <- indeg.(c2) + 1);
+  let queue = Queue.create () in
+  Array.iteri (fun c d -> if d = 0 then Queue.add c queue) indeg;
+  let seen = ref 0 in
+  while not (Queue.is_empty queue) do
+    let c = Queue.take queue in
+    incr seen;
+    Hashtbl.iter
+      (fun c2 _ ->
+        indeg.(c2) <- indeg.(c2) - 1;
+        if indeg.(c2) = 0 then Queue.add c2 queue)
+      t.adj.(c)
+  done;
+  !seen = m

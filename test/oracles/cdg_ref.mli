@@ -1,7 +1,8 @@
 (** Naive hashtable CDG: one [Hashtbl] per channel, pair membership as
     plain lists — the representation {!Cdg} used before the CSR refactor.
-    Kept as the oracle for the representation-equivalence property tests
-    and as the baseline of the [bench/cdg_bench] microbenchmark. Not for
+    Kept as the oracle for the representation-equivalence property tests,
+    as the growable CDG of the Kahn reference online placement, and as
+    the baseline of the [bench/cdg_bench] microbenchmark. Not for
     production use: [Deadlock.Cdg] is the real thing. *)
 
 type t
@@ -21,3 +22,6 @@ val successors : t -> int -> int array
 val num_edges : t -> int
 val num_paths : t -> int
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
+
+(** Kahn's algorithm over the live edges. *)
+val is_acyclic : t -> bool

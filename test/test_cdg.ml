@@ -37,8 +37,8 @@ let ring_fixture switches =
 
 let test_cdg_add_remove () =
   let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  Array.iteri (fun i p -> Cdg.add_path cdg ~pair:i p) paths;
+  let store = Route_store.of_paths g paths in
+  let cdg = Cdg.of_store store in
   check Alcotest.int "paths" 5 (Cdg.num_paths cdg);
   (* each 4-channel path induces 3 dependencies, all distinct overall *)
   check Alcotest.int "edges" 15 (Cdg.num_edges cdg);
@@ -46,50 +46,30 @@ let test_cdg_add_remove () =
   Alcotest.(check bool) "edge live" true (Cdg.live cdg ~c1:p.(1) ~c2:p.(2));
   check Alcotest.int "edge count" 1 (Cdg.edge_count cdg ~c1:p.(1) ~c2:p.(2));
   check Alcotest.(list int) "edge pairs" [ 0 ] (Cdg.edge_pairs cdg ~c1:p.(1) ~c2:p.(2));
-  Cdg.remove_path cdg ~pair:0 p;
+  Cdg.remove_pair cdg store ~pair:0;
   check Alcotest.int "paths after remove" 4 (Cdg.num_paths cdg);
+  check Alcotest.int "edges after remove" 12 (Cdg.num_edges cdg);
   Alcotest.(check bool) "edge dead" false (Cdg.live cdg ~c1:p.(1) ~c2:p.(2));
   check Alcotest.int "dead edge count" 0 (Cdg.edge_count cdg ~c1:p.(1) ~c2:p.(2));
   check Alcotest.(list int) "dead edge pairs" [] (Cdg.edge_pairs cdg ~c1:p.(1) ~c2:p.(2));
-  Alcotest.check_raises "double remove" (Invalid_argument "Cdg.remove_path: edge not present")
-    (fun () -> Cdg.remove_path cdg ~pair:0 p)
+  Alcotest.check_raises "double remove" (Invalid_argument "Cdg.remove_pair: edge not present")
+    (fun () -> Cdg.remove_pair cdg store ~pair:0)
 
 let test_cdg_shared_edges () =
-  let g, _ = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  (* two paths sharing one dependency *)
-  let p = [| 0; 2; 4 |] in
-  (* fabricate channel chains? use real consistent ones instead *)
-  ignore p;
-  let _, paths = ring_fixture 5 in
-  Cdg.add_path cdg ~pair:0 paths.(0);
-  (* same shape path, different pair id *)
-  Cdg.add_path cdg ~pair:1 paths.(0);
-  check Alcotest.int "count 2" 2 (Cdg.edge_count cdg ~c1:paths.(0).(0) ~c2:paths.(0).(1));
-  let prs = List.sort compare (Cdg.edge_pairs cdg ~c1:paths.(0).(0) ~c2:paths.(0).(1)) in
-  check Alcotest.(list int) "both pairs" [ 0; 1 ] prs;
-  Cdg.remove_path cdg ~pair:0 paths.(0);
-  Alcotest.(check bool) "still live" true (Cdg.live cdg ~c1:paths.(0).(0) ~c2:paths.(0).(1));
-  check Alcotest.int "count 1" 1 (Cdg.edge_count cdg ~c1:paths.(0).(0) ~c2:paths.(0).(1))
-
-(* Regression for the stale-pair leak: edge_pairs must reflect exact live
-   membership across add -> remove -> add churn on a shared edge. *)
-let test_cdg_add_remove_add_membership () =
   let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
+  (* the same path under two pair ids: every dependency is shared *)
+  let store = Route_store.of_paths g [| paths.(0); paths.(0) |] in
+  let cdg = Cdg.of_store store in
   let p = paths.(0) in
-  Cdg.add_path cdg ~pair:7 p;
-  Cdg.add_path cdg ~pair:8 p;
-  Cdg.remove_path cdg ~pair:7 p;
-  check Alcotest.(list int) "after remove" [ 8 ] (Cdg.edge_pairs cdg ~c1:p.(0) ~c2:p.(1));
-  Cdg.add_path cdg ~pair:7 p;
-  check Alcotest.(list int) "after re-add" [ 7; 8 ]
-    (List.sort compare (Cdg.edge_pairs cdg ~c1:p.(0) ~c2:p.(1)));
-  Cdg.remove_path cdg ~pair:8 p;
-  check Alcotest.(list int) "exact membership" [ 7 ] (Cdg.edge_pairs cdg ~c1:p.(0) ~c2:p.(1));
-  check Alcotest.int "count tracks membership" 1 (Cdg.edge_count cdg ~c1:p.(0) ~c2:p.(1));
-  Alcotest.check_raises "wrong pair" (Invalid_argument "Cdg.remove_path: pair not on edge")
-    (fun () -> Cdg.remove_path cdg ~pair:42 p)
+  check Alcotest.int "count 2" 2 (Cdg.edge_count cdg ~c1:p.(0) ~c2:p.(1));
+  let prs = List.sort compare (Cdg.edge_pairs cdg ~c1:p.(0) ~c2:p.(1)) in
+  check Alcotest.(list int) "both pairs" [ 0; 1 ] prs;
+  Cdg.remove_pair cdg store ~pair:0;
+  Alcotest.(check bool) "still live" true (Cdg.live cdg ~c1:p.(0) ~c2:p.(1));
+  check Alcotest.int "count 1" 1 (Cdg.edge_count cdg ~c1:p.(0) ~c2:p.(1));
+  check Alcotest.(list int) "exact membership" [ 1 ] (Cdg.edge_pairs cdg ~c1:p.(0) ~c2:p.(1));
+  Alcotest.check_raises "wrong pair" (Invalid_argument "Cdg.remove_pair: pair not on edge")
+    (fun () -> Cdg.remove_pair cdg store ~pair:0)
 
 let test_route_store_basics () =
   let g, paths = ring_fixture 5 in
@@ -126,21 +106,18 @@ let test_route_store_basics () =
   Route_store.iter_deps store2 ~pair:0 (fun _ _ -> incr deps);
   check Alcotest.int "dep count" (Array.length paths.(0) - 1) !deps
 
-let test_cdg_of_store_and_compact () =
+let test_cdg_of_store_and_removal () =
   let g, paths = ring_fixture 5 in
   let store = Route_store.of_paths g paths in
   let csr = Cdg.of_store store in
   check Alcotest.int "edges" 15 (Cdg.num_edges csr);
   check Alcotest.int "paths" 5 (Cdg.num_paths csr);
-  (* churn: remove two paths, re-add one, then compact back to pure CSR *)
-  Cdg.remove_path csr ~pair:1 paths.(1);
-  Cdg.remove_path csr ~pair:2 paths.(2);
-  Cdg.add_path csr ~pair:2 paths.(2);
-  Cdg.compact csr;
-  check Alcotest.int "overlay drained" 0 (Cdg.overlay_edges csr);
-  let reference = Cdg.create g in
-  Array.iteri (fun i p -> if i <> 1 then Cdg.add_path reference ~pair:i p) paths;
+  (* removing two paths leaves the CDG of the other three *)
+  Cdg.remove_pair csr store ~pair:1;
+  Cdg.remove_pair csr store ~pair:2;
+  let reference = Cdg.of_store ~filter:(fun pr -> pr <> 1 && pr <> 2) store in
   check Alcotest.int "edges agree" (Cdg.num_edges reference) (Cdg.num_edges csr);
+  check Alcotest.int "paths agree" (Cdg.num_paths reference) (Cdg.num_paths csr);
   Cdg.iter_edges reference (fun c1 c2 count ->
       check Alcotest.int "count agrees" count (Cdg.edge_count csr ~c1 ~c2);
       check Alcotest.(list int) "pairs agree"
@@ -151,12 +128,12 @@ let test_cdg_of_store_and_compact () =
   check Alcotest.int "filtered paths" 1 (Cdg.num_paths only0);
   check Alcotest.int "filtered edges" 3 (Cdg.num_edges only0)
 
-(* Cdg.of_store reads the route arena directly; the reference adds the
-   same pairs one by one through the overlay and compacts. Random stores
-   mix absent pairs, 0- and 1-channel slices and replaced paths (whose
-   abandoned slices leave dead arena between live ones). *)
+(* Cdg.of_store reads the route arena directly; the hashtable reference
+   adds the same pairs one by one. Random stores mix absent pairs, 0- and
+   1-channel slices and replaced paths (whose abandoned slices leave dead
+   arena between live ones). *)
 let of_store_parity_qcheck =
-  qtest ~count:100 "of_store (full, ~pairs, ~filter) agrees with add_pair + compact"
+  qtest ~count:100 "of_store (full, ~pairs, ~filter) agrees with Cdg_ref"
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -171,14 +148,17 @@ let of_store_parity_qcheck =
       done;
       let present = List.filter (fun pair -> Route_store.mem store ~pair) (List.init capacity Fun.id) in
       let agrees built ids =
-        let reference = Cdg.create g in
-        List.iter (fun pair -> Cdg.add_pair reference store ~pair) ids;
-        Cdg.compact reference;
-        let same = ref (Cdg.num_edges built = Cdg.num_edges reference && Cdg.num_paths built = List.length ids) in
-        Cdg.iter_edges reference (fun c1 c2 count ->
+        let reference = Oracles.Cdg_ref.create g in
+        List.iter (fun pair -> Oracles.Cdg_ref.add_path reference ~pair (Route_store.to_path store ~pair)) ids;
+        let same =
+          ref
+            (Cdg.num_edges built = Oracles.Cdg_ref.num_edges reference
+            && Cdg.num_paths built = List.length ids)
+        in
+        Oracles.Cdg_ref.iter_edges reference (fun c1 c2 count ->
             if Cdg.edge_count built ~c1 ~c2 <> count
                || List.sort compare (Cdg.edge_pairs built ~c1 ~c2)
-                  <> List.sort compare (Cdg.edge_pairs reference ~c1 ~c2)
+                  <> List.sort compare (Oracles.Cdg_ref.edge_pairs reference ~c1 ~c2)
             then same := false);
         !same
       in
@@ -193,11 +173,11 @@ let of_store_parity_qcheck =
 
 let test_cdg_successors () =
   let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  Array.iteri (fun i p -> Cdg.add_path cdg ~pair:i p) paths;
+  let cdg = Testutil.cdg_of_paths g paths in
   let p = paths.(2) in
-  let succ = Cdg.successors cdg p.(0) in
-  check Alcotest.(array int) "single successor" [| p.(1) |] succ;
+  let succ = ref [] in
+  Cdg.iter_successors cdg p.(0) (fun c -> succ := c :: !succ);
+  check Alcotest.(list int) "single successor" [ p.(1) ] !succ;
   (* iter_edges visits every live edge exactly once *)
   let seen = ref 0 in
   Cdg.iter_edges cdg (fun _ _ count ->
@@ -211,17 +191,15 @@ let test_cdg_successors () =
 
 let test_acyclic_detects () =
   let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  Alcotest.(check bool) "empty acyclic" true (Acyclic.is_acyclic cdg);
-  Cdg.add_path cdg ~pair:0 paths.(0);
-  Alcotest.(check bool) "one path acyclic" true (Acyclic.is_acyclic cdg);
-  Array.iteri (fun i p -> if i > 0 then Cdg.add_path cdg ~pair:i p) paths;
-  Alcotest.(check bool) "ring pattern cyclic" false (Acyclic.is_acyclic cdg)
+  Alcotest.(check bool) "empty acyclic" true (Acyclic.is_acyclic (Testutil.cdg_of_paths g [||]));
+  Alcotest.(check bool) "one path acyclic" true
+    (Acyclic.is_acyclic (Testutil.cdg_of_paths g [| paths.(0) |]));
+  Alcotest.(check bool) "ring pattern cyclic" false (Acyclic.is_acyclic (Testutil.cdg_of_paths g paths))
 
 let test_cycle_finds_and_resumes () =
   let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  Array.iteri (fun i p -> Cdg.add_path cdg ~pair:i p) paths;
+  let store = Route_store.of_paths g paths in
+  let cdg = Cdg.of_store store in
   let search = Cycle.create cdg in
   (match Cycle.find_cycle search with
   | None -> Alcotest.fail "expected a cycle"
@@ -239,7 +217,7 @@ let test_cycle_finds_and_resumes () =
     (* break it: remove the paths of the first cycle edge *)
     let a, b = cycle.(0) in
     let movers = Cdg.edge_pairs cdg ~c1:a ~c2:b in
-    List.iter (fun pr -> Cdg.remove_path cdg ~pair:pr paths.(pr)) movers;
+    List.iter (fun pr -> Cdg.remove_pair cdg store ~pair:pr) movers;
     Cycle.notify_removed search);
   (* the ring has exactly one switch-level cycle; breaking one edge of the
      5-cycle leaves the rest acyclic *)
@@ -250,10 +228,8 @@ let test_cycle_finds_and_resumes () =
 
 let test_cycle_none_on_acyclic () =
   let g, paths = ring_fixture 6 in
-  let cdg = Cdg.create g in
   (* two non-overlapping paths cannot build the full ring cycle *)
-  Cdg.add_path cdg ~pair:0 paths.(0);
-  Cdg.add_path cdg ~pair:1 paths.(3);
+  let cdg = Testutil.cdg_of_paths g [| paths.(0); paths.(3) |] in
   let search = Cycle.create cdg in
   (match Cycle.find_cycle search with
   | None -> ()
@@ -262,8 +238,7 @@ let test_cycle_none_on_acyclic () =
 
 let test_cycle_repeated_call_stable () =
   let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  Array.iteri (fun i p -> Cdg.add_path cdg ~pair:i p) paths;
+  let cdg = Testutil.cdg_of_paths g paths in
   let search = Cycle.create cdg in
   match (Cycle.find_cycle search, Cycle.find_cycle search) with
   | Some c1, Some c2 -> check Alcotest.(array (pair int int)) "same cycle" c1 c2
@@ -287,10 +262,8 @@ let test_heuristic_strings () =
 
 let test_heuristic_choice () =
   let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  Array.iteri (fun i p -> Cdg.add_path cdg ~pair:i p) paths;
-  (* double one edge's weight by adding an extra co-routed path *)
-  Cdg.add_path cdg ~pair:10 paths.(0);
+  (* double one edge's weight with an extra co-routed path *)
+  let cdg = Testutil.cdg_of_paths g (Array.append paths [| paths.(0) |]) in
   let heavy = (paths.(0).(1), paths.(0).(2)) in
   let light = (paths.(1).(1), paths.(1).(2)) in
   let cycle = [| heavy; light |] in
@@ -398,8 +371,8 @@ let test_default_engine_is_scc () =
 
 let test_scc_condensation () =
   let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  Array.iteri (fun i p -> Cdg.add_path cdg ~pair:i p) paths;
+  let store = Route_store.of_paths g paths in
+  let cdg = Cdg.of_store store in
   let scc = Scc.of_cdg cdg in
   (* the 5 switch->switch channels form one cycle; every other channel is
      its own singleton component *)
@@ -411,16 +384,15 @@ let test_scc_condensation () =
     scc.Scc.nontrivial.(0);
   check Alcotest.int "singletons + ring" (Graph.num_channels g - 4) scc.Scc.num_comps;
   (* breaking one ring edge dissolves the component *)
-  Cdg.remove_path cdg ~pair:0 paths.(0);
+  Cdg.remove_pair cdg store ~pair:0;
   let scc' = Scc.of_cdg cdg in
   check Alcotest.int "acyclic after removal" 0 (Array.length scc'.Scc.nontrivial)
 
 let test_scc_self_loop_nontrivial () =
   let g, _ = ring_fixture 5 in
-  let cdg = Cdg.create g in
   (* a path that reuses a channel makes a self-dependency *)
   let c = (Graph.out_channels g (Graph.switches g).(0)).(0) in
-  Cdg.add_path cdg ~pair:0 [| c; c |];
+  let cdg = Testutil.cdg_of_paths g [| [| c; c |] |] in
   let scc = Scc.of_cdg cdg in
   check Alcotest.int "self-loop is non-trivial" 1 (Array.length scc.Scc.nontrivial);
   check Alcotest.(array int) "the looping channel" [| c |] scc.Scc.nontrivial.(0)
@@ -522,10 +494,19 @@ let test_online_ring () =
       (Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
          ~num_layers:outcome.Online.layers_used)
 
+(* The last ring path closes the cycle: the refusal names it by id and
+   by the nodes it leaves and reaches. *)
 let test_online_budget () =
   let g, paths = ring_fixture 5 in
+  let p = paths.(4) in
+  let name v = (Graph.node g v).Node.name in
+  let expected =
+    Printf.sprintf "route 4 (%s -> %s) fits no layer (max 1)"
+      (name (Graph.channel g p.(0)).Channel.src)
+      (name (Graph.channel g p.(Array.length p - 1)).Channel.dst)
+  in
   match Online.assign g ~paths ~max_layers:1 with
-  | Error msg -> Alcotest.(check bool) "explains" true (Testutil.contains msg "fits no layer")
+  | Error msg -> check Alcotest.string "names the route" expected msg
   | Ok _ -> Alcotest.fail "should not fit one layer"
 
 let online_matches_offline_soundness_qcheck =
@@ -546,19 +527,20 @@ let online_matches_offline_soundness_qcheck =
             ~num_layers:outcome.Online.layers_used))
 
 (* Reference online placement: every present pair in id order into the
-   lowest layer the Kahn oracle still finds acyclic. [None] when some
-   pair fits no layer. *)
+   lowest layer the Kahn oracle still finds acyclic, over hashtable CDGs
+   that grow path by path. [None] when some pair fits no layer. *)
 let reference_online store ~max_layers =
   let g = Route_store.graph store in
   let layer = Array.make (Route_store.capacity store) (-1) in
-  let cdgs = Array.init max_layers (fun _ -> Cdg.create g) in
+  let cdgs = Array.init max_layers (fun _ -> Oracles.Cdg_ref.create g) in
   Route_store.iter_pairs store (fun p ->
+      let path = Route_store.to_path store ~pair:p in
       let vl = ref 0 in
       while layer.(p) < 0 && !vl < max_layers do
-        Cdg.add_pair cdgs.(!vl) store ~pair:p;
-        if Acyclic.is_acyclic cdgs.(!vl) then layer.(p) <- !vl
+        Oracles.Cdg_ref.add_path cdgs.(!vl) ~pair:p path;
+        if Oracles.Cdg_ref.is_acyclic cdgs.(!vl) then layer.(p) <- !vl
         else begin
-          Cdg.remove_pair cdgs.(!vl) store ~pair:p;
+          Oracles.Cdg_ref.remove_path cdgs.(!vl) ~pair:p path;
           incr vl
         end
       done);
@@ -599,68 +581,113 @@ let online_mixed_qcheck =
         in
         placed = reference_online store ~max_layers:16)
 
+(* SSSP routes on a random fabric with random switch cables down (each
+   kept only if the fabric stays connected), pair by pair and class by
+   class: the Pearce–Kelly probes walk the degraded adjacency, and the
+   placement is still the Kahn reference's. *)
+let online_degraded_qcheck =
+  qtest ~count:20 "online: degraded fabric equals the Kahn reference"
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Topo_random.make ~switches:8 ~switch_radix:8 ~terminals:16 ~inter_links:12 ~rng in
+      let enabled = Array.make (Graph.num_channels g) true in
+      Array.iter
+        (fun c ->
+          if Rng.int rng 3 = 0 then begin
+            let r = Option.get (Graph.reverse_channel g c) in
+            enabled.(c) <- false;
+            enabled.(r) <- false;
+            if not (Graph.connected (Graph.with_enabled g ~enabled)) then begin
+              enabled.(c) <- true;
+              enabled.(r) <- true
+            end
+          end)
+        (Degrade.switch_cables g);
+      let degraded = Graph.with_enabled g ~enabled in
+      match Routing.Sssp.route degraded with
+      | Error _ -> false
+      | Ok ft ->
+        let same store =
+          let placed =
+            match Online.assign_store store ~max_layers:16 with
+            | Ok o -> Some o.Online.layer_of_path
+            | Error _ -> None
+          in
+          placed = reference_online store ~max_layers:16
+        in
+        same (Result.get_ok (Routing.Ftable.to_store ft))
+        && same (Result.get_ok (Routing.Ftable.to_classes ft)).Routing.Ftable.store)
+
 (* ------------------------------------------------------------------ *)
 (* Pk_order                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The ring's clockwise switch channels s_i -> s_(i+1), and their
+   reverses: a channel and its reverse meet at both ends, so the two
+   dependencies between them form a cycle. *)
+let ring_channels switches =
+  let g, paths = ring_fixture switches in
+  let cw i = paths.(i mod switches).(1) in
+  let ccw i = Option.get (Graph.reverse_channel g (cw i)) in
+  (g, paths, cw, ccw)
+
 let test_pk_accepts_and_rejects () =
-  let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  let pk = Pk_order.create cdg in
+  let g, paths, cw, ccw = ring_channels 5 in
+  let pk = Pk_order.create g in
   (* register the first path's chain: fine *)
   let p = paths.(0) in
-  Cdg.add_path cdg ~pair:0 p;
   Alcotest.(check bool) "chain 0-1" true (Pk_order.insert pk ~c1:p.(0) ~c2:p.(1));
   Alcotest.(check bool) "chain 1-2" true (Pk_order.insert pk ~c1:p.(1) ~c2:p.(2));
   Alcotest.(check bool) "chain 2-3" true (Pk_order.insert pk ~c1:p.(2) ~c2:p.(3));
   Alcotest.(check bool) "order consistent" true (Pk_order.consistent pk);
-  (* a back edge closing the chain is rejected *)
-  let fake = [| p.(2); p.(0) |] in
-  Cdg.add_path cdg ~pair:99 fake;
-  Alcotest.(check bool) "cycle rejected" false (Pk_order.insert pk ~c1:p.(2) ~c2:p.(0));
-  Cdg.remove_path cdg ~pair:99 fake;
+  Alcotest.(check bool) "chain registered" true (Pk_order.mem pk ~c1:p.(1) ~c2:p.(2));
+  (* a U-turn and its way back close a cycle *)
+  Alcotest.(check bool) "u-turn" true (Pk_order.insert pk ~c1:(cw 1) ~c2:(ccw 1));
+  Alcotest.(check bool) "cycle rejected" false (Pk_order.insert pk ~c1:(ccw 1) ~c2:(cw 1));
+  Alcotest.(check bool) "rejected edge not registered" false (Pk_order.mem pk ~c1:(ccw 1) ~c2:(cw 1));
   Alcotest.(check bool) "order still consistent" true (Pk_order.consistent pk);
   Alcotest.(check bool) "self edge rejected" false (Pk_order.insert pk ~c1:p.(0) ~c2:p.(0))
 
-(* Every caller starts from an empty CDG; a CDG with live edges would
-   need an order of its own, so [create] refuses it. *)
-let test_pk_create_requires_empty () =
-  let g, paths = ring_fixture 5 in
-  let cdg = Cdg.create g in
-  Cdg.add_path cdg ~pair:0 paths.(0);
-  match Pk_order.create cdg with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "a CDG with live edges accepted"
+(* The probes walk the enabled adjacency, so an edge they could not reach
+   from either end — and every cycle through it — would go unseen:
+   [insert] refuses it. *)
+let test_pk_refuses_invisible_edges () =
+  let g, _, cw, _ = ring_channels 5 in
+  let pk = Pk_order.create g in
+  Alcotest.check_raises "not adjacent" (Invalid_argument "Pk_order.insert: channels not adjacent")
+    (fun () -> ignore (Pk_order.insert pk ~c1:(cw 0) ~c2:(cw 2)));
+  let enabled = Array.init (Graph.num_channels g) (fun c -> c <> cw 1) in
+  let pk = Pk_order.create (Graph.with_enabled g ~enabled) in
+  Alcotest.check_raises "disabled head" (Invalid_argument "Pk_order.insert: disabled channel")
+    (fun () -> ignore (Pk_order.insert pk ~c1:(cw 0) ~c2:(cw 1)));
+  Alcotest.check_raises "disabled tail" (Invalid_argument "Pk_order.insert: disabled channel")
+    (fun () -> ignore (Pk_order.insert pk ~c1:(cw 1) ~c2:(cw 2)));
+  Alcotest.(check bool) "enabled edge accepted" true (Pk_order.insert pk ~c1:(cw 2) ~c2:(cw 3))
 
 (* A path's fresh edges accepted before its rejection are forgotten with
    the rollback: once a later insertion has reordered their endpoints, a
-   revived copy must not count as accepted before its own insert, or
-   probes would cross it out of order. *)
+   revived copy must be inserted anew, where the cycle it closes shows. *)
 let test_pk_rollback_forgets () =
-  let g, paths = ring_fixture 5 in
-  let a = paths.(0).(0) and b = paths.(0).(1) and c = paths.(0).(2) in
-  let cdg = Cdg.create g in
-  let pk = Pk_order.create cdg in
-  Cdg.add_path cdg ~pair:0 [| c; b |];
+  let g, _, cw, ccw = ring_channels 5 in
+  let a = cw 0 and b = cw 1 and c = ccw 1 in
+  let pk = Pk_order.create g in
   Alcotest.(check bool) "c -> b" true (Pk_order.insert pk ~c1:c ~c2:b);
   (* a path a -> b -> c: its first edge fits, its second closes b -> c -> b *)
-  let p = [| a; b; c |] in
-  Cdg.add_path cdg ~pair:1 p;
   Alcotest.(check bool) "e1 = a -> b accepted" true (Pk_order.insert pk ~c1:a ~c2:b);
   Alcotest.(check bool) "e2 = b -> c rejected" false (Pk_order.insert pk ~c1:b ~c2:c);
-  Cdg.remove_path cdg ~pair:1 p;
   Pk_order.forget pk ~c1:a ~c2:b;
   Pk_order.forget pk ~c1:b ~c2:c;
-  (* with e1 gone, b -> a fits and puts b before a *)
-  Cdg.add_path cdg ~pair:2 [| b; a |];
-  Alcotest.(check bool) "b -> a accepted" true (Pk_order.insert pk ~c1:b ~c2:a);
+  Alcotest.(check bool) "e1 forgotten" false (Pk_order.mem pk ~c1:a ~c2:b);
+  (* with e1 gone, the rest of the ring from b back to a fits and puts b
+     before a *)
+  List.iter
+    (fun (x, y) -> Alcotest.(check bool) "ring edge accepted" true (Pk_order.insert pk ~c1:x ~c2:y))
+    [ (b, cw 2); (cw 2, cw 3); (cw 3, cw 4); (cw 4, a) ];
   Alcotest.(check bool) "b now precedes a" true (Pk_order.position pk b < Pk_order.position pk a);
-  (* revive e1 in the CDG: not yet registered, the order stays valid *)
-  Cdg.add_path cdg ~pair:3 [| a; b |];
-  Alcotest.(check bool) "consistent after the revival" true (Pk_order.consistent pk);
-  Alcotest.(check bool) "revived e1 closes a -> b -> a" false (Pk_order.insert pk ~c1:a ~c2:b);
-  Cdg.remove_path cdg ~pair:3 [| a; b |];
-  Alcotest.(check bool) "consistent after the second rollback" true (Pk_order.consistent pk)
+  Alcotest.(check bool) "consistent after the reordering" true (Pk_order.consistent pk);
+  Alcotest.(check bool) "revived e1 closes the ring" false (Pk_order.insert pk ~c1:a ~c2:b);
+  Alcotest.(check bool) "consistent after the second rejection" true (Pk_order.consistent pk)
 
 (* The online placement on the SSSP store of a 12x12 torus, pair by pair
    and class by class, is the Kahn reference's placement, and every layer
@@ -713,30 +740,27 @@ let pk_order_invariant_qcheck =
     (fun seed ->
       let rng = Rng.create seed in
       let g = Topo_random.make ~switches:6 ~switch_radix:8 ~terminals:12 ~inter_links:10 ~rng in
-      let cdg = Cdg.create g in
-      let pk = Pk_order.create cdg in
-      (* generate random single-edge "paths" between adjacent channels *)
+      let pk = Pk_order.create g in
+      (* random dependencies between adjacent channels, each checked as a
+         set of 2-channel paths by the Kahn oracle *)
+      let accepted = ref [] in
+      let acyclic edges = Acyclic.is_acyclic (Testutil.cdg_of_paths g (Array.of_list edges)) in
       let ok = ref true in
       for _ = 1 to 60 do
         let c1 = Rng.int rng (Graph.num_channels g) in
-        let succs =
-          Graph.out_channels g (Graph.channel g c1).Channel.dst
-        in
+        let succs = Graph.out_channels g (Graph.channel g c1).Channel.dst in
         if Array.length succs > 0 then begin
           let c2 = Rng.pick rng succs in
-          if c1 <> c2 && not (Cdg.live cdg ~c1 ~c2) then begin
-            let fake = [| c1; c2 |] in
-            Cdg.add_path cdg ~pair:0 fake;
+          if c1 <> c2 && not (Pk_order.mem pk ~c1 ~c2) then begin
+            let candidate = [| c1; c2 |] :: !accepted in
             if Pk_order.insert pk ~c1 ~c2 then begin
-              (* accepted: the CDG must indeed be acyclic *)
-              if not (Acyclic.is_acyclic cdg) then ok := false
+              (* accepted: the accepted set must indeed be acyclic *)
+              accepted := candidate;
+              if not (acyclic !accepted) then ok := false
             end
-            else begin
-              (* rejected: removing it must leave an acyclic CDG, and
-                 keeping it would have been cyclic *)
-              if Acyclic.is_acyclic cdg then ok := false;
-              Cdg.remove_path cdg ~pair:0 fake
-            end;
+            else if acyclic candidate then
+              (* rejected: accepting it would have been cyclic *)
+              ok := false;
             if not (Pk_order.consistent pk) then ok := false
           end
         end
@@ -875,10 +899,9 @@ let () =
       ( "cdg",
         [
           Alcotest.test_case "add/remove" `Quick test_cdg_add_remove;
-          Alcotest.test_case "add/remove/add membership" `Quick test_cdg_add_remove_add_membership;
           Alcotest.test_case "shared edges" `Quick test_cdg_shared_edges;
           Alcotest.test_case "successors" `Quick test_cdg_successors;
-          Alcotest.test_case "of_store and compact" `Quick test_cdg_of_store_and_compact;
+          Alcotest.test_case "of_store and removal" `Quick test_cdg_of_store_and_removal;
           of_store_parity_qcheck;
         ] );
       ("route_store", [ Alcotest.test_case "basics" `Quick test_route_store_basics ]);
@@ -920,12 +943,14 @@ let () =
           Alcotest.test_case "budget exhausted" `Quick test_online_budget;
           online_matches_offline_soundness_qcheck;
           online_mixed_qcheck;
+          online_degraded_qcheck;
         ] );
       ( "pk_order",
         [
           Alcotest.test_case "accepts and rejects" `Quick test_pk_accepts_and_rejects;
           Alcotest.test_case "rollback forgets accepted edges" `Quick test_pk_rollback_forgets;
-          Alcotest.test_case "create requires an empty CDG" `Quick test_pk_create_requires_empty;
+          Alcotest.test_case "insert refuses edges the probes cannot see" `Quick
+            test_pk_refuses_invisible_edges;
           Alcotest.test_case "torus 12x12 equals the Kahn reference" `Slow test_online_torus_matches_reference;
           online_matches_reference_qcheck;
           pk_order_invariant_qcheck;

@@ -230,6 +230,16 @@ let test_affected_strictly_fewer_than_full () =
 (* Manager                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let counter name =
+  match Obs.Registry.find_counter (Obs.Registry.default ()) name with
+  | Some c -> Obs.Counter.value c
+  | None -> Alcotest.failf "%s counter not registered" name
+
+let timer_count name =
+  match Obs.Registry.find_timer (Obs.Registry.default ()) name with
+  | Some t -> Obs.Timer.count t
+  | None -> Alcotest.failf "%s timer not registered" name
+
 let spec_graph spec =
   match Harness.Topospec.parse spec with
   | Ok t -> t.Harness.Topospec.graph
@@ -287,12 +297,19 @@ let test_manager_rejects_bad_event () =
   check Alcotest.bool "rejection does not break convergence" true (Fabric.Manager.converged mgr)
 
 (* torus:5x5 with three layers: after "down 2" Algorithm 2 runs out of
-   layers, and the online placement of the same SSSP routes fits. *)
+   layers, and the online placement of the same SSSP routes fits. Only
+   the fallback runs the online placement, under its own stage timer. *)
 let test_manager_online_fallback_on_layer_budget () =
   let g = spec_graph "torus:5x5" in
   let config = { Fabric.Manager.default_config with max_layers = 3 } in
+  let online () = (timer_count "online.assign", counter "online.cycle_checks") in
+  let before_create = online () in
   let mgr = Result.get_ok (Fabric.Manager.create ~config g) in
+  let samples, checks = online () in
+  check Alcotest.(pair int int) "bring-up places offline only" before_create (samples, checks);
   let o = Fabric.Manager.apply mgr (Fabric.Event.Link_down 2) in
+  check Alcotest.int "one online.assign sample" (samples + 1) (timer_count "online.assign");
+  check Alcotest.bool "online.cycle_checks counted" true (counter "online.cycle_checks" > checks);
   check Alcotest.bool "applied" true o.Fabric.Manager.applied;
   (match o.Fabric.Manager.action with
   | Fabric.Manager.Full _ -> ()
@@ -365,7 +382,7 @@ let test_manager_stale_when_both_fail () =
         check Alcotest.bool "note names the offline failure" true
           (Testutil.contains o.Fabric.Manager.note "offline layer assignment failed: cycle remains");
         check Alcotest.bool "note names the online failure" true
-          (Testutil.contains o.Fabric.Manager.note "online placement failed: path")
+          (Testutil.contains o.Fabric.Manager.note "online placement failed: route")
       end
       else if i > stale_at && o.Fabric.Manager.verify <> None then
         check Alcotest.int (what ^ ": no entry over a down channel") 0
@@ -456,11 +473,6 @@ let test_shutdown_idempotent_and_usable () =
 (* ------------------------------------------------------------------ *)
 (* One materialisation and one proof per swap                           *)
 (* ------------------------------------------------------------------ *)
-
-let counter name =
-  match Obs.Registry.find_counter (Obs.Registry.default ()) name with
-  | Some c -> Obs.Counter.value c
-  | None -> Alcotest.failf "%s counter not registered" name
 
 (* Table walks: per-pair ones into a route store and route-class ones. *)
 let walk_count () = counter "routing.to_store" + counter "routing.class_walks"
@@ -555,11 +567,6 @@ let stage_timers =
     "epoch.swap_stats";
     "epoch.snapshot_expand";
   ]
-
-let timer_count name =
-  match Obs.Registry.find_timer (Obs.Registry.default ()) name with
-  | Some t -> Obs.Timer.count t
-  | None -> Alcotest.failf "%s timer not registered" name
 
 let test_stage_timers_per_create () =
   let g = torus [| 3; 3 |] in

@@ -254,16 +254,17 @@ let cycle_vs_kahn =
   qtest ~count:30 "cycle search agrees with Kahn" seed_gen (fun seed ->
       let rng = Rng.create seed in
       let g = Testutil.random_graph ~switches:6 ~switch_radix:8 ~terminals:6 ~inter_links:9 rng in
-      let cdg = Deadlock.Cdg.create g in
       (* random consistent 2-chains as paths *)
-      for pair = 0 to 40 do
+      let paths = ref [] in
+      for _ = 0 to 40 do
         let c1 = Rng.int rng (Graph.num_channels g) in
         let succs = Graph.out_channels g (Graph.channel g c1).Channel.dst in
         if Array.length succs > 0 then begin
           let c2 = Rng.pick rng succs in
-          if c1 <> c2 then Deadlock.Cdg.add_path cdg ~pair [| c1; c2 |]
+          if c1 <> c2 then paths := [| c1; c2 |] :: !paths
         end
       done;
+      let cdg = Testutil.cdg_of_paths g (Array.of_list (List.rev !paths)) in
       let search = Deadlock.Cycle.create cdg in
       let found = Deadlock.Cycle.find_cycle search <> None in
       found = not (Deadlock.Acyclic.is_acyclic cdg))
@@ -306,8 +307,10 @@ let cdg_matches_reference =
                   <> List.sort compare (Oracles.Cdg_ref.edge_pairs rc ~c1 ~c2)
                 then ok := false);
             for c = 0 to Graph.num_channels g - 1 do
+              let succ = ref [] in
+              Deadlock.Cdg.iter_successors csr c (fun s -> succ := s :: !succ);
               if
-                List.sort compare (Array.to_list (Deadlock.Cdg.successors csr c))
+                List.sort compare !succ
                 <> List.sort compare (Array.to_list (Oracles.Cdg_ref.successors rc c))
               then ok := false
             done;
@@ -335,7 +338,7 @@ let cdg_matches_reference =
             !ok
           in
           let ok = ref (agree ()) in
-          (* random removals, then re-adds, must track exactly *)
+          (* random removals must track exactly *)
           let removed = ref [] in
           Deadlock.Route_store.iter_pairs store (fun pair ->
               if Rng.int rng 2 = 0 then removed := pair :: !removed);
@@ -344,15 +347,6 @@ let cdg_matches_reference =
               Deadlock.Cdg.remove_pair csr store ~pair;
               Oracles.Cdg_ref.remove_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
             !removed;
-          if not (agree ()) then ok := false;
-          List.iter
-            (fun pair ->
-              Deadlock.Cdg.add_pair csr store ~pair;
-              Oracles.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
-            !removed;
-          if not (agree ()) then ok := false;
-          (* compaction is invisible to every observer *)
-          Deadlock.Cdg.compact csr;
           if not (agree ()) then ok := false;
           !ok))
 
@@ -429,13 +423,13 @@ let ftable_io_random =
    layer count over random workloads is strong evidence the resumable
    bookkeeping (stack truncation, stale color reuse) is faithful. *)
 let naive_offline g ~paths ~max_layers =
+  let store = Deadlock.Route_store.of_paths g paths in
   let layer_of_path = Array.make (Array.length paths) 0 in
   let exception Budget in
   let rec settle vl =
     if vl >= max_layers then raise Budget
     else begin
-      let cdg = Deadlock.Cdg.create g in
-      Array.iteri (fun i p -> if layer_of_path.(i) = vl then Deadlock.Cdg.add_path cdg ~pair:i p) paths;
+      let cdg = Deadlock.Cdg.of_store ~filter:(fun i -> layer_of_path.(i) = vl) store in
       let search = Deadlock.Cycle.create cdg in
       match Deadlock.Cycle.find_cycle search with
       | None -> ()

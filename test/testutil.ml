@@ -31,6 +31,9 @@ let fabric seed =
 let random_graph ?(switches = 8) ?(switch_radix = 10) ?(terminals = 16) ?(inter_links = 14) rng =
   Topo_random.make ~switches ~switch_radix ~terminals ~inter_links ~rng
 
+(* The CDG of [paths], path [i] under pair id [i]. *)
+let cdg_of_paths g paths = Deadlock.Cdg.of_store (Deadlock.Route_store.of_paths g paths)
+
 let same_tables a b = (Routing.Ftable.diff a b).Routing.Ftable.entries_changed = 0
 
 (* DFSSSP through the two entry points that take the knobs: SSSP under
