@@ -318,7 +318,7 @@ let measure w =
   let ref_layers, ref_used = (fst ref_outcome, snd ref_outcome) in
   let verify_csr_ms, csr_free =
     time_best (fun () ->
-        Acyclic.layers_acyclic_store w.store ~layer_of_path:csr_layers ~num_layers:csr_used)
+        Acyclic_ref.layers_acyclic_store w.store ~layer_of_path:csr_layers ~num_layers:csr_used)
   in
   let verify_ref_ms, ref_free =
     time_best (fun () ->

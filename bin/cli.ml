@@ -139,7 +139,8 @@ let out_file names ~doc = Arg.(value & opt (some string) None & info names ~docv
 
 let out = out_file [ "o"; "out" ] ~doc:"Write the fabric to $(docv) in the text format."
 
-let dot = out_file [ "dot" ] ~doc:"Write the fabric to $(docv) as Graphviz DOT."
+let dot =
+  out_file [ "dot" ] ~doc:"Write the fabric to $(docv) as Graphviz DOT (the dialect $(b,import) reads)."
 
 let save path contents = Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents)
 
@@ -147,8 +148,8 @@ let write ?(ppf = Format.std_formatter) path contents =
   save path contents;
   Format.fprintf ppf "wrote %s@." path
 
-let write_fabric ?(to_dot = Netgraph.Serial.to_dot) ~out ~dot g =
+let write_fabric ~out ~dot g =
   Option.iter (fun path -> write path (Netgraph.Serial.to_string g)) out;
-  Option.iter (fun path -> write path (to_dot g)) dot
+  Option.iter (fun path -> write path (Netgraph.Topo_import.write_dot g)) dot
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755

@@ -109,7 +109,7 @@ let import_cmd =
       (match Netgraph.Graph.validate g with
       | Ok () -> Format.printf "valid: yes@."
       | Error msg -> Format.printf "valid: NO (%s)@." msg);
-      Cli.write_fabric ~to_dot:Netgraph.Topo_import.write_dot ~out ~dot g;
+      Cli.write_fabric ~out ~dot g;
       0
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
@@ -142,7 +142,7 @@ let import_cmd =
   in
   Cmd.v
     (Cmd.info "import"
-       ~doc:"import a DOT or edge-list topology file, repairing or rejecting quirks (--dot writes round-trip DOT)")
+       ~doc:"import a DOT or edge-list topology file, repairing or rejecting quirks")
     Term.(const run $ path $ format $ strict $ terminals $ Cli.out $ Cli.dot)
 
 (* zoo: corpus + generator conformance battery *)

@@ -120,7 +120,7 @@ let simulate_cmd =
       1
     | Ok ft -> (
       Format.printf "routing: %s, %d virtual lane(s), deadlock-free: %b@." algorithm
-        (Routing.Ftable.num_layers ft) (Dfsssp.Verify.deadlock_free ft);
+        (Routing.Ftable.num_layers ft) (Result.is_ok (Analysis.Analyzer.certify ft));
       match pattern rng (Netgraph.Graph.terminals g) with
       | Error msg ->
         Printf.eprintf "%s\n" msg;

@@ -85,6 +85,6 @@ let () =
         end;
         (match dot_out with
         | Some path ->
-          Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (Serial.to_dot fabric));
+          Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (Topo_import.write_dot fabric));
           Format.printf "@.wrote %s@." path
         | None -> ())))

@@ -44,5 +44,5 @@ let () =
     (match Routing.Sssp.route fabric with
     | Ok sssp ->
       Format.printf "plain SSSP on the same fabric deadlock-free? %b@."
-        (Dfsssp.Verify.deadlock_free sssp)
+        (Result.is_ok (Analysis.Analyzer.certify sssp))
     | Error _ -> ())

@@ -9,7 +9,7 @@
 open Netgraph
 
 let describe_cdg name ft =
-  let cyclic = not (Dfsssp.Verify.deadlock_free ft) in
+  let cyclic = Result.is_error (Analysis.Analyzer.certify ft) in
   Format.printf "  %-8s channel dependency graph %s@." name
     (if cyclic then "has a cycle (deadlock possible)" else "is acyclic per lane (deadlock-free)")
 

@@ -6,7 +6,9 @@
     every virtual layer; lint errors independently veto installation
     ({!ok}). Every certification walks the table's route classes exactly
     once ({!Routing.Ftable.to_classes}), and neither it nor {!Cert} uses
-    [Deadlock.Cdg], [Layers] or [Acyclic]. *)
+    [Deadlock.Cdg] or [Layers]. Every deadlock verdict the shipped code
+    gives ([Dfsssp.Verify.report], the epoch gate, the experiments) is
+    this checker's. *)
 
 type verdict =
   | Certified of Cert.t

@@ -86,4 +86,10 @@ let deadlock_free t =
   Route_store.iter_pairs store (fun pair ->
       let plane, src, dst = decode_pair t.planes pair in
       layer_of_path.(pair) <- Routing.Ftable.layer t.planes.(plane) ~src ~dst);
-  Acyclic.layers_acyclic_store store ~layer_of_path ~num_layers:t.num_layers
+  let routes = Analysis.Cert.Routes.of_store store ~layer_of_path in
+  match
+    Analysis.Cert.generate routes
+      ~num_layers:(max t.num_layers (Analysis.Cert.Routes.layers routes))
+  with
+  | Error _ -> false
+  | Ok cert -> Result.is_ok (Analysis.Cert.check_routes cert routes)

@@ -49,8 +49,8 @@ val error_to_string : error -> string
       recurrence; see DESIGN.md section 12). [domains] also fans the
       [`Scc] break planning out across components.
 
-    The result carries per-route layers; {!Verify.deadlock_free} holds on
-    every successful result. *)
+    The result carries per-route layers; the trusted checker
+    ({!Analysis.Analyzer.certify}) accepts every successful result. *)
 val route :
   ?variant:variant ->
   ?heuristic:Heuristic.t ->

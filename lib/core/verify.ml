@@ -13,21 +13,13 @@ let of_classes ft cls ~deadlock_free =
     deadlock_free;
   }
 
-(* The Acyclic oracle over a per-pair store of [ft]'s routes. *)
-let acyclic ?domains ft store =
-  let layer_of_path = Routing.Ftable.pair_layers ft in
-  Acyclic.layers_acyclic_store ?domains store ~layer_of_path
-    ~num_layers:(1 + Array.fold_left max 0 layer_of_path)
-
-let deadlock_free ?(domains = 1) ft =
-  match Routing.Ftable.to_store ft with
-  | Error _ -> false (* some pair unroutable; report this via {!report} *)
-  | Ok store -> acyclic ~domains ft store
-
+(* A refusal is either an incomplete table (the class walk names the
+   pair) or a cyclic layer: the classes are walked again only then. *)
 let report ft =
-  Result.map
-    (fun cls -> of_classes ft cls ~deadlock_free:(acyclic ft (Routing.Ftable.expand ft cls)))
-    (Routing.Ftable.to_classes ft)
+  match Analysis.Analyzer.certify_classes ft with
+  | Ok (_, cls) -> Ok (of_classes ft cls ~deadlock_free:true)
+  | Error _ ->
+    Result.map (fun cls -> of_classes ft cls ~deadlock_free:false) (Routing.Ftable.to_classes ft)
 
 let pp_report ppf r =
   Format.fprintf ppf "%a layers=%d (max used %d) deadlock_free=%b" Routing.Ftable.pp_stats r.stats

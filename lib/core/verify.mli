@@ -1,15 +1,12 @@
 (** End-to-end verification of a routing: completeness (every terminal
     pair reachable by following the tables), minimality, and
-    deadlock-freedom (per-layer channel dependency graphs rebuilt from
-    scratch and checked acyclic — Dally & Seitz's sufficient condition,
-    independent of the assignment machinery that produced the layers).
-
-    The fabric manager's epoch gate does not run the acyclicity check:
-    there the checked certificate of [Analysis.Analyzer.certify_classes]
-    is the deadlock proof, and {!of_classes} turns the certifier's own
-    route classes into the report. {!deadlock_free} stays as the
-    independent oracle that tests and the churn soak compare the
-    certificate against. *)
+    deadlock-freedom. The deadlock verdict is the trusted checker's
+    ({!Analysis.Analyzer.certify_classes}): a table is deadlock-free
+    exactly when a topological witness for every virtual layer's channel
+    dependency graph is generated and accepted — Dally & Seitz's
+    sufficient condition, judged independently of the assignment
+    machinery that produced the layers. The fabric manager's epoch gate
+    asks the same checker and builds its report with {!of_classes}. *)
 
 type report = {
   stats : Ftable.stats;
@@ -24,15 +21,11 @@ type report = {
     the deadlock verdict is the caller's proof, passed through. *)
 val of_classes : Ftable.t -> Ftable.classes -> deadlock_free:bool -> report
 
-(** [deadlock_free ?domains ft] rebuilds one CDG per virtual layer from
-    the routes and checks each for cycles; [domains > 1] checks layers in
-    parallel. *)
-val deadlock_free : ?domains:int -> Ftable.t -> bool
-
-(** [report ft] walks the route classes once, collects their statistics
-    ({!of_classes}) and checks every layer's CDG, rebuilt from the
-    classes' per-pair expansion, acyclic; [Error] names the first pair
-    with no loop-free route. *)
+(** [report ft] certifies [ft] ({!Analysis.Analyzer.certify_classes}) and
+    reports the certified classes' statistics with [deadlock_free =
+    true]; when the checker refuses, the statistics of a fresh class walk
+    with [deadlock_free = false]. [Error] names the first pair with no
+    loop-free route. *)
 val report : Ftable.t -> (report, string) result
 
 val pp_report : Format.formatter -> report -> unit

@@ -10,8 +10,8 @@
       swap — and accepts a per-layer topological witness over them and
       the candidate's per-pair layers. A checked witness proves every
       layer's channel dependency graph acyclic, so this is the only
-      deadlock gate; the [Acyclic] CDG rebuild runs only as an oracle in
-      the tests and the churn soak;
+      deadlock gate; the churn soak's second opinion, the A007 witness
+      search ({!Analysis.Witness.of_table}), runs outside the gate;
     + statistics from the certified classes ({!Dfsssp.Verify.of_classes},
       timer [epoch.swap_stats]): completeness is the successful walk, a
       pair's hop count is one plus its class's length, minimality one

@@ -135,7 +135,7 @@ let sweep ?(patterns = 30) ?(seed = 43) () =
           match Runs.run_named name g with
           | Error _ -> Report.Str "refused"
           | Ok ft ->
-            if Dfsssp.Verify.deadlock_free ft then Report.Str "ok" else Report.Str "UNSAFE"
+            if Result.is_ok (Analysis.Analyzer.certify ft) then Report.Str "ok" else Report.Str "UNSAFE"
         in
         let ebb name =
           match Runs.run_named name g with

@@ -112,8 +112,9 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
                         prev_epoch := epoch;
                         (* Two independent opinions on every swap: the
                            trusted checker recertifies the live tables, and
-                           the Acyclic CDG oracle — which the epoch gate no
-                           longer runs — must reach the same verdict. *)
+                           the A007 witness search — which the epoch gate
+                           does not run — finds a dependency cycle exactly
+                           when the checker refuses. *)
                         let tables = Fabric.Manager.tables m in
                         let certified =
                           match Analysis.Analyzer.certify tables with
@@ -122,12 +123,19 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
                             fail "%s: epoch %d recertification: %s" tag epoch msg;
                             false
                         in
-                        let acyclic = Dfsssp.Verify.deadlock_free tables in
+                        let acyclic, search =
+                          match Analysis.Witness.of_table tables with
+                          | Ok None -> (true, "finds no cycle")
+                          | Ok (Some { Analysis.Witness.kind = Layer_cycle { layer }; _ }) ->
+                            (false, Printf.sprintf "finds a cycle in layer %d" layer)
+                          | Ok (Some _) -> (false, "returns a non-layer witness")
+                          | Error msg -> (false, "fails: " ^ msg)
+                        in
                         if acyclic <> certified then
-                          fail "%s: epoch %d: the CDG oracle finds the layers %s but the certificate %s"
-                            tag epoch
-                            (if acyclic then "acyclic" else "cyclic")
+                          fail "%s: epoch %d: the certificate %s but the witness search %s" tag
+                            epoch
                             (if certified then "was accepted" else "was refused")
+                            search
                       end)
                     schedule;
                   if not (Fabric.Manager.converged m) then

@@ -5,9 +5,11 @@
 
     - an applied, table-changing event must end in a verified epoch swap;
     - on every epoch swap the active tables must re-certify under the
-      trusted checker ({!Analysis.Analyzer.certify}), and the [Acyclic]
-      CDG oracle ({!Dfsssp.Verify.deadlock_free}) — which the manager's
-      epoch gate no longer runs — must agree with that verdict;
+      trusted checker ({!Analysis.Analyzer.certify}), and the A007
+      witness search ({!Analysis.Witness.of_table}) — which the manager's
+      epoch gate does not run — must find a dependency cycle exactly
+      when the checker refuses (a failure names both verdicts and the
+      witness's layer);
     - the manager must report {!Fabric.Manager.converged} at the end,
       and the final tables must pass the full analyzer.
 

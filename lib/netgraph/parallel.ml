@@ -145,14 +145,6 @@ module Pool = struct
       end
     end
 
-  let map_reduce pool ~n ?grain ~map ~fold init =
-    if n <= 0 then init
-    else begin
-      let out = Array.make n None in
-      run pool ~n ?grain (fun s i -> out.(i) <- Some (map s i));
-      Array.fold_left (fun acc r -> fold acc (Option.get r)) init out
-    end
-
   let shutdown pool =
     Mutex.lock pool.lock;
     let already = pool.stop in
@@ -201,7 +193,3 @@ let init ?(domains = 1) n f =
   end
 
 let map_array ?domains f a = init ?domains (Array.length a) (fun i -> f a.(i))
-
-let for_all ?domains f a =
-  let results = map_array ?domains f a in
-  Array.for_all Fun.id results

@@ -1,7 +1,7 @@
 (** Fork-join helpers over OCaml 5 domains for the embarrassingly parallel
     parts of the pipeline — effective-bisection-bandwidth sampling
-    (independent random matchings) and per-layer verification (independent
-    channel dependency graphs). Work functions must be pure with respect
+    (independent random matchings) and per-component cycle breaking
+    (independent strongly connected components). Work functions must be pure with respect
     to shared state: they may read the immutable fabric and routing
     tables, and must not touch shared mutable structures. *)
 
@@ -18,10 +18,6 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [init ~domains n f] is [Array.init n f], parallelised the same way. *)
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
-
-(** [for_all ~domains f a] evaluates [f] on every element (no
-    short-circuit across chunks) and conjoins. *)
-val for_all : ?domains:int -> ('a -> bool) -> 'a array -> bool
 
 (** Persistent worker pool with per-domain scratch state — the substrate
     of the domain-parallel routing pipeline (DESIGN.md section 12).
@@ -57,13 +53,6 @@ module Pool : sig
       abandoned, other workers drain normally).
       @raise Invalid_argument on a pool that was {!shutdown}. *)
   val run : 's t -> n:int -> ?grain:int -> ('s -> int -> unit) -> unit
-
-  (** [map_reduce pool ~n ~map ~fold init] maps in parallel and folds the
-      results {e sequentially in index order} — the fold order (and hence
-      the result, even for non-commutative folds) is independent of the
-      pool size and of scheduling. *)
-  val map_reduce :
-    's t -> n:int -> ?grain:int -> map:('s -> int -> 'b) -> fold:('a -> 'b -> 'a) -> 'a -> 'a
 
   (** [iter_scratch pool f] applies [f] to every worker's scratch, in slot
       order, on the calling domain. Call it between {!run}s to merge

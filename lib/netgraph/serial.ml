@@ -93,20 +93,3 @@ let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text
   | exception Sys_error msg -> Error msg
-
-let to_dot g =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "graph fabric {\n  overlap=false;\n";
-  Array.iter
-    (fun (nd : Node.t) ->
-      let shape = if Node.is_switch nd then "box" else "point" in
-      Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\" shape=%s];\n" nd.id nd.name shape))
-    (Graph.nodes g);
-  Array.iter
-    (fun (c : Channel.t) ->
-      match Graph.reverse_channel g c.id with
-      | Some r when r < c.id -> ()
-      | _ -> Buffer.add_string buf (Printf.sprintf "  n%d -- n%d;\n" c.src c.dst))
-    (Graph.channels g);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -1,4 +1,5 @@
-(** Plain-text topology interchange format and Graphviz export.
+(** Plain-text topology interchange format (DOT export is
+    {!Topo_import.write_dot}).
 
     The format is line-oriented (comments start with [#]):
     {v
@@ -22,7 +23,3 @@ val of_string : string -> (Graph.t, string) result
 val save : string -> Graph.t -> unit
 
 val load : string -> (Graph.t, string) result
-
-(** Graphviz (dot) rendering: switches as boxes, terminals as points,
-    one undirected edge per cable. *)
-val to_dot : Graph.t -> string

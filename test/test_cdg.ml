@@ -186,15 +186,15 @@ let test_cdg_successors () =
   check Alcotest.int "edge visits" 15 !seen
 
 (* ------------------------------------------------------------------ *)
-(* Acyclic / Cycle                                                      *)
+(* Acyclic_ref / Cycle                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_acyclic_detects () =
   let g, paths = ring_fixture 5 in
-  Alcotest.(check bool) "empty acyclic" true (Acyclic.is_acyclic (Testutil.cdg_of_paths g [||]));
+  Alcotest.(check bool) "empty acyclic" true (Oracles.Acyclic_ref.is_acyclic (Testutil.cdg_of_paths g [||]));
   Alcotest.(check bool) "one path acyclic" true
-    (Acyclic.is_acyclic (Testutil.cdg_of_paths g [| paths.(0) |]));
-  Alcotest.(check bool) "ring pattern cyclic" false (Acyclic.is_acyclic (Testutil.cdg_of_paths g paths))
+    (Oracles.Acyclic_ref.is_acyclic (Testutil.cdg_of_paths g [| paths.(0) |]));
+  Alcotest.(check bool) "ring pattern cyclic" false (Oracles.Acyclic_ref.is_acyclic (Testutil.cdg_of_paths g paths))
 
 let test_cycle_finds_and_resumes () =
   let g, paths = ring_fixture 5 in
@@ -224,7 +224,7 @@ let test_cycle_finds_and_resumes () =
   (match Cycle.find_cycle search with
   | None -> ()
   | Some _ -> Alcotest.fail "cycle should be gone");
-  Alcotest.(check bool) "kahn agrees" true (Acyclic.is_acyclic cdg)
+  Alcotest.(check bool) "kahn agrees" true (Oracles.Acyclic_ref.is_acyclic cdg)
 
 let test_cycle_none_on_acyclic () =
   let g, paths = ring_fixture 6 in
@@ -234,7 +234,7 @@ let test_cycle_none_on_acyclic () =
   (match Cycle.find_cycle search with
   | None -> ()
   | Some _ -> Alcotest.fail "no cycle expected");
-  Alcotest.(check bool) "kahn agrees" true (Acyclic.is_acyclic cdg)
+  Alcotest.(check bool) "kahn agrees" true (Oracles.Acyclic_ref.is_acyclic cdg)
 
 let test_cycle_repeated_call_stable () =
   let g, paths = ring_fixture 5 in
@@ -285,7 +285,7 @@ let test_layers_ring () =
     check Alcotest.int "two layers suffice" 2 outcome.Layers.layers_used;
     Alcotest.(check bool) "broke at least one cycle" true (outcome.Layers.cycles_broken >= 1);
     Alcotest.(check bool) "all layers acyclic" true
-      (Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+      (Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
          ~num_layers:outcome.Layers.layers_used)
 
 let test_layers_budget_exhausted () =
@@ -318,7 +318,7 @@ let test_layers_balance () =
     check Alcotest.int "uses all layers" 8 in_use;
     (* balanced layers must still be acyclic *)
     Alcotest.(check bool) "balanced acyclic" true
-      (Acyclic.layers_acyclic g ~paths ~layer_of_path:balanced ~num_layers:8);
+      (Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:balanced ~num_layers:8);
     (* balance must not mix original layers inside one new layer *)
     let origin = Array.make 8 (-1) in
     Array.iteri
@@ -348,7 +348,7 @@ let heuristics_all_sound_qcheck =
             match Layers.assign g ~paths ~max_layers:16 ~heuristic:h with
             | Error _ -> false
             | Ok outcome ->
-              Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+              Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
                 ~num_layers:outcome.Layers.layers_used)
           Heuristic.all)
 
@@ -411,7 +411,7 @@ let test_layers_ring_both_engines () =
         Alcotest.(check bool)
           (name ^ ": acyclic layers")
           true
-          (Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+          (Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
              ~num_layers:outcome.Layers.layers_used))
     engines
 
@@ -470,7 +470,7 @@ let engines_agree_qcheck =
           | Error _ -> None
           | Ok o ->
             if
-              Acyclic.layers_acyclic g ~paths ~layer_of_path:o.Layers.layer_of_path
+              Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:o.Layers.layer_of_path
                 ~num_layers:o.Layers.layers_used
             then Some o.Layers.layers_used
             else None
@@ -491,7 +491,7 @@ let test_online_ring () =
     check Alcotest.int "two layers" 2 outcome.Online.layers_used;
     Alcotest.(check bool) "ran checks" true (outcome.Online.cycle_checks > 0);
     Alcotest.(check bool) "acyclic layers" true
-      (Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
+      (Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
          ~num_layers:outcome.Online.layers_used)
 
 (* The last ring path closes the cycle: the refusal names it by id and
@@ -523,7 +523,7 @@ let online_matches_offline_soundness_qcheck =
         (match Online.assign g ~paths ~max_layers:16 with
         | Error _ -> false
         | Ok outcome ->
-          Acyclic.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
+          Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
             ~num_layers:outcome.Online.layers_used))
 
 (* Reference online placement: every present pair in id order into the
@@ -706,7 +706,7 @@ let test_online_torus_matches_reference () =
         Alcotest.(check bool)
           (what ^ ": every layer acyclic")
           true
-          (Acyclic.layers_acyclic_store store ~layer_of_path ~num_layers:o.Online.layers_used);
+          (Oracles.Acyclic_ref.layers_acyclic_store store ~layer_of_path ~num_layers:o.Online.layers_used);
         Alcotest.(check bool)
           (what ^ ": the Kahn reference placement")
           true
@@ -731,7 +731,7 @@ let online_matches_reference_qcheck =
         | Ok a ->
           Some a.Online.layer_of_path = reference
           && a.Online.layers_used = 1 + Array.fold_left max 0 a.Online.layer_of_path
-          && Acyclic.layers_acyclic g ~paths ~layer_of_path:a.Online.layer_of_path
+          && Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:a.Online.layer_of_path
                ~num_layers:a.Online.layers_used
         | Error _ -> reference = None))
 
@@ -744,7 +744,7 @@ let pk_order_invariant_qcheck =
       (* random dependencies between adjacent channels, each checked as a
          set of 2-channel paths by the Kahn oracle *)
       let accepted = ref [] in
-      let acyclic edges = Acyclic.is_acyclic (Testutil.cdg_of_paths g (Array.of_list edges)) in
+      let acyclic edges = Oracles.Acyclic_ref.is_acyclic (Testutil.cdg_of_paths g (Array.of_list edges)) in
       let ok = ref true in
       for _ = 1 to 60 do
         let c1 = Rng.int rng (Graph.num_channels g) in

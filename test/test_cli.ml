@@ -118,6 +118,30 @@ let test_simulate_deadlock () =
   Alcotest.(check bool) "sssp not deadlock-free" true (Testutil.contains stdout "deadlock-free: false");
   Alcotest.(check bool) "packet simulator deadlocks" true (Testutil.contains stdout "DEADLOCK")
 
+(* The deadlock verdict reads the same on both outcomes in both
+   subcommands that print it. *)
+let test_cyclic_verdict () =
+  let stdout = succeeds [ "route"; "-a"; "sssp"; "ring:8" ] in
+  Alcotest.(check bool) "route: not deadlock-free" true (Testutil.contains stdout "deadlock_free=false");
+  let stdout = succeeds [ "simulate"; "-a"; "sssp"; "ring:8" ] in
+  Alcotest.(check bool) "simulate: not deadlock-free" true (Testutil.contains stdout "deadlock-free: false")
+
+(* Every --dot file is one `import --strict` reads back as the same
+   fabric. *)
+let test_dot_imports () =
+  let dot = Filename.temp_file "fabric" ".dot" in
+  List.iter
+    (fun (cmd, stats) ->
+      ignore (succeeds (cmd @ [ "--dot"; dot ]));
+      let stdout = succeeds [ "import"; "--strict"; dot ] in
+      Alcotest.(check bool) (String.concat " " cmd ^ ": imports as " ^ stats) true (Testutil.contains stdout stats))
+    [
+      ([ "convert"; "torus:3x3:2" ], "nodes=27 (switches=9 terminals=18) channels=72");
+      ([ "route"; "ring:5" ], "nodes=10 (switches=5 terminals=5) channels=20");
+      ([ "import"; dot ], "nodes=10 (switches=5 terminals=5) channels=20");
+    ];
+  Sys.remove dot
+
 let test_experiment () =
   let stdout = succeeds [ "experiment"; "table1" ] in
   Alcotest.(check bool) "Table I printed" true (Testutil.contains stdout "Table I");
@@ -160,6 +184,8 @@ let () =
           Alcotest.test_case "closed choices are checked by cmdliner" `Quick test_closed_choices;
           Alcotest.test_case "route prints its result line" `Quick test_route;
           Alcotest.test_case "simulate shows the ring deadlock" `Quick test_simulate_deadlock;
+          Alcotest.test_case "route and simulate print a cyclic verdict" `Quick test_cyclic_verdict;
+          Alcotest.test_case "--dot files import strictly" `Quick test_dot_imports;
           Alcotest.test_case "experiment runs by id and lists ids on error" `Quick test_experiment;
           Alcotest.test_case "manage --trace writes parseable spans; trace is gone" `Quick test_manage_trace;
         ] );

@@ -210,17 +210,10 @@ let test_multipath_joint_layers () =
 (* Verify                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_verify_parallel_agrees () =
-  let g = fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1) in
-  let df = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  Alcotest.(check bool) "parallel verify true" true (Dfsssp.Verify.deadlock_free ~domains:4 df);
-  let sssp = Result.get_ok (Routing.Sssp.route g) in
-  Alcotest.(check bool) "parallel verify false" false (Dfsssp.Verify.deadlock_free ~domains:4 sssp)
-
 let test_verify_flags_cyclic () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
   let sssp = Result.get_ok (Routing.Sssp.route g) in
-  Alcotest.(check bool) "sssp on ring is not deadlock free" false (Dfsssp.Verify.deadlock_free sssp);
+  Alcotest.(check bool) "sssp on ring is not deadlock free" false (Oracles.Acyclic_ref.deadlock_free sssp);
   let r = report "sssp" sssp in
   Alcotest.(check bool) "report agrees" false r.Dfsssp.Verify.deadlock_free
 
@@ -261,25 +254,25 @@ let test_hardened_routings () =
   (match dfdor.Dfsssp.Registry.run g with
   | Error e -> Alcotest.fail e
   | Ok ft ->
-    Alcotest.(check bool) "dfdor deadlock free" true (Dfsssp.Verify.deadlock_free ft);
+    Alcotest.(check bool) "dfdor deadlock free" true (Oracles.Acyclic_ref.deadlock_free ft);
     Alcotest.(check bool) "dfdor layered" true (Routing.Ftable.num_layers ft >= 2);
     (* plain dor on the same torus is cyclic *)
     let dor = Option.get (Dfsssp.Registry.find ~coords "dor") in
     (match dor.Dfsssp.Registry.run g with
-    | Ok plain -> Alcotest.(check bool) "plain dor cyclic" false (Dfsssp.Verify.deadlock_free plain)
+    | Ok plain -> Alcotest.(check bool) "plain dor cyclic" false (Oracles.Acyclic_ref.deadlock_free plain)
     | Error e -> Alcotest.fail e));
   let df = Topo_dragonfly.make ~a:4 ~p:2 ~h:2 () in
   let dfminhop = Option.get (Dfsssp.Registry.find "dfminhop") in
   (match dfminhop.Dfsssp.Registry.run df with
   | Error e -> Alcotest.fail e
-  | Ok ft -> Alcotest.(check bool) "dfminhop deadlock free" true (Dfsssp.Verify.deadlock_free ft))
+  | Ok ft -> Alcotest.(check bool) "dfminhop deadlock free" true (Oracles.Acyclic_ref.deadlock_free ft))
 
 let test_route_min_layers () =
   let g = fst (Topo_torus.torus ~dims:[| 5; 5 |] ~terminals_per_switch:1) in
   match Dfsssp.route_min_layers g with
   | Error e -> Alcotest.fail (Dfsssp.error_to_string e)
   | Ok (ft, winner) ->
-    Alcotest.(check bool) "deadlock free" true (Dfsssp.Verify.deadlock_free ft);
+    Alcotest.(check bool) "deadlock free" true (Oracles.Acyclic_ref.deadlock_free ft);
     (* the winner is at least as good as every single heuristic *)
     List.iter
       (fun h ->
@@ -303,7 +296,7 @@ let test_registry_deadlock_free_flags () =
         if alg.Dfsssp.Registry.deadlock_free_by_design then
           Alcotest.(check bool)
             (alg.Dfsssp.Registry.name ^ " honours its flag")
-            true (Dfsssp.Verify.deadlock_free ft))
+            true (Oracles.Acyclic_ref.deadlock_free ft))
     (Dfsssp.Registry.all ())
 
 (* Layer ids are bytes: a budget above 256 is refused up front, and the
@@ -413,7 +406,6 @@ let () =
       ( "verify",
         [
           Alcotest.test_case "flags cyclic routing" `Quick test_verify_flags_cyclic;
-          Alcotest.test_case "parallel verification" `Quick test_verify_parallel_agrees;
           Alcotest.test_case "rejects incomplete" `Quick test_verify_error_on_incomplete;
         ] );
       ( "registry",

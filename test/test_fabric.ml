@@ -419,9 +419,8 @@ let test_manager_acceptance_4x4x4 () =
   check Alcotest.int "every table-changing event a full swap" !full (Fabric.Metrics.full_recomputes m);
   check Alcotest.int "zero online fallbacks" 0 (Fabric.Metrics.fallbacks m);
   check Alcotest.bool "converged" true (Fabric.Manager.converged mgr);
-  match Dfsssp.Verify.report (Fabric.Manager.tables mgr) with
-  | Ok r -> check Alcotest.bool "final tables deadlock-free" true r.Dfsssp.Verify.deadlock_free
-  | Error msg -> Alcotest.failf "final tables invalid: %s" msg
+  check Alcotest.bool "oracle: final tables deadlock-free" true
+    (Oracles.Acyclic_ref.deadlock_free (Fabric.Manager.tables mgr))
 
 (* ------------------------------------------------------------------ *)
 (* Epoch snapshots and shutdown (the controller daemon's serving path)   *)
@@ -552,7 +551,8 @@ let test_snapshot_is_certified_store () =
     let s = snap.Fabric.Epoch.report in
     check Alcotest.bool "same statistics" true (s.Dfsssp.Verify.stats = r.Dfsssp.Verify.stats);
     check Alcotest.int "same max layer" r.Dfsssp.Verify.max_layer_seen s.Dfsssp.Verify.max_layer_seen;
-    check Alcotest.bool "oracle agrees: deadlock-free" true r.Dfsssp.Verify.deadlock_free
+    check Alcotest.bool "verdict: deadlock-free" true r.Dfsssp.Verify.deadlock_free;
+    check Alcotest.bool "oracle agrees: deadlock-free" true (Oracles.Acyclic_ref.deadlock_free ft)
 
 (* The runtime stage split: every stage of a bring-up fires exactly one
    sample of its own registry timer, so the stages a bench reports are
@@ -621,7 +621,7 @@ let test_refused_candidate_keeps_snapshot () =
   let before = Result.get_ok (Fabric.Epoch.snapshot epochs) in
   (* plain SSSP in one layer: cyclic on the ring, so no certificate *)
   let bad = Result.get_ok (Routing.Sssp.route g) in
-  check Alcotest.bool "oracle: candidate is cyclic" false (Dfsssp.Verify.deadlock_free bad);
+  check Alcotest.bool "oracle: candidate is cyclic" false (Oracles.Acyclic_ref.deadlock_free bad);
   let (result, _), n = materialisations (fun () -> Fabric.Epoch.try_swap epochs ~label:"bad" bad) in
   (match result with
   | Ok _ -> Alcotest.fail "cyclic candidate installed"

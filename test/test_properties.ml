@@ -221,7 +221,7 @@ let acyclic_implies_drain =
       match Dfsssp.route ~max_layers:16 g with
       | Error _ -> false
       | Ok ft ->
-        Dfsssp.Verify.deadlock_free ft
+        Oracles.Acyclic_ref.deadlock_free ft
         &&
         let ts = Graph.terminals g in
         let n = Array.length ts in
@@ -267,7 +267,7 @@ let cycle_vs_kahn =
       let cdg = Testutil.cdg_of_paths g (Array.of_list (List.rev !paths)) in
       let search = Deadlock.Cycle.create cdg in
       let found = Deadlock.Cycle.find_cycle search <> None in
-      found = not (Deadlock.Acyclic.is_acyclic cdg))
+      found = not (Oracles.Acyclic_ref.is_acyclic cdg))
 
 (* ------------------------------------------------------------------ *)
 (* CSR CDG vs the naive Hashtbl reference                               *)
@@ -410,7 +410,7 @@ let ftable_io_random =
               | _ -> ok := false);
               if Routing.Ftable.layer ft ~src ~dst <> Routing.Ftable.layer ft' ~src:src' ~dst:dst' then
                 ok := false);
-          !ok && Dfsssp.Verify.deadlock_free ft'))
+          !ok && Oracles.Acyclic_ref.deadlock_free ft'))
 
 
 (* ------------------------------------------------------------------ *)
@@ -469,8 +469,8 @@ let resumable_matches_naive =
              naive_offline g ~paths ~max_layers:16 )
          with
         | Ok outcome, Some (naive_layers, naive_used) ->
-          Deadlock.Acyclic.layers_acyclic g ~paths ~layer_of_path:naive_layers ~num_layers:naive_used
-          && Deadlock.Acyclic.layers_acyclic g ~paths
+          Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:naive_layers ~num_layers:naive_used
+          && Oracles.Acyclic_ref.layers_acyclic g ~paths
                ~layer_of_path:outcome.Deadlock.Layers.layer_of_path
                ~num_layers:outcome.Deadlock.Layers.layers_used
           (* both strategies must land within one layer of each other *)
@@ -492,10 +492,7 @@ let switch_removal_sound =
       | Ok g' -> (
         match Dfsssp.route ~max_layers:16 g' with
         | Error _ -> false
-        | Ok ft -> (
-          match Dfsssp.Verify.report ft with
-          | Ok r -> r.Dfsssp.Verify.deadlock_free
-          | Error _ -> false)))
+        | Ok ft -> Oracles.Acyclic_ref.deadlock_free ft))
 
 (* ------------------------------------------------------------------ *)
 (* The fabric manager converges under arbitrary fault schedules         *)
@@ -521,11 +518,7 @@ let fabric_manager_converges =
       | Error _ -> false
       | Ok mgr ->
         let _ = Fabric.Manager.run mgr schedule in
-        Fabric.Manager.converged mgr
-        &&
-        (match Dfsssp.Verify.report (Fabric.Manager.tables mgr) with
-        | Ok r -> r.Dfsssp.Verify.deadlock_free
-        | Error _ -> false))
+        Fabric.Manager.converged mgr && Oracles.Acyclic_ref.deadlock_free (Fabric.Manager.tables mgr))
 
 (* ------------------------------------------------------------------ *)
 (* Every registry engine faces the certifier                            *)
@@ -732,6 +725,57 @@ let classes_certifier_parity =
       (if shadow && Result.is_error by_class then QCheck2.Test.fail_report "shadow layering refused");
       per_pair = by_class)
 
+(* The three deadlock verdicts agree on every registry engine's tables,
+   the cyclic sssp, minhop and dor included, and again after a random
+   re-layering: the shipped one ({!Dfsssp.Verify.report}, the trusted
+   checker's), the A007 witness search, and the Kahn oracle rebuilding
+   each layer's CDG. Every witness found re-checks against the table. *)
+let deadlock_verdicts_agree =
+  qtest ~count:8 "deadlock verdicts: checker, witness search and Kahn oracle agree" seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g, coords =
+        if Rng.int rng 2 = 0 then
+          let g, coords =
+            Topo_torus.torus ~dims:[| 3 + Rng.int rng 2; 3 |] ~terminals_per_switch:(1 + Rng.int rng 2)
+          in
+          (g, Some coords)
+        else (class_fabric rng, None)
+      in
+      let verdicts what ft =
+        let checker =
+          match Dfsssp.Verify.report ft with
+          | Ok r -> r.Dfsssp.Verify.deadlock_free
+          | Error msg -> QCheck2.Test.fail_reportf "%s: report: %s" what msg
+        in
+        let search =
+          match Analysis.Witness.of_table ft with
+          | Ok None -> true
+          | Ok (Some w) -> (
+            match Analysis.Witness.check_table w ft with
+            | Ok () -> false
+            | Error msg -> QCheck2.Test.fail_reportf "%s: witness does not check: %s" what msg)
+          | Error msg -> QCheck2.Test.fail_reportf "%s: witness search: %s" what msg
+        in
+        let oracle = Oracles.Acyclic_ref.deadlock_free ft in
+        if checker <> search || search <> oracle then
+          QCheck2.Test.fail_reportf "%s: checker %b, witness search %b, oracle %b" what checker search
+            oracle
+      in
+      List.iter
+        (fun (a : Dfsssp.Registry.algorithm) ->
+          match a.Dfsssp.Registry.run g with
+          | Error _ -> ()
+          | Ok ft ->
+            verdicts a.Dfsssp.Registry.name ft;
+            let k = 1 + Rng.int rng 3 in
+            Routing.Ftable.set_pair_layers ft
+              (Array.map (fun l -> if l < 0 then l else Rng.int rng k) (Routing.Ftable.pair_layers ft));
+            Routing.Ftable.set_num_layers ft k;
+            verdicts (a.Dfsssp.Registry.name ^ " re-layered") ft)
+        (Dfsssp.Registry.all ?coords ~max_layers:16 ());
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Collective schedules partition the pair space                        *)
 (* ------------------------------------------------------------------ *)
@@ -801,6 +845,7 @@ let () =
       ("degradation", [ switch_removal_sound ]);
       ("certification", [ registry_engines_certify; break_engines_certify ]);
       ("route-classes", [ classes_algorithm2_parity; classes_expand_parity; classes_certifier_parity ]);
+      ("deadlock-verdicts", [ deadlock_verdicts_agree ]);
       ("fabric", [ fabric_manager_converges ]);
       ("collectives", [ a2a_rounds_partition ]);
       ("multipath", [ multipath_sound ]);

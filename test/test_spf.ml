@@ -212,11 +212,11 @@ let dfsssp_certifiable =
         | Error msg -> Alcotest.failf "dfsssp (%s) failed: %s" (kernel_name kernel) msg
       in
       let oracle = run Spf.Heap in
-      Dfsssp.Verify.deadlock_free oracle
+      Oracles.Acyclic_ref.deadlock_free oracle
       && List.for_all
            (fun kernel ->
              let ft = run kernel in
-             same_tables oracle ft && Dfsssp.Verify.deadlock_free ft)
+             same_tables oracle ft && Oracles.Acyclic_ref.deadlock_free ft)
            kernels)
 
 (* MinHop and LASH route over hop counts: one shared stamp per run, so
