@@ -845,7 +845,7 @@ let () =
       ("degradation", [ switch_removal_sound ]);
       ("certification", [ registry_engines_certify; break_engines_certify ]);
       ("route-classes", [ classes_algorithm2_parity; classes_expand_parity; classes_certifier_parity ]);
-      ("deadlock-verdicts", [ deadlock_verdicts_agree ]);
+      ("verdicts", [ deadlock_verdicts_agree ]);
       ("fabric", [ fabric_manager_converges ]);
       ("collectives", [ a2a_rounds_partition ]);
       ("multipath", [ multipath_sound ]);
