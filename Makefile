@@ -23,7 +23,8 @@ check:
 # library (test/oracles/), linked by the test suites and benches alone.
 # Fails if a shipped dune file names that library, or if code under lib/
 # or bin/ (comments stripped, nested ones included) mentions Dijkstra,
-# Cdg_ref, Acyclic or Acyclic_ref, the oracles that used to ship.
+# Cdg_ref, Acyclic, Acyclic_ref or Sequential_ref, the oracles and
+# reference recurrences that used to ship.
 no-oracles:
 	@if grep -lw oracles lib/*/dune bin/dune; then \
 	  echo "no-oracles: the dune files above link the test-only oracles library"; exit 1; fi

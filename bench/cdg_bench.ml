@@ -223,13 +223,9 @@ let build_workload name g ~num_dsts =
   let dsts = Array.init num_dsts (fun j -> terminals.(j * nt / num_dsts)) in
   let ft = Ftable.create g ~algorithm:"bench" in
   let weights = Sssp.initial_weights g in
-  let ws = Spf.workspace g in
-  Array.iter
-    (fun dst ->
-      match Sssp.route_destination ws g ~weights ~ft ~dst with
-      | Ok () -> ()
-      | Error msg -> failwith (Printf.sprintf "%s: routing failed: %s" name msg))
-    dsts;
+  (match Sssp.route_destinations g ~weights ~ft ~dsts with
+  | Ok () -> ()
+  | Error msg -> failwith (Printf.sprintf "%s: routing failed: %s" name msg));
   let store = Route_store.create g ~capacity:(nt * num_dsts) in
   Array.iteri
     (fun si src ->

@@ -176,48 +176,48 @@ let ( let* ) r f =
   | Ok () -> f ()
   | Error _ as e -> e
 
+(* Only the named routes are walked: a table whose other routes are
+   broken can still carry a valid cycle. *)
 let check_table w ft =
   match w.kind with
   | Topology_core _ -> Error "topology-core witness: check it against the graph, not a table"
-  | Layer_cycle { layer } -> (
+  | Layer_cycle { layer } ->
     let g = Ftable.graph ft in
     let* () = check_shape w g in
     if layer < 0 then err "negative layer %d" layer
-    else
-      match Ftable.to_store ft with
-      | Error msg -> err "routes not materializable: %s" msg
-      | Ok store ->
-        let layer_of_path = Ftable.pair_layers ft in
-        let n = Array.length w.cycle in
-        let result = ref (Ok ()) in
-        for p = 0 to n - 1 do
-          if !result = Ok () then begin
-            let c1 = w.cycle.(p) and c2 = w.cycle.((p + 1) mod n) in
-            let src = w.srcs.(p) and dst = w.dsts.(p) in
-            if not (Graph.is_terminal g src && Graph.is_terminal g dst) then
-              result := err "position %d: demand (%d, %d) is not a terminal pair" p src dst
-            else if src = dst then result := err "position %d: demand source equals destination" p
-            else begin
-              let pair = Ftable.pair_id ft ~src ~dst in
-              if not (Route_store.mem store ~pair) then
-                result := err "position %d: no route for demand (%d, %d)" p src dst
-              else if layer_of_path.(pair) <> layer then
+    else begin
+      let n = Array.length w.cycle in
+      let result = ref (Ok ()) in
+      for p = 0 to n - 1 do
+        if !result = Ok () then begin
+          let c1 = w.cycle.(p) and c2 = w.cycle.((p + 1) mod n) in
+          let src = w.srcs.(p) and dst = w.dsts.(p) in
+          if not (Graph.is_terminal g src && Graph.is_terminal g dst) then
+            result := err "position %d: demand (%d, %d) is not a terminal pair" p src dst
+          else if src = dst then result := err "position %d: demand source equals destination" p
+          else
+            match Ftable.path ft ~src ~dst with
+            | None -> result := err "position %d: no route for demand (%d, %d)" p src dst
+            | Some path ->
+              let rides = Ftable.layer ft ~src ~dst in
+              if rides <> layer then
                 result :=
-                  err "position %d: route (%d, %d) rides layer %d, witness claims %d" p src dst
-                    layer_of_path.(pair) layer
+                  err "position %d: route (%d, %d) rides layer %d, witness claims %d" p src dst rides
+                    layer
               else begin
                 let induced = ref false in
-                Route_store.iter_deps store ~pair (fun a b ->
-                    if a = c1 && b = c2 then induced := true);
+                for i = 0 to Array.length path - 2 do
+                  if path.(i) = c1 && path.(i + 1) = c2 then induced := true
+                done;
                 if not !induced then
                   result :=
                     err "position %d: route (%d, %d) does not induce dependency (%d, %d)" p src dst
                       c1 c2
               end
-            end
-          end
-        done;
-        !result)
+        end
+      done;
+      !result
+    end
 
 (* Re-derive the clean-core structure from the graph alone: the cycle
    channels must be the only enabled channels between core nodes, the

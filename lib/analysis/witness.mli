@@ -64,8 +64,9 @@ val of_core : Graph.t -> Existence.core -> (t, string) result
 
 (** Validate a [Layer_cycle] witness against a forwarding table: every
     dependency of the cycle must be induced by the named route, all
-    routes on the claimed layer. [Error] names the first violation (and
-    rejects [Topology_core] witnesses outright). *)
+    routes on the claimed layer. Only the named routes are walked, so
+    the table's other routes may be broken. [Error] names the first
+    violation (and rejects [Topology_core] witnesses outright). *)
 val check_table : t -> Ftable.t -> (unit, string) result
 
 (** Validate a [Topology_core] witness against the fabric alone:

@@ -14,7 +14,7 @@ type algorithm = {
     [coords] enables DOR on grid fabrics; without it DOR refuses.
     [batch]/[domains] select the batched-snapshot pipeline (DESIGN.md
     section 12) on the engines that support it — [batch] changes the
-    tables (defaults to the sequential recurrence), [domains] only the
+    tables (default 1: the sequential recurrence), [domains] only the
     wall-clock; LASH ignores both. Every entry runs the default
     shortest-path kernel and the default offline cycle-break engine;
     kernel and engine parity is checked below this layer, on

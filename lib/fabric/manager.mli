@@ -19,7 +19,8 @@ type config = {
   batch : int;
       (** destinations per weight snapshot in full recomputes (the
           batched-snapshot pipeline, DESIGN.md section 12); 1 = the
-          sequential recurrence. Changes the tables a full recompute
+          sequential recurrence (the driver adds each destination's
+          load in place). Changes the tables a full recompute
           produces (still minimal, still balanced) *)
   domains : int;
       (** routing domains for full recomputes; with [> 1] the manager

@@ -5,8 +5,8 @@
 
     [domains] times the batched-snapshot pipeline
     ({!Routing.Sssp.recommended_batch} destinations per snapshot) on that
-    many domains instead of the sequential recurrence; omitted, the
-    figures measure the sequential baseline as before. *)
+    many domains; omitted, the figures measure the sequential baseline:
+    the same driver at batch 1 on one domain. *)
 
 val fig7 : ?max_endpoints:int -> ?domains:int -> unit -> Report.table
 

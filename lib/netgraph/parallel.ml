@@ -166,29 +166,10 @@ let init ?(domains = 1) n f =
   else if domains <= 1 || n < 2 then Array.init n f
   else begin
     (* seed the result array with one sequentially-computed element *)
-    let first = f 0 in
-    let out = Array.make n first in
-    let workers = min domains n in
-    let chunk = (n + workers - 1) / workers in
-    let failure = Atomic.make None in
-    let work w () =
-      let lo = max 1 (w * chunk) in
-      let hi = min n ((w + 1) * chunk) in
-      try
-        for i = lo to hi - 1 do
-          out.(i) <- f i
-        done
-      with e -> (
-        (* keep the first failure; result array contents are discarded *)
-        match Atomic.get failure with
-        | None -> Atomic.set failure (Some e)
-        | Some _ -> ())
-    in
-    let handles = Array.init workers (fun w -> Domain.spawn (work w)) in
-    Array.iter Domain.join handles;
-    (match Atomic.get failure with
-    | Some e -> raise e
-    | None -> ());
+    let out = Array.make n (f 0) in
+    Pool.with_pool ~domains:(min domains n)
+      (fun _slot -> ())
+      (fun pool -> Pool.run pool ~n:(n - 1) (fun () i -> out.(i + 1) <- f (i + 1)));
     out
   end
 

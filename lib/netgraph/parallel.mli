@@ -9,11 +9,11 @@
     spot for the workloads here. *)
 val recommended_domains : unit -> int
 
-(** [map_array ~domains f a] is [Array.map f a] computed on [domains]
-    domains (contiguous chunks). [domains <= 1], or arrays of fewer than 2
-    elements, run sequentially. The first exception raised by any chunk is
-    re-raised after all domains joined. Ordering of results matches the
-    input regardless of scheduling. *)
+(** [map_array ~domains f a] is [Array.map f a] computed on a throwaway
+    {!Pool} of [domains] domains. [domains <= 1], or arrays of fewer than
+    2 elements, run sequentially. The first exception raised by any chunk
+    is re-raised after all domains joined. Ordering of results matches
+    the input regardless of scheduling. *)
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [init ~domains n f] is [Array.init n f], parallelised the same way. *)
@@ -22,7 +22,7 @@ val init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** Persistent worker pool with per-domain scratch state — the substrate
     of the domain-parallel routing pipeline (DESIGN.md section 12).
 
-    Unlike {!init}/{!map_array}, which spawn fresh domains per call, a
+    Unlike {!init}/{!map_array}, which run on a fresh pool per call, a
     pool keeps its domains alive between tasks (idle workers sleep on a
     condition variable), so per-domain scratch — Dijkstra workspaces,
     flow arrays, weight-delta accumulators — survives from one task to

@@ -1,32 +1,26 @@
-(** Batched-snapshot destination loop: the common driver of the
-    domain-parallel table fills (SSSP, MinHop, Up*/Down* — DESIGN.md
-    section 12). Destinations are processed in batches; before each
-    batch, [freeze] snapshots the shared balancing state; within a batch
-    every destination is routed against that frozen snapshot on the
-    pool's domains; after the batch, [merge] folds each worker's
-    accumulated contributions back into the shared state, in worker-slot
-    order, before the next snapshot is taken.
+(** Batched-snapshot destination loop: the one per-destination loop of
+    every routing engine (SSSP, MinHop, Up*/Down*, FTree, DOR —
+    DESIGN.md section 12). It owns the engine's shared balancing state
+    (SSSP channel weights, MinHop/Up*Down* port loads; empty for FTree
+    and DOR) and decides, per batch of destinations, where a destination
+    reads that state and where its contributions land:
+
+    - a {e fan-out} batch reads a copy of the state taken at the batch
+      start, on the pool's domains; each slot's contributions go into
+      its own sparse delta, merged in slot order at the batch end;
+    - an {e inline} batch of more than one destination reads the live
+      state on the caller; contributions go into slot 0's delta, merged
+      at the batch end;
+    - an inline batch of one destination adds straight into the state.
+      That is the sequential recurrence, with no delta and no merge.
 
     With [batch = 1] the loop is observably identical to the sequential
     per-destination recurrence (a snapshot of one destination's worth of
     state is always current). For any fixed [batch], the result is
-    independent of the pool size: destinations only read the snapshot,
-    contributions are per-destination sums merged with commutative
-    addition, and forwarding entries live in per-destination table
-    columns. *)
-
-(** [effective_workers ?cost ~pool ~batch ~items ()] is the number of
-    workers a batched run over [items] destinations will actually use:
-    the pool size clamped by the hardware domain count and the per-batch
-    item count, and forced to 1 when the per-batch work
-    ([items_per_batch x cost], with [cost] the caller's per-item work
-    proxy — typically the channel count) is too small to amortise the
-    pool dispatch handshake. A result [<= 1] means {!run} executes
-    inline on the caller; engines use the same predicate to skip
-    snapshot copies entirely. Always the pool size when auto sizing is
-    off. *)
-val effective_workers :
-  cost:int -> pool:'s Parallel.Pool.t -> batch:int -> items:int -> int
+    independent of the pool size: destinations only read the frozen
+    state, contributions are per-destination sums merged with
+    commutative addition, and forwarding entries live in
+    per-destination table columns. *)
 
 (** [set_auto_sizing false] disables pool-aware sizing process-wide:
     every batched run fans out over the full pool regardless of
@@ -37,23 +31,57 @@ val set_auto_sizing : bool -> unit
 
 val auto_sizing : unit -> bool
 
-(** [run ~cost ~pool ~batch ~dsts ~freeze ~dest ~merge] routes every
-    destination in [dsts], in batches of [batch] (clamped to [>= 1]).
-    [dest scratch dst] routes one destination using the worker's own
-    scratch; its [Error] stops the loop after the current batch, and the
-    error returned is the one of the lowest destination index, as a
-    sequential scan would find it. Exceptions from [dest] propagate.
+(** How one destination sees the balancing state. A destination must
+    never read an entry it has already added to: an inline batch of one
+    destination adds into [reads] itself, the other modes do not, and
+    results are identical across modes only under that condition. *)
+type view = {
+  reads : int array;
+      (** the state as of the batch start: the live array, or a copy
+          for a fan-out batch *)
+  add : int -> int -> unit;
+      (** [add i x] contributes [x > 0] to entry [i] of the state *)
+  stamp : int;  (** a fresh {!Spf} stamp per batch *)
+  top : int;
+      (** the largest state entry at the batch start: bounds [reads]
+          until the destination adds *)
+}
 
-    When {!effective_workers} (given the same [cost]) is [<= 1] the
-    whole run executes on the calling domain against the pool's slot-0
-    scratch — identical snapshots, merges, and results, minus the
-    dispatch overhead. *)
+(** A pool of worker slots, each holding an engine scratch of type ['s]
+    and the driver's per-slot delta. Graph-independent: the delta grows
+    to each run's state. *)
+type 's slot
+
+type 's pool = 's slot Parallel.Pool.t
+
+(** [create_pool ?domains scratch] is {!Parallel.Pool.create} with one
+    [scratch slot] per slot. Release it with {!Parallel.Pool.shutdown}. *)
+val create_pool : ?domains:int -> (int -> 's) -> 's pool
+
+(** [with_pool ?domains scratch f] is [f (create_pool ?domains scratch)]
+    with a guaranteed shutdown. A pool of size 1 spawns nothing. *)
+val with_pool : ?domains:int -> (int -> 's) -> ('s pool -> 'a) -> 'a
+
+(** [run ?snapshot_timer ~cost ~pool ~batch ~state ~dsts dest] routes
+    every destination in [dsts], in batches of [batch] (clamped to
+    [>= 1]), with [dest scratch view dst] on some slot's scratch. A
+    destination's [Error] stops the loop after the current batch, and the
+    error returned is the one of the lowest destination index, as a
+    sequential scan would find it; the state keeps the contributions of
+    every destination run. Exceptions from [dest] propagate.
+
+    With auto sizing on, the run fans out only when the pool has more
+    than one slot, the batch more than one destination, and a batch
+    enough work ([batch x cost], with [cost] the per-destination work
+    proxy — typically the channel count) to amortise the dispatch;
+    otherwise it runs inline on the caller with identical results.
+    [snapshot_timer] times the state copies a fan-out batch takes. *)
 val run :
+  ?snapshot_timer:Obs.Timer.t ->
   cost:int ->
-  pool:'s Parallel.Pool.t ->
+  pool:'s pool ->
   batch:int ->
+  state:int array ->
   dsts:int array ->
-  freeze:(unit -> unit) ->
-  dest:('s -> int -> (unit, string) result) ->
-  merge:('s -> unit) ->
+  ('s -> view -> int -> (unit, string) result) ->
   (unit, string) result

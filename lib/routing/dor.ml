@@ -80,25 +80,11 @@ let route ?(domains = 1) g coords =
     | Some msg -> Error msg
     | None ->
       let dsts = Graph.terminals g in
-      let nt = Array.length dsts in
-      if domains <= 1 || nt <= 1 then begin
-        let rec go i =
-          if i >= nt then Ok ()
-          else
-            match route_destination g coords ~dims ~wrap ~ndims ~ft ~dst:dsts.(i) with
-            | Ok () -> go (i + 1)
-            | Error _ as e -> e
-        in
-        go 0
-      end
-      else
-        Parallel.Pool.with_pool ~domains
-          (fun _slot -> ())
-          (fun pool ->
-            Batched.run ~cost:(Graph.num_channels g) ~pool ~batch:nt ~dsts
-              ~freeze:(fun () -> ())
-              ~dest:(fun () dst -> route_destination g coords ~dims ~wrap ~ndims ~ft ~dst)
-              ~merge:(fun () -> ()))
+      Batched.with_pool ~domains
+        (fun _slot -> ())
+        (fun pool ->
+          Batched.run ~cost:(Graph.num_channels g) ~pool ~batch:(Array.length dsts) ~state:[||] ~dsts
+            (fun () _ dst -> route_destination g coords ~dims ~wrap ~ndims ~ft ~dst))
   in
   match result with
   | Error _ as e -> e

@@ -125,27 +125,12 @@ let route ?(domains = 1) g =
         order_by_level;
       let dsts = Graph.terminals g in
       let routed =
-        if domains <= 1 then begin
-          let anc_channel = Array.make n (-1) in
-          let nt = Array.length dsts in
-          let rec go i =
-            if i >= nt then Ok ()
-            else
-              match route_destination g ~level ~up_channels ~order_by_level ~anc_channel ~ft ~dst:dsts.(i) with
-              | Ok () -> go (i + 1)
-              | Error _ as e -> e
-          in
-          go 0
-        end
-        else
-          Parallel.Pool.with_pool ~domains
-            (fun _slot -> Array.make n (-1))
-            (fun pool ->
-              Batched.run ~cost:(Graph.num_channels g) ~pool ~batch:(Array.length dsts) ~dsts
-                ~freeze:(fun () -> ())
-                ~dest:(fun anc_channel dst ->
-                  route_destination g ~level ~up_channels ~order_by_level ~anc_channel ~ft ~dst)
-                ~merge:(fun _ -> ()))
+        Batched.with_pool ~domains
+          (fun _slot -> Array.make n (-1))
+          (fun pool ->
+            Batched.run ~cost:(Graph.num_channels g) ~pool ~batch:(Array.length dsts) ~state:[||] ~dsts
+              (fun anc_channel _ dst ->
+                route_destination g ~level ~up_channels ~order_by_level ~anc_channel ~ft ~dst))
       in
       (match routed with
       | Error msg -> Error msg

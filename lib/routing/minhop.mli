@@ -9,11 +9,11 @@
 
     [batch]/[domains] (both default 1) select the batched-snapshot
     pipeline of DESIGN.md section 12: port loads are frozen per batch of
-    [batch] destinations and each destination balances against the
-    snapshot plus its own increments (MinHop reads loads mid-destination,
-    so the snapshot alone is not enough). [~batch:1] reproduces the
-    sequential tables bit-for-bit; for any fixed [batch] the result is
-    independent of [domains]. Hop distances come from the default
+    [batch] destinations and each destination balances against them (a
+    node reads and bumps only its own channels, so a destination never
+    needs its own increments). [~batch:1] is the sequential recurrence
+    (loads move after every destination); for any fixed [batch] the
+    result is independent of [domains]. Hop distances come from the default
     {!Spf} kernel; they are load-independent, so its incremental core
     shares one switch tree across the whole run. *)
 val route : ?batch:int -> ?domains:int -> Graph.t -> (Ftable.t, string) result

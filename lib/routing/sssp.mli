@@ -33,13 +33,16 @@
     per-channel load contributions are merged back before the next
     snapshot.
 
-    When the pool-aware sizing ({!Batched.effective_workers}) decides
+    The loop is {!Batched.run}, the one destination loop of every
+    engine; it owns the weights. When its pool-aware sizing decides
     fan-out cannot pay — single-domain hardware, batch of one, or a
-    plane too small to amortise the dispatch — the same batched loop
-    runs inline on the caller and skips the snapshot copy entirely: with
-    contributions recorded into a delta, the live weight array already
-    {e is} the frozen snapshot. Within each batch the frozen weights let
-    the incremental kernel share one core tree among all destinations on
+    plane too small to amortise the dispatch — the batch runs inline on
+    the caller and skips the snapshot copy entirely: with contributions
+    recorded into a delta, the live weight array already {e is} the
+    frozen snapshot. An inline batch of one destination adds its load
+    straight into the weights: that is the sequential recurrence, with
+    no delta and no merge. Within each batch the frozen weights let the
+    incremental kernel share one core tree among all destinations on
     the same switch, which is why batched mode beats the sequential
     recurrence even on one domain.
 
@@ -60,10 +63,9 @@ val recommended_batch : int
 val default_kernel : Spf.kind
 
 (** A pool of routing domains with per-domain scratch (kernel workspace,
-    tree-walk arrays, load-delta accumulator). Pools are
-    graph-independent — scratch is (re)validated lazily against the
-    graph (and requested kernel) of each invocation via epoch stamping —
-    so one pool can serve many planes, graphs and engines (e.g. a
+    tree-walk arrays, the driver's load-delta accumulator). Pools are
+    graph-independent — scratch is rebuilt lazily when a plane arrives
+    with a different node count or kernel — so one pool can serve many planes, graphs and engines (e.g. a
     {!Fabric.Manager} holding a pool across full recomputes). Must
     be released with {!destroy_pool}. *)
 type pool
@@ -87,8 +89,8 @@ val destroy_pool : pool -> unit
     [batch] (default 1) and [domains] (default 1) select the
     batched-snapshot pipeline; [pool] reuses an existing pool (its size
     overrides [domains]). [kernel] selects the shortest-path core
-    (default {!Spf.Auto}). Defaults reproduce the sequential recurrence
-    exactly. *)
+    (default {!Spf.Auto}). The defaults run the driver at batch 1 on
+    the caller: the sequential recurrence, exactly. *)
 val route :
   ?initial_weight:int ->
   ?batch:int ->
@@ -135,13 +137,3 @@ val route_destinations :
 
 (** Fresh weight state for {!route_plane}: every channel at [|V|^2]. *)
 val initial_weights : Graph.t -> int array
-
-(** [route_destination ws g ~weights ~ft ~dst] runs the per-destination
-    step of {!route_plane} for a single terminal [dst]: one
-    shortest-path tree toward [dst] (using the kernel [ws] was created
-    with), forwarding entries written into [ft], and the new routes'
-    load added to [weights]. Routing a list of destinations one step
-    each is {!route_destinations} without batching. Fails if some node
-    cannot reach [dst]. *)
-val route_destination :
-  Spf.workspace -> Graph.t -> weights:int array -> ft:Ftable.t -> dst:int -> (unit, string) result

@@ -12,8 +12,8 @@
       parents (forcing keeps legality; only lengths can grow).
 
    All load reads (the step-2 tie-break) happen before any of the same
-   destination's load increments (step 4), so the batched pipeline needs
-   only the per-batch snapshot — no per-destination overlay. *)
+   destination's load increments (step 4), so every batch mode of the
+   driver reads the same loads — no per-destination overlay. *)
 
 let pick_root g =
   let switches = Graph.switches g in
@@ -52,12 +52,9 @@ type scratch = {
   up_via : int array;
   down_mode : bool array;
   queue : int Queue.t;
-  delta : int array;
-  touched : int array;
-  mutable num_touched : int;
 }
 
-let fresh_scratch n m _slot =
+let fresh_scratch n _slot =
   {
     d_down = Array.make n max_int;
     down_via = Array.make n (-1);
@@ -65,12 +62,9 @@ let fresh_scratch n m _slot =
     up_via = Array.make n (-1);
     down_mode = Array.make n false;
     queue = Queue.create ();
-    delta = Array.make m 0;
-    touched = Array.make m 0;
-    num_touched = 0;
   }
 
-let route_destination g ~up ~order ~get_load ~bump sc ~ft ~dst =
+let route_destination g ~up ~order (view : Batched.view) sc ~ft ~dst =
   let n = Graph.num_nodes g in
   Array.fill sc.d_down 0 n max_int;
   Array.fill sc.down_via 0 n (-1);
@@ -106,7 +100,7 @@ let route_destination g ~up ~order ~get_load ~bump sc ~ft ~dst =
                 let cand = dv + 1 in
                 if
                   cand < sc.d_up.(u)
-                  || (cand = sc.d_up.(u) && sc.up_via.(u) >= 0 && get_load c < get_load sc.up_via.(u))
+                  || (cand = sc.d_up.(u) && sc.up_via.(u) >= 0 && view.reads.(c) < view.reads.(sc.up_via.(u)))
                 then begin
                   sc.d_up.(u) <- cand;
                   sc.up_via.(u) <- c
@@ -142,7 +136,7 @@ let route_destination g ~up ~order ~get_load ~bump sc ~ft ~dst =
       if c < 0 then error := Some (Printf.sprintf "updown: node %d cannot reach %d" u dst)
       else begin
         Ftable.set_next ft ~node:u ~dst ~channel:c;
-        bump c
+        view.add c 1
       end
     end;
     incr i
@@ -162,49 +156,10 @@ let route ?(batch = 1) ?(domains = 1) g =
     (* Nodes in increasing (rank, id): up channels point strictly earlier. *)
     let order = Array.init n (fun i -> i) in
     Array.sort (fun a b -> compare (rank.(a), a) (rank.(b), b)) order;
-    let load = Array.make m 0 in
-    let dsts = Graph.terminals g in
     let result =
-      if batch <= 1 && domains <= 1 then begin
-        let sc = fresh_scratch n m 0 in
-        let nt = Array.length dsts in
-        let rec go i =
-          if i >= nt then Ok ()
-          else
-            match
-              route_destination g ~up ~order
-                ~get_load:(fun c -> load.(c))
-                ~bump:(fun c -> load.(c) <- load.(c) + 1)
-                sc ~ft ~dst:dsts.(i)
-            with
-            | Ok () -> go (i + 1)
-            | Error _ as e -> e
-        in
-        go 0
-      end
-      else begin
-        let snapshot = Array.make m 0 in
-        Parallel.Pool.with_pool ~domains (fresh_scratch n m) (fun pool ->
-            Batched.run ~cost:(Graph.num_channels g) ~pool ~batch ~dsts
-              ~freeze:(fun () -> Array.blit load 0 snapshot 0 m)
-              ~dest:(fun sc dst ->
-                route_destination g ~up ~order
-                  ~get_load:(fun c -> snapshot.(c))
-                  ~bump:(fun c ->
-                    if sc.delta.(c) = 0 then begin
-                      sc.touched.(sc.num_touched) <- c;
-                      sc.num_touched <- sc.num_touched + 1
-                    end;
-                    sc.delta.(c) <- sc.delta.(c) + 1)
-                  sc ~ft ~dst)
-              ~merge:(fun sc ->
-                for i = 0 to sc.num_touched - 1 do
-                  let c = sc.touched.(i) in
-                  load.(c) <- load.(c) + sc.delta.(c);
-                  sc.delta.(c) <- 0
-                done;
-                sc.num_touched <- 0))
-      end
+      Batched.with_pool ~domains (fresh_scratch n) (fun pool ->
+          Batched.run ~cost:m ~pool ~batch ~state:(Array.make m 0) ~dsts:(Graph.terminals g)
+            (fun sc view dst -> route_destination g ~up ~order view sc ~ft ~dst))
     in
     (match result with
     | Error _ as e -> e

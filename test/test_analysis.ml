@@ -771,6 +771,62 @@ let test_layer_witness () =
   | Ok (Some _) -> Alcotest.fail "certified table must not yield a witness"
   | Error msg -> Alcotest.failf "of_table on clean table: %s" msg
 
+(* The checker walks only the routes a witness names: turning another
+   route into a forwarding loop leaves the witness valid. On ring:8 the
+   witness names every destination, so the loop goes between two
+   switches that no named route toward that destination crosses. *)
+let test_layer_witness_ignores_other_routes () =
+  let g = Topo_ring.make ~switches:8 ~terminals_per_switch:1 in
+  let ft = route "sssp" g in
+  let w =
+    match Analysis.Witness.of_table ft with
+    | Ok (Some w) -> w
+    | Ok None -> Alcotest.fail "sssp on ring:8 must yield a cycle witness"
+    | Error msg -> Alcotest.failf "of_table: %s" msg
+  in
+  let terminals = Array.to_list (Graph.terminals g) in
+  let path src dst =
+    match Routing.Ftable.path ft ~src ~dst with
+    | Some p -> p
+    | None -> Alcotest.failf "no route %d -> %d" src dst
+  in
+  let tail c = (Graph.channel g c).Channel.src and head c = (Graph.channel g c).Channel.dst in
+  (* nodes the named routes toward [dst] leave from *)
+  let named_nodes dst =
+    List.concat
+      (List.init (Array.length w.Analysis.Witness.dsts) (fun p ->
+           if w.Analysis.Witness.dsts.(p) <> dst then []
+           else List.map tail (Array.to_list (path w.Analysis.Witness.srcs.(p) dst))))
+  in
+  (* a route toward [dst] whose first switch hop s1 -> s2 avoids them *)
+  let pick =
+    List.find_map
+      (fun dst ->
+        let named = named_nodes dst in
+        List.find_map
+          (fun src ->
+            if src = dst then None
+            else
+              let p = path src dst in
+              if
+                Array.length p >= 3
+                && (not (List.mem (tail p.(1)) named))
+                && not (List.mem (head p.(1)) named)
+              then Some (dst, p.(1))
+              else None)
+          terminals)
+      terminals
+  in
+  let dst, c1 = match pick with Some x -> x | None -> Alcotest.fail "no route to break" in
+  (match Graph.reverse_channel g c1 with
+  | Some back -> Routing.Ftable.set_next ft ~node:(head c1) ~dst ~channel:back
+  | None -> Alcotest.fail "ring cable without a reverse channel");
+  check Alcotest.bool "the table no longer materializes" true
+    (Result.is_error (Routing.Ftable.to_store ft));
+  match Analysis.Witness.check_table w ft with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "witness refused: %s" msg
+
 (* Satellite: the provable lower bound never exceeds what any registry
    engine actually achieves — on random fabrics, the jittered seed mix,
    and unidirectional rings where the bound is tight. *)
@@ -862,6 +918,8 @@ let () =
           Alcotest.test_case "checker rejects corrupted core witnesses" `Quick
             test_core_witness_rejects_corruption;
           Alcotest.test_case "layer witness generates, checks, round trips" `Quick test_layer_witness;
+          Alcotest.test_case "layer witness ignores unnamed broken routes" `Quick
+            test_layer_witness_ignores_other_routes;
         ] );
       ( "catalog",
         [

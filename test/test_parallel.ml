@@ -3,8 +3,9 @@
 
    - for any fixed [batch], tables and final weights are independent of
      [domains] (and of whether a persistent pool is reused);
-   - [batch:1] reproduces the sequential recurrence bit-for-bit, for
-     SSSP and for every batched engine;
+   - [batch:1] reproduces the sequential recurrence of the test oracle
+     (Oracles.Sequential_ref) bit-for-bit, for SSSP and for every
+     balancing engine;
    - engines without shared balancing state (FTree, DOR) are
      domains-invariant outright;
    - batching never costs minimality (the |V|^2 argument is independent
@@ -37,6 +38,12 @@ let route_plane_exn ?batch ?domains ?pool g ~weights =
   | Ok ft -> ft
   | Error msg -> Alcotest.failf "route_plane failed: %s" msg
 
+(* The sequential recurrence, from the test oracle. *)
+let sequential_plane_exn g ~weights =
+  match Oracles.Sequential_ref.sssp_plane g ~weights with
+  | Ok ft -> ft
+  | Error msg -> Alcotest.failf "sequential plane failed: %s" msg
+
 (* ------------------------------------------------------------------ *)
 (* SSSP: the tentpole contract                                          *)
 (* ------------------------------------------------------------------ *)
@@ -58,7 +65,7 @@ let sssp_batch1_is_sequential =
   qtest "sssp: batch 1 on 2 domains = the sequential recurrence" seed_gen (fun seed ->
       let _, g = fabric seed in
       let w_seq = Routing.Sssp.initial_weights g in
-      let ft_seq = route_plane_exn g ~weights:w_seq (* defaults: the legacy path *) in
+      let ft_seq = sequential_plane_exn g ~weights:w_seq in
       let w_par = Routing.Sssp.initial_weights g in
       let ft_par = route_plane_exn ~batch:1 ~domains:2 g ~weights:w_par in
       same_tables ft_seq ft_par && w_seq = w_par)
@@ -107,22 +114,27 @@ let sssp_error_parity () =
     | Ok _ -> Alcotest.fail "routing a cut fabric succeeded"
     | Error msg -> msg
   in
-  let seq = attempt () in
+  let seq =
+    match Oracles.Sequential_ref.sssp_plane cut ~weights:(Routing.Sssp.initial_weights cut) with
+    | Ok _ -> Alcotest.fail "routing a cut fabric succeeded"
+    | Error msg -> msg
+  in
+  Alcotest.(check string) "default error" seq (attempt ());
   Alcotest.(check string) "batched error" seq (attempt ~batch:4 ());
   Alcotest.(check string) "parallel error" seq (attempt ~batch:4 ~domains:2 ())
 
 let sssp_route_destinations_subset () =
   let g = fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:2) in
   let dsts = Array.sub (Graph.terminals g) 0 8 in
-  let run ?batch ?domains () =
+  let run route =
     let weights = Routing.Sssp.initial_weights g in
     let ft = Routing.Ftable.create g ~algorithm:"sssp" in
-    match Routing.Sssp.route_destinations ?batch ?domains g ~weights ~ft ~dsts with
+    match route g ~weights ~ft ~dsts with
     | Ok () -> (ft, weights)
     | Error msg -> Alcotest.failf "route_destinations failed: %s" msg
   in
-  let ft_seq, w_seq = run () in
-  let ft_par, w_par = run ~batch:1 ~domains:2 () in
+  let ft_seq, w_seq = run (fun g -> Oracles.Sequential_ref.sssp_destinations g) in
+  let ft_par, w_par = run (fun g -> Routing.Sssp.route_destinations ~batch:1 ~domains:2 g) in
   Alcotest.(check bool) "subset tables" true (same_tables ft_seq ft_par);
   Alcotest.(check (array int)) "subset weights" w_seq w_par
 
@@ -134,7 +146,7 @@ let sssp_deterministic_under_instrumentation =
   qtest ~count:4 "sssp: tracing enabled does not perturb tables" seed_gen (fun seed ->
       let _, g = fabric seed in
       let w_seq = Routing.Sssp.initial_weights g in
-      let ft_seq = route_plane_exn g ~weights:w_seq in
+      let ft_seq = sequential_plane_exn g ~weights:w_seq in
       let buf = Buffer.create 4096 in
       let w_par = Routing.Sssp.initial_weights g in
       let ft_par =
@@ -161,22 +173,24 @@ let engine_exn name r =
 let minhop_contract =
   qtest "minhop: batch 1 = sequential; fixed batch domains-invariant" seed_gen (fun seed ->
       let _, g = fabric seed in
-      let seq = engine_exn "minhop" (Routing.Minhop.route g) in
+      let seq = engine_exn "minhop" (Oracles.Sequential_ref.minhop g) in
       let b1 = engine_exn "minhop" (Routing.Minhop.route ~batch:1 ~domains:2 g) in
       let batch = 1 + (seed mod 17) in
       let d1 = engine_exn "minhop" (Routing.Minhop.route ~batch ~domains:1 g) in
       let d4 = engine_exn "minhop" (Routing.Minhop.route ~batch ~domains:4 g) in
-      same_tables seq b1 && same_tables d1 d4)
+      let inline = engine_exn "minhop" (Routing.Minhop.route g) in
+      same_tables seq b1 && same_tables seq inline && same_tables d1 d4)
 
 let updown_contract =
   qtest "updown: batch 1 = sequential; fixed batch domains-invariant" seed_gen (fun seed ->
       let _, g = fabric seed in
-      let seq = engine_exn "updown" (Routing.Updown.route g) in
+      let seq = engine_exn "updown" (Oracles.Sequential_ref.updown g) in
       let b1 = engine_exn "updown" (Routing.Updown.route ~batch:1 ~domains:2 g) in
       let batch = 1 + (seed mod 17) in
       let d1 = engine_exn "updown" (Routing.Updown.route ~batch ~domains:1 g) in
       let d4 = engine_exn "updown" (Routing.Updown.route ~batch ~domains:4 g) in
-      same_tables seq b1 && same_tables d1 d4)
+      let inline = engine_exn "updown" (Routing.Updown.route g) in
+      same_tables seq b1 && same_tables seq inline && same_tables d1 d4)
 
 let ftree_domains_invariant =
   qtest "ftree: tables independent of domains" seed_gen (fun seed ->

@@ -107,7 +107,7 @@ let plane_equivalence =
           same_tables oft ft && w = ow)
         kernels)
 
-(* batch:1 must reproduce the historical sequential recurrence
+(* batch:1 must reproduce the sequential recurrence of the test oracle
    bit-for-bit under every kernel, with or without a persistent pool —
    and forcing the true fan-out path (auto sizing off, as this binary
    does at startup) must not change that. *)
@@ -116,7 +116,7 @@ let batch1_determinism =
       let _, g = fabric seed in
       let seq_w = Routing.Sssp.initial_weights g in
       let seq_ft =
-        match Routing.Sssp.route_plane g ~weights:seq_w with
+        match Oracles.Sequential_ref.sssp_plane g ~weights:seq_w with
         | Ok ft -> ft
         | Error msg -> Alcotest.failf "sequential route_plane failed: %s" msg
       in
@@ -165,7 +165,8 @@ let bucket_fallback_extreme_weights () =
   Alcotest.(check int) "no fallback in-window" mid (fallback_counter ())
 
 (* Error parity: a fabric cut so routing must fail reports the same
-   error string under every kernel, sequentially and batched. *)
+   error string under every kernel, in the sequential oracle and in the
+   driver at batch 1 and batched. *)
 let kernel_error_parity () =
   let g = Topo_ring.make ~switches:6 ~terminals_per_switch:2 in
   let sw = (Graph.switches g).(0) in
@@ -180,11 +181,21 @@ let kernel_error_parity () =
     | Ok _ -> Alcotest.fail "routing a cut fabric succeeded"
     | Error msg -> msg
   in
-  let reference = attempt Spf.Heap in
+  let sequential kernel =
+    match
+      Oracles.Sequential_ref.sssp_plane ~kernel cut ~weights:(Routing.Sssp.initial_weights cut)
+    with
+    | Ok _ -> Alcotest.fail "routing a cut fabric succeeded"
+    | Error msg -> msg
+  in
+  let reference = sequential Spf.Heap in
   List.iter
     (fun kernel ->
       Alcotest.(check string)
         (Printf.sprintf "sequential error (%s)" (kernel_name kernel))
+        reference (sequential kernel);
+      Alcotest.(check string)
+        (Printf.sprintf "batch 1 error (%s)" (kernel_name kernel))
         reference (attempt kernel);
       Alcotest.(check string)
         (Printf.sprintf "batched error (%s)" (kernel_name kernel))
