@@ -8,10 +8,11 @@ all:
 # determinism smoke of the parallel routing pipeline, and test_spf, the
 # kernel-equivalence property suite), the routing certifier signs off
 # on the example topologies, the SSSP kernels agree bit-for-bit on
-# the quick equivalence fixtures, the two cycle-break engines agree
-# on a small torus (break-smoke), the topology-zoo conformance battery
-# certifies every corpus file and generator sample, a quick churn
-# soak (>= 200 seeded events) survives with every epoch recertified, a
+# the quick equivalence fixtures, the SCC cycle-break engine stays
+# within a layer of the test-only DFS oracle on a small torus
+# (break-smoke), the topology-zoo conformance battery certifies every
+# corpus file and generator sample, a quick churn soak (>= 200 seeded
+# events) survives with every epoch recertified, a
 # layer-tight torus converges on every churn event under DFSSSP and
 # under LASH's Pearce-Kelly placement on the degraded fabric
 # (churn-smoke), and no oracle has leaked back into the shipped code
@@ -23,8 +24,8 @@ check:
 # library (test/oracles/), linked by the test suites and benches alone.
 # Fails if a shipped dune file names that library, or if code under lib/
 # or bin/ (comments stripped, nested ones included) mentions Dijkstra,
-# Cdg_ref, Acyclic, Acyclic_ref or Sequential_ref, the oracles and
-# reference recurrences that used to ship.
+# Cdg_ref, Acyclic, Acyclic_ref, Sequential_ref or Dfs_ref, the oracles
+# and reference implementations that used to ship.
 no-oracles:
 	@if grep -lw oracles lib/*/dune bin/dune; then \
 	  echo "no-oracles: the dune files above link the test-only oracles library"; exit 1; fi
@@ -34,7 +35,8 @@ no-oracles:
 # Topology-zoo conformance battery (doc/topology_ingestion.md): every
 # file under examples/zoo plus the seeded jellyfish/xpander samples,
 # through the full registry, certifier, existence lower bounds and
-# kernel/engine parity. Exit 0 iff zero conformance failures.
+# SSSP kernel parity (test_zoo adds cycle-break engine parity against
+# the DFS oracle). Exit 0 iff zero conformance failures.
 zoo:
 	dune exec bin/fabric_tool.exe -- zoo
 
@@ -123,8 +125,9 @@ bench-analysis:
 	dune exec --profile release bench/analysis_bench.exe
 
 # Cycle-break engine benchmark (DESIGN.md §17): SCC condensation vs the
-# one-cycle-at-a-time DFS oracle, sequential and across domains, with
-# per-stage condense/evict/rebuild splits. Writes
+# one-cycle-at-a-time DFS oracle (the test-only Oracles.Dfs_ref),
+# sequential and across domains, with per-stage condense/evict/rebuild
+# splits. Writes
 # bench_results/cycle_break.json; fails if SCC is under 2x DFS on the
 # torus workloads, a layer count drifts past oracle+1, or parallel
 # planning falls under 0.9x sequential.
@@ -132,8 +135,8 @@ bench-break:
 	dune exec --profile release bench/break_bench.exe
 
 # Quick engine-parity mode of the same binary (seconds, no timing
-# gates): both engines must agree on layers within +1 on a small torus.
-# Part of `check`.
+# gates): the SCC engine must stay within one layer of the DFS oracle
+# on a small torus. Part of `check`.
 break-smoke:
 	dune exec --profile release bench/break_bench.exe -- --quick
 

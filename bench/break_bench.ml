@@ -1,8 +1,9 @@
-(* Benchmark gate for the cycle-break engines (DESIGN.md section 17):
-   the SCC-condensation engine vs the one-cycle-at-a-time DFS oracle,
-   sequentially and across domains, with the per-stage
-   condense/evict/rebuild split read from the always-on [layers.*]
-   timers. Destinations are sampled at an even stride across the
+(* Benchmark gate for the cycle-break engine (DESIGN.md section 17):
+   the shipped SCC-condensation engine vs the one-cycle-at-a-time DFS
+   oracle ({!Oracles.Dfs_ref}), sequentially and across domains, with
+   the per-stage condense/evict/rebuild split read from the always-on
+   [layers.*] timers (the oracle's own [dfs_ref.*] timers for the DFS
+   runs). Destinations are sampled at an even stride across the
    terminal range — contiguous blocks on a big torus produce acyclic
    CDGs, which would make break time a measure of nothing.
 
@@ -16,7 +17,7 @@
      so this is a same-vs-same tripwire there).
 
    [--quick] runs a seconds-long single-workload engine-parity smoke
-   instead (wired into `make check`): both engines must certify and
+   instead (wired into `make check`): the engine and the oracle must
    agree on layers within +1; nothing is written. [--probe] repeats
    the SCC assignment on one workload printing wall time and GC deltas
    per round — a diagnostic for heap-regime swings, no gates. *)
@@ -39,10 +40,18 @@ type run = {
   broken : int;
 }
 
-let single_run f =
-  let c0 = timer_sum "layers.condense" in
-  let e0 = timer_sum "layers.evict" in
-  let r0 = timer_sum "layers.rebuild" in
+(* The engine under test and the timer prefix its stages fire. *)
+type engine =
+  | Dfs
+  | Scc of int (* domains *)
+
+let stage_prefix = function Dfs -> "dfs_ref" | Scc _ -> "layers"
+
+let single_run (engine, f) =
+  let stage name = timer_sum (stage_prefix engine ^ "." ^ name) in
+  let c0 = stage "condense" in
+  let e0 = stage "evict" in
+  let r0 = stage "rebuild" in
   let t0 = Unix.gettimeofday () in
   let outcome = f () in
   let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
@@ -50,9 +59,9 @@ let single_run f =
     wall_ms;
     stages =
       {
-        condense_ms = 1000.0 *. (timer_sum "layers.condense" -. c0);
-        evict_ms = 1000.0 *. (timer_sum "layers.evict" -. e0);
-        rebuild_ms = 1000.0 *. (timer_sum "layers.rebuild" -. r0);
+        condense_ms = 1000.0 *. (stage "condense" -. c0);
+        evict_ms = 1000.0 *. (stage "evict" -. e0);
+        rebuild_ms = 1000.0 *. (stage "rebuild" -. r0);
       };
     layers = outcome.Layers.layers_used;
     broken = outcome.Layers.cycles_broken;
@@ -111,9 +120,12 @@ let build_workload name g ~num_dsts ~gated_2x =
   let cdg_edges = Cdg.num_edges (Cdg.of_store store) in
   { name; gated_2x; store; pairs = Route_store.num_paths store; cdg_edges }
 
-let assign w ~engine ~domains () =
+let assign w engine () =
+  let max_layers = 64 and heuristic = Heuristic.Weakest in
   match
-    Layers.assign_store ~engine ~domains w.store ~max_layers:64 ~heuristic:Heuristic.Weakest
+    match engine with
+    | Dfs -> Oracles.Dfs_ref.assign_store w.store ~max_layers ~heuristic
+    | Scc domains -> Layers.assign_store ~domains w.store ~max_layers ~heuristic
   with
   | Ok o -> o
   | Error msg -> failwith (Printf.sprintf "%s: cycle breaking failed: %s" w.name msg)
@@ -138,11 +150,7 @@ let measure ~domains ~rounds build =
   Printf.eprintf "measuring %s (%d pairs, %d CDG edges)...\n%!" w.name w.pairs w.cdg_edges;
   let runs =
     race_runs ~rounds
-      [|
-        assign w ~engine:`Dfs ~domains:1;
-        assign w ~engine:`Scc ~domains:1;
-        assign w ~engine:`Scc ~domains;
-      |]
+      (Array.map (fun e -> (e, assign w e)) [| Dfs; Scc 1; Scc domains |])
   in
   { w; dfs = runs.(0); scc_seq = runs.(1); scc_par = runs.(2) }
 
@@ -184,8 +192,8 @@ let run_quick () =
       (fst (Topo_torus.torus ~dims:[| 8; 8 |] ~terminals_per_switch:2))
       ~num_dsts:64 ~gated_2x:false
   in
-  let dfs = assign w ~engine:`Dfs ~domains:1 () in
-  let scc = assign w ~engine:`Scc ~domains:1 () in
+  let dfs = assign w Dfs () in
+  let scc = assign w (Scc 1) () in
   let ok = scc.Layers.layers_used <= dfs.Layers.layers_used + 1 in
   Printf.printf "break smoke %-10s dfs %d layer(s) / %d broken, scc %d layer(s) / %d evicted: %s\n"
     w.name dfs.Layers.layers_used dfs.Layers.cycles_broken scc.Layers.layers_used
@@ -206,7 +214,7 @@ let run_probe () =
   for i = 1 to 12 do
     let s = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
-    let o = assign w ~engine:`Scc ~domains:1 () in
+    let o = assign w (Scc 1) () in
     let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
     let s' = Gc.quick_stat () in
     Printf.printf "round %2d: %8.2f ms (%d layers) minor+%d major+%d heap %.1fMB\n%!" i ms

@@ -21,8 +21,7 @@ let time_best f =
 
 (* ------------------------------------------------------------------ *)
 (* Resumable cycle search over the Hashtbl reference — a faithful port
-   of Deadlock.Cycle, so the assignment comparison below differs only in
-   the CDG representation, never in the algorithm.                      *)
+   of the DFS oracle's search (Oracles.Dfs_ref.Search).                 *)
 (* ------------------------------------------------------------------ *)
 
 module Ref_cycle = struct
@@ -281,7 +280,7 @@ let measure w =
   in
   assert (Cdg.num_edges csr = Cdg_ref.num_edges rc);
   (* weakest-edge scan: full min-edge_count sweep over all live edges,
-     the inner workload of Heuristic.choose *)
+     the inner workload of the weakest-edge choice *)
   let scan_csr_ms, _ =
     time_best (fun () ->
         let best = ref max_int in

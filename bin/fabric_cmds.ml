@@ -176,5 +176,5 @@ let zoo_cmd =
     (Cmd.info "zoo"
        ~doc:
          "run the topology-zoo conformance battery: every corpus file and generator sample \
-          through the full registry, certifier, existence bounds and kernel/engine parity")
+          through the full registry, certifier, existence bounds and kernel parity")
     Term.(const run $ dir $ extra $ generators_only)

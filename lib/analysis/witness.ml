@@ -57,7 +57,7 @@ let of_table ft =
     while !found = None && !l < num_layers do
       let layer = !l in
       let cdg = Cdg.of_store ~filter:(fun p -> layer_of_path.(p) = layer) store in
-      (match Cycle.find_cycle (Cycle.create cdg) with
+      (match Cycle.find cdg with
       | None -> ()
       | Some edges ->
         let seq = minimize cdg (Array.map fst edges) in

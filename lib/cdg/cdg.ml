@@ -1,22 +1,20 @@
-(* CSR representation (DESIGN.md §10), built once by [of_store].
+(* CSR representation (DESIGN.md §10), built once by [of_store] and
+   never changed after.
 
    Slot range [row.(c1), row.(c1+1)) lists the successors of c1 in [col],
-   each with a live inducing-route count in [cnt] and an inducing-pair
-   slice [poff.(sl), poff.(sl+1)) into [pbuf]. Removing a pair tombstones
-   its [pbuf] entry (-1) and decrements [cnt]; nothing is ever added. The
-   invariant throughout: [cnt] of a slot equals the summed
-   {!Route_store.weight} of its live pair memberships (their number, in a
-   per-pair store). *)
+   each with its inducing-route weight in [cnt] and an inducing-pair slice
+   [poff.(sl), poff.(sl+1)) into [pbuf]. [cnt] of a slot is the summed
+   {!Route_store.weight} of its pair memberships (their number, in a
+   per-pair store); weights are at least 1, so every slot is a live edge. *)
 
 type t = {
   graph : Graph.t;
   row : int array; (* length m+1 *)
   col : int array; (* length nslots *)
-  cnt : int array; (* per slot: weight of the live inducing routes; 0 = dead edge *)
+  cnt : int array; (* per slot: weight of the inducing routes *)
   poff : int array; (* length nslots+1 *)
-  pbuf : int array; (* inducing pair ids; -1 = tombstone *)
-  mutable num_edges : int;
-  mutable num_paths : int;
+  pbuf : int array; (* inducing pair ids *)
+  num_paths : int;
 }
 
 let graph t = t.graph
@@ -26,60 +24,33 @@ let find_slot t c1 c2 =
   let rec go i = if i >= hi then -1 else if t.col.(i) = c2 then i else go (i + 1) in
   go t.row.(c1)
 
-let remove_edge t c1 c2 pair w =
-  let sl = find_slot t c1 c2 in
-  if sl < 0 || t.cnt.(sl) = 0 then invalid_arg "Cdg.remove_pair: edge not present";
-  let hi = t.poff.(sl + 1) in
-  let rec tombstone i =
-    if i >= hi then invalid_arg "Cdg.remove_pair: pair not on edge"
-    else if t.pbuf.(i) = pair then t.pbuf.(i) <- -1
-    else tombstone (i + 1)
-  in
-  tombstone t.poff.(sl);
-  t.cnt.(sl) <- t.cnt.(sl) - w;
-  if t.cnt.(sl) = 0 then t.num_edges <- t.num_edges - 1
-
-let remove_pair t store ~pair =
-  let w = Route_store.weight store ~pair in
-  Route_store.iter_deps store ~pair (fun c1 c2 -> remove_edge t c1 c2 pair w);
-  t.num_paths <- t.num_paths - 1
-
 let edge_count t ~c1 ~c2 =
   let sl = find_slot t c1 c2 in
   if sl >= 0 then t.cnt.(sl) else 0
 
-let live t ~c1 ~c2 = edge_count t ~c1 ~c2 > 0
+let live t ~c1 ~c2 = find_slot t c1 c2 >= 0
 
 let edge_pairs t ~c1 ~c2 =
   let sl = find_slot t c1 c2 in
-  if sl < 0 || t.cnt.(sl) = 0 then []
-  else begin
-    let acc = ref [] in
-    for i = t.poff.(sl + 1) - 1 downto t.poff.(sl) do
-      if t.pbuf.(i) >= 0 then acc := t.pbuf.(i) :: !acc
-    done;
-    !acc
-  end
+  if sl < 0 then [] else List.init (t.poff.(sl + 1) - t.poff.(sl)) (fun i -> t.pbuf.(t.poff.(sl) + i))
 
 let iter_successors t c f =
   for sl = t.row.(c) to t.row.(c + 1) - 1 do
-    if t.cnt.(sl) > 0 then f t.col.(sl)
+    f t.col.(sl)
   done
 
 let slot_range t c = (t.row.(c), t.row.(c + 1))
 
 let slot_col t sl = t.col.(sl)
 
-let slot_live t sl = t.cnt.(sl) > 0
-
 let slot_count t sl = t.cnt.(sl)
 
 let iter_slot_pairs t sl f =
   for i = t.poff.(sl) to t.poff.(sl + 1) - 1 do
-    if t.pbuf.(i) >= 0 then f t.pbuf.(i)
+    f t.pbuf.(i)
   done
 
-let num_edges t = t.num_edges
+let num_edges t = Array.length t.col
 
 let num_paths t = t.num_paths
 
@@ -87,7 +58,7 @@ let iter_edges t f =
   let m = Array.length t.row - 1 in
   for c1 = 0 to m - 1 do
     for sl = t.row.(c1) to t.row.(c1 + 1) - 1 do
-      if t.cnt.(sl) > 0 then f c1 t.col.(sl) t.cnt.(sl)
+      f c1 t.col.(sl) t.cnt.(sl)
     done
   done
 
@@ -210,13 +181,4 @@ let of_store ?filter ?pairs store =
       done;
       cnt.(sl) <- !sum
     done);
-  {
-    graph = g;
-    row;
-    col;
-    cnt;
-    poff;
-    pbuf;
-    num_edges = nslots;
-    num_paths = !npaths;
-  }
+  { graph = g; row; col; cnt; poff; pbuf; num_paths = !npaths }

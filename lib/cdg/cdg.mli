@@ -14,11 +14,11 @@
     Representation: a CSR (compressed-sparse-row) adjacency over channels
     — [row_ptr]/[col]/[count] int arrays built in one pass from a
     {!Route_store} by {!of_store}, with pair membership stored as arena
-    slices. A CDG is built once and never grows: weakest-edge sweeps and
-    reachability probes are plain array scans. Pairs can be removed
-    ({!remove_pair}, the DFS oracle's eviction), which tombstones their
-    membership. Membership is exact: {!edge_pairs} reports precisely the
-    live inducing pairs. *)
+    slices. A CDG never changes after {!of_store}: weakest-edge sweeps and
+    reachability probes are plain array scans, and any number of domains
+    may read one CDG at once (the SCC engine plans its components
+    concurrently). Every slot is a live edge, and {!edge_pairs} reports
+    precisely its inducing pairs. *)
 
 type t
 
@@ -26,57 +26,47 @@ type t
     of [store] ([filter] restricts to pairs satisfying it — e.g. one
     virtual layer) straight into CSR form, in one pass over the
     dependencies. [pairs] replaces the full-capacity scan with an explicit
-    id list (each present, no duplicates) — how the layer engines stream
+    id list (each present, no duplicates) — how the layer engine streams
     just-evicted pairs into the next layer's build. *)
 val of_store : ?filter:(int -> bool) -> ?pairs:int array -> Route_store.t -> t
 
 val graph : t -> Graph.t
 
-(** [remove_pair t store ~pair] removes [pair]'s membership, with its
-    slice's {!Route_store.weight}, from every dependency of its path in
-    [store]. The caller must only remove pairs the build included, once.
-    @raise Invalid_argument if an edge of the path is not live or [pair]
-    is not among its inducers. *)
-val remove_pair : t -> Route_store.t -> pair:int -> unit
-
-(** [live t ~c1 ~c2] is [true] iff the edge currently has a positive
-    count. *)
+(** [live t ~c1 ~c2] is [true] iff the edge exists. *)
 val live : t -> c1:int -> c2:int -> bool
 
-(** Current weight of the routes inducing an edge (0 if absent): their
-    number, in a per-pair store. *)
+(** Weight of the routes inducing an edge (0 if absent): their number,
+    in a per-pair store. *)
 val edge_count : t -> c1:int -> c2:int -> int
 
-(** Exactly the pairs currently inducing a live edge (a multiset, in
-    unspecified order); [[]] if the edge is dead. *)
+(** Exactly the pairs inducing an edge (a multiset, in unspecified
+    order); [[]] if the edge is absent. *)
 val edge_pairs : t -> c1:int -> c2:int -> int list
 
 (** Slot-level access, for allocation-free DFS cursors ({!Cycle},
     {!Scc}). [slot_range t c] is the half-open slot interval of [c]'s
-    row; [slot_col]/[slot_live] read one slot. *)
+    row, one slot per successor; [slot_col] reads one slot's successor. *)
 val slot_range : t -> int -> int * int
 
 val slot_col : t -> int -> int
 
-val slot_live : t -> int -> bool
-
-(** Live inducing-route weight of one slot (0 = dead edge). *)
+(** Inducing-route weight of one slot (at least 1). *)
 val slot_count : t -> int -> int
 
-(** [iter_slot_pairs t sl f] calls [f] on each live inducing pair of
-    slot [sl], without allocating. Like {!edge_pairs} this is a multiset;
-    the order is unspecified but deterministic. *)
+(** [iter_slot_pairs t sl f] calls [f] on each inducing pair of slot
+    [sl], without allocating. Like {!edge_pairs} this is a multiset; the
+    order is unspecified but deterministic. *)
 val iter_slot_pairs : t -> int -> (int -> unit) -> unit
 
-(** [iter_successors t c f] calls [f] on each live successor of [c]
-    without allocating. *)
+(** [iter_successors t c f] calls [f] on each successor of [c] without
+    allocating. *)
 val iter_successors : t -> int -> (int -> unit) -> unit
 
-(** Number of live edges. *)
+(** Number of edges. *)
 val num_edges : t -> int
 
-(** Number of paths currently carried (built minus removed). *)
+(** Number of paths the build included. *)
 val num_paths : t -> int
 
-(** [iter_edges t f] calls [f c1 c2 count] for every live edge. *)
+(** [iter_edges t f] calls [f c1 c2 count] for every edge. *)
 val iter_edges : t -> (int -> int -> int -> unit) -> unit

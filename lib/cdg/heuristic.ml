@@ -16,21 +16,3 @@ let of_string s =
   | "heaviest" -> Ok Heaviest
   | "first-edge" | "first" -> Ok First_edge
   | other -> Error (Printf.sprintf "unknown heuristic %S (want weakest|heaviest|first-edge)" other)
-
-let choose h cdg cycle =
-  if Array.length cycle = 0 then invalid_arg "Heuristic.choose: empty cycle";
-  match h with
-  | First_edge -> cycle.(0)
-  | Weakest | Heaviest ->
-    let better a b = if h = Weakest then a < b else a > b in
-    let best = ref cycle.(0) in
-    let best_count = ref (Cdg.edge_count cdg ~c1:(fst cycle.(0)) ~c2:(snd cycle.(0))) in
-    Array.iter
-      (fun (c1, c2) ->
-        let count = Cdg.edge_count cdg ~c1 ~c2 in
-        if better count !best_count then begin
-          best := (c1, c2);
-          best_count := count
-        end)
-      cycle;
-    !best

@@ -1,6 +1,7 @@
 (** Cycle-breaking heuristics (paper Section IV). The APP problem is
     NP-complete, so DFSSSP picks the edge to evict from a cycle
-    heuristically:
+    heuristically; {!Layers} applies the choice to each cycle it finds,
+    ties going to the earliest edge in cycle order:
 
     - [Weakest]: the edge induced by the fewest routes — moves the least
       work to the next layer; the paper's winner (3–5 layers on its random
@@ -20,8 +21,3 @@ val all : t list
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
-
-(** [choose h cdg cycle] picks the edge of [cycle] to break. Ties go to
-    the earliest edge in cycle order.
-    @raise Invalid_argument on an empty cycle. *)
-val choose : t -> Cdg.t -> (int * int) array -> int * int

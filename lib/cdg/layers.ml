@@ -2,10 +2,7 @@ let log_src = Logs.Src.create "deadlock.layers" ~doc:"offline virtual-layer assi
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type engine =
-  [ `Scc
-  | `Dfs
-  ]
+type engine = [ `Scc ]
 
 type outcome = {
   layer_of_path : int array;
@@ -22,9 +19,8 @@ let c_evictions =
 
 let t_assign = Obs.Registry.timer "layers.assign" ~desc:"seconds per offline layer assignment"
 
-(* Stage timers, shared by both engines so benches can diff the split:
-   condense = SCC condensation / DFS cycle search, evict = eviction
-   planning and pair relocation, rebuild = CDG construction. *)
+(* Stage timers: condense = SCC condensation, evict = eviction planning
+   and pair relocation, rebuild = CDG construction. *)
 let t_condense =
   Obs.Registry.timer "layers.condense" ~desc:"seconds condensing/searching layer CDGs for cycles"
 
@@ -34,79 +30,6 @@ let t_rebuild = Obs.Registry.timer "layers.rebuild" ~desc:"seconds building laye
 
 let budget_error vl max_layers =
   Printf.sprintf "cycle remains in layer %d and no layer is left (max %d)" vl max_layers
-
-(* ------------------------------------------------------------------ *)
-(* DFS oracle: the paper's one-cycle-at-a-time resumable search.       *)
-(* ------------------------------------------------------------------ *)
-
-let assign_store_dfs store ~max_layers ~heuristic =
-  let layer_of_path = Array.make (Route_store.capacity store) (-1) in
-  Route_store.iter_pairs store (fun pr -> layer_of_path.(pr) <- 0);
-  let cycles_broken = ref 0 in
-  let current = ref (Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store store))) in
-  let error = ref None in
-  let vl = ref 0 in
-  while !error = None && !current <> None do
-    let current_cdg = Option.get !current in
-    let span =
-      Obs.Trace.begin_span "layers.layer" ~attrs:(fun () ->
-          [ ("layer", Obs.Trace.Int !vl); ("engine", Obs.Trace.Str "dfs") ])
-    in
-    (* A built CDG never grows, so {!Cycle}'s slot cursors stay valid
-       while [search] is alive. The pairs evicted from it are
-       collected and built into the next layer's CSR in one
-       {!Cdg.of_store} once the sweep is done, exactly as the SCC engine
-       does. *)
-    let search = Cycle.create current_cdg in
-    let next = ref [] in
-    let layer_cycles = ref 0 in
-    let layer_movers = ref 0 in
-    let sweeping = ref true in
-    while !sweeping && !error = None do
-      match Obs.Timer.time t_condense (fun () -> Cycle.find_cycle search) with
-      | None -> sweeping := false
-      | Some cycle ->
-        incr cycles_broken;
-        incr layer_cycles;
-        if !vl + 1 >= max_layers then error := Some (budget_error !vl max_layers)
-        else begin
-          Obs.Timer.time t_evict (fun () ->
-              let c1, c2 = Heuristic.choose heuristic current_cdg cycle in
-              (* membership is exact, so every inducing pair lives here;
-                 the multiset may repeat a pair, hence the dedup *)
-              let movers = List.sort_uniq compare (Cdg.edge_pairs current_cdg ~c1 ~c2) in
-              Log.debug (fun m ->
-                  m "layer %d: cycle of %d edges; evicting edge (%d,%d) with %d slices" !vl
-                    (Array.length cycle) c1 c2 (List.length movers));
-              List.iter
-                (fun pr ->
-                  Cdg.remove_pair current_cdg store ~pair:pr;
-                  layer_movers := !layer_movers + Route_store.weight store ~pair:pr;
-                  next := pr :: !next;
-                  layer_of_path.(pr) <- !vl + 1)
-                movers);
-          Obs.Timer.time t_condense (fun () -> Cycle.notify_removed search)
-        end
-    done;
-    Obs.Counter.incr ~n:!layer_cycles c_evictions;
-    Obs.Trace.end_span span
-      ~attrs:
-        [ ("evictions", Obs.Trace.Int !layer_cycles); ("movers", Obs.Trace.Int !layer_movers) ];
-    current :=
-      (match !next with
-      | [] -> None
-      | _ when !error <> None -> None
-      | movers ->
-        let movers = Array.of_list movers in
-        Array.sort compare movers;
-        Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store ~pairs:movers store)));
-    incr vl
-  done;
-  match !error with
-  | Some msg -> Error msg
-  | None ->
-    let layers_used = 1 + Array.fold_left max 0 layer_of_path in
-    Ok { layer_of_path; layers_used; cycles_broken = !cycles_broken }
 
 (* ------------------------------------------------------------------ *)
 (* SCC engine: condense once per layer, plan evictions per component.  *)
@@ -127,14 +50,14 @@ type plan = {
    The component's internal edges are mirrored into a local CSR with an
    exact live-inducer count per edge and a (c1, c2) -> edge map over
    just the internal edges, so evicting a pair is a walk of its path
-   deps with O(1) count decrements — no tombstone scans in the shared
-   structure, and no per-pair bookkeeping for the vast majority of
-   pairs that never move. Cycles never leave their SCC (edges removed
-   from a digraph cannot merge SCCs), so a resumable cycle DFS confined
-   to the component — with the oracle's search order and on-cycle
-   heuristic — finds and breaks everything the oracle would, at a
-   fraction of the bookkeeping cost. The plan never consults other
-   components, so results are deterministic under any domain count. *)
+   deps with O(1) count decrements, and the vast majority of pairs,
+   which never move, cost nothing. Cycles never leave their SCC (edges
+   removed from a digraph cannot merge SCCs), so a resumable cycle DFS
+   confined to the component — with the paper's search order and
+   on-cycle heuristic — finds and breaks every cycle the whole-layer,
+   one-cycle-at-a-time search would (the test oracle
+   [Oracles.Dfs_ref]). The plan never consults other components, so
+   results are deterministic under any domain count. *)
 let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
   let n = Array.length members in
   let mycomp = comp_of.(members.(0)) in
@@ -146,8 +69,7 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
     (fun li v ->
       let lo, hi = Cdg.slot_range cdg v in
       for sl = lo to hi - 1 do
-        if Cdg.slot_count cdg sl > 0 && comp_of.(Cdg.slot_col cdg sl) = mycomp then
-          deg.(li + 1) <- deg.(li + 1) + 1
+        if comp_of.(Cdg.slot_col cdg sl) = mycomp then deg.(li + 1) <- deg.(li + 1) + 1
       done)
     members;
   for i = 1 to n do
@@ -163,17 +85,14 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
     (fun li v ->
       let lo, hi = Cdg.slot_range cdg v in
       for sl = lo to hi - 1 do
-        let cnt = Cdg.slot_count cdg sl in
-        if cnt > 0 then begin
-          let w = Cdg.slot_col cdg sl in
-          if comp_of.(w) = mycomp then begin
-            let e = pos.(li) in
-            pos.(li) <- e + 1;
-            edst.(e) <- local_of.(w);
-            eslot.(e) <- sl;
-            elive.(e) <- cnt;
-            Hashtbl.replace e_of ((v * m) + w) e
-          end
+        let w = Cdg.slot_col cdg sl in
+        if comp_of.(w) = mycomp then begin
+          let e = pos.(li) in
+          pos.(li) <- e + 1;
+          edst.(e) <- local_of.(w);
+          eslot.(e) <- sl;
+          elive.(e) <- Cdg.slot_count cdg sl;
+          Hashtbl.replace e_of ((v * m) + w) e
         end
       done)
     members;
@@ -194,10 +113,9 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
               | None -> ())
         end)
   in
-  (* Resumable cycle DFS over the local CSR — the oracle's search order
-     and on-cycle heuristic choice ({!Cycle} + {!Heuristic.choose}), but
-     every eviction is O(edges of the pair) decrements here instead of
-     tombstone scans in the shared CDG. [fedge.(i)] is the live edge the
+  (* Resumable cycle DFS over the local CSR, in {!Cycle}'s slot order,
+     with the heuristic choosing on each cycle found; every eviction is
+     O(edges of the pair) decrements. [fedge.(i)] is the live edge the
      stack followed into frame [i]; after an eviction the stack is cut
      at the first dead one, reverting the frames above to white. *)
   let white = 0 and gray = 1 and black = 2 in
@@ -243,8 +161,8 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
           end
           else begin
             (* [w] is gray: the cycle is frames [spos.(w) .. top] plus
-               the closing edge [e]. Choose exactly as the oracle does —
-               cycle order starting at [w], first edge wins ties. *)
+               the closing edge [e]. Choose in cycle order starting at
+               [w]; the first edge wins ties. *)
             let start = spos.(w) in
             let best = ref (if top > start then fedge.(start + 1) else e) in
             (match heuristic with
@@ -263,8 +181,8 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
             incr edges_evicted;
             evict_pairs !best;
             (* The chosen edge died (and shared pairs may have killed
-               others): cut the stack at the first dead edge, as
-               {!Cycle.notify_removed} does. If only the closing edge
+               others): cut the stack at the first dead edge, reverting
+               the frames above it to white. If only the closing edge
                died, resume in place — the cursor re-examines it and
                skips. *)
             let cut = ref (-1) in
@@ -392,14 +310,12 @@ let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
         [
           ("paths", Obs.Trace.Int (Route_store.num_paths store));
           ("max_layers", Obs.Trace.Int max_layers);
-          ("engine", Obs.Trace.Str (match engine with `Scc -> "scc" | `Dfs -> "dfs"));
+          ("engine", Obs.Trace.Str "scc");
         ])
   in
   let result =
     Obs.Timer.time t_assign (fun () ->
-        match engine with
-        | `Dfs -> assign_store_dfs store ~max_layers ~heuristic
-        | `Scc -> assign_store_scc store ~max_layers ~heuristic ~domains)
+        match engine with `Scc -> assign_store_scc store ~max_layers ~heuristic ~domains)
   in
   (match result with
   | Ok o ->
@@ -416,8 +332,8 @@ let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
   | Error msg -> Obs.Trace.end_span span ~attrs:[ ("error", Obs.Trace.Str msg) ]);
   result
 
-let assign ?engine ?domains g ~paths ~max_layers ~heuristic =
-  assign_store ?engine ?domains (Route_store.of_paths g paths) ~max_layers ~heuristic
+let assign ?domains g ~paths ~max_layers ~heuristic =
+  assign_store ?domains (Route_store.of_paths g paths) ~max_layers ~heuristic
 
 let balance outcome ~max_layers =
   let used = outcome.layers_used in

@@ -4,46 +4,44 @@
     heuristically-chosen edges to the next layer, until every layer is
     acyclic.
 
-    Two interchangeable break engines (DESIGN.md section 17):
+    The break engine (DESIGN.md section 17) condenses the layer's CDG
+    into strongly connected components once per pass (Tarjan, O(V+E)),
+    skips every singleton component — already acyclic, the vast
+    majority — and breaks only inside the non-trivial SCCs: a resumable
+    cycle search per component evicts one heuristically chosen edge per
+    cycle it finds. Components are independent, so planning fans out
+    over [domains] OCaml domains; results are identical for any domain
+    count. The paper's one-cycle-at-a-time search over the whole layer
+    is the test oracle the engine is validated against.
 
-    - [`Scc] (default): condense the layer's CDG into strongly connected
-      components once per pass (Tarjan, O(V+E)), skip every singleton
-      component — already acyclic, the vast majority — and break only
-      inside the non-trivial SCCs, evicting one heuristically best edge
-      per surviving sub-component per pass. Components are independent,
-      so planning fans out over [domains] OCaml domains; results are
-      identical for any domain count.
-    - [`Dfs]: the original one-cycle-at-a-time resumable DFS
-      ({!Cycle}) — the oracle the SCC engine is validated against.
-
-    Both engines read edge weights through {!Cdg}, which counts every
-    slice {!Route_store.weight} times, and move slices whole. Over a
+    The engine reads edge weights through {!Cdg}, which counts every
+    slice {!Route_store.weight} times, and moves slices whole. Over a
     route-class store ({!Routing.Ftable.to_classes}) this gives every
     pair of a class the layer the per-pair store gives it, with the same
     [layers_used] and [cycles_broken] (DESIGN.md §10). *)
 
-type engine =
-  [ `Scc
-  | `Dfs
-  ]
+(** The one break engine. The type, and [?engine] on {!assign_store},
+    stay one-valued only because the bring-up benchmark passes them
+    (ROADMAP item 1). *)
+type engine = [ `Scc ]
 
 type outcome = {
   layer_of_path : int array;  (** pair id -> virtual layer; -1 for absent pairs *)
   layers_used : int;  (** number of non-empty layers, the paper's VL count *)
   cycles_broken : int;
-      (** [`Dfs]: cycles found and broken. [`Scc]: edges evicted (each
-          eviction kills at least one cycle). *)
+      (** edges evicted, one per cycle found (each eviction kills at
+          least one cycle) *)
 }
 
 (** [assign_store store ~max_layers ~heuristic] distributes every present
     pair of [store] over at most [max_layers] virtual layers so every
     layer's CDG is acyclic. Layer 0's CDG is built in one CSR pass
     ({!Cdg.of_store}); each next layer is likewise built in one pass over
-    just the pairs moved into it, once the layer below is done. [layer_of_path] is indexed by
-    pair id over the store's full capacity, with [-1] marking absent
-    pairs. [domains] (default 1) parallelises [`Scc] planning across
-    components and is ignored by [`Dfs]. Returns [Error] if a cycle
-    survives in the last allowed layer (the fabric then cannot be routed
+    just the pairs moved into it, once the layer below is done.
+    [layer_of_path] is indexed by pair id over the store's full capacity,
+    with [-1] marking absent pairs. [domains] (default 1) parallelises
+    planning across components. Returns [Error] if a cycle survives in
+    the last allowed layer (the fabric then cannot be routed
     deadlock-free with this budget — the paper's failed configurations). *)
 val assign_store :
   ?engine:engine ->
@@ -57,7 +55,6 @@ val assign_store :
     store holding path [i] under pair id [i] — the array-of-paths
     convenience entry point ([layer_of_path] then has no [-1]s). *)
 val assign :
-  ?engine:engine ->
   ?domains:int ->
   Graph.t ->
   paths:Path.t array ->

@@ -1,7 +1,6 @@
-(* Iterative Tarjan over the live edges of a CDG. Frames walk the CSR
-   rows by slot index (same cursor scheme as {!Cycle}); liveness is
-   checked at consumption, so a CDG condenses on pure array scans. The
-   CDG must not be mutated while [of_cdg] runs. *)
+(* Iterative Tarjan over the edges of a CDG. Frames walk the CSR rows by
+   slot index (same cursor scheme as {!Cycle}), so a CDG condenses on
+   pure array scans. *)
 
 type t = {
   comp_of : int array;
@@ -54,22 +53,9 @@ let of_cdg cdg =
       push root;
       while !dfs <> [] do
         let f = List.hd !dfs in
-        (* Advance the cursor to the next live successor, if any. *)
-        let next = ref (-1) in
-        let scanning = ref true in
-        while !scanning do
-          if f.sl < f.sl_hi then begin
-            let sl = f.sl in
-            f.sl <- f.sl + 1;
-            if Cdg.slot_live cdg sl then begin
-              next := Cdg.slot_col cdg sl;
-              scanning := false
-            end
-          end
-          else scanning := false
-        done;
-        if !next >= 0 then begin
-          let s = !next in
+        if f.sl < f.sl_hi then begin
+          let s = Cdg.slot_col cdg f.sl in
+          f.sl <- f.sl + 1;
           if s = f.node then self_loop.(s) <- true
           else if index.(s) = -1 then push s
           else if on_stack.(s) then lowlink.(f.node) <- min lowlink.(f.node) index.(s)

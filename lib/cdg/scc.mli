@@ -16,6 +16,6 @@ type t = {
           (and [comp_of]) are deterministic for a given CDG. *)
 }
 
-(** [of_cdg cdg] condenses the live edges of [cdg].
-    Channels with no live edges form singleton components. *)
+(** [of_cdg cdg] condenses the edges of [cdg].
+    Channels with no edges form singleton components. *)
 val of_cdg : Cdg.t -> t

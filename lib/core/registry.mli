@@ -16,9 +16,8 @@ type algorithm = {
     section 12) on the engines that support it — [batch] changes the
     tables (default 1: the sequential recurrence), [domains] only the
     wall-clock; LASH ignores both. Every entry runs the default
-    shortest-path kernel and the default offline cycle-break engine;
-    kernel and engine parity is checked below this layer, on
-    {!Routing.Sssp} and {!Router.assign_layers} (DESIGN.md §15, §17). *)
+    shortest-path kernel; kernel parity is checked below this layer, on
+    {!Routing.Sssp} (DESIGN.md §15). *)
 val all : ?coords:Coords.t -> ?max_layers:int -> ?batch:int -> ?domains:int -> unit -> algorithm list
 
 (** [find ?coords name] is case-insensitive; accepts "dfsssp-online" for

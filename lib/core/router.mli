@@ -5,13 +5,11 @@
     graph is acyclic (the APP problem), using the offline cycle-breaking
     of Algorithm 2 by default.
 
-    Only {!assign_layers} takes a cycle-break engine, and the
-    shortest-path kernel is chosen one layer down, on
-    {!Routing.Sssp}: those are the entry points the parity suites and the
-    bring-up benchmark drive. {!route} runs the defaults ([`Scc],
-    {!Routing.Spf.Auto}): kernel choice never changes a table, and the
-    [`Dfs] oracle engine stays within one layer of [`Scc] (DESIGN.md
-    §15, §17).
+    The shortest-path kernel is chosen one layer down, on
+    {!Routing.Sssp}, the entry point the parity suites and the bring-up
+    benchmark drive; {!route} runs {!Routing.Spf.Auto}, and kernel
+    choice never changes a table (DESIGN.md §15). Algorithm 2 has one
+    break engine, SCC condensation (DESIGN.md §17).
 
     {[
       let fabric = Netgraph.Topo_torus.torus ~dims:[|4;4|] ~terminals_per_switch:2 |> fst in
@@ -42,12 +40,15 @@ val error_to_string : error -> string
       hardware offers) bounds the layers; the paper's failed bars are
       [Layers_exhausted].
     - [balance] (default [false]) additionally spreads routes over the
-      unused layers afterwards (the tail of Algorithm 2). The reported
-      {!Routing.Ftable.num_layers} remains the number {e required}.
+      unused layers afterwards (the tail of Algorithm 2). The table then
+      declares the spread count, [max_layers], as its
+      {!Routing.Ftable.num_layers}, so the declared count covers every
+      layer a route uses (lint rule A004); {!layers_required} still
+      reports the number {e required}.
     - [batch]/[domains]/[pool] select {!Routing.Sssp}'s batched-snapshot
       pipeline for the SSSP stage (defaults reproduce the sequential
       recurrence; see DESIGN.md section 12). [domains] also fans the
-      [`Scc] break planning out across components.
+      break planning out across components.
 
     The result carries per-route layers; the trusted checker
     ({!Analysis.Analyzer.certify}) accepts every successful result. *)
@@ -78,9 +79,9 @@ val layers_required :
     oblivious routing (DOR on a torus, MinHop on an irregular fabric)
     becomes deadlock-free this way, not only SSSP; the APP machinery is
     routing-agnostic. Overwrites [ft]'s layer table in place and returns
-    it. [engine] (default [`Scc]) selects the offline cycle-break engine
-    ({!Layers.engine}; DESIGN.md section 17; ignored by [Online]), and
-    [domains] fans its [`Scc] planning out across components.
+    it. [engine] has the one value [`Scc] ({!Layers.engine}) and stays
+    only because the bring-up benchmark passes it (ROADMAP item 1).
+    [domains] fans the offline break planning out across components.
 
     The assignment runs once per route class ({!Routing.Ftable.to_classes},
     timed by the [dfsssp.class_walk] timer), not once per pair; the

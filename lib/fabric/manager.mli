@@ -34,10 +34,10 @@ type config = {
           it stays because the bring-up benchmark reads it *)
   engine : Layers.engine;
       (** offline cycle-break engine for dfsssp full recomputes
-          (DESIGN.md section 17; default [`Scc]); other algorithms run
-          the default. [domains] also fans its per-component planning
-          out. Layer counts stay within +1 of the [`Dfs] oracle. No CLI
-          flag sets it, for the same reason as [kernel] *)
+          (DESIGN.md section 17). One-valued ([`Scc]): it stays only
+          because the end-to-end benchmark ([e2ebench/bringup.ml])
+          reads it, and goes with ROADMAP item 1. [domains] fans its
+          per-component planning out *)
 }
 
 (** [{ algorithm = "dfsssp"; max_layers = 8; batch = 1; domains = 1;

@@ -203,23 +203,19 @@ let online_engines ?(max_endpoints = 512) () =
             | Ok _ -> Report.Time dt
             | Error _ -> Report.Missing
           in
-          let offline engine () =
-            Layers.assign_store ~engine store ~max_layers:16 ~heuristic:Heuristic.Weakest
-          in
           [
             Report.Int r.Tableone.endpoints;
             time (fun () -> Online.assign_store store ~max_layers:16);
-            time (offline `Dfs);
-            time (offline `Scc);
+            time (fun () ->
+                Layers.assign_store store ~max_layers:16 ~heuristic:Heuristic.Weakest);
           ]))
       (Tableone.rows_up_to max_endpoints)
   in
   {
     Report.title = "Ablation: online cycle-check engines vs offline sweep (k-ary n-tree, SSSP paths)";
-    columns =
-      [ "#endpoints"; "online Pearce-Kelly"; "offline DFS"; "offline SCC" ];
+    columns = [ "#endpoints"; "online Pearce-Kelly"; "offline SCC" ];
     rows;
-    notes = [ "assignment time only (routes precomputed); all three are deadlock-free" ];
+    notes = [ "assignment time only (routes precomputed); both are deadlock-free" ];
   }
 
 let adversarial_patterns () =

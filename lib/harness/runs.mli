@@ -8,7 +8,7 @@ val paper_algorithms : string list
 (** [run_named ?coords ?max_layers name g] routes [g], or explains why the
     algorithm refused. [batch]/[domains] select the batched-snapshot
     pipeline on supporting algorithms (see {!Dfsssp.Registry.all}); the
-    shortest-path kernel and cycle-break engine are the defaults. *)
+    shortest-path kernel is the default. *)
 val run_named :
   ?coords:Coords.t -> ?max_layers:int -> ?batch:int -> ?domains:int -> string -> Graph.t -> (Ftable.t, string) result
 

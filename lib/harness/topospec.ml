@@ -134,10 +134,13 @@ let parse spec =
         let* bn = match arg 0 with Some s -> ints_of ',' s | None -> Error "kautz: missing b,n" in
         match bn with
         | [ b; n ] ->
-          let* endpoints = opt_int 1 (Topo_kautz.num_switches ~b ~n * 12) in
-          wrap
-            (Printf.sprintf "Kautz(%d,%d), %d endpoints" b n endpoints)
-            (Topo_kautz.make ~b ~n ~endpoints)
+          (* checked before the default endpoint count is computed from it *)
+          if n < 1 then Error (Printf.sprintf "kautz: n %d must be at least 1" n)
+          else
+            let* endpoints = opt_int 1 (Topo_kautz.num_switches ~b ~n * 12) in
+            wrap
+              (Printf.sprintf "Kautz(%d,%d), %d endpoints" b n endpoints)
+              (Topo_kautz.make ~b ~n ~endpoints)
         | _ -> Error "kautz: want b,n")
       | "hyperx" ->
         let* dims = match arg 0 with Some s -> ints_of 'x' s | None -> Error "hyperx: missing dims" in

@@ -81,15 +81,12 @@ let check_spec ?max_layers spec =
               else { algorithm = name; status = Routed layers }))
         algorithms
     in
-    (* Parity runs go through the two entry points that take the knobs:
-       SSSP under a kernel, then the offline assignment under an engine. *)
-    let dfsssp ?kernel ?engine () =
-      match Sssp.route ?kernel g with
-      | Error msg -> Error msg
-      | Ok ft -> Result.map_error Dfsssp.error_to_string (Dfsssp.assign_layers ?engine ?max_layers ft)
-    in
     (* Kernel parity: every SSSP kernel must produce the identical table. *)
-    let kernel_run kernel = dfsssp ~kernel () in
+    let kernel_run kernel =
+      match Sssp.route ~kernel g with
+      | Error msg -> Error msg
+      | Ok ft -> Result.map_error Dfsssp.error_to_string (Dfsssp.assign_layers ?max_layers ft)
+    in
     (match (kernel_run Spf.Heap, kernel_run Spf.Bucket, kernel_run Spf.Incremental) with
     | Ok heap, Ok bucket, Ok incr ->
       let same a b = (Ftable.diff a b).Ftable.entries_changed = 0 in
@@ -99,16 +96,6 @@ let check_spec ?max_layers spec =
          || Ftable.num_layers heap <> Ftable.num_layers incr
       then fail "kernel parity: layer counts differ across kernels"
     | _ -> fail "kernel parity: a kernel run refused where dfsssp should succeed");
-    (* Engine parity: SCC condensation within +1 layer of the DFS oracle. *)
-    let engine_run engine = dfsssp ~engine () in
-    (match (engine_run `Scc, engine_run `Dfs) with
-    | Ok scc, Ok dfs ->
-      let ls = Ftable.num_layers scc and ld = Ftable.num_layers dfs in
-      if ls > ld + 1 then fail "engine parity: scc uses %d layers, dfs oracle %d" ls ld;
-      (match Analysis.Analyzer.certify scc with
-      | Ok _ -> ()
-      | Error msg -> fail "engine parity: scc table rejected: %s" msg)
-    | _ -> fail "engine parity: an engine run refused where dfsssp should succeed");
     Ok
       {
         spec;

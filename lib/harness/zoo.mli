@@ -13,9 +13,10 @@
       at least the fabric's provable lower bound;
     - DFSSSP never refuses (it is the paper's universal algorithm);
     - kernel parity: the Heap, Bucket and Incremental SSSP kernels give
-      byte-identical DFSSSP tables;
-    - engine parity: the [`Scc] cycle-break engine certifies with a layer
-      count within +1 of the [`Dfs] oracle.
+      byte-identical DFSSSP tables.
+
+    The test suite adds engine parity on the same subjects: the shipped
+    cycle-break engine against the one-cycle-at-a-time test oracle.
 
     Refusals by non-universal algorithms (DOR without coordinates, FTree
     off a fat tree, ...) are recorded but are not failures — they are the

@@ -11,6 +11,8 @@ type t = {
 let create () =
   { nodes = []; num_nodes = 0; channels = []; num_channels = 0; reverse = []; link_counts = Hashtbl.create 64; built = false }
 
+let max_multiplicity = 255
+
 let check_open t = if t.built then invalid_arg "Builder: already built"
 
 let add_node t kind name =

@@ -18,6 +18,12 @@ val add_terminal : t -> name:string -> switch:int -> int
     @raise Invalid_argument on self links or unknown node ids. *)
 val add_link : t -> int -> int -> int * int
 
+(** The most parallel cables a topology file may state between one node
+    pair (255). No generator or corpus file comes near it; the parsers
+    ({!Serial}, {!Topo_import}) refuse a larger count, with its line
+    number, before they add any cable. *)
+val max_multiplicity : int
+
 (** [link_count t a b] is the number of cables currently between [a] and
     [b] (in either direction orientation — cables are symmetric). *)
 val link_count : t -> int -> int -> int

@@ -64,12 +64,15 @@ let of_string text =
             | [] -> Ok 1
             | [ m ] -> (
               match int_of_string_opt m with
+              | Some v when v > Builder.max_multiplicity ->
+                Error
+                  (Printf.sprintf "multiplicity %d exceeds the limit of %d" v Builder.max_multiplicity)
               | Some v when v >= 1 -> Ok v
-              | _ -> Error ())
-            | _ -> Error ()
+              | _ -> Error "bad multiplicity")
+            | _ -> Error "bad multiplicity"
           in
           match (mult, Hashtbl.find_opt names a, Hashtbl.find_opt names b) with
-          | Error (), _, _ -> err lineno "bad multiplicity"
+          | Error msg, _, _ -> err lineno "%s" msg
           | _, None, _ -> err lineno "unknown node %s" a
           | _, _, None -> err lineno "unknown node %s" b
           | Ok m, Some ida, Some idb ->

@@ -251,6 +251,8 @@ let parse_edge_list ?(mode = Strict) ?(terminals_per_switch = 1) text =
             | [ _; _ ] -> Ok 1
             | [ _; _; m ] -> (
               match int_of_string_opt m with
+              | Some v when v > Builder.max_multiplicity ->
+                err lineno "multiplicity %d exceeds the limit of %d" v Builder.max_multiplicity
               | Some v when v >= 1 -> Ok v
               | _ -> err lineno "bad multiplicity %S" m)
             | _ -> assert false
@@ -514,6 +516,8 @@ let parse_dot ?(mode = Strict) ?(terminals_per_switch = 1) text =
           | None -> Ok 1
           | Some v -> (
             match int_of_string_opt v with
+            | Some m when m > Builder.max_multiplicity ->
+              err line "mult attribute %d exceeds the limit of %d" m Builder.max_multiplicity
             | Some m when m >= 1 -> Ok m
             | _ -> err line "bad mult attribute %S" v)
         in

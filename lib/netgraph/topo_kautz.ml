@@ -1,6 +1,8 @@
 let rec pow base e = if e = 0 then 1 else base * pow base (e - 1)
 
-let num_switches ~b ~n = (b + 1) * pow b (n - 1)
+let num_switches ~b ~n =
+  if n < 1 then invalid_arg "Topo_kautz.num_switches: n < 1";
+  (b + 1) * pow b (n - 1)
 
 (* Vertices are encoded as integers: the word s_1..s_n maps to an index by
    s_1 in [0, b+1) then each subsequent digit as an offset in [0, b)

@@ -12,5 +12,6 @@
     @raise Invalid_argument if [b < 2], [n < 1], or [endpoints < 0]. *)
 val make : b:int -> n:int -> endpoints:int -> Graph.t
 
-(** [(b+1) * b^(n-1)]. *)
+(** [(b+1) * b^(n-1)].
+    @raise Invalid_argument if [n < 1]. *)
 val num_switches : b:int -> n:int -> int

@@ -35,6 +35,10 @@ let ring_fixture switches =
 (* Cdg                                                                  *)
 (* ------------------------------------------------------------------ *)
 
+module Layer = Oracles.Dfs_ref.Layer
+
+(* A built CDG never changes; the oracle's overlay removes routes from
+   it. *)
 let test_cdg_add_remove () =
   let g, paths = ring_fixture 5 in
   let store = Route_store.of_paths g paths in
@@ -46,14 +50,18 @@ let test_cdg_add_remove () =
   Alcotest.(check bool) "edge live" true (Cdg.live cdg ~c1:p.(1) ~c2:p.(2));
   check Alcotest.int "edge count" 1 (Cdg.edge_count cdg ~c1:p.(1) ~c2:p.(2));
   check Alcotest.(list int) "edge pairs" [ 0 ] (Cdg.edge_pairs cdg ~c1:p.(1) ~c2:p.(2));
-  Cdg.remove_pair cdg store ~pair:0;
-  check Alcotest.int "paths after remove" 4 (Cdg.num_paths cdg);
-  check Alcotest.int "edges after remove" 12 (Cdg.num_edges cdg);
-  Alcotest.(check bool) "edge dead" false (Cdg.live cdg ~c1:p.(1) ~c2:p.(2));
-  check Alcotest.int "dead edge count" 0 (Cdg.edge_count cdg ~c1:p.(1) ~c2:p.(2));
-  check Alcotest.(list int) "dead edge pairs" [] (Cdg.edge_pairs cdg ~c1:p.(1) ~c2:p.(2));
-  Alcotest.check_raises "double remove" (Invalid_argument "Cdg.remove_pair: edge not present")
-    (fun () -> Cdg.remove_pair cdg store ~pair:0)
+  let layer = Layer.create store cdg in
+  Layer.remove_pair layer ~pair:0;
+  check Alcotest.int "paths after remove" 4 (Layer.num_paths layer);
+  check Alcotest.int "edges after remove" 12 (Layer.num_edges layer);
+  Alcotest.(check bool) "edge dead" false (Layer.live layer ~c1:p.(1) ~c2:p.(2));
+  check Alcotest.int "dead edge count" 0 (Layer.edge_count layer ~c1:p.(1) ~c2:p.(2));
+  check Alcotest.(list int) "dead edge pairs" [] (Layer.edge_pairs layer ~c1:p.(1) ~c2:p.(2));
+  check Alcotest.int "the build is unchanged" 15 (Cdg.num_edges cdg);
+  Alcotest.(check bool) "built edge still live" true (Cdg.live cdg ~c1:p.(1) ~c2:p.(2));
+  Alcotest.check_raises "double remove"
+    (Invalid_argument "Dfs_ref.Layer.remove_pair: edge not present") (fun () ->
+      Layer.remove_pair layer ~pair:0)
 
 let test_cdg_shared_edges () =
   let g, paths = ring_fixture 5 in
@@ -64,12 +72,13 @@ let test_cdg_shared_edges () =
   check Alcotest.int "count 2" 2 (Cdg.edge_count cdg ~c1:p.(0) ~c2:p.(1));
   let prs = List.sort compare (Cdg.edge_pairs cdg ~c1:p.(0) ~c2:p.(1)) in
   check Alcotest.(list int) "both pairs" [ 0; 1 ] prs;
-  Cdg.remove_pair cdg store ~pair:0;
-  Alcotest.(check bool) "still live" true (Cdg.live cdg ~c1:p.(0) ~c2:p.(1));
-  check Alcotest.int "count 1" 1 (Cdg.edge_count cdg ~c1:p.(0) ~c2:p.(1));
-  check Alcotest.(list int) "exact membership" [ 1 ] (Cdg.edge_pairs cdg ~c1:p.(0) ~c2:p.(1));
-  Alcotest.check_raises "wrong pair" (Invalid_argument "Cdg.remove_pair: pair not on edge")
-    (fun () -> Cdg.remove_pair cdg store ~pair:0)
+  let layer = Layer.create store cdg in
+  Layer.remove_pair layer ~pair:0;
+  Alcotest.(check bool) "still live" true (Layer.live layer ~c1:p.(0) ~c2:p.(1));
+  check Alcotest.int "count 1" 1 (Layer.edge_count layer ~c1:p.(0) ~c2:p.(1));
+  check Alcotest.(list int) "exact membership" [ 1 ] (Layer.edge_pairs layer ~c1:p.(0) ~c2:p.(1));
+  Alcotest.check_raises "wrong pair" (Invalid_argument "Dfs_ref.Layer.remove_pair: pair not on edge")
+    (fun () -> Layer.remove_pair layer ~pair:0)
 
 let test_route_store_basics () =
   let g, paths = ring_fixture 5 in
@@ -112,17 +121,19 @@ let test_cdg_of_store_and_removal () =
   let csr = Cdg.of_store store in
   check Alcotest.int "edges" 15 (Cdg.num_edges csr);
   check Alcotest.int "paths" 5 (Cdg.num_paths csr);
-  (* removing two paths leaves the CDG of the other three *)
-  Cdg.remove_pair csr store ~pair:1;
-  Cdg.remove_pair csr store ~pair:2;
+  (* removing two paths from the oracle's overlay leaves the CDG of the
+     other three *)
+  let layer = Layer.create store csr in
+  Layer.remove_pair layer ~pair:1;
+  Layer.remove_pair layer ~pair:2;
   let reference = Cdg.of_store ~filter:(fun pr -> pr <> 1 && pr <> 2) store in
-  check Alcotest.int "edges agree" (Cdg.num_edges reference) (Cdg.num_edges csr);
-  check Alcotest.int "paths agree" (Cdg.num_paths reference) (Cdg.num_paths csr);
+  check Alcotest.int "edges agree" (Cdg.num_edges reference) (Layer.num_edges layer);
+  check Alcotest.int "paths agree" (Cdg.num_paths reference) (Layer.num_paths layer);
   Cdg.iter_edges reference (fun c1 c2 count ->
-      check Alcotest.int "count agrees" count (Cdg.edge_count csr ~c1 ~c2);
+      check Alcotest.int "count agrees" count (Layer.edge_count layer ~c1 ~c2);
       check Alcotest.(list int) "pairs agree"
         (List.sort compare (Cdg.edge_pairs reference ~c1 ~c2))
-        (List.sort compare (Cdg.edge_pairs csr ~c1 ~c2)));
+        (List.sort compare (Layer.edge_pairs layer ~c1 ~c2)));
   (* a filtered build sees only the selected pairs *)
   let only0 = Cdg.of_store ~filter:(fun pr -> pr = 0) store in
   check Alcotest.int "filtered paths" 1 (Cdg.num_paths only0);
@@ -196,12 +207,18 @@ let test_acyclic_detects () =
     (Oracles.Acyclic_ref.is_acyclic (Testutil.cdg_of_paths g [| paths.(0) |]));
   Alcotest.(check bool) "ring pattern cyclic" false (Oracles.Acyclic_ref.is_acyclic (Testutil.cdg_of_paths g paths))
 
+module Search = Oracles.Dfs_ref.Search
+
 let test_cycle_finds_and_resumes () =
   let g, paths = ring_fixture 5 in
   let store = Route_store.of_paths g paths in
   let cdg = Cdg.of_store store in
-  let search = Cycle.create cdg in
-  (match Cycle.find_cycle search with
+  let layer = Layer.create store cdg in
+  let search = Search.create layer in
+  let first = Search.find_cycle search in
+  check Alcotest.(option (array (pair int int))) "one-shot search finds the same cycle" first
+    (Cycle.find cdg);
+  (match first with
   | None -> Alcotest.fail "expected a cycle"
   | Some cycle ->
     Alcotest.(check bool) "non-trivial" true (Array.length cycle >= 2);
@@ -216,31 +233,32 @@ let test_cycle_finds_and_resumes () =
       cycle;
     (* break it: remove the paths of the first cycle edge *)
     let a, b = cycle.(0) in
-    let movers = Cdg.edge_pairs cdg ~c1:a ~c2:b in
-    List.iter (fun pr -> Cdg.remove_pair cdg store ~pair:pr) movers;
-    Cycle.notify_removed search);
+    let movers = Layer.edge_pairs layer ~c1:a ~c2:b in
+    List.iter (fun pr -> Layer.remove_pair layer ~pair:pr) movers);
+  Search.notify_removed search;
   (* the ring has exactly one switch-level cycle; breaking one edge of the
      5-cycle leaves the rest acyclic *)
-  (match Cycle.find_cycle search with
+  (match Search.find_cycle search with
   | None -> ()
   | Some _ -> Alcotest.fail "cycle should be gone");
-  Alcotest.(check bool) "kahn agrees" true (Oracles.Acyclic_ref.is_acyclic cdg)
+  let moved = match first with Some c -> Cdg.edge_pairs cdg ~c1:(fst c.(0)) ~c2:(snd c.(0)) | None -> [] in
+  Alcotest.(check bool) "kahn agrees" true
+    (Oracles.Acyclic_ref.is_acyclic (Cdg.of_store ~filter:(fun pr -> not (List.mem pr moved)) store))
 
 let test_cycle_none_on_acyclic () =
   let g, paths = ring_fixture 6 in
   (* two non-overlapping paths cannot build the full ring cycle *)
   let cdg = Testutil.cdg_of_paths g [| paths.(0); paths.(3) |] in
-  let search = Cycle.create cdg in
-  (match Cycle.find_cycle search with
+  (match Cycle.find cdg with
   | None -> ()
   | Some _ -> Alcotest.fail "no cycle expected");
   Alcotest.(check bool) "kahn agrees" true (Oracles.Acyclic_ref.is_acyclic cdg)
 
 let test_cycle_repeated_call_stable () =
   let g, paths = ring_fixture 5 in
-  let cdg = Testutil.cdg_of_paths g paths in
-  let search = Cycle.create cdg in
-  match (Cycle.find_cycle search, Cycle.find_cycle search) with
+  let store = Route_store.of_paths g paths in
+  let search = Search.create (Layer.create store (Cdg.of_store store)) in
+  match (Search.find_cycle search, Search.find_cycle search) with
   | Some c1, Some c2 -> check Alcotest.(array (pair int int)) "same cycle" c1 c2
   | _ -> Alcotest.fail "expected cycles"
 
@@ -263,15 +281,17 @@ let test_heuristic_strings () =
 let test_heuristic_choice () =
   let g, paths = ring_fixture 5 in
   (* double one edge's weight with an extra co-routed path *)
-  let cdg = Testutil.cdg_of_paths g (Array.append paths [| paths.(0) |]) in
+  let store = Route_store.of_paths g (Array.append paths [| paths.(0) |]) in
+  let layer = Layer.create store (Cdg.of_store store) in
   let heavy = (paths.(0).(1), paths.(0).(2)) in
   let light = (paths.(1).(1), paths.(1).(2)) in
   let cycle = [| heavy; light |] in
-  Alcotest.(check bool) "weakest avoids heavy" true (Heuristic.choose Heuristic.Weakest cdg cycle = light);
-  Alcotest.(check bool) "heaviest picks heavy" true (Heuristic.choose Heuristic.Heaviest cdg cycle = heavy);
-  Alcotest.(check bool) "first edge" true (Heuristic.choose Heuristic.First_edge cdg cycle = heavy);
-  Alcotest.check_raises "empty cycle" (Invalid_argument "Heuristic.choose: empty cycle") (fun () ->
-      ignore (Heuristic.choose Heuristic.Weakest cdg [||]))
+  let choose h = Oracles.Dfs_ref.choose h layer in
+  Alcotest.(check bool) "weakest avoids heavy" true (choose Heuristic.Weakest cycle = light);
+  Alcotest.(check bool) "heaviest picks heavy" true (choose Heuristic.Heaviest cycle = heavy);
+  Alcotest.(check bool) "first edge" true (choose Heuristic.First_edge cycle = heavy);
+  Alcotest.check_raises "empty cycle" (Invalid_argument "Dfs_ref.choose: empty cycle") (fun () ->
+      ignore (choose Heuristic.Weakest [||]))
 
 (* ------------------------------------------------------------------ *)
 (* Layers (offline)                                                     *)
@@ -383,9 +403,8 @@ let test_scc_condensation () =
     (fun c -> check Alcotest.int "members agree on comp id" comp scc.Scc.comp_of.(c))
     scc.Scc.nontrivial.(0);
   check Alcotest.int "singletons + ring" (Graph.num_channels g - 4) scc.Scc.num_comps;
-  (* breaking one ring edge dissolves the component *)
-  Cdg.remove_pair cdg store ~pair:0;
-  let scc' = Scc.of_cdg cdg in
+  (* without one ring path the component dissolves *)
+  let scc' = Scc.of_cdg (Cdg.of_store ~filter:(fun pr -> pr <> 0) store) in
   check Alcotest.int "acyclic after removal" 0 (Array.length scc'.Scc.nontrivial)
 
 let test_scc_self_loop_nontrivial () =
@@ -397,13 +416,22 @@ let test_scc_self_loop_nontrivial () =
   check Alcotest.int "self-loop is non-trivial" 1 (Array.length scc.Scc.nontrivial);
   check Alcotest.(array int) "the looping channel" [| c |] scc.Scc.nontrivial.(0)
 
-let engines = [ (`Scc, "scc"); (`Dfs, "dfs") ]
+(* The shipped SCC engine and the one-cycle-at-a-time DFS oracle, over
+   path [i] under pair id [i]. *)
+let engines =
+  [
+    ((fun g ~paths ~max_layers -> Layers.assign g ~paths ~max_layers ~heuristic:Heuristic.Weakest), "scc");
+    ( (fun g ~paths ~max_layers ->
+        Oracles.Dfs_ref.assign_store (Route_store.of_paths g paths) ~max_layers
+          ~heuristic:Heuristic.Weakest),
+      "dfs" );
+  ]
 
 let test_layers_ring_both_engines () =
   let g, paths = ring_fixture 5 in
   List.iter
-    (fun (engine, name) ->
-      match Layers.assign ~engine g ~paths ~max_layers:8 ~heuristic:Heuristic.Weakest with
+    (fun (assign, name) ->
+      match assign g ~paths ~max_layers:8 with
       | Error e -> Alcotest.failf "%s: %s" name e
       | Ok outcome ->
         check Alcotest.int (name ^ ": two layers suffice") 2 outcome.Layers.layers_used;
@@ -418,8 +446,8 @@ let test_layers_ring_both_engines () =
 let test_layers_budget_both_engines () =
   let g, paths = ring_fixture 5 in
   List.iter
-    (fun (engine, name) ->
-      match Layers.assign ~engine g ~paths ~max_layers:1 ~heuristic:Heuristic.Weakest with
+    (fun (assign, name) ->
+      match assign g ~paths ~max_layers:1 with
       | Error msg ->
         Alcotest.(check bool) (name ^ ": explains") true (Testutil.contains msg "no layer is left")
       | Ok _ -> Alcotest.failf "%s: 1 layer cannot be deadlock-free on the ring pattern" name)
@@ -428,7 +456,7 @@ let test_layers_budget_both_engines () =
 let test_scc_acyclic_input () =
   let g, paths = ring_fixture 7 in
   let some = [| paths.(0); paths.(2); paths.(4) |] in
-  match Layers.assign ~engine:`Scc g ~paths:some ~max_layers:8 ~heuristic:Heuristic.Weakest with
+  match Layers.assign g ~paths:some ~max_layers:8 ~heuristic:Heuristic.Weakest with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     check Alcotest.int "one layer" 1 outcome.Layers.layers_used;
@@ -444,7 +472,7 @@ let test_scc_domains_deterministic () =
     Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
     let paths = Array.of_list !paths in
     let run domains =
-      match Layers.assign ~engine:`Scc ~domains g ~paths ~max_layers:16 ~heuristic:Heuristic.Weakest with
+      match Layers.assign ~domains g ~paths ~max_layers:16 ~heuristic:Heuristic.Weakest with
       | Error e -> Alcotest.fail e
       | Ok o -> o
     in
@@ -465,8 +493,8 @@ let engines_agree_qcheck =
         let paths = ref [] in
         Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
         let paths = Array.of_list !paths in
-        let run engine =
-          match Layers.assign ~engine g ~paths ~max_layers:16 ~heuristic:Heuristic.Weakest with
+        let run assign =
+          match assign g ~paths ~max_layers:16 with
           | Error _ -> None
           | Ok o ->
             if
@@ -475,8 +503,8 @@ let engines_agree_qcheck =
             then Some o.Layers.layers_used
             else None
         in
-        (match (run `Scc, run `Dfs) with
-        | Some scc, Some dfs -> scc <= dfs + 1
+        (match List.map (fun (assign, _) -> run assign) engines with
+        | [ Some scc; Some dfs ] -> scc <= dfs + 1
         | _ -> false))
 
 (* ------------------------------------------------------------------ *)

@@ -114,6 +114,23 @@ let test_balance_spreads () =
     (Routing.Ftable.num_layers balanced >= Routing.Ftable.num_layers plain);
   check Alcotest.int "balance fills the budget" 8 (Routing.Ftable.num_layers balanced)
 
+(* With [balance] the table declares the spread count, so the declared
+   count covers every layer a route rides (lint rule A004) and the table
+   certifies; [layers_required] still reports the unbalanced count. *)
+let test_balance_declares_spread () =
+  let g = (Result.get_ok (Harness.Topospec.parse "torus:4x4")).Harness.Topospec.graph in
+  let plain = expect "plain" (Dfsssp.route ~max_layers:8 g) in
+  let balanced = expect "balanced" (Dfsssp.route ~balance:true ~max_layers:8 g) in
+  check Alcotest.int "declares the spread count" 8 (Routing.Ftable.num_layers balanced);
+  Alcotest.(check bool) "declared count covers every used layer" true
+    (Routing.Ftable.max_layer balanced < Routing.Ftable.num_layers balanced);
+  (match Analysis.Analyzer.certify balanced with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "balanced table refused: %s" msg);
+  let required = expect "required" (Dfsssp.layers_required ~max_layers:8 g) in
+  check Alcotest.int "layers_required is the unbalanced count" (Routing.Ftable.num_layers plain) required;
+  Alcotest.(check bool) "fewer than the spread" true (required < 8)
+
 let test_weakest_not_worse_than_heaviest () =
   (* paper Section IV: weakest-edge needs the fewest layers; check the
      weaker, stable claim weakest <= heaviest on a batch of seeds *)
@@ -397,6 +414,7 @@ let () =
           Alcotest.test_case "weakest vs heaviest" `Slow test_weakest_not_worse_than_heaviest;
           dfsssp_random_qcheck;
           dfsssp_torus_layers_qcheck;
+          Alcotest.test_case "balance declares the spread count" `Quick test_balance_declares_spread;
         ] );
       ( "multipath",
         [

@@ -336,7 +336,12 @@ let test_topospec_cluster_and_errors () =
       "torus:0x3";
       "cluster:chic:0";
       "cluster:chic:-2";
+      "kautz:2,0";
+      "kautz:2,-1";
     ];
+  (match Harness.Topospec.parse "kautz:2,0" with
+  | Error msg -> Alcotest.(check bool) "names n" true (Testutil.contains msg "kautz: n 0")
+  | Ok _ -> Alcotest.fail "kautz word length 0 accepted");
   match Harness.Topospec.parse "cluster:chic:0" with
   | Error msg -> Alcotest.(check bool) "names the scale token" true (Testutil.contains msg "\"0\"")
   | Ok _ -> Alcotest.fail "zero cluster scale accepted"

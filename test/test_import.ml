@@ -113,6 +113,14 @@ let rejection_corpus =
       "unpaired directed edge between a and c (1 forward, 0 reverse)" );
     ("bad mult attr", dot_strict, "graph g { a -- b [mult=zero]; }", "bad mult attribute \"zero\"");
     ("bad multiplicity", edge_strict, "a b\nb c two\n", "line 2: bad multiplicity \"two\"");
+    ( "multiplicity over the limit",
+      edge_strict,
+      "a b\nb c 1000000000\n",
+      "line 2: multiplicity 1000000000 exceeds the limit of 255" );
+    ( "mult attr over the limit",
+      dot_strict,
+      "graph g {\n  a -- b;\n  b -- c [mult=256];\n}",
+      "line 3: mult attribute 256 exceeds the limit of 255" );
     ("arity", edge_strict, "a b\nlonely\n", "want <a> <b> [mult]");
     ("empty input", edge_strict, "# nothing here\n", "no nodes in input");
   ]

@@ -731,10 +731,13 @@ let test_serial_roundtrip () =
 
 let test_serial_multiplicity () =
   let input = "switch a\nswitch b\nlink a b 3\nterminal t0 a\n" in
-  match Serial.of_string input with
+  (match Serial.of_string input with
   | Error e -> Alcotest.failf "parse: %s" e
-  | Ok g ->
-    check Alcotest.int "three cables + terminal" 8 (Graph.num_channels g)
+  | Ok g -> check Alcotest.int "three cables + terminal" 8 (Graph.num_channels g));
+  (* the bound itself is accepted *)
+  match Serial.of_string (Printf.sprintf "switch a\nswitch b\nlink a b %d\n" Builder.max_multiplicity) with
+  | Error e -> Alcotest.failf "parse at the bound: %s" e
+  | Ok g -> check Alcotest.int "cables at the bound" (2 * Builder.max_multiplicity) (Graph.num_channels g)
 
 let test_serial_errors () =
   let expect_error input fragment =
@@ -750,6 +753,10 @@ let test_serial_errors () =
   expect_error "terminal t0 nowhere\n" "unknown switch";
   expect_error "link a b\n" "unknown node";
   expect_error "switch a\nswitch b\nlink a b zero\n" "multiplicity";
+  (* refused before a single cable is added *)
+  expect_error "switch a\nswitch b\nlink a b 1000000000\n"
+    "line 3: multiplicity 1000000000 exceeds the limit of 255";
+  expect_error "switch a\nswitch b\nlink a b 256\n" "exceeds the limit";
   expect_error "frobnicate\n" "unrecognized";
   expect_error "switch a\nlink a a\n" "self link"
 

@@ -265,9 +265,37 @@ let cycle_vs_kahn =
         end
       done;
       let cdg = Testutil.cdg_of_paths g (Array.of_list (List.rev !paths)) in
-      let search = Deadlock.Cycle.create cdg in
-      let found = Deadlock.Cycle.find_cycle search <> None in
+      let found = Deadlock.Cycle.find cdg <> None in
       found = not (Oracles.Acyclic_ref.is_acyclic cdg))
+
+(* The shipped one-shot search returns the cycle the oracle's resumable
+   search finds first: same roots, same slot order. Random routes on a
+   random fabric, so both cyclic and acyclic CDGs occur. *)
+let cycle_find_matches_oracle =
+  qtest ~count:40 "Cycle.find returns the oracle search's first cycle" seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let g = Testutil.random_graph ~switches:6 ~switch_radix:8 ~terminals:6 ~inter_links:9 rng in
+      let paths = ref [] in
+      for _ = 0 to 10 + Rng.int rng 30 do
+        (* a random walk of 2-5 channels *)
+        let c = ref (Rng.int rng (Graph.num_channels g)) in
+        let walk = ref [ !c ] in
+        for _ = 1 to 1 + Rng.int rng 4 do
+          let succs = Graph.out_channels g (Graph.channel g !c).Channel.dst in
+          if Array.length succs > 0 then begin
+            c := Rng.pick rng succs;
+            walk := !c :: !walk
+          end
+        done;
+        paths := Array.of_list (List.rev !walk) :: !paths
+      done;
+      let store = Deadlock.Route_store.of_paths g (Array.of_list !paths) in
+      let cdg = Deadlock.Cdg.of_store store in
+      let first =
+        Oracles.Dfs_ref.Search.find_cycle
+          (Oracles.Dfs_ref.Search.create (Oracles.Dfs_ref.Layer.create store cdg))
+      in
+      Deadlock.Cycle.find cdg = first)
 
 (* ------------------------------------------------------------------ *)
 (* CSR CDG vs the naive Hashtbl reference                               *)
@@ -296,16 +324,21 @@ let cdg_matches_reference =
           let rc = Oracles.Cdg_ref.create g in
           Deadlock.Route_store.iter_pairs store (fun pair ->
               Oracles.Cdg_ref.add_path rc ~pair (Deadlock.Route_store.to_path store ~pair));
-          let agree () =
+          (* [csr] is a build of the reference's routes; [layer] is the
+             oracle's overlay after the same removals *)
+          let agree csr layer =
             let ok = ref true in
             if Deadlock.Cdg.num_edges csr <> Oracles.Cdg_ref.num_edges rc then ok := false;
             if Deadlock.Cdg.num_paths csr <> Oracles.Cdg_ref.num_paths rc then ok := false;
+            if Oracles.Dfs_ref.Layer.num_edges layer <> Oracles.Cdg_ref.num_edges rc then ok := false;
+            if Oracles.Dfs_ref.Layer.num_paths layer <> Oracles.Cdg_ref.num_paths rc then ok := false;
             Oracles.Cdg_ref.iter_edges rc (fun c1 c2 count ->
                 if Deadlock.Cdg.edge_count csr ~c1 ~c2 <> count then ok := false;
-                if
-                  List.sort compare (Deadlock.Cdg.edge_pairs csr ~c1 ~c2)
-                  <> List.sort compare (Oracles.Cdg_ref.edge_pairs rc ~c1 ~c2)
-                then ok := false);
+                if Oracles.Dfs_ref.Layer.edge_count layer ~c1 ~c2 <> count then ok := false;
+                let pairs = List.sort compare (Oracles.Cdg_ref.edge_pairs rc ~c1 ~c2) in
+                if List.sort compare (Deadlock.Cdg.edge_pairs csr ~c1 ~c2) <> pairs then ok := false;
+                if List.sort compare (Oracles.Dfs_ref.Layer.edge_pairs layer ~c1 ~c2) <> pairs then
+                  ok := false);
             for c = 0 to Graph.num_channels g - 1 do
               let succ = ref [] in
               Deadlock.Cdg.iter_successors csr c (fun s -> succ := s :: !succ);
@@ -332,22 +365,25 @@ let cdg_matches_reference =
                     expected_count := count
                   end)
                 edges;
-              if Deadlock.Heuristic.choose Deadlock.Heuristic.Weakest csr edges <> !expected then
+              if Oracles.Dfs_ref.choose Deadlock.Heuristic.Weakest layer edges <> !expected then
                 ok := false
             end;
             !ok
           in
-          let ok = ref (agree ()) in
-          (* random removals must track exactly *)
+          let layer = Oracles.Dfs_ref.Layer.create store csr in
+          let ok = ref (agree csr layer) in
+          (* random removals must track exactly: in the oracle's overlay,
+             and in a build without the removed pairs *)
           let removed = ref [] in
           Deadlock.Route_store.iter_pairs store (fun pair ->
               if Rng.int rng 2 = 0 then removed := pair :: !removed);
           List.iter
             (fun pair ->
-              Deadlock.Cdg.remove_pair csr store ~pair;
+              Oracles.Dfs_ref.Layer.remove_pair layer ~pair;
               Oracles.Cdg_ref.remove_path rc ~pair (Deadlock.Route_store.to_path store ~pair))
             !removed;
-          if not (agree ()) then ok := false;
+          let rest = Deadlock.Cdg.of_store ~filter:(fun pr -> not (List.mem pr !removed)) store in
+          if not (agree rest layer) then ok := false;
           !ok))
 
 (* ------------------------------------------------------------------ *)
@@ -419,8 +455,9 @@ let ftable_io_random =
 
 (* A from-scratch reimplementation of Algorithm 2 that restarts the cycle
    search after every break (the expensive strategy the paper's resumable
-   search avoids). Both must produce valid assignments; agreement on the
-   layer count over random workloads is strong evidence the resumable
+   search avoids). It, the shipped SCC engine and the resumable DFS
+   oracle must all produce valid assignments; agreement on the layer
+   count over random workloads is strong evidence the resumable
    bookkeeping (stack truncation, stale color reuse) is faithful. *)
 let naive_offline g ~paths ~max_layers =
   let store = Deadlock.Route_store.of_paths g paths in
@@ -430,12 +467,13 @@ let naive_offline g ~paths ~max_layers =
     if vl >= max_layers then raise Budget
     else begin
       let cdg = Deadlock.Cdg.of_store ~filter:(fun i -> layer_of_path.(i) = vl) store in
-      let search = Deadlock.Cycle.create cdg in
-      match Deadlock.Cycle.find_cycle search with
+      match Deadlock.Cycle.find cdg with
       | None -> ()
       | Some cycle ->
         if vl + 1 >= max_layers then raise Budget;
-        let c1, c2 = Deadlock.Heuristic.choose Deadlock.Heuristic.Weakest cdg cycle in
+        let c1, c2 =
+          Oracles.Dfs_ref.choose Deadlock.Heuristic.Weakest (Oracles.Dfs_ref.Layer.create store cdg) cycle
+        in
         List.iter
           (fun pr -> if layer_of_path.(pr) = vl then layer_of_path.(pr) <- vl + 1)
           (Deadlock.Cdg.edge_pairs cdg ~c1 ~c2);
@@ -464,18 +502,24 @@ let resumable_matches_naive =
         let paths = ref [] in
         Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
         let paths = Array.of_list (List.rev !paths) in
+        let heuristic = Deadlock.Heuristic.Weakest in
+        let sound_near naive_used (outcome : Deadlock.Layers.outcome) =
+          Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.layer_of_path
+            ~num_layers:outcome.layers_used
+          (* the strategies must land within one layer of each other *)
+          && abs (outcome.layers_used - naive_used) <= 1
+        in
         (match
-           ( Deadlock.Layers.assign g ~paths ~max_layers:16 ~heuristic:Deadlock.Heuristic.Weakest,
+           ( Deadlock.Layers.assign g ~paths ~max_layers:16 ~heuristic,
+             Oracles.Dfs_ref.assign_store (Deadlock.Route_store.of_paths g paths) ~max_layers:16
+               ~heuristic,
              naive_offline g ~paths ~max_layers:16 )
          with
-        | Ok outcome, Some (naive_layers, naive_used) ->
+        | Ok outcome, Ok dfs, Some (naive_layers, naive_used) ->
           Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:naive_layers ~num_layers:naive_used
-          && Oracles.Acyclic_ref.layers_acyclic g ~paths
-               ~layer_of_path:outcome.Deadlock.Layers.layer_of_path
-               ~num_layers:outcome.Deadlock.Layers.layers_used
-          (* both strategies must land within one layer of each other *)
-          && abs (outcome.Deadlock.Layers.layers_used - naive_used) <= 1
-        | Error _, None -> true
+          && sound_near naive_used outcome
+          && sound_near naive_used dfs
+        | Error _, Error _, None -> true
         | _ -> false))
 
 (* ------------------------------------------------------------------ *)
@@ -604,9 +648,10 @@ let per_pair (cls : Routing.Ftable.classes) class_layer =
 
 (* Algorithm 2 over the weighted class store gives every pair the layer
    the weight-1 per-pair store gives it, with the same layer count and
-   evictions, for every heuristic and both engines — and so does the
-   online placement. Dfsssp.assign_layers, which runs on the classes,
-   writes exactly the per-pair outcome into the table. *)
+   evictions, for every heuristic, under the shipped engine and the DFS
+   oracle — and so does the online placement. Dfsssp.assign_layers,
+   which runs the shipped engine on the classes, writes exactly the
+   per-pair outcome into the table. *)
 let classes_algorithm2_parity =
   qtest ~count:12 "route classes: Algorithm 2 equals the per-pair run" seed_gen (fun seed ->
       let rng = Rng.create seed in
@@ -626,7 +671,9 @@ let classes_algorithm2_parity =
       let offline engine heuristic st =
         Result.map
           (fun (o : Deadlock.Layers.outcome) -> (o.layer_of_path, o.layers_used, o.cycles_broken))
-          (Deadlock.Layers.assign_store ~engine st ~max_layers:16 ~heuristic)
+          (match engine with
+          | `Scc -> Deadlock.Layers.assign_store st ~max_layers:16 ~heuristic
+          | `Dfs -> Oracles.Dfs_ref.assign_store st ~max_layers:16 ~heuristic)
       in
       let online st =
         Result.map
@@ -643,12 +690,13 @@ let classes_algorithm2_parity =
                   (Deadlock.Heuristic.to_string h)
               in
               same name (offline engine h store) (offline engine h cls.Routing.Ftable.store)
-              &&
-              let copy = sssp_table g in
-              match (offline engine h store, Dfsssp.assign_layers ~engine ~heuristic:h ~max_layers:16 copy) with
-              | Ok (pl, pu, _), Ok t -> Routing.Ftable.pair_layers t = pl && Routing.Ftable.num_layers t = pu
-              | Error _, Error _ -> true
-              | _ -> QCheck2.Test.fail_reportf "%s: assign_layers disagrees" name)
+              && (engine = `Dfs
+                 ||
+                 let copy = sssp_table g in
+                 match (offline engine h store, Dfsssp.assign_layers ~heuristic:h ~max_layers:16 copy) with
+                 | Ok (pl, pu, _), Ok t -> Routing.Ftable.pair_layers t = pl && Routing.Ftable.num_layers t = pu
+                 | Error _, Error _ -> true
+                 | _ -> QCheck2.Test.fail_reportf "%s: assign_layers disagrees" name))
             Deadlock.Heuristic.all)
         [ `Scc; `Dfs ]
       && same "online" (online store) (online cls.Routing.Ftable.store))
@@ -840,7 +888,7 @@ let () =
       ("routing", [ minhop_suffix; sssp_suffix; updown_suffix; routing_deterministic ]);
       ("congestion", [ congestion_conservation ]);
       ("simulators", [ acyclic_implies_drain ]);
-      ("cdg", [ cycle_vs_kahn; resumable_matches_naive; cdg_matches_reference ]);
+      ("cdg", [ cycle_vs_kahn; resumable_matches_naive; cdg_matches_reference; cycle_find_matches_oracle ]);
       ("interop", [ sl_dump_matches_layers; ftable_io_random ]);
       ("degradation", [ switch_removal_sound ]);
       ("certification", [ registry_engines_certify; break_engines_certify ]);

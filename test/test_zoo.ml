@@ -1,8 +1,9 @@
 (* The topology-zoo conformance battery as a test suite: every corpus
    file under examples/zoo and every seeded generator sample must route,
    certify and respect the existence lower bounds across the full
-   registry — plus the churn-soak harness invariants (quick mode,
-   failure artifacts, determinism). *)
+   registry, and the shipped cycle-break engine must stay within a layer
+   of the DFS oracle on each — plus the churn-soak harness invariants
+   (quick mode, failure artifacts, determinism). *)
 
 let check = Alcotest.check
 
@@ -40,6 +41,30 @@ let test_zoo_conformance () =
           Alcotest.failf "%s: dfsssp below lower bound" s.Harness.Zoo.spec
       | _ -> Alcotest.failf "%s: no certified dfsssp outcome" s.Harness.Zoo.spec)
     subjects
+
+(* Engine parity on every subject of the battery: the shipped SCC engine
+   certifies with a layer count within +1 of the one-cycle-at-a-time
+   DFS oracle, both at the zoo's default budget. *)
+let test_zoo_engine_parity () =
+  let specs =
+    Harness.Zoo.corpus_specs ~dir:(corpus_dir ()) @ Harness.Zoo.generator_specs
+  in
+  List.iter
+    (fun spec ->
+      let g =
+        match Harness.Topospec.parse spec with
+        | Ok t -> t.Harness.Topospec.graph
+        | Error e -> Alcotest.failf "%s: %s" spec e
+      in
+      match (Testutil.dfsssp ~engine:`Scc g, Testutil.dfsssp ~engine:`Dfs g) with
+      | Ok scc, Ok dfs ->
+        let ls = Routing.Ftable.num_layers scc and ld = Routing.Ftable.num_layers dfs in
+        if ls > ld + 1 then Alcotest.failf "%s: scc uses %d layers, dfs oracle %d" spec ls ld;
+        (match Analysis.Analyzer.certify scc with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "%s: scc table rejected: %s" spec msg)
+      | Error msg, _ | _, Error msg -> Alcotest.failf "%s: an engine run refused: %s" spec msg)
+    specs
 
 let test_zoo_quirky_repairs () =
   let spec = "dot:" ^ Filename.concat (corpus_dir ()) "quirky.dot" in
@@ -121,6 +146,7 @@ let () =
           Alcotest.test_case "full battery" `Slow test_zoo_conformance;
           Alcotest.test_case "quirky repairs" `Quick test_zoo_quirky_repairs;
           Alcotest.test_case "bad spec" `Quick test_zoo_bad_spec;
+          Alcotest.test_case "engine parity" `Slow test_zoo_engine_parity;
         ] );
       ( "soak",
         [

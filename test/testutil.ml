@@ -36,10 +36,26 @@ let cdg_of_paths g paths = Deadlock.Cdg.of_store (Deadlock.Route_store.of_paths 
 
 let same_tables a b = (Routing.Ftable.diff a b).Routing.Ftable.entries_changed = 0
 
-(* DFSSSP through the two entry points that take the knobs: SSSP under
-   [kernel], then the offline layer assignment under [engine]. The
-   kernel/engine parity cases route through here. *)
-let dfsssp ?kernel ?engine ?max_layers g =
+(* DFSSSP with its two stages chosen: SSSP under [kernel], then the
+   offline layer assignment by the shipped SCC engine ([`Scc], the
+   default) or the one-cycle-at-a-time oracle [Oracles.Dfs_ref] ([`Dfs]),
+   each over the table's route classes and written into the table as
+   [Dfsssp.assign_layers] writes it. The kernel/engine parity cases route
+   through here. *)
+let dfsssp ?kernel ?(engine = `Scc) ?(max_layers = 8) g =
   match Routing.Sssp.route ?kernel g with
   | Error msg -> Error msg
-  | Ok ft -> Result.map_error Dfsssp.error_to_string (Dfsssp.assign_layers ?engine ?max_layers ft)
+  | Ok ft -> (
+    match engine with
+    | `Scc -> Result.map_error Dfsssp.error_to_string (Dfsssp.assign_layers ~max_layers ft)
+    | `Dfs -> (
+      let cls = Result.get_ok (Routing.Ftable.to_classes ft) in
+      match
+        Oracles.Dfs_ref.assign_store cls.Routing.Ftable.store ~max_layers
+          ~heuristic:Deadlock.Heuristic.Weakest
+      with
+      | Error msg -> Error (Dfsssp.error_to_string (Dfsssp.Layers_exhausted msg))
+      | Ok o ->
+        Routing.Ftable.set_class_layers ft cls o.Deadlock.Layers.layer_of_path;
+        Routing.Ftable.set_num_layers ft o.Deadlock.Layers.layers_used;
+        Ok ft))
