@@ -34,7 +34,7 @@ let route_cmd =
       if ebb_patterns > 0 then begin
         let rng = Netgraph.Rng.create seed in
         let ebb = Simulator.Congestion.effective_bisection_bandwidth ~patterns:ebb_patterns ~rng ft in
-        Format.printf "effective bisection bandwidth: %a (worst pair %.4f)@." Simulator.Metrics.pp_summary
+        Format.printf "effective bisection bandwidth: %a (worst pair %.4f)@." Obs.Stat.pp_summary
           ebb.Simulator.Congestion.samples ebb.Simulator.Congestion.worst_pair
       end;
       if show_routes then
@@ -107,8 +107,7 @@ let route_cmd =
       $ Cli.seed $ routes $ Cli.out $ Cli.dot $ opensm_out $ routing_out)
 
 (* simulate: route a fabric, put a workload on it, and run the static
-   congestion model, the cycle-based packet simulator or the
-   discrete-event simulator. *)
+   congestion model or the discrete-event simulator. *)
 let simulate_cmd =
   let run (spec : Cli.spec) algorithm (pattern_name, pattern) engine bytes seed =
     let rng = Netgraph.Rng.create seed in
@@ -139,15 +138,12 @@ let simulate_cmd =
                 h.Simulator.Congestion.dst_name h.Simulator.Congestion.load)
             (Simulator.Congestion.hotspots ~top:5 ft ~flows);
           0
-        | `Flit ->
-          let packets = max 1 (bytes / 4096) in
-          let fl = Array.map (fun (a, b) -> (a, b, packets)) flows in
-          Format.printf "packet simulator (%d packets per flow): %a@." packets Simulator.Flitsim.pp_outcome
-            (Simulator.Flitsim.run ft ~flows:fl);
-          0
         | `Event -> (
           let fl = Array.map (fun (a, b) -> (a, b, bytes)) flows in
           match Simulator.Netsim.run ft ~flows:fl with
+          | exception Invalid_argument msg ->
+            Printf.eprintf "event simulator: %s\n" msg;
+            2
           | Simulator.Netsim.Completed { makespan; flows = st; packets; mean_packet_latency } ->
             let bws = Array.map Simulator.Netsim.bandwidth_of st in
             let mean_bw = Array.fold_left ( +. ) 0.0 bws /. float_of_int (max 1 (Array.length bws)) in
@@ -179,12 +175,11 @@ let simulate_cmd =
   let engine =
     Arg.(
       value
-      & opt (enum [ ("static", `Static); ("flit", `Flit); ("event", `Event) ]) `Static
-      & info [ "e"; "engine" ] ~docv:"ENGINE"
-          ~doc:"static (congestion counting), flit (cycle-based), or event (discrete-event).")
+      & opt (enum [ ("static", `Static); ("event", `Event) ]) `Static
+      & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc:"static (congestion counting) or event (discrete-event).")
   in
   let bytes =
-    Arg.(value & opt Cli.pos_int 262144 & info [ "bytes" ] ~docv:"N" ~doc:"Bytes per flow for the dynamic engines.")
+    Arg.(value & opt Cli.pos_int 262144 & info [ "bytes" ] ~docv:"N" ~doc:"Bytes per flow for the event engine.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"simulate a workload over a routed fabric")

@@ -31,7 +31,7 @@ let () =
           in
           let deadlock_free = Result.is_ok (Analysis.Analyzer.certify ft) in
           Format.printf "%-14s  %8.4f  %8.4f  %6d  %s@." alg.name
-            ebb.Simulator.Congestion.samples.Simulator.Metrics.mean
+            ebb.Simulator.Congestion.samples.Obs.Stat.mean
             ebb.Simulator.Congestion.worst_pair (Routing.Ftable.num_layers ft)
             (if deadlock_free then "deadlock-free" else "NOT deadlock-free"))
       (Dfsssp.Registry.all ());

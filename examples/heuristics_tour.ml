@@ -21,9 +21,9 @@ let () =
         | Ok ft -> samples := float_of_int (Routing.Ftable.num_layers ft) :: !samples
         | Error _ -> ()
       done;
-      let s = Simulator.Metrics.summarize (Array.of_list !samples) in
+      let s = Obs.Stat.summarize (Array.of_list !samples) in
       Format.printf "%-12s  %4.0f  %6.2f  %4.0f@." (Deadlock.Heuristic.to_string h)
-        s.Simulator.Metrics.min s.Simulator.Metrics.mean s.Simulator.Metrics.max)
+        s.Obs.Stat.min s.Obs.Stat.mean s.Obs.Stat.max)
     Deadlock.Heuristic.all;
 
   Format.printf "@.online vs offline assignment (same fabrics, weakest edge):@.";
@@ -40,9 +40,9 @@ let () =
         | Error _ -> ());
         time := !time +. Sys.time () -. t0
       done;
-      let s = Simulator.Metrics.summarize (Array.of_list !samples) in
-      Format.printf "%-12s  %4.0f  %6.2f  %4.0f   %.1f ms@." label s.Simulator.Metrics.min
-        s.Simulator.Metrics.mean s.Simulator.Metrics.max
+      let s = Obs.Stat.summarize (Array.of_list !samples) in
+      Format.printf "%-12s  %4.0f  %6.2f  %4.0f   %.1f ms@." label s.Obs.Stat.min
+        s.Obs.Stat.mean s.Obs.Stat.max
         (1000.0 *. !time /. float_of_int trials))
     [ ("offline", Dfsssp.Offline); ("online", Dfsssp.Online) ];
 

@@ -13,9 +13,17 @@ let describe_cdg name ft =
   Format.printf "  %-8s channel dependency graph %s@." name
     (if cyclic then "has a cycle (deadlock possible)" else "is acyclic per lane (deadlock-free)")
 
+(* In packet time a flow's bytes are its packets and one packet crosses
+   one wire per time unit. *)
 let simulate name ft ~num_vls ~flows =
-  let config = { Simulator.Flitsim.default_config with num_vls; buffer_slots = 2 } in
-  Format.printf "  %-8s %a@." name Simulator.Flitsim.pp_outcome (Simulator.Flitsim.run ~config ft ~flows)
+  let config = { Simulator.Netsim.packet_config with num_vls } in
+  match Simulator.Netsim.run ~config ft ~flows with
+  | Simulator.Netsim.Completed { makespan; packets; _ } ->
+    Format.printf "  %-8s completed: %d packets in %.0f packet times@." name packets makespan
+  | Simulator.Netsim.Deadlocked { time; delivered; stuck } ->
+    Format.printf "  %-8s DEADLOCK at packet time %.0f (%d delivered, %d stuck)@." name time delivered stuck
+  | Simulator.Netsim.Out_of_events { delivered } ->
+    Format.printf "  %-8s out of events (%d delivered)@." name delivered
 
 let () =
   let ring = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
@@ -40,7 +48,7 @@ let () =
   describe_cdg "DFSSSP" dfsssp;
   Format.printf "  DFSSSP uses %d virtual lanes@.@." (Routing.Ftable.num_layers dfsssp);
 
-  Format.printf "packet-level simulation (2 buffer slots per lane):@.";
+  Format.printf "packet-level simulation (2 credits per lane):@.";
   simulate "SSSP" sssp ~num_vls:1 ~flows;
   simulate "DFSSSP" dfsssp ~num_vls:8 ~flows;
   Format.printf "@.same routes, same fabric - only the lane assignment differs.@."

@@ -41,7 +41,7 @@ let sssp_initial_weight () =
 let ebb_of ft ~patterns ~seed =
   let rng = Rng.create seed in
   (Simulator.Congestion.effective_bisection_bandwidth ~patterns ~rng ft).Simulator.Congestion.samples
-    .Simulator.Metrics.mean
+    .Obs.Stat.mean
 
 let hardened_routings ?(patterns = 30) ?(seed = 21) ?batch ?domains () =
   let g, coords = Topo_torus.torus ~dims:[| 6; 6 |] ~terminals_per_switch:1 in
@@ -172,16 +172,22 @@ let balancing ?(seed = 23) () =
         match Dfsssp.route ~max_layers:8 ~balance g with
         | Error _ -> None
         | Ok ft -> (
-          let config = { Simulator.Flitsim.default_config with num_vls = 8; buffer_slots = 1 } in
-          match Simulator.Flitsim.run ~config ft ~flows with
-          | Simulator.Flitsim.Delivered { cycles; delivered; _ } ->
-            Some [ Report.Str label; Report.Int (Ftable.num_layers ft); Report.Int cycles; Report.Int delivered ]
-          | Simulator.Flitsim.Deadlocked _ | Simulator.Flitsim.Out_of_cycles _ -> None))
+          let config = { Simulator.Netsim.packet_config with num_vls = 8; credits = 1 } in
+          match Simulator.Netsim.run ~config ft ~flows with
+          | Simulator.Netsim.Completed { makespan; packets; _ } ->
+            Some
+              [
+                Report.Str label;
+                Report.Int (Ftable.num_layers ft);
+                Report.Int (Float.to_int makespan);
+                Report.Int packets;
+              ]
+          | Simulator.Netsim.Deadlocked _ | Simulator.Netsim.Out_of_events _ -> None))
       [ ("required lanes only", false); ("balanced over 8 lanes", true) ]
   in
   {
     Report.title = "Ablation: layer balancing (tail of Algorithm 2), packet simulator on 4x4 torus";
-    columns = [ "assignment"; "lanes used"; "drain cycles"; "packets" ];
+    columns = [ "assignment"; "lanes used"; "drain time (packet times)"; "packets" ];
     rows;
     notes = [ "more lanes = more buffer slots per physical link = fewer stalls" ];
   }
@@ -292,7 +298,7 @@ let multipath ?(matchings = 20) ?(seed = 29) () =
             Report.Int planes;
             Report.Int (Dfsssp.Multipath.num_layers mp);
             Report.Flt tornado_share;
-            Report.Flt (Simulator.Metrics.mean means);
+            Report.Flt (Obs.Stat.mean means);
           ])
       [ 1; 2; 4 ]
   in
@@ -360,19 +366,19 @@ let vl_budget ?(budgets = [ 1; 2; 3; 4; 6; 8 ]) () =
         match Dfsssp.route ~max_layers:budget ~balance:true g with
         | Error _ -> [ Report.Int budget; Report.Str "failed"; Report.Missing; Report.Missing ]
         | Ok ft -> (
-          let config =
-            { Simulator.Flitsim.default_config with num_vls = budget; buffer_slots = 1 }
-          in
-          match Simulator.Flitsim.run ~config ft ~flows with
-          | Simulator.Flitsim.Delivered { cycles; _ } ->
-            [ Report.Int budget; Report.Str "ok"; Report.Int (Ftable.num_layers ft); Report.Int cycles ]
-          | Simulator.Flitsim.Deadlocked _ | Simulator.Flitsim.Out_of_cycles _ ->
+          let config = { Simulator.Netsim.packet_config with num_vls = budget; credits = 1 } in
+          match Simulator.Netsim.run ~config ft ~flows with
+          | Simulator.Netsim.Completed { makespan; _ } ->
+            [
+              Report.Int budget; Report.Str "ok"; Report.Int (Ftable.num_layers ft); Report.Int (Float.to_int makespan);
+            ]
+          | Simulator.Netsim.Deadlocked _ | Simulator.Netsim.Out_of_events _ ->
             [ Report.Int budget; Report.Str "sim stall"; Report.Int (Ftable.num_layers ft); Report.Missing ]))
       budgets
   in
   {
     Report.title = "Ablation: virtual-lane budget on the 6x6 torus (DFSSSP, balancing on)";
-    columns = [ "budget"; "status"; "lanes used"; "drain cycles" ];
+    columns = [ "budget"; "status"; "lanes used"; "drain time (packet times)" ];
     rows;
     notes = [ "below the APP requirement the assignment fails; surplus lanes buy buffering" ];
   }

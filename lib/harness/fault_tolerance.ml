@@ -40,7 +40,7 @@ let sweep ~fabric ?(removals = [ 0; 2; 4; 8 ]) ?(patterns = 30) ?(seed = 31) () 
             Report.Flt
               (Simulator.Congestion.effective_bisection_bandwidth ~patterns ~rng ft)
                 .Simulator.Congestion.samples
-                .Simulator.Metrics.mean
+                .Obs.Stat.mean
         in
         let dfsssp_vls =
           match Runs.run_named "dfsssp" g with

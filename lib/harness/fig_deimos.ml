@@ -46,7 +46,7 @@ let fig12 ?(scale = 4) ?cores ?(patterns = 50) ?(seed = 3) () =
                  let ebb =
                    Simulator.Congestion.effective_bisection_bandwidth ~patterns ~ranks ~rng ft
                  in
-                 Report.Flt ebb.Simulator.Congestion.samples.Simulator.Metrics.mean)
+                 Report.Flt ebb.Simulator.Congestion.samples.Obs.Stat.mean)
              algorithms)
       cores
   in

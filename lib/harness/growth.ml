@@ -145,7 +145,7 @@ let sweep ?(patterns = 30) ?(seed = 43) () =
             Report.Flt
               (Simulator.Congestion.effective_bisection_bandwidth ~patterns ~rng ft)
                 .Simulator.Congestion.samples
-                .Simulator.Metrics.mean
+                .Obs.Stat.mean
         in
         let vls =
           match Runs.run_named "dfsssp" g with

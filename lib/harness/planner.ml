@@ -10,7 +10,7 @@ let ebb_of ?ranks ft ~patterns ~seed =
   let rng = Rng.create seed in
   (Simulator.Congestion.effective_bisection_bandwidth ~patterns ?ranks ~rng ft)
     .Simulator.Congestion.samples
-    .Simulator.Metrics.mean
+    .Obs.Stat.mean
 
 (* Copy [g] and lay one extra cable between the named switches. *)
 let with_cable g ~a ~b =

@@ -16,7 +16,7 @@ let ebb_cell ?coords ?ranks ~patterns ~seed name g =
   | Ok ft ->
     let rng = Rng.create seed in
     let ebb = Simulator.Congestion.effective_bisection_bandwidth ~patterns ?ranks ~rng ft in
-    Report.Flt ebb.Simulator.Congestion.samples.Simulator.Metrics.mean
+    Report.Flt ebb.Simulator.Congestion.samples.Obs.Stat.mean
 
 let vl_cell ?coords ?max_layers name g =
   match run_named ?coords ?max_layers name g with

@@ -65,7 +65,7 @@ let evaluate ft ~flows =
   evaluate_store store
 
 type ebb = {
-  samples : Metrics.summary;
+  samples : Obs.Stat.summary;
   worst_pair : float;
 }
 
@@ -89,7 +89,7 @@ let effective_bisection_bandwidth ?(patterns = 100) ?ranks ?(domains = 1) ~rng f
   in
   let means = Array.map fst results in
   let worst = Array.fold_left (fun acc (_, w) -> min acc w) 1.0 results in
-  { samples = Metrics.summarize means; worst_pair = worst }
+  { samples = Obs.Stat.summarize means; worst_pair = worst }
 
 let completion_time ft ~flows ~bytes ~bandwidth =
   if bytes < 0.0 || bandwidth <= 0.0 then invalid_arg "Congestion.completion_time";

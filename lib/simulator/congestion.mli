@@ -37,7 +37,7 @@ val evaluate_store : Deadlock.Route_store.t -> result
 val evaluate_paths : Netgraph.Graph.t -> paths:Netgraph.Path.t array -> result
 
 type ebb = {
-  samples : Metrics.summary;  (** per-matching mean shares *)
+  samples : Obs.Stat.summary;  (** per-matching mean shares *)
   worst_pair : float;  (** smallest share seen in any matching *)
 }
 

@@ -10,6 +10,8 @@ type config = {
 let default_config =
   { bandwidth = 1e9; latency = 1e-6; mtu = 4096; credits = 4; num_vls = 8; max_events = 50_000_000 }
 
+let packet_config = { default_config with bandwidth = 1.0; latency = 0.0; mtu = 1; credits = 2 }
+
 type flow_stat = {
   src : int;
   dst : int;
@@ -66,6 +68,23 @@ let run ?(config = default_config) ft ~flows =
       | Some p -> Deadlock.Route_store.set_path store ~pair:f p
       | None -> failwith (Printf.sprintf "Netsim.run: no route %d -> %d" src dst))
     flows;
+  let counts =
+    Array.map (fun (_, _, bytes) -> (bytes / config.mtu) + if bytes mod config.mtu > 0 then 1 else 0) flows
+  in
+  (* Every delivered packet costs at least one event: refuse a workload
+     that could never complete before queuing any of it. The sum stops at
+     the limit, so it cannot overflow. *)
+  let total_packets =
+    Array.fold_left
+      (fun sum count ->
+        if count > config.max_events - sum then
+          invalid_arg
+            (Printf.sprintf "Netsim.run: %d or more packets exceed max_events %d"
+               (if count > max_int - sum then count else sum + count)
+               config.max_events);
+        sum + count)
+      0 counts
+  in
   let poff = Array.init nflows (fun f -> Deadlock.Route_store.offset store ~pair:f) in
   let plen = Array.init nflows (fun f -> Deadlock.Route_store.length store ~pair:f) in
   (* fetched after the last write: arena growth replaces the buffer *)
@@ -88,9 +107,7 @@ let run ?(config = default_config) ft ~flows =
   (* flow state *)
   let first_start = Array.make nflows infinity in
   let last_finish = Array.make nflows 0.0 in
-  let pending_packets = Array.make nflows 0 in
   let events = Eventq.create () in
-  let total_packets = ref 0 in
   let delivered = ref 0 in
   let latency_total = ref 0.0 in
   let makespan = ref 0.0 in
@@ -100,12 +117,9 @@ let run ?(config = default_config) ft ~flows =
      channel (the source HCA's injection wire serializes them). *)
   Array.iteri
     (fun f (_, _, bytes) ->
-      let full = bytes / config.mtu and rest = bytes mod config.mtu in
-      let count = full + if rest > 0 then 1 else 0 in
-      pending_packets.(f) <- count;
-      total_packets := !total_packets + count;
-      for i = 0 to count - 1 do
-        let size = if i < full then config.mtu else rest in
+      let full = bytes / config.mtu in
+      for i = 0 to counts.(f) - 1 do
+        let size = if i < full then config.mtu else bytes mod config.mtu in
         Queue.push { flow = f; size; hop = 0; born = -1.0 } waiting.(channel_at f 0).(vls.(f))
       done)
     flows;
@@ -158,7 +172,6 @@ let run ?(config = default_config) ft ~flows =
         incr delivered;
         latency_total := !latency_total +. (now -. p.born);
         if now > !makespan then makespan := now;
-        pending_packets.(p.flow) <- pending_packets.(p.flow) - 1;
         if now > last_finish.(p.flow) then last_finish.(p.flow) <- now
       end
       else begin
@@ -182,7 +195,7 @@ let run ?(config = default_config) ft ~flows =
         clock := now;
         handle now ev
       | None ->
-        if !delivered = !total_packets then begin
+        if !delivered = total_packets then begin
           let stats =
             Array.init nflows (fun f ->
                 let src, dst, bytes = flows.(f) in
@@ -200,14 +213,14 @@ let run ?(config = default_config) ft ~flows =
                  {
                    makespan = !makespan;
                    flows = stats;
-                   packets = !total_packets;
+                   packets = total_packets;
                    mean_packet_latency =
                      (if !delivered = 0 then 0.0 else !latency_total /. float_of_int !delivered);
                  })
         end
         else
           result :=
-            Some (Deadlocked { time = !clock; delivered = !delivered; stuck = !total_packets - !delivered })
+            Some (Deadlocked { time = !clock; delivered = !delivered; stuck = total_packets - !delivered })
   done;
   Option.get !result
 

@@ -9,9 +9,17 @@
     transient congestion trees — the effects behind the gap between the
     paper's simulated (Fig. 4) and measured (Fig. 12) Deimos results.
 
-    Like {!Flitsim}, a wedged fabric is detected exactly: the event queue
-    drains while packets remain, which with credit flow control can only
-    happen on a buffer-dependency cycle. *)
+    A wedged fabric is detected exactly: the event queue drains while
+    packets remain, which with credit flow control can only happen on a
+    buffer-dependency cycle. The converse does not hold. A routing whose
+    channel dependency graph is acyclic per lane always drains, but
+    whether a cyclic one wedges depends on the schedule: packet sizes,
+    credits, hop latency and arbitration order. A drained run proves
+    nothing about a cyclic routing.
+
+    {!packet_config} runs the same model in packet time, the setting of
+    the paper's Fig. 2 and of the lane ablations: one packet per byte, one
+    time unit per packet per wire, no hop latency. *)
 
 type config = {
   bandwidth : float;  (** channel bandwidth, bytes/second *)
@@ -24,6 +32,12 @@ type config = {
 
 (** 1 GB/s links, 1 us hops, 4 KiB MTU, 4 credits, 8 lanes. *)
 val default_config : config
+
+(** Packet time: 1-byte packets on 1 byte/unit wires with zero hop
+    latency, 2 credits, 8 lanes. A flow's byte count is its packet count,
+    and [makespan], [time] and latencies read in packet times: an
+    uncontended packet's latency is its hop count. *)
+val packet_config : config
 
 type flow_stat = {
   src : int;
@@ -53,7 +67,10 @@ type outcome =
 (** [run ?config ft ~flows] simulates [(src, dst, bytes)] message flows,
     all injected at time zero, routed and laned by [ft].
     @raise Invalid_argument on bad config, flows with [src = dst],
-    negative sizes, or lanes beyond [num_vls].
+    negative sizes, lanes beyond [num_vls], or more packets than
+    [max_events] (each delivered packet costs at least one event, so such
+    a workload could never complete; it is refused before any packet is
+    queued).
     @raise Failure if a flow has no route. *)
 val run : ?config:config -> Ftable.t -> flows:(int * int * int) array -> outcome
 

@@ -41,8 +41,8 @@ let measure ft =
   let mean_load, load_cv =
     if Array.length loads = 0 then (0.0, 0.0)
     else begin
-      let s = Metrics.summarize loads in
-      (s.Metrics.mean, if s.Metrics.mean > 0.0 then s.Metrics.stddev /. s.Metrics.mean else 0.0)
+      let s = Obs.Stat.summarize loads in
+      (s.Obs.Stat.mean, if s.Obs.Stat.mean > 0.0 then s.Obs.Stat.stddev /. s.Obs.Stat.mean else 0.0)
     end
   in
   {

@@ -101,6 +101,8 @@ let test_analyze_bad_table () =
 let test_closed_choices () =
   usage_error [ "info"; "nope:3" ] ~naming:"SPEC";
   usage_error [ "simulate"; "torus:3x3"; "-e"; "warp" ] ~naming:"'-e'";
+  (* the removed cycle-based engine stays removed *)
+  usage_error [ "simulate"; "torus:3x3"; "-e"; "flit" ] ~naming:"'-e'";
   usage_error [ "route"; "torus:3x3"; "--algorithm"; "nope" ] ~naming:"--algorithm";
   (* the min-frame bound is the server's own, so the smallest accepted
      value passes the converter *)
@@ -113,10 +115,24 @@ let test_route () =
   Alcotest.(check bool) "deadlock-free" true (Testutil.contains stdout "deadlock_free=true");
   Alcotest.(check bool) "eBB line" true (Testutil.contains stdout "effective bisection bandwidth: n=5")
 
+(* A wedged run is a failed run: exit 1, the verdict on stdout. *)
 let test_simulate_deadlock () =
-  let stdout = succeeds [ "simulate"; "ring:5"; "-a"; "sssp"; "-p"; "ring-shift"; "-e"; "flit" ] in
+  let code, stdout, _ = run [ "simulate"; "ring:5"; "-a"; "sssp"; "-p"; "ring-shift"; "-e"; "event" ] in
+  Alcotest.(check int) "exit 1" 1 code;
   Alcotest.(check bool) "sssp not deadlock-free" true (Testutil.contains stdout "deadlock-free: false");
   Alcotest.(check bool) "packet simulator deadlocks" true (Testutil.contains stdout "DEADLOCK")
+
+(* 1 TiB per flow is ~1.3G packets over 5 flows, more than the event
+   budget could ever deliver: refused before a packet is queued, not
+   after allocating them all. *)
+let test_simulate_too_many_packets () =
+  let t0 = Unix.gettimeofday () in
+  let code, _, stderr =
+    run [ "simulate"; "ring:5"; "-a"; "sssp"; "-p"; "ring-shift"; "-e"; "event"; "--bytes"; "1099511627776" ]
+  in
+  Alcotest.(check int) "error exit" 2 code;
+  Alcotest.(check bool) "names the limit" true (Testutil.contains stderr "exceed max_events");
+  Alcotest.(check bool) "under 1 s" true (Unix.gettimeofday () -. t0 < 1.0)
 
 (* The deadlock verdict reads the same on both outcomes in both
    subcommands that print it. *)
@@ -184,6 +200,7 @@ let () =
           Alcotest.test_case "closed choices are checked by cmdliner" `Quick test_closed_choices;
           Alcotest.test_case "route prints its result line" `Quick test_route;
           Alcotest.test_case "simulate shows the ring deadlock" `Quick test_simulate_deadlock;
+          Alcotest.test_case "simulate refuses more packets than events" `Quick test_simulate_too_many_packets;
           Alcotest.test_case "route and simulate print a cyclic verdict" `Quick test_cyclic_verdict;
           Alcotest.test_case "--dot files import strictly" `Quick test_dot_imports;
           Alcotest.test_case "experiment runs by id and lists ids on error" `Quick test_experiment;

@@ -203,6 +203,23 @@ let test_heuristics_small () =
   in
   check Alcotest.int "three heuristics" 3 (List.length t.Harness.Report.rows)
 
+(* Fig. 2 through its entry in the experiment table: SSSP keeps the
+   ring's cyclic CDG in one layer and wedges; DFSSSP splits it over two
+   and drains. *)
+let test_fig2 () =
+  let e = List.find (fun (e : Harness.Experiments.t) -> e.Harness.Experiments.id = "fig2") Harness.Experiments.all in
+  let t =
+    e.Harness.Experiments.run
+      { Harness.Experiments.scale = 4; patterns = 1; max_endpoints = 64; trials = 1; domains = None }
+  in
+  match List.map cells t.Harness.Report.rows with
+  | [ [ _; sssp_layers; sssp ]; [ _; dfsssp_layers; dfsssp ] ] ->
+    check Alcotest.string "SSSP layers" "1" sssp_layers;
+    Alcotest.(check bool) ("SSSP wedges: " ^ sssp) true (Testutil.contains sssp "DEADLOCK");
+    check Alcotest.string "DFSSSP layers" "2" dfsssp_layers;
+    Alcotest.(check bool) ("DFSSSP drains: " ^ dfsssp) true (Testutil.contains dfsssp "delivered 320 packets")
+  | _ -> Alcotest.fail "unexpected shape"
+
 let test_fig12_small () =
   let t = Harness.Fig_deimos.fig12 ~scale:16 ~cores:[ 8; 16 ] ~patterns:4 () in
   check Alcotest.int "two rows" 2 (List.length t.Harness.Report.rows);
@@ -436,8 +453,8 @@ let test_ablation_balancing () =
   check Alcotest.int "two rows" 2 (List.length t.Harness.Report.rows);
   match t.Harness.Report.rows with
   | [ plain; balanced ] ->
-    let cycles row = match List.nth row 2 with Harness.Report.Int v -> v | _ -> Alcotest.fail "cycles" in
-    Alcotest.(check bool) "balancing not slower" true (cycles balanced <= cycles plain)
+    let drain row = match List.nth row 2 with Harness.Report.Int v -> v | _ -> Alcotest.fail "drain time" in
+    Alcotest.(check bool) "balancing not slower" true (drain balanced <= drain plain)
   | _ -> Alcotest.fail "unexpected shape"
 
 let test_growth_sweep () =
@@ -540,6 +557,7 @@ let () =
         ] );
       ( "experiments",
         [
+          Alcotest.test_case "fig2" `Quick test_fig2;
           Alcotest.test_case "fig4" `Slow test_fig4_small;
           Alcotest.test_case "fig5" `Quick test_fig5_small;
           Alcotest.test_case "fig6" `Quick test_fig6_small;

@@ -1,7 +1,7 @@
 (* Cross-module property tests: structural invariants of every topology
    generator, the defining properties of destination-based routing, and
    end-to-end consistency between the analytical machinery (CDG
-   acyclicity) and both packet simulators. *)
+   acyclicity) and the packet simulator. *)
 
 let _check = Alcotest.check
 
@@ -213,9 +213,10 @@ let congestion_conservation =
 (* ------------------------------------------------------------------ *)
 
 (* Acyclic per-lane CDGs are sufficient for deadlock freedom: whenever the
-   verifier says yes, both simulators must drain any workload. *)
+   verifier says yes, the packet simulator must drain any workload, both
+   message-level and in packet time. *)
 let acyclic_implies_drain =
-  qtest ~count:12 "acyclic CDG => both simulators drain" seed_gen (fun seed ->
+  qtest ~count:12 "acyclic CDG => both configs drain" seed_gen (fun seed ->
       let rng = Rng.create seed in
       let g = Testutil.random_graph ~switches:7 ~switch_radix:8 ~terminals:14 ~inter_links:11 rng in
       match Dfsssp.route ~max_layers:16 g with
@@ -232,19 +233,12 @@ let acyclic_implies_drain =
           |> List.filter (fun (a, b, _) -> a <> b)
           |> Array.of_list
         in
-        let flit_ok =
-          let config = { Simulator.Flitsim.default_config with num_vls = 16 } in
-          match Simulator.Flitsim.run ~config ft ~flows:(mk 12) with
-          | Simulator.Flitsim.Delivered _ -> true
-          | _ -> false
-        in
-        let net_ok =
-          let config = { Simulator.Netsim.default_config with num_vls = 16 } in
-          match Simulator.Netsim.run ~config ft ~flows:(mk 16384) with
+        let drains config size =
+          match Simulator.Netsim.run ~config:{ config with num_vls = 16 } ft ~flows:(mk size) with
           | Simulator.Netsim.Completed _ -> true
           | _ -> false
         in
-        flit_ok && net_ok)
+        drains Simulator.Netsim.packet_config 12 && drains Simulator.Netsim.default_config 16384)
 
 (* ------------------------------------------------------------------ *)
 (* Cycle search vs Kahn on random dependency sets                       *)
@@ -887,7 +881,7 @@ let () =
         ] );
       ("routing", [ minhop_suffix; sssp_suffix; updown_suffix; routing_deterministic ]);
       ("congestion", [ congestion_conservation ]);
-      ("simulators", [ acyclic_implies_drain ]);
+      ("netsim", [ acyclic_implies_drain ]);
       ("cdg", [ cycle_vs_kahn; resumable_matches_naive; cdg_matches_reference; cycle_find_matches_oracle ]);
       ("interop", [ sl_dump_matches_layers; ftable_io_random ]);
       ("degradation", [ switch_removal_sound ]);

@@ -1,36 +1,10 @@
-(* Tests for the simulator library: metrics, traffic patterns, the
-   ORCS-style congestion model and the packet-level flit simulator. *)
+(* Tests for the simulator library: traffic patterns, the ORCS-style
+   congestion model and the discrete-event packet simulator, in its
+   message-level and packet-time configurations. *)
 
 let check = Alcotest.check
 
-let qtest ?(count = 40) name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 let feq = Alcotest.float 1e-9
-
-(* ------------------------------------------------------------------ *)
-(* Metrics                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_metrics_summary () =
-  let s = Simulator.Metrics.summarize [| 1.0; 2.0; 3.0; 4.0 |] in
-  check Alcotest.int "n" 4 s.Simulator.Metrics.n;
-  check feq "min" 1.0 s.Simulator.Metrics.min;
-  check feq "max" 4.0 s.Simulator.Metrics.max;
-  check feq "mean" 2.5 s.Simulator.Metrics.mean;
-  check feq "median" 2.0 s.Simulator.Metrics.median;
-  check (Alcotest.float 1e-6) "stddev" (sqrt 1.25) s.Simulator.Metrics.stddev
-
-let test_metrics_percentile () =
-  let xs = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
-  check feq "p0.2" 1.0 (Simulator.Metrics.percentile 0.2 xs);
-  check feq "p1" 5.0 (Simulator.Metrics.percentile 1.0 xs);
-  check feq "p0" 1.0 (Simulator.Metrics.percentile 0.0 xs)
-
-let test_metrics_errors () =
-  Alcotest.check_raises "empty" (Invalid_argument "Obs.Stat.summarize: empty sample") (fun () ->
-      ignore (Simulator.Metrics.summarize [||]));
-  Alcotest.check_raises "bad p" (Invalid_argument "Obs.Stat.percentile: p out of range") (fun () ->
-      ignore (Simulator.Metrics.percentile 1.5 [| 1.0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Patterns                                                             *)
@@ -228,7 +202,7 @@ let test_ebb_star_is_full () =
   let ft = Result.get_ok (Routing.Minhop.route g) in
   let rng = Rng.create 7 in
   let ebb = Simulator.Congestion.effective_bisection_bandwidth ~patterns:20 ~rng ft in
-  check feq "single switch eBB" 1.0 ebb.Simulator.Congestion.samples.Simulator.Metrics.mean;
+  check feq "single switch eBB" 1.0 ebb.Simulator.Congestion.samples.Obs.Stat.mean;
   check feq "worst pair" 1.0 ebb.Simulator.Congestion.worst_pair
 
 let test_ebb_deterministic_given_seed () =
@@ -237,7 +211,7 @@ let test_ebb_deterministic_given_seed () =
   let run () =
     let rng = Rng.create 11 in
     (Simulator.Congestion.effective_bisection_bandwidth ~patterns:10 ~rng ft).Simulator.Congestion.samples
-      .Simulator.Metrics.mean
+      .Obs.Stat.mean
   in
   check feq "reproducible" (run ()) (run ())
 
@@ -267,7 +241,7 @@ let test_ebb_domains_invariant () =
     let rng = Rng.create 11 in
     (Simulator.Congestion.effective_bisection_bandwidth ~patterns:12 ~domains ~rng ft)
       .Simulator.Congestion.samples
-      .Simulator.Metrics.mean
+      .Obs.Stat.mean
   in
   check (Alcotest.float 1e-12) "4 domains = sequential" (run 1) (run 4)
 
@@ -281,119 +255,6 @@ let test_completion_time_scales () =
   check feq "value" 0.002 t1;
   Alcotest.check_raises "bad bandwidth" (Invalid_argument "Congestion.completion_time") (fun () ->
       ignore (Simulator.Congestion.completion_time ft ~flows ~bytes:1.0 ~bandwidth:0.0))
-
-(* ------------------------------------------------------------------ *)
-(* Flitsim                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let ring_flows g packets =
-  let ts = Graph.terminals g in
-  let n = Array.length ts in
-  Array.init n (fun i -> (ts.(i), ts.((i + 2) mod n), packets))
-
-let test_flitsim_sssp_ring_deadlocks () =
-  let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let ft = Result.get_ok (Routing.Sssp.route g) in
-  let config = { Simulator.Flitsim.default_config with num_vls = 1 } in
-  match Simulator.Flitsim.run ~config ft ~flows:(ring_flows g 50) with
-  | Simulator.Flitsim.Deadlocked { in_flight; _ } ->
-    Alcotest.(check bool) "packets wedged" true (in_flight > 0)
-  | other -> Alcotest.failf "expected deadlock, got %s" (Format.asprintf "%a" Simulator.Flitsim.pp_outcome other)
-
-let test_flitsim_dfsssp_ring_delivers () =
-  let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  match Simulator.Flitsim.run ft ~flows:(ring_flows g 50) with
-  | Simulator.Flitsim.Delivered { delivered; _ } -> check Alcotest.int "all packets" 250 delivered
-  | other -> Alcotest.failf "expected delivery, got %s" (Format.asprintf "%a" Simulator.Flitsim.pp_outcome other)
-
-let test_flitsim_dfsssp_torus_delivers () =
-  let g = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:1) in
-  let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  let ts = Graph.terminals g in
-  let n = Array.length ts in
-  let flows = Array.init n (fun i -> (ts.(i), ts.((i + 4) mod n), 20)) in
-  match Simulator.Flitsim.run ft ~flows with
-  | Simulator.Flitsim.Delivered { delivered; _ } -> check Alcotest.int "all packets" (20 * n) delivered
-  | other -> Alcotest.failf "expected delivery, got %s" (Format.asprintf "%a" Simulator.Flitsim.pp_outcome other)
-
-let test_flitsim_acyclic_routing_single_vl () =
-  (* up*/down* is deadlock-free in ONE virtual lane *)
-  let g = Topo_ring.make ~switches:6 ~terminals_per_switch:1 in
-  let ft = Result.get_ok (Routing.Updown.route g) in
-  let config = { Simulator.Flitsim.default_config with num_vls = 1 } in
-  match Simulator.Flitsim.run ~config ft ~flows:(ring_flows g 30) with
-  | Simulator.Flitsim.Delivered _ -> ()
-  | other -> Alcotest.failf "expected delivery, got %s" (Format.asprintf "%a" Simulator.Flitsim.pp_outcome other)
-
-let test_flitsim_out_of_cycles () =
-  let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  let config = { Simulator.Flitsim.default_config with max_cycles = 3 } in
-  match Simulator.Flitsim.run ~config ft ~flows:(ring_flows g 50) with
-  | Simulator.Flitsim.Out_of_cycles _ -> ()
-  | other -> Alcotest.failf "expected timeout, got %s" (Format.asprintf "%a" Simulator.Flitsim.pp_outcome other)
-
-let test_flitsim_latency () =
-  (* uncontended single flow: latency = path length, every packet *)
-  let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  let ts = Graph.terminals g in
-  let hops =
-    match Routing.Ftable.path ft ~src:ts.(0) ~dst:ts.(1) with
-    | Some p -> Array.length p
-    | None -> Alcotest.fail "no path"
-  in
-  match Simulator.Flitsim.run ft ~flows:[| (ts.(0), ts.(1), 1) |] with
-  | Simulator.Flitsim.Delivered { latency; _ } ->
-    check Alcotest.int "min latency = hops" hops latency.Simulator.Flitsim.min_cycles;
-    check Alcotest.int "max latency = hops" hops latency.Simulator.Flitsim.max_cycles;
-    check (Alcotest.float 1e-9) "mean" (float_of_int hops) latency.Simulator.Flitsim.mean_cycles;
-    check Alcotest.int "counted" 1 latency.Simulator.Flitsim.delivered
-  | other -> Alcotest.failf "expected delivery, got %s" (Format.asprintf "%a" Simulator.Flitsim.pp_outcome other)
-
-let test_flitsim_zero_packets () =
-  let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  let ts = Graph.terminals g in
-  match Simulator.Flitsim.run ft ~flows:[| (ts.(0), ts.(1), 0) |] with
-  | Simulator.Flitsim.Delivered { delivered; cycles; _ } ->
-    check Alcotest.int "nothing to deliver" 0 delivered;
-    check Alcotest.int "immediate" 0 cycles
-  | other -> Alcotest.failf "expected delivery, got %s" (Format.asprintf "%a" Simulator.Flitsim.pp_outcome other)
-
-let test_flitsim_invalid_args () =
-  let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  let ts = Graph.terminals g in
-  Alcotest.(check bool) "self flow rejected" true
-    (try
-       ignore (Simulator.Flitsim.run ft ~flows:[| (ts.(0), ts.(0), 1) |]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "vl budget rejected" true
-    (try
-       let config = { Simulator.Flitsim.default_config with num_vls = 1 } in
-       (* DFSSSP on the ring uses layer 1 somewhere *)
-       ignore (Simulator.Flitsim.run ~config ft ~flows:(ring_flows g 1));
-       false
-     with Invalid_argument _ -> true)
-
-let flitsim_qcheck =
-  qtest ~count:10 "flitsim: dfsssp delivers on random fabrics" QCheck2.Gen.(int_range 0 1000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let g = Topo_random.make ~switches:6 ~switch_radix:8 ~terminals:12 ~inter_links:9 ~rng in
-      match Dfsssp.route g with
-      | Error _ -> false
-      | Ok ft ->
-        let ts = Graph.terminals g in
-        let n = Array.length ts in
-        let flows = Array.init n (fun i -> (ts.(i), ts.((i + (n / 2)) mod n), 10)) in
-        let flows = Array.of_list (List.filter (fun (a, b, _) -> a <> b) (Array.to_list flows)) in
-        (match Simulator.Flitsim.run ft ~flows with
-        | Simulator.Flitsim.Delivered _ -> true
-        | _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Collective                                                           *)
@@ -515,7 +376,7 @@ let test_netsim_single_flow_timing () =
     { Simulator.Netsim.default_config with bandwidth = 1e6; latency = 1e-5; mtu = 1000 }
   in
   (* 2500 bytes = 3 packets (1000/1000/500), path t->s->s'->t' has hops *)
-  match Simulator.Netsim.run ~config ft ~flows:[| (ts.(0), ts.(1), 2500) |] with
+  (match Simulator.Netsim.run ~config ft ~flows:[| (ts.(0), ts.(1), 2500) |] with
   | Simulator.Netsim.Completed { packets; flows = st; makespan; _ } ->
     check Alcotest.int "three packets" 3 packets;
     check Alcotest.int "bytes recorded" 2500 st.(0).Simulator.Netsim.bytes;
@@ -530,33 +391,70 @@ let test_netsim_single_flow_timing () =
     let worst = float_of_int (3 * hops) *. ((1000.0 /. 1e6) +. 1e-5) in
     Alcotest.(check bool) "makespan below store-and-forward bound" true (makespan <= worst);
     Alcotest.(check bool) "achieved bandwidth positive" true (Simulator.Netsim.bandwidth_of st.(0) > 0.0)
+  | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o));
+  (* in packet time an uncontended packet's latency is its hop count *)
+  let hops =
+    match Routing.Ftable.path ft ~src:ts.(0) ~dst:ts.(1) with
+    | Some p -> Array.length p
+    | None -> Alcotest.fail "no path"
+  in
+  match Simulator.Netsim.run ~config:Simulator.Netsim.packet_config ft ~flows:[| (ts.(0), ts.(1), 1) |] with
+  | Simulator.Netsim.Completed { packets; makespan; mean_packet_latency; _ } ->
+    check Alcotest.int "one packet" 1 packets;
+    check feq "latency = hops" (float_of_int hops) mean_packet_latency;
+    check feq "makespan = hops" (float_of_int hops) makespan
   | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+
+let expect_deadlock ?config ft ~flows =
+  match Simulator.Netsim.run ?config ft ~flows with
+  | Simulator.Netsim.Deadlocked { stuck; _ } -> Alcotest.(check bool) "packets stuck" true (stuck > 0)
+  | o -> Alcotest.failf "expected deadlock, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+
+let expect_completion ?config ft ~flows ~packets:expected =
+  match Simulator.Netsim.run ?config ft ~flows with
+  | Simulator.Netsim.Completed { packets; _ } -> check Alcotest.int "all packets" expected packets
+  | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+
+(* every terminal sends [size] bytes two terminals on *)
+let ring_flows g size =
+  let ts = Graph.terminals g in
+  let n = Array.length ts in
+  Array.init n (fun i -> (ts.(i), ts.((i + 2) mod n), size))
 
 let test_netsim_deadlock_and_rescue () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let ts = Graph.terminals g in
-  let flows = Array.init 5 (fun i -> (ts.(i), ts.((i + 2) mod 5), 1 lsl 16)) in
   let config = { Simulator.Netsim.default_config with num_vls = 1 } in
   let config = { config with credits = 2 } in
   let sssp = Result.get_ok (Routing.Sssp.route g) in
-  (match Simulator.Netsim.run ~config sssp ~flows with
-  | Simulator.Netsim.Deadlocked { stuck; _ } -> Alcotest.(check bool) "packets stuck" true (stuck > 0)
-  | o -> Alcotest.failf "expected deadlock, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o));
+  expect_deadlock ~config sssp ~flows:(ring_flows g (1 lsl 16));
   let df = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  match Simulator.Netsim.run df ~flows with
-  | Simulator.Netsim.Completed { packets; _ } ->
-    check Alcotest.int "all packets" (5 * ((1 lsl 16) / 4096)) packets
-  | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+  expect_completion df ~flows:(ring_flows g (1 lsl 16)) ~packets:(5 * ((1 lsl 16) / 4096));
+  (* the same in packet time, where a flow's bytes are its packets *)
+  let packet = Simulator.Netsim.packet_config in
+  expect_deadlock ~config:{ packet with num_vls = 1 } sssp ~flows:(ring_flows g 50);
+  expect_completion ~config:packet df ~flows:(ring_flows g 50) ~packets:250;
+  let torus = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:1) in
+  let ts = Graph.terminals torus in
+  let n = Array.length ts in
+  let df = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route torus)) in
+  expect_completion ~config:packet df ~flows:(Array.init n (fun i -> (ts.(i), ts.((i + 4) mod n), 20))) ~packets:(20 * n);
+  (* up*/down* is deadlock-free in ONE virtual lane *)
+  let ring6 = Topo_ring.make ~switches:6 ~terminals_per_switch:1 in
+  let updown = Result.get_ok (Routing.Updown.route ring6) in
+  expect_completion ~config:{ packet with num_vls = 1 } updown ~flows:(ring_flows ring6 30) ~packets:180
 
 let test_netsim_zero_bytes () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
   let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
   let ts = Graph.terminals g in
-  match Simulator.Netsim.run ft ~flows:[| (ts.(0), ts.(1), 0) |] with
-  | Simulator.Netsim.Completed { packets; makespan; _ } ->
-    check Alcotest.int "no packets" 0 packets;
-    check (Alcotest.float 0.0) "instant" 0.0 makespan
-  | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+  List.iter
+    (fun config ->
+      match Simulator.Netsim.run ~config ft ~flows:[| (ts.(0), ts.(1), 0) |] with
+      | Simulator.Netsim.Completed { packets; makespan; _ } ->
+        check Alcotest.int "no packets" 0 packets;
+        check (Alcotest.float 0.0) "instant" 0.0 makespan
+      | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o))
+    [ Simulator.Netsim.default_config; Simulator.Netsim.packet_config ]
 
 let test_netsim_fair_sharing () =
   (* two flows into one destination: each gets about half the wire *)
@@ -579,6 +477,33 @@ let test_netsim_fair_sharing () =
     Alcotest.(check bool) "fair split" true (Float.abs (bw0 -. bw1) /. (bw0 +. bw1) < 0.2)
   | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
 
+let test_netsim_limits_and_rejections () =
+  let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
+  let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
+  let ts = Graph.terminals g in
+  let packet = Simulator.Netsim.packet_config in
+  (match Simulator.Netsim.run ~config:{ packet with max_events = 3 } ft ~flows:[| (ts.(0), ts.(2), 3) |] with
+  | Simulator.Netsim.Out_of_events _ -> ()
+  | o -> Alcotest.failf "expected out of events, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o));
+  let rejected what ?(config = packet) flows =
+    Alcotest.(check bool) what true
+      (try
+         ignore (Simulator.Netsim.run ~config ft ~flows);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejected "self flow" [| (ts.(0), ts.(0), 1) |];
+  (* DFSSSP on the ring uses layer 1 somewhere *)
+  rejected "lane budget" ~config:{ packet with num_vls = 1 } (ring_flows g 1);
+  (* more packets than events can never complete: refused before any is
+     queued; as many packets as events is still run *)
+  Alcotest.check_raises "more packets than max_events"
+    (Invalid_argument "Netsim.run: 60 or more packets exceed max_events 50") (fun () ->
+      ignore (Simulator.Netsim.run ~config:{ packet with max_events = 50 } ft ~flows:(ring_flows g 30)));
+  match Simulator.Netsim.run ~config:{ packet with max_events = 150 } ft ~flows:(ring_flows g 30) with
+  | Simulator.Netsim.Out_of_events _ -> ()
+  | o -> Alcotest.failf "expected out of events, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+
 let netsim_dfsssp_qcheck =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:10 ~name:"netsim: dfsssp completes on random fabrics"
@@ -592,24 +517,21 @@ let netsim_dfsssp_qcheck =
            let ts = Graph.terminals g in
            let n = Array.length ts in
            let flows =
-             Array.init n (fun i -> (ts.(i), ts.((i + (n / 2)) mod n), 32768))
+             Array.init n (fun i -> (ts.(i), ts.((i + (n / 2)) mod n)))
              |> Array.to_list
-             |> List.filter (fun (a, b, _) -> a <> b)
+             |> List.filter (fun (a, b) -> a <> b)
              |> Array.of_list
            in
-           (match Simulator.Netsim.run ft ~flows with
-           | Simulator.Netsim.Completed { packets; _ } -> packets = Array.length flows * 8
-           | _ -> false)))
+           let completes config size packets =
+             match Simulator.Netsim.run ~config ft ~flows:(Array.map (fun (a, b) -> (a, b, size)) flows) with
+             | Simulator.Netsim.Completed { packets = p; _ } -> p = Array.length flows * packets
+             | _ -> false
+           in
+           completes Simulator.Netsim.default_config 32768 8 && completes Simulator.Netsim.packet_config 10 10))
 
 let () =
   Alcotest.run "simulator"
     [
-      ( "metrics",
-        [
-          Alcotest.test_case "summary" `Quick test_metrics_summary;
-          Alcotest.test_case "percentile" `Quick test_metrics_percentile;
-          Alcotest.test_case "errors" `Quick test_metrics_errors;
-        ] );
       ( "patterns",
         [
           Alcotest.test_case "bisection" `Quick test_bisection;
@@ -655,18 +577,7 @@ let () =
           Alcotest.test_case "deadlock and rescue" `Quick test_netsim_deadlock_and_rescue;
           Alcotest.test_case "zero bytes" `Quick test_netsim_zero_bytes;
           Alcotest.test_case "fair sharing" `Quick test_netsim_fair_sharing;
+          Alcotest.test_case "limits and rejections" `Quick test_netsim_limits_and_rejections;
           netsim_dfsssp_qcheck;
-        ] );
-      ( "flitsim",
-        [
-          Alcotest.test_case "sssp ring deadlocks" `Quick test_flitsim_sssp_ring_deadlocks;
-          Alcotest.test_case "dfsssp ring delivers" `Quick test_flitsim_dfsssp_ring_delivers;
-          Alcotest.test_case "dfsssp torus delivers" `Quick test_flitsim_dfsssp_torus_delivers;
-          Alcotest.test_case "updown single VL" `Quick test_flitsim_acyclic_routing_single_vl;
-          Alcotest.test_case "out of cycles" `Quick test_flitsim_out_of_cycles;
-          Alcotest.test_case "latency accounting" `Quick test_flitsim_latency;
-          Alcotest.test_case "zero packets" `Quick test_flitsim_zero_packets;
-          Alcotest.test_case "invalid args" `Quick test_flitsim_invalid_args;
-          flitsim_qcheck;
         ] );
     ]
