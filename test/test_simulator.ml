@@ -7,6 +7,31 @@ let check = Alcotest.check
 let feq = Alcotest.float 1e-9
 
 (* ------------------------------------------------------------------ *)
+(* Metrics: Obs.Stat, the summary type the simulators report            *)
+(* ------------------------------------------------------------------ *)
+
+let test_metrics_summary () =
+  let s = Obs.Stat.summarize [| 1.0; 2.0; 3.0; 4.0 |] in
+  check Alcotest.int "n" 4 s.Obs.Stat.n;
+  check feq "min" 1.0 s.Obs.Stat.min;
+  check feq "max" 4.0 s.Obs.Stat.max;
+  check feq "mean" 2.5 s.Obs.Stat.mean;
+  check feq "median" 2.0 s.Obs.Stat.median;
+  check (Alcotest.float 1e-6) "stddev" (sqrt 1.25) s.Obs.Stat.stddev
+
+let test_metrics_percentile () =
+  let xs = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
+  check feq "p0.2" 1.0 (Obs.Stat.percentile 0.2 xs);
+  check feq "p1" 5.0 (Obs.Stat.percentile 1.0 xs);
+  check feq "p0" 1.0 (Obs.Stat.percentile 0.0 xs)
+
+let test_metrics_errors () =
+  Alcotest.check_raises "empty" (Invalid_argument "Obs.Stat.summarize: empty sample") (fun () ->
+      ignore (Obs.Stat.summarize [||]));
+  Alcotest.check_raises "bad p" (Invalid_argument "Obs.Stat.percentile: p out of range") (fun () ->
+      ignore (Obs.Stat.percentile 1.5 [| 1.0 |]))
+
+(* ------------------------------------------------------------------ *)
 (* Patterns                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -376,7 +401,7 @@ let test_netsim_single_flow_timing () =
     { Simulator.Netsim.default_config with bandwidth = 1e6; latency = 1e-5; mtu = 1000 }
   in
   (* 2500 bytes = 3 packets (1000/1000/500), path t->s->s'->t' has hops *)
-  (match Simulator.Netsim.run ~config ft ~flows:[| (ts.(0), ts.(1), 2500) |] with
+  match Simulator.Netsim.run ~config ft ~flows:[| (ts.(0), ts.(1), 2500) |] with
   | Simulator.Netsim.Completed { packets; flows = st; makespan; _ } ->
     check Alcotest.int "three packets" 3 packets;
     check Alcotest.int "bytes recorded" 2500 st.(0).Simulator.Netsim.bytes;
@@ -391,18 +416,6 @@ let test_netsim_single_flow_timing () =
     let worst = float_of_int (3 * hops) *. ((1000.0 /. 1e6) +. 1e-5) in
     Alcotest.(check bool) "makespan below store-and-forward bound" true (makespan <= worst);
     Alcotest.(check bool) "achieved bandwidth positive" true (Simulator.Netsim.bandwidth_of st.(0) > 0.0)
-  | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o));
-  (* in packet time an uncontended packet's latency is its hop count *)
-  let hops =
-    match Routing.Ftable.path ft ~src:ts.(0) ~dst:ts.(1) with
-    | Some p -> Array.length p
-    | None -> Alcotest.fail "no path"
-  in
-  match Simulator.Netsim.run ~config:Simulator.Netsim.packet_config ft ~flows:[| (ts.(0), ts.(1), 1) |] with
-  | Simulator.Netsim.Completed { packets; makespan; mean_packet_latency; _ } ->
-    check Alcotest.int "one packet" 1 packets;
-    check feq "latency = hops" (float_of_int hops) mean_packet_latency;
-    check feq "makespan = hops" (float_of_int hops) makespan
   | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
 
 let expect_deadlock ?config ft ~flows =
@@ -428,33 +441,17 @@ let test_netsim_deadlock_and_rescue () =
   let sssp = Result.get_ok (Routing.Sssp.route g) in
   expect_deadlock ~config sssp ~flows:(ring_flows g (1 lsl 16));
   let df = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  expect_completion df ~flows:(ring_flows g (1 lsl 16)) ~packets:(5 * ((1 lsl 16) / 4096));
-  (* the same in packet time, where a flow's bytes are its packets *)
-  let packet = Simulator.Netsim.packet_config in
-  expect_deadlock ~config:{ packet with num_vls = 1 } sssp ~flows:(ring_flows g 50);
-  expect_completion ~config:packet df ~flows:(ring_flows g 50) ~packets:250;
-  let torus = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:1) in
-  let ts = Graph.terminals torus in
-  let n = Array.length ts in
-  let df = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route torus)) in
-  expect_completion ~config:packet df ~flows:(Array.init n (fun i -> (ts.(i), ts.((i + 4) mod n), 20))) ~packets:(20 * n);
-  (* up*/down* is deadlock-free in ONE virtual lane *)
-  let ring6 = Topo_ring.make ~switches:6 ~terminals_per_switch:1 in
-  let updown = Result.get_ok (Routing.Updown.route ring6) in
-  expect_completion ~config:{ packet with num_vls = 1 } updown ~flows:(ring_flows ring6 30) ~packets:180
+  expect_completion df ~flows:(ring_flows g (1 lsl 16)) ~packets:(5 * ((1 lsl 16) / 4096))
 
 let test_netsim_zero_bytes () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
   let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
   let ts = Graph.terminals g in
-  List.iter
-    (fun config ->
-      match Simulator.Netsim.run ~config ft ~flows:[| (ts.(0), ts.(1), 0) |] with
-      | Simulator.Netsim.Completed { packets; makespan; _ } ->
-        check Alcotest.int "no packets" 0 packets;
-        check (Alcotest.float 0.0) "instant" 0.0 makespan
-      | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o))
-    [ Simulator.Netsim.default_config; Simulator.Netsim.packet_config ]
+  match Simulator.Netsim.run ft ~flows:[| (ts.(0), ts.(1), 0) |] with
+  | Simulator.Netsim.Completed { packets; makespan; _ } ->
+    check Alcotest.int "no packets" 0 packets;
+    check (Alcotest.float 0.0) "instant" 0.0 makespan
+  | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
 
 let test_netsim_fair_sharing () =
   (* two flows into one destination: each gets about half the wire *)
@@ -480,21 +477,7 @@ let test_netsim_fair_sharing () =
 let test_netsim_limits_and_rejections () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
   let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  let ts = Graph.terminals g in
   let packet = Simulator.Netsim.packet_config in
-  (match Simulator.Netsim.run ~config:{ packet with max_events = 3 } ft ~flows:[| (ts.(0), ts.(2), 3) |] with
-  | Simulator.Netsim.Out_of_events _ -> ()
-  | o -> Alcotest.failf "expected out of events, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o));
-  let rejected what ?(config = packet) flows =
-    Alcotest.(check bool) what true
-      (try
-         ignore (Simulator.Netsim.run ~config ft ~flows);
-         false
-       with Invalid_argument _ -> true)
-  in
-  rejected "self flow" [| (ts.(0), ts.(0), 1) |];
-  (* DFSSSP on the ring uses layer 1 somewhere *)
-  rejected "lane budget" ~config:{ packet with num_vls = 1 } (ring_flows g 1);
   (* more packets than events can never complete: refused before any is
      queued; as many packets as events is still run *)
   Alcotest.check_raises "more packets than max_events"
@@ -517,21 +500,129 @@ let netsim_dfsssp_qcheck =
            let ts = Graph.terminals g in
            let n = Array.length ts in
            let flows =
-             Array.init n (fun i -> (ts.(i), ts.((i + (n / 2)) mod n)))
+             Array.init n (fun i -> (ts.(i), ts.((i + (n / 2)) mod n), 32768))
              |> Array.to_list
-             |> List.filter (fun (a, b) -> a <> b)
+             |> List.filter (fun (a, b, _) -> a <> b)
              |> Array.of_list
            in
-           let completes config size packets =
-             match Simulator.Netsim.run ~config ft ~flows:(Array.map (fun (a, b) -> (a, b, size)) flows) with
-             | Simulator.Netsim.Completed { packets = p; _ } -> p = Array.length flows * packets
-             | _ -> false
+           (match Simulator.Netsim.run ft ~flows with
+           | Simulator.Netsim.Completed { packets; _ } -> packets = Array.length flows * 8
+           | _ -> false)))
+
+(* ------------------------------------------------------------------ *)
+(* Packet time                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Netsim.packet_config: a flow's bytes are its packets and the clock
+   counts packet times. The group keeps the name "flitsim" of the
+   flit-level simulator this configuration replaced. *)
+
+let packet = Simulator.Netsim.packet_config
+
+let ring5 () = Topo_ring.make ~switches:5 ~terminals_per_switch:1
+
+let dfsssp g = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g))
+
+let test_packet_sssp_ring_deadlocks () =
+  let g = ring5 () in
+  expect_deadlock ~config:{ packet with num_vls = 1 } (Result.get_ok (Routing.Sssp.route g)) ~flows:(ring_flows g 50)
+
+let test_packet_dfsssp_ring_delivers () =
+  let g = ring5 () in
+  expect_completion ~config:packet (dfsssp g) ~flows:(ring_flows g 50) ~packets:250
+
+let test_packet_dfsssp_torus_delivers () =
+  let g = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:1) in
+  let ts = Graph.terminals g in
+  let n = Array.length ts in
+  let flows = Array.init n (fun i -> (ts.(i), ts.((i + 4) mod n), 20)) in
+  expect_completion ~config:packet (dfsssp g) ~flows ~packets:(20 * n)
+
+let test_packet_updown_single_vl () =
+  (* up*/down* is deadlock-free in ONE virtual lane *)
+  let g = Topo_ring.make ~switches:6 ~terminals_per_switch:1 in
+  let ft = Result.get_ok (Routing.Updown.route g) in
+  expect_completion ~config:{ packet with num_vls = 1 } ft ~flows:(ring_flows g 30) ~packets:180
+
+let test_packet_out_of_events () =
+  let g = ring5 () in
+  let ts = Graph.terminals g in
+  match Simulator.Netsim.run ~config:{ packet with max_events = 3 } (dfsssp g) ~flows:[| (ts.(0), ts.(2), 3) |] with
+  | Simulator.Netsim.Out_of_events _ -> ()
+  | o -> Alcotest.failf "expected out of events, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+
+let test_packet_latency () =
+  (* uncontended single packet: latency = path length *)
+  let g = ring5 () in
+  let ft = dfsssp g in
+  let ts = Graph.terminals g in
+  let hops =
+    match Routing.Ftable.path ft ~src:ts.(0) ~dst:ts.(1) with
+    | Some p -> Array.length p
+    | None -> Alcotest.fail "no path"
+  in
+  match Simulator.Netsim.run ~config:packet ft ~flows:[| (ts.(0), ts.(1), 1) |] with
+  | Simulator.Netsim.Completed { packets; makespan; mean_packet_latency; _ } ->
+    check Alcotest.int "one packet" 1 packets;
+    check feq "latency = hops" (float_of_int hops) mean_packet_latency;
+    check feq "makespan = hops" (float_of_int hops) makespan
+  | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+
+let test_packet_zero_packets () =
+  let g = ring5 () in
+  let ts = Graph.terminals g in
+  match Simulator.Netsim.run ~config:packet (dfsssp g) ~flows:[| (ts.(0), ts.(1), 0) |] with
+  | Simulator.Netsim.Completed { packets; makespan; _ } ->
+    check Alcotest.int "nothing to deliver" 0 packets;
+    check (Alcotest.float 0.0) "immediate" 0.0 makespan
+  | o -> Alcotest.failf "expected completion, got %s" (Format.asprintf "%a" Simulator.Netsim.pp_outcome o)
+
+let test_packet_invalid_args () =
+  let g = ring5 () in
+  let ft = dfsssp g in
+  let ts = Graph.terminals g in
+  let rejected what ?(config = packet) flows =
+    Alcotest.(check bool) what true
+      (try
+         ignore (Simulator.Netsim.run ~config ft ~flows);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejected "self flow rejected" [| (ts.(0), ts.(0), 1) |];
+  (* DFSSSP on the ring uses layer 1 somewhere *)
+  rejected "vl budget rejected" ~config:{ packet with num_vls = 1 } (ring_flows g 1)
+
+let packet_dfsssp_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:10 ~name:"flitsim: dfsssp delivers on random fabrics"
+       QCheck2.Gen.(int_range 0 1000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let g = Topo_random.make ~switches:6 ~switch_radix:8 ~terminals:12 ~inter_links:9 ~rng in
+         match Dfsssp.route g with
+         | Error _ -> false
+         | Ok ft ->
+           let ts = Graph.terminals g in
+           let n = Array.length ts in
+           let flows =
+             Array.init n (fun i -> (ts.(i), ts.((i + (n / 2)) mod n), 10))
+             |> Array.to_list
+             |> List.filter (fun (a, b, _) -> a <> b)
+             |> Array.of_list
            in
-           completes Simulator.Netsim.default_config 32768 8 && completes Simulator.Netsim.packet_config 10 10))
+           (match Simulator.Netsim.run ~config:packet ft ~flows with
+           | Simulator.Netsim.Completed { packets; _ } -> packets = Array.length flows * 10
+           | _ -> false)))
 
 let () =
   Alcotest.run "simulator"
     [
+      ( "metrics",
+        [
+          Alcotest.test_case "summary" `Quick test_metrics_summary;
+          Alcotest.test_case "percentile" `Quick test_metrics_percentile;
+          Alcotest.test_case "errors" `Quick test_metrics_errors;
+        ] );
       ( "patterns",
         [
           Alcotest.test_case "bisection" `Quick test_bisection;
@@ -579,5 +670,17 @@ let () =
           Alcotest.test_case "fair sharing" `Quick test_netsim_fair_sharing;
           Alcotest.test_case "limits and rejections" `Quick test_netsim_limits_and_rejections;
           netsim_dfsssp_qcheck;
+        ] );
+      ( "flitsim",
+        [
+          Alcotest.test_case "sssp ring deadlocks" `Quick test_packet_sssp_ring_deadlocks;
+          Alcotest.test_case "dfsssp ring delivers" `Quick test_packet_dfsssp_ring_delivers;
+          Alcotest.test_case "dfsssp torus delivers" `Quick test_packet_dfsssp_torus_delivers;
+          Alcotest.test_case "updown single VL" `Quick test_packet_updown_single_vl;
+          Alcotest.test_case "out of cycles" `Quick test_packet_out_of_events;
+          Alcotest.test_case "latency accounting" `Quick test_packet_latency;
+          Alcotest.test_case "zero packets" `Quick test_packet_zero_packets;
+          Alcotest.test_case "invalid args" `Quick test_packet_invalid_args;
+          packet_dfsssp_qcheck;
         ] );
     ]
