@@ -5,21 +5,9 @@
    4096-endpoint XGFT (the paper-scale fabric of bench/cdg_bench.ml)
    plus a 1024-endpoint torus, with witness generation + trusted
    re-check timed on a 64-switch unidirectional ring where the bound is
-   nontrivial. Results land in bench_results/analysis.json; exits
-   non-zero if the analyzer exceeds 10% of the dfsssp route-build time
+   nontrivial. Results land in bench_results/analysis.json; the [ratio]
+   gate fails if the analyzer exceeds 10% of the dfsssp route-build time
    on the 4096-endpoint fabric. *)
-
-let time_best f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (1000.0 *. !best, Option.get !result)
 
 (* A unidirectional ring (only clockwise switch->switch channels), the
    fabric family where the lower bound is tight at ceil n/2 and the
@@ -64,7 +52,7 @@ let measure name g =
     | Error msg -> failwith (Printf.sprintf "%s: dfsssp refused: %s" name msg)
   in
   let build_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-  let analyze_ms, ex = time_best (fun () -> Analysis.Existence.analyze g) in
+  let analyze_ms, ex = Kit.time_best (fun () -> Analysis.Existence.analyze g) in
   {
     name;
     endpoints = Graph.num_terminals g;
@@ -77,11 +65,18 @@ let measure name g =
   }
 
 let json_row r =
-  Printf.sprintf
-    {|    {"name": "%s", "endpoints": %d, "channels": %d,
-     "route_build_ms": %.3f, "analyze_ms": %.3f, "analyze_over_build": %.4f,
-     "min_layers_lb": %d, "layers_achieved": %d}|}
-    r.name r.endpoints r.channels r.build_ms r.analyze_ms r.ratio r.lb r.layers
+  let open Obs.Json in
+  Obj
+    [
+      ("name", Str r.name);
+      ("endpoints", Kit.json_int r.endpoints);
+      ("channels", Kit.json_int r.channels);
+      ("route_build_ms", Num r.build_ms);
+      ("analyze_ms", Num r.analyze_ms);
+      ("analyze_over_build", Num r.ratio);
+      ("min_layers_lb", Kit.json_int r.lb);
+      ("layers_achieved", Kit.json_int r.layers);
+    ]
 
 let () =
   let rows =
@@ -100,16 +95,16 @@ let () =
   (* witness path: generate a budget-infeasibility counterexample on a
      64-switch one-way ring and run the trusted re-check on it *)
   let ring = one_way_ring ~switches:64 in
-  let analyze_ring_ms, ex = time_best (fun () -> Analysis.Existence.analyze ring) in
+  let analyze_ring_ms, ex = Kit.time_best (fun () -> Analysis.Existence.analyze ring) in
   let core = List.hd ex.Analysis.Existence.cores in
   let witness_ms, w =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         match Analysis.Witness.of_core ring core with
         | Ok w -> w
         | Error msg -> failwith ("of_core: " ^ msg))
   in
   let recheck_ms, () =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         match Analysis.Witness.check_graph w ring with
         | Ok () -> ()
         | Error msg -> failwith ("check_graph: " ^ msg))
@@ -118,19 +113,26 @@ let () =
     "one-way-ring-64: analyze %.3f ms (lb %d) | witness build %.3f ms | trusted re-check %.3f ms\n"
     analyze_ring_ms ex.Analysis.Existence.min_layers_lb witness_ms recheck_ms;
   let big = List.hd rows in
-  let ratio_ok = big.ratio <= 0.10 in
-  (try
-     if not (Sys.file_exists "bench_results") then Unix.mkdir "bench_results" 0o755;
-     let oc = open_out "bench_results/analysis.json" in
-     Printf.fprintf oc
-       "{\n  \"benchmark\": \"analysis\",\n  \"topologies\": [\n%s\n  ],\n  \
-        \"witness\": {\"fabric\": \"one-way-ring-64\", \"analyze_ms\": %.3f, \"min_layers_lb\": \
-        %d, \"build_ms\": %.3f, \"recheck_ms\": %.3f},\n  \"targets\": \
-        {\"analyze_over_build_max\": 0.10, \"ratio_ok\": %b}\n}\n"
-       (String.concat ",\n" (List.map json_row rows))
-       analyze_ring_ms ex.Analysis.Existence.min_layers_lb witness_ms recheck_ms ratio_ok;
-     close_out oc
-   with Unix.Unix_error _ | Sys_error _ -> prerr_endline "warning: could not write bench_results");
-  Printf.printf "analyzer cost target (<= 10%% of route build on %s): %s\n" big.name
-    (if ratio_ok then "PASS" else "FAIL");
-  if not ratio_ok then exit 1
+  let gates =
+    [
+      Kit.gate "ratio"
+        ~target:(Printf.sprintf "existence analysis <= 10%% of the dfsssp route build on %s" big.name)
+        (big.ratio <= 0.10);
+    ]
+  in
+  Kit.write_json ~benchmark:"analysis"
+    Obs.Json.
+      [
+        ("topologies", List (List.map json_row rows));
+        ( "witness",
+          Obj
+            [
+              ("fabric", Str "one-way-ring-64");
+              ("analyze_ms", Num analyze_ring_ms);
+              ("min_layers_lb", Kit.json_int ex.Analysis.Existence.min_layers_lb);
+              ("build_ms", Num witness_ms);
+              ("recheck_ms", Num recheck_ms);
+            ] );
+      ]
+    gates;
+  Kit.finish gates

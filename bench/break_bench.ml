@@ -9,23 +9,17 @@
 
    Writes bench_results/cycle_break.json. Gates:
 
-   - SCC engine >= 2x the DFS oracle on break time for torus-16x16 and
-     torus-64x64;
-   - layers_used within +1 of the oracle on every workload;
-   - parallel SCC planning >= 0.9x sequential everywhere (a 10% noise
-     allowance; with one hardware domain both run the same code path,
-     so this is a same-vs-same tripwire there).
+   - [scc_2x]: SCC engine >= 2x the DFS oracle on break time for
+     torus-16x16 and torus-64x64;
+   - [layers_within_1]: layers_used within +1 of the oracle on every
+     workload;
+   - [par_not_slower]: parallel SCC planning >= 0.9x sequential
+     everywhere (a 10% noise allowance); skipped below 2 hardware
+     domains, where both runs are the same sequential code.
 
    [--quick] runs a seconds-long single-workload engine-parity smoke
    instead (wired into `make check`): the engine and the oracle must
-   agree on layers within +1; nothing is written. [--probe] repeats
-   the SCC assignment on one workload printing wall time and GC deltas
-   per round — a diagnostic for heap-regime swings, no gates. *)
-
-let timer_sum name =
-  match Obs.Registry.find_timer (Obs.Registry.default ()) name with
-  | Some t -> Obs.Timer.sum_s t
-  | None -> 0.0
+   agree on layers within +1; nothing is written. *)
 
 type stages = {
   condense_ms : float;
@@ -47,43 +41,24 @@ type engine =
 
 let stage_prefix = function Dfs -> "dfs_ref" | Scc _ -> "layers"
 
-let single_run (engine, f) =
-  let stage name = timer_sum (stage_prefix engine ^ "." ^ name) in
-  let c0 = stage "condense" in
-  let e0 = stage "evict" in
-  let r0 = stage "rebuild" in
-  let t0 = Unix.gettimeofday () in
+(* One assignment, with its condense/evict/rebuild split read from the
+   engine's stage timers. *)
+let staged (engine, f) () =
+  let stage name = 1000.0 *. Kit.timer_sum (stage_prefix engine ^ "." ^ name) in
+  let c0 = stage "condense" and e0 = stage "evict" and r0 = stage "rebuild" in
   let outcome = f () in
-  let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-  {
-    wall_ms;
-    stages =
-      {
-        condense_ms = 1000.0 *. (stage "condense" -. c0);
-        evict_ms = 1000.0 *. (stage "evict" -. e0);
-        rebuild_ms = 1000.0 *. (stage "rebuild" -. r0);
-      };
-    layers = outcome.Layers.layers_used;
-    broken = outcome.Layers.cycles_broken;
-  }
+  let stages =
+    { condense_ms = stage "condense" -. c0; evict_ms = stage "evict" -. e0; rebuild_ms = stage "rebuild" -. r0 }
+  in
+  (stages, outcome)
 
-(* Interleaved best-of-N (the routing_bench time_race discipline): the
-   variants being compared alternate within each round, so all of them
-   sample the same heap and GC phase instead of one variant inheriting
-   the allocation debt of another. The stage split comes from each
-   variant's winning round. *)
+(* The engines race in interleaved rounds (Kit.time_race); the stage
+   split comes from each engine's winning round. *)
 let race_runs ~rounds fs =
-  let best = Array.make (Array.length fs) None in
-  for _ = 1 to rounds do
-    Gc.compact ();
-    Array.iteri
-      (fun i f ->
-        let r = single_run f in
-        if match best.(i) with None -> true | Some b -> r.wall_ms < b.wall_ms then
-          best.(i) <- Some r)
-      fs
-  done;
-  Array.map Option.get best
+  Array.map
+    (fun (wall_ms, (stages, outcome)) ->
+      { wall_ms; stages; layers = outcome.Layers.layers_used; broken = outcome.Layers.cycles_broken })
+    (Kit.time_race ~rounds (Array.map staged fs))
 
 type workload = {
   name : string;
@@ -97,26 +72,13 @@ type workload = {
    even stride, then extract all pairs into a store. *)
 let build_workload name g ~num_dsts ~gated_2x =
   Printf.eprintf "building %s...\n%!" name;
-  let terminals = Graph.terminals g in
-  let nt = Array.length terminals in
-  let num_dsts = min num_dsts nt in
-  let dsts = Array.init num_dsts (fun i -> terminals.(i * nt / num_dsts)) in
+  let dsts = Kit.strided_dsts g num_dsts in
   let weights = Sssp.initial_weights g in
   let ft = Ftable.create g ~algorithm:"bench" in
   (match Sssp.route_destinations ~batch:Sssp.recommended_batch g ~weights ~ft ~dsts with
   | Ok () -> ()
   | Error msg -> failwith (Printf.sprintf "%s: routing failed: %s" name msg));
-  let store = Route_store.create g ~capacity:(nt * num_dsts) in
-  Array.iteri
-    (fun si src ->
-      Array.iteri
-        (fun j dst ->
-          if src <> dst then
-            match Ftable.path ft ~src ~dst with
-            | Some p -> Route_store.set_path store ~pair:((si * num_dsts) + j) p
-            | None -> failwith (Printf.sprintf "%s: no route %d -> %d" name src dst))
-        dsts)
-    terminals;
+  let store = Kit.pair_store ~name ft ~dsts in
   let cdg_edges = Cdg.num_edges (Cdg.of_store store) in
   { name; gated_2x; store; pairs = Route_store.num_paths store; cdg_edges }
 
@@ -166,8 +128,8 @@ let json_run r =
             ("evict", Num r.stages.evict_ms);
             ("rebuild", Num r.stages.rebuild_ms);
           ] );
-      ("layers_used", Num (float_of_int r.layers));
-      ("cycles_broken", Num (float_of_int r.broken));
+      ("layers_used", Kit.json_int r.layers);
+      ("cycles_broken", Kit.json_int r.broken);
     ]
 
 let json_row r =
@@ -175,14 +137,14 @@ let json_row r =
   Obj
     [
       ("name", Str r.w.name);
-      ("pairs", Num (float_of_int r.w.pairs));
-      ("cdg_edges", Num (float_of_int r.w.cdg_edges));
+      ("pairs", Kit.json_int r.w.pairs);
+      ("cdg_edges", Kit.json_int r.w.cdg_edges);
       ("dfs", json_run r.dfs);
       ("scc_sequential", json_run r.scc_seq);
       ("scc_parallel", json_run r.scc_par);
       ("scc_vs_dfs", Num (scc_vs_dfs r));
       ("par_vs_seq", Num (par_vs_seq r));
-      ("layers_delta", Num (float_of_int (r.scc_seq.layers - r.dfs.layers)));
+      ("layers_delta", Kit.json_int (r.scc_seq.layers - r.dfs.layers));
     ]
 
 let run_quick () =
@@ -194,45 +156,16 @@ let run_quick () =
   in
   let dfs = assign w Dfs () in
   let scc = assign w (Scc 1) () in
-  let ok = scc.Layers.layers_used <= dfs.Layers.layers_used + 1 in
-  Printf.printf "break smoke %-10s dfs %d layer(s) / %d broken, scc %d layer(s) / %d evicted: %s\n"
-    w.name dfs.Layers.layers_used dfs.Layers.cycles_broken scc.Layers.layers_used
-    scc.Layers.cycles_broken
-    (if ok then "ok" else "MISMATCH");
-  if not ok then begin
-    Printf.printf "break engine smoke: FAIL\n";
-    exit 1
-  end;
-  Printf.printf "break engine smoke: PASS\n"
-
-let run_probe () =
-  let w =
-    build_workload "torus-16x16"
-      (fst (Topo_torus.torus ~dims:[| 16; 16 |] ~terminals_per_switch:4))
-      ~num_dsts:128 ~gated_2x:true
-  in
-  for i = 1 to 12 do
-    let s = Gc.quick_stat () in
-    let t0 = Unix.gettimeofday () in
-    let o = assign w (Scc 1) () in
-    let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-    let s' = Gc.quick_stat () in
-    Printf.printf "round %2d: %8.2f ms (%d layers) minor+%d major+%d heap %.1fMB\n%!" i ms
-      o.Layers.layers_used
-      (s'.Gc.minor_collections - s.Gc.minor_collections)
-      (s'.Gc.major_collections - s.Gc.major_collections)
-      (float_of_int s'.Gc.heap_words *. 8e-6)
-  done
+  Printf.printf "break smoke %-10s dfs %d layer(s) / %d broken, scc %d layer(s) / %d evicted\n" w.name
+    dfs.Layers.layers_used dfs.Layers.cycles_broken scc.Layers.layers_used scc.Layers.cycles_broken;
+  Kit.finish
+    [
+      Kit.gate "layers_within_1" ~target:"scc layers_used <= dfs + 1 on torus-8x8"
+        (scc.Layers.layers_used <= dfs.Layers.layers_used + 1);
+    ]
 
 let () =
-  if Array.exists (( = ) "--probe") Sys.argv then begin
-    run_probe ();
-    exit 0
-  end;
-  if Array.exists (( = ) "--quick") Sys.argv then begin
-    run_quick ();
-    exit 0
-  end;
+  if Array.exists (( = ) "--quick") Sys.argv then run_quick ();
   let available = Domain.recommended_domain_count () in
   let domains = max 1 (min available 4) in
   let workloads =
@@ -263,51 +196,22 @@ let () =
         r.dfs.stages.condense_ms r.dfs.stages.evict_ms r.dfs.stages.rebuild_ms
         r.scc_seq.stages.condense_ms r.scc_seq.stages.evict_ms r.scc_seq.stages.rebuild_ms)
     rows;
-  (* ---- gates ---- *)
-  let speed_ok = List.for_all (fun r -> (not r.w.gated_2x) || scc_vs_dfs r >= 2.0) rows in
-  let layers_ok = List.for_all (fun r -> r.scc_seq.layers <= r.dfs.layers + 1) rows in
-  let par_ok = List.for_all (fun r -> par_vs_seq r >= 0.9) rows in
-  let status ok = if ok then "pass" else "fail" in
-  let doc =
-    let open Obs.Json in
-    Obj
-      [
-        ("benchmark", Str "cycle_break");
-        ("domains_available", Num (float_of_int available));
-        ("domains_used", Num (float_of_int domains));
-        ("workloads", List (List.map json_row rows));
-        ( "gates",
-          Obj
-            [
-              ( "scc_2x",
-                Obj
-                  [
-                    ("target", Str "scc >= 2x dfs break time on the torus workloads");
-                    ("status", Str (status speed_ok));
-                  ] );
-              ( "layers_within_1",
-                Obj
-                  [
-                    ("target", Str "scc layers_used <= dfs + 1 on every workload");
-                    ("status", Str (status layers_ok));
-                  ] );
-              ( "par_not_slower",
-                Obj
-                  [
-                    ("target", Str "parallel scc >= 0.9x sequential on every workload");
-                    ("status", Str (status par_ok));
-                  ] );
-            ] );
-      ]
+  let gates =
+    [
+      Kit.gate "scc_2x" ~target:"scc >= 2x dfs break time on the torus workloads"
+        (List.for_all (fun r -> (not r.w.gated_2x) || scc_vs_dfs r >= 2.0) rows);
+      Kit.gate "layers_within_1" ~target:"scc layers_used <= dfs + 1 on every workload"
+        (List.for_all (fun r -> r.scc_seq.layers <= r.dfs.layers + 1) rows);
+      Kit.parallel_gate "par_not_slower" ~target:"parallel scc >= 0.9x sequential on every workload"
+        ~available ~min:2
+        (List.for_all (fun r -> par_vs_seq r >= 0.9) rows);
+    ]
   in
-  (try
-     if not (Sys.file_exists "bench_results") then Unix.mkdir "bench_results" 0o755;
-     Out_channel.with_open_text "bench_results/cycle_break.json" (fun oc ->
-         Out_channel.output_string oc (Obs.Json.to_string doc);
-         Out_channel.output_char oc '\n')
-   with Unix.Unix_error _ | Sys_error _ -> prerr_endline "warning: could not write bench_results");
-  Printf.printf "scc speed gate (>= 2x dfs on tori): %s\n" (String.uppercase_ascii (status speed_ok));
-  Printf.printf "layers gate (scc <= dfs + 1 everywhere): %s\n"
-    (String.uppercase_ascii (status layers_ok));
-  Printf.printf "parallel gate (>= 0.9x sequential): %s\n" (String.uppercase_ascii (status par_ok));
-  if not (speed_ok && layers_ok && par_ok) then exit 1
+  Kit.write_json ~benchmark:"cycle_break"
+    [
+      ("domains_available", Kit.json_int available);
+      ("domains_used", Kit.json_int domains);
+      ("workloads", Obs.Json.List (List.map json_row rows));
+    ]
+    gates;
+  Kit.finish gates

@@ -4,20 +4,9 @@
    representation ({!Oracles.Cdg_ref}) on a 4096-endpoint XGFT and a
    16x16 torus. Also verifies that the simulator hot-loop path lookup
    allocates nothing per hop. Results land in
-   bench_results/route_store.json; exits non-zero if the >= 2x speedup
-   target or the zero-allocation target is missed. *)
-
-let time_best f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (1000.0 *. !best, Option.get !result)
+   bench_results/route_store.json; the [speedup] gate fails below 2x on
+   torus-64x64 build+break, the [alloc] gate at 1 byte or more allocated
+   per hop. *)
 
 (* ------------------------------------------------------------------ *)
 (* Resumable cycle search over the Hashtbl reference — a faithful port
@@ -216,26 +205,13 @@ type workload = {
 }
 
 let build_workload name g ~num_dsts =
-  let terminals = Graph.terminals g in
-  let nt = Array.length terminals in
-  let num_dsts = min num_dsts nt in
-  let dsts = Array.init num_dsts (fun j -> terminals.(j * nt / num_dsts)) in
+  let dsts = Kit.strided_dsts g num_dsts in
   let ft = Ftable.create g ~algorithm:"bench" in
   let weights = Sssp.initial_weights g in
   (match Sssp.route_destinations g ~weights ~ft ~dsts with
   | Ok () -> ()
   | Error msg -> failwith (Printf.sprintf "%s: routing failed: %s" name msg));
-  let store = Route_store.create g ~capacity:(nt * num_dsts) in
-  Array.iteri
-    (fun si src ->
-      Array.iteri
-        (fun j dst ->
-          if src <> dst then
-            match Ftable.path ft ~src ~dst with
-            | Some p -> Route_store.set_path store ~pair:((si * num_dsts) + j) p
-            | None -> failwith (Printf.sprintf "%s: no route %d -> %d" name src dst))
-        dsts)
-    terminals;
+  let store = Kit.pair_store ~name ft ~dsts in
   let path_of_pair =
     Array.init (Route_store.capacity store) (fun pair ->
         if Route_store.mem store ~pair then Some (Route_store.to_path store ~pair) else None)
@@ -269,9 +245,9 @@ let scan_rounds = 20
 let measure w =
   Printf.eprintf "measuring %s...\n%!" w.name;
   let g = w.graph in
-  let build_csr_ms, csr = time_best (fun () -> Cdg.of_store w.store) in
+  let build_csr_ms, csr = Kit.time_best (fun () -> Cdg.of_store w.store) in
   let build_ref_ms, rc =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         let rc = Cdg_ref.create g in
         Array.iteri
           (fun pr p -> match p with Some p -> Cdg_ref.add_path rc ~pair:pr p | None -> ())
@@ -282,7 +258,7 @@ let measure w =
   (* weakest-edge scan: full min-edge_count sweep over all live edges,
      the inner workload of the weakest-edge choice *)
   let scan_csr_ms, _ =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         let best = ref max_int in
         for _ = 1 to scan_rounds do
           Cdg.iter_edges csr (fun _ _ count -> if count < !best then best := count)
@@ -290,7 +266,7 @@ let measure w =
         !best)
   in
   let scan_ref_ms, _ =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         let best = ref max_int in
         for _ = 1 to scan_rounds do
           Cdg_ref.iter_edges rc (fun _ _ count -> if count < !best then best := count)
@@ -298,13 +274,13 @@ let measure w =
         !best)
   in
   let assign_csr_ms, csr_outcome =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         match Layers.assign_store w.store ~max_layers:64 ~heuristic:Heuristic.Weakest with
         | Ok o -> (o.Layers.layer_of_path, o.Layers.layers_used)
         | Error msg -> failwith msg)
   in
   let assign_ref_ms, ref_outcome =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         match ref_assign g ~path_of_pair:w.path_of_pair ~max_layers:64 with
         | Ok o -> o
         | Error msg -> failwith msg)
@@ -312,11 +288,11 @@ let measure w =
   let csr_layers, csr_used = (fst csr_outcome, snd csr_outcome) in
   let ref_layers, ref_used = (fst ref_outcome, snd ref_outcome) in
   let verify_csr_ms, csr_free =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         Acyclic_ref.layers_acyclic_store w.store ~layer_of_path:csr_layers ~num_layers:csr_used)
   in
   let verify_ref_ms, ref_free =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         let ok = ref true in
         for vl = 0 to ref_used - 1 do
           let layer = Cdg_ref.create g in
@@ -382,25 +358,23 @@ let alloc_per_hop_copies store =
   (a1 -. a0) /. float_of_int (max 1 !hops)
 
 let json_row r =
-  Printf.sprintf
-    {|    {
-      "name": "%s", "endpoints": %d, "channels": %d, "paths": %d,
-      "build_ms": {"csr": %.3f, "hashtbl": %.3f, "speedup": %.2f},
-      "weakest_scan_ms": {"csr": %.3f, "hashtbl": %.3f, "speedup": %.2f},
-      "assign_ms": {"csr": %.3f, "hashtbl": %.3f, "speedup": %.2f,
-                    "layers_csr": %d, "layers_hashtbl": %d},
-      "verify_ms": {"csr": %.3f, "hashtbl": %.3f, "speedup": %.2f},
-      "build_plus_break_speedup": %.2f
-    }|}
-    r.wname r.endpoints r.channels r.npaths r.build_csr_ms r.build_ref_ms
-    (r.build_ref_ms /. r.build_csr_ms)
-    r.scan_csr_ms r.scan_ref_ms
-    (r.scan_ref_ms /. r.scan_csr_ms)
-    r.assign_csr_ms r.assign_ref_ms
-    (r.assign_ref_ms /. r.assign_csr_ms)
-    r.layers_csr r.layers_ref r.verify_csr_ms r.verify_ref_ms
-    (r.verify_ref_ms /. r.verify_csr_ms)
-    r.combined_speedup
+  let open Obs.Json in
+  let vs csr hashtbl = [ ("csr", Num csr); ("hashtbl", Num hashtbl); ("speedup", Num (hashtbl /. csr)) ] in
+  Obj
+    [
+      ("name", Str r.wname);
+      ("endpoints", Kit.json_int r.endpoints);
+      ("channels", Kit.json_int r.channels);
+      ("paths", Kit.json_int r.npaths);
+      ("build_ms", Obj (vs r.build_csr_ms r.build_ref_ms));
+      ("weakest_scan_ms", Obj (vs r.scan_csr_ms r.scan_ref_ms));
+      ( "assign_ms",
+        Obj
+          (vs r.assign_csr_ms r.assign_ref_ms
+          @ [ ("layers_csr", Kit.json_int r.layers_csr); ("layers_hashtbl", Kit.json_int r.layers_ref) ]) );
+      ("verify_ms", Obj (vs r.verify_csr_ms r.verify_ref_ms));
+      ("build_plus_break_speedup", Num r.combined_speedup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Heap reuse micro-bench: the SSSP kernels (Routing.Spf) allocate one
@@ -434,7 +408,7 @@ let heap_churn h rng =
 
 let measure_heap_reuse () =
   let reuse_ms, a =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         let h = Heap.create heap_capacity in
         let rng = Rng.create 42 in
         let total = ref 0 in
@@ -445,7 +419,7 @@ let measure_heap_reuse () =
         !total)
   in
   let fresh_ms, b =
-    time_best (fun () ->
+    Kit.time_best (fun () ->
         let rng = Rng.create 42 in
         let total = ref 0 in
         for _ = 1 to heap_rounds do
@@ -501,23 +475,26 @@ let () =
      actually breaks cycles, so build AND weakest-edge breaking both
      contribute *)
   let big = List.find (fun r -> r.wname = "torus-64x64") rows in
-  let speedup_ok = big.combined_speedup >= 2.0 in
-  let alloc_ok = store_bph < 1.0 in
-  (try
-     if not (Sys.file_exists "bench_results") then Unix.mkdir "bench_results" 0o755;
-     let oc = open_out "bench_results/route_store.json" in
-     Printf.fprintf oc
-       "{\n  \"benchmark\": \"route_store\",\n  \"topologies\": [\n%s\n  ],\n  \
-        \"alloc_bytes_per_hop\": {\"arena\": %.4f, \"path_copies\": %.2f},\n  \
-        \"heap_reuse_ms\": {\"clear_and_reuse\": %.3f, \"recreate\": %.3f, \"speedup\": %.2f},\n  \
-        \"targets\": {\"build_plus_break_speedup_min\": 2.0, \"speedup_ok\": %b, \"alloc_ok\": %b}\n}\n"
-       (String.concat ",\n" (List.map json_row rows))
-       store_bph copy_bph heap_reuse_ms heap_fresh_ms
-       (heap_fresh_ms /. heap_reuse_ms)
-       speedup_ok alloc_ok;
-     close_out oc
-   with Unix.Unix_error _ | Sys_error _ -> prerr_endline "warning: could not write bench_results");
-  Printf.printf "speedup target (>= 2x on %s build+break): %s\n" big.wname
-    (if speedup_ok then "PASS" else "FAIL");
-  Printf.printf "allocation target (< 1 byte/hop via arena): %s\n" (if alloc_ok then "PASS" else "FAIL");
-  if not (speedup_ok && alloc_ok) then exit 1
+  let gates =
+    [
+      Kit.gate "speedup"
+        ~target:(Printf.sprintf "csr build+break >= 2.0x the hashtbl reference on %s" big.wname)
+        (big.combined_speedup >= 2.0);
+      Kit.gate "alloc" ~target:"< 1 byte allocated per hop walking routes via the arena" (store_bph < 1.0);
+    ]
+  in
+  Kit.write_json ~benchmark:"route_store"
+    Obs.Json.
+      [
+        ("topologies", List (List.map json_row rows));
+        ("alloc_bytes_per_hop", Obj [ ("arena", Num store_bph); ("path_copies", Num copy_bph) ]);
+        ( "heap_reuse_ms",
+          Obj
+            [
+              ("clear_and_reuse", Num heap_reuse_ms);
+              ("recreate", Num heap_fresh_ms);
+              ("speedup", Num (heap_fresh_ms /. heap_reuse_ms));
+            ] );
+      ]
+    gates;
+  Kit.finish gates

@@ -13,66 +13,28 @@
 
    and writes bench_results/routing_parallel.json. Gates:
 
-   - parallel SSSP >= 1.0x sequential on every topology. The hardware
-     may have a single domain: the batched driver then runs inline,
-     skipping the snapshot copy, and per-batch stamps let the
-     incremental kernel reuse switch trees that the per-destination
-     sequential recurrence cannot — so batching must pay even with no
-     parallelism at all.
-   - bucket kernel >= 1.3x the heap oracle on the torus and XGFT
-     workloads (uniform weight planes are the bucket core's home turf).
-   - the default kernel ([Spf.resolve Spf.Auto]) is the fastest
-     measured kernel on every topology, within a 5% noise allowance.
-   - pipeline speedup >= 2x on the 4096-endpoint XGFT — only
-     enforceable with >= 4 hardware domains; recorded as skipped (exit
-     0) otherwise.
-   - obs compiled in but disabled keeps the sequential SSSP stage
-     within 50% of the previous run — a coarse tripwire for
-     instrumentation accidentally becoming unconditional
-     (bench_results/obs_overhead.json).
+   - [parallel_not_slower]: parallel SSSP >= 1.0x sequential on every
+     topology. The batched driver skips the snapshot copy when it runs
+     inline, and per-batch stamps let the incremental kernel reuse
+     switch trees that the per-destination sequential recurrence cannot
+     — but with one hardware domain "parallel" is not parallel, so the
+     gate is skipped below 2 domains.
+   - [bucket_kernel]: bucket kernel >= 1.3x the heap oracle on the torus
+     and XGFT workloads (uniform weight planes are the bucket core's
+     home turf).
+   - [default_kernel_fastest]: the default kernel
+     ([Spf.resolve Spf.Auto]) is the fastest measured kernel on every
+     topology, within a 5% noise allowance.
+   - [pipeline_2x]: pipeline speedup >= 2x on the 4096-endpoint XGFT;
+     skipped below 4 hardware domains.
+   - [obs_disabled_overhead] (in bench_results/obs_overhead.json): obs
+     compiled in but disabled keeps the sequential SSSP stage within 50%
+     of the previous run — a coarse tripwire for instrumentation
+     accidentally becoming unconditional; skipped without a previous run.
 
    [--equivalence] runs a seconds-long cross-kernel table-equality
    check instead (wired into `make check`): every kernel must produce
    the heap oracle's tables and final weights bit-for-bit. *)
-
-(* Compact before sampling: the workloads allocate multi-hundred-MB
-   tables, and whichever variant is measured after a big allocation
-   otherwise pays the previous variant's major-GC debt. *)
-let time_best f =
-  Gc.compact ();
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (1000.0 *. !best, Option.get !result)
-
-(* Interleaved best-of-N for variants being compared against each
-   other: alternating the thunks each round exposes both to the same
-   noise (GC phase, neighbours on a shared box) instead of letting one
-   sample a calm window the other never sees. *)
-let time_race ?(rounds = 4) thunks =
-  Gc.compact ();
-  let best = Array.make (Array.length thunks) infinity in
-  for _ = 1 to rounds do
-    Array.iteri
-      (fun i f ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < best.(i) then best.(i) <- dt)
-      thunks
-  done;
-  Array.map (fun b -> 1000.0 *. b) best
-
-let timer_sum name =
-  match Obs.Registry.find_timer (Obs.Registry.default ()) name with
-  | Some t -> Obs.Timer.sum_s t
-  | None -> 0.0
 
 (* ------------------------------------------------------------------ *)
 (* Workloads: the cdg_bench trio, routed toward a contiguous block of
@@ -118,20 +80,10 @@ let sssp_stage ?batch ?domains ?pool ?kernel w () =
   ft
 
 let break_stage ?domains w ft () =
-  let terminals = Graph.terminals w.graph in
-  let num_dsts = Array.length w.dsts in
-  let store = Route_store.create w.graph ~capacity:(Array.length terminals * num_dsts) in
-  Array.iteri
-    (fun si src ->
-      Array.iteri
-        (fun j dst ->
-          if src <> dst then
-            match Ftable.path ft ~src ~dst with
-            | Some p -> Route_store.set_path store ~pair:((si * num_dsts) + j) p
-            | None -> failwith (Printf.sprintf "%s: no route %d -> %d" w.name src dst))
-        w.dsts)
-    terminals;
-  match Layers.assign_store ?domains store ~max_layers:64 ~heuristic:Heuristic.Weakest with
+  match
+    Layers.assign_store ?domains (Kit.pair_store ~name:w.name ft ~dsts:w.dsts) ~max_layers:64
+      ~heuristic:Heuristic.Weakest
+  with
   | Ok o -> o.Layers.layers_used
   | Error msg -> failwith (Printf.sprintf "%s: cycle breaking failed: %s" w.name msg)
 
@@ -204,23 +156,24 @@ let measure ~batch ~domains ~pool w =
      of what batching can speed up, so it is kept out of the timed
      region. *)
   let times =
-    time_race [| (fun () -> route ft_seq ()); (fun () -> route ft_par ~batch ~pool ()) |]
+    Array.map fst
+      (Kit.time_race [| (fun () -> route ft_seq ()); (fun () -> route ft_par ~batch ~pool ()) |])
   in
   let seq_sssp_ms = times.(0) and par_sssp_ms = times.(1) in
   (* Stage decomposition of one parallel run, from the always-on
      timers: snapshot freezes vs everything else (tree computes, table
      fills, flow walks, merges). *)
-  let snap0 = timer_sum "sssp.snapshot" and plane0 = timer_sum "sssp.route_destinations" in
+  let snap0 = Kit.timer_sum "sssp.snapshot" and plane0 = Kit.timer_sum "sssp.route_destinations" in
   route ft_par ~batch ~pool ();
-  let par_snapshot_ms = 1000.0 *. (timer_sum "sssp.snapshot" -. snap0) in
+  let par_snapshot_ms = 1000.0 *. (Kit.timer_sum "sssp.snapshot" -. snap0) in
   let par_compute_ms =
-    (1000.0 *. (timer_sum "sssp.route_destinations" -. plane0)) -. par_snapshot_ms
+    (1000.0 *. (Kit.timer_sum "sssp.route_destinations" -. plane0)) -. par_snapshot_ms
   in
   (* After the race, ft_seq holds the sequential tables and ft_par the
      batched ones; break each so the pipeline totals stay comparable. *)
   route ft_seq ();
-  let seq_break_ms, seq_layers = time_best (break_stage w ft_seq) in
-  let par_break_ms, par_layers = time_best (break_stage ~domains w ft_par) in
+  let seq_break_ms, seq_layers = Kit.time_best ~compact:true (break_stage w ft_seq) in
+  let par_break_ms, par_layers = Kit.time_best ~compact:true (break_stage ~domains w ft_par) in
   let kernel_thunks =
     List.map
       (fun k ->
@@ -228,7 +181,7 @@ let measure ~batch ~domains ~pool w =
         fun () -> ignore (sweep ()))
       concrete_kernels
   in
-  let kernel_times = time_race (Array.of_list kernel_thunks) in
+  let kernel_times = Array.map fst (Kit.time_race (Array.of_list kernel_thunks)) in
   let kernel_ms = List.mapi (fun i k -> (k, kernel_times.(i))) concrete_kernels in
   {
     wname = w.name;
@@ -246,28 +199,26 @@ let measure ~batch ~domains ~pool w =
   }
 
 let json_row r =
-  let kernels =
-    String.concat ", "
-      (List.map
-         (fun (k, ms) -> Printf.sprintf "\"%s\": %.3f" (Spf.kind_to_string k) ms)
-         r.kernel_ms)
-  in
-  Printf.sprintf
-    {|    {
-      "name": "%s", "endpoints": %d, "destinations": %d, "layers": %d,
-      "sssp_ms": {"sequential": %.3f, "parallel": %.3f, "speedup": %.2f},
-      "stage_ms": {"snapshot": %.3f, "compute": %.3f},
-      "kernel_ms": {%s, "default": "%s"},
-      "break_ms": {"sequential": %.3f, "parallel": %.3f},
-      "pipeline_ms": {"sequential": %.3f, "parallel": %.3f, "speedup": %.2f}
-    }|}
-    r.wname r.endpoints r.num_dsts r.layers r.seq_sssp_ms r.par_sssp_ms (sssp_speedup r)
-    r.par_snapshot_ms r.par_compute_ms kernels
-    (Spf.kind_to_string default_kernel)
-    r.seq_break_ms r.par_break_ms
-    (r.seq_sssp_ms +. r.seq_break_ms)
-    (r.par_sssp_ms +. r.par_break_ms)
-    (pipeline_speedup r)
+  let open Obs.Json in
+  let seq_par seq par = [ ("sequential", Num seq); ("parallel", Num par) ] in
+  Obj
+    [
+      ("name", Str r.wname);
+      ("endpoints", Kit.json_int r.endpoints);
+      ("destinations", Kit.json_int r.num_dsts);
+      ("layers", Kit.json_int r.layers);
+      ("sssp_ms", Obj (seq_par r.seq_sssp_ms r.par_sssp_ms @ [ ("speedup", Num (sssp_speedup r)) ]));
+      ("stage_ms", Obj [ ("snapshot", Num r.par_snapshot_ms); ("compute", Num r.par_compute_ms) ]);
+      ( "kernel_ms",
+        Obj
+          (List.map (fun (k, ms) -> (Spf.kind_to_string k, Num ms)) r.kernel_ms
+          @ [ ("default", Str (Spf.kind_to_string default_kernel)) ]) );
+      ("break_ms", Obj (seq_par r.seq_break_ms r.par_break_ms));
+      ( "pipeline_ms",
+        Obj
+          (seq_par (r.seq_sssp_ms +. r.seq_break_ms) (r.par_sssp_ms +. r.par_break_ms)
+          @ [ ("speedup", Num (pipeline_speedup r)) ]) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead (DESIGN.md section 13): the sequential SSSP
@@ -279,30 +230,17 @@ let json_row r =
    disabled fast path is one atomic load.                               *)
 (* ------------------------------------------------------------------ *)
 
-(* name -> sequential pipeline ms of the previous routing_parallel.json *)
-let read_baseline path =
-  if not (Sys.file_exists path) then None
-  else
-    let text = In_channel.with_open_text path In_channel.input_all in
-    match Obs.Json.of_string text with
-    | Error _ -> None
-    | Ok doc ->
-      let open Obs.Json in
-      let rows =
-        match member "topologies" doc with
-        | Some j -> Option.value ~default:[] (to_list j)
-        | None -> []
-      in
-      let entry row =
-        match (member "name" row, member "sssp_ms" row) with
-        | Some name, Some sssp -> (
-          match (to_str name, Option.bind (member "sequential" sssp) to_float) with
-          | Some n, Some ms -> Some (n, ms)
-          | _ -> None)
-        | _ -> None
-      in
-      let entries = List.filter_map entry rows in
-      if entries = [] then None else Some entries
+(* name -> sequential SSSP ms of a previous routing_parallel.json *)
+let baseline_sssp doc =
+  let open Obs.Json in
+  let entry row =
+    match (Option.bind (member "name" row) to_str, Option.bind (member "sssp_ms" row) (member "sequential")) with
+    | Some n, Some ms -> Option.map (fun ms -> (n, ms)) (to_float ms)
+    | _ -> None
+  in
+  match List.filter_map entry (Option.value ~default:[] (Option.bind (member "topologies" doc) to_list)) with
+  | [] -> None
+  | entries -> Some entries
 
 let measure_enabled_overhead w =
   Printf.eprintf "measuring %s with tracing enabled...\n%!" w.name;
@@ -310,11 +248,11 @@ let measure_enabled_overhead w =
     let ft = sssp_stage w () in
     ignore (break_stage w ft ())
   in
-  let off_ms, () = time_best pipeline in
+  let off_ms, () = Kit.time_best ~compact:true pipeline in
   let spans = Obs.Registry.counter ~registry:(Obs.Registry.create ()) "bench.spans" in
   let on_ms, () =
     Obs.Control.with_enabled true (fun () ->
-        Obs.Trace.with_sink (Obs.Trace.counting_sink spans) (fun () -> time_best pipeline))
+        Obs.Trace.with_sink (Obs.Trace.counting_sink spans) (fun () -> Kit.time_best ~compact:true pipeline))
   in
   (w.name, off_ms, on_ms, Obs.Counter.value spans)
 
@@ -350,28 +288,25 @@ let run_equivalence () =
           if not ok then incr failures)
         [ Spf.Auto; Spf.Bucket; Spf.Incremental ])
     fabrics;
-  if !failures > 0 then begin
-    Printf.printf "kernel equivalence: FAIL (%d mismatches)\n" !failures;
-    exit 1
-  end;
-  Printf.printf "kernel equivalence: PASS\n"
+  Kit.finish
+    [
+      Kit.gate "kernel_equivalence" ~target:"every kernel's tables and weights equal the heap oracle's"
+        (!failures = 0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Main                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  if Array.exists (( = ) "--equivalence") Sys.argv then begin
-    run_equivalence ();
-    exit 0
-  end;
+  if Array.exists (( = ) "--equivalence") Sys.argv then run_equivalence ();
   let available = Domain.recommended_domain_count () in
   (* Clamp to the hardware: requesting more domains than cores measures
      oversubscription noise, not parallel speedup (the 1-core CI box
      used to run 2 domains here). Both values land in the JSON. *)
   let domains = max 1 (min available 4) in
   let batch = Sssp.recommended_batch in
-  let baseline = read_baseline "bench_results/routing_parallel.json" in
+  let baseline = Option.bind (Kit.read_baseline "bench_results/routing_parallel.json") baseline_sssp in
   let workloads =
     [
       build_workload "xgft-4096"
@@ -407,60 +342,38 @@ let () =
         r.kernel_ms)
     rows;
   let big = List.find (fun r -> r.endpoints >= 4096) rows in
-  (* ---- gates ---- *)
-  let pipeline_enforced = available >= 4 in
-  let pipeline_ok = pipeline_speedup big >= 2.0 in
-  let pipeline_status =
-    if not pipeline_enforced then
-      Printf.sprintf "skipped: %d hardware domain%s available (gate needs >= 4)" available
-        (if available = 1 then "" else "s")
-    else if pipeline_ok then "pass"
-    else "fail"
+  let gates =
+    [
+      Kit.parallel_gate "pipeline_2x"
+        ~target:(Printf.sprintf "pipeline speedup >= 2.0 on %s" big.wname)
+        ~available ~min:4
+        (pipeline_speedup big >= 2.0);
+      Kit.parallel_gate "parallel_not_slower" ~target:"parallel sssp >= 1.0x sequential on every topology"
+        ~available ~min:2
+        (List.for_all (fun r -> sssp_speedup r >= 1.0) rows);
+      Kit.gate "bucket_kernel" ~target:"bucket >= 1.3x heap on torus/xgft kernel sweeps"
+        (List.for_all
+           (fun r -> (not r.bucket_gated) || kernel_time r Spf.Heap /. kernel_time r Spf.Bucket >= 1.3)
+           rows);
+      (* 5% noise allowance: the default must not measurably lose to any
+         alternative kernel anywhere. *)
+      Kit.gate "default_kernel_fastest" ~target:"default kernel within 5% of the fastest on every topology"
+        (List.for_all
+           (fun r ->
+             let d = kernel_time r default_kernel in
+             List.for_all (fun (_, ms) -> d <= ms *. 1.05) r.kernel_ms)
+           rows);
+    ]
   in
-  let parallel_ok = List.for_all (fun r -> sssp_speedup r >= 1.0) rows in
-  let bucket_rows = List.filter (fun r -> r.bucket_gated) rows in
-  let bucket_ok =
-    List.for_all (fun r -> kernel_time r Spf.Heap /. kernel_time r Spf.Bucket >= 1.3) bucket_rows
-  in
-  (* 5% noise allowance: the default must not measurably lose to any
-     alternative kernel anywhere. *)
-  let default_ok =
-    List.for_all
-      (fun r ->
-        let d = kernel_time r default_kernel in
-        List.for_all (fun (_, ms) -> d <= ms *. 1.05) r.kernel_ms)
-      rows
-  in
-  let status ok = if ok then "pass" else "fail" in
-  (try
-     if not (Sys.file_exists "bench_results") then Unix.mkdir "bench_results" 0o755;
-     let oc = open_out "bench_results/routing_parallel.json" in
-     Printf.fprintf oc
-       "{\n  \"benchmark\": \"routing_parallel\",\n  \"domains_available\": %d,\n  \
-        \"domains_used\": %d,\n  \"batch\": %d,\n  \"default_kernel\": \"%s\",\n  \
-        \"topologies\": [\n%s\n  ],\n  \"gate\": {\"target\": \"pipeline speedup >= 2.0 on %s \
-        with >= 4 domains\", \"status\": \"%s\"},\n  \"gates\": {\n    \"parallel_not_slower\": \
-        {\"target\": \"parallel sssp >= 1.0x sequential on every topology\", \"status\": \
-        \"%s\"},\n    \"bucket_kernel\": {\"target\": \"bucket >= 1.3x heap on torus/xgft \
-        kernel sweeps\", \"status\": \"%s\"},\n    \"default_kernel_fastest\": {\"target\": \
-        \"default kernel within 5%% of the fastest on every topology\", \"status\": \"%s\"}\n  \
-        }\n}\n"
-       available domains batch
-       (Spf.kind_to_string default_kernel)
-       (String.concat ",\n" (List.map json_row rows))
-       big.wname pipeline_status (status parallel_ok) (status bucket_ok) (status default_ok);
-     close_out oc
-   with Unix.Unix_error _ | Sys_error _ -> prerr_endline "warning: could not write bench_results");
-  Printf.printf "speedup gate (>= 2x pipeline on %s, %d domains available): %s\n" big.wname
-    available
-    (String.uppercase_ascii pipeline_status);
-  Printf.printf "parallel-not-slower gate (>= 1.0x sssp everywhere): %s\n"
-    (String.uppercase_ascii (status parallel_ok));
-  Printf.printf "bucket kernel gate (>= 1.3x heap on torus/xgft): %s\n"
-    (String.uppercase_ascii (status bucket_ok));
-  Printf.printf "default kernel gate (%s fastest within 5%%): %s\n"
-    (Spf.kind_to_string default_kernel)
-    (String.uppercase_ascii (status default_ok));
+  Kit.write_json ~benchmark:"routing_parallel"
+    [
+      ("domains_available", Kit.json_int available);
+      ("domains_used", Kit.json_int domains);
+      ("batch", Kit.json_int batch);
+      ("default_kernel", Obs.Json.Str (Spf.kind_to_string default_kernel));
+      ("topologies", Obs.Json.List (List.map json_row rows));
+    ]
+    gates;
   (* ---- observability overhead ---- *)
   let disabled_cmp =
     match baseline with
@@ -487,30 +400,22 @@ let () =
      on this path), not a profiler: the threshold is 50%. The finer
      number — same-process enabled vs disabled tracing — is recorded
      alongside, informationally. *)
-  let obs_gate_ok = match disabled_cmp with None -> true | Some (_, _, _, d) -> d < 0.50 in
-  let obs_gate_status =
+  let obs_target = "sequential SSSP stage with obs compiled in but disabled within 50% of the previous run" in
+  let obs_gate =
     match disabled_cmp with
-    | None -> "skipped: no baseline"
-    | Some _ when obs_gate_ok -> "pass"
-    | Some _ -> "fail"
+    | None -> { Kit.name = "obs_disabled_overhead"; target = obs_target; status = Kit.Skipped "no baseline" }
+    | Some (_, _, _, delta) -> Kit.gate "obs_disabled_overhead" ~target:obs_target (delta < 0.50)
   in
   (* the smallest workload carries the enabled-tracing measurement; the
      number is informational, not a gate *)
   let en_name, en_off, en_on, en_spans =
     measure_enabled_overhead (List.nth workloads (List.length workloads - 1))
   in
-  let overhead_json =
-    let open Obs.Json in
-    Obj
+  Kit.write_json ~benchmark:"obs_overhead"
+    Obs.Json.
       [
-        ("benchmark", Str "obs_overhead");
         ( "disabled",
           Obj
-            (( "gate",
-               Str
-                 (Printf.sprintf "sequential SSSP stage with obs compiled in but disabled within \
-                                  50%% of the previous run: %s" obs_gate_status) )
-            ::
             (match disabled_cmp with
             | None -> []
             | Some (matched, bsum, csum, delta) ->
@@ -521,34 +426,25 @@ let () =
                 ( "topologies",
                   Obj
                     (List.map
-                       (fun (n, b, c) ->
-                         (n, Obj [ ("baseline_ms", Num b); ("current_ms", Num c) ]))
+                       (fun (n, b, c) -> (n, Obj [ ("baseline_ms", Num b); ("current_ms", Num c) ]))
                        matched) );
-              ])) );
+              ]) );
         ( "enabled",
           Obj
             [
               ("workload", Str en_name);
               ("disabled_ms", Num en_off);
               ("traced_ms", Num en_on);
-              ("spans", Num (float_of_int en_spans));
+              ("spans", Kit.json_int en_spans);
               ("overhead_fraction", Num ((en_on -. en_off) /. en_off));
             ] );
       ]
-  in
-  (try
-     Out_channel.with_open_text "bench_results/obs_overhead.json" (fun oc ->
-         Out_channel.output_string oc (Obs.Json.to_string overhead_json);
-         Out_channel.output_char oc '\n')
-   with Sys_error _ -> prerr_endline "warning: could not write bench_results/obs_overhead.json");
-  (match disabled_cmp with
-  | None -> Printf.printf "obs overhead gate: SKIPPED (no baseline)\n"
-  | Some (_, bsum, csum, delta) ->
-    Printf.printf "obs overhead gate (<50%% disabled, sequential sssp %.1f -> %.1f ms): %s (%+.2f%%)\n"
-      bsum csum (String.uppercase_ascii obs_gate_status) (100.0 *. delta));
+    [ obs_gate ];
+  Option.iter
+    (fun (_, bsum, csum, delta) ->
+      Printf.printf "disabled obs: sequential sssp %.1f -> %.1f ms (%+.2f%%)\n" bsum csum (100.0 *. delta))
+    disabled_cmp;
   Printf.printf "enabled tracing on %s: %.2f -> %.2f ms (%d spans, %+.2f%%)\n" en_name en_off en_on
     en_spans
     (100.0 *. (en_on -. en_off) /. en_off);
-  if (pipeline_enforced && not pipeline_ok) || not parallel_ok || not bucket_ok || not default_ok
-     || not obs_gate_ok
-  then exit 1
+  Kit.finish (gates @ [ obs_gate ])

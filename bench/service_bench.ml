@@ -6,12 +6,13 @@
    serving mix the daemon exists for. Reports sustained throughput and
    per-query latency percentiles into bench_results/service_latency.json.
 
-   The gate is a carried-forward throughput baseline: the first run
-   records its qps as [baseline_qps]; later runs must stay above
-   [gate_fraction] of that baseline (and re-record the old baseline, so
-   the floor does not creep down with noisy runs). The ratio is loose on
-   purpose — this catches a serving-path regression (an accidental copy,
-   a lost batch, a quadratic scan), not scheduler jitter. *)
+   The [throughput] gate is a carried-forward baseline: the first run
+   records its qps as [baseline_qps] (the gate is skipped); later runs
+   must stay above [gate_fraction] of that baseline (and re-record the
+   old baseline, so the floor does not creep down with noisy runs). The
+   ratio is loose on purpose — this catches a serving-path regression
+   (an accidental copy, a lost batch, a quadratic scan), not scheduler
+   jitter. The [no_errors] gate fails on any refused query or event. *)
 
 let clients = 16
 let queries_per_client = 1_500
@@ -21,16 +22,6 @@ let gate_fraction = 0.4
 let sock_path =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "fabsvc_bench_%d.sock" (Unix.getpid ()))
-
-let results_path = "bench_results/service_latency.json"
-
-let read_baseline path =
-  if not (Sys.file_exists path) then None
-  else
-    let text = In_channel.with_open_text path In_channel.input_all in
-    match Obs.Json.of_string text with
-    | Error _ -> None
-    | Ok doc -> Option.bind (Obs.Json.member "baseline_qps" doc) Obs.Json.to_float
 
 let () =
   (try Unix.unlink sock_path with Unix.Unix_error _ -> ());
@@ -130,56 +121,38 @@ let () =
   let pmax = flat.(Array.length flat - 1) in
   let final_epoch = Fabric.Manager.epoch (Service.Server.manager server) in
 
-  let prior = read_baseline results_path in
-  let baseline_qps = match prior with Some b -> b | None -> qps in
-  let gate_ok = qps >= gate_fraction *. baseline_qps in
-  let gate_status =
-    match prior with
-    | None -> "baseline recorded"
-    | Some _ when gate_ok -> "pass"
-    | Some _ -> "fail"
+  let prior =
+    Option.bind (Kit.read_baseline "bench_results/service_latency.json") (fun doc ->
+        Option.bind (Obs.Json.member "baseline_qps" doc) Obs.Json.to_float)
   in
-  let doc =
-    Obs.Json.Obj
+  let baseline_qps = Option.value prior ~default:qps in
+  let target = Printf.sprintf "qps >= %.0f%% of carried baseline under churn" (100.0 *. gate_fraction) in
+  let gates =
+    [
+      (match prior with
+      | None ->
+        { Kit.name = "throughput"; target; status = Kit.Skipped "no baseline; this run's qps is recorded as it" }
+      | Some b -> Kit.gate "throughput" ~target (qps >= gate_fraction *. b));
+      Kit.gate "no_errors" ~target:"every query and churn event answered" (Atomic.get errors = 0);
+    ]
+  in
+  Kit.write_json ~benchmark:"service_latency"
+    Obs.Json.
       [
-        ("benchmark", Obs.Json.Str "service_latency");
-        ("topology", Obs.Json.Str "torus-6x6");
-        ("clients", Obs.Json.Num (float_of_int clients));
-        ("queries", Obs.Json.Num (float_of_int total));
-        ("churn_events_applied", Obs.Json.Num (float_of_int !churn_applied));
-        ("final_epoch", Obs.Json.Num (float_of_int final_epoch));
-        ("errors", Obs.Json.Num (float_of_int (Atomic.get errors)));
-        ("wall_s", Obs.Json.Num wall_s);
-        ("qps", Obs.Json.Num qps);
-        ( "latency_ms",
-          Obs.Json.Obj
-            [ ("p50", Obs.Json.Num p50); ("p99", Obs.Json.Num p99); ("max", Obs.Json.Num pmax) ]
-        );
-        ("baseline_qps", Obs.Json.Num baseline_qps);
-        ( "gate",
-          Obs.Json.Obj
-            [
-              ( "target",
-                Obs.Json.Str
-                  (Printf.sprintf "qps >= %.0f%% of carried baseline under churn"
-                     (100.0 *. gate_fraction)) );
-              ("status", Obs.Json.Str gate_status);
-            ] );
+        ("topology", Str "torus-6x6");
+        ("clients", Kit.json_int clients);
+        ("queries", Kit.json_int total);
+        ("churn_events_applied", Kit.json_int !churn_applied);
+        ("final_epoch", Kit.json_int final_epoch);
+        ("errors", Kit.json_int (Atomic.get errors));
+        ("wall_s", Num wall_s);
+        ("qps", Num qps);
+        ("latency_ms", Obj [ ("p50", Num p50); ("p99", Num p99); ("max", Num pmax) ]);
+        ("baseline_qps", Num baseline_qps);
       ]
-  in
-  (try Unix.mkdir "bench_results" 0o755 with Unix.Unix_error _ -> ());
-  Out_channel.with_open_text results_path (fun oc ->
-      output_string oc (Obs.Json.to_string doc);
-      output_char oc '\n');
+    gates;
   Printf.printf "service_latency: %d queries in %.2f s (%.0f qps), p50 %.3f ms, p99 %.3f ms\n"
     total wall_s qps p50 p99;
-  Printf.printf "churn: %d/%d events applied, final epoch %d, %d errors\n" !churn_applied
-    churn_events final_epoch (Atomic.get errors);
-  Printf.printf "gate (qps >= %.0f%% of baseline %.0f): %s\n" (100.0 *. gate_fraction)
-    baseline_qps
-    (String.uppercase_ascii gate_status);
-  if Atomic.get errors > 0 then begin
-    Printf.eprintf "service_bench: %d request errors\n" (Atomic.get errors);
-    exit 1
-  end;
-  if not gate_ok then exit 1
+  Printf.printf "churn: %d/%d events applied, final epoch %d, %d errors (baseline %.0f qps)\n"
+    !churn_applied churn_events final_epoch (Atomic.get errors) baseline_qps;
+  Kit.finish gates

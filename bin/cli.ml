@@ -72,22 +72,16 @@ let max_layers =
 (* The live manager's configuration, shared by manage and serve. *)
 let manager_config =
   let make algorithm max_layers batch domains =
-    (* --batch unset: snapshot in recommended batches when the pipeline
-       is on (--domains > 1), stay on the sequential recurrence
-       otherwise *)
-    let batch =
-      Option.value batch ~default:(if domains > 1 then Routing.Sssp.recommended_batch else 1)
-    in
     { Fabric.Manager.default_config with algorithm; max_layers; batch; domains }
   in
   let batch =
     Arg.(
-      value
-      & opt (some pos_int) None
+      value & opt pos_int 1
       & info [ "batch" ] ~docv:"B"
           ~doc:
-            "Destinations per weight snapshot in full recomputes (default: the recommended batch \
-             when --domains > 1, else 1 = the sequential recurrence).")
+            "Destinations per weight snapshot in full recomputes (1 = the sequential recurrence). \
+             Batching changes the balancing, so it changes the tables and can change the layer \
+             count; --domains alone never does.")
   in
   let domains =
     Arg.(

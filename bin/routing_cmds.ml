@@ -185,31 +185,38 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"simulate a workload over a routed fabric")
     Term.(const run $ Cli.spec $ Cli.algorithm $ pattern $ engine $ bytes $ Cli.seed)
 
-(* experiment: one table or figure of the paper by id — the
-   fine-grained companion to bench/main.exe, which runs them all. *)
+(* experiment: the paper's tables and figures by id, or all of them.
+   The defaults are the sizes the committed bench_results CSVs were made
+   with, so `experiment all --csv bench_results` (make figures)
+   regenerates them in place. *)
 let experiment_cmd =
-  let run (e : Harness.Experiments.t) scale patterns max_endpoints trials domains csv_dir =
-    let t = e.Harness.Experiments.run { Harness.Experiments.scale; patterns; max_endpoints; trials; domains } in
-    Harness.Report.print t;
-    Option.iter
-      (fun dir ->
-        Cli.ensure_dir dir;
-        Printf.printf "wrote %s\n" (Harness.Report.save_csv ~dir t))
-      csv_dir;
+  let run selected scale patterns max_endpoints trials domains csv_dir =
+    let params = { Harness.Experiments.scale; patterns; max_endpoints; trials; domains } in
+    Option.iter Cli.ensure_dir csv_dir;
+    List.iter
+      (fun (e : Harness.Experiments.t) ->
+        let t = e.run params in
+        Harness.Report.print t;
+        Option.iter (fun dir -> Printf.printf "wrote %s\n" (Harness.Report.save_csv ~dir t)) csv_dir;
+        print_newline ())
+      (List.concat selected);
     0
   in
-  let experiment =
-    let ids = List.map (fun (e : Harness.Experiments.t) -> (e.Harness.Experiments.id, e)) Harness.Experiments.all in
+  let experiments =
+    let entries = Harness.Experiments.all in
+    let choices =
+      ("all", List.filter (fun (e : Harness.Experiments.t) -> not e.full_scale) entries)
+      :: List.map (fun (e : Harness.Experiments.t) -> (e.id, [ e ])) entries
+    in
     Arg.(
-      required
-      & pos 0 (some (enum ids)) None
-      & info [] ~docv:"EXPERIMENT" ~doc:("Experiment id: " ^ String.concat ", " (List.map fst ids) ^ "."))
+      non_empty & pos_all (enum choices) []
+      & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see EXPERIMENTS), or all: every entry but the full-scale ones.")
   in
   let count names default ~doc = Arg.(value & opt Cli.pos_int default & info names ~docv:"N" ~doc) in
   let scale = count [ "scale" ] 4 ~doc:"Divide real-system sizes by $(docv); 1 = full published size." in
-  let patterns = count [ "patterns" ] 50 ~doc:"Random bisection patterns per bandwidth cell." in
-  let max_endpoints = count [ "max-endpoints" ] 1024 ~doc:"Largest sweep size for Figs. 5-7." in
-  let trials = count [ "trials" ] 10 ~doc:"Random topology seeds for Fig. 9 / heuristics." in
+  let patterns = count [ "patterns" ] 30 ~doc:"Random bisection patterns per bandwidth cell." in
+  let max_endpoints = count [ "max-endpoints" ] 512 ~doc:"Largest sweep size for Figs. 5-7." in
+  let trials = count [ "trials" ] 5 ~doc:"Random topology seeds for Fig. 9 / heuristics." in
   let domains =
     Arg.(
       value
@@ -221,7 +228,7 @@ let experiment_cmd =
              sequentially.")
   in
   let csv =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc:"Also write the table as CSV into $(docv).")
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")
   in
   let man =
     `S "EXPERIMENTS"
@@ -230,8 +237,8 @@ let experiment_cmd =
          Harness.Experiments.all
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"regenerate one table or figure of the DFSSSP paper" ~man)
-    Term.(const run $ experiment $ scale $ patterns $ max_endpoints $ trials $ domains $ csv)
+    (Cmd.info "experiment" ~doc:"regenerate tables and figures of the DFSSSP paper" ~man)
+    Term.(const run $ experiments $ scale $ patterns $ max_endpoints $ trials $ domains $ csv)
 
 (* analyze: the routing certifier — route (or load) forwarding tables,
    lint them, and validate a deadlock-freedom certificate. *)

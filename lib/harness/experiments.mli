@@ -1,7 +1,7 @@
 (** The paper's evaluation as one table: every figure, table, ablation
     and extension under a stable id, each a function of the shared size
-    knobs. [fabric_tool experiment ID] runs one entry and
-    [bench/main.exe] runs them all, each at its own defaults. *)
+    knobs. [fabric_tool experiment ID...] runs those entries and
+    [fabric_tool experiment all] every entry that is not [full_scale]. *)
 
 type params = {
   scale : int;  (** divisor for real-system sizes; 1 = the published size *)
@@ -18,7 +18,7 @@ type t = {
   title : string;
   full_scale : bool;
       (** runs at the paper's size whatever [params] say (CPU-hours);
-          the bench skips it *)
+          [experiment all] skips it *)
   run : params -> Report.table;
 }
 

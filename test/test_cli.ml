@@ -187,6 +187,17 @@ let test_manage_trace () =
   usage_error [ "trace"; "torus:4x4" ] ~naming:"unknown command 'trace'";
   usage_error [ "route"; "torus:4x4"; "--max-vls"; "4" ] ~naming:"unknown option '--max-vls'"
 
+(* --domains only spreads the work: without an explicit --batch, the
+   served tables are the same at every domain count. *)
+let test_domains_keep_tables () =
+  let tables domains =
+    let stdout = succeeds [ "manage"; "torus:8x8:4"; "--events"; "0"; "--domains"; domains ] in
+    match List.find_opt (fun l -> Testutil.contains l "active tables:") (String.split_on_char '\n' stdout) with
+    | Some line -> line
+    | None -> Alcotest.failf "manage --domains %s printed no active tables line:\n%s" domains stdout
+  in
+  Alcotest.(check string) "active tables, --domains 1 vs 2" (tables "1") (tables "2")
+
 let () =
   Alcotest.run "cli"
     [
@@ -205,5 +216,6 @@ let () =
           Alcotest.test_case "--dot files import strictly" `Quick test_dot_imports;
           Alcotest.test_case "experiment runs by id and lists ids on error" `Quick test_experiment;
           Alcotest.test_case "manage --trace writes parseable spans; trace is gone" `Quick test_manage_trace;
+          Alcotest.test_case "--domains never changes the served tables" `Quick test_domains_keep_tables;
         ] );
     ]
