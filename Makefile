@@ -168,7 +168,8 @@ bench-analysis:
 # bench_results/cycle_break.json; gates: SCC >= 2x DFS on the torus
 # workloads (scc_2x), layer counts within oracle+1 (layers_within_1),
 # parallel planning >= 0.9x sequential (par_not_slower, skipped below 2
-# hardware domains).
+# hardware domains). Each workload races until every engine has run for
+# 1.5 s (at least 3 rounds); the round count is in the JSON.
 bench-break:
 	dune exec --profile release bench/break_bench.exe
 
@@ -201,8 +202,10 @@ kernel-equivalence:
 # Controller-service throughput/latency gate (DESIGN.md §14). Starts a
 # real server in-process and hammers it with 16 client threads under
 # topology churn; writes bench_results/service_latency.json. The first
-# run records its qps as the baseline (gate skipped); later runs fail
-# below 40% of it (throughput), and any refused request fails no_errors.
+# run records its qps and a host reference kernel's time as the baseline
+# (gate skipped); later runs fail below 40% of it, scaled by the ratio of
+# the reference times (throughput), and any refused request fails
+# no_errors.
 bench-service:
 	dune exec --profile release bench/service_bench.exe
 

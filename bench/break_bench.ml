@@ -34,6 +34,11 @@ type run = {
   broken : int;
 }
 
+(* Each engine races for at least this long on every workload (at
+   least 3 rounds): xgft-1024 breaks in ~10 ms, and a best-of-3 on a
+   10 ms run cannot resolve par_not_slower's 10% band. *)
+let race_floor_ms = 1500.0
+
 (* The engine under test and the timer prefix its stages fire. *)
 type engine =
   | Dfs
@@ -52,13 +57,16 @@ let staged (engine, f) () =
   in
   (stages, outcome)
 
-(* The engines race in interleaved rounds (Kit.time_race); the stage
-   split comes from each engine's winning round. *)
-let race_runs ~rounds fs =
-  Array.map
-    (fun (wall_ms, (stages, outcome)) ->
-      { wall_ms; stages; layers = outcome.Layers.layers_used; broken = outcome.Layers.cycles_broken })
-    (Kit.time_race ~rounds (Array.map staged fs))
+(* The engines race in interleaved rounds (Kit.time_race_floor) until
+   each engine's rounds add up to [race_floor_ms]; the stage split comes
+   from each engine's winning round. *)
+let race_runs fs =
+  let best, rounds = Kit.time_race_floor ~min_rounds:3 ~floor_ms:race_floor_ms (Array.map staged fs) in
+  ( Array.map
+      (fun (wall_ms, (stages, outcome)) ->
+        { wall_ms; stages; layers = outcome.Layers.layers_used; broken = outcome.Layers.cycles_broken })
+      best,
+    rounds )
 
 type workload = {
   name : string;
@@ -94,6 +102,7 @@ let assign w engine () =
 
 type row = {
   w : workload;
+  rounds : int; (* race rounds run to reach race_floor_ms *)
   dfs : run;
   scc_seq : run;
   scc_par : run;
@@ -107,14 +116,11 @@ let par_vs_seq r = r.scc_seq.wall_ms /. r.scc_par.wall_ms
    one allocates: keeping every store alive at once puts the major heap
    in a regime where the CDG builds pay seconds of GC instead of
    milliseconds. *)
-let measure ~domains ~rounds build =
+let measure ~domains build =
   let w = build () in
   Printf.eprintf "measuring %s (%d pairs, %d CDG edges)...\n%!" w.name w.pairs w.cdg_edges;
-  let runs =
-    race_runs ~rounds
-      (Array.map (fun e -> (e, assign w e)) [| Dfs; Scc 1; Scc domains |])
-  in
-  { w; dfs = runs.(0); scc_seq = runs.(1); scc_par = runs.(2) }
+  let runs, rounds = race_runs (Array.map (fun e -> (e, assign w e)) [| Dfs; Scc 1; Scc domains |]) in
+  { w; rounds; dfs = runs.(0); scc_seq = runs.(1); scc_par = runs.(2) }
 
 let json_run r =
   let open Obs.Json in
@@ -139,6 +145,7 @@ let json_row r =
       ("name", Str r.w.name);
       ("pairs", Kit.json_int r.w.pairs);
       ("cdg_edges", Kit.json_int r.w.cdg_edges);
+      ("rounds", Kit.json_int r.rounds);
       ("dfs", json_run r.dfs);
       ("scc_sequential", json_run r.scc_seq);
       ("scc_parallel", json_run r.scc_par);
@@ -184,13 +191,13 @@ let () =
           ~num_dsts:32 ~gated_2x:true);
     ]
   in
-  let rows = List.map (measure ~domains ~rounds:3) workloads in
+  let rows = List.map (measure ~domains) workloads in
   List.iter
     (fun r ->
       Printf.printf
-        "%-12s %7d pairs | dfs %8.2f ms (%d layers, %d broken) | scc %8.2f ms (%d layers, %d \
-         evicted) %.2fx | par %8.2f ms %.2fx\n"
-        r.w.name r.w.pairs r.dfs.wall_ms r.dfs.layers r.dfs.broken r.scc_seq.wall_ms
+        "%-12s %7d pairs %3d rounds | dfs %8.2f ms (%d layers, %d broken) | scc %8.2f ms (%d \
+         layers, %d evicted) %.2fx | par %8.2f ms %.2fx\n"
+        r.w.name r.w.pairs r.rounds r.dfs.wall_ms r.dfs.layers r.dfs.broken r.scc_seq.wall_ms
         r.scc_seq.layers r.scc_seq.broken (scc_vs_dfs r) r.scc_par.wall_ms (par_vs_seq r);
       Printf.printf "             stages dfs c/e/r %.1f/%.1f/%.1f | scc %.1f/%.1f/%.1f\n"
         r.dfs.stages.condense_ms r.dfs.stages.evict_ms r.dfs.stages.rebuild_ms
@@ -211,6 +218,7 @@ let () =
     [
       ("domains_available", Kit.json_int available);
       ("domains_used", Kit.json_int domains);
+      ("race_floor_ms", Obs.Json.Num race_floor_ms);
       ("workloads", Obs.Json.List (List.map json_row rows));
     ]
     gates;

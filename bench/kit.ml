@@ -1,5 +1,6 @@
 (* The shared harness of the gated benches (cdg, routing, break,
-   analysis, service): timing disciplines, the carried-baseline reader,
+   analysis, service): timing disciplines, a host-speed reference
+   kernel, the carried-baseline reader,
    the workload store every Algorithm 2 bench breaks, and one gate
    vocabulary with one JSON form and one exit rule. *)
 
@@ -7,29 +8,104 @@ open Netgraph
 
 (* ---- timing ---- *)
 
-(* Interleaved best-of-[rounds] for variants compared against each
-   other: each round runs every thunk once, so all of them sample the
-   same noise (GC phase, neighbours on a shared box) instead of one
-   sampling a calm window the others never see. With [compact] (the
-   default) each round starts from a compacted heap, so no variant pays
-   another's major-GC debt. Returns, per thunk, the best wall time in ms
-   and that round's result. *)
-let time_race ?(rounds = 4) ?(compact = true) thunks =
-  let best = Array.make (Array.length thunks) None in
-  for _ = 1 to rounds do
+(* Interleaved best-of-N for variants compared against each other:
+   each round runs every thunk once, so all of them sample the same
+   noise (GC phase, neighbours on a shared box) instead of one sampling
+   a calm window the others never see. With [compact] (the default)
+   each round starts from a compacted heap, so no variant pays
+   another's major-GC debt. The race runs at least [min_rounds] rounds,
+   and more until every thunk's rounds add up to [floor_ms]: a 10 ms
+   variant is then sampled for as long as a 1 s one is by [min_rounds],
+   which a fixed round count cannot do. Returns, per thunk, the best
+   wall time in ms and that round's result, and the rounds run. *)
+let time_race_floor ?(min_rounds = 3) ?(compact = true) ~floor_ms thunks =
+  let n = Array.length thunks in
+  let best = Array.make n None and spent = Array.make n 0.0 in
+  let rounds = ref 0 in
+  while !rounds < min_rounds || Array.exists (fun ms -> ms < floor_ms) spent do
     if compact then Gc.compact ();
     Array.iteri
       (fun i f ->
         let t0 = Unix.gettimeofday () in
         let r = f () in
         let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+        spent.(i) <- spent.(i) +. ms;
         match best.(i) with Some (b, _) when b <= ms -> () | _ -> best.(i) <- Some (ms, r))
-      thunks
+      thunks;
+    incr rounds
   done;
-  Array.map Option.get best
+  (Array.map Option.get best, !rounds)
+
+(* The race for exactly [rounds] rounds. *)
+let time_race ?(rounds = 4) ?compact thunks =
+  fst (time_race_floor ~min_rounds:rounds ?compact ~floor_ms:0.0 thunks)
 
 (* Best of three runs of one thunk, in ms, with its result. *)
 let time_best ?(compact = false) f = (time_race ~rounds:3 ~compact [| f |]).(0)
+
+(* Host speed: a fixed kernel shaped like the serving path, touching
+   no repository code and allocating nothing in its timed loop. Two
+   threads pass a one-byte message back and forth over a Unix socket
+   pair [ref_trips] times, and the answering side chases [ref_reads]
+   dependent reads through an 8 MB permutation table per message: a
+   request, some memory-bound work, a reply. On a shared 2-vCPU VM the
+   thread wake-ups are what slows down between runs (service qps fell
+   from 58k to 25k while a read-only kernel moved 6%; this kernel's
+   time rose 7.5 -> 22 ms with it). A bench that gates against a number
+   carried over from an earlier run records this kernel's time beside
+   it, and scales the carried number by the ratio of the two reference
+   times, so a slower or busier host does not read as a regression. *)
+let ref_words = 1 lsl 20
+
+let ref_trips = 1000
+
+let ref_reads = 500
+
+let ref_table = lazy (Array.init ref_words (fun i -> (i * 0x9E3779B1) land (ref_words - 1)))
+
+let chase t j0 =
+  let j = ref j0 and acc = ref 0 in
+  for _ = 1 to ref_reads do
+    j := t.((!j + !acc) land (ref_words - 1));
+    acc := !acc + (!j land 15)
+  done;
+  !j + !acc
+
+let host_ref_once () =
+  let t = Lazy.force ref_table in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let answer () =
+    let buf = Bytes.create 1 and j = ref 0 in
+    for _ = 1 to ref_trips do
+      ignore (Unix.read b buf 0 1);
+      j := chase t !j;
+      ignore (Unix.write b buf 0 1)
+    done;
+    ignore (Sys.opaque_identity !j)
+  in
+  let answerer = Thread.create answer () in
+  let buf = Bytes.create 1 in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to ref_trips do
+    ignore (Unix.write a buf 0 1);
+    ignore (Unix.read a buf 0 1)
+  done;
+  let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+  Thread.join answerer;
+  Unix.close a;
+  Unix.close b;
+  ms
+
+(* The median of [samples] runs of the reference kernel, in ms. *)
+let host_ref_ms ?(samples = 7) () =
+  let xs = Array.init samples (fun _ -> host_ref_once ()) in
+  Array.sort Float.compare xs;
+  xs.(samples / 2)
+
+(* [baseline] (a rate, higher is better) recorded on a host whose
+   reference took [baseline_ref_ms], as expected on a host whose
+   reference takes [ref_ms]. *)
+let scale_rate baseline ~baseline_ref_ms ~ref_ms = baseline *. baseline_ref_ms /. ref_ms
 
 (* Total seconds recorded so far by the default registry's timer [name]
    (0 if it never fired): read before and after a run for its stage

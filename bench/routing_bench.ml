@@ -48,10 +48,6 @@ type workload = {
   bucket_gated : bool; (* torus/xgft: bucket-vs-heap gate applies *)
 }
 
-let attached_switch g t =
-  let inc = Graph.in_channels g t in
-  if Array.length inc = 0 then -1 else (Graph.channel g inc.(0)).Channel.src
-
 (* A contiguous terminal block, grouped by attached switch. Grouping is
    the destination order a locality-aware controller feeds
    route_destinations: consecutive same-switch terminals are what the
@@ -61,7 +57,8 @@ let attached_switch g t =
    sort no block of any size would ever repeat a switch. *)
 let build_workload name g ~num_dsts ~bucket_gated =
   let terminals = Array.copy (Graph.terminals g) in
-  Array.stable_sort (fun a b -> compare (attached_switch g a) (attached_switch g b)) terminals;
+  let attached = Graph.attached g in
+  Array.stable_sort (fun a b -> compare attached.(a) attached.(b)) terminals;
   let num_dsts = min num_dsts (Array.length terminals) in
   { name; graph = g; dsts = Array.sub terminals 0 num_dsts; bucket_gated }
 

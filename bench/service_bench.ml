@@ -7,12 +7,17 @@
    per-query latency percentiles into bench_results/service_latency.json.
 
    The [throughput] gate is a carried-forward baseline: the first run
-   records its qps as [baseline_qps] (the gate is skipped); later runs
-   must stay above [gate_fraction] of that baseline (and re-record the
-   old baseline, so the floor does not creep down with noisy runs). The
-   ratio is loose on purpose — this catches a serving-path regression
-   (an accidental copy, a lost batch, a quadratic scan), not scheduler
-   jitter. The [no_errors] gate fails on any refused query or event. *)
+   records its qps as [baseline_qps] and the host reference kernel's
+   time (Kit.host_ref_ms) as [baseline_ref_ms] (the gate is skipped);
+   later runs must stay above [gate_fraction] of that baseline scaled
+   to this host's reference time (and re-record the old baseline, so
+   the floor does not creep down with noisy runs). A baseline carried
+   without a reference time cannot be scaled, so it is replaced like a
+   missing one. The ratio is loose on purpose — this catches a
+   serving-path regression (an accidental copy, a lost batch, a
+   quadratic scan), not scheduler jitter, and the scaling keeps a
+   slower host from reading as one. The [no_errors] gate fails on any
+   refused query or event. *)
 
 let clients = 16
 let queries_per_client = 1_500
@@ -25,6 +30,7 @@ let sock_path =
 
 let () =
   (try Unix.unlink sock_path with Unix.Unix_error _ -> ());
+  let ref_before = Kit.host_ref_ms () in
   let g = fst (Topo_torus.torus ~dims:[| 6; 6 |] ~terminals_per_switch:1) in
   let config =
     {
@@ -112,6 +118,7 @@ let () =
   | Error msg -> Printf.eprintf "service_bench: shutdown: %s\n" msg);
   Thread.join server_thread;
 
+  let ref_ms = (ref_before +. Kit.host_ref_ms ()) /. 2.0 in
   let total = clients * queries_per_client in
   let flat = Array.concat (Array.to_list latencies) in
   Array.sort compare flat;
@@ -121,18 +128,25 @@ let () =
   let pmax = flat.(Array.length flat - 1) in
   let final_epoch = Fabric.Manager.epoch (Service.Server.manager server) in
 
-  let prior =
-    Option.bind (Kit.read_baseline "bench_results/service_latency.json") (fun doc ->
-        Option.bind (Obs.Json.member "baseline_qps" doc) Obs.Json.to_float)
+  let prior = Kit.read_baseline "bench_results/service_latency.json" in
+  let carried field = Option.bind prior (fun doc -> Option.bind (Obs.Json.member field doc) Obs.Json.to_float) in
+  let baseline =
+    match (carried "baseline_qps", carried "baseline_ref_ms") with
+    | Some b, Some r -> Ok (b, r)
+    | Some _, None -> Error "carried baseline has no reference time; this run's qps and reference time replace it"
+    | None, _ -> Error "no baseline; this run's qps and reference time are recorded as it"
   in
-  let baseline_qps = Option.value prior ~default:qps in
-  let target = Printf.sprintf "qps >= %.0f%% of carried baseline under churn" (100.0 *. gate_fraction) in
+  let baseline_qps, baseline_ref_ms = match baseline with Ok br -> br | Error _ -> (qps, ref_ms) in
+  let scaled_qps = Kit.scale_rate baseline_qps ~baseline_ref_ms ~ref_ms in
+  let target =
+    Printf.sprintf "qps >= %.0f%% of carried baseline, scaled by host reference time, under churn"
+      (100.0 *. gate_fraction)
+  in
   let gates =
     [
-      (match prior with
-      | None ->
-        { Kit.name = "throughput"; target; status = Kit.Skipped "no baseline; this run's qps is recorded as it" }
-      | Some b -> Kit.gate "throughput" ~target (qps >= gate_fraction *. b));
+      (match baseline with
+      | Error why -> { Kit.name = "throughput"; target; status = Kit.Skipped why }
+      | Ok _ -> Kit.gate "throughput" ~target (qps >= gate_fraction *. scaled_qps));
       Kit.gate "no_errors" ~target:"every query and churn event answered" (Atomic.get errors = 0);
     ]
   in
@@ -148,11 +162,17 @@ let () =
         ("wall_s", Num wall_s);
         ("qps", Num qps);
         ("latency_ms", Obj [ ("p50", Num p50); ("p99", Num p99); ("max", Num pmax) ]);
+        ("ref_ms", Num ref_ms);
         ("baseline_qps", Num baseline_qps);
+        ("baseline_ref_ms", Num baseline_ref_ms);
+        ("scaled_baseline_qps", Num scaled_qps);
       ]
     gates;
   Printf.printf "service_latency: %d queries in %.2f s (%.0f qps), p50 %.3f ms, p99 %.3f ms\n"
     total wall_s qps p50 p99;
-  Printf.printf "churn: %d/%d events applied, final epoch %d, %d errors (baseline %.0f qps)\n"
-    !churn_applied churn_events final_epoch (Atomic.get errors) baseline_qps;
+  Printf.printf
+    "churn: %d/%d events applied, final epoch %d, %d errors (baseline %.0f qps at reference %.2f ms, \
+     %.0f qps at this host's %.2f ms)\n"
+    !churn_applied churn_events final_epoch (Atomic.get errors) baseline_qps baseline_ref_ms scaled_qps
+    ref_ms;
   Kit.finish gates

@@ -7,6 +7,9 @@ type t = {
   terminals : int array;
   reverse : int array; (* channel id -> paired opposite channel id, or -1 *)
   enabled : bool array; (* channel id -> carried in the adjacency arrays *)
+  heads : int array; (* channel id -> dst node *)
+  tails : int array; (* channel id -> src node *)
+  attached : int array; (* node id -> the one node a single-homed terminal is cabled to, or -1 *)
 }
 
 let num_nodes g = Array.length g.nodes
@@ -39,6 +42,12 @@ let is_switch g v = Node.is_switch g.nodes.(v)
 
 let is_terminal g v = Node.is_terminal g.nodes.(v)
 
+let heads g = g.heads
+
+let tails g = g.tails
+
+let attached g = g.attached
+
 let adjacency_of ~num_nodes:n ~channels ~enabled =
   (* the mask is indexed by array position (= id on well-formed graphs):
      malformed channel records must still construct so validate can
@@ -65,6 +74,22 @@ let adjacency_of ~num_nodes:n ~channels ~enabled =
     channels;
   (out_channels, in_channels)
 
+(* A terminal whose enabled channels, both ways, all join it to one
+   other node [s] is attached to [s]; every other node is attached to
+   nothing (-1), isolated terminals included. *)
+let attached_of ~nodes ~heads ~tails ~out_channels ~in_channels =
+  Array.mapi
+    (fun v nd ->
+      if not (Node.is_terminal nd) then -1
+      else begin
+        let s = ref (-1) and ok = ref true in
+        let meet w = if w = v || (!s >= 0 && w <> !s) then ok := false else s := w in
+        Array.iter (fun c -> meet heads.(c)) out_channels.(v);
+        Array.iter (fun c -> meet tails.(c)) in_channels.(v);
+        if !ok then !s else -1
+      end)
+    nodes
+
 let make ~nodes ~channels ~reverse =
   let n = Array.length nodes in
   let enabled = Array.make (Array.length channels) true in
@@ -77,7 +102,10 @@ let make ~nodes ~channels ~reverse =
     Array.of_list
       (Array.fold_right (fun (nd : Node.t) acc -> if Node.is_terminal nd then nd.id :: acc else acc) nodes [])
   in
-  { nodes; channels; out_channels; in_channels; switches; terminals; reverse; enabled }
+  let heads = Array.map (fun (c : Channel.t) -> c.dst) channels in
+  let tails = Array.map (fun (c : Channel.t) -> c.src) channels in
+  let attached = attached_of ~nodes ~heads ~tails ~out_channels ~in_channels in
+  { nodes; channels; out_channels; in_channels; switches; terminals; reverse; enabled; heads; tails; attached }
 
 let channel_enabled g c = g.enabled.(c)
 
@@ -87,7 +115,8 @@ let with_enabled g ~enabled =
   if Array.length enabled <> num_channels g then invalid_arg "Graph.with_enabled: mask size";
   let enabled = Array.copy enabled in
   let out_channels, in_channels = adjacency_of ~num_nodes:(num_nodes g) ~channels:g.channels ~enabled in
-  { g with out_channels; in_channels; enabled }
+  let attached = attached_of ~nodes:g.nodes ~heads:g.heads ~tails:g.tails ~out_channels ~in_channels in
+  { g with out_channels; in_channels; enabled; attached }
 
 let bfs_dist g src =
   let n = num_nodes g in

@@ -40,6 +40,29 @@ val reverse_channel : t -> int -> int option
 val is_switch : t -> int -> bool
 val is_terminal : t -> int -> bool
 
+(** {1 Flat endpoint arrays}
+
+    Computed once per graph, for inner loops that would otherwise chase
+    {!channel} records. Do not mutate. *)
+
+(** [heads g] maps each channel id to its destination node
+    ([(channel g c).dst]), disabled channels included. *)
+val heads : t -> int array
+
+(** [tails g] maps each channel id to its source node
+    ([(channel g c).src]), disabled channels included. *)
+val tails : t -> int array
+
+(** [attached g] maps each node to the one node it is single-homed on,
+    or [-1]: [(attached g).(v) = s] iff [v] is a terminal with at least
+    one enabled channel and every enabled channel in or out of [v] joins
+    it to [s <> v] (parallel cables included). Such a terminal cannot
+    relay a shortest path between two other nodes: any walk through it
+    enters from [s] and leaves to [s]. Recomputed by {!with_enabled},
+    so a dual-homed terminal whose second cable is disabled becomes
+    attached. *)
+val attached : t -> int array
+
 (** {1 Channel enablement}
 
     Every channel exists forever under its original id; a channel may
@@ -57,8 +80,9 @@ val channel_enabled : t -> int -> bool
 val num_enabled_channels : t -> int
 
 (** [with_enabled g ~enabled] is [g] with exactly the channels whose mask
-    entry is [true] present in the adjacency arrays. Nodes, channels and
-    ids are shared unchanged; the mask is copied.
+    entry is [true] present in the adjacency arrays. Nodes, channels,
+    ids, {!heads} and {!tails} are shared unchanged; {!attached} is
+    recomputed; the mask is copied.
     @raise Invalid_argument if the mask length differs from
     [num_channels g]. *)
 val with_enabled : t -> enabled:bool array -> t

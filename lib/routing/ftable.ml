@@ -26,10 +26,23 @@ let dst_index t node =
   if i < 0 then invalid_arg "Ftable.dst_index: not a terminal";
   i
 
+let not_leaving () = invalid_arg "Ftable.set_next: channel does not leave node"
+
 let set_next t ~node ~dst ~channel =
-  let c = Graph.channel t.graph channel in
-  if c.Channel.src <> node then invalid_arg "Ftable.set_next: channel does not leave node";
+  if (Graph.tails t.graph).(channel) <> node then not_leaving ();
   t.next.(node).(dst_index t dst) <- channel
+
+let set_tree t ~dst via =
+  let n = Graph.num_nodes t.graph in
+  if Array.length via <> n then invalid_arg "Ftable.set_tree: via size";
+  let di = dst_index t dst and tails = Graph.tails t.graph in
+  for u = 0 to n - 1 do
+    let c = via.(u) in
+    if u <> dst && c >= 0 then begin
+      if tails.(c) <> u then not_leaving ();
+      t.next.(u).(di) <- c
+    end
+  done
 
 let next t ~node ~dst =
   let c = t.next.(node).(dst_index t dst) in
@@ -138,7 +151,7 @@ let walk_classes t =
   let g = t.graph in
   let terminals = Graph.terminals g in
   let nt = Array.length terminals and n = Graph.num_nodes g in
-  let head = Array.map (fun c -> c.Channel.dst) (Graph.channels g) in
+  let head = Graph.heads g in
   let first_in = Array.make n max_int in
   Array.iter
     (fun (c : Channel.t) ->

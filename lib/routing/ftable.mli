@@ -26,6 +26,15 @@ val dst_index : t -> int -> int
     not a terminal. *)
 val set_next : t -> node:int -> dst:int -> channel:int -> unit
 
+(** [set_tree t ~dst via] writes one destination's tree: for every node
+    [u <> dst] with [via.(u) >= 0], the entry [set_next t ~node:u ~dst
+    ~channel:via.(u)] would write, in node order. Entries with
+    [via.(u) < 0] and [dst]'s own entry are left as they are.
+    @raise Invalid_argument if [via] is not one entry per node, [dst] is
+    not a terminal, or a channel does not leave its node (with
+    {!set_next}'s message; the entries before it are written). *)
+val set_tree : t -> dst:int -> int array -> unit
+
 (** [next t ~node ~dst] is the forwarding entry, or [None] if unset. *)
 val next : t -> node:int -> dst:int -> int option
 

@@ -18,15 +18,19 @@
      consecutive destinations on the same switch (the common case when a
      plane walks terminals in id order) share one core run.
 
-   All three kernels produce bit-for-bit identical (dist, via, order)
+   All three kernels produce bit-for-bit identical (dist, via, reached)
    results.  The relaxation rule settles node [v] and, for each channel
    [c : u -> v], improves [u] when [dist v + w c < dist u], or updates
    [via u] to the smaller channel id on ties.  Once every neighbour of
    [u] is settled, [dist u] is the true distance and [via u] is the
    minimum channel id among achievers — a value independent of the
-   order in which equal-distance nodes were settled.  Any correct
-   settle order therefore yields the same arrays, which is what the
-   equivalence property in [test/test_spf.ml] checks. *)
+   order in which nodes were settled.  Any correct settle order
+   therefore yields the same arrays, which is what the equivalence
+   property in [test/test_spf.ml] checks.  [order] itself is only
+   promised to settle every via-parent before its children: the
+   bucket core settles a single-homed terminal (a leaf, see
+   {!Graph.attached}) right after its switch, so its [order] is not
+   sorted by distance. *)
 
 type kind = Auto | Heap | Bucket | Incremental
 
@@ -166,7 +170,14 @@ let heap_core ws g ~weights ~dst ~dist ~via ~order =
    distance in [cur*delta, (cur+1)*delta - 1 + maxw], i.e. lands within
    [window = ceil(maxw/delta) + 2] buckets, so a circular window of that
    many stacks suffices and each entry is consumed exactly at its
-   absolute bucket. *)
+   absolute bucket.
+
+   The leaf rule: a terminal [u <> dst] attached to [v]
+   ({!Graph.attached}) has no channel out but into [v] and none in but
+   from [v], so it lies on no shortest path between two other nodes
+   (weights >= 1), and all its candidates arrive while [v] settles.  It
+   is finalised in [v]'s relaxation loop and never enters the queue; on
+   bring-up fabrics that is most of the nodes. *)
 
 let ensure_window ws window =
   if Array.length ws.buckets < window then begin
@@ -195,6 +206,7 @@ let push_bucket ws b x =
 let bucket_core ws g ~weights ~delta ~window ~dst ~dist ~via ~order =
   Obs.Counter.incr c_trees;
   let n = ws.n in
+  let tails = Graph.tails g and attached = Graph.attached g in
   ensure_window ws window;
   Array.fill ws.blens 0 (Array.length ws.blens) 0;
   ws.gen <- ws.gen + 1;
@@ -218,19 +230,31 @@ let bucket_core ws g ~weights ~delta ~window ~dst ~dist ~via ~order =
         order.(!k) <- v;
         incr k;
         let dv = dist.(v) in
-        Array.iter
-          (fun c ->
-            let u = (Graph.channel g c).Channel.src in
-            let cand = dv + weights.(c) in
-            if cand < dist.(u) || (cand = dist.(u) && c < via.(u)) then begin
-              if cand < dist.(u) then begin
-                dist.(u) <- cand;
-                push_bucket ws (cand / delta mod window) u;
-                incr pending
+        let ins = Graph.in_channels g v in
+        for i = 0 to Array.length ins - 1 do
+          let c = ins.(i) in
+          let u = tails.(c) in
+          let cand = dv + weights.(c) in
+          let du = dist.(u) in
+          if cand < du || (cand = du && c < via.(u)) then begin
+            if attached.(u) = v && u <> dst then begin
+              (* A leaf: every channel out of [u] enters [v], so all its
+                 candidates arrive in this loop and it settles here, after
+                 its parent, without entering the queue. *)
+              if du = max_int then begin
+                order.(!k) <- u;
+                incr k
               end;
-              via.(u) <- c
-            end)
-          (Graph.in_channels g v)
+              dist.(u) <- cand
+            end
+            else if cand < du then begin
+              dist.(u) <- cand;
+              push_bucket ws (cand / delta mod window) u;
+              incr pending
+            end;
+            via.(u) <- c
+          end
+        done
       end
     done;
     incr cur
@@ -268,8 +292,8 @@ let run_core ws g ~weights ~minw ~maxw ~dst ~dist ~via ~order =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Incremental core.  A terminal [dst] whose in-channels all come from
-   one switch [sw] sees every path end with an [sw -> dst] channel of
+(* Incremental core.  A terminal [dst] attached to one switch [sw]
+   ({!Graph.attached}) sees every path end with an [sw -> dst] channel of
    the injection weight K = min over those channels (ties to the lowest
    channel id), so
 
@@ -283,22 +307,6 @@ let run_core ws g ~weights ~minw ~maxw ~dst ~dist ~via ~order =
    zero-cost detour back through sw.  The cache is keyed by (stamp, sw);
    stamps are globally unique per weight snapshot, so a stale cache can
    never be confused for a current one. *)
-
-let attached_switch g dst =
-  if not (Graph.is_terminal g dst) then -1
-  else begin
-    let ins = Graph.in_channels g dst in
-    if Array.length ins = 0 then -1
-    else begin
-      let sw = (Graph.channel g ins.(0)).Channel.src in
-      if sw = dst then -1
-      else begin
-        let ok = ref true in
-        Array.iter (fun c -> if (Graph.channel g c).Channel.src <> sw then ok := false) ins;
-        if !ok then sw else -1
-      end
-    end
-  end
 
 let derive ws g ~weights ~dst ~sw =
   let inj = ref (-1) in
@@ -352,7 +360,7 @@ let compute ?minw ?maxw ws g ~weights ~stamp ~dst =
         (* zero-weight edges void the switch-tree derivation *)
         heap_core ws g ~weights ~dst ~dist:ws.dist ~via:ws.via ~order:ws.order
       else begin
-        let sw = attached_switch g dst in
+        let sw = (Graph.attached g).(dst) in
         if sw < 0 then
           run_core ws g ~weights ~minw ~maxw ~dst ~dist:ws.dist ~via:ws.via ~order:ws.order
         else begin

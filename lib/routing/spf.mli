@@ -3,7 +3,7 @@
     Every routing engine here reduces to "build a shortest-path tree
     toward each destination over the reversed graph"; this module owns
     that inner loop behind a kernel interface.  All kernels produce
-    bit-for-bit identical [(dist, via, order)] results — the relaxation
+    bit-for-bit identical [(dist, via, reached)] results — the relaxation
     rule makes [via u] the minimum channel id among shortest-path
     achievers, a quantity independent of the settle order — so kernel
     choice is purely a performance knob.  [test/test_spf.ml] enforces
@@ -20,7 +20,9 @@
     - [Bucket]: Dial-style bucket queue for bounded small-integer weight
       ratios. Bucket width is the minimum channel weight, so every edge
       spans at least one full bucket and nodes in the current bucket
-      settle in any order. Falls back to [Heap] automatically when the
+      settle in any order. Single-homed terminals other than the root
+      are leaves: they settle inside their switch's relaxation loop and
+      never enter the queue. Falls back to [Heap] automatically when the
       bounds put the window out of range (see {!compute}).
     - [Incremental]: derives a single-switch-attached terminal's tree
       from its switch's tree (one injection edge), reusing one core run
@@ -37,11 +39,14 @@ val kind_to_string : kind -> string
     kernel. *)
 val resolve : kind -> kind
 
-(** Result of one tree computation. [order] lists settled nodes in
-    non-decreasing [dist] order; the first [reached] entries are valid
-    ([reached < num_nodes] means some node cannot reach [dst]).
-    Iterating [order] backwards visits the tree far-to-near — exactly
-    the order flow accumulation needs, with no sort.
+(** Result of one tree computation. [order] lists the settled nodes,
+    [dst] first, each after its via-parent; the first [reached] entries
+    are valid ([reached < num_nodes] means some node cannot reach
+    [dst]). Iterating [order] backwards visits the tree far-to-near —
+    exactly the order flow accumulation needs, with no sort. [order] is
+    a valid settle order, not a kernel-independent one: the heap oracle
+    settles by non-decreasing [dist], while the bucket core settles a
+    single-homed terminal ({!Graph.attached}) right after its switch.
 
     The arrays are {b owned by the workspace}: valid until the next
     {!compute}/{!compute_hops} on the same workspace, and must not be

@@ -27,8 +27,7 @@ let t_snapshot =
    driver's [Batched.view.add]: it lands in the live weights or in a
    per-slot delta, as the batch mode decides.
 
-   The kernel's settle order is non-decreasing in distance, and with
-   weights >= 1 every via-parent settles strictly before its children,
+   Every kernel settles a node's via-parent before the node (Spf.tree),
    so walking the order backwards visits the tree far-to-near — the
    per-destination sort the previous implementation needed is gone. *)
 let route_destination ws g ~weights ~minw ~maxw ~stamp ~record ~flow ~ft ~dst =
@@ -37,20 +36,24 @@ let route_destination ws g ~weights ~minw ~maxw ~stamp ~record ~flow ~ft ~dst =
   let n = Graph.num_nodes g in
   if reached < n then Error (Printf.sprintf "sssp: node unreachable toward %d" dst)
   else begin
-    Array.iteri (fun u c -> if u <> dst && c >= 0 then Ftable.set_next ft ~node:u ~dst ~channel:c) via;
+    Ftable.set_tree ft ~dst via;
     (* Weight update: add to each channel the number of terminal routes
        to [dst] crossing it, accumulating flows far-to-near along the
        shortest-path tree. *)
-    for v = 0 to n - 1 do
-      flow.(v) <- (if Graph.is_terminal g v && v <> dst then 1 else 0)
+    let heads = Graph.heads g and terminals = Graph.terminals g in
+    Array.fill flow 0 n 0;
+    for i = 0 to Array.length terminals - 1 do
+      flow.(terminals.(i)) <- 1
     done;
+    flow.(dst) <- 0;
     for i = n - 1 downto 0 do
       let u = order.(i) in
-      if u <> dst && flow.(u) > 0 then begin
+      let f = flow.(u) in
+      if u <> dst && f > 0 then begin
         let c = via.(u) in
-        record c flow.(u);
-        let v = (Graph.channel g c).Channel.dst in
-        flow.(v) <- flow.(v) + flow.(u)
+        record c f;
+        let v = heads.(c) in
+        flow.(v) <- flow.(v) + f
       end
     done;
     Ok ()

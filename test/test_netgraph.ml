@@ -372,6 +372,95 @@ let test_bfs_dist () =
   let dist = Graph.bfs_dist g 0 in
   check Alcotest.(array int) "ring distances" [| 0; 1; 2; 3; 2; 1 |] dist
 
+(* [Graph.attached]'s definition, spelled out: the one node [s <> v]
+   that every enabled channel of terminal [v] joins it to. *)
+let attached_ref g v =
+  let ends =
+    List.map (fun c -> (Graph.channel g c).Channel.dst) (Array.to_list (Graph.out_channels g v))
+    @ List.map (fun c -> (Graph.channel g c).Channel.src) (Array.to_list (Graph.in_channels g v))
+  in
+  match List.sort_uniq compare ends with
+  | [ s ] when Graph.is_terminal g v && s <> v -> s
+  | _ -> -1
+
+let check_flat_arrays name g =
+  let heads = Graph.heads g and tails = Graph.tails g in
+  check Alcotest.int (name ^ ": heads size") (Graph.num_channels g) (Array.length heads);
+  check Alcotest.int (name ^ ": tails size") (Graph.num_channels g) (Array.length tails);
+  Array.iteri
+    (fun c (ch : Channel.t) ->
+      if heads.(c) <> ch.dst || tails.(c) <> ch.src then
+        Alcotest.failf "%s: channel %d is %d -> %d, flat arrays say %d -> %d" name c ch.src ch.dst
+          tails.(c) heads.(c))
+    (Graph.channels g);
+  check Alcotest.(array int) (name ^ ": attached") (Array.init (Graph.num_nodes g) (attached_ref g)) (Graph.attached g)
+
+(* Every generator family, healthy and with the first switch cable
+   that can go down disabled (heads/tails are shared, attached is
+   recomputed). *)
+let test_flat_arrays_families () =
+  List.iter
+    (fun spec ->
+      match Harness.Topospec.parse spec with
+      | Error msg -> Alcotest.failf "%s: %s" spec msg
+      | Ok t -> (
+        let g = t.Harness.Topospec.graph in
+        check_flat_arrays spec g;
+        let degraded =
+          Array.to_seq (Degrade.switch_cables g)
+          |> Seq.find_map (fun cable -> Result.to_option (Degrade.disable_cable g ~cable))
+        in
+        match degraded with
+        | Some (g', _) -> check_flat_arrays (spec ^ " degraded") g'
+        | None -> Alcotest.failf "%s: no switch cable can go down" spec))
+    [
+      "ring:5:2";
+      "torus:3x4:2";
+      "mesh:3x3:1";
+      "hypercube:3:2";
+      "tree:3,2";
+      "xgft:3,2/1,2:12";
+      "kautz:2,3:24";
+      "dragonfly:3,2,1";
+      "hyperx:3x3:1";
+      "random:8,10,16,14:3";
+      "jellyfish:16,8,4:2";
+      "xpander:4,3:1";
+      "cluster:chic:8";
+    ]
+
+(* The edges of [attached]: parallel cables, a dual-homed terminal, a
+   terminal cabled to a terminal, and the masks that change them. *)
+let test_attached_edges () =
+  let b = Builder.create () in
+  let s0 = Builder.add_switch b ~name:"s0" and s1 = Builder.add_switch b ~name:"s1" in
+  ignore (Builder.add_link b s0 s1);
+  let single = Builder.add_terminal b ~name:"single" ~switch:s0 in
+  let parallel = Builder.add_terminal b ~name:"parallel" ~switch:s1 in
+  ignore (Builder.add_link b parallel s1);
+  let dual = Builder.add_terminal b ~name:"dual" ~switch:s0 in
+  let second, second' = Builder.add_link b dual s1 in
+  let leaf = Builder.add_terminal b ~name:"leaf" ~switch:single in
+  let g = Builder.build b in
+  let at g v = (Graph.attached g).(v) in
+  check Alcotest.int "switch" (-1) (at g s0);
+  check Alcotest.int "relaying terminal" (-1) (at g single);
+  check Alcotest.int "parallel cables" s1 (at g parallel);
+  check Alcotest.int "dual-homed" (-1) (at g dual);
+  check Alcotest.int "on a terminal" single (at g leaf);
+  check_flat_arrays "edges" g;
+  let enabled = Array.make (Graph.num_channels g) true in
+  enabled.(second) <- false;
+  enabled.(second') <- false;
+  Array.iter (fun c -> enabled.(c) <- false) (Graph.out_channels g leaf);
+  Array.iter (fun c -> enabled.(c) <- false) (Graph.in_channels g leaf);
+  let g' = Graph.with_enabled g ~enabled in
+  check Alcotest.int "dual-homed, second cable down" s0 (at g' dual);
+  check Alcotest.int "isolated" (-1) (at g' leaf);
+  check Alcotest.int "no longer relaying" s0 (at g' single);
+  check_flat_arrays "edges degraded" g';
+  check Alcotest.int "the mask leaves g alone" (-1) (at g dual)
+
 (* ------------------------------------------------------------------ *)
 (* Path                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -816,6 +905,8 @@ let () =
           Alcotest.test_case "cluster structure" `Slow test_cluster_structure;
           Alcotest.test_case "disconnected" `Quick test_graph_disconnected;
           Alcotest.test_case "bfs dist" `Quick test_bfs_dist;
+          Alcotest.test_case "flat endpoint arrays on every family" `Quick test_flat_arrays_families;
+          Alcotest.test_case "attached edges" `Quick test_attached_edges;
         ] );
       ( "path",
         [

@@ -98,6 +98,43 @@ let test_ftable_basics () =
   Alcotest.check_raises "dst_index on switch" (Invalid_argument "Ftable.dst_index: not a terminal")
     (fun () -> ignore (Ftable.dst_index ft (Graph.switches g).(0)))
 
+(* [set_tree] writes what per-entry [set_next] calls write: every
+   reached node's entry, in node order, leaving unreached nodes' and the
+   destination's own entries alone; a channel that does not leave its
+   node is refused with [set_next]'s message. *)
+let test_ftable_set_tree () =
+  let g = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:2) in
+  let sw = (Graph.switches g).(0) in
+  (* one switch cut off, so every tree leaves some via unset *)
+  let enabled = Array.map (fun (c : Channel.t) -> c.src <> sw && c.dst <> sw) (Graph.channels g) in
+  let stale = (Graph.out_channels g sw).(0) in
+  let g = Graph.with_enabled g ~enabled in
+  let ws = Spf.workspace g and stamp = Spf.fresh_stamp () in
+  let by_tree = Ftable.create g ~algorithm:"tree" and by_entry = Ftable.create g ~algorithm:"entry" in
+  Array.iter
+    (fun dst ->
+      (* a stale entry at the cut-off switch must survive both ways *)
+      Ftable.set_next by_tree ~node:sw ~dst ~channel:stale;
+      Ftable.set_next by_entry ~node:sw ~dst ~channel:stale;
+      let { Spf.via; _ } = Spf.compute_hops ws g ~stamp ~dst in
+      Ftable.set_tree by_tree ~dst via;
+      Array.iteri (fun u c -> if u <> dst && c >= 0 then Ftable.set_next by_entry ~node:u ~dst ~channel:c) via)
+    (Graph.terminals g);
+  check Alcotest.int "entries differ" 0 (Ftable.diff by_tree by_entry).Ftable.entries_changed;
+  check Alcotest.(option int) "unreached entry kept" (Some stale)
+    (Ftable.next by_tree ~node:sw ~dst:(Graph.terminals g).(0));
+  let dst = (Graph.terminals g).(0) in
+  let via = Array.make (Graph.num_nodes g) (-1) in
+  let u = (Graph.switches g).(1) in
+  via.(u) <- (Graph.in_channels g u).(0);
+  let ft = Ftable.create g ~algorithm:"bad" in
+  Alcotest.check_raises "set_tree wrong channel"
+    (Invalid_argument "Ftable.set_next: channel does not leave node") (fun () -> Ftable.set_tree ft ~dst via);
+  Alcotest.check_raises "set_tree short via" (Invalid_argument "Ftable.set_tree: via size") (fun () ->
+      Ftable.set_tree ft ~dst [||]);
+  Alcotest.check_raises "set_tree on a switch" (Invalid_argument "Ftable.dst_index: not a terminal")
+    (fun () -> Ftable.set_tree ft ~dst:u (Array.make (Graph.num_nodes g) (-1)))
+
 let test_ftable_layers () =
   let g = Lazy.force ring5 in
   let ft = Ftable.create g ~algorithm:"test" in
@@ -836,6 +873,7 @@ let () =
       ( "ftable",
         [
           Alcotest.test_case "basics" `Quick test_ftable_basics;
+          Alcotest.test_case "set_tree equals set_next" `Quick test_ftable_set_tree;
           Alcotest.test_case "layers" `Quick test_ftable_layers;
           Alcotest.test_case "loop detection" `Quick test_ftable_loop_detection;
           Alcotest.test_case "loop bound tight" `Quick test_ftable_loop_bound_tight;

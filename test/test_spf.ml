@@ -40,6 +40,25 @@ let random_weights ?(spread = 37) seed g =
 let copy_tree (t : Spf.tree) =
   (Array.copy t.Spf.dist, Array.copy t.Spf.via, t.Spf.reached)
 
+(* [order]'s contract (Spf.tree): its first [reached] entries are the
+   reached nodes, each once, [dst] first, and every node after its
+   via-parent. *)
+let check_order name g ~dst (t : Spf.tree) =
+  let heads = Graph.heads g in
+  let pos = Array.make (Graph.num_nodes g) (-1) in
+  for i = 0 to t.Spf.reached - 1 do
+    let u = t.Spf.order.(i) in
+    if pos.(u) >= 0 then Alcotest.failf "%s dst %d: node %d settled twice" name dst u;
+    pos.(u) <- i
+  done;
+  if t.Spf.reached > 0 && t.Spf.order.(0) <> dst then
+    Alcotest.failf "%s dst %d: order starts at %d" name dst t.Spf.order.(0);
+  Array.iteri
+    (fun u i ->
+      if i > 0 && pos.(heads.(t.Spf.via.(u))) >= i then
+        Alcotest.failf "%s dst %d: node %d settled before its via-parent" name dst u)
+    pos
+
 (* Compare a kernel's tree against the oracle's for every destination in
    [dsts] (default: every node of [g]), computed by [tree] — a weighted
    {!Spf.compute} or {!Spf.compute_hops}. One stamp per kernel: weights
@@ -58,6 +77,7 @@ let check_trees_against_oracle ?dsts name g ~tree =
           (fun dst ->
             let odist, ovia, oreached = copy_tree (tree oracle ~stamp:ostamp ~dst) in
             let t = tree ws ~stamp ~dst in
+            check_order (name ^ "/" ^ kernel_name kernel) g ~dst t;
             if t.Spf.reached <> oreached then
               Alcotest.failf "%s/%s dst %d: reached %d, oracle %d" name (kernel_name kernel) dst
                 t.Spf.reached oreached;
@@ -89,6 +109,77 @@ let degraded_tree_equivalence =
           | Error _ -> g
       in
       check_trees_against_oracle name g ~tree:(weighted (random_weights seed g) g))
+
+(* A fabric for the edges of the bucket core's leaf rule
+   (Graph.attached): a switch ring with a chord and a parallel switch
+   cable, and terminals that are single-homed over one cable,
+   single-homed over two or three parallel cables (equal weights then
+   tie, broken on channel id), dual-homed on two switches (not leaves),
+   or cabled to another terminal only (a leaf whose parent is a
+   terminal that now relays). Returns the fabric and each dual-homed
+   terminal with the two channels of its second cable. *)
+let leaf_fabric seed =
+  let rng = Rng.create (seed + 17) in
+  let b = Builder.create () in
+  let ns = 3 + Rng.int rng 4 in
+  let sw = Array.init ns (fun i -> Builder.add_switch b ~name:(Printf.sprintf "s%d" i)) in
+  for i = 0 to ns - 1 do
+    ignore (Builder.add_link b sw.(i) sw.((i + 1) mod ns))
+  done;
+  if ns > 3 then ignore (Builder.add_link b sw.(0) sw.(ns / 2));
+  ignore (Builder.add_link b sw.(0) sw.(1));
+  let dual = ref [] and last = ref (-1) in
+  for i = 0 to 5 + Rng.int rng 8 do
+    let si = Rng.int rng ns in
+    let name = Printf.sprintf "t%d" i in
+    (* [last]: the terminal a later one may be cabled to, or -1 *)
+    last :=
+      match Rng.int rng 4 with
+      | 0 -> Builder.add_terminal b ~name ~switch:sw.(si)
+      | 1 ->
+        let t = Builder.add_terminal b ~name ~switch:sw.(si) in
+        for _ = 1 to 1 + Rng.int rng 2 do
+          ignore (Builder.add_link b t sw.(si))
+        done;
+        t
+      | 2 ->
+        let t = Builder.add_terminal b ~name ~switch:sw.(si) in
+        let c, c' = Builder.add_link b t sw.((si + 1 + Rng.int rng (ns - 1)) mod ns) in
+        dual := (t, c, c') :: !dual;
+        -1 (* none hangs off a dual-homed one *)
+      | _ -> Builder.add_terminal b ~name ~switch:(if !last >= 0 then !last else sw.(si))
+  done;
+  (Builder.build b, !dual)
+
+(* Weights from a narrow range, so equal-cost paths (and parallel-cable
+   ties) are common. *)
+let leaf_rule_edges =
+  qtest ~count:40 "spf: leaf-rule edge fabrics match the heap oracle" seed_gen (fun seed ->
+      let g, dual = leaf_fabric seed in
+      let attached = Graph.attached g in
+      List.iter
+        (fun (t, _, _) ->
+          if attached.(t) >= 0 then Alcotest.failf "dual-homed terminal %d is attached" t)
+        dual;
+      let weights = random_weights ~spread:3 seed g in
+      let hops ws ~stamp ~dst = Spf.compute_hops ws g ~stamp ~dst in
+      let healthy =
+        check_trees_against_oracle "leaf" g ~tree:(weighted weights g)
+        && check_trees_against_oracle "leaf/hops" g ~tree:hops
+      in
+      (* Disabling a dual-homed terminal's second cable makes it
+         single-homed on its first switch, so a leaf. *)
+      match dual with
+      | [] -> healthy
+      | (t, c, c') :: _ ->
+        let enabled = Array.make (Graph.num_channels g) true in
+        enabled.(c) <- false;
+        enabled.(c') <- false;
+        let g' = Graph.with_enabled g ~enabled in
+        let first = (Graph.heads g').((Graph.out_channels g' t).(0)) in
+        if (Graph.attached g').(t) <> first then
+          Alcotest.failf "terminal %d not attached to %d after with_enabled" t first;
+        healthy && check_trees_against_oracle "leaf/degraded" g' ~tree:(weighted weights g'))
 
 let plane_equivalence =
   qtest "sssp: kernel choice never changes tables or final weights" seed_gen (fun seed ->
@@ -247,6 +338,7 @@ let () =
         [
           tree_equivalence;
           degraded_tree_equivalence;
+          leaf_rule_edges;
           plane_equivalence;
           hop_engines_kernel_invariant;
         ] );
