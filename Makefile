@@ -7,8 +7,9 @@ all:
 # every test suite passes (runtest includes test_parallel, the 2-domain
 # determinism smoke of the parallel routing pipeline, and test_spf, the
 # kernel-equivalence property suite), the routing certifier signs off
-# on the example topologies, the SSSP kernels agree bit-for-bit on
-# the quick equivalence fixtures, the SCC cycle-break engine stays
+# on the example topologies, the bucket SSSP kernel agrees bit-for-bit
+# with the heap oracle on the quick equivalence fixtures (batch 1 and
+# 32), the SCC cycle-break engine stays
 # within a layer of the test-only DFS oracle on a small torus
 # (break-smoke), the topology-zoo conformance battery certifies every
 # corpus file and generator sample, a quick churn soak (>= 200 seeded
@@ -66,7 +67,7 @@ no-oracles:
 # Topology-zoo conformance battery (doc/topology_ingestion.md): every
 # file under examples/zoo plus the seeded jellyfish/xpander samples,
 # through the full registry, certifier, existence lower bounds and
-# SSSP kernel parity (test_zoo adds cycle-break engine parity against
+# SSSP kernel parity, bucket vs heap (test_zoo adds cycle-break engine parity against
 # the DFS oracle). Exit 0 iff zero conformance failures.
 zoo:
 	dune exec bin/fabric_tool.exe -- zoo
@@ -182,20 +183,23 @@ break-smoke:
 # Domain-parallel routing pipeline benchmark (DESIGN.md §12, §15).
 # Writes bench_results/routing_parallel.json with sequential vs parallel
 # SSSP + cycle-breaking times, per-stage (snapshot/compute) splits, and
-# a per-kernel comparison (heap vs bucket vs incremental). Gates:
+# a per-kernel comparison (heap vs bucket). Gates:
 # parallel SSSP >= 1.0x sequential on every topology
 # (parallel_not_slower, skipped below 2 hardware domains), bucket >= 1.3x
-# heap on the bucket-gated rows (bucket_kernel), the default (Auto)
+# heap on the bucket-gated rows (bucket_kernel), the default (bucket)
 # kernel within 5% of the fastest (default_kernel_fastest), the >= 2x
 # pipeline speedup (pipeline_2x, skipped below 4 hardware domains), and
 # in bench_results/obs_overhead.json the disabled-instrumentation
-# tripwire against the previous run (obs_disabled_overhead).
+# tripwire against the previous run, scaled by the two runs' host
+# reference times (obs_disabled_overhead; skipped when the carried
+# file records no reference time, and this run becomes the baseline).
 bench-routing:
 	dune exec --profile release bench/routing_bench.exe
 
 # Quick kernel-equivalence mode of the same binary (no timing, < 1s):
-# routes two small fixtures under every kernel and fails unless tables
-# and final weights match the heap oracle bit-for-bit. Part of `check`.
+# routes two small fixtures at batch 1 (every shipped path) and at
+# batch 32, and fails unless the bucket kernel's tables and final
+# weights match the heap oracle bit-for-bit. Part of `check`.
 kernel-equivalence:
 	dune exec --profile release bench/routing_bench.exe -- --equivalence
 

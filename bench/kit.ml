@@ -107,6 +107,9 @@ let host_ref_ms ?(samples = 7) () =
    reference takes [ref_ms]. *)
 let scale_rate baseline ~baseline_ref_ms ~ref_ms = baseline *. baseline_ref_ms /. ref_ms
 
+(* The same for a time (lower is better): it grows with the reference. *)
+let scale_time baseline ~baseline_ref_ms ~ref_ms = baseline *. ref_ms /. baseline_ref_ms
+
 (* Total seconds recorded so far by the default registry's timer [name]
    (0 if it never fired): read before and after a run for its stage
    split. *)

@@ -1,40 +1,41 @@
 (* Benchmark gate for the domain-parallel routing pipeline (DESIGN.md
-   section 12) and the pluggable SSSP kernels behind it (§15). Per
-   topology it measures:
+   section 12) and the two SSSP kernels behind it (§15). Per topology
+   it measures:
 
    - the SSSP + cycle-breaking pipeline sequentially (the legacy
      per-destination recurrence) and through the batched-snapshot
      driver, with the parallel run decomposed into its snapshot-freeze
      and tree-compute stages via the always-on [sssp.snapshot] /
      [sssp.route_destinations] timers;
-   - each kernel in isolation — binary-heap oracle, bucket queue,
-     incremental reuse — over one frozen weight plane (one stamp, so
-     the incremental cache is allowed to work);
+   - each kernel in isolation — binary-heap oracle and bucket queue —
+     over one frozen weight plane;
 
    and writes bench_results/routing_parallel.json. Gates:
 
    - [parallel_not_slower]: parallel SSSP >= 1.0x sequential on every
      topology. The batched driver skips the snapshot copy when it runs
-     inline, and per-batch stamps let the incremental kernel reuse
-     switch trees that the per-destination sequential recurrence cannot
-     — but with one hardware domain "parallel" is not parallel, so the
-     gate is skipped below 2 domains.
+     inline, but with one hardware domain "parallel" is not parallel,
+     so the gate is skipped below 2 domains.
    - [bucket_kernel]: bucket kernel >= 1.3x the heap oracle on the torus
      and XGFT workloads (uniform weight planes are the bucket core's
      home turf).
-   - [default_kernel_fastest]: the default kernel
-     ([Spf.resolve Spf.Auto]) is the fastest measured kernel on every
-     topology, within a 5% noise allowance.
+   - [default_kernel_fastest]: the default kernel ([Spf.Bucket]) is
+     the fastest measured kernel on every topology, within a 5% noise
+     allowance.
    - [pipeline_2x]: pipeline speedup >= 2x on the 4096-endpoint XGFT;
      skipped below 4 hardware domains.
    - [obs_disabled_overhead] (in bench_results/obs_overhead.json): obs
      compiled in but disabled keeps the sequential SSSP stage within 50%
-     of the previous run — a coarse tripwire for instrumentation
-     accidentally becoming unconditional; skipped without a previous run.
+     of the previous run's, scaled by the ratio of the two runs' host
+     reference times (Kit.host_ref_ms, recorded as [ref_ms]) — a coarse
+     tripwire for instrumentation accidentally becoming unconditional;
+     skipped without a previous run or when the previous run recorded no
+     reference time (this run then becomes the baseline).
 
-   [--equivalence] runs a seconds-long cross-kernel table-equality
-   check instead (wired into `make check`): every kernel must produce
-   the heap oracle's tables and final weights bit-for-bit. *)
+   [--equivalence] runs a sub-second cross-kernel table-equality check
+   instead (wired into `make check`): the bucket kernel must produce the
+   heap oracle's tables and final weights bit-for-bit, at batch 1 (the
+   shipped recurrence) and at [Sssp.recommended_batch]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Workloads: the cdg_bench trio, routed toward a contiguous block of
@@ -48,13 +49,11 @@ type workload = {
   bucket_gated : bool; (* torus/xgft: bucket-vs-heap gate applies *)
 }
 
-(* A contiguous terminal block, grouped by attached switch. Grouping is
-   the destination order a locality-aware controller feeds
-   route_destinations: consecutive same-switch terminals are what the
-   incremental kernel converts into cache hits. On tori the terminal id
-   order already attaches contiguously, so the sort is the identity;
-   XGFTs attach endpoints round-robin across leaves, and without the
-   sort no block of any size would ever repeat a switch. *)
+(* A contiguous terminal block, grouped by attached switch: the
+   destination order a locality-aware controller feeds
+   route_destinations. On tori the terminal id order already attaches
+   contiguously, so the sort is the identity; XGFTs attach endpoints
+   round-robin across leaves. *)
 let build_workload name g ~num_dsts ~bucket_gated =
   let terminals = Array.copy (Graph.terminals g) in
   let attached = Graph.attached g in
@@ -86,17 +85,15 @@ let break_stage ?domains w ft () =
 
 (* One kernel, in isolation: shortest-path trees toward every sampled
    destination over a frozen uniform weight plane — no table fills, no
-   flow walks, one stamp for the whole sweep. This is the number the
-   kernel-selection gates compare. *)
+   flow walks. This is the number the kernel-selection gates compare. *)
 let kernel_sweep kernel w =
   let ws = Spf.workspace ~kernel w.graph in
   let weights = Sssp.initial_weights w.graph in
   fun () ->
-    let stamp = Spf.fresh_stamp () in
     let settled = ref 0 in
     Array.iter
       (fun dst ->
-        let t = Spf.compute ws w.graph ~weights ~stamp ~dst in
+        let t = Spf.compute ws w.graph ~weights ~dst in
         settled := !settled + t.Spf.reached)
       w.dsts;
     !settled
@@ -121,9 +118,9 @@ let sssp_speedup r = r.seq_sssp_ms /. r.par_sssp_ms
 let pipeline_speedup r =
   (r.seq_sssp_ms +. r.seq_break_ms) /. (r.par_sssp_ms +. r.par_break_ms)
 
-let concrete_kernels = [ Spf.Heap; Spf.Bucket; Spf.Incremental ]
+let kernels = [ Spf.Heap; Spf.Bucket ]
 
-let default_kernel = Spf.resolve Spf.Auto
+let default_kernel = Spf.Bucket
 
 let kernel_time r k = List.assoc k r.kernel_ms
 
@@ -176,10 +173,10 @@ let measure ~batch ~domains ~pool w =
       (fun k ->
         let sweep = kernel_sweep k w in
         fun () -> ignore (sweep ()))
-      concrete_kernels
+      kernels
   in
   let kernel_times = Array.map fst (Kit.time_race (Array.of_list kernel_thunks)) in
-  let kernel_ms = List.mapi (fun i k -> (k, kernel_times.(i))) concrete_kernels in
+  let kernel_ms = List.mapi (fun i k -> (k, kernel_times.(i))) kernels in
   {
     wname = w.name;
     endpoints = Graph.num_terminals w.graph;
@@ -221,10 +218,11 @@ let json_row r =
 (* Observability overhead (DESIGN.md section 13): the sequential SSSP
    stage with obs compiled in but disabled must stay within 50% of the
    previous run's times (read from routing_parallel.json before this
-   run overwrites it), and the cost of enabled tracing is recorded
-   informationally. 50% is a noise ceiling for this cross-process
-   wall-clock comparison on a shared box, not the expected cost — the
-   disabled fast path is one atomic load.                               *)
+   run overwrites it), scaled by the ratio of this run's host reference
+   time to the previous run's, and the cost of enabled tracing is
+   recorded informationally. 50% is a noise ceiling for this
+   cross-process wall-clock comparison on a shared box, not the
+   expected cost — the disabled fast path is one atomic load.           *)
 (* ------------------------------------------------------------------ *)
 
 (* name -> sequential SSSP ms of a previous routing_parallel.json *)
@@ -237,7 +235,17 @@ let baseline_sssp doc =
   in
   match List.filter_map entry (Option.value ~default:[] (Option.bind (member "topologies" doc) to_list)) with
   | [] -> None
-  | entries -> Some entries
+  | entries -> Some (entries, Option.bind (member "ref_ms" doc) to_float)
+
+(* This run's sequential SSSP times against the previous run's. *)
+type disabled_cmp = {
+  matched : (string * float * float) list; (* name, baseline ms, current ms *)
+  bsum : float; (* baseline ms, summed over [matched] *)
+  baseline_ref_ms : float; (* the previous run's host reference time *)
+  scaled : float; (* [bsum] scaled to this run's host reference time *)
+  csum : float; (* current ms, summed over [matched] *)
+  delta : float; (* (csum - scaled) / scaled *)
+}
 
 let measure_enabled_overhead w =
   Printf.eprintf "measuring %s with tracing enabled...\n%!" w.name;
@@ -254,9 +262,10 @@ let measure_enabled_overhead w =
   (w.name, off_ms, on_ms, Obs.Counter.value spans)
 
 (* ------------------------------------------------------------------ *)
-(* --equivalence: the `make check` slice. Cross-kernel bit-for-bit
-   table and weight equality on two small fabrics, in well under a
-   second — the full property net lives in test/test_spf.ml.            *)
+(* --equivalence: the `make check` slice. Bucket-vs-heap bit-for-bit
+   table and weight equality on two small fabrics, at batch 1 (every
+   shipped path) and at the recommended batch, in well under a second —
+   the full property net lives in test/test_spf.ml.                     *)
 (* ------------------------------------------------------------------ *)
 
 let run_equivalence () =
@@ -269,25 +278,25 @@ let run_equivalence () =
   let failures = ref 0 in
   List.iter
     (fun (name, g) ->
-      let run kernel =
-        let weights = Sssp.initial_weights g in
-        match Sssp.route_plane ~batch:Sssp.recommended_batch ~kernel g ~weights with
-        | Ok ft -> (ft, weights)
-        | Error msg -> failwith (Printf.sprintf "%s (%s): %s" name (Spf.kind_to_string kernel) msg)
-      in
-      let oft, ow = run Spf.Heap in
       List.iter
-        (fun kernel ->
-          let ft, w = run kernel in
+        (fun batch ->
+          let run kernel =
+            let weights = Sssp.initial_weights g in
+            match Sssp.route_plane ~batch ~kernel g ~weights with
+            | Ok ft -> (ft, weights)
+            | Error msg -> failwith (Printf.sprintf "%s (%s): %s" name (Spf.kind_to_string kernel) msg)
+          in
+          let oft, ow = run Spf.Heap in
+          let ft, w = run Spf.Bucket in
           let ok = (Ftable.diff oft ft).Ftable.entries_changed = 0 && w = ow in
-          Printf.printf "equivalence %-10s %-12s %s\n" name (Spf.kind_to_string kernel)
-            (if ok then "ok" else "MISMATCH");
+          Printf.printf "equivalence %-10s batch %-3d bucket %s\n" name batch (if ok then "ok" else "MISMATCH");
           if not ok then incr failures)
-        [ Spf.Auto; Spf.Bucket; Spf.Incremental ])
+        [ 1; Sssp.recommended_batch ])
     fabrics;
   Kit.finish
     [
-      Kit.gate "kernel_equivalence" ~target:"every kernel's tables and weights equal the heap oracle's"
+      Kit.gate "kernel_equivalence"
+        ~target:"bucket tables and weights equal the heap oracle's at batch 1 and the recommended batch"
         (!failures = 0);
     ]
 
@@ -323,6 +332,9 @@ let () =
       ~finally:(fun () -> Sssp.destroy_pool pool)
       (fun () -> List.map (measure ~batch ~domains ~pool) workloads)
   in
+  (* Once the timed routing is done, so the reference kernel's thread
+     and 8 MB table stay out of the timed runs. *)
+  let ref_ms = Kit.host_ref_ms () in
   List.iter
     (fun r ->
       Printf.printf
@@ -368,24 +380,30 @@ let () =
       ("domains_used", Kit.json_int domains);
       ("batch", Kit.json_int batch);
       ("default_kernel", Obs.Json.Str (Spf.kind_to_string default_kernel));
+      ("ref_ms", Obs.Json.Num ref_ms);
       ("topologies", Obs.Json.List (List.map json_row rows));
     ]
     gates;
   (* ---- observability overhead ---- *)
   let disabled_cmp =
     match baseline with
-    | None -> None
-    | Some base ->
+    | None -> Error "no baseline"
+    | Some (_, None) ->
+      Error
+        "carried routing_parallel.json has no reference time; this run's times and reference time become \
+         the baseline"
+    | Some (base, Some baseline_ref_ms) ->
       let matched =
         List.filter_map
           (fun r -> Option.map (fun b -> (r.wname, b, r.seq_sssp_ms)) (List.assoc_opt r.wname base))
           rows
       in
-      if matched = [] then None
+      if matched = [] then Error "no workload of this run is in the carried baseline"
       else
         let bsum = List.fold_left (fun a (_, b, _) -> a +. b) 0.0 matched in
         let csum = List.fold_left (fun a (_, _, c) -> a +. c) 0.0 matched in
-        Some (matched, bsum, csum, (csum -. bsum) /. bsum)
+        let scaled = Kit.scale_time bsum ~baseline_ref_ms ~ref_ms in
+        Ok { matched; bsum; baseline_ref_ms; scaled; csum; delta = (csum -. scaled) /. scaled }
   in
   (* The gate compares the sequential SSSP stage only — the path the
      sssp.*/spf.* instrumentation actually sits on. The cycle-breaking
@@ -397,11 +415,14 @@ let () =
      on this path), not a profiler: the threshold is 50%. The finer
      number — same-process enabled vs disabled tracing — is recorded
      alongside, informationally. *)
-  let obs_target = "sequential SSSP stage with obs compiled in but disabled within 50% of the previous run" in
+  let obs_target =
+    "sequential SSSP stage with obs compiled in but disabled within 50% of the previous run, scaled by host \
+     reference time"
+  in
   let obs_gate =
     match disabled_cmp with
-    | None -> { Kit.name = "obs_disabled_overhead"; target = obs_target; status = Kit.Skipped "no baseline" }
-    | Some (_, _, _, delta) -> Kit.gate "obs_disabled_overhead" ~target:obs_target (delta < 0.50)
+    | Error why -> { Kit.name = "obs_disabled_overhead"; target = obs_target; status = Kit.Skipped why }
+    | Ok { delta; _ } -> Kit.gate "obs_disabled_overhead" ~target:obs_target (delta < 0.50)
   in
   (* the smallest workload carries the enabled-tracing measurement; the
      number is informational, not a gate *)
@@ -414,10 +435,13 @@ let () =
         ( "disabled",
           Obj
             (match disabled_cmp with
-            | None -> []
-            | Some (matched, bsum, csum, delta) ->
+            | Error _ -> [ ("ref_ms", Num ref_ms) ]
+            | Ok { matched; bsum; baseline_ref_ms; scaled; csum; delta } ->
               [
                 ("baseline_sssp_ms", Num bsum);
+                ("baseline_ref_ms", Num baseline_ref_ms);
+                ("ref_ms", Num ref_ms);
+                ("scaled_baseline_sssp_ms", Num scaled);
                 ("current_sssp_ms", Num csum);
                 ("overhead_fraction", Num delta);
                 ( "topologies",
@@ -437,9 +461,12 @@ let () =
             ] );
       ]
     [ obs_gate ];
-  Option.iter
-    (fun (_, bsum, csum, delta) ->
-      Printf.printf "disabled obs: sequential sssp %.1f -> %.1f ms (%+.2f%%)\n" bsum csum (100.0 *. delta))
+  Result.iter
+    (fun { bsum; baseline_ref_ms; scaled; csum; delta; _ } ->
+      Printf.printf
+        "disabled obs: sequential sssp %.1f ms at reference %.2f ms, scaled %.1f -> %.1f ms at reference \
+         %.2f ms (%+.2f%%)\n"
+        bsum baseline_ref_ms scaled csum ref_ms (100.0 *. delta))
     disabled_cmp;
   Printf.printf "enabled tracing on %s: %.2f -> %.2f ms (%d spans, %+.2f%%)\n" en_name en_off en_on
     en_spans

@@ -55,6 +55,11 @@ let test_scale_rate () =
   Alcotest.(check (float 1e-9)) "host twice as fast" 200.0 (Kit.scale_rate 100.0 ~baseline_ref_ms:10.0 ~ref_ms:5.0);
   Alcotest.(check bool) "reference time is positive" true (Kit.host_ref_ms ~samples:3 () > 0.0)
 
+let test_scale_time () =
+  Alcotest.(check (float 1e-9)) "same host" 40.0 (Kit.scale_time 40.0 ~baseline_ref_ms:10.0 ~ref_ms:10.0);
+  Alcotest.(check (float 1e-9)) "host twice as slow" 80.0 (Kit.scale_time 40.0 ~baseline_ref_ms:10.0 ~ref_ms:20.0);
+  Alcotest.(check (float 1e-9)) "host twice as fast" 20.0 (Kit.scale_time 40.0 ~baseline_ref_ms:10.0 ~ref_ms:5.0)
+
 let () =
   Alcotest.run "kit"
     [
@@ -68,5 +73,6 @@ let () =
         [
           Alcotest.test_case "a floor race samples every thunk for the floor" `Quick test_race_floor;
           Alcotest.test_case "carried rates scale by host reference time" `Quick test_scale_rate;
+          Alcotest.test_case "carried times scale by host reference time" `Quick test_scale_time;
         ] );
     ]

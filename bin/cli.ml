@@ -18,18 +18,24 @@ let int_at_least lo what =
 
 let pos_int = int_at_least 1 "a positive integer"
 
-(* Layer ids are bytes in a forwarding table, so a budget holds at most
-   Ftable.max_layer_ids layers. *)
-let layer_budget =
-  let top = Routing.Ftable.max_layer_ids in
+(* Integers in 1..[top]; the message names the range. *)
+let int_up_to top what =
   let parse s =
     match int_of_string_opt s with
     | Some k when k >= 1 && k <= top -> Ok k
-    | _ -> Error (`Msg (Printf.sprintf "expected a layer budget in 1..%d, got %S" top s))
+    | _ -> Error (`Msg (Printf.sprintf "expected %s in 1..%d, got %S" what top s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Layer ids are bytes in a forwarding table, so a budget holds at most
+   Ftable.max_layer_ids layers. *)
+let layer_budget = int_up_to Routing.Ftable.max_layer_ids "a layer budget"
+
 let nonneg_int = int_at_least 0 "a non-negative integer"
+
+(* Domain counts stop at Netgraph.Parallel.max_domains: past it a pool
+   would fail half-spawned in the OCaml runtime's domain limit. *)
+let domain_count = int_up_to Netgraph.Parallel.max_domains "a domain count"
 
 (* A topology spec as typed, and the fabric Harness.Topospec built from
    it. Parsing happens inside cmdliner, so a bad spec is a usage error. *)
@@ -85,9 +91,11 @@ let manager_config =
   in
   let domains =
     Arg.(
-      value & opt pos_int 1
+      value & opt domain_count 1
       & info [ "domains" ] ~docv:"D"
-          ~doc:"Routing domains for full recomputes (a persistent worker pool when > 1).")
+          ~doc:
+            (Printf.sprintf "Routing domains for full recomputes, 1..%d (a persistent worker pool when > 1)."
+               Netgraph.Parallel.max_domains))
   in
   Term.(const make $ algorithm $ max_layers $ batch $ domains)
 

@@ -220,12 +220,14 @@ let experiment_cmd =
   let domains =
     Arg.(
       value
-      & opt (some Cli.pos_int) None
+      & opt (some Cli.domain_count) None
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Use $(docv) domains: Figs. 4-6 fill their bandwidth grids with a worker pool (identical \
-             numbers), Figs. 7-8 time the batched-snapshot routing pipeline; omitted, everything runs \
-             sequentially.")
+            (Printf.sprintf
+               "Use $(docv) domains, 1..%d: Figs. 4-6 fill their bandwidth grids with a worker pool \
+                (identical numbers), Figs. 7-8 time the batched-snapshot routing pipeline; omitted, \
+                everything runs sequentially."
+               Netgraph.Parallel.max_domains))
   in
   let csv =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv).")

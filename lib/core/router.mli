@@ -7,7 +7,7 @@
 
     The shortest-path kernel is chosen one layer down, on
     {!Routing.Sssp}, the entry point the parity suites and the bring-up
-    benchmark drive; {!route} runs {!Routing.Spf.Auto}, and kernel
+    benchmark drive; {!route} runs {!Routing.Spf.Bucket}, and kernel
     choice never changes a table (DESIGN.md §15). Algorithm 2 has one
     break engine, SCC condensation (DESIGN.md §17).
 

@@ -17,7 +17,7 @@ let default_config =
     max_layers = 8;
     batch = 1;
     domains = 1;
-    kernel = Spf.Auto;
+    kernel = Spf.Bucket;
     engine = `Scc;
   }
 

@@ -29,9 +29,10 @@ type config = {
           wall-clock *)
   kernel : Spf.kind;
       (** shortest-path kernel for dfsssp full recomputes
-          (DESIGN.md §15); other algorithms run the default. Never
-          changes the tables, only the wall-clock. No CLI flag sets it:
-          it stays because the bring-up benchmark reads it *)
+          (DESIGN.md §15): [Bucket], or the [Heap] oracle; other
+          algorithms run [Bucket]. Never changes the tables, only the
+          wall-clock. No CLI flag sets it: it stays because the
+          bring-up benchmark reads it, and goes with ROADMAP item 1 *)
   engine : Layers.engine;
       (** offline cycle-break engine for dfsssp full recomputes
           (DESIGN.md section 17). One-valued ([`Scc]): it stays only
@@ -41,7 +42,7 @@ type config = {
 }
 
 (** [{ algorithm = "dfsssp"; max_layers = 8; batch = 1; domains = 1;
-    kernel = Spf.Auto; engine = `Scc }] *)
+    kernel = Spf.Bucket; engine = `Scc }] *)
 val default_config : config
 
 type action =

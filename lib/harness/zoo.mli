@@ -12,8 +12,8 @@
       {!Analysis.Analyzer} certificate checker, and its layer count is
       at least the fabric's provable lower bound;
     - DFSSSP never refuses (it is the paper's universal algorithm);
-    - kernel parity: the Heap, Bucket and Incremental SSSP kernels give
-      byte-identical DFSSSP tables.
+    - kernel parity: the Heap and Bucket SSSP kernels give
+      byte-identical DFSSSP tables and layer counts.
 
     The test suite adds engine parity on the same subjects: the shipped
     cycle-break engine against the one-cycle-at-a-time test oracle.

@@ -1,5 +1,13 @@
 let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 
+(* The OCaml 5.1 runtime runs at most 128 domains at once (Max_domains
+   in caml/domain.h), and [Domain.spawn] past that fails half-way
+   through a pool. A pool of [max_domains] spawns [max_domains - 1]
+   workers; the fabric manager holds one such pool while a nested
+   [init] (per-component cycle breaking) spawns another, and the two
+   plus the main domain stay below the runtime's limit. *)
+let max_domains = 64
+
 (* Pool telemetry (process-wide, in the default Obs registry). Counters
    are per-slot cells so workers never contend; the busy-time timer only
    runs while Obs.Control is enabled, so the disabled pool pays two
@@ -57,6 +65,8 @@ module Pool = struct
 
   let create ?domains scratch =
     let size = max 1 (Option.value domains ~default:(recommended_domains ())) in
+    if size > max_domains then
+      invalid_arg (Printf.sprintf "Parallel.Pool.create: %d domains exceeds the limit of %d" size max_domains);
     let pool =
       {
         size;

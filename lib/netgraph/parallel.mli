@@ -9,6 +9,11 @@
     spot for the workloads here. *)
 val recommended_domains : unit -> int
 
+(** The most domains one pool may have (64): two full pools and the
+    main domain fit the OCaml runtime's 128-domain limit, as when the
+    fabric manager's routing pool runs a nested {!init}. *)
+val max_domains : int
+
 (** [map_array ~domains f a] is [Array.map f a] computed on a throwaway
     {!Pool} of [domains] domains. [domains <= 1], or arrays of fewer than
     2 elements, run sequentially. The first exception raised by any chunk
@@ -39,7 +44,9 @@ module Pool : sig
   (** [create ?domains scratch] spawns [domains - 1] worker domains
       (default {!recommended_domains}) plus the calling domain as worker
       slot 0, and builds one scratch value per slot with [scratch slot].
-      A pool of size 1 spawns nothing and runs everything inline. *)
+      A pool of size 1 spawns nothing and runs everything inline.
+      @raise Invalid_argument if [domains] exceeds {!max_domains}, before
+      any domain is spawned. *)
   val create : ?domains:int -> (int -> 's) -> 's t
 
   (** Number of workers, including the calling domain. *)

@@ -49,7 +49,6 @@ let effective_workers ~cost ~pool ~batch ~items =
 type view = {
   reads : int array;
   add : int -> int -> unit;
-  stamp : int;
   top : int;
 }
 
@@ -66,7 +65,7 @@ type 's slot = {
 type 's pool = 's slot Parallel.Pool.t
 
 let slot scratch s =
-  let view = { reads = [||]; add = (fun _ _ -> ()); stamp = 0; top = 0 } in
+  let view = { reads = [||]; add = (fun _ _ -> ()); top = 0 } in
   { scratch = scratch s; view; delta = [||]; touched = [||]; num_touched = 0 }
 
 let create_pool ?domains scratch = Parallel.Pool.create ?domains (slot scratch)
@@ -125,14 +124,10 @@ let run ?snapshot_timer ~cost ~pool ~batch ~state ~dsts dest =
     let base = !lo in
     let hi = min nt (base + batch) in
     Obs.Counter.incr c_snapshots;
-    (* One fresh kernel stamp per batch: the state a batch reads is
-       frozen, so its destinations may share trees; a one-destination
-       batch never reuses one. *)
-    let stamp = Spf.fresh_stamp () in
     if workers <= 1 && hi - base = 1 then begin
       (* One destination inline adds straight into the state: that is
          the sequential recurrence, with no copy, delta, merge or span. *)
-      match dest s0.scratch { reads = state; add = in_place; stamp; top = !top } dsts.(base) with
+      match dest s0.scratch { reads = state; add = in_place; top = !top } dsts.(base) with
       | Ok () -> ()
       | Error msg -> error := Some msg
     end
@@ -145,7 +140,7 @@ let run ?snapshot_timer ~cost ~pool ~batch ~state ~dsts dest =
                error met is the lowest-index one. The destinations read
                the live state and add into slot 0's delta, which is
                merged at the batch end. *)
-            let view = { reads = state; add = defer s0; stamp; top = !top } in
+            let view = { reads = state; add = defer s0; top = !top } in
             for k = base to hi - 1 do
               match dest s0.scratch view dsts.(k) with
               | Ok () -> ()
@@ -158,7 +153,7 @@ let run ?snapshot_timer ~cost ~pool ~batch ~state ~dsts dest =
             | Some t -> Obs.Timer.time t (fun () -> Array.blit state 0 snapshot 0 m)
             | None -> Array.blit state 0 snapshot 0 m);
             Parallel.Pool.iter_scratch pool (fun sl ->
-                sl.view <- { reads = snapshot; add = defer sl; stamp; top = !top });
+                sl.view <- { reads = snapshot; add = defer sl; top = !top });
             (* Per-slot error cells: the error reported is the one of the
                lowest destination index, exactly as a sequential scan
                would find it. *)

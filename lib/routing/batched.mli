@@ -41,7 +41,6 @@ type view = {
           for a fan-out batch *)
   add : int -> int -> unit;
       (** [add i x] contributes [x > 0] to entry [i] of the state *)
-  stamp : int;  (** a fresh {!Spf} stamp per batch *)
   top : int;
       (** the largest state entry at the batch start: bounds [reads]
           until the destination adds *)

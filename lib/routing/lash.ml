@@ -12,16 +12,13 @@ let plain_minhop g =
   let n = Graph.num_nodes g in
   let ft = Ftable.create g ~algorithm:"lash" in
   let ws = Spf.workspace g in
-  (* Unit weights never change, so one stamp serves every destination
-     and the incremental kernel reuses each switch's tree. *)
-  let stamp = Spf.fresh_stamp () in
   let result = ref (Ok ()) in
   Array.iter
     (fun dst ->
       match !result with
       | Error _ -> ()
       | Ok () ->
-        let { Spf.dist; reached; _ } = Spf.compute_hops ws g ~stamp ~dst in
+        let { Spf.dist; reached; _ } = Spf.compute_hops ws g ~dst in
         if reached < n then
           result := Error (Printf.sprintf "node unreachable toward %d" dst)
         else

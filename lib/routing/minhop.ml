@@ -13,8 +13,8 @@
    and the picks are a function of (frozen loads, destination) alone,
    independent of which domain routes which destination. *)
 
-let route_destination g ws ~stamp ~n (view : Batched.view) ~ft ~dst =
-  let { Spf.dist; reached; _ } = Spf.compute_hops ws g ~stamp ~dst in
+let route_destination g ws ~n (view : Batched.view) ~ft ~dst =
+  let { Spf.dist; reached; _ } = Spf.compute_hops ws g ~dst in
   if reached < n then
     Error (Printf.sprintf "minhop: node unreachable toward %d" dst)
   else begin
@@ -47,16 +47,12 @@ let route ?(batch = 1) ?(domains = 1) g =
   let n = Graph.num_nodes g in
   let m = Graph.num_channels g in
   let ft = Ftable.create g ~algorithm:"minhop" in
-  (* Hop distances do not depend on the load state, so one stamp covers
-     the whole run: the incremental kernel reuses a switch tree across
-     every destination on that switch. *)
-  let stamp = Spf.fresh_stamp () in
   let result =
     Batched.with_pool ~domains
       (fun _slot -> Spf.workspace g)
       (fun pool ->
         Batched.run ~cost:m ~pool ~batch ~state:(Array.make m 0) ~dsts:(Graph.terminals g)
-          (fun ws view dst -> route_destination g ws ~stamp ~n view ~ft ~dst))
+          (fun ws view dst -> route_destination g ws ~n view ~ft ~dst))
   in
   match result with
   | Error _ as e -> e

@@ -13,7 +13,6 @@
     node reads and bumps only its own channels, so a destination never
     needs its own increments). [~batch:1] is the sequential recurrence
     (loads move after every destination); for any fixed [batch] the
-    result is independent of [domains]. Hop distances come from the default
-    {!Spf} kernel; they are load-independent, so its incremental core
-    shares one switch tree across the whole run. *)
+    result is independent of [domains]. Hop distances come from the
+    {!Spf} bucket kernel over unit weights. *)
 val route : ?batch:int -> ?domains:int -> Graph.t -> (Ftable.t, string) result

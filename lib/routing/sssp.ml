@@ -4,8 +4,6 @@ let initial_weights g =
 
 let recommended_batch = 32
 
-let default_kernel = Spf.Auto
-
 (* Plane-level telemetry (doc/observability.md): one counter bump per
    destination tree, one timer sample + span per route_destinations
    call, one snapshot-timer sample per weight copy a fan-out batch
@@ -30,9 +28,9 @@ let t_snapshot =
    Every kernel settles a node's via-parent before the node (Spf.tree),
    so walking the order backwards visits the tree far-to-near — the
    per-destination sort the previous implementation needed is gone. *)
-let route_destination ws g ~weights ~minw ~maxw ~stamp ~record ~flow ~ft ~dst =
+let route_destination ws g ~weights ~minw ~maxw ~record ~flow ~ft ~dst =
   Obs.Counter.incr c_dsts;
-  let { Spf.via; order; reached; _ } = Spf.compute ws g ~weights ~minw ~maxw ~stamp ~dst in
+  let { Spf.via; order; reached; _ } = Spf.compute ws g ~weights ~minw ~maxw ~dst in
   let n = Graph.num_nodes g in
   if reached < n then Error (Printf.sprintf "sssp: node unreachable toward %d" dst)
   else begin
@@ -93,10 +91,10 @@ let route_destinations_inner ~kernel pool ~batch g ~weights ~ft ~dsts =
   Batched.run ~snapshot_timer:t_snapshot ~cost:(Graph.num_channels g) ~pool ~batch ~state:weights ~dsts
     (fun sc (v : Batched.view) dst ->
       let ws = workspace sc ~kernel g in
-      route_destination ws g ~weights:v.reads ~minw ~maxw:v.top ~stamp:v.stamp ~record:v.add
-        ~flow:sc.flow ~ft ~dst)
+      route_destination ws g ~weights:v.reads ~minw ~maxw:v.top ~record:v.add ~flow:sc.flow
+        ~ft ~dst)
 
-let route_destinations ?(batch = 1) ?(domains = 1) ?pool ?(kernel = default_kernel) g ~weights ~ft ~dsts =
+let route_destinations ?(batch = 1) ?(domains = 1) ?pool ?(kernel = Spf.Bucket) g ~weights ~ft ~dsts =
   if Array.length weights <> Graph.num_channels g then
     invalid_arg "Sssp.route_destinations: weights size";
   Obs.Counter.incr c_planes;

@@ -15,12 +15,13 @@
 
     {2 Kernels}
 
-    The per-destination tree comes from a pluggable kernel ({!Spf},
-    DESIGN.md §15), selected with [?kernel] on every entry point below.
-    All kernels produce bit-for-bit identical tables and weights —
-    kernel choice is purely a performance knob. The [|V|^2] weight base
-    also makes SSSP the bucket kernel's best case: max/min weight stays
-    below 2, so the bucket window is 4.
+    The per-destination tree comes from an {!Spf} kernel (DESIGN.md
+    §15): the bucket core by default, or the heap oracle with
+    [~kernel:Spf.Heap] on any entry point below. Both produce
+    bit-for-bit identical tables and weights — kernel choice is purely a
+    performance knob. The [|V|^2] weight base also makes SSSP the bucket
+    kernel's best case: max/min weight stays below 2, so the bucket
+    window is 4.
 
     {2 Batched-snapshot parallelism}
 
@@ -41,10 +42,7 @@
     recorded into a delta, the live weight array already {e is} the
     frozen snapshot. An inline batch of one destination adds its load
     straight into the weights: that is the sequential recurrence, with
-    no delta and no merge. Within each batch the frozen weights let the
-    incremental kernel share one core tree among all destinations on
-    the same switch, which is why batched mode beats the sequential
-    recurrence even on one domain.
+    no delta and no merge.
 
     Contract: [batch] changes the algorithm (a coarser snapshot yields a
     slightly different — still minimal, still balanced — table);
@@ -58,9 +56,6 @@
     indistinguishable in the Fig. 4/5 metrics, large enough to keep every
     domain busy. *)
 val recommended_batch : int
-
-(** The kernel used when [?kernel] is omitted: {!Spf.Auto}. *)
-val default_kernel : Spf.kind
 
 (** A pool of routing domains with per-domain scratch (kernel workspace,
     tree-walk arrays, the driver's load-delta accumulator). Pools are
@@ -89,7 +84,7 @@ val destroy_pool : pool -> unit
     [batch] (default 1) and [domains] (default 1) select the
     batched-snapshot pipeline; [pool] reuses an existing pool (its size
     overrides [domains]). [kernel] selects the shortest-path core
-    (default {!Spf.Auto}). The defaults run the driver at batch 1 on
+    (default {!Spf.Bucket}). The defaults run the driver at batch 1 on
     the caller: the sequential recurrence, exactly. *)
 val route :
   ?initial_weight:int ->

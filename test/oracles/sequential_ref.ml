@@ -16,12 +16,9 @@ let scan_bounds weights =
 (* One destination: the kernel's tree toward [dst], its entries, then the
    tree's terminal flows accumulated far-to-near (the settle order walked
    backwards) straight into the live weights, keeping the running max up
-   to date. A fresh stamp per destination: weights change after every
-   step, so no tree is ever reused. *)
+   to date. *)
 let sssp_destination ws g ~weights ~minw ~maxw ~flow ~ft ~dst =
-  let { Spf.via; order; reached; _ } =
-    Spf.compute ws g ~weights ~minw ~maxw:!maxw ~stamp:(Spf.fresh_stamp ()) ~dst
-  in
+  let { Spf.via; order; reached; _ } = Spf.compute ws g ~weights ~minw ~maxw:!maxw ~dst in
   let n = Graph.num_nodes g in
   if reached < n then Error (Printf.sprintf "sssp: node unreachable toward %d" dst)
   else begin
@@ -43,7 +40,7 @@ let sssp_destination ws g ~weights ~minw ~maxw ~flow ~ft ~dst =
     Ok ()
   end
 
-let sssp_destinations ?(kernel = Sssp.default_kernel) g ~weights ~ft ~dsts =
+let sssp_destinations ?(kernel = Spf.Heap) g ~weights ~ft ~dsts =
   let n = Graph.num_nodes g in
   let ws = Spf.workspace ~kernel g in
   let flow = Array.make n 0 in
@@ -71,8 +68,8 @@ let sssp_plane ?kernel g ~weights =
 
 (* Each node picks the least-loaded min-hop channel over the live loads,
    then bumps it. *)
-let minhop_destination g ws ~stamp ~n ~load ~ft ~dst =
-  let { Spf.dist; reached; _ } = Spf.compute_hops ws g ~stamp ~dst in
+let minhop_destination g ws ~n ~load ~ft ~dst =
+  let { Spf.dist; reached; _ } = Spf.compute_hops ws g ~dst in
   if reached < n then Error (Printf.sprintf "minhop: node unreachable toward %d" dst)
   else begin
     let error = ref None in
@@ -104,13 +101,12 @@ let minhop g =
   let ft = Ftable.create g ~algorithm:"minhop" in
   let load = Array.make (Graph.num_channels g) 0 in
   let dsts = Graph.terminals g in
-  let stamp = Spf.fresh_stamp () in
-  let ws = Spf.workspace g in
+  let ws = Spf.workspace ~kernel:Spf.Heap g in
   let nt = Array.length dsts in
   let rec go i =
     if i >= nt then Ok ft
     else
-      match minhop_destination g ws ~stamp ~n ~load ~ft ~dst:dsts.(i) with
+      match minhop_destination g ws ~n ~load ~ft ~dst:dsts.(i) with
       | Ok () -> go (i + 1)
       | Error _ as e -> e
   in

@@ -8,7 +8,7 @@
 (** [sssp_destinations ?kernel g ~weights ~ft ~dsts] is SSSP over
     [dsts] in order ({!Routing.Sssp.route_destinations} at batch 1):
     entries written into [ft], loads added to [weights] after each
-    destination. Stops at the first failing destination; [weights] and
+    destination. [kernel] defaults to the heap oracle, {!Routing.Spf.Heap}. Stops at the first failing destination; [weights] and
     [ft] keep what the destinations before it contributed. *)
 val sssp_destinations :
   ?kernel:Routing.Spf.kind ->
@@ -26,7 +26,7 @@ val sssp_plane :
 
 (** MinHop ({!Routing.Minhop.route} at batch 1): each node picks the
     least-loaded min-hop channel over the live loads, which carry every
-    increment made so far. *)
+    increment made so far. Hop distances come from the heap oracle. *)
 val minhop : Graph.t -> (Routing.Ftable.t, string) result
 
 (** Up*/Down* ({!Routing.Updown.route} at batch 1). *)

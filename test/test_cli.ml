@@ -187,6 +187,15 @@ let test_manage_trace () =
   usage_error [ "trace"; "torus:4x4" ] ~naming:"unknown command 'trace'";
   usage_error [ "route"; "torus:4x4"; "--max-vls"; "4" ] ~naming:"unknown option '--max-vls'"
 
+(* A domain count past Parallel.max_domains is refused at parse time,
+   with the limit in the message, so no pool is ever started for it. *)
+let test_domains_over_limit () =
+  let over = string_of_int (Netgraph.Parallel.max_domains + 1) in
+  let limit = Printf.sprintf "1..%d" Netgraph.Parallel.max_domains in
+  List.iter
+    (fun args -> usage_error (args @ [ "--domains"; over ]) ~naming:limit)
+    [ [ "manage"; "torus:3x3" ]; [ "serve"; "torus:3x3" ]; [ "experiment"; "table1" ] ]
+
 (* --domains only spreads the work: without an explicit --batch, the
    served tables are the same at every domain count. *)
 let test_domains_keep_tables () =
@@ -217,5 +226,6 @@ let () =
           Alcotest.test_case "experiment runs by id and lists ids on error" `Quick test_experiment;
           Alcotest.test_case "manage --trace writes parseable spans; trace is gone" `Quick test_manage_trace;
           Alcotest.test_case "--domains never changes the served tables" `Quick test_domains_keep_tables;
+          Alcotest.test_case "--domains past the domain limit is a usage error" `Quick test_domains_over_limit;
         ] );
     ]

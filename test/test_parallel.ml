@@ -229,6 +229,21 @@ let registry_domains_invariant =
       && Routing.Ftable.num_layers ft1 = Routing.Ftable.num_layers ft2
       && Oracles.Acyclic_ref.deadlock_free ft2)
 
+(* A pool past the runtime's domain budget is refused up front, naming
+   the limit. The scratch function fails the test if the pool got as far
+   as building slots, so even a regression here spawns no domain. *)
+let pool_over_limit () =
+  let over = Parallel.max_domains + 1 in
+  match Parallel.Pool.create ~domains:over (fun _ -> Alcotest.fail "scratch built past the limit") with
+  | pool ->
+    Parallel.Pool.shutdown pool;
+    Alcotest.fail "over-limit pool created"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      ("names the limit: " ^ msg)
+      true
+      (Testutil.contains msg (string_of_int Parallel.max_domains))
+
 let () =
   Alcotest.run "parallel routing"
     [
@@ -244,4 +259,5 @@ let () =
         ] );
       ("engines", [ minhop_contract; updown_contract; ftree_domains_invariant; dor_domains_invariant ]);
       ("registry", [ registry_domains_invariant ]);
+      ("pool", [ Alcotest.test_case "over max_domains is refused before spawning" `Quick pool_over_limit ]);
     ]

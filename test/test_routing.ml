@@ -29,10 +29,9 @@ let kautz23 = lazy (Topo_kautz.make ~b:2 ~n:3 ~endpoints:36)
 let test_dijkstra_matches_bfs () =
   let g = fst (Lazy.force torus44) in
   let ws = Spf.workspace ~kernel:Spf.Heap g in
-  let stamp = Spf.fresh_stamp () in
   Array.iter
     (fun dst ->
-      let { Spf.dist; via; _ } = Spf.compute_hops ws g ~stamp ~dst in
+      let { Spf.dist; via; _ } = Spf.compute_hops ws g ~dst in
       let dist = Array.copy dist and via = Array.copy via in
       (* reference: reverse BFS *)
       let refd = Array.make (Graph.num_nodes g) max_int in
@@ -75,7 +74,7 @@ let test_dijkstra_weighted () =
   let weights = Array.make (Graph.num_channels g) 1 in
   weights.(c02) <- 10;
   let ws = Spf.workspace ~kernel:Spf.Heap g in
-  let { Spf.dist; via; _ } = Spf.compute ws g ~weights ~stamp:(Spf.fresh_stamp ()) ~dst:s2 in
+  let { Spf.dist; via; _ } = Spf.compute ws g ~weights ~dst:s2 in
   check Alcotest.int "detour distance" 2 dist.(s0);
   check Alcotest.int "detour first hop" c01 via.(s0);
   check Alcotest.int "direct from middle" c12 via.(s1)
@@ -109,14 +108,14 @@ let test_ftable_set_tree () =
   let enabled = Array.map (fun (c : Channel.t) -> c.src <> sw && c.dst <> sw) (Graph.channels g) in
   let stale = (Graph.out_channels g sw).(0) in
   let g = Graph.with_enabled g ~enabled in
-  let ws = Spf.workspace g and stamp = Spf.fresh_stamp () in
+  let ws = Spf.workspace ~kernel:Spf.Bucket g in
   let by_tree = Ftable.create g ~algorithm:"tree" and by_entry = Ftable.create g ~algorithm:"entry" in
   Array.iter
     (fun dst ->
       (* a stale entry at the cut-off switch must survive both ways *)
       Ftable.set_next by_tree ~node:sw ~dst ~channel:stale;
       Ftable.set_next by_entry ~node:sw ~dst ~channel:stale;
-      let { Spf.via; _ } = Spf.compute_hops ws g ~stamp ~dst in
+      let { Spf.via; _ } = Spf.compute_hops ws g ~dst in
       Ftable.set_tree by_tree ~dst via;
       Array.iteri (fun u c -> if u <> dst && c >= 0 then Ftable.set_next by_entry ~node:u ~dst ~channel:c) via)
     (Graph.terminals g);

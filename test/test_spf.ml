@@ -1,8 +1,8 @@
-(* The pluggable SSSP kernel contract (DESIGN.md §15), as executable
-   properties. The kernel selector promises that kernel choice NEVER
-   changes any observable result — trees, tables, final weights, error
-   strings, deadlock certificates — only wall-clock. Every test here
-   compares a kernel against the binary-heap oracle bit-for-bit:
+(* The SSSP kernel contract (DESIGN.md §15), as executable properties.
+   The kernel selector promises that kernel choice NEVER changes any
+   observable result — trees, tables, final weights, error strings,
+   deadlock certificates — only wall-clock. Every test here compares
+   the bucket kernel against the binary-heap oracle bit-for-bit:
 
    - per-destination trees (dist, via, settle count) agree on healthy
      and degraded fabrics, for unit and heavily skewed weights;
@@ -25,9 +25,8 @@ let same_tables = Testutil.same_tables
 
 module Spf = Routing.Spf
 
-(* Every selectable kernel; Auto resolves to one of the others but is
-   exercised in its own right so the default path stays covered. *)
-let kernels = Spf.all_kinds
+(* Every selectable kernel: the heap oracle and the bucket core. *)
+let kernels = [ Spf.Heap; Spf.Bucket ]
 
 let kernel_name k = Spf.kind_to_string k
 
@@ -61,22 +60,18 @@ let check_order name g ~dst (t : Spf.tree) =
 
 (* Compare a kernel's tree against the oracle's for every destination in
    [dsts] (default: every node of [g]), computed by [tree] — a weighted
-   {!Spf.compute} or {!Spf.compute_hops}. One stamp per kernel: weights
-   are frozen here, so the incremental kernel is allowed (and expected)
-   to reuse switch trees across consecutive same-switch terminals. *)
+   {!Spf.compute} or {!Spf.compute_hops}. *)
 let check_trees_against_oracle ?dsts name g ~tree =
   let oracle = Spf.workspace ~kernel:Spf.Heap g in
-  let ostamp = Spf.fresh_stamp () in
   let dsts = Option.value dsts ~default:(Array.init (Graph.num_nodes g) Fun.id) in
   List.iter
     (fun kernel ->
       if kernel <> Spf.Heap then begin
         let ws = Spf.workspace ~kernel g in
-        let stamp = Spf.fresh_stamp () in
         Array.iter
           (fun dst ->
-            let odist, ovia, oreached = copy_tree (tree oracle ~stamp:ostamp ~dst) in
-            let t = tree ws ~stamp ~dst in
+            let odist, ovia, oreached = copy_tree (tree oracle ~dst) in
+            let t = tree ws ~dst in
             check_order (name ^ "/" ^ kernel_name kernel) g ~dst t;
             if t.Spf.reached <> oreached then
               Alcotest.failf "%s/%s dst %d: reached %d, oracle %d" name (kernel_name kernel) dst
@@ -90,7 +85,7 @@ let check_trees_against_oracle ?dsts name g ~tree =
     kernels;
   true
 
-let weighted weights g ws ~stamp ~dst = Spf.compute ws g ~weights ~stamp ~dst
+let weighted weights g ws ~dst = Spf.compute ws g ~weights ~dst
 
 let tree_equivalence =
   qtest "spf: every kernel matches the heap oracle tree-for-tree" seed_gen (fun seed ->
@@ -162,7 +157,7 @@ let leaf_rule_edges =
           if attached.(t) >= 0 then Alcotest.failf "dual-homed terminal %d is attached" t)
         dual;
       let weights = random_weights ~spread:3 seed g in
-      let hops ws ~stamp ~dst = Spf.compute_hops ws g ~stamp ~dst in
+      let hops ws ~dst = Spf.compute_hops ws g ~dst in
       let healthy =
         check_trees_against_oracle "leaf" g ~tree:(weighted weights g)
         && check_trees_against_oracle "leaf/hops" g ~tree:hops
@@ -207,7 +202,7 @@ let batch1_determinism =
       let _, g = fabric seed in
       let seq_w = Routing.Sssp.initial_weights g in
       let seq_ft =
-        match Oracles.Sequential_ref.sssp_plane g ~weights:seq_w with
+        match Oracles.Sequential_ref.sssp_plane ~kernel:Spf.Heap g ~weights:seq_w with
         | Ok ft -> ft
         | Error msg -> Alcotest.failf "sequential route_plane failed: %s" msg
       in
@@ -250,8 +245,7 @@ let bucket_fallback_extreme_weights () =
   let tame = Array.make (Graph.num_channels g) 3 in
   let mid = fallback_counter () in
   let ws = Spf.workspace ~kernel:Spf.Bucket g in
-  let stamp = Spf.fresh_stamp () in
-  let t = Spf.compute ws g ~weights:tame ~stamp ~dst:(Graph.terminals g).(0) in
+  let t = Spf.compute ws g ~weights:tame ~dst:(Graph.terminals g).(0) in
   Alcotest.(check int) "tame spread reaches all" (Graph.num_nodes g) t.Spf.reached;
   Alcotest.(check int) "no fallback in-window" mid (fallback_counter ())
 
@@ -321,15 +315,13 @@ let dfsssp_certifiable =
              same_tables oracle ft && Oracles.Acyclic_ref.deadlock_free ft)
            kernels)
 
-(* MinHop and LASH route over hop counts: one shared stamp per run, so
-   the incremental kernel reuses switch trees aggressively. Their
-   unit-weight trees, walked in their terminal order, must still match
-   the oracle's exactly. *)
+(* MinHop and LASH route over hop counts. Their unit-weight trees,
+   walked in their terminal order, must match the oracle's exactly. *)
 let hop_engines_kernel_invariant =
   qtest ~count:10 "minhop/lash: hop trees identical under every kernel" seed_gen (fun seed ->
       let name, g = fabric seed in
-      check_trees_against_oracle ~dsts:(Graph.terminals g) name g ~tree:(fun ws ~stamp ~dst ->
-          Spf.compute_hops ws g ~stamp ~dst))
+      check_trees_against_oracle ~dsts:(Graph.terminals g) name g ~tree:(fun ws ~dst ->
+          Spf.compute_hops ws g ~dst))
 
 let () =
   Alcotest.run "spf kernels"
