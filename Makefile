@@ -1,4 +1,4 @@
-.PHONY: all check test lint doc clean no-oracles figures figures-check bench-e2e bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke churn-smoke
+.PHONY: all check test lint doc clean no-oracles api-audit figures figures-check bench-e2e bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke churn-smoke
 
 all:
 	dune build
@@ -17,10 +17,11 @@ all:
 # layer-tight torus converges on every churn event under DFSSSP and
 # under LASH's Pearce-Kelly placement on the degraded fabric
 # (churn-smoke), no oracle has leaked back into the shipped code
-# (no-oracles), and every committed deterministic figure CSV is what the
-# code prints today (figures-check).
+# (no-oracles), every exported value nothing shipped uses is on the
+# API allowlist with its reason (api-audit), and every committed
+# deterministic figure CSV is what the code prints today (figures-check).
 check:
-	dune build && dune build --profile release && dune runtest && $(MAKE) no-oracles && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke && $(MAKE) churn-smoke && $(MAKE) figures-check
+	dune build && dune build --profile release && dune runtest && $(MAKE) no-oracles && $(MAKE) api-audit && $(MAKE) lint && $(MAKE) analyze-examples && $(MAKE) kernel-equivalence && $(MAKE) break-smoke && $(MAKE) smoke-service && $(MAKE) zoo && $(MAKE) soak-smoke && $(MAKE) churn-smoke && $(MAKE) figures-check
 
 # The paper's tables and figures: every Harness.Experiments entry except
 # the full-scale ones, at fabric_tool experiment's defaults (scale 1/4,
@@ -63,6 +64,14 @@ no-oracles:
 	  echo "no-oracles: the dune files above link the test-only oracles library"; exit 1; fi
 	@find lib bin \( -name '*.ml' -o -name '*.mli' \) | sort | xargs perl -0777 -n test/oracles/shipped_names.pl
 	@echo "no-oracles: OK"
+
+# The shipped surface is what ships: lists every `val` of a lib/*/*.mli
+# that no code in lib/ or bin/ references outside its own module
+# (umbrella re-exports and local aliases count), and fails unless each
+# is on test/api_allowlist.txt with a one-line reason, or if an entry
+# there is used after all or names no value.
+api-audit:
+	@perl test/api_audit.pl test/api_allowlist.txt
 
 # Topology-zoo conformance battery (doc/topology_ingestion.md): every
 # file under examples/zoo plus the seeded jellyfish/xpander samples,

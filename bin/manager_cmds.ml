@@ -54,9 +54,12 @@ let manage_cmd =
           (* the pool and trace sinks are torn down even when a replay
              raises — a crashed run must not leak worker domains *)
           Fun.protect ~finally:(fun () -> Fabric.Manager.shutdown mgr) @@ fun () ->
-          Format.fprintf ppf "%s@.%a@.initial tables: epoch %d (%s, %d max layers)@.@."
+          Format.fprintf ppf "%s@.%a@.initial tables: epoch %d (%s, %d max layers)%s@.@."
             t.Harness.Topospec.description Netgraph.Graph.pp_stats g (Fabric.Manager.epoch mgr)
-            config.Fabric.Manager.algorithm config.Fabric.Manager.max_layers;
+            config.Fabric.Manager.algorithm config.Fabric.Manager.max_layers
+            (match Fabric.Manager.initial_fallback mgr with
+            | None -> ""
+            | Some note -> " — " ^ note);
           if print_schedule then
             Format.fprintf ppf "schedule (%d event(s)):@.%s@." (List.length schedule)
               (Fabric.Schedule.to_string schedule);

@@ -1,5 +1,5 @@
 (** Online (path-at-a-time) virtual-layer assignment, as used by LASH, by
-    the paper's first, slower DFSSSP variant, and by the fabric manager
+    the paper's first, slower DFSSSP variant, and by [Dfsssp.build]
     when Algorithm 2 runs out of layers: each route is placed into
     the lowest layer where its dependencies close no cycle; a fresh layer
     is opened when none fits. Requires a cycle check per path, the cost

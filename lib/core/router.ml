@@ -2,9 +2,22 @@ let log_src = Logs.Src.create "dfsssp" ~doc:"deadlock-free SSSP routing"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* [placement] comes first so that an unqualified [Offline]/[Online]
+   still names a [variant] (the type defined last wins). *)
+type placement =
+  | Offline
+  | Online
+  | Online_fallback of { offline_reason : string }
+
 type variant =
   | Offline
   | Online
+
+type built = {
+  table : Ftable.t;
+  placement : placement;
+  layers : int;
+}
 
 type error =
   | Routing_failed of string
@@ -21,34 +34,45 @@ let error_to_string = function
 let t_class_walk =
   Obs.Registry.timer "dfsssp.class_walk" ~desc:"seconds per route-class walk of the layer assignment"
 
-(* Algorithm 2 (or the online placement) runs on the table's route
-   classes: one slice per (entry switch, destination), weighted by its
-   pair count, so every pair of a class gets the class's layer — the
-   layers the per-pair store would get (DESIGN.md §10). [balance] then
-   spreads the expanded per-pair assignment. *)
-let assign_layers ?(variant = Offline) ?engine ?domains ?(heuristic = Heuristic.Weakest)
-    ?(max_layers = 8) ?(balance = false) ft =
+(* Layer placement runs on the table's route classes: one slice per
+   (entry switch, destination), weighted by its pair count, so every
+   pair of a class gets the class's layer — the layers the per-pair
+   store would get (DESIGN.md §10). Both placements only read the class
+   store, so when Algorithm 2 runs out of layers and [fallback] is set,
+   the online placement runs on the same store: one class walk either
+   way. [balance] then spreads the expanded per-pair assignment. *)
+let place ~variant ~fallback ?engine ?domains ?(heuristic = Heuristic.Weakest) ?(max_layers = 8)
+    ?(balance = false) ft =
   if max_layers > Routing.Ftable.max_layer_ids then Error (Bad_budget max_layers)
   else
     match Obs.Timer.time t_class_walk (fun () -> Routing.Ftable.to_classes ft) with
     | Error msg -> Error (Routing_failed msg)
     | Ok cls -> (
       let store = cls.Routing.Ftable.store in
-      let assignment =
-        match variant with
-        | Offline ->
-          Result.map
-            (fun o -> (o.Layers.layer_of_path, o.Layers.layers_used, o.Layers.cycles_broken))
-            (Layers.assign_store ?engine ?domains store ~max_layers ~heuristic)
-        | Online ->
-          Result.map
-            (fun o -> (o.Online.layer_of_path, o.Online.layers_used, 0))
-            (Online.assign_store store ~max_layers)
+      let online () =
+        Result.map
+          (fun o -> (o.Online.layer_of_path, o.Online.layers_used, 0))
+          (Online.assign_store store ~max_layers)
       in
-      match assignment with
+      let placed =
+        match variant with
+        | Online -> Result.map (fun a -> (a, (Online : placement))) (online ())
+        | Offline -> (
+          match Layers.assign_store ?engine ?domains store ~max_layers ~heuristic with
+          | Ok o -> Ok ((o.Layers.layer_of_path, o.Layers.layers_used, o.Layers.cycles_broken), Offline)
+          | Error offline when fallback -> (
+            match online () with
+            | Ok a -> Ok (a, Online_fallback { offline_reason = offline })
+            | Error online ->
+              Error
+                (Printf.sprintf "offline layer assignment failed: %s; online placement failed: %s"
+                   offline online))
+          | Error _ as e -> e)
+      in
+      match placed with
       | Error msg -> Error (Layers_exhausted msg)
-      | Ok (class_layer, layers_used, cycles_broken) ->
-        let layers_used =
+      | Ok ((class_layer, layers_used, cycles_broken), placement) ->
+        let used =
           if balance then begin
             let per_pair =
               Array.map (fun k -> if k < 0 then -1 else class_layer.(k)) cls.Routing.Ftable.class_of_pair
@@ -64,82 +88,58 @@ let assign_layers ?(variant = Offline) ?engine ?domains ?(heuristic = Heuristic.
             layers_used
           end
         in
-        Routing.Ftable.set_num_layers ft layers_used;
-        Ok ft)
+        Routing.Ftable.set_num_layers ft used;
+        Ok { table = ft; placement; layers = layers_used })
 
-let route ?variant ?heuristic ?max_layers ?balance ?batch ?domains ?pool g =
+let assign_layers ?(variant = Offline) ?engine ?domains ?heuristic ?max_layers ?balance ft =
+  Result.map
+    (fun b -> b.table)
+    (place ~variant ~fallback:false ?engine ?domains ?heuristic ?max_layers ?balance ft)
+
+let placement_to_string : placement -> string = function
+  | Offline -> "offline"
+  | Online -> "online"
+  | Online_fallback _ -> "online fallback"
+
+let build ?(variant = Offline) ?heuristic ?max_layers ?balance ?batch ?domains ?pool ?kernel g =
   let span =
     Obs.Trace.begin_span "dfsssp.route" ~attrs:(fun () ->
         [
           ("terminals", Obs.Trace.Int (Graph.num_terminals g));
           ("channels", Obs.Trace.Int (Graph.num_channels g));
-          ( "variant",
-            Obs.Trace.Str (match variant with Some Online -> "online" | _ -> "offline") );
+          ("variant", Obs.Trace.Str (match variant with Online -> "online" | Offline -> "offline"));
         ])
   in
   let result =
-    match Routing.Sssp.route ?batch ?domains ?pool g with
+    match Routing.Sssp.route ?batch ?domains ?pool ?kernel g with
     | Error msg -> Error (Routing_failed msg)
-    | Ok ft -> (
-      match assign_layers ?variant ?domains ?heuristic ?max_layers ?balance ft with
-      | Ok ft as ok ->
-        Log.info (fun m ->
-            m "routed %d terminals over %d channels: %d virtual layer(s)"
-              (Graph.num_terminals (Routing.Ftable.graph ft))
-              (Graph.num_channels (Routing.Ftable.graph ft))
-              (Routing.Ftable.num_layers ft));
-        ok
-      | Error e as err ->
-        Log.err (fun m -> m "%s" (error_to_string e));
-        err)
+    | Ok ft -> place ~variant ~fallback:true ?domains ?heuristic ?max_layers ?balance ft
   in
   (match result with
-  | Ok ft ->
+  | Ok b ->
+    Log.info (fun m ->
+        m "routed %d terminals over %d channels: %d virtual layer(s), placed %s" (Graph.num_terminals g)
+          (Graph.num_channels g) b.layers (placement_to_string b.placement));
     Obs.Trace.end_span span
-      ~attrs:[ ("layers", Obs.Trace.Int (Routing.Ftable.num_layers ft)) ]
+      ~attrs:
+        [
+          ("layers", Obs.Trace.Int (Routing.Ftable.num_layers b.table));
+          ("placement", Obs.Trace.Str (placement_to_string b.placement));
+        ]
   | Error e -> Obs.Trace.end_span span ~attrs:[ ("error", Obs.Trace.Str (error_to_string e)) ]);
   result
 
-let layers_required ?variant ?heuristic ?max_layers ?batch ?domains g =
-  match route ?variant ?heuristic ?max_layers ?batch ?domains g with
-  | Error e -> Error e
-  | Ok ft -> Ok (Routing.Ftable.num_layers ft)
-
-let route_min_layers ?(max_layers = 8) ?batch ?(domains = 1) g =
-  (* Try every cycle-breaking heuristic and keep the assignment with the
-     fewest layers — cheap insurance against the APP heuristic gap the
-     paper leaves open (Section IV). With [domains > 1] the heuristics
-     run concurrently (each full route is independent of the others; the
-     inner routes stay single-domain so the machine is not
-     oversubscribed); the winner is picked by (layers, heuristic order),
-     identical to the sequential scan. *)
-  let heuristics = Array.of_list Heuristic.all in
-  let nh = Array.length heuristics in
-  let results = Array.make nh (Error (Routing_failed "not attempted")) in
-  let run _scratch i =
-    results.(i) <- route ~heuristic:heuristics.(i) ~max_layers ?batch g
-  in
-  if domains > 1 && nh > 1 then
-    Parallel.Pool.with_pool ~domains
-      (fun _slot -> ())
-      (fun pool -> Parallel.Pool.run pool ~n:nh ~grain:1 run)
-  else
-    for i = 0 to nh - 1 do
-      run () i
-    done;
-  let best = ref None in
-  let last_error = ref None in
-  Array.iteri
-    (fun i result ->
-      match result with
-      | Error e -> last_error := Some e
-      | Ok ft -> (
-        let layers = Routing.Ftable.num_layers ft in
-        match !best with
-        | Some (_, _, best_layers) when best_layers <= layers -> ()
-        | _ -> best := Some (ft, heuristics.(i), layers)))
-    results;
-  match (!best, !last_error) with
-  | Some (ft, heuristic, _), _ -> Ok (ft, heuristic)
-  | None, Some e -> Error e
-  | None, None -> Error (Routing_failed "no heuristic available")
+(* The paper's DFSSSP: a table Algorithm 2 could not place is refused,
+   so Figs. 9/10 report its own layer count. The refusal names what the
+   online placement of the same routes reached. *)
+let route ?variant ?heuristic ?max_layers ?balance ?batch ?domains ?pool g =
+  match build ?variant ?heuristic ?max_layers ?balance ?batch ?domains ?pool g with
+  | Error _ as e -> e
+  | Ok { table; placement = Offline | Online; _ } -> Ok table
+  | Ok { placement = Online_fallback { offline_reason }; layers; _ } ->
+    Error
+      (Layers_exhausted
+         (Printf.sprintf
+            "%s; the online placement fits these routes in %d layer(s): fabric_tool route SPEC \
+             --online serves that table, and so do manage and serve"
+            offline_reason layers))

@@ -51,6 +51,7 @@ type t = {
       (* persistent routing-domain pool ([domains > 1] only): scratch is
          epoch-stamped, so the same pool serves every full recompute even
          across structural rebuilds of the graph *)
+  mutable initial_fallback : string option;
 }
 
 let config t = t.config
@@ -65,12 +66,12 @@ let epoch t = Epoch.epoch t.epochs
 
 let epoch_history t = Epoch.history t.epochs
 
+let initial_fallback t = t.initial_fallback
+
 (* Full recompute: fresh weight state, route everything, re-break all
-   cycles. Under dfsssp, when Algorithm 2 runs out of layers, the same
-   SSSP table is placed online (the paper's path-at-a-time variant)
-   within the same budget: a failed offline pass writes no layers, so
-   the table is reused as it is. [Ok (ft, Some note)] says the fallback
-   placed [ft] and why it ran; an [Error] names every failed placement. *)
+   cycles. Under dfsssp, [Dfsssp.build] places the SSSP routes online
+   when Algorithm 2 runs out of layers; [Ok (ft, Some note)] says that
+   happened and why. An [Error] names every failed placement. *)
 let full_route t =
   let g = Fabstate.graph t.state in
   Obs.Trace.with_span "fabric.full_route"
@@ -82,21 +83,13 @@ let full_route t =
   @@ fun () ->
   if t.config.algorithm = "dfsssp" then
     match
-      Sssp.route_plane ~batch:t.config.batch ?pool:t.pool ~kernel:t.config.kernel g
-        ~weights:(Sssp.initial_weights g)
+      Dfsssp.build ~max_layers:t.config.max_layers ~batch:t.config.batch ~domains:t.config.domains
+        ?pool:t.pool ~kernel:t.config.kernel g
     with
-    | Error msg -> Error msg
-    | Ok ft -> (
-      let max_layers = t.config.max_layers in
-      match Dfsssp.assign_layers ~engine:t.config.engine ~domains:t.config.domains ~max_layers ft with
-      | Ok ft -> Ok (ft, None)
-      | Error (Dfsssp.Layers_exhausted offline) -> (
-        let failed = "offline layer assignment failed: " ^ offline in
-        match Dfsssp.assign_layers ~variant:Dfsssp.Online ~max_layers ft with
-        | Ok ft -> Ok (ft, Some (failed ^ "; placed online"))
-        | Error (Dfsssp.Layers_exhausted online) -> Error (failed ^ "; online placement failed: " ^ online)
-        | Error e -> Error (failed ^ "; " ^ Dfsssp.error_to_string e))
-      | Error e -> Error (Dfsssp.error_to_string e))
+    | Error e -> Error (Dfsssp.error_to_string e)
+    | Ok { Dfsssp.table; placement = Online_fallback { offline_reason }; _ } ->
+      Ok (table, Some ("offline layer assignment failed: " ^ offline_reason ^ "; placed online"))
+    | Ok { Dfsssp.table; _ } -> Ok (table, None)
   else
     match
       Dfsssp.Registry.find ~max_layers:t.config.max_layers ~batch:t.config.batch
@@ -139,6 +132,7 @@ let create ?(config = default_config) g =
         metrics = Metrics.create ();
         outcomes = [];
         pool = (if config.domains > 1 then Some (Sssp.create_pool ~domains:config.domains ()) else None);
+        initial_fallback = None;
       }
     in
     match full_route t with
@@ -146,7 +140,7 @@ let create ?(config = default_config) g =
       release t;
       Error msg
     | Ok (ft, online) -> (
-      Option.iter (fun note -> Log.info (fun m -> m "initial tables: %s" note)) online;
+      t.initial_fallback <- online;
       match Epoch.try_swap t.epochs ~label:"initial" ft with
       | Error msg, verify_s ->
         Obs.Timer.add t.metrics.Metrics.verify verify_s;
@@ -155,6 +149,7 @@ let create ?(config = default_config) g =
       | Ok _, verify_s ->
         Obs.Timer.add t.metrics.Metrics.verify verify_s;
         Obs.Counter.set t.metrics.Metrics.swap_epochs (Epoch.epoch t.epochs);
+        if online <> None then Obs.Counter.incr t.metrics.Metrics.fallbacks;
         Ok t)
   end
 

@@ -3,11 +3,13 @@
     InfiniBand subnet. Feed it {!Event}s (or a whole {!Schedule}) and it
     converges after each one to forwarding tables that passed the epoch
     gate. Every table-changing event runs a full SSSP-plus-cycle-breaking
-    recompute. Under dfsssp, when the offline pass (Algorithm 2) runs out
-    of virtual layers, the same SSSP routes are placed online, path at a
-    time (the paper's other variant), within the same [max_layers]; the
-    outcome reports that fallback and why it ran. Tables advance by
-    verified epoch swaps ({!Epoch}); {!Metrics} counts everything. *)
+    recompute. Under dfsssp that recompute is {!Dfsssp.build}: when the
+    offline pass (Algorithm 2) runs out of virtual layers, the same SSSP
+    routes are placed online, path at a time (the paper's other
+    variant), within the same [max_layers]; the outcome reports that
+    fallback and why it ran, and [fabric.fallbacks] counts it, at
+    bring-up too. Tables advance by verified epoch swaps ({!Epoch});
+    {!Metrics} counts everything. *)
 
 type config = {
   algorithm : string;
@@ -28,17 +30,17 @@ type config = {
           with {!release}). Never changes the tables, only the
           wall-clock *)
   kernel : Spf.kind;
-      (** shortest-path kernel for dfsssp full recomputes
-          (DESIGN.md §15): [Bucket], or the [Heap] oracle; other
-          algorithms run [Bucket]. Never changes the tables, only the
-          wall-clock. No CLI flag sets it: it stays because the
-          bring-up benchmark reads it, and goes with ROADMAP item 1 *)
+      (** shortest-path kernel that dfsssp full recomputes pass to
+          {!Dfsssp.build} (DESIGN.md §15): [Bucket], or the [Heap]
+          oracle; other algorithms run [Bucket]. Never changes the
+          tables, only the wall-clock. No CLI flag sets it: it stays
+          because the bring-up benchmark reads it, and goes with
+          ROADMAP item 1 *)
   engine : Layers.engine;
-      (** offline cycle-break engine for dfsssp full recomputes
-          (DESIGN.md section 17). One-valued ([`Scc]): it stays only
+      (** offline cycle-break engine (DESIGN.md section 17). One-valued
+          ([`Scc]), so the manager does not pass it on: it stays only
           because the end-to-end benchmark ([e2ebench/bringup.ml])
-          reads it, and goes with ROADMAP item 1. [domains] fans its
-          per-component planning out *)
+          reads it, and goes with ROADMAP item 1 *)
 }
 
 (** [{ algorithm = "dfsssp"; max_layers = 8; batch = 1; domains = 1;
@@ -79,9 +81,10 @@ type outcome = {
 type t
 
 (** [create g] routes the initial fabric and installs epoch 1, with the
-    same online fallback as every full recompute. [Error] if the fabric
-    has fewer than two terminals or cannot be routed deadlock-free within
-    [max_layers]; the message then names both failed placements.
+    same online fallback as every full recompute; a fallback counts in
+    [fabric.fallbacks] and {!initial_fallback} says why. [Error] if the
+    fabric has fewer than two terminals or cannot be routed deadlock-free
+    within [max_layers]; the message then names both failed placements.
     @raise Invalid_argument on a non-positive layer budget. *)
 val create : ?config:config -> Graph.t -> (t, string) result
 
@@ -92,6 +95,10 @@ val graph : t -> Graph.t
 
 (** The active (last verified) forwarding tables. *)
 val tables : t -> Ftable.t
+
+(** [Some note] when Algorithm 2 ran out of layers at bring-up and the
+    initial tables were placed online; [note] names the offline failure. *)
+val initial_fallback : t -> string option
 
 val metrics : t -> Metrics.t
 val epoch : t -> int

@@ -27,7 +27,7 @@ let create () =
     events_applied = counter "fabric.events_applied" "events that changed the topology";
     events_rejected = counter "fabric.events_rejected" "events refused (would disconnect, unknown id, ...)";
     full_recomputes = counter "fabric.full_recomputes" "events settled by full reroute";
-    fallbacks = counter "fabric.fallbacks" "full recomputes placed online after Algorithm 2 ran out of layers";
+    fallbacks = counter "fabric.fallbacks" "bring-ups and full recomputes placed online after Algorithm 2 ran out of layers";
     swap_epochs = counter "fabric.swap_epochs" "epoch counter after the latest swap";
     verify_failures = counter "fabric.verify_failures" "candidate tables rejected by the verifier";
     repair = timer "fabric.repair" "seconds computing routes/layers";

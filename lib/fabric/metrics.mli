@@ -1,7 +1,8 @@
 (** The fabric manager's operational telemetry — the counters a subnet
     manager exports — built on {!Obs} primitives and registered in a
     per-manager {!Obs.Registry.t}, so the whole set snapshots to JSON
-    ([fabric_tool manage --stats-json]). Mutated by {!Manager.apply}. *)
+    ([fabric_tool manage --stats-json]). Mutated by {!Manager.create}
+    and {!Manager.apply}. *)
 
 type t = {
   registry : Obs.Registry.t;
@@ -10,8 +11,9 @@ type t = {
   events_rejected : Obs.Counter.t;  (** refused (would disconnect, unknown id, ...) *)
   full_recomputes : Obs.Counter.t;  (** events settled by full reroute *)
   fallbacks : Obs.Counter.t;
-      (** full recomputes placed online after Algorithm 2 ran out of
-          layers (counted among [full_recomputes]) *)
+      (** bring-ups and full recomputes placed online after Algorithm 2
+          ran out of layers (a full recompute also counts among
+          [full_recomputes]; a bring-up does not) *)
   swap_epochs : Obs.Counter.t;  (** gauge: epoch counter after the latest swap *)
   verify_failures : Obs.Counter.t;  (** candidate tables rejected by the verifier *)
   repair : Obs.Timer.t;  (** seconds spent computing routes/layers *)

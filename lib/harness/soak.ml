@@ -83,7 +83,7 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
     | Ok m ->
       let fails = ref [] in
       let fail fmt = Printf.ksprintf (fun msg -> fails := msg :: !fails) fmt in
-      let applied = ref 0 and swaps = ref 0 and fallbacks = ref 0 and full = ref 0 in
+      let applied = ref 0 and swaps = ref 0 and full = ref 0 in
       let trace_buf = Buffer.create 4096 in
       Fun.protect
         ~finally:(fun () -> Fabric.Manager.shutdown m)
@@ -100,7 +100,6 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
                         (match o.Fabric.Manager.action with
                         | Fabric.Manager.Full _ | Fabric.Manager.Incremental _ -> incr full
                         | Fabric.Manager.Noop -> ());
-                        if o.Fabric.Manager.fallback then incr fallbacks;
                         (match (o.Fabric.Manager.action, o.Fabric.Manager.verify) with
                         | Fabric.Manager.Noop, _ | _, Some _ -> ()
                         | _, None ->
@@ -160,7 +159,7 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
         scheduled;
         applied = !applied;
         swaps = !swaps;
-        fallbacks = !fallbacks;
+        fallbacks = Fabric.Metrics.fallbacks (Fabric.Manager.metrics m);
         full = !full;
         failures;
         artifact;

@@ -25,7 +25,9 @@ type result = {
   scheduled : int;  (** events in the generated schedule *)
   applied : int;  (** events the manager accepted *)
   swaps : int;  (** verified epoch swaps *)
-  fallbacks : int;  (** full recomputes placed online after Algorithm 2 ran out of layers *)
+  fallbacks : int;
+      (** bring-ups and full recomputes placed online after Algorithm 2
+          ran out of layers (the manager's [fabric.fallbacks]) *)
   full : int;  (** events served by full recompute *)
   failures : string list;  (** invariant violations; empty means pass *)
   artifact : string option;

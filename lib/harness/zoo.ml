@@ -82,13 +82,9 @@ let check_spec ?max_layers spec =
         algorithms
     in
     (* Kernel parity: the bucket kernel must produce the heap oracle's table. *)
-    let kernel_run kernel =
-      match Sssp.route ~kernel g with
-      | Error msg -> Error msg
-      | Ok ft -> Result.map_error Dfsssp.error_to_string (Dfsssp.assign_layers ?max_layers ft)
-    in
+    let kernel_run kernel = Dfsssp.build ~kernel ?max_layers g in
     (match (kernel_run Spf.Heap, kernel_run Spf.Bucket) with
-    | Ok heap, Ok bucket ->
+    | Ok { Dfsssp.table = heap; _ }, Ok { Dfsssp.table = bucket; _ } ->
       if (Ftable.diff heap bucket).Ftable.entries_changed <> 0 then
         fail "kernel parity: heap and bucket tables differ";
       if Ftable.num_layers heap <> Ftable.num_layers bucket then

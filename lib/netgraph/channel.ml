@@ -1,3 +1,1 @@
 type t = { id : int; src : int; dst : int }
-
-let pp ppf c = Format.fprintf ppf "c%d:%d->%d" c.id c.src c.dst

@@ -8,5 +8,3 @@ type t = {
   src : int;  (** source node id *)
   dst : int;  (** destination node id *)
 }
-
-val pp : Format.formatter -> t -> unit

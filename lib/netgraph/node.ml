@@ -12,4 +12,3 @@ let kind_to_string = function
   | Switch -> "switch"
   | Terminal -> "terminal"
 
-let pp ppf n = Format.fprintf ppf "%s#%d(%s)" n.name n.id (kind_to_string n.kind)

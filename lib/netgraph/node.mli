@@ -14,4 +14,3 @@ type t = {
 val is_switch : t -> bool
 val is_terminal : t -> bool
 val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit

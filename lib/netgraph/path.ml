@@ -45,5 +45,3 @@ let dependencies p =
   let rec go i acc = if i >= n - 1 then List.rev acc else go (i + 1) ((p.(i), p.(i + 1)) :: acc) in
   go 0 []
 
-let pp ppf p =
-  Format.fprintf ppf "[%s]" (String.concat ";" (Array.to_list (Array.map string_of_int p)))

@@ -27,5 +27,3 @@ val is_simple : Graph.t -> t -> bool
 (** [dependencies p] is the list of consecutive channel pairs
     [(c_i, c_{i+1})] — the CDG edges the path induces. *)
 val dependencies : t -> (int * int) list
-
-val pp : Format.formatter -> t -> unit

@@ -32,8 +32,6 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

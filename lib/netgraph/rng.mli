@@ -27,9 +27,6 @@ val int : t -> int -> int
 (** [float t bound] is uniform in [\[0, bound)]. *)
 val float : t -> float -> float
 
-(** [bool t] is a fair coin flip. *)
-val bool : t -> bool
-
 (** [shuffle t a] permutes [a] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
 

@@ -176,9 +176,3 @@ let with_span ?attrs name f =
       end_span ~attrs:[ ("error", Str (Printexc.to_string e)) ] h;
       raise e
   end
-
-let instant ?attrs name =
-  if enabled () then begin
-    let h = begin_span ?attrs name in
-    end_span h
-  end

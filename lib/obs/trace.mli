@@ -67,6 +67,3 @@ type handle
 
 val begin_span : ?attrs:(unit -> attrs) -> string -> handle
 val end_span : ?attrs:attrs -> handle -> unit
-
-(** A zero-duration marker span. *)
-val instant : ?attrs:(unit -> attrs) -> string -> unit

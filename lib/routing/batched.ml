@@ -30,8 +30,6 @@ let auto = Atomic.make true
 
 let set_auto_sizing b = Atomic.set auto b
 
-let auto_sizing () = Atomic.get auto
-
 (* Below this many unit-cost items per batch (items x cost, where cost
    is the caller's per-item work proxy — channel count for the routing
    engines), the dispatch handshake dominates the work being dispatched. *)

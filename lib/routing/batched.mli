@@ -29,8 +29,6 @@
     fan-out path even on single-domain machines. Default: enabled. *)
 val set_auto_sizing : bool -> unit
 
-val auto_sizing : unit -> bool
-
 (** How one destination sees the balancing state. A destination must
     never read an entry it has already added to: an inline batch of one
     destination adds into [reads] itself, the other modes do not, and

@@ -70,10 +70,6 @@ let path t ~src ~dst =
     follow src [] 0
   end
 
-let num_pairs t =
-  let nt = Graph.num_terminals t.graph in
-  nt * nt
-
 let pair_id t ~src ~dst =
   let nt = Graph.num_terminals t.graph in
   Route_store.Pair.encode ~num_terminals:nt ~src_index:(dst_index t src) ~dst_index:(dst_index t dst)

@@ -48,11 +48,9 @@ val path : t -> src:int -> dst:int -> Path.t option
 
     The canonical pair-id scheme for a forwarding table is
     [src_index * num_terminals + dst_index] over the graph's dense
-    terminal indices — the encoding of {!Deadlock.Route_store.Pair}. *)
-
-(** [num_pairs t] is [num_terminals ^ 2], the store capacity covering
-    every ordered pair (diagonal included but left absent). *)
-val num_pairs : t -> int
+    terminal indices — the encoding of {!Deadlock.Route_store.Pair}. A
+    per-pair array or store spans [num_terminals ^ 2] ids, covering every
+    ordered pair (diagonal included but left absent). *)
 
 (** [pair_id t ~src ~dst] is the pair id of two terminal node ids. *)
 val pair_id : t -> src:int -> dst:int -> int
@@ -104,7 +102,7 @@ val entry : t -> src_index:int -> dst_index:int -> int
     slice. One exactly-sized arena, no table walk. *)
 val expand : t -> classes -> Deadlock.Route_store.t
 
-(** [to_store t] is the per-pair store of [t]: capacity {!num_pairs},
+(** [to_store t] is the per-pair store of [t]: capacity [num_terminals ^ 2],
     pair ids as above, each pair's slice its {!path}. It is {!expand} of
     the class walk ({!to_classes}), the one all-pairs walk of a table.
     [Error] names the first pair (in pair-id order) with no loop-free
@@ -145,14 +143,14 @@ val pair_layers : t -> int array
 (** [set_pair_layers t layer_of_pair] is the inverse of {!pair_layers}:
     every off-diagonal pair gets [layer_of_pair.(pair)]. Every layer is
     checked before any is written.
-    @raise Invalid_argument if the array does not span {!num_pairs} or an
+    @raise Invalid_argument if the array does not span [num_terminals ^ 2] pairs or an
     off-diagonal layer is outside [[0, 255]]. *)
 val set_pair_layers : t -> int array -> unit
 
 (** [set_class_layers t cls class_layer] gives every pair of class [k]
     the layer [class_layer.(k)] (the per-pair expansion of a class-keyed
     assignment). Every layer is checked before any is written.
-    @raise Invalid_argument if [cls] does not span {!num_pairs},
+    @raise Invalid_argument if [cls] does not span [num_terminals ^ 2] pairs,
     [class_layer] does not cover [cls]'s store, or a layer is outside
     [[0, 255]]. *)
 val set_class_layers : t -> classes -> int array -> unit
@@ -192,7 +190,7 @@ type stats = {
     class's slice length, and minimality compares hop counts with reverse
     BFS distances over the enabled channels (one BFS per switch feeding
     destinations).
-    @raise Invalid_argument if [cls] does not span {!num_pairs} or an
+    @raise Invalid_argument if [cls] does not span [num_terminals ^ 2] pairs or an
     off-diagonal pair has no class. *)
 val class_stats : t -> classes -> stats
 

@@ -55,7 +55,3 @@ let measure ft =
     mean_load;
     load_cv;
   }
-
-let pp ppf q =
-  Format.fprintf ppf "pairs=%d hops[min/mean/max]=%d/%.2f/%d diameter=%d load[max/mean/cv]=%d/%.1f/%.3f"
-    q.pairs q.min_hops q.mean_hops q.max_hops q.diameter_hops q.max_load q.mean_load q.load_cv

@@ -22,5 +22,3 @@ type t = {
     is topology-determined, not routing-determined.
     @raise Failure if some pair has no route. *)
 val measure : Ftable.t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -115,6 +115,19 @@ let test_route () =
   Alcotest.(check bool) "deadlock-free" true (Testutil.contains stdout "deadlock_free=true");
   Alcotest.(check bool) "eBB line" true (Testutil.contains stdout "effective bisection bandwidth: n=5")
 
+(* Algorithm 2 runs out of layers on torus:7x7 with four: route refuses
+   once, on stderr, and names what the online placement reaches. *)
+let test_route_refusal () =
+  let code, _, stderr = run [ "route"; "torus:7x7"; "--max-layers"; "4" ] in
+  Alcotest.(check int) "exit 1" 1 code;
+  let refusals =
+    List.filter (fun l -> Testutil.contains l "virtual layers exhausted") (String.split_on_char '\n' stderr)
+  in
+  Alcotest.(check int) ("one refusal line\n" ^ stderr) 1 (List.length refusals);
+  Alcotest.(check bool) "names 4 online layers" true
+    (Testutil.contains stderr "online placement fits these routes in 4 layer(s)");
+  Alcotest.(check bool) "names the command that serves it" true (Testutil.contains stderr "--online")
+
 (* A wedged run is a failed run: exit 1, the verdict on stdout. *)
 let test_simulate_deadlock () =
   let code, stdout, _ = run [ "simulate"; "ring:5"; "-a"; "sssp"; "-p"; "ring-shift"; "-e"; "event" ] in
@@ -219,6 +232,7 @@ let () =
           Alcotest.test_case "analyze --table refuses a switch destination" `Quick test_analyze_bad_table;
           Alcotest.test_case "closed choices are checked by cmdliner" `Quick test_closed_choices;
           Alcotest.test_case "route prints its result line" `Quick test_route;
+          Alcotest.test_case "route refuses once and names the online count" `Quick test_route_refusal;
           Alcotest.test_case "simulate shows the ring deadlock" `Quick test_simulate_deadlock;
           Alcotest.test_case "simulate refuses more packets than events" `Quick test_simulate_too_many_packets;
           Alcotest.test_case "route and simulate print a cyclic verdict" `Quick test_cyclic_verdict;

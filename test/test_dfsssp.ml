@@ -55,11 +55,11 @@ let test_paths_equal_sssp () =
 
 let test_ring_needs_two_layers () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  check Alcotest.int "ring layers" 2 (expect "layers" (Dfsssp.layers_required g))
+  check Alcotest.int "ring layers" 2 (expect "layers" (Testutil.layers_required g))
 
 let test_tree_needs_one_layer () =
   let g = Topo_tree.make ~k:4 ~n:2 () in
-  check Alcotest.int "tree layers" 1 (expect "layers" (Dfsssp.layers_required g))
+  check Alcotest.int "tree layers" 1 (expect "layers" (Testutil.layers_required g))
 
 let test_budget_exhaustion () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
@@ -127,7 +127,7 @@ let test_balance_declares_spread () =
   (match Analysis.Analyzer.certify balanced with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "balanced table refused: %s" msg);
-  let required = expect "required" (Dfsssp.layers_required ~max_layers:8 g) in
+  let required = expect "required" (Testutil.layers_required ~max_layers:8 g) in
   check Alcotest.int "layers_required is the unbalanced count" (Routing.Ftable.num_layers plain) required;
   Alcotest.(check bool) "fewer than the spread" true (required < 8)
 
@@ -138,7 +138,7 @@ let test_weakest_not_worse_than_heaviest () =
   for seed = 0 to 9 do
     let rng = Rng.create (1000 + seed) in
     let g = Topo_random.make ~switches:12 ~switch_radix:12 ~terminals:24 ~inter_links:20 ~rng in
-    let layers h = expect "h" (Dfsssp.layers_required ~heuristic:h ~max_layers:32 g) in
+    let layers h = expect "h" (Testutil.layers_required ~heuristic:h ~max_layers:32 g) in
     if layers Deadlock.Heuristic.Weakest > layers Deadlock.Heuristic.Heaviest then incr worse
   done;
   Alcotest.(check bool) "weakest rarely worse" true (!worse <= 2)
@@ -163,7 +163,7 @@ let dfsssp_torus_layers_qcheck =
       (* measured: 3x3 -> 1 (ties avoid the wrap cycle), 4x4 -> 2, 5x5 -> 3;
          the requirement grows with the torus radius *)
       let g = fst (Topo_torus.torus ~dims:[| k; k |] ~terminals_per_switch:1) in
-      match Dfsssp.layers_required ~max_layers:8 g with
+      match Testutil.layers_required ~max_layers:8 g with
       | Error _ -> false
       | Ok l -> l >= 1 && l <= k - 2 + 1)
 
@@ -286,14 +286,14 @@ let test_hardened_routings () =
 
 let test_route_min_layers () =
   let g = fst (Topo_torus.torus ~dims:[| 5; 5 |] ~terminals_per_switch:1) in
-  match Dfsssp.route_min_layers g with
+  match Testutil.route_min_layers g with
   | Error e -> Alcotest.fail (Dfsssp.error_to_string e)
   | Ok (ft, winner) ->
     Alcotest.(check bool) "deadlock free" true (Oracles.Acyclic_ref.deadlock_free ft);
     (* the winner is at least as good as every single heuristic *)
     List.iter
       (fun h ->
-        match Dfsssp.layers_required ~heuristic:h g with
+        match Testutil.layers_required ~heuristic:h g with
         | Ok l ->
           Alcotest.(check bool)
             (Printf.sprintf "beats or ties %s" (Deadlock.Heuristic.to_string h))

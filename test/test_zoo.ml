@@ -66,6 +66,28 @@ let test_zoo_engine_parity () =
       | Error msg, _ | _, Error msg -> Alcotest.failf "%s: an engine run refused: %s" spec msg)
     specs
 
+(* One build path: on every subject the manager brings up the table the
+   registry's dfsssp routes, byte for byte. *)
+let test_zoo_manager_matches_registry () =
+  let specs =
+    Harness.Zoo.corpus_specs ~dir:(corpus_dir ()) @ Harness.Zoo.generator_specs
+  in
+  let dfsssp = Option.get (Dfsssp.Registry.find "dfsssp") in
+  List.iter
+    (fun spec ->
+      let g =
+        match Harness.Topospec.parse spec with
+        | Ok t -> t.Harness.Topospec.graph
+        | Error e -> Alcotest.failf "%s: %s" spec e
+      in
+      match (Fabric.Manager.create g, dfsssp.Dfsssp.Registry.run g) with
+      | Ok mgr, Ok ft ->
+        check Alcotest.string (spec ^ ": bring-up = registry dfsssp") (Routing.Ftable_io.to_string ft)
+          (Routing.Ftable_io.to_string (Fabric.Manager.tables mgr));
+        Fabric.Manager.shutdown mgr
+      | Error msg, _ | _, Error msg -> Alcotest.failf "%s: refused: %s" spec msg)
+    specs
+
 let test_zoo_quirky_repairs () =
   let spec = "dot:" ^ Filename.concat (corpus_dir ()) "quirky.dot" in
   match Harness.Zoo.check_spec spec with
@@ -147,6 +169,7 @@ let () =
           Alcotest.test_case "quirky repairs" `Quick test_zoo_quirky_repairs;
           Alcotest.test_case "bad spec" `Quick test_zoo_bad_spec;
           Alcotest.test_case "engine parity" `Slow test_zoo_engine_parity;
+          Alcotest.test_case "manager bring-up equals the registry" `Slow test_zoo_manager_matches_registry;
         ] );
       ( "soak",
         [

@@ -59,3 +59,23 @@ let dfsssp ?kernel ?(engine = `Scc) ?(max_layers = 8) g =
         Routing.Ftable.set_class_layers ft cls o.Deadlock.Layers.layer_of_path;
         Routing.Ftable.set_num_layers ft o.Deadlock.Layers.layers_used;
         Ok ft))
+
+(* The virtual layer count alone (the quantity of the paper's Figs.
+   9/10): Algorithm 2's own count, refused where it runs out. *)
+let layers_required ?variant ?heuristic ?max_layers g =
+  Result.map Routing.Ftable.num_layers (Dfsssp.route ?variant ?heuristic ?max_layers g)
+
+(* Algorithm 2 under every cycle-breaking heuristic, keeping the table
+   with the fewest layers (the first heuristic wins a tie) and its
+   heuristic: APP is NP-complete, so no single heuristic dominates
+   (paper Section IV). *)
+let route_min_layers ?(max_layers = 8) g =
+  let runs = List.map (fun h -> (h, Dfsssp.route ~heuristic:h ~max_layers g)) Deadlock.Heuristic.all in
+  let keep best (h, run) =
+    match (best, run) with
+    | Ok (b, _), Ok ft when Routing.Ftable.num_layers b <= Routing.Ftable.num_layers ft -> best
+    | Ok _, Error _ -> best
+    | _, Ok ft -> Ok (ft, h)
+    | Error _, Error e -> Error e
+  in
+  List.fold_left keep (Error (Dfsssp.Routing_failed "no heuristic available")) runs
