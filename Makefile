@@ -194,9 +194,9 @@ break-smoke:
 # SSSP + cycle-breaking times, per-stage (snapshot/compute) splits, and
 # a per-kernel comparison (heap vs bucket). Gates:
 # parallel SSSP >= 1.0x sequential on every topology
-# (parallel_not_slower, skipped below 2 hardware domains), bucket >= 1.3x
-# heap on the bucket-gated rows (bucket_kernel), the default (bucket)
-# kernel within 5% of the fastest (default_kernel_fastest), the >= 2x
+# (parallel_not_slower, skipped below 2 hardware domains), the default
+# (bucket) kernel >= 1.3x heap on every topology, so the default is the
+# fastest kernel (bucket_kernel), the >= 2x
 # pipeline speedup (pipeline_2x, skipped below 4 hardware domains), and
 # in bench_results/obs_overhead.json the disabled-instrumentation
 # tripwire against the previous run, scaled by the two runs' host

@@ -108,7 +108,10 @@ let soak_cmd =
     let config = { Fabric.Manager.default_config with max_layers } in
     let specs = List.map (fun (s : Cli.spec) -> s.Cli.text) specs in
     let results =
-      Harness.Soak.run ~config ?switch_removals:removals ?drains ~artifact_dir ~specs ~seed ~events ()
+      List.map
+        (fun spec ->
+          Harness.Soak.run_one ~config ?switch_removals:removals ?drains ~artifact_dir ~spec ~seed ~events ())
+        specs
     in
     Format.printf "%a" Harness.Soak.pp_summary results;
     if Harness.Soak.failures results = [] then 0 else 1

@@ -29,7 +29,7 @@ type report = {
 (** [analyze ?hop_budget ?graph ft] lints and certifies [ft], and runs
     the topology-level existence analysis ({!Existence}) on the fabric
     the table is judged against. [graph] lints against an overriding
-    fabric (see {!Lint.view_of_table}); certification always runs over
+    fabric (see {!Lint.table}); certification always runs over
     the table's own artifacts. A cyclic layer surfaces both as
     [Rejected] and as an {!Diag.a007_cdg_cycle} finding; an unroutable
     demand raises {!Diag.a008_no_deadlock_free_routing}, a provably

@@ -250,44 +250,3 @@ let to_string t =
     t.layers;
   Buffer.add_string buf "end\n";
   Buffer.contents buf
-
-let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let words l = List.filter (fun w -> w <> "") (String.split_on_char ' ' l) in
-  let significant =
-    List.filter (fun l -> String.trim l <> "" && (String.trim l).[0] <> '#') lines |> List.map String.trim
-  in
-  match significant with
-  | [] -> Error "empty certificate"
-  | header :: rest -> (
-    match words header with
-    | [ "certificate"; "v1"; "channels"; m; "layers"; k ] -> (
-      match (int_of_string_opt m, int_of_string_opt k) with
-      | Some m, Some k when m >= 0 && k >= 1 -> (
-        let layers = Array.make k [||] in
-        let rec go seen = function
-          | [] -> Error "missing 'end'"
-          | "end" :: _ ->
-            if seen <> k then Error (Printf.sprintf "expected %d layer lines, got %d" k seen)
-            else if Array.exists (fun pos -> Array.length pos <> m) layers then
-              Error "a layer line does not cover every channel"
-            else Ok { num_channels = m; layers }
-          | line :: tl -> (
-            match words line with
-            | "layer" :: l :: ps -> (
-              match int_of_string_opt l with
-              | Some l when l >= 0 && l < k -> (
-                match List.map int_of_string_opt ps with
-                | exception _ -> Error "unreadable layer line"
-                | opts ->
-                  if List.exists Option.is_none opts then Error (Printf.sprintf "layer %d: bad position" l)
-                  else begin
-                    layers.(l) <- Array.of_list (List.map Option.get opts);
-                    go (seen + 1) tl
-                  end)
-              | _ -> Error "bad layer index")
-            | _ -> Error (Printf.sprintf "unrecognized directive %S" line))
-        in
-        go 0 rest)
-      | _ -> Error "bad channel or layer count in header")
-    | _ -> Error "bad header (want: certificate v1 channels <m> layers <k>)")

@@ -64,18 +64,11 @@ module Routes : sig
       counts are the per-pair ones — also when one class's pairs ride
       different layers. *)
   val of_classes : Ftable.t -> Ftable.classes -> t
-
-  (** One more than the highest layer any slice or dependency rides. *)
-  val layers : t -> int
 end
 
-(** [generate routes ~num_layers] builds one topological numbering per
-    layer; slices riding a layer outside [[0, num_layers)] are ignored.
-    @raise Invalid_argument if [num_layers < 1]. *)
-val generate : Routes.t -> num_layers:int -> (t, error) result
-
-(** [of_routes ft routes] generates over layers sized to cover both
-    [ft]'s declared layer count and the highest layer any route uses. *)
+(** [of_routes ft routes] builds one topological numbering per layer (a
+    Kahn sort), over layers sized to cover both [ft]'s declared layer
+    count and the highest layer any route uses. *)
 val of_routes : Ftable.t -> Routes.t -> (t, error) result
 
 (** {1 Checking (trusted side)} *)
@@ -99,5 +92,3 @@ val check_routes : t -> Routes.t -> (unit, string) result
     v} *)
 
 val to_string : t -> string
-
-val of_string : string -> (t, string) result

@@ -139,8 +139,6 @@ let severity_to_string = function
   | Warning -> "warning"
   | Info -> "info"
 
-let has_rule findings id = List.exists (fun f -> f.rule.id = id) findings
-
 let num_errors findings = List.length (List.filter (fun f -> f.rule.severity = Error) findings)
 
 let num_warnings findings = List.length (List.filter (fun f -> f.rule.severity = Warning) findings)

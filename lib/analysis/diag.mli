@@ -84,9 +84,6 @@ val finding : ?dst:int -> ?count:int -> rule -> string -> finding
 
 val severity_to_string : severity -> string
 
-(** [has_rule findings id] is [true] iff some finding carries rule [id]. *)
-val has_rule : finding list -> string -> bool
-
 val num_errors : finding list -> int
 
 val num_warnings : finding list -> int

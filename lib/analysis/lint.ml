@@ -3,26 +3,6 @@ type hop_budget =
   | `Slack of int
   ]
 
-type view = {
-  graph : Graph.t;
-  num_nodes : int;
-  terminals : int array;
-  next : node:int -> dst:int -> int option;
-  layer : src:int -> dst:int -> int;
-  num_layers : int;
-}
-
-let view_of_table ?graph ft =
-  let g = Option.value graph ~default:(Ftable.graph ft) in
-  {
-    graph = g;
-    num_nodes = Graph.num_nodes g;
-    terminals = Graph.terminals g;
-    next = (fun ~node ~dst -> Ftable.next ft ~node ~dst);
-    layer = (fun ~src ~dst -> Ftable.layer ft ~src ~dst);
-    num_layers = Ftable.num_layers ft;
-  }
-
 (* Walk statuses, memoized per destination over all nodes. *)
 let st_unknown = -2
 
@@ -75,18 +55,20 @@ let hit a detail =
 
 let flush ?dst acc rule a = if a.n > 0 then acc := Diag.finding ?dst ~count:a.n rule a.first :: !acc
 
-let run ?hop_budget v =
-  let g = v.graph in
+let table ?hop_budget ?graph ft =
+  let g = Option.value graph ~default:(Ftable.graph ft) in
+  let num_nodes = Graph.num_nodes g and terminals = Graph.terminals g in
+  let num_layers = Ftable.num_layers ft in
   let findings = ref [] in
-  let status = Array.make v.num_nodes st_unknown in
-  let hops = Array.make v.num_nodes 0 in
+  let status = Array.make num_nodes st_unknown in
+  let hops = Array.make num_nodes 0 in
   Array.iter
     (fun dst ->
       let a001 = agg () and a002 = agg () and a003 = agg () in
       let a004 = agg () and a005 = agg () and a006 = agg () in
       (* entry-level scan: every node's entry toward dst *)
-      for node = 0 to v.num_nodes - 1 do
-        match v.next ~node ~dst with
+      for node = 0 to num_nodes - 1 do
+        match Ftable.next ft ~node ~dst with
         | None -> ()
         | Some c ->
           if not (valid_channel g ~node c) then
@@ -95,13 +77,13 @@ let run ?hop_budget v =
             hit a005 (Printf.sprintf "node %d forwards into disabled channel %d" node c)
       done;
       (* walk-level: resolve the functional graph of dst lazily *)
-      Array.fill status 0 v.num_nodes st_unknown;
+      Array.fill status 0 num_nodes st_unknown;
       let rec walk n =
         if n = dst then (st_reach, 0)
         else if status.(n) = st_visiting then (st_loop, 0)
         else if status.(n) <> st_unknown then (status.(n), hops.(n))
         else
-          match v.next ~node:n ~dst with
+          match Ftable.next ft ~node:n ~dst with
           | None ->
             status.(n) <- st_missing;
             (st_missing, 0)
@@ -148,12 +130,12 @@ let run ?hop_budget v =
                   hit a006
                     (Printf.sprintf "route %d -> %d takes %d hops, budget %d" src dst h (dist.(src) + slack)))
             | _ -> () (* st_bad_port / st_dead: charged at the entry level *));
-            let l = v.layer ~src ~dst in
-            if l < 0 || l >= v.num_layers then
+            let l = Ftable.layer ft ~src ~dst in
+            if l < 0 || l >= num_layers then
               hit a004
-                (Printf.sprintf "route %d -> %d rides layer %d of a %d-layer table" src dst l v.num_layers)
+                (Printf.sprintf "route %d -> %d rides layer %d of a %d-layer table" src dst l num_layers)
           end)
-        v.terminals;
+        terminals;
       (* prepend in id order; the final List.rev yields destinations in
          terminal order and rules in id order within each *)
       flush ~dst findings Diag.a001_unreachable_dest a001;
@@ -162,7 +144,5 @@ let run ?hop_budget v =
       flush ~dst findings Diag.a004_layer_transition a004;
       flush ~dst findings Diag.a005_dead_entry a005;
       flush ~dst findings Diag.a006_nonminimal a006)
-    v.terminals;
+    terminals;
   List.rev !findings
-
-let table ?hop_budget ?graph ft = run ?hop_budget (view_of_table ?graph ft)

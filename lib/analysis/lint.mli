@@ -2,11 +2,11 @@
     half of the certifier (the certificate side lives in {!Cert}).
 
     The linter never trusts the code that produced the table: it reads
-    entries through a plain {!view} (a function, not [Ftable]'s internal
-    arrays), so tests can inject arbitrary corruption — including entries
-    [Ftable]'s own setters would refuse, like out-of-range ports — and
-    operators can lint a table against a {e different} (e.g. degraded)
-    fabric than the one it was computed for.
+    entries through [Ftable.next] and [Ftable.layer] and checks each one
+    against the fabric it is given, which may differ from the one the
+    table was computed for — a degraded fabric, or one whose channel ids
+    were re-assigned, where an entry can name a channel out of range or
+    one that does not leave its node.
 
     Rules (see {!Diag.catalog}):
     - entry-level, every (node, destination) entry: A003 port-range,
@@ -25,23 +25,9 @@ type hop_budget =
   | `Slack of int  (** min-hop length plus at most this many extra hops *)
   ]
 
-type view = {
-  graph : Graph.t;  (** fabric to lint against (enablement, adjacency) *)
-  num_nodes : int;
-  terminals : int array;
-  next : node:int -> dst:int -> int option;
-  layer : src:int -> dst:int -> int;
-  num_layers : int;
-}
-
-(** [view_of_table ?graph ft] reads entries from [ft]; [graph] overrides
-    the fabric (same node/channel id space) — the degraded-fabric case. *)
-val view_of_table : ?graph:Graph.t -> Ftable.t -> view
-
-(** [run ?hop_budget v] lints the view and returns all findings, grouped
-    per destination in rule-id order. Without [hop_budget], A006 is off
-    (routing algorithms differ on minimality by design). *)
-val run : ?hop_budget:hop_budget -> view -> Diag.finding list
-
-(** [table ?hop_budget ?graph ft] is [run] over {!view_of_table}. *)
+(** [table ?hop_budget ?graph ft] lints [ft] against [graph] (default:
+    the table's own fabric; it must have the same node ids and
+    terminals) and returns all findings, grouped per destination in
+    rule-id order. Without [hop_budget], A006 is off (routing algorithms
+    differ on minimality by design). *)
 val table : ?hop_budget:hop_budget -> ?graph:Graph.t -> Ftable.t -> Diag.finding list

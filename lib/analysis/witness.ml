@@ -378,74 +378,3 @@ let to_string w =
   done;
   Buffer.add_string buf "end\n";
   Buffer.contents buf
-
-let of_string s =
-  let lines =
-    String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
-  let ints_of l = List.map int_of_string l in
-  try
-    match lines with
-    | header :: rest -> (
-      let kind, m, n =
-        match String.split_on_char ' ' header |> List.filter (fun t -> t <> "") with
-        | [ "witness"; "v1"; "kind"; "layer"; "channels"; m; "length"; n; "layer"; l ] ->
-          (Layer_cycle { layer = int_of_string l }, int_of_string m, int_of_string n)
-        | [ "witness"; "v1"; "kind"; "core"; "channels"; m; "length"; n; "min-layers"; k ] ->
-          (Topology_core { min_layers = int_of_string k }, int_of_string m, int_of_string n)
-        | _ -> failwith "bad header"
-      in
-      if n < 2 then Error "witness: cycle length below 2"
-      else begin
-        let cycle = ref [||] in
-        let srcs = Array.make n 0 and dsts = Array.make n 0 in
-        let seen_dep = Array.make n false in
-        let finished = ref false in
-        List.iter
-          (fun line ->
-            if not !finished then
-              match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
-              | "cycle" :: ids ->
-                let a = Array.of_list (ints_of ids) in
-                if Array.length a <> n then failwith "cycle length mismatch";
-                cycle := a
-              | [ "dep"; p; src; dst ] ->
-                let p = int_of_string p in
-                if p < 0 || p >= n then failwith "dep position out of range";
-                if seen_dep.(p) then failwith "duplicate dep position";
-                seen_dep.(p) <- true;
-                srcs.(p) <- int_of_string src;
-                dsts.(p) <- int_of_string dst
-              | [ "end" ] -> finished := true
-              | _ -> failwith "unrecognized line")
-          rest;
-        if not !finished then Error "witness: missing end line"
-        else if Array.length !cycle <> n then Error "witness: missing cycle line"
-        else if not (Array.for_all (fun b -> b) seen_dep) then
-          Error "witness: missing dep line(s)"
-        else Ok { kind; num_channels = m; cycle = !cycle; srcs; dsts }
-      end)
-    | [] -> Error "witness: empty input"
-  with
-  | Failure msg -> Error (Printf.sprintf "witness: %s" msg)
-
-let to_json w =
-  let num i = Obs.Json.Num (float_of_int i) in
-  let kind, bound =
-    match w.kind with
-    | Layer_cycle { layer } -> ("layer-cycle", ("layer", num layer))
-    | Topology_core { min_layers } -> ("topology-core", ("min_layers", num min_layers))
-  in
-  Obs.Json.Obj
-    [
-      ("kind", Obs.Json.Str kind);
-      bound;
-      ("channels", num w.num_channels);
-      ("cycle", Obs.Json.List (Array.to_list (Array.map num w.cycle)));
-      ( "deps",
-        Obs.Json.List
-          (List.init (Array.length w.cycle) (fun p ->
-               Obs.Json.Obj [ ("src", num w.srcs.(p)); ("dst", num w.dsts.(p)) ])) );
-    ]

@@ -78,8 +78,3 @@ val check_graph : t -> Graph.t -> (unit, string) result
 (** {1 Artifacts} *)
 
 val to_string : t -> string
-
-val of_string : string -> (t, string) result
-
-(** One JSON object. *)
-val to_json : t -> Obs.Json.t

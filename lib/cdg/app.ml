@@ -42,18 +42,6 @@ let acyclic_edges num_nodes edges =
 
 let induces_acyclic gen indices = acyclic_edges gen.num_nodes (edges_of_selection gen indices)
 
-let is_cover gen ~assignment ~k =
-  Array.length assignment = Array.length gen.paths
-  && k >= 1
-  && Array.for_all (fun c -> c >= 0 && c < k) assignment
-  && (let nonempty = Array.make k false in
-      Array.iter (fun c -> nonempty.(c) <- true) assignment;
-      Array.for_all Fun.id nonempty)
-  &&
-  let classes = Array.make k [] in
-  Array.iteri (fun i c -> classes.(c) <- i :: classes.(c)) assignment;
-  Array.for_all (fun members -> induces_acyclic gen members) classes
-
 (* Backtracking with first-fit symmetry breaking: path i may only open
    class (max used so far) + 1. Acyclicity is re-checked on the touched
    class only. *)
@@ -110,90 +98,6 @@ let min_cover_exact ?max_k gen =
   in
   if n = 0 then Some 0 else go 1
 
-let of_coloring ~num_vertices ~edges =
-  List.iter
-    (fun (a, b) ->
-      if a = b then invalid_arg "App.of_coloring: self loop";
-      if a < 0 || b < 0 || a >= num_vertices || b >= num_vertices then
-        invalid_arg "App.of_coloring: vertex out of range")
-    edges;
-  let seen = Hashtbl.create (List.length edges) in
-  List.iter
-    (fun (a, b) ->
-      let key = (min a b, max a b) in
-      if Hashtbl.mem seen key then invalid_arg "App.of_coloring: duplicate edge";
-      Hashtbl.replace seen key ())
-    edges;
-  (* D-nodes: <v> for each vertex, then (x, y) and (y, x) per edge. *)
-  let pair_id = Hashtbl.create (2 * List.length edges) in
-  let next = ref num_vertices in
-  List.iter
-    (fun (a, b) ->
-      Hashtbl.replace pair_id (a, b) !next;
-      Hashtbl.replace pair_id (b, a) (!next + 1);
-      next := !next + 2)
-    edges;
-  let adj = Array.make num_vertices [] in
-  List.iter
-    (fun (a, b) ->
-      adj.(a) <- b :: adj.(a);
-      adj.(b) <- a :: adj.(b))
-    edges;
-  let paths =
-    Array.init num_vertices (fun v ->
-        let neighbours = List.sort compare adj.(v) in
-        let tail =
-          List.concat_map (fun w -> [ Hashtbl.find pair_id (v, w); Hashtbl.find pair_id (w, v) ]) neighbours
-        in
-        Array.of_list (v :: tail))
-  in
-  { num_nodes = !next; paths }
-
-let chromatic_number_exact ~num_vertices ~edges ~max_k =
-  let adj = Array.make num_vertices [] in
-  List.iter
-    (fun (a, b) ->
-      adj.(a) <- b :: adj.(a);
-      adj.(b) <- a :: adj.(b))
-    edges;
-  let color = Array.make num_vertices (-1) in
-  let rec colorable v k =
-    if v = num_vertices then true
-    else begin
-      let limit =
-        (* symmetry breaking: vertex v uses at most one fresh color *)
-        let used = ref 0 in
-        for u = 0 to v - 1 do
-          if color.(u) >= !used then used := color.(u) + 1
-        done;
-        min k (!used + 1)
-      in
-      let rec try_color c =
-        if c >= limit then false
-        else if List.exists (fun w -> color.(w) = c) adj.(v) then try_color (c + 1)
-        else begin
-          color.(v) <- c;
-          if colorable (v + 1) k then true
-          else begin
-            color.(v) <- -1;
-            try_color (c + 1)
-          end
-        end
-      in
-      try_color 0
-    end
-  in
-  let rec go k = if k > max_k then None else if colorable 0 k then Some k else go (k + 1) in
-  if num_vertices = 0 then Some 0 else go 1
-
 let fig3_example =
   (* a=0 b=1 c=2 d=3 *)
   { num_nodes = 4; paths = [| [| 1; 2 |]; [| 0; 1; 2 |]; [| 2; 3; 0; 1 |] |] }
-
-let coloring_of_cover ~num_vertices ~assignment =
-  if Array.length assignment <> num_vertices then
-    invalid_arg "App.coloring_of_cover: one path per vertex expected";
-  Array.copy assignment
-
-let is_proper_coloring ~edges color =
-  List.for_all (fun (a, b) -> color.(a) <> color.(b)) edges

@@ -1,9 +1,8 @@
 (** The acyclic path partitioning (APP) problem — the paper's Section
-    III-A formalisation of virtual-layer assignment — together with the
-    machinery of its NP-completeness proof (Theorem 1): an exact solver
-    for small instances and the polynomial reduction from graph
-    k-colorability, so both directions of the proof are executable and
-    testable.
+    III-A formalisation of virtual-layer assignment — with an exact
+    solver for small instances. The reduction from graph k-colorability
+    that proves it NP-complete (Theorem 1) lives with the tests, which
+    check both directions of the proof against this solver.
 
     Here a "path" is a node sequence in an abstract dependency graph [D];
     a set of path indices {e induces} the subgraph of all their nodes and
@@ -18,52 +17,11 @@ type generator = {
   paths : path array;
 }
 
-(** [induces_acyclic gen indices] checks that the union of the selected
-    paths' edges is acyclic. *)
-val induces_acyclic : generator -> int list -> bool
-
-(** [is_cover gen ~assignment ~k] checks the paper's cover conditions:
-    every class in [0, k) non-empty, every path assigned, every class
-    acyclic. [assignment.(i)] is path [i]'s class. *)
-val is_cover : generator -> assignment:int array -> k:int -> bool
-
 (** [min_cover_exact ?max_k gen] is the smallest [k] admitting a k-cover,
     by backtracking with first-fit symmetry breaking; [None] if no cover
     with [k <= max_k] (default: number of paths) exists. Exponential —
     test-sized instances only. *)
 val min_cover_exact : ?max_k:int -> generator -> int option
-
-(** [find_cover gen ~k] produces a witness assignment, if one exists. *)
-val find_cover : generator -> k:int -> int array option
-
-(** {1 The reduction from graph k-colorability}
-
-    For each vertex [v] with neighbours [w_1 < ... < w_m], the construction
-    emits the path [<v> -> (v,w_1) -> (w_1,v) -> ... -> (v,w_m) -> (w_m,v)]
-    over D-nodes [<v>] and ordered-pair nodes [(x,y)] per edge. Two paths
-    [p_v], [p_w] induce a 2-cycle iff [(v,w)] is an edge, and are node-
-    disjoint otherwise; hence [G] is k-colorable iff the generator has a
-    k-cover. *)
-
-(** [of_coloring ~num_vertices ~edges] builds the generator of the
-    reduction. Edges are undirected; duplicates and self-loops are
-    rejected. *)
-val of_coloring : num_vertices:int -> edges:(int * int) list -> generator
-
-(** Exact chromatic-number computation (backtracking) for validating the
-    reduction on small graphs. [None] if it exceeds [max_k]. *)
-val chromatic_number_exact : num_vertices:int -> edges:(int * int) list -> max_k:int -> int option
-
-(** The proof's "<=" direction, executable: a k-cover of a reduction
-    instance induces a proper k-coloring — vertex [v]'s color is the class
-    of its path [p_v]. Returns the color array.
-    @raise Invalid_argument if [assignment] does not index the
-    generator's paths (one per vertex). Validity of the resulting coloring
-    follows from Theorem 1; [is_proper_coloring] checks it directly. *)
-val coloring_of_cover : num_vertices:int -> assignment:int array -> int array
-
-(** [is_proper_coloring ~edges color] checks no edge is monochromatic. *)
-val is_proper_coloring : edges:(int * int) list -> int array -> bool
 
 (** The paper's Fig. 3 instance: D-nodes a..d (0..3), paths
     [p1 = bc], [p2 = abc], [p3 = cdab]; it has a 2-cover but no 1-cover. *)

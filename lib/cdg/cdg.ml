@@ -24,20 +24,11 @@ let find_slot t c1 c2 =
   let rec go i = if i >= hi then -1 else if t.col.(i) = c2 then i else go (i + 1) in
   go t.row.(c1)
 
-let edge_count t ~c1 ~c2 =
-  let sl = find_slot t c1 c2 in
-  if sl >= 0 then t.cnt.(sl) else 0
-
 let live t ~c1 ~c2 = find_slot t c1 c2 >= 0
 
 let edge_pairs t ~c1 ~c2 =
   let sl = find_slot t c1 c2 in
   if sl < 0 then [] else List.init (t.poff.(sl + 1) - t.poff.(sl)) (fun i -> t.pbuf.(t.poff.(sl) + i))
-
-let iter_successors t c f =
-  for sl = t.row.(c) to t.row.(c + 1) - 1 do
-    f t.col.(sl)
-  done
 
 let slot_range t c = (t.row.(c), t.row.(c + 1))
 

@@ -35,10 +35,6 @@ val graph : t -> Graph.t
 (** [live t ~c1 ~c2] is [true] iff the edge exists. *)
 val live : t -> c1:int -> c2:int -> bool
 
-(** Weight of the routes inducing an edge (0 if absent): their number,
-    in a per-pair store. *)
-val edge_count : t -> c1:int -> c2:int -> int
-
 (** Exactly the pairs inducing an edge (a multiset, in unspecified
     order); [[]] if the edge is absent. *)
 val edge_pairs : t -> c1:int -> c2:int -> int list
@@ -57,10 +53,6 @@ val slot_count : t -> int -> int
     [sl], without allocating. Like {!edge_pairs} this is a multiset; the
     order is unspecified but deterministic. *)
 val iter_slot_pairs : t -> int -> (int -> unit) -> unit
-
-(** [iter_successors t c f] calls [f] on each successor of [c] without
-    allocating. *)
-val iter_successors : t -> int -> (int -> unit) -> unit
 
 (** Number of edges. *)
 val num_edges : t -> int

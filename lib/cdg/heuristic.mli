@@ -19,5 +19,3 @@ type t =
 val all : t list
 
 val to_string : t -> string
-
-val of_string : string -> (t, string) result

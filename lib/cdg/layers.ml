@@ -303,7 +303,7 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
     Ok { layer_of_path; layers_used; cycles_broken = !cycles_broken }
 
 let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
-  if max_layers < 1 then invalid_arg "Layers.assign: max_layers < 1";
+  if max_layers < 1 then invalid_arg "Layers.assign_store: max_layers < 1";
   Obs.Counter.incr c_assignments;
   let span =
     Obs.Trace.begin_span "layers.assign" ~attrs:(fun () ->
@@ -331,9 +331,6 @@ let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
         ]
   | Error msg -> Obs.Trace.end_span span ~attrs:[ ("error", Obs.Trace.Str msg) ]);
   result
-
-let assign ?domains g ~paths ~max_layers ~heuristic =
-  assign_store ?domains (Route_store.of_paths g paths) ~max_layers ~heuristic
 
 let balance outcome ~max_layers =
   let used = outcome.layers_used in

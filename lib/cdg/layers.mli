@@ -51,17 +51,6 @@ val assign_store :
   heuristic:Heuristic.t ->
   (outcome, string) result
 
-(** [assign g ~paths ~max_layers ~heuristic] is {!assign_store} over a
-    store holding path [i] under pair id [i] — the array-of-paths
-    convenience entry point ([layer_of_path] then has no [-1]s). *)
-val assign :
-  ?domains:int ->
-  Graph.t ->
-  paths:Path.t array ->
-  max_layers:int ->
-  heuristic:Heuristic.t ->
-  (outcome, string) result
-
 (** [balance outcome ~max_layers] spreads routes of heavily-populated
     layers over the unused layers (the tail of Algorithm 2): each unused
     layer receives a subset of exactly one original layer — subsets of an

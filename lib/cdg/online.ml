@@ -84,7 +84,5 @@ let place store ~max_layers =
     Ok { layer_of_path; layers_used; cycle_checks = !checks }
 
 let assign_store store ~max_layers =
-  if max_layers < 1 then invalid_arg "Online.assign: max_layers < 1";
+  if max_layers < 1 then invalid_arg "Online.assign_store: max_layers < 1";
   Obs.Timer.time t_assign (fun () -> place store ~max_layers)
-
-let assign g ~paths ~max_layers = assign_store (Route_store.of_paths g paths) ~max_layers

@@ -27,11 +27,3 @@ type outcome = {
     reaches.
     @raise Invalid_argument if [max_layers < 1]. *)
 val assign_store : Route_store.t -> max_layers:int -> (outcome, string) result
-
-(** [assign g ~paths ~max_layers] is {!assign_store} over a store holding
-    path [i] under pair id [i]. *)
-val assign :
-  Graph.t ->
-  paths:Path.t array ->
-  max_layers:int ->
-  (outcome, string) result

@@ -92,13 +92,6 @@ let set_path t ~pair p =
   t.len.(pair) <- n;
   t.fill <- t.fill + n
 
-let remove t ~pair =
-  check_pair t pair;
-  if t.len.(pair) >= 0 then begin
-    t.len.(pair) <- -1;
-    t.num_paths <- t.num_paths - 1
-  end
-
 let absent pair = invalid_arg (Printf.sprintf "Route_store: pair %d has no path" pair)
 
 let length t ~pair =
@@ -152,8 +145,3 @@ let total_channels t =
   let total = ref 0 in
   iter_pairs t (fun pair -> total := !total + t.len.(pair));
   !total
-
-let of_paths graph paths =
-  let t = create graph ~capacity:(Array.length paths) in
-  Array.iteri (fun i p -> set_path t ~pair:i p) paths;
-  t

@@ -32,9 +32,6 @@ type t
     all absent. @raise Invalid_argument if [capacity < 0]. *)
 val create : Graph.t -> capacity:int -> t
 
-(** [of_paths g paths] stores path [i] under pair id [i]. *)
-val of_paths : Graph.t -> Path.t array -> t
-
 (** [of_arena ?weight g ~buf ~off ~len ~num_paths] wraps finished arrays
     as a store without copying them: pair [p] is present iff
     [len.(p) >= 0], its path being
@@ -77,9 +74,6 @@ val weights : t -> int array option
 (** [set_path t ~pair p] copies [p] into the arena (replacing any previous
     path of [pair]). The arena doubles when a write outgrows it. *)
 val set_path : t -> pair:int -> Path.t -> unit
-
-(** Mark the pair absent (its arena slice is abandoned). *)
-val remove : t -> pair:int -> unit
 
 (** {1 Reading} *)
 

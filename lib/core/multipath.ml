@@ -5,8 +5,6 @@ type t = {
 
 let planes t = t.planes
 
-let graph t = Routing.Ftable.graph t.planes.(0)
-
 let num_layers t = t.num_layers
 
 (* Combined arena over all planes: pair id [plane * nt^2 + si * nt + di],
@@ -65,10 +63,6 @@ let route ?(planes = 2) ?(heuristic = Heuristic.Weakest) ?(max_layers = 8) g =
         plane_tables;
       Ok { planes = plane_tables; num_layers = outcome.Layers.layers_used })
 
-let path t ~plane ~src ~dst =
-  if plane < 0 || plane >= Array.length t.planes then invalid_arg "Multipath.path: plane out of range";
-  Routing.Ftable.path t.planes.(plane) ~src ~dst
-
 let spread_paths t ~flows =
   let k = Array.length t.planes in
   Array.mapi
@@ -79,17 +73,3 @@ let spread_paths t ~flows =
         | Some p -> p
         | None -> failwith (Printf.sprintf "Multipath.spread_paths: no route %d -> %d" src dst))
     flows
-
-let deadlock_free t =
-  let store = combined_store t.planes in
-  let layer_of_path = Array.make (Route_store.capacity store) (-1) in
-  Route_store.iter_pairs store (fun pair ->
-      let plane, src, dst = decode_pair t.planes pair in
-      layer_of_path.(pair) <- Routing.Ftable.layer t.planes.(plane) ~src ~dst);
-  let routes = Analysis.Cert.Routes.of_store store ~layer_of_path in
-  match
-    Analysis.Cert.generate routes
-      ~num_layers:(max t.num_layers (Analysis.Cert.Routes.layers routes))
-  with
-  | Error _ -> false
-  | Ok cert -> Result.is_ok (Analysis.Cert.check_routes cert routes)

@@ -15,8 +15,6 @@ type t
     Do not mutate. *)
 val planes : t -> Ftable.t array
 
-val graph : t -> Graph.t
-
 (** Virtual lanes used jointly by all planes. *)
 val num_layers : t -> int
 
@@ -29,16 +27,7 @@ val route :
   Graph.t ->
   (t, Router.error) result
 
-(** [path t ~plane ~src ~dst] is the route in one plane. *)
-val path : t -> plane:int -> src:int -> dst:int -> Path.t option
-
 (** [spread_paths t ~flows] picks, for flow [i], the plane [i mod planes]
     (the address-hashing a multipath-aware MPI would do) and returns the
     chosen routes — ready for {!Simulator.Congestion.evaluate_paths}. *)
 val spread_paths : t -> flows:(int * int) array -> Path.t array
-
-(** Joint deadlock-freedom over all planes' routes, judged by the
-    trusted checker on their combined per-pair store
-    ({!Analysis.Cert.check_routes}; verification hook, [route] already
-    guarantees it). *)
-val deadlock_free : t -> bool

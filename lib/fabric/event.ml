@@ -23,5 +23,3 @@ let of_string s =
       | "remove" -> Ok (Switch_remove n)
       | _ -> Error (Printf.sprintf "event %S: unknown verb %S" s verb)))
   | _ -> Error (Printf.sprintf "event %S: want \"<verb> <id>\"" s)
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)

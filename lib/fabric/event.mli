@@ -18,5 +18,3 @@ val to_string : t -> string
 (** Inverse of {!to_string}: ["down 12"], ["up 12"], ["drain 3"],
     ["remove 3"]. *)
 val of_string : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

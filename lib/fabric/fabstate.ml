@@ -5,14 +5,11 @@ type change =
 
 type t = {
   mutable graph : Graph.t;
-  mutable generation : int;
 }
 
-let create g = { graph = g; generation = 0 }
+let create g = { graph = g }
 
 let graph t = t.graph
-
-let generation t = t.generation
 
 let disabled_cables t = Degrade.disabled_cables t.graph
 
@@ -43,5 +40,4 @@ let apply t ev =
     | Error msg -> Error msg
     | Ok g ->
       t.graph <- g;
-      t.generation <- t.generation + 1;
       Ok Rebuilt)

@@ -21,10 +21,6 @@ val create : Graph.t -> t
     keep their channel ids ({!Graph.channel_enabled}). *)
 val graph : t -> Graph.t
 
-(** Bumped on every {!Rebuilt}; id-keyed caches are valid only within one
-    generation. *)
-val generation : t -> int
-
 (** Lower channel ids of currently-disabled cables ([Link_up]
     candidates). *)
 val disabled_cables : t -> int list

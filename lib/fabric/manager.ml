@@ -135,7 +135,7 @@ let create ?(config = default_config) g =
         initial_fallback = None;
       }
     in
-    match full_route t with
+    match Obs.Timer.time t.metrics.Metrics.repair (fun () -> full_route t) with
     | Error msg ->
       release t;
       Error msg
@@ -274,7 +274,6 @@ let apply t event =
       ];
   o
 
-let run t schedule = List.map (apply t) schedule
 
 let pp_action ppf = function
   | Full reason -> Format.fprintf ppf "full recompute (%s)" reason

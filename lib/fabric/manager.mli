@@ -26,8 +26,8 @@ type config = {
           produces (still minimal, still balanced) *)
   domains : int;
       (** routing domains for full recomputes; with [> 1] the manager
-          holds a persistent worker pool for its whole lifetime (release
-          with {!release}). Never changes the tables, only the
+          holds a persistent worker pool for its whole lifetime (released
+          by {!shutdown}). Never changes the tables, only the
           wall-clock *)
   kernel : Spf.kind;
       (** shortest-path kernel that dfsssp full recomputes pass to
@@ -111,9 +111,6 @@ val epoch_history : t -> Epoch.entry list
     its [note] names every failed placement. *)
 val apply : t -> Event.t -> outcome
 
-(** [run t schedule] applies every event in order. *)
-val run : t -> Schedule.t -> outcome list
-
 (** [converged t] is [true] iff every applied, table-changing event so
     far ended in a verified swap (the convergence criterion of
     [fabric_tool manage]). *)
@@ -124,12 +121,9 @@ val converged : t -> bool
     the controller daemon ({!Service.Server}). *)
 val snapshot : t -> (Epoch.snapshot, string) result
 
-(** [release t] shuts down the manager's routing-domain pool (a no-op
-    when [domains = 1] or already released). The manager remains usable;
-    later full recomputes simply run without a persistent pool. *)
-val release : t -> unit
-
-(** [shutdown t] is {!release} plus a flush of any installed trace sink —
+(** [shutdown t] shuts down the manager's routing-domain pool (a no-op
+    when [domains = 1] or already shut down; later full recomputes run
+    without a persistent pool) and flushes any installed trace sink —
     the teardown every exit path (clean, exception, signal handler) must
     reach so a dying process neither leaks domains nor truncates traces.
     Idempotent; the manager remains usable afterwards. *)

@@ -34,8 +34,6 @@ let create () =
     verify = timer "fabric.verify" "seconds in certificate + verifier gates";
   }
 
-let registry m = m.registry
-
 (* Scalar views, for pretty-printing and tests. *)
 let events_seen m = Obs.Counter.value m.events_seen
 let events_applied m = Obs.Counter.value m.events_applied

@@ -16,12 +16,11 @@ type t = {
           [full_recomputes]; a bring-up does not) *)
   swap_epochs : Obs.Counter.t;  (** gauge: epoch counter after the latest swap *)
   verify_failures : Obs.Counter.t;  (** candidate tables rejected by the verifier *)
-  repair : Obs.Timer.t;  (** seconds spent computing routes/layers *)
+  repair : Obs.Timer.t;  (** seconds spent computing routes/layers, at bring-up and per full recompute *)
   verify : Obs.Timer.t;  (** seconds spent in the certificate + verifier gates *)
 }
 
 val create : unit -> t
-val registry : t -> Obs.Registry.t
 
 (** Scalar views (sums over slots), for display and tests. *)
 
@@ -32,8 +31,6 @@ val full_recomputes : t -> int
 val fallbacks : t -> int
 val swap_epochs : t -> int
 val verify_failures : t -> int
-val repair_s : t -> float
-val verify_s : t -> float
 
 (** Snapshot of the per-manager registry. *)
 val to_json : t -> Obs.Json.t

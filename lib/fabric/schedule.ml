@@ -16,13 +16,6 @@ let of_string s =
   in
   go [] 1 lines
 
-let pp ppf sched =
-  List.iteri
-    (fun i e ->
-      if i > 0 then Format.pp_print_space ppf ();
-      Event.pp ppf e)
-    sched
-
 (* Try removing each switch in random order; keep the first whose removal
    stays connected and leaves at least two terminals to route between. *)
 let pick_switch_removal sim rng =

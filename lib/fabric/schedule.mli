@@ -12,8 +12,6 @@ val to_string : t -> string
 (** One event per line; blank lines and [#] comments ignored. *)
 val of_string : string -> (t, string) result
 
-val pp : Format.formatter -> t -> unit
-
 (** [generate g ~rng ~events ()] draws a mixed schedule of [events]
     applicable events: link downs of randomly chosen non-critical cables,
     link ups of previously failed cables (probability [up_fraction],

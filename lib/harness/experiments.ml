@@ -67,6 +67,13 @@ let planner p =
     notes;
   }
 
+(* Figs. 14-16: one NAS kernel's scaling; the kernels named below are
+   the ones Fig_deimos models. *)
+let nas kernel p =
+  match Fig_deimos.nas_figure ~kernel ~scale:p.scale () with
+  | Ok t -> t
+  | Error msg -> invalid_arg msg
+
 let entry ?(full_scale = false) id title run = { id; title; full_scale; run }
 
 let all =
@@ -94,9 +101,9 @@ let all =
     entry "fig12-dynamic" "Fig. 12 (dynamic): achieved pair bandwidth on Deimos" (fun p ->
         Fig_deimos.fig12_dynamic ~scale:p.scale ());
     entry "fig13" "Fig. 13: all-to-all time vs message size" (fun p -> Fig_deimos.fig13 ~scale:p.scale ());
-    entry "fig14" "Fig. 14: NAS BT scaling" (fun p -> Fig_deimos.fig14 ~scale:p.scale ());
-    entry "fig15" "Fig. 15: NAS SP scaling" (fun p -> Fig_deimos.fig15 ~scale:p.scale ());
-    entry "fig16" "Fig. 16: NAS FT scaling" (fun p -> Fig_deimos.fig16 ~scale:p.scale ());
+    entry "fig14" "Fig. 14: NAS BT scaling" (nas "BT");
+    entry "fig15" "Fig. 15: NAS SP scaling" (nas "SP");
+    entry "fig16" "Fig. 16: NAS FT scaling" (nas "FT");
     entry "table2" "Table II: NAS improvements" (fun p -> Fig_deimos.table2 ~scale:p.scale ());
     entry "initial-weight" "Ablation: SSSP initial weight (Fig. 1)" (fun _ ->
         Ablations.sssp_initial_weight ());
@@ -113,6 +120,7 @@ let all =
     entry "multipath" "Extension: multipath (LMC)" (fun _ -> Ablations.multipath ());
     entry "collectives" "Extension: phased collectives" (fun _ -> Ablations.collectives ());
     entry "adversarial" "Extension: adversarial patterns" (fun _ -> Ablations.adversarial_patterns ());
+    entry "random-graphs" "Extension: expander-family random graphs" (fun _ -> Ablations.random_graphs ());
     entry "growth" "Growth: fat tree accretes extensions" (fun p -> Growth.sweep ~patterns:p.patterns ());
     entry "planner" "Capacity planner (Deimos)" planner;
     entry "fault-torus" "Fault tolerance (torus)" (fun p ->

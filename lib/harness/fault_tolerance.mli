@@ -9,8 +9,6 @@ type fabric =
   | Torus  (** 6x6 wrap-around torus — DOR's home ground *)
   | Fat_tree  (** XGFT(2;4,4;2,2) with 64 endpoints — ftree's home ground *)
 
-val fabric_to_string : fabric -> string
-
 (** [sweep ~fabric ?removals ?patterns ?seed ()] removes the given numbers
     of cables cumulatively and reports, per step: whether the specialist
     (DOR or ftree) still routes and is still deadlock-free, and the

@@ -231,17 +231,6 @@ let nas_figure ~kernel ?(scale = 4) ?cores ?(seed = 9) () =
         notes = [ "two-term performance model; constants in EXPERIMENTS.md; ratios are the result" ];
       }
 
-let get_figure kernel ?scale ?cores ?seed () =
-  match nas_figure ~kernel ?scale ?cores ?seed () with
-  | Ok t -> t
-  | Error msg -> { Report.title = msg; columns = []; rows = []; notes = [] }
-
-let fig14 ?scale ?cores ?seed () = get_figure "BT" ?scale ?cores ?seed ()
-
-let fig15 ?scale ?cores ?seed () = get_figure "SP" ?scale ?cores ?seed ()
-
-let fig16 ?scale ?cores ?seed () = get_figure "FT" ?scale ?cores ?seed ()
-
 let table2 ?(scale = 4) ?cores ?(seed = 9) () =
   let cores = Option.value ~default:(max 16 (1024 / scale)) cores in
   let g, fts = routed_systems ~scale in

@@ -11,9 +11,6 @@
     whose constants are documented in EXPERIMENTS.md; the reproduced
     quantity is the routing-induced ratio, not absolute Gflop/s. *)
 
-(** Algorithms shown in the Section VI plots. *)
-val algorithms : string list
-
 val fig12 : ?scale:int -> ?cores:int list -> ?patterns:int -> ?seed:int -> unit -> Report.table
 
 (** Fig. 12 on the discrete-event simulator ({!Simulator.Netsim}): each
@@ -27,16 +24,12 @@ val fig12_dynamic :
 
 val fig13 : ?scale:int -> ?cores:int -> ?float_counts:int list -> ?seed:int -> unit -> Report.table
 
-(** [nas_figure ~kernel ...] is one of Figs. 14–16 (or the CG/MG/LU
-    variants the paper omits); rows are core counts, cells the modelled
-    relative Gflop/s (higher is better, arbitrary units). *)
-val nas_figure : kernel:string -> ?scale:int -> ?cores:int list -> ?seed:int -> unit -> (Report.table, string) result
-
-val fig14 : ?scale:int -> ?cores:int list -> ?seed:int -> unit -> Report.table
-
-val fig15 : ?scale:int -> ?cores:int list -> ?seed:int -> unit -> Report.table
-
-val fig16 : ?scale:int -> ?cores:int list -> ?seed:int -> unit -> Report.table
+(** [nas_figure ~kernel ...] is Fig. 14, 15 or 16 for kernel [BT], [SP]
+    or [FT] (or the CG/MG/LU variants the paper omits); rows are core
+    counts, cells the modelled relative Gflop/s (higher is better,
+    arbitrary units). [Error] names an unknown kernel. *)
+val nas_figure :
+  kernel:string -> ?scale:int -> ?cores:int list -> ?seed:int -> unit -> (Report.table, string) result
 
 (** Table II: modelled DFSSSP-vs-MinHop improvement for all six kernels at
     1024 (scaled) cores. *)

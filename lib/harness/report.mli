@@ -17,15 +17,11 @@ type table = {
   notes : string list;
 }
 
-val cell_to_string : cell -> string
-
-(** Render with aligned columns, a title rule, and trailing notes. *)
-val render : table -> string
-
+(** Render to stdout with aligned columns, a title rule, and trailing
+    notes. *)
 val print : table -> unit
 
-val to_csv : table -> string
-
-(** [save_csv dir t] writes [<dir>/<slug-of-title>.csv] and returns the
-    path. *)
+(** [save_csv dir t] writes [<dir>/<slug-of-title>.csv] — cells rendered
+    as {!print} renders them, quoted where they hold a comma, quote or
+    newline — and returns the path. *)
 val save_csv : dir:string -> table -> string

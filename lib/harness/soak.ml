@@ -165,12 +165,6 @@ let run_one ?config ?switch_removals ?drains ?(artifact_dir = Filename.concat "_
         artifact;
       })
 
-let run ?config ?switch_removals ?drains ?artifact_dir ~specs ~seed ~events () =
-  List.map
-    (fun spec ->
-      run_one ?config ?switch_removals ?drains ?artifact_dir ~spec ~seed ~events ())
-    specs
-
 let failures results =
   List.concat_map
     (fun r -> List.map (fun f -> Printf.sprintf "%s: %s" r.spec f) r.failures)

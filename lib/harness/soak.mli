@@ -51,19 +51,6 @@ val run_one :
   unit ->
   result
 
-(** [run ~specs ~seed ~events ()] soaks every spec with the same seed and
-    per-spec event count. *)
-val run :
-  ?config:Fabric.Manager.config ->
-  ?switch_removals:int ->
-  ?drains:int ->
-  ?artifact_dir:string ->
-  specs:string list ->
-  seed:int ->
-  events:int ->
-  unit ->
-  result list
-
 val failures : result list -> string list
 
 (** One line per soak plus a closing tally; failing runs print their

@@ -17,9 +17,8 @@ type row = {
   tree_n : int;
 }
 
-val rows : row list
-
-(** Rows up to and including the given nominal size. *)
+(** Rows up to and including the given nominal size ([max_int]: all
+    seven). *)
 val rows_up_to : int -> row list
 
 val xgft_graph : row -> Graph.t

@@ -58,10 +58,6 @@ val corpus_specs : dir:string -> string list
     configurations. *)
 val generator_specs : string list
 
-(** [check_spec spec] runs the full conformance battery on one subject.
-    [Error] means the spec itself failed to parse. *)
-val check_spec : ?max_layers:int -> string -> (subject, string) result
-
 (** [run ~specs ()] checks every spec; unparsable specs become subjects
     with a single failure. *)
 val run : ?max_layers:int -> specs:string list -> unit -> subject list

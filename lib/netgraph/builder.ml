@@ -4,14 +4,28 @@ type t = {
   mutable channels : Channel.t list; (* reversed *)
   mutable num_channels : int;
   mutable reverse : (int * int) list; (* paired channel ids *)
-  link_counts : (int * int, int) Hashtbl.t;
   mutable built : bool;
 }
 
 let create () =
-  { nodes = []; num_nodes = 0; channels = []; num_channels = 0; reverse = []; link_counts = Hashtbl.create 64; built = false }
+  { nodes = []; num_nodes = 0; channels = []; num_channels = 0; reverse = []; built = false }
 
 let max_multiplicity = 255
+
+let max_nodes = 1 lsl 20
+
+let size_product factors =
+  List.fold_left (fun acc f -> if f <> 0 && acc > max_nodes / f then max_nodes + 1 else acc * f) 1 factors
+
+let size_power base e =
+  if base <= 1 then if e = 0 then 1 else base
+  else
+    let rec go acc e = if e = 0 || acc > max_nodes then acc else go (size_product [ acc; base ]) (e - 1) in
+    go 1 e
+
+let check_nodes ~what n =
+  if n > max_nodes then
+    invalid_arg (Printf.sprintf "%s: more than %d nodes, the bound on a generated fabric" what max_nodes)
 
 let check_open t = if t.built then invalid_arg "Builder: already built"
 
@@ -24,8 +38,6 @@ let add_node t kind name =
 
 let add_switch t ~name = add_node t Node.Switch name
 
-let norm_pair a b = if a < b then (a, b) else (b, a)
-
 let add_link t a b =
   check_open t;
   if a = b then invalid_arg "Builder.add_link: self link";
@@ -35,18 +47,12 @@ let add_link t a b =
   t.channels <- { Channel.id = c2; src = b; dst = a } :: { Channel.id = c1; src = a; dst = b } :: t.channels;
   t.num_channels <- c2 + 1;
   t.reverse <- (c1, c2) :: t.reverse;
-  let key = norm_pair a b in
-  Hashtbl.replace t.link_counts key (1 + Option.value ~default:0 (Hashtbl.find_opt t.link_counts key));
   (c1, c2)
 
 let add_terminal t ~name ~switch =
   let id = add_node t Node.Terminal name in
   let (_ : int * int) = add_link t id switch in
   id
-
-let link_count t a b = Option.value ~default:0 (Hashtbl.find_opt t.link_counts (norm_pair a b))
-
-let num_nodes t = t.num_nodes
 
 let build t =
   check_open t;

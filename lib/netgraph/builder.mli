@@ -24,11 +24,28 @@ val add_link : t -> int -> int -> int * int
     number, before they add any cable. *)
 val max_multiplicity : int
 
-(** [link_count t a b] is the number of cables currently between [a] and
-    [b] (in either direction orientation — cables are symmetric). *)
-val link_count : t -> int -> int -> int
+(** {1 Generated fabric sizes}
 
-val num_nodes : t -> int
+    Every topology generator computes its size from its parameters
+    before it allocates anything, and refuses a fabric of more than
+    [max_nodes] nodes (switches plus terminals): 2^20 = 1048576, far beyond any fabric the routing engines
+    can serve (a graph of that size takes about half a gigabyte to build),
+    and small enough that the size arithmetic cannot overflow. *)
+
+val max_nodes : int
+
+(** [size_product factors] is the product of the non-negative [factors],
+    saturated at [max_nodes + 1]. *)
+val size_product : int list -> int
+
+(** [size_power base e] is [base] to the [e >= 0], saturated at
+    [max_nodes + 1]. *)
+val size_power : int -> int -> int
+
+(** [check_nodes ~what n] accepts a fabric of [n] nodes.
+    @raise Invalid_argument naming [what] and the bound if
+    [n > max_nodes]. *)
+val check_nodes : what:string -> int -> unit
 
 (** Freeze into an immutable graph. The builder may not be reused after. *)
 val build : t -> Graph.t

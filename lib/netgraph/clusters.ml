@@ -227,5 +227,9 @@ let all ?(scale = 1) () =
   [ chic ~scale (); juropa ~scale (); odin ~scale (); ranger ~scale (); tsubame ~scale (); deimos ~scale () ]
 
 let by_name ?(scale = 1) name =
-  let target = String.lowercase_ascii name in
-  List.find_opt (fun s -> String.lowercase_ascii s.name = target) (all ~scale ())
+  let systems : (string * (?scale:int -> unit -> system)) list =
+    [ ("chic", chic); ("juropa", juropa); ("odin", odin); ("ranger", ranger); ("tsubame", tsubame); ("deimos", deimos) ]
+  in
+  Option.map
+    (fun (make : ?scale:int -> unit -> system) -> make ~scale ())
+    (List.assoc_opt (String.lowercase_ascii name) systems)

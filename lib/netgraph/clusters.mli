@@ -17,32 +17,9 @@ type system = {
   description : string;
 }
 
-(** Odin (Indiana University): 128 nodes on a single 144-port director
-    switch (internally 12 leaf chips x 6 spine chips). A pure fat tree —
-    the paper's case where DFSSSP has no advantage. *)
-val odin : ?scale:int -> unit -> system
-
 (** Deimos (TU Dresden): 724 nodes over three 288-port director switches
     connected in a chain by 2 x 15 trunk cables (paper Fig. 11). *)
 val deimos : ?scale:int -> unit -> system
-
-(** CHiC (Chemnitz): 550 nodes; 2-level fat tree of 24-port leaf chips with
-    a handful of doubly-attached service nodes making it irregular. *)
-val chic : ?scale:int -> unit -> system
-
-(** JUROPA / HPC-FF (Jülich): 3288 nodes; 2-level striped fat tree
-    (leaves connect to a sliding window of the spines — oversubscribed and
-    irregular). *)
-val juropa : ?scale:int -> unit -> system
-
-(** Ranger (TACC): 3936 nodes; chassis switches each split their uplinks
-    between two Magnum director switches (no direct trunk between the
-    directors). *)
-val ranger : ?scale:int -> unit -> system
-
-(** Tsubame (Tokyo Tech): 1430 nodes; director-switch edge islands joined
-    through two core directors. *)
-val tsubame : ?scale:int -> unit -> system
 
 (** All six systems, in the paper's Fig. 4 order, at the given scale. *)
 val all : ?scale:int -> unit -> system list

@@ -13,8 +13,6 @@ let dims t = Array.copy t.dims
 
 let wrap t = Array.copy t.wrap
 
-let num_dims t = Array.length t.dims
-
 let set t ~node ~coord =
   if Array.length coord <> Array.length t.dims then invalid_arg "Coords.set: wrong arity";
   Array.iteri

@@ -12,7 +12,6 @@ val make : dims:int array -> wrap:bool array -> t
 
 val dims : t -> int array
 val wrap : t -> bool array
-val num_dims : t -> int
 
 (** [set t ~node ~coord] records the position of a switch. The coordinate
     array is copied. *)

@@ -12,8 +12,5 @@ val find : t -> int -> int
     were previously distinct. *)
 val union : t -> int -> int -> bool
 
-(** [same t a b] is [true] iff [a] and [b] are in the same set. *)
-val same : t -> int -> int -> bool
-
 (** Number of disjoint sets remaining. *)
 val count : t -> int

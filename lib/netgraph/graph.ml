@@ -109,8 +109,6 @@ let make ~nodes ~channels ~reverse =
 
 let channel_enabled g c = g.enabled.(c)
 
-let num_enabled_channels g = Array.fold_left (fun acc e -> if e then acc + 1 else acc) 0 g.enabled
-
 let with_enabled g ~enabled =
   if Array.length enabled <> num_channels g then invalid_arg "Graph.with_enabled: mask size";
   let enabled = Array.copy enabled in

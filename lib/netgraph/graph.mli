@@ -76,9 +76,6 @@ val attached : t -> int array
     {!with_enabled}. *)
 val channel_enabled : t -> int -> bool
 
-(** Number of channels currently carried in the adjacency arrays. *)
-val num_enabled_channels : t -> int
-
 (** [with_enabled g ~enabled] is [g] with exactly the channels whose mask
     entry is [true] present in the adjacency arrays. Nodes, channels,
     ids, {!heads} and {!tails} are shared unchanged; {!attached} is

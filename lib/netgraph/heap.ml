@@ -21,12 +21,8 @@ let create capacity =
 
 let size t = t.size
 
-let is_empty t = t.size = 0
-
 let mem t x =
   x >= 0 && x < Array.length t.pos && t.stamp.(x) = t.gen && t.pos.(x) >= 0
-
-let priority t x = if mem t x then t.prio.(x) else raise Not_found
 
 let swap t i j =
   let a = t.elt.(i) and b = t.elt.(j) in

@@ -8,14 +8,11 @@
     slots), so per-destination reuse costs nothing beyond the live
     elements actually pushed.
 
-    {b decrease_key-free operation.} Callers that cannot (or prefer not
-    to) track membership may skip [decrease] entirely and reinsert a
-    fresh (element, priority) pair on every improvement, skipping stale
-    pops whose priority no longer matches the caller's distance array.
-    This heap supports both styles; the bucket-queue kernel in
-    [Routing.Spf] uses the reinsertion discipline exclusively, while the
-    binary-heap oracle uses [insert_or_decrease] to keep each element
-    resident at most once. *)
+    {b Who uses it.} [Routing.Spf]'s heap core (the kernel the bucket
+    kernel is checked against) runs decrease-key Dijkstra through
+    [insert_or_decrease], so each element is resident at most once. The
+    bucket kernel, [Spf.bucket_core], does not use this heap: it keeps
+    Dial buckets of its own. *)
 
 type t
 
@@ -26,23 +23,12 @@ val create : int -> t
 (** Number of elements currently in the heap. *)
 val size : t -> int
 
-val is_empty : t -> bool
-
 (** [mem t x] is [true] iff [x] is currently in the heap. *)
 val mem : t -> int -> bool
-
-(** [priority t x] is the current priority of [x].
-    @raise Not_found if [x] is not in the heap. *)
-val priority : t -> int -> int
 
 (** [insert t x p] adds [x] with priority [p].
     @raise Invalid_argument if [x] is already present or out of range. *)
 val insert : t -> int -> int -> unit
-
-(** [decrease t x p] lowers the priority of [x] to [p].
-    @raise Invalid_argument if [x] is absent or [p] is larger than the
-    current priority. *)
-val decrease : t -> int -> int -> unit
 
 (** [insert_or_decrease t x p] inserts [x], or decreases its key if present
     and [p] improves on it; a no-op if [p] is not an improvement. *)

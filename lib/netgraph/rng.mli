@@ -17,9 +17,6 @@ val copy : t -> t
     the parent and child are statistically independent. *)
 val split : t -> t
 
-(** [bits64 t] is the next raw 64-bit output. *)
-val bits64 : t -> int64
-
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
     [bound <= 0]. *)
 val int : t -> int -> int

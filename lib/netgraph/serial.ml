@@ -88,10 +88,6 @@ let of_string text =
   in
   go 1 lines
 
-let save path g =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string g))
-
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text

@@ -20,6 +20,4 @@ val to_string : Graph.t -> string
     Returns [Error message] (with a line number) on malformed input. *)
 val of_string : string -> (Graph.t, string) result
 
-val save : string -> Graph.t -> unit
-
 val load : string -> (Graph.t, string) result

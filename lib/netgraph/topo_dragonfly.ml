@@ -1,8 +1,4 @@
-let default_groups ~a ~h = (a * h) + 1
-
-let num_switches ~a ~h ?groups () =
-  let groups = Option.value ~default:(default_groups ~a ~h) groups in
-  groups * a
+let default_groups ~a ~h = Builder.size_product [ a; h ] + 1
 
 (* Global cable k (0 <= k < a*h) of group i leads to group (i+k+1) mod g,
    leaving from switch (k / h) of group i; laying each cable from the
@@ -15,6 +11,8 @@ let make ~a ~p ~h ?groups () =
   let g = Option.value ~default:(default_groups ~a ~h) groups in
   if g < 2 then invalid_arg "Topo_dragonfly.make: fewer than 2 groups";
   if g > default_groups ~a ~h then invalid_arg "Topo_dragonfly.make: too many groups for a*h global ports";
+  let switches = Builder.size_product [ g; a ] in
+  Builder.check_nodes ~what:"Topo_dragonfly.make" (switches + Builder.size_product [ switches; p ]);
   let b = Builder.create () in
   let sw =
     Array.init g (fun grp -> Array.init a (fun s -> Builder.add_switch b ~name:(Printf.sprintf "g%ds%d" grp s)))

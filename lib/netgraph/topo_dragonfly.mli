@@ -11,6 +11,3 @@
     [a*h + 1] and must satisfy [2 <= groups <= a*h + 1].
     @raise Invalid_argument on parameter violations. *)
 val make : a:int -> p:int -> h:int -> ?groups:int -> unit -> Graph.t
-
-(** Switch count: [groups * a]. *)
-val num_switches : a:int -> h:int -> ?groups:int -> unit -> int

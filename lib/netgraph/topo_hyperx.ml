@@ -1,13 +1,10 @@
-let num_cables ~dims =
-  let total = Array.fold_left ( * ) 1 dims in
-  Array.fold_left (fun acc k -> acc + (total / k * (k * (k - 1) / 2))) 0 dims
-
 let make ~dims ~terminals_per_switch =
   let ndims = Array.length dims in
   if ndims = 0 then invalid_arg "Topo_hyperx.make: empty dims";
   Array.iter (fun d -> if d < 2 then invalid_arg "Topo_hyperx.make: dimension size < 2") dims;
   if terminals_per_switch < 0 then invalid_arg "Topo_hyperx.make: negative terminals";
-  let total = Array.fold_left ( * ) 1 dims in
+  let total = Builder.size_product (Array.to_list dims) in
+  Builder.check_nodes ~what:"Topo_hyperx.make" (total + Builder.size_product [ total; terminals_per_switch ]);
   let coords = Coords.make ~dims ~wrap:(Array.make ndims false) in
   let b = Builder.create () in
   let coord_of_index idx =

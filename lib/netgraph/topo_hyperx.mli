@@ -10,6 +10,3 @@
     (dimension order routing applies, wrap-free: every in-row hop is
     direct). @raise Invalid_argument on empty dims or sizes < 2. *)
 val make : dims:int array -> terminals_per_switch:int -> Graph.t * Coords.t
-
-(** Number of cables: [S/k * C(k,2)] summed per dimension. *)
-val num_cables : dims:int array -> int

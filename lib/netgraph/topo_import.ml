@@ -648,17 +648,6 @@ let write_dot g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_edge_list g =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (((na, nb), (a, b)), mult) ->
-      if Graph.is_switch g a && Graph.is_switch g b then begin
-        if mult = 1 then Buffer.add_string buf (Printf.sprintf "%s %s\n" na nb)
-        else Buffer.add_string buf (Printf.sprintf "%s %s %d\n" na nb mult)
-      end)
-    (cables g);
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Files                                                                *)
 (* ------------------------------------------------------------------ *)

@@ -43,26 +43,22 @@ type format =
   | Dot
   | Edge_list
 
-(** {1 Parsing} *)
+(** {1 Formats}
 
-(** [parse_dot text] reads the DOT subset: [strict]? ([graph]|[digraph])
-    name? [{] node / edge / attribute statements [}], with [//], [/* */]
-    and [#] comments, quoted or bare identifiers, attribute lists
-    (ignored except [kind=terminal] and [mult=N]), and [a -- b -- c]
-    edge chains. In a [digraph], [a -> b] and [b -> a] pair into one
-    bidirectional cable; an unpaired direction is an error in strict
-    mode and a repaired cable in lenient. Subgraphs are not supported.
-    Whitespace inside quoted names becomes ['_'].
-    @raise nothing; all failures are [Error "line N: ..."]. *)
-val parse_dot :
-  ?mode:mode -> ?terminals_per_switch:int -> string -> (imported, string) result
+    {!Dot} is the DOT subset: [strict]? ([graph]|[digraph]) name? [{]
+    node / edge / attribute statements [}], with [//], [/* */] and [#]
+    comments, quoted or bare identifiers, attribute lists (ignored except
+    [kind=terminal] and [mult=N]), and [a -- b -- c] edge chains. In a
+    [digraph], [a -> b] and [b -> a] pair into one bidirectional cable; an
+    unpaired direction is an error in strict mode and a repaired cable in
+    lenient. Subgraphs are not supported. Whitespace inside quoted names
+    becomes ['_'].
 
-(** [parse_edge_list text] reads one cable per line — [<a> <b> [mult]]
-    with [#] comments — declaring nodes implicitly. *)
-val parse_edge_list :
-  ?mode:mode -> ?terminals_per_switch:int -> string -> (imported, string) result
+    {!Edge_list} is one cable per line, [<a> <b> [mult]] with [#]
+    comments, declaring nodes implicitly. It cannot express terminals:
+    the importer synthesizes them. *)
 
-(** {1 Writing (round-trips with the parsers)} *)
+(** {1 Writing} *)
 
 (** Emit the DOT subset: every node quoted, terminals tagged
     [kind=terminal], parallel cables as one edge with [mult=N]. Parsing
@@ -70,20 +66,12 @@ val parse_edge_list :
     ids (names and the cable multiset are preserved). *)
 val write_dot : Graph.t -> string
 
-(** Emit the edge-list form: switch-to-switch cables only (the format
-    cannot express terminals — re-import synthesizes them). Parsing the
-    result back with [~terminals_per_switch:0] reproduces the switch
-    subgraph. *)
-val write_edge_list : Graph.t -> string
-
 (** {1 Files} *)
 
-(** [sniff ?path contents] guesses the format: a [.dot]/[.gv] extension
-    or a [graph]/[digraph] keyword means {!Dot}, else {!Edge_list}. *)
-val sniff : ?path:string -> string -> format
-
-(** [load path] reads and parses a file, sniffing the format unless
-    [format] forces one. *)
+(** [load path] reads and parses a file. Unless [format] forces one, a
+    [.dot]/[.gv] extension means {!Dot}, an [.edges]/[.edgelist] one
+    {!Edge_list}, and otherwise a leading [strict]/[graph]/[digraph] keyword
+    means {!Dot}. All failures are [Error "line N: ..."]. *)
 val load :
   ?mode:mode ->
   ?format:format ->

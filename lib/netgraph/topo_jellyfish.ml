@@ -3,6 +3,8 @@ let make ~switches ~ports ~net_ports ~rng =
   if net_ports < 2 then invalid_arg "Topo_jellyfish.make: net_ports < 2";
   if net_ports > ports then invalid_arg "Topo_jellyfish.make: net_ports > ports";
   if net_ports >= switches then invalid_arg "Topo_jellyfish.make: net_ports >= switches";
+  Builder.check_nodes ~what:"Topo_jellyfish.make"
+    (Builder.size_product [ switches ] + Builder.size_product [ switches; ports - net_ports ]);
   let adjacent = Hashtbl.create (switches * net_ports) in
   let key a b = (min a b, max a b) in
   let degree = Array.make switches 0 in

@@ -1,8 +1,6 @@
-let rec pow base e = if e = 0 then 1 else base * pow base (e - 1)
-
 let num_switches ~b ~n =
   if n < 1 then invalid_arg "Topo_kautz.num_switches: n < 1";
-  (b + 1) * pow b (n - 1)
+  Builder.size_product [ b + 1; Builder.size_power b (n - 1) ]
 
 (* Vertices are encoded as integers: the word s_1..s_n maps to an index by
    s_1 in [0, b+1) then each subsequent digit as an offset in [0, b)
@@ -13,6 +11,7 @@ let make ~b ~n ~endpoints =
   if n < 1 then invalid_arg "Topo_kautz.make: n < 1";
   if endpoints < 0 then invalid_arg "Topo_kautz.make: endpoints < 0";
   let count = num_switches ~b ~n in
+  Builder.check_nodes ~what:"Topo_kautz.make" (count + min endpoints (Builder.max_nodes + 1));
   (* Enumerate all words explicitly; map word -> vertex index. *)
   let words = Array.make count [||] in
   let index = Hashtbl.create (2 * count) in

@@ -2,6 +2,7 @@ let make ~switches ~switch_radix ~terminals ~inter_links ~rng =
   if switches < 2 then invalid_arg "Topo_random.make: switches < 2";
   if switch_radix < 1 then invalid_arg "Topo_random.make: switch_radix < 1";
   if terminals < 0 then invalid_arg "Topo_random.make: terminals < 0";
+  Builder.check_nodes ~what:"Topo_random.make" (Builder.size_product [ switches ] + Builder.size_product [ terminals ]);
   if inter_links < switches - 1 then invalid_arg "Topo_random.make: too few links for connectivity";
   let ports_used = Array.make switches 0 in
   for t = 0 to terminals - 1 do

@@ -1,6 +1,8 @@
 let make ~switches ~terminals_per_switch =
   if switches < 3 then invalid_arg "Topo_ring.make: need at least 3 switches";
   if terminals_per_switch < 0 then invalid_arg "Topo_ring.make: negative terminals";
+  Builder.check_nodes ~what:"Topo_ring.make"
+    (Builder.size_product [ switches ] + Builder.size_product [ switches; terminals_per_switch ]);
   let b = Builder.create () in
   let sw = Array.init switches (fun i -> Builder.add_switch b ~name:(Printf.sprintf "s%d" i)) in
   for i = 0 to switches - 1 do

@@ -7,7 +7,8 @@ let make ~dims ~wrap ~terminals_per_switch =
   if Array.length wrap <> ndims then invalid_arg "Topo_torus.make: dims/wrap mismatch";
   Array.iter (fun d -> if d < 1 then invalid_arg "Topo_torus.make: dimension size < 1") dims;
   if terminals_per_switch < 0 then invalid_arg "Topo_torus.make: negative terminals";
-  let total = Array.fold_left ( * ) 1 dims in
+  let total = Builder.size_product (Array.to_list dims) in
+  Builder.check_nodes ~what:"Topo_torus.make" (total + Builder.size_product [ total; terminals_per_switch ]);
   let coords = Coords.make ~dims ~wrap in
   let b = Builder.create () in
   (* Mixed-radix enumeration: linear index -> coordinate. *)

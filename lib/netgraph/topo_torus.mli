@@ -1,13 +1,9 @@
 (** k-ary n-cube (torus) and mesh topologies with coordinate metadata for
-    dimension-order routing. *)
-
-(** [make ~dims ~wrap ~terminals_per_switch] builds a grid of switches with
-    per-dimension sizes [dims]; dimension [d] gets wrap-around cables iff
-    [wrap.(d)] (a size-2 dimension never wraps: the wrap cable would
-    duplicate the existing one). Returns the fabric and the switch
-    coordinates.
-    @raise Invalid_argument on empty dims, sizes < 1, or arity mismatch. *)
-val make : dims:int array -> wrap:bool array -> terminals_per_switch:int -> Graph.t * Coords.t
+    dimension-order routing. Both build a grid of switches with
+    per-dimension sizes [dims] and return the fabric and the switch
+    coordinates; a size-2 dimension never wraps (the wrap cable would
+    duplicate the existing one).
+    @raise Invalid_argument on empty dims or sizes < 1. *)
 
 (** [torus ~dims ~terminals_per_switch] wraps every dimension. *)
 val torus : dims:int array -> terminals_per_switch:int -> Graph.t * Coords.t

@@ -1,15 +1,15 @@
 let rec pow base e = if e = 0 then 1 else base * pow base (e - 1)
 
-let num_switches ~k ~n = n * pow k (n - 1)
-
 (* Switch <w, l>: l in 0..n-1 (0 = top), w in {0..k-1}^(n-1) encoded as a
    mixed-radix integer with w_0 most significant. <w, l> and <w', l+1> are
    adjacent iff w and w' agree on every digit except position l. *)
 let make ~k ~n ?endpoints () =
   if k < 2 then invalid_arg "Topo_tree.make: k < 2";
   if n < 1 then invalid_arg "Topo_tree.make: n < 1";
-  let endpoints = Option.value ~default:(pow k n) endpoints in
+  let switches = Builder.size_product [ n; Builder.size_power k (n - 1) ] in
+  let endpoints = match endpoints with Some e -> e | None -> Builder.size_power k n in
   if endpoints < 0 then invalid_arg "Topo_tree.make: endpoints < 0";
+  Builder.check_nodes ~what:"Topo_tree.make" (switches + min endpoints (Builder.max_nodes + 1));
   let per_level = pow k (n - 1) in
   let b = Builder.create () in
   let sw = Array.make (n * per_level) (-1) in

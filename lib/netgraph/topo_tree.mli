@@ -9,6 +9,3 @@
     by nominal endpoint counts).
     @raise Invalid_argument if [k < 2], [n < 1], or [endpoints < 0]. *)
 val make : k:int -> n:int -> ?endpoints:int -> unit -> Graph.t
-
-(** Number of switches a [make ~k ~n] fabric contains: [n * k^(n-1)]. *)
-val num_switches : k:int -> n:int -> int

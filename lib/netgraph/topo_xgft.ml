@@ -1,9 +1,5 @@
-let prod a lo hi =
-  let p = ref 1 in
-  for i = lo to hi do
-    p := !p * a.(i)
-  done;
-  !p
+(* Products of a[lo..hi], saturated at Builder.max_nodes + 1. *)
+let prod a lo hi = Builder.size_product (Array.to_list (Array.sub a lo (max 0 (hi - lo + 1))))
 
 let num_leaves ~ms = prod ms 0 (Array.length ms - 1)
 
@@ -11,14 +7,6 @@ let level_count ~ms ~ws i =
   let h = Array.length ms in
   (* A_i = m_(i+1)*...*m_h  (indices shifted: ms.(j) is m_(j+1)) *)
   prod ms i (h - 1) * prod ws 0 (i - 1)
-
-let num_switches ~ms ~ws =
-  let h = Array.length ms in
-  let total = ref 0 in
-  for i = 0 to h do
-    total := !total + level_count ~ms ~ws i
-  done;
-  !total
 
 (* Level-i nodes are addressed by (a, b): a in [0, A_i) identifies the
    subtree chain (digit a_(i+1) least significant, radix m_(i+1)), b in
@@ -32,6 +20,8 @@ let make ~ms ~ws ~endpoints =
   Array.iter (fun m -> if m < 1 then invalid_arg "Topo_xgft.make: m < 1") ms;
   Array.iter (fun w -> if w < 1 then invalid_arg "Topo_xgft.make: w < 1") ws;
   if endpoints < 0 then invalid_arg "Topo_xgft.make: endpoints < 0";
+  let switches = List.fold_left ( + ) 0 (List.init (h + 1) (level_count ~ms ~ws)) in
+  Builder.check_nodes ~what:"Topo_xgft.make" (switches + min endpoints (Builder.max_nodes + 1));
   let b = Builder.create () in
   let levels =
     Array.init (h + 1) (fun i ->

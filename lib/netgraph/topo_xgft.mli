@@ -17,6 +17,3 @@ val make : ms:int array -> ws:int array -> endpoints:int -> Graph.t
 
 (** Leaf-switch count [m_1*...*m_h]. *)
 val num_leaves : ms:int array -> int
-
-(** Total switch count across all levels. *)
-val num_switches : ms:int array -> ws:int array -> int

@@ -3,7 +3,8 @@ let make ~net_degree ~lift ?(terminals_per_switch = 1) ~rng () =
   if lift < 1 then invalid_arg "Topo_xpander.make: lift < 1";
   if terminals_per_switch < 0 then invalid_arg "Topo_xpander.make: terminals_per_switch < 0";
   let meta = net_degree + 1 in
-  let switches = meta * lift in
+  let switches = Builder.size_product [ meta; lift ] in
+  Builder.check_nodes ~what:"Topo_xpander.make" (switches + Builder.size_product [ switches; terminals_per_switch ]);
   (* switch (u, i) = copy i of meta-node u *)
   let id u i = (u * lift) + i in
   let edges = ref [] in

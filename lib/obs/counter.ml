@@ -19,8 +19,6 @@ let create ?(slots = 1) ?(desc = "") name =
   { name; desc; slots; cells = Array.init (slots * stride) (fun _ -> Atomic.make 0) }
 
 let name t = t.name
-let desc t = t.desc
-let slots t = t.slots
 
 (* Out-of-range slots clamp to the last cell, so callers with more
    workers than cells degrade to sharing rather than crashing. *)

@@ -9,8 +9,6 @@ type t
 val create : ?slots:int -> ?desc:string -> string -> t
 
 val name : t -> string
-val desc : t -> string
-val slots : t -> int
 
 (** [incr ?slot ?n t] adds [n] (default 1) to [slot]'s cell (default 0).
     Slots outside [0, slots) clamp to the nearest valid cell. *)

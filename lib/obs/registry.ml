@@ -85,5 +85,3 @@ let to_json registry =
          | Counter c -> (Counter.name c, Counter.to_json c)
          | Timer t -> (Timer.name t, Timer.to_json t))
        (items registry))
-
-let json_string registry = Json.to_string (to_json registry)

@@ -18,18 +18,12 @@ val create : unit -> t
 (** The process-wide registry. *)
 val default : unit -> t
 
-(** Register into [registry] (default: the process-wide one).
+(** Create a counter/timer and register it in [registry] (default: the
+    process-wide one), replacing an item of the same kind and name.
     @raise Invalid_argument if an item of the other kind holds the name. *)
-val register : ?registry:t -> item -> unit
-
-(** Create a counter/timer and register it in one step.
-    @raise Invalid_argument as {!register}. *)
 val counter : ?registry:t -> ?slots:int -> ?desc:string -> string -> Counter.t
 
 val timer : ?registry:t -> ?slots:int -> ?desc:string -> ?capacity:int -> string -> Timer.t
-
-(** Registered items in registration order. *)
-val items : t -> item list
 
 val find_counter : t -> string -> Counter.t option
 val find_timer : t -> string -> Timer.t option
@@ -39,5 +33,3 @@ val reset : t -> unit
 
 (** Snapshot: an object mapping item names to their JSON forms. *)
 val to_json : t -> Json.t
-
-val json_string : t -> string

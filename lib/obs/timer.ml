@@ -32,8 +32,6 @@ let create ?(slots = 1) ?(desc = "") ?(capacity = default_capacity) name =
   }
 
 let name t = t.name
-let desc t = t.desc
-let slots t = Array.length t.cells
 
 let add ?(slot = 0) t seconds =
   let c = t.cells.(min (max slot 0) (Array.length t.cells - 1)) in

@@ -9,8 +9,6 @@ type t
 val create : ?slots:int -> ?desc:string -> ?capacity:int -> string -> t
 
 val name : t -> string
-val desc : t -> string
-val slots : t -> int
 
 (** Record a duration in seconds against a slot (default 0; slots clamp
     to the valid range). *)
@@ -25,9 +23,6 @@ val slot_count : t -> int -> int
 
 (** Retained recent samples, merged across slots (unspecified order). *)
 val samples : t -> float array
-
-(** [None] until at least one sample was recorded. *)
-val summary : t -> Stat.summary option
 
 val reset : t -> unit
 val to_json : t -> Json.t

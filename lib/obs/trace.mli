@@ -30,10 +30,8 @@ type sink = {
 
 val span_to_json : span -> Json.t
 
-(** [json_lines write] emits one compact JSON object per span through
-    [write], one line each, serialized under a mutex. *)
-val json_lines : ?flush:(unit -> unit) -> (string -> unit) -> sink
-
+(** JSON-lines sinks: one compact JSON object per span, one line each,
+    serialized under a mutex. *)
 val channel_sink : out_channel -> sink
 val buffer_sink : Buffer.t -> sink
 
@@ -48,9 +46,6 @@ val set_sink : sink option -> unit
     long-running processes (a killed daemon must not truncate its
     JSON-lines trace mid-object). *)
 val flush : unit -> unit
-
-(** Tracing is live: {!Control.enabled} and a sink is installed. *)
-val enabled : unit -> bool
 
 (** Run [f] with [sink] installed, restoring (and flushing) on exit. *)
 val with_sink : sink -> (unit -> 'a) -> 'a

@@ -117,10 +117,6 @@ let of_string text =
             go entries_start entry_lines)))
     | _ -> err 1 "bad header (want: routing <algorithm> layers <n>)")
 
-let save path ft =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string ft))
-
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text

@@ -20,8 +20,4 @@
 
 val to_string : Ftable.t -> string
 
-val of_string : string -> (Ftable.t, string) result
-
-val save : string -> Ftable.t -> unit
-
 val load : string -> (Ftable.t, string) result

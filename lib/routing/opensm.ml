@@ -79,30 +79,3 @@ let save_all ~dir ft =
     write "opensm-guids.dump" (guid_table (Ftable.graph ft));
     write "opensm-sl2vl.dump" (sl_dump ft);
   ]
-
-type diff = {
-  entries_compared : int;
-  entries_changed : int;
-  lanes_changed : int;
-}
-
-let diff_tables a b =
-  let g = Ftable.graph a in
-  if Ftable.graph b != g then invalid_arg "Opensm.diff_tables: different fabrics";
-  let compared = ref 0 and changed = ref 0 and lanes = ref 0 in
-  Array.iter
-    (fun sw ->
-      Array.iter
-        (fun dst ->
-          incr compared;
-          if Ftable.next a ~node:sw ~dst <> Ftable.next b ~node:sw ~dst then incr changed)
-        (Graph.terminals g))
-    (Graph.switches g);
-  Array.iter
-    (fun src ->
-      Array.iter
-        (fun dst ->
-          if src <> dst && Ftable.layer a ~src ~dst <> Ftable.layer b ~src ~dst then incr lanes)
-        (Graph.terminals g))
-    (Graph.terminals g);
-  { entries_compared = !compared; entries_changed = !changed; lanes_changed = !lanes }

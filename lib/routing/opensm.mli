@@ -9,44 +9,19 @@
     prefix plus the node id, and a node's port numbers are 1-based
     positions in its outgoing-channel list. *)
 
-val lid_of_node : int -> int
-
-val guid_of_node : int -> int64
-
-(** [port_of_channel g c] is the 1-based port number channel [c] occupies
-    at its source node. *)
-val port_of_channel : Graph.t -> int -> int
-
-(** [lft_dump ft] renders every switch's unicast forwarding table:
+(** [save_all ~dir ft] writes three files into [dir] and returns their
+    paths:
+    - [opensm-lfts.dump], every switch's unicast forwarding table:
     {v
     Unicast lids [0x1-0xNN] of switch lid 7 guid 0x0002c90000000006 (sw3):
     0x0004 002 : (terminal 't1')
     ...
-    v} *)
-val lft_dump : Ftable.t -> string
-
-(** [guid_table g] lists every node: lid, guid, kind, name — the fabric
-    inventory ("ibnetdiscover" flavour). *)
-val guid_table : Graph.t -> string
-
-(** [sl_dump ft] renders the per-route service-level assignment (our
-    virtual layer per (src, dst) pair), one line per source terminal with
-    one hex digit per destination. Layers above 15 cannot be expressed in
-    InfiniBand SLs. @raise Invalid_argument in that case. *)
-val sl_dump : Ftable.t -> string
-
-(** Write all three files into a directory as [opensm-lfts.dump],
-    [opensm-guids.dump] and [opensm-sl2vl.dump]; returns the paths. *)
+    v}
+    - [opensm-guids.dump], every node's lid, guid, kind and name — the
+      fabric inventory ("ibnetdiscover" flavour);
+    - [opensm-sl2vl.dump], the per-route service level (our virtual layer
+      per (src, dst) pair), one line per source terminal with one hex
+      digit per destination.
+    @raise Invalid_argument if a layer is above 15, which InfiniBand SLs
+    cannot express. *)
 val save_all : dir:string -> Ftable.t -> string list
-
-type diff = {
-  entries_compared : int;
-  entries_changed : int;  (** forwarding entries pointing at a different port *)
-  lanes_changed : int;  (** routes assigned a different virtual lane *)
-}
-
-(** [diff_tables a b] compares two routings of the {e same} fabric entry
-    by entry — what an operator wants to know before pushing new tables
-    (every changed entry is a transient routing hole during the update).
-    @raise Invalid_argument if the tables belong to different graphs. *)
-val diff_tables : Ftable.t -> Ftable.t -> diff

@@ -38,13 +38,6 @@ let rank_and_orientation g root =
   let up = Array.map (fun (c : Channel.t) -> key c.dst < key c.src) (Graph.channels g) in
   (rank, up)
 
-let orientation g =
-  match pick_root g with
-  | Error _ as e -> e
-  | Ok root ->
-    let _, up = rank_and_orientation g root in
-    Ok (root, up)
-
 type scratch = {
   d_down : int array;
   down_via : int array;

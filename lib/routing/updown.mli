@@ -15,8 +15,3 @@
     [~batch:1] reproduces the sequential tables bit-for-bit; for any
     fixed [batch] the result is independent of [domains]. *)
 val route : ?batch:int -> ?domains:int -> Graph.t -> (Ftable.t, string) result
-
-(** Expose the orientation for tests: [up_channels g] maps channel id to
-    [true] iff the channel is an up channel for the root [route] would
-    pick. *)
-val orientation : Graph.t -> (int * bool array, string) result

@@ -13,13 +13,10 @@ val with_connect : ?max_frame:int -> Proto.addr -> (t -> ('a, string) result) ->
 
 (** {1 Raw calls} *)
 
-(** One framed round trip with a JSON payload. [Error] on I/O failure or
+(** One framed round trip with an unparsed request payload ([--script]
+    mode); the reply is returned as received. [Error] on I/O failure or
     server EOF; protocol-level refusals come back as a normal reply
     object with [status = "error"]. *)
-val call : t -> Obs.Json.t -> (Obs.Json.t, string) result
-
-(** Same, with an unparsed request payload ([--script] mode); the reply
-    is returned as received. *)
 val call_raw : t -> string -> (string, string) result
 
 (** {1 Typed helpers}

@@ -61,6 +61,3 @@ val write_frame : Unix.file_descr -> string -> unit
 (** [read_frame fd] reads one complete frame. [Ok None] on clean EOF at
     a frame boundary; [Error] on truncation, oversize or I/O failure. *)
 val read_frame : ?max_frame:int -> Unix.file_descr -> (string option, string) result
-
-(** [frame payload] is the on-wire bytes of one frame (header + payload). *)
-val frame : string -> Bytes.t

@@ -123,15 +123,11 @@ type t = {
   mutable next_cid : int;
 }
 
-let config t = t.config
-
 let addr t = t.actual_addr
 
 let manager t = t.mgr
 
 let metrics t = t.metrics
-
-let running t = t.running
 
 let stop t = Atomic.set t.stop_flag true
 

@@ -53,8 +53,6 @@ type t
     path is refused, not clobbered — remove it explicitly). *)
 val create : ?config:config -> Graph.t -> (t, string) result
 
-val config : t -> config
-
 (** The bound address; for [Tcp (host, 0)] the port is the one the
     kernel picked. *)
 val addr : t -> Proto.addr
@@ -70,6 +68,3 @@ val serve : t -> unit
 (** Request a graceful stop from a signal handler or another thread; the
     loop notices within [tick_s]. Safe to call repeatedly. *)
 val stop : t -> unit
-
-(** [true] from {!create} until {!serve}'s teardown finished. *)
-val running : t -> bool

@@ -25,12 +25,6 @@ type result = {
     @raise Failure if a flow has no route in the table. *)
 val evaluate : Ftable.t -> flows:Patterns.flow array -> result
 
-(** [evaluate_store store] is the same metric over the live pairs of a
-    route arena (absent pairs and empty paths are ignored) — the primitive
-    behind {!evaluate}, which streams forwarding walks into an arena
-    rather than materialising one path array per flow. *)
-val evaluate_store : Deadlock.Route_store.t -> result
-
 (** [evaluate_paths g ~paths] is the metric over explicitly supplied
     routes (empty paths are ignored) — for multipath routings where each
     flow's route comes from a different forwarding plane. *)

@@ -12,8 +12,6 @@ type 'a t = {
 
 let create () = { heap = [||]; size = 0; seq = 0 }
 
-let is_empty t = t.size = 0
-
 let size t = t.size
 
 let before a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)

@@ -7,8 +7,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val is_empty : 'a t -> bool
-
 val size : 'a t -> int
 
 (** [schedule t ~at event] enqueues [event] at time [at].

@@ -30,9 +30,6 @@ type config = {
   max_events : int;  (** safety stop *)
 }
 
-(** 1 GB/s links, 1 us hops, 4 KiB MTU, 4 credits, 8 lanes. *)
-val default_config : config
-
 (** Packet time: 1-byte packets on 1 byte/unit wires with zero hop
     latency, 2 credits, 8 lanes. A flow's byte count is its packet count,
     and [makespan], [time] and latencies read in packet times: an
@@ -65,7 +62,8 @@ type outcome =
   | Out_of_events of { delivered : int }
 
 (** [run ?config ft ~flows] simulates [(src, dst, bytes)] message flows,
-    all injected at time zero, routed and laned by [ft].
+    all injected at time zero, routed and laned by [ft]. [config]
+    defaults to 1 GB/s links, 1 us hops, 4 KiB MTU, 4 credits, 8 lanes.
     @raise Invalid_argument on bad config, flows with [src = dst],
     negative sizes, lanes beyond [num_vls], or more packets than
     [max_events] (each delivered packet costs at least one event, so such

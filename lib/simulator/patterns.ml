@@ -32,17 +32,6 @@ let ring_shift ~by ranks =
     if by = 0 then [||] else Array.init n (fun i -> (ranks.(i), ranks.((i + by) mod n)))
   end
 
-let uniform_random rng ~flows ranks =
-  let n = Array.length ranks in
-  if n < 2 then invalid_arg "Patterns.uniform_random: need at least 2 ranks";
-  Array.init flows (fun _ ->
-      let a = Netgraph.Rng.int rng n in
-      let rec other () =
-        let b = Netgraph.Rng.int rng n in
-        if b = a then other () else b
-      in
-      (ranks.(a), ranks.(other ())))
-
 (* Deduplicating flow collector: NAS skeletons touch each (src, dst) once
    even when several exchanges share partners. *)
 let collect_flows add_all =
@@ -116,7 +105,6 @@ let tornado ranks =
 
 let adversarial =
   [ ("bit-complement", bit_complement); ("bit-reverse", bit_reverse); ("transpose", transpose); ("tornado", tornado) ]
-
 
 let square_torus_halo name ranks =
   let n = Array.length ranks in

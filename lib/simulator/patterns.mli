@@ -23,10 +23,6 @@ val all_to_all : int array -> flow array
 (** [ring_shift ~by ranks]: rank i sends to rank (i + by) mod n. *)
 val ring_shift : by:int -> int array -> flow array
 
-(** [uniform_random rng ~flows ranks]: random (src, dst) pairs, src <>
-    dst. *)
-val uniform_random : Netgraph.Rng.t -> flows:int -> int array -> flow array
-
 (** {1 Classic adversarial permutations}
 
     The standard synthetic patterns of the interconnect literature (Dally
@@ -34,22 +30,18 @@ val uniform_random : Netgraph.Rng.t -> flows:int -> int array -> flow array
     stress specific routing weaknesses. Power-of-two rank counts where the
     bit structure demands it. *)
 
-(** rank i -> rank (~i): the classic worst case for dimension-order
-    routing on meshes. Requires a power-of-two rank count. *)
-val bit_complement : int array -> (flow array, string) result
-
-(** rank i -> bit-reversed i: FFT-style permutation. Power of two. *)
-val bit_reverse : int array -> (flow array, string) result
-
-(** rank (r, c) -> rank (c, r) on the square rank grid: matrix transpose.
-    Requires a square rank count. *)
-val transpose : int array -> (flow array, string) result
-
 (** rank i -> rank (i + n/2 - 1) mod n: tornado, the adversarial pattern
     for rings and tori. Any rank count >= 3. *)
 val tornado : int array -> (flow array, string) result
 
-(** All four, by name, for sweep experiments. *)
+(** All four, by name, for sweep experiments:
+    - ["bit-complement"], rank i -> rank (~i): the classic worst case for
+      dimension-order routing on meshes. Power-of-two rank counts.
+    - ["bit-reverse"], rank i -> bit-reversed i: FFT-style permutation.
+      Power-of-two rank counts.
+    - ["transpose"], rank (r, c) -> rank (c, r) on the square rank grid:
+      matrix transpose. Square rank counts.
+    - ["tornado"], {!tornado}. *)
 val adversarial : (string * (int array -> (flow array, string) result)) list
 
 (** {1 NAS parallel benchmark communication skeletons}

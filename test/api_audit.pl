@@ -12,6 +12,14 @@
 # the module (open M, let open M, M.( ... )). That over-approximates
 # use, so the audit can miss a dead value but never flags a used one.
 #
+# The allowlist itself is checked too: an entry whose reason names
+# e2ebench/, bench/ or examples/ fails unless code in that directory
+# references the value (the same test as above); an entry under the
+# "# Test hooks" heading must say which private state it reads (its
+# reason names "private"), and there are at most 15 of them; and the
+# marker "ROADMAP item 15" (the list's former to-do sections) is
+# rejected anywhere in the file.
+#
 # Usage: perl test/api_audit.pl test/api_allowlist.txt
 
 use strict;
@@ -83,46 +91,67 @@ for my $mli (@mlis) {
 
 # Per code file: its module, its code, the modules it opens and its
 # aliases.
-my @files;
-for my $f (@code) {
-  my $s = strip(slurp($f));
-  my %opens;
-  $opens{$1} = 1 while $s =~ /\bopen!?\s+(?:\w+\.)*([A-Z]\w*)/g;
-  $opens{$1} = 1 while $s =~ /\b([A-Z]\w*)\.\(/g;
-  my %alias;    # module -> [aliases]
-  push @{ $alias{$2} }, $1 while $s =~ /\bmodule\s+([A-Z]\w*)\s*=\s*(?:\w+\.)*([A-Z]\w*)\b(?!\s*\()/g;
-  push @files, { path => $f, code => $s, opens => \%opens, alias => \%alias };
+sub code_files {
+  my @files;
+  for my $f (@_) {
+    my $s = strip(slurp($f));
+    my %opens;
+    $opens{$1} = 1 while $s =~ /\bopen!?\s+(?:\w+\.)*([A-Z]\w*)/g;
+    $opens{$1} = 1 while $s =~ /\b([A-Z]\w*)\.\(/g;
+    my %alias;    # module -> [aliases]
+    push @{ $alias{$2} }, $1 while $s =~ /\bmodule\s+([A-Z]\w*)\s*=\s*(?:\w+\.)*([A-Z]\w*)\b(?!\s*\()/g;
+    push @files, { path => $f, code => $s, opens => \%opens, alias => \%alias };
+  }
+  return \@files;
 }
 
-my %unused;
-for my $d (@decls) {
+# Whether some file of [files] other than the value's own references it.
+sub referenced {
+  my ($d, $files) = @_;
   my ($key, $own, $qual, $value) = @$d;
   my @names = ($qual);
   push @names, @{ $umbrellas{$qual} // [] } if $qual eq module_of($own);
-  my $used = 0;
-  for my $file (@files) {
+  for my $file (@$files) {
     next if $file->{path} eq $own;
     my @q = (@names, map { @{ $file->{alias}{$_} // [] } } @names);
     my $qre = join '|', map { quotemeta } @q;
-    if ($file->{code} =~ /\b(?:$qre)\.\Q$value\E\b/ || (grep { $file->{opens}{$_} } @q) && $file->{code} =~ /(?<![\w.'])\Q$value\E\b/) {
-      $used = 1;
-      last;
-    }
+    return 1
+      if $file->{code} =~ /\b(?:$qre)\.\Q$value\E\b/
+      || (grep { $file->{opens}{$_} } @q) && $file->{code} =~ /(?<![\w.'])\Q$value\E\b/;
   }
-  $unused{$key} = 1 unless $used;
+  return 0;
 }
 
-my %declared = map { $_->[0] => 1 } @decls;
+my $shipped = code_files(@code);
+my %unused = map { $_->[0] => 1 } grep { !referenced($_, $shipped) } @decls;
+
+my %declared = map { $_->[0] => $_ } @decls;
+my %outside = map { $_ => code_files(sort glob "$_/*.ml") } qw(e2ebench bench examples);
 my (%allowed, $bad);
-my $n = 0;
+my ($n, $section, $hooks) = (0, '', 0);
+my $prev_blank = 1;
 for (split /\n/, slurp($allowlist)) {
   $n++;
-  next if /^\s*(#|$)/;
+  if (/ROADMAP item 15/) { print "$allowlist:$n: the \"ROADMAP item 15\" marker is gone; give the entry its own reason\n"; $bad = 1 }
+  my $blank = /^\s*$/;
+  $section = $1 if $prev_blank && /^#\s*(.*)$/;
+  $prev_blank = $blank;
+  next if $blank || /^\s*#/;
   my ($key, $reason) = /^(\S+)\s+(\S.*)$/ or do { print "$allowlist:$n: expected \"Library.Module.value reason\"\n"; $bad = 1; next };
   $allowed{$key} = 1;
-  if (!$declared{$key}) { print "$allowlist:$n: $key is declared in no shipped interface\n"; $bad = 1 }
+  if (!$declared{$key}) { print "$allowlist:$n: $key is declared in no shipped interface\n"; $bad = 1; next }
   elsif (!$unused{$key}) { print "$allowlist:$n: $key is used by lib/ or bin/; drop it from the list\n"; $bad = 1 }
+  for my $dir (grep { $reason =~ /(?<![\w\/])\Q$_\E\b/ } sort keys %outside) {
+    next if referenced($declared{$key}, $outside{$dir});
+    print "$allowlist:$n: $key: the reason names $dir/, but no code there references it\n";
+    $bad = 1;
+  }
+  if ($section =~ /^Test hooks\b/) {
+    $hooks++;
+    if ($reason !~ /\bprivate\b/) { print "$allowlist:$n: $key: a test hook's reason must name the private state it reads\n"; $bad = 1 }
+  }
 }
+if ($hooks > 15) { print "$allowlist: $hooks test hooks; at most 15 (move helpers that need no private state to test/testutil.ml)\n"; $bad = 1 }
 for my $key (sort keys %unused) {
   next if $allowed{$key};
   print "api-audit: $key: no reference in lib/ or bin/ outside its module\n";

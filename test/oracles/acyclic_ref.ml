@@ -11,9 +11,12 @@ let is_acyclic cdg =
   while not (Queue.is_empty queue) do
     let c = Queue.take queue in
     incr seen;
-    Cdg.iter_successors cdg c (fun c2 ->
-        indeg.(c2) <- indeg.(c2) - 1;
-        if indeg.(c2) = 0 then Queue.add c2 queue)
+    let lo, hi = Cdg.slot_range cdg c in
+    for sl = lo to hi - 1 do
+      let c2 = Cdg.slot_col cdg sl in
+      indeg.(c2) <- indeg.(c2) - 1;
+      if indeg.(c2) = 0 then Queue.add c2 queue
+    done
   done;
   !seen = m
 
@@ -25,11 +28,6 @@ let layers_acyclic_store store ~layer_of_path ~num_layers =
     || (is_acyclic (Cdg.of_store ~filter:(fun pr -> layer_of_path.(pr) = vl) store) && from (vl + 1))
   in
   from 0
-
-let layers_acyclic g ~paths ~layer_of_path ~num_layers =
-  if Array.length paths <> Array.length layer_of_path then
-    invalid_arg "Acyclic_ref.layers_acyclic: length mismatch";
-  layers_acyclic_store (Route_store.of_paths g paths) ~layer_of_path ~num_layers
 
 let deadlock_free ft =
   match Routing.Ftable.to_store ft with

@@ -18,10 +18,6 @@ val is_acyclic : Cdg.t -> bool
     absent pairs carry [-1]. *)
 val layers_acyclic_store : Route_store.t -> layer_of_path:int array -> num_layers:int -> bool
 
-(** Array-of-paths convenience form of {!layers_acyclic_store} (path [i]
-    becomes pair id [i]). *)
-val layers_acyclic : Graph.t -> paths:Path.t array -> layer_of_path:int array -> num_layers:int -> bool
-
 (** [deadlock_free ft] rebuilds one CDG per layer from [ft]'s per-pair
     routes ({!Routing.Ftable.to_store}) under its per-pair layers
     ({!Routing.Ftable.pair_layers}) and checks each acyclic; [false]

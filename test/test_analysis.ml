@@ -106,7 +106,7 @@ let long_pair ft =
   | Some x -> x
   | None -> Alcotest.fail "no pair with a 3+ hop route"
 
-let has_rule findings id = Analysis.Diag.has_rule findings id
+let has_rule = Testutil.has_rule
 
 (* ------------------------------------------------------------------ *)
 (* Certificates on the paper's seeds                                    *)
@@ -285,7 +285,7 @@ let test_cert_text_roundtrip () =
     | Ok c -> c
     | Error e -> Alcotest.failf "generate: %s" (Analysis.Cert.error_to_string e)
   in
-  match Analysis.Cert.of_string (Analysis.Cert.to_string cert) with
+  match Testutil.cert_of_string (Analysis.Cert.to_string cert) with
   | Error msg -> Alcotest.failf "parse: %s" msg
   | Ok cert' ->
     check Alcotest.bool "identical" true (cert = cert');
@@ -404,30 +404,37 @@ let test_a002_two_cycle () =
   let findings = Analysis.Lint.table bad in
   check Alcotest.bool "A002" true (has_rule findings "A002-forwarding-loop")
 
+(* Two switches with a terminal each; [cables] lists the switch cables in
+   construction order ([true]: laid s0 -> s1, [false]: s1 -> s0), so the
+   same node ids carry differently numbered channels. *)
+let two_switches cables =
+  let b = Builder.create () in
+  let s0 = Builder.add_switch b ~name:"s0" and s1 = Builder.add_switch b ~name:"s1" in
+  let t0 = Builder.add_terminal b ~name:"t0" ~switch:s0 and t1 = Builder.add_terminal b ~name:"t1" ~switch:s1 in
+  List.iter (fun fwd -> ignore (if fwd then Builder.add_link b s0 s1 else Builder.add_link b s1 s0)) cables;
+  (Builder.build b, (s0, s1, t0, t1))
+
 let test_a003_port_range () =
-  (* Ftable's own setters refuse such entries; inject through the view. *)
-  let ft = torus_table () in
-  let g = Routing.Ftable.graph ft in
-  let terminals = Graph.terminals g in
-  let n0 = terminals.(0) and d0 = terminals.(1) in
-  let v = Analysis.Lint.view_of_table ft in
-  let bogus_out_of_range = Graph.num_channels g in
-  let bad next0 =
-    {
-      v with
-      Analysis.Lint.next =
-        (fun ~node ~dst -> if node = n0 && dst = d0 then Some next0 else v.Analysis.Lint.next ~node ~dst);
-    }
+  (* Ftable's own setters refuse such entries; they arise when a table is
+     linted against a fabric whose channel ids were re-assigned. The
+     table routes s0 -> s1 over the second of two parallel cables. *)
+  let g, (s0, s1, t0, t1) = two_switches [ true; true ] in
+  let ft = Routing.Ftable.create g ~algorithm:"manual" in
+  let via src dst =
+    List.find (fun c -> (Graph.channel g c).Channel.dst = dst) (List.rev (Array.to_list (Graph.out_channels g src)))
   in
+  List.iter
+    (fun (node, dst, next) -> Routing.Ftable.set_next ft ~node ~dst ~channel:(via node next))
+    [ (t0, t1, s0); (s0, t1, s1); (s1, t1, t1); (t1, t0, s1); (s1, t0, s0); (s0, t0, t0) ];
+  check Alcotest.bool "own fabric clean" false (has_rule (Analysis.Lint.table ft) "A003-port-range");
+  (* one cable fewer: the second cable's channel ids are out of range *)
+  let fewer, _ = two_switches [ true ] in
   check Alcotest.bool "A003 (out of range)" true
-    (has_rule (Analysis.Lint.run (bad bogus_out_of_range)) "A003-port-range");
-  (* a real channel that does not leave n0 *)
-  let foreign =
-    let found = ref (-1) in
-    Array.iter (fun (c : Channel.t) -> if !found < 0 && c.Channel.src <> n0 then found := c.Channel.id) (Graph.channels g);
-    !found
-  in
-  check Alcotest.bool "A003 (foreign channel)" true (has_rule (Analysis.Lint.run (bad foreign)) "A003-port-range")
+    (has_rule (Analysis.Lint.table ~graph:fewer ft) "A003-port-range");
+  (* cables laid the other way: the same ids leave the other switch *)
+  let flipped, _ = two_switches [ false; false ] in
+  check Alcotest.bool "A003 (foreign channel)" true
+    (has_rule (Analysis.Lint.table ~graph:flipped ft) "A003-port-range")
 
 let test_a004_layer_overflow () =
   let ft = torus_table () in
@@ -513,7 +520,7 @@ let test_ftable_io_roundtrip_analyze () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Routing.Ftable_io.save path ft;
+      Testutil.write_file path (Routing.Ftable_io.to_string ft);
       match Routing.Ftable_io.load path with
       | Error msg -> Alcotest.failf "load: %s" msg
       | Ok ft' ->
@@ -683,14 +690,14 @@ let test_core_witness () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "trusted re-check: %s" msg);
   (* text round trip survives the trusted re-check too *)
-  (match Analysis.Witness.of_string (Analysis.Witness.to_string w) with
+  (match Testutil.witness_of_string (Analysis.Witness.to_string w) with
   | Error msg -> Alcotest.failf "parse: %s" msg
   | Ok w' ->
     check Alcotest.bool "identical" true (w = w');
     (match Analysis.Witness.check_graph w' g with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "parsed witness fails re-check: %s" msg));
-  let json = Obs.Json.to_string (Analysis.Witness.to_json w) in
+  let json = Obs.Json.to_string (Testutil.witness_to_json w) in
   check Alcotest.bool "json names the kind" true (Testutil.contains json "core")
 
 let test_core_witness_rejects_corruption () =
@@ -733,7 +740,7 @@ let test_core_witness_rejects_corruption () =
   let text = Analysis.Witness.to_string w in
   let truncated = String.sub text 0 (String.rindex text 'e') in
   check Alcotest.bool "truncated text rejected" true
-    (Result.is_error (Analysis.Witness.of_string truncated))
+    (Result.is_error (Testutil.witness_of_string truncated))
 
 let test_layer_witness () =
   let ft = clockwise_ring ~switches:8 in
@@ -751,7 +758,7 @@ let test_layer_witness () =
   (match Analysis.Witness.check_table w ft with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "trusted re-check: %s" msg);
-  (match Analysis.Witness.of_string (Analysis.Witness.to_string w) with
+  (match Testutil.witness_of_string (Analysis.Witness.to_string w) with
   | Error msg -> Alcotest.failf "parse: %s" msg
   | Ok w' ->
     check Alcotest.bool "round trip identical" true (w = w'));

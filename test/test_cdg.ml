@@ -41,14 +41,14 @@ module Layer = Oracles.Dfs_ref.Layer
    it. *)
 let test_cdg_add_remove () =
   let g, paths = ring_fixture 5 in
-  let store = Route_store.of_paths g paths in
+  let store = Testutil.of_paths g paths in
   let cdg = Cdg.of_store store in
   check Alcotest.int "paths" 5 (Cdg.num_paths cdg);
   (* each 4-channel path induces 3 dependencies, all distinct overall *)
   check Alcotest.int "edges" 15 (Cdg.num_edges cdg);
   let p = paths.(0) in
   Alcotest.(check bool) "edge live" true (Cdg.live cdg ~c1:p.(1) ~c2:p.(2));
-  check Alcotest.int "edge count" 1 (Cdg.edge_count cdg ~c1:p.(1) ~c2:p.(2));
+  check Alcotest.int "edge count" 1 (Testutil.cdg_edge_count cdg ~c1:p.(1) ~c2:p.(2));
   check Alcotest.(list int) "edge pairs" [ 0 ] (Cdg.edge_pairs cdg ~c1:p.(1) ~c2:p.(2));
   let layer = Layer.create store cdg in
   Layer.remove_pair layer ~pair:0;
@@ -66,10 +66,10 @@ let test_cdg_add_remove () =
 let test_cdg_shared_edges () =
   let g, paths = ring_fixture 5 in
   (* the same path under two pair ids: every dependency is shared *)
-  let store = Route_store.of_paths g [| paths.(0); paths.(0) |] in
+  let store = Testutil.of_paths g [| paths.(0); paths.(0) |] in
   let cdg = Cdg.of_store store in
   let p = paths.(0) in
-  check Alcotest.int "count 2" 2 (Cdg.edge_count cdg ~c1:p.(0) ~c2:p.(1));
+  check Alcotest.int "count 2" 2 (Testutil.cdg_edge_count cdg ~c1:p.(0) ~c2:p.(1));
   let prs = List.sort compare (Cdg.edge_pairs cdg ~c1:p.(0) ~c2:p.(1)) in
   check Alcotest.(list int) "both pairs" [ 0; 1 ] prs;
   let layer = Layer.create store cdg in
@@ -96,11 +96,8 @@ let test_route_store_basics () =
   Route_store.set_path store ~pair:3 paths.(2);
   check Alcotest.(array int) "overwritten" paths.(2) (Route_store.to_path store ~pair:3);
   check Alcotest.int "num_paths" 2 (Route_store.num_paths store);
-  Route_store.remove store ~pair:3;
-  Alcotest.(check bool) "removed" false (Route_store.mem store ~pair:3);
-  check Alcotest.int "num_paths after remove" 1 (Route_store.num_paths store);
-  Alcotest.check_raises "length of absent pair" (Invalid_argument "Route_store: pair 3 has no path")
-    (fun () -> ignore (Route_store.length store ~pair:3));
+  Alcotest.check_raises "length of absent pair" (Invalid_argument "Route_store: pair 5 has no path")
+    (fun () -> ignore (Route_store.length store ~pair:5));
   (* arena growth must not corrupt earlier slices *)
   let store2 = Route_store.create g ~capacity:4096 in
   for i = 0 to 4095 do
@@ -117,7 +114,7 @@ let test_route_store_basics () =
 
 let test_cdg_of_store_and_removal () =
   let g, paths = ring_fixture 5 in
-  let store = Route_store.of_paths g paths in
+  let store = Testutil.of_paths g paths in
   let csr = Cdg.of_store store in
   check Alcotest.int "edges" 15 (Cdg.num_edges csr);
   check Alcotest.int "paths" 5 (Cdg.num_paths csr);
@@ -167,7 +164,7 @@ let of_store_parity_qcheck =
             && Cdg.num_paths built = List.length ids)
         in
         Oracles.Cdg_ref.iter_edges reference (fun c1 c2 count ->
-            if Cdg.edge_count built ~c1 ~c2 <> count
+            if Testutil.cdg_edge_count built ~c1 ~c2 <> count
                || List.sort compare (Cdg.edge_pairs built ~c1 ~c2)
                   <> List.sort compare (Oracles.Cdg_ref.edge_pairs reference ~c1 ~c2)
             then same := false);
@@ -187,7 +184,7 @@ let test_cdg_successors () =
   let cdg = Testutil.cdg_of_paths g paths in
   let p = paths.(2) in
   let succ = ref [] in
-  Cdg.iter_successors cdg p.(0) (fun c -> succ := c :: !succ);
+  Testutil.cdg_iter_successors cdg p.(0) (fun c -> succ := c :: !succ);
   check Alcotest.(list int) "single successor" [ p.(1) ] !succ;
   (* iter_edges visits every live edge exactly once *)
   let seen = ref 0 in
@@ -211,7 +208,7 @@ module Search = Oracles.Dfs_ref.Search
 
 let test_cycle_finds_and_resumes () =
   let g, paths = ring_fixture 5 in
-  let store = Route_store.of_paths g paths in
+  let store = Testutil.of_paths g paths in
   let cdg = Cdg.of_store store in
   let layer = Layer.create store cdg in
   let search = Search.create layer in
@@ -256,7 +253,7 @@ let test_cycle_none_on_acyclic () =
 
 let test_cycle_repeated_call_stable () =
   let g, paths = ring_fixture 5 in
-  let store = Route_store.of_paths g paths in
+  let store = Testutil.of_paths g paths in
   let search = Search.create (Layer.create store (Cdg.of_store store)) in
   match (Search.find_cycle search, Search.find_cycle search) with
   | Some c1, Some c2 -> check Alcotest.(array (pair int int)) "same cycle" c1 c2
@@ -269,19 +266,22 @@ let test_cycle_repeated_call_stable () =
 let test_heuristic_strings () =
   List.iter
     (fun h ->
-      match Heuristic.of_string (Heuristic.to_string h) with
-      | Ok h' -> Alcotest.(check bool) "round trip" true (h = h')
-      | Error e -> Alcotest.fail e)
+      (* the CLI's choice list maps each name back through [to_string] *)
+      let name = Heuristic.to_string h in
+      Alcotest.(check bool) "round trip" true
+        (List.filter (fun h' -> Heuristic.to_string h' = name) Heuristic.all = [ h ]))
     Heuristic.all;
-  Alcotest.(check bool) "unknown rejected" true (Result.is_error (Heuristic.of_string "bogus"));
-  (match Heuristic.of_string "first" with
-  | Ok Heuristic.First_edge -> ()
-  | _ -> Alcotest.fail "alias 'first'")
+  Alcotest.(check bool) "names are words" true
+    (List.for_all
+       (fun h ->
+         let name = Heuristic.to_string h in
+         name <> "" && not (String.contains name ' '))
+       Heuristic.all)
 
 let test_heuristic_choice () =
   let g, paths = ring_fixture 5 in
   (* double one edge's weight with an extra co-routed path *)
-  let store = Route_store.of_paths g (Array.append paths [| paths.(0) |]) in
+  let store = Testutil.of_paths g (Array.append paths [| paths.(0) |]) in
   let layer = Layer.create store (Cdg.of_store store) in
   let heavy = (paths.(0).(1), paths.(0).(2)) in
   let light = (paths.(1).(1), paths.(1).(2)) in
@@ -299,25 +299,25 @@ let test_heuristic_choice () =
 
 let test_layers_ring () =
   let g, paths = ring_fixture 5 in
-  match Layers.assign g ~paths ~max_layers:8 ~heuristic:Heuristic.Weakest with
+  match Layers.assign_store (Testutil.of_paths g paths) ~max_layers:8 ~heuristic:Heuristic.Weakest with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     check Alcotest.int "two layers suffice" 2 outcome.Layers.layers_used;
     Alcotest.(check bool) "broke at least one cycle" true (outcome.Layers.cycles_broken >= 1);
     Alcotest.(check bool) "all layers acyclic" true
-      (Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+      (Testutil.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
          ~num_layers:outcome.Layers.layers_used)
 
 let test_layers_budget_exhausted () =
   let g, paths = ring_fixture 5 in
-  match Layers.assign g ~paths ~max_layers:1 ~heuristic:Heuristic.Weakest with
+  match Layers.assign_store (Testutil.of_paths g paths) ~max_layers:1 ~heuristic:Heuristic.Weakest with
   | Error msg -> Alcotest.(check bool) "explains" true (Testutil.contains msg "no layer is left")
   | Ok _ -> Alcotest.fail "1 layer cannot be deadlock-free on the ring pattern"
 
 let test_layers_acyclic_input_stays_one_layer () =
   let g, paths = ring_fixture 7 in
   let some = [| paths.(0); paths.(2); paths.(4) |] in
-  match Layers.assign g ~paths:some ~max_layers:8 ~heuristic:Heuristic.Weakest with
+  match Layers.assign_store (Testutil.of_paths g some) ~max_layers:8 ~heuristic:Heuristic.Weakest with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     check Alcotest.int "one layer" 1 outcome.Layers.layers_used;
@@ -325,20 +325,20 @@ let test_layers_acyclic_input_stays_one_layer () =
 
 let test_layers_empty () =
   let g, _ = ring_fixture 5 in
-  match Layers.assign g ~paths:[||] ~max_layers:4 ~heuristic:Heuristic.Weakest with
+  match Layers.assign_store (Testutil.of_paths g [||]) ~max_layers:4 ~heuristic:Heuristic.Weakest with
   | Error e -> Alcotest.fail e
   | Ok outcome -> check Alcotest.int "trivial" 1 outcome.Layers.layers_used
 
 let test_layers_balance () =
   let g, paths = ring_fixture 5 in
-  match Layers.assign g ~paths ~max_layers:8 ~heuristic:Heuristic.Weakest with
+  match Layers.assign_store (Testutil.of_paths g paths) ~max_layers:8 ~heuristic:Heuristic.Weakest with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     let balanced, in_use = Layers.balance outcome ~max_layers:8 in
     check Alcotest.int "uses all layers" 8 in_use;
     (* balanced layers must still be acyclic *)
     Alcotest.(check bool) "balanced acyclic" true
-      (Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:balanced ~num_layers:8);
+      (Testutil.layers_acyclic g ~paths ~layer_of_path:balanced ~num_layers:8);
     (* balance must not mix original layers inside one new layer *)
     let origin = Array.make 8 (-1) in
     Array.iteri
@@ -365,10 +365,10 @@ let heuristics_all_sound_qcheck =
         let paths = Array.of_list !paths in
         List.for_all
           (fun h ->
-            match Layers.assign g ~paths ~max_layers:16 ~heuristic:h with
+            match Layers.assign_store (Testutil.of_paths g paths) ~max_layers:16 ~heuristic:h with
             | Error _ -> false
             | Ok outcome ->
-              Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+              Testutil.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
                 ~num_layers:outcome.Layers.layers_used)
           Heuristic.all)
 
@@ -391,7 +391,7 @@ let test_default_engine_is_scc () =
 
 let test_scc_condensation () =
   let g, paths = ring_fixture 5 in
-  let store = Route_store.of_paths g paths in
+  let store = Testutil.of_paths g paths in
   let cdg = Cdg.of_store store in
   let scc = Scc.of_cdg cdg in
   (* the 5 switch->switch channels form one cycle; every other channel is
@@ -420,9 +420,11 @@ let test_scc_self_loop_nontrivial () =
    path [i] under pair id [i]. *)
 let engines =
   [
-    ((fun g ~paths ~max_layers -> Layers.assign g ~paths ~max_layers ~heuristic:Heuristic.Weakest), "scc");
     ( (fun g ~paths ~max_layers ->
-        Oracles.Dfs_ref.assign_store (Route_store.of_paths g paths) ~max_layers
+        Layers.assign_store (Testutil.of_paths g paths) ~max_layers ~heuristic:Heuristic.Weakest),
+      "scc" );
+    ( (fun g ~paths ~max_layers ->
+        Oracles.Dfs_ref.assign_store (Testutil.of_paths g paths) ~max_layers
           ~heuristic:Heuristic.Weakest),
       "dfs" );
   ]
@@ -439,7 +441,7 @@ let test_layers_ring_both_engines () =
         Alcotest.(check bool)
           (name ^ ": acyclic layers")
           true
-          (Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
+          (Testutil.layers_acyclic g ~paths ~layer_of_path:outcome.Layers.layer_of_path
              ~num_layers:outcome.Layers.layers_used))
     engines
 
@@ -456,7 +458,7 @@ let test_layers_budget_both_engines () =
 let test_scc_acyclic_input () =
   let g, paths = ring_fixture 7 in
   let some = [| paths.(0); paths.(2); paths.(4) |] in
-  match Layers.assign g ~paths:some ~max_layers:8 ~heuristic:Heuristic.Weakest with
+  match Layers.assign_store (Testutil.of_paths g some) ~max_layers:8 ~heuristic:Heuristic.Weakest with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     check Alcotest.int "one layer" 1 outcome.Layers.layers_used;
@@ -472,7 +474,7 @@ let test_scc_domains_deterministic () =
     Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
     let paths = Array.of_list !paths in
     let run domains =
-      match Layers.assign ~domains g ~paths ~max_layers:16 ~heuristic:Heuristic.Weakest with
+      match Layers.assign_store ~domains (Testutil.of_paths g paths) ~max_layers:16 ~heuristic:Heuristic.Weakest with
       | Error e -> Alcotest.fail e
       | Ok o -> o
     in
@@ -498,7 +500,7 @@ let engines_agree_qcheck =
           | Error _ -> None
           | Ok o ->
             if
-              Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:o.Layers.layer_of_path
+              Testutil.layers_acyclic g ~paths ~layer_of_path:o.Layers.layer_of_path
                 ~num_layers:o.Layers.layers_used
             then Some o.Layers.layers_used
             else None
@@ -513,13 +515,13 @@ let engines_agree_qcheck =
 
 let test_online_ring () =
   let g, paths = ring_fixture 5 in
-  match Online.assign g ~paths ~max_layers:8 with
+  match Online.assign_store (Testutil.of_paths g paths) ~max_layers:8 with
   | Error e -> Alcotest.fail e
   | Ok outcome ->
     check Alcotest.int "two layers" 2 outcome.Online.layers_used;
     Alcotest.(check bool) "ran checks" true (outcome.Online.cycle_checks > 0);
     Alcotest.(check bool) "acyclic layers" true
-      (Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
+      (Testutil.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
          ~num_layers:outcome.Online.layers_used)
 
 (* The last ring path closes the cycle: the refusal names it by id and
@@ -533,7 +535,7 @@ let test_online_budget () =
       (name (Graph.channel g p.(0)).Channel.src)
       (name (Graph.channel g p.(Array.length p - 1)).Channel.dst)
   in
-  match Online.assign g ~paths ~max_layers:1 with
+  match Online.assign_store (Testutil.of_paths g paths) ~max_layers:1 with
   | Error msg -> check Alcotest.string "names the route" expected msg
   | Ok _ -> Alcotest.fail "should not fit one layer"
 
@@ -548,10 +550,10 @@ let online_matches_offline_soundness_qcheck =
         let paths = ref [] in
         Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
         let paths = Array.of_list !paths in
-        (match Online.assign g ~paths ~max_layers:16 with
+        (match Online.assign_store (Testutil.of_paths g paths) ~max_layers:16 with
         | Error _ -> false
         | Ok outcome ->
-          Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
+          Testutil.layers_acyclic g ~paths ~layer_of_path:outcome.Online.layer_of_path
             ~num_layers:outcome.Online.layers_used))
 
 (* Reference online placement: every present pair in id order into the
@@ -753,13 +755,13 @@ let online_matches_reference_qcheck =
         Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
         let paths = Array.of_list (List.rev !paths) in
         let reference =
-          reference_online (Route_store.of_paths g paths) ~max_layers:16
+          reference_online (Testutil.of_paths g paths) ~max_layers:16
         in
-        (match Online.assign g ~paths ~max_layers:16 with
+        (match Online.assign_store (Testutil.of_paths g paths) ~max_layers:16 with
         | Ok a ->
           Some a.Online.layer_of_path = reference
           && a.Online.layers_used = 1 + Array.fold_left max 0 a.Online.layer_of_path
-          && Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:a.Online.layer_of_path
+          && Testutil.layers_acyclic g ~paths ~layer_of_path:a.Online.layer_of_path
                ~num_layers:a.Online.layers_used
         | Error _ -> reference = None))
 
@@ -803,7 +805,7 @@ let test_app_edge_cases () =
   let empty = { App.num_nodes = 0; paths = [||] } in
   check Alcotest.(option int) "empty generator" (Some 0) (App.min_cover_exact empty);
   let gen = App.fig3_example in
-  check Alcotest.(option (array int)) "k > n impossible" None (App.find_cover gen ~k:4);
+  check Alcotest.(option (array int)) "k > n impossible" None (Testutil.app_find_cover gen ~k:4);
   check Alcotest.(option int) "max_k too small" None (App.min_cover_exact ~max_k:1 gen);
   (* complete graphs need n colors; cycles alternate 2/3 *)
   let complete n =
@@ -816,74 +818,74 @@ let test_app_edge_cases () =
     !edges
   in
   check Alcotest.(option int) "K4 needs 4" (Some 4)
-    (App.min_cover_exact (App.of_coloring ~num_vertices:4 ~edges:(complete 4)));
+    (App.min_cover_exact (Testutil.app_of_coloring ~num_vertices:4 ~edges:(complete 4)));
   let cycle n = List.init n (fun i -> (i, (i + 1) mod n)) in
   check Alcotest.(option int) "C6 needs 2" (Some 2)
-    (App.min_cover_exact (App.of_coloring ~num_vertices:6 ~edges:(cycle 6)));
+    (App.min_cover_exact (Testutil.app_of_coloring ~num_vertices:6 ~edges:(cycle 6)));
   check Alcotest.(option int) "C5 needs 3" (Some 3)
-    (App.min_cover_exact (App.of_coloring ~num_vertices:5 ~edges:(cycle 5)))
+    (App.min_cover_exact (Testutil.app_of_coloring ~num_vertices:5 ~edges:(cycle 5)))
 
 let test_app_fig3 () =
   let gen = App.fig3_example in
   (* p1 + p2 acyclic; all three cyclic *)
-  Alcotest.(check bool) "p1+p2 acyclic" true (App.induces_acyclic gen [ 0; 1 ]);
-  Alcotest.(check bool) "p3 alone acyclic" true (App.induces_acyclic gen [ 2 ]);
-  Alcotest.(check bool) "all cyclic" false (App.induces_acyclic gen [ 0; 1; 2 ]);
+  Alcotest.(check bool) "p1+p2 acyclic" true (Testutil.app_induces_acyclic gen [ 0; 1 ]);
+  Alcotest.(check bool) "p3 alone acyclic" true (Testutil.app_induces_acyclic gen [ 2 ]);
+  Alcotest.(check bool) "all cyclic" false (Testutil.app_induces_acyclic gen [ 0; 1; 2 ]);
   check Alcotest.(option int) "minimum cover" (Some 2) (App.min_cover_exact gen);
-  (match App.find_cover gen ~k:2 with
+  (match Testutil.app_find_cover gen ~k:2 with
   | None -> Alcotest.fail "2-cover must exist"
-  | Some a -> Alcotest.(check bool) "witness checks" true (App.is_cover gen ~assignment:a ~k:2));
-  check Alcotest.(option (array int)) "no 1-cover" None (App.find_cover gen ~k:1)
+  | Some a -> Alcotest.(check bool) "witness checks" true (Testutil.app_is_cover gen ~assignment:a ~k:2));
+  check Alcotest.(option (array int)) "no 1-cover" None (Testutil.app_find_cover gen ~k:1)
 
 let test_app_is_cover_conditions () =
   let gen = App.fig3_example in
   (* wrong length *)
-  Alcotest.(check bool) "wrong length" false (App.is_cover gen ~assignment:[| 0; 1 |] ~k:2);
+  Alcotest.(check bool) "wrong length" false (Testutil.app_is_cover gen ~assignment:[| 0; 1 |] ~k:2);
   (* empty class 1 *)
-  Alcotest.(check bool) "empty class" false (App.is_cover gen ~assignment:[| 0; 0; 0 |] ~k:2);
+  Alcotest.(check bool) "empty class" false (Testutil.app_is_cover gen ~assignment:[| 0; 0; 0 |] ~k:2);
   (* out of range class *)
-  Alcotest.(check bool) "class range" false (App.is_cover gen ~assignment:[| 0; 1; 2 |] ~k:2);
+  Alcotest.(check bool) "class range" false (Testutil.app_is_cover gen ~assignment:[| 0; 1; 2 |] ~k:2);
   (* cyclic class *)
-  Alcotest.(check bool) "cyclic class" false (App.is_cover gen ~assignment:[| 0; 0; 0 |] ~k:1)
+  Alcotest.(check bool) "cyclic class" false (Testutil.app_is_cover gen ~assignment:[| 0; 0; 0 |] ~k:1)
 
 let test_app_reduction_triangle () =
   let edges = [ (0, 1); (1, 2); (0, 2) ] in
-  let gen = App.of_coloring ~num_vertices:3 ~edges in
+  let gen = Testutil.app_of_coloring ~num_vertices:3 ~edges in
   check Alcotest.int "paths = vertices" 3 (Array.length gen.App.paths);
   check Alcotest.(option int) "chromatic 3" (Some 3)
-    (App.chromatic_number_exact ~num_vertices:3 ~edges ~max_k:5);
+    (Testutil.app_chromatic_number_exact ~num_vertices:3 ~edges ~max_k:5);
   check Alcotest.(option int) "cover 3" (Some 3) (App.min_cover_exact gen)
 
 let test_app_reduction_bipartite () =
   let edges = [ (0, 2); (0, 3); (1, 2); (1, 3) ] in
-  let gen = App.of_coloring ~num_vertices:4 ~edges in
+  let gen = Testutil.app_of_coloring ~num_vertices:4 ~edges in
   check Alcotest.(option int) "chromatic 2" (Some 2)
-    (App.chromatic_number_exact ~num_vertices:4 ~edges ~max_k:5);
+    (Testutil.app_chromatic_number_exact ~num_vertices:4 ~edges ~max_k:5);
   check Alcotest.(option int) "cover 2" (Some 2) (App.min_cover_exact gen)
 
 let test_app_reduction_edgeless () =
-  let gen = App.of_coloring ~num_vertices:4 ~edges:[] in
+  let gen = Testutil.app_of_coloring ~num_vertices:4 ~edges:[] in
   check Alcotest.(option int) "cover 1" (Some 1) (App.min_cover_exact gen)
 
 let test_app_of_coloring_errors () =
-  Alcotest.check_raises "self loop" (Invalid_argument "App.of_coloring: self loop") (fun () ->
-      ignore (App.of_coloring ~num_vertices:2 ~edges:[ (1, 1) ]));
-  Alcotest.check_raises "duplicate" (Invalid_argument "App.of_coloring: duplicate edge") (fun () ->
-      ignore (App.of_coloring ~num_vertices:2 ~edges:[ (0, 1); (1, 0) ]));
-  Alcotest.check_raises "range" (Invalid_argument "App.of_coloring: vertex out of range") (fun () ->
-      ignore (App.of_coloring ~num_vertices:2 ~edges:[ (0, 5) ]))
+  Alcotest.check_raises "self loop" (Invalid_argument "app_of_coloring: self loop") (fun () ->
+      ignore (Testutil.app_of_coloring ~num_vertices:2 ~edges:[ (1, 1) ]));
+  Alcotest.check_raises "duplicate" (Invalid_argument "app_of_coloring: duplicate edge") (fun () ->
+      ignore (Testutil.app_of_coloring ~num_vertices:2 ~edges:[ (0, 1); (1, 0) ]));
+  Alcotest.check_raises "range" (Invalid_argument "app_of_coloring: vertex out of range") (fun () ->
+      ignore (Testutil.app_of_coloring ~num_vertices:2 ~edges:[ (0, 5) ]))
 
 (* The executable heart of Theorem 1: on random small graphs, the minimum
    cover of the reduced APP instance equals the chromatic number. *)
 let test_app_cover_to_coloring () =
   let edges = [ (0, 1); (1, 2); (2, 3); (3, 0) ] (* C4, chromatic 2 *) in
-  let gen = App.of_coloring ~num_vertices:4 ~edges in
-  match App.find_cover gen ~k:2 with
+  let gen = Testutil.app_of_coloring ~num_vertices:4 ~edges in
+  match Testutil.app_find_cover gen ~k:2 with
   | None -> Alcotest.fail "C4 has a 2-cover"
   | Some assignment ->
-    let color = App.coloring_of_cover ~num_vertices:4 ~assignment in
+    let color = Testutil.app_coloring_of_cover ~num_vertices:4 ~assignment in
     Alcotest.(check bool) "cover induces a proper coloring" true
-      (App.is_proper_coloring ~edges color)
+      (Testutil.app_is_proper_coloring ~edges color)
 
 let cover_to_coloring_qcheck =
   qtest ~count:30 "Theorem 1 (<=): every cover of a reduction is a coloring"
@@ -897,14 +899,14 @@ let cover_to_coloring_qcheck =
                if a = b then None else Some (min a b, max a b))
              raw_edges)
       in
-      let gen = App.of_coloring ~num_vertices:n ~edges in
+      let gen = Testutil.app_of_coloring ~num_vertices:n ~edges in
       match App.min_cover_exact gen with
       | None -> false
       | Some k -> (
-        match App.find_cover gen ~k with
+        match Testutil.app_find_cover gen ~k with
         | None -> false
         | Some assignment ->
-          App.is_proper_coloring ~edges (App.coloring_of_cover ~num_vertices:n ~assignment)))
+          Testutil.app_is_proper_coloring ~edges (Testutil.app_coloring_of_cover ~num_vertices:n ~assignment)))
 
 let app_reduction_qcheck =
   qtest ~count:40 "Theorem 1 reduction: min cover = chromatic number"
@@ -918,8 +920,8 @@ let app_reduction_qcheck =
                if a = b then None else Some (min a b, max a b))
              raw_edges)
       in
-      let gen = App.of_coloring ~num_vertices:n ~edges in
-      App.chromatic_number_exact ~num_vertices:n ~edges ~max_k:n = App.min_cover_exact gen)
+      let gen = Testutil.app_of_coloring ~num_vertices:n ~edges in
+      Testutil.app_chromatic_number_exact ~num_vertices:n ~edges ~max_k:n = App.min_cover_exact gen)
 
 let () =
   Alcotest.run "cdg"

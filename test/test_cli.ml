@@ -82,6 +82,14 @@ let test_out_of_range_counts () =
     ]
 
 (* The largest layer budget is accepted and balanced over in full. *)
+(* A spec whose size overflows an int is refused up front, naming the
+   node bound, rather than building an empty fabric (hypercube:63) or
+   failing inside an allocation. *)
+let test_oversized_specs () =
+  List.iter
+    (fun spec -> usage_error [ "info"; spec ] ~naming:(string_of_int Builder.max_nodes))
+    [ "hypercube:63"; "hypercube:62"; "tree:2,62" ]
+
 let test_max_layers_256 () =
   let stdout = succeeds [ "route"; "ring:8"; "--balance"; "--max-layers"; "256" ] in
   Alcotest.(check bool) "deadlock-free" true (Testutil.contains stdout "deadlock_free=true")
@@ -241,5 +249,6 @@ let () =
           Alcotest.test_case "manage --trace writes parseable spans; trace is gone" `Quick test_manage_trace;
           Alcotest.test_case "--domains never changes the served tables" `Quick test_domains_keep_tables;
           Alcotest.test_case "--domains past the domain limit is a usage error" `Quick test_domains_over_limit;
+          Alcotest.test_case "oversized specs are usage errors naming the node bound" `Quick test_oversized_specs;
         ] );
     ]

@@ -26,7 +26,7 @@ let fixtures =
       ("tree62", Topo_tree.make ~k:6 ~n:2 ());
       ("xgft", Topo_xgft.make ~ms:[| 4; 4 |] ~ws:[| 2; 2 |] ~endpoints:48);
       ("kautz", Topo_kautz.make ~b:2 ~n:3 ~endpoints:36);
-      ("odin", (Clusters.odin ~scale:4 ()).Clusters.graph);
+      ("odin", (Testutil.cluster ~scale:4 "odin").Clusters.graph);
       ("deimos", (Clusters.deimos ~scale:8 ()).Clusters.graph);
     ]
 
@@ -177,7 +177,7 @@ let test_multipath_basics () =
   | Error e -> Alcotest.fail (Dfsssp.error_to_string e)
   | Ok mp ->
     check Alcotest.int "two planes" 2 (Array.length (Dfsssp.Multipath.planes mp));
-    Alcotest.(check bool) "jointly deadlock free" true (Dfsssp.Multipath.deadlock_free mp);
+    Alcotest.(check bool) "jointly deadlock free" true (Testutil.multipath_deadlock_free mp);
     (* every plane individually routes everything, minimally *)
     Array.iter
       (fun ft ->
@@ -193,8 +193,8 @@ let test_multipath_basics () =
         Array.iter
           (fun dst ->
             if src <> dst then begin
-              let p0 = Dfsssp.Multipath.path mp ~plane:0 ~src ~dst in
-              let p1 = Dfsssp.Multipath.path mp ~plane:1 ~src ~dst in
+              let p0 = Routing.Ftable.path (Dfsssp.Multipath.planes mp).(0) ~src ~dst in
+              let p1 = Routing.Ftable.path (Dfsssp.Multipath.planes mp).(1) ~src ~dst in
               if p0 <> p1 then differs := true
             end)
           ts)
@@ -205,8 +205,9 @@ let test_multipath_basics () =
     let paths = Dfsssp.Multipath.spread_paths mp ~flows in
     check Alcotest.int "one path per flow" 3 (Array.length paths);
     check Alcotest.int "self flow empty" 0 (Array.length paths.(2));
-    Alcotest.check_raises "plane range" (Invalid_argument "Multipath.path: plane out of range")
-      (fun () -> ignore (Dfsssp.Multipath.path mp ~plane:9 ~src:ts.(0) ~dst:ts.(1)))
+    check Alcotest.(array int) "flow i rides plane i mod planes"
+      (Option.get (Routing.Ftable.path (Dfsssp.Multipath.planes mp).(1) ~src:ts.(1) ~dst:ts.(2)))
+      paths.(1)
 
 let test_multipath_joint_layers () =
   (* the joint lane bill can exceed a single plane's *)

@@ -73,7 +73,7 @@ let test_disable_restore_id_stable () =
   | Error msg -> Alcotest.failf "disable: %s" msg
   | Ok (g', chans) ->
     check Alcotest.int "channel ids preserved" nc (Graph.num_channels g');
-    check Alcotest.int "two directed channels down" (nc - 2) (Graph.num_enabled_channels g');
+    check Alcotest.int "two directed channels down" (nc - 2) (Testutil.num_enabled_channels g');
     List.iter (fun c -> check Alcotest.bool "disabled" false (Graph.channel_enabled g' c)) chans;
     check Alcotest.(list int) "disabled_cables lists the pair" [ List.hd chans ] (Degrade.disabled_cables g');
     check Alcotest.bool "still connected" true (Graph.connected g');
@@ -86,7 +86,7 @@ let test_disable_restore_id_stable () =
     | Error msg -> Alcotest.failf "restore: %s" msg
     | Ok (g'', chans') ->
       check Alcotest.(list int) "same pair restored" chans chans';
-      check Alcotest.int "all channels back" nc (Graph.num_enabled_channels g'');
+      check Alcotest.int "all channels back" nc (Testutil.num_enabled_channels g'');
       check Alcotest.(list int) "nothing left disabled" [] (Degrade.disabled_cables g''))
 
 let test_disable_rejections () =
@@ -145,7 +145,7 @@ let test_remove_switch_drops_disabled () =
   | Error msg -> Alcotest.failf "remove_switch: %s" msg
   | Ok g2 ->
     check Alcotest.int "rebuilt fabric has no disabled channels" (Graph.num_channels g2)
-      (Graph.num_enabled_channels g2);
+      (Testutil.num_enabled_channels g2);
     let survived =
       Array.exists
         (fun (c : Channel.t) ->
@@ -422,7 +422,7 @@ let test_manager_acceptance_4x4x4 () =
   check Alcotest.bool "schedule removes a switch" true
     (List.exists (function Fabric.Event.Switch_remove _ -> true | _ -> false) schedule);
   let mgr = Result.get_ok (Fabric.Manager.create g) in
-  let outcomes = Fabric.Manager.run mgr schedule in
+  let outcomes = List.map (Fabric.Manager.apply mgr) schedule in
   let full = ref 0 in
   List.iter
     (fun (o : Fabric.Manager.outcome) ->
@@ -597,7 +597,12 @@ let test_stage_timers_per_create () =
         Fabric.Manager.shutdown mgr;
         List.iter2
           (fun name b -> check Alcotest.int (name ^ ": one sample per create") (b + 1) (timer_count name))
-          stage_timers before
+          stage_timers before;
+        (* the bring-up's route stage is timed like its verify stage *)
+        let m = Fabric.Manager.metrics mgr in
+        check Alcotest.int "fabric.repair: one sample per create" 1 (Obs.Timer.count m.Fabric.Metrics.repair);
+        check Alcotest.int "fabric.verify: one sample per create" 1 (Obs.Timer.count m.Fabric.Metrics.verify);
+        Alcotest.(check bool) "bring-up route time > 0" true (Obs.Timer.sum_s m.Fabric.Metrics.repair > 0.0)
       done)
 
 (* Every pair's snapshot slice is the table walk. *)

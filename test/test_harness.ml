@@ -3,7 +3,7 @@
 
 let check = Alcotest.check
 
-let cells row = List.map Harness.Report.cell_to_string row
+let cells row = List.map Testutil.cell_text row
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                               *)
@@ -18,25 +18,35 @@ let sample_table =
   }
 
 let test_cell_to_string () =
-  check Alcotest.string "str" "abc" (Harness.Report.cell_to_string (Harness.Report.Str "abc"));
-  check Alcotest.string "int" "7" (Harness.Report.cell_to_string (Harness.Report.Int 7));
-  check Alcotest.string "flt" "0.1235" (Harness.Report.cell_to_string (Harness.Report.Flt 0.12345));
-  check Alcotest.string "pct" "+12.3%" (Harness.Report.cell_to_string (Harness.Report.Pct 0.123));
-  check Alcotest.string "pct negative" "-5.0%" (Harness.Report.cell_to_string (Harness.Report.Pct (-0.05)));
-  check Alcotest.string "missing" "-" (Harness.Report.cell_to_string Harness.Report.Missing);
-  check Alcotest.string "time us" "12.0us" (Harness.Report.cell_to_string (Harness.Report.Time 12e-6));
-  check Alcotest.string "time ms" "3.40ms" (Harness.Report.cell_to_string (Harness.Report.Time 3.4e-3));
-  check Alcotest.string "time s" "2.50s" (Harness.Report.cell_to_string (Harness.Report.Time 2.5))
+  let cases =
+    Harness.Report.
+      [
+        ("str", Str "abc", "abc");
+        ("int", Int 7, "7");
+        ("flt", Flt 0.12345, "0.1235");
+        ("pct", Pct 0.123, "+12.3%");
+        ("pct negative", Pct (-0.05), "-5.0%");
+        ("missing", Missing, "-");
+        ("time us", Time 12e-6, "12.0us");
+        ("time ms", Time 3.4e-3, "3.40ms");
+        ("time s", Time 2.5, "2.50s");
+      ]
+  in
+  let t = { sample_table with Harness.Report.columns = [ "cell" ]; rows = List.map (fun (_, c, _) -> [ c ]) cases } in
+  let rendered = List.tl (Testutil.lines (Testutil.csv_of t)) in
+  List.iter2 (fun (name, _, want) got -> check Alcotest.string name want got) cases rendered;
+  (* the test-side rendering the other cases compare against agrees *)
+  List.iter (fun (name, c, want) -> check Alcotest.string (name ^ " (cells)") want (Testutil.cell_text c)) cases
 
 let test_render () =
-  let text = Harness.Report.render sample_table in
+  let text = Testutil.capture_stdout (fun () -> Harness.Report.print sample_table) in
   Alcotest.(check bool) "title" true (Testutil.contains text "Sample");
   Alcotest.(check bool) "header" true (Testutil.contains text "name");
   Alcotest.(check bool) "cell" true (Testutil.contains text "42");
   Alcotest.(check bool) "note" true (Testutil.contains text "note: a note")
 
 let test_csv () =
-  let csv = Harness.Report.to_csv sample_table in
+  let csv = Testutil.csv_of sample_table in
   let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
   check Alcotest.int "line count" 3 (List.length lines);
   check Alcotest.string "header" "name,value" (List.nth lines 0);
@@ -45,7 +55,7 @@ let test_csv () =
   let tricky =
     { sample_table with Harness.Report.rows = [ [ Harness.Report.Str "a,b"; Harness.Report.Str "q\"uote" ] ] }
   in
-  let csv = Harness.Report.to_csv tricky in
+  let csv = Testutil.csv_of tricky in
   Alcotest.(check bool) "comma quoted" true (Testutil.contains csv "\"a,b\"");
   Alcotest.(check bool) "quote doubled" true (Testutil.contains csv "\"q\"\"uote\"")
 
@@ -62,7 +72,7 @@ let test_save_csv () =
 (* ------------------------------------------------------------------ *)
 
 let test_tableone_rows () =
-  check Alcotest.int "seven rows" 7 (List.length Harness.Tableone.rows);
+  check Alcotest.int "seven rows" 7 (List.length (Harness.Tableone.rows_up_to max_int));
   check Alcotest.int "rows up to 512" 4 (List.length (Harness.Tableone.rows_up_to 512));
   List.iter
     (fun (r : Harness.Tableone.row) ->
@@ -104,7 +114,7 @@ let test_cells () =
   | _ -> Alcotest.fail "expected Missing for dor");
   (match Harness.Runs.vl_cell "dfsssp" g with
   | Harness.Report.Int 1 -> ()
-  | c -> Alcotest.failf "expected 1 layer on a fat tree, got %s" (Harness.Report.cell_to_string c));
+  | c -> Alcotest.failf "expected 1 layer on a fat tree, got %s" (Testutil.cell_text c));
   match Harness.Runs.runtime_cell "minhop" g with
   | Harness.Report.Time t -> Alcotest.(check bool) "positive time" true (t >= 0.0)
   | _ -> Alcotest.fail "expected Time"
@@ -248,7 +258,7 @@ let test_fig13_monotone () =
       (fun row ->
         match List.nth row col with
         | Harness.Report.Time v -> v
-        | c -> Alcotest.failf "expected Time, got %s" (Harness.Report.cell_to_string c))
+        | c -> Alcotest.failf "expected Time, got %s" (Testutil.cell_text c))
       t.Harness.Report.rows
   in
   List.iteri
@@ -269,9 +279,9 @@ let test_nas_figures_small () =
       let t : Harness.Report.table = fig () in
       Alcotest.(check bool) (t.Harness.Report.title ^ " nonempty") true (t.Harness.Report.rows <> []))
     [
-      (fun () -> Harness.Fig_deimos.fig14 ~scale:16 ~cores:[ 16; 32 ] ());
-      (fun () -> Harness.Fig_deimos.fig15 ~scale:16 ~cores:[ 16; 32 ] ());
-      (fun () -> Harness.Fig_deimos.fig16 ~scale:16 ~cores:[ 16; 32 ] ());
+      (fun () -> Result.get_ok (Harness.Fig_deimos.nas_figure ~kernel:"BT" ~scale:16 ~cores:[ 16; 32 ] ()));
+      (fun () -> Result.get_ok (Harness.Fig_deimos.nas_figure ~kernel:"SP" ~scale:16 ~cores:[ 16; 32 ] ()));
+      (fun () -> Result.get_ok (Harness.Fig_deimos.nas_figure ~kernel:"FT" ~scale:16 ~cores:[ 16; 32 ] ()));
     ]
 
 let test_nas_figure_unknown_kernel () =
@@ -359,6 +369,25 @@ let test_topospec_cluster_and_errors () =
   (match Harness.Topospec.parse "kautz:2,0" with
   | Error msg -> Alcotest.(check bool) "names n" true (Testutil.contains msg "kautz: n 0")
   | Ok _ -> Alcotest.fail "kautz word length 0 accepted");
+  (* sizes that are powers of the spec's parameters are computed without
+     overflow and refused over the node bound, which the refusal names *)
+  List.iter
+    (fun spec ->
+      match Harness.Topospec.parse spec with
+      | Error msg ->
+        Alcotest.(check bool) (spec ^ " names the node bound") true
+          (Testutil.contains msg (string_of_int Builder.max_nodes))
+      | Ok t -> Alcotest.failf "%s accepted with %d nodes" spec (Graph.num_nodes t.Harness.Topospec.graph))
+    [
+      "hypercube:63";
+      "hypercube:62";
+      "tree:2,62";
+      "dragonfly:100000,1,1";
+      "ring:300000000";
+      "random:2000000,4,10,10";
+      "jellyfish:2000000,10,5";
+      "xpander:3,1000000";
+    ];
   match Harness.Topospec.parse "cluster:chic:0" with
   | Error msg -> Alcotest.(check bool) "names the scale token" true (Testutil.contains msg "\"0\"")
   | Ok _ -> Alcotest.fail "zero cluster scale accepted"
@@ -366,7 +395,7 @@ let test_topospec_cluster_and_errors () =
 let test_topospec_file_roundtrip () =
   let g = Topo_ring.make ~switches:4 ~terminals_per_switch:1 in
   let path = Filename.temp_file "topo" ".txt" in
-  Serial.save path g;
+  Testutil.write_file path (Serial.to_string g);
   let t = spec_ok ("file:" ^ path) in
   check Alcotest.int "nodes" (Graph.num_nodes g) (Graph.num_nodes t.Harness.Topospec.graph);
   Sys.remove path

@@ -44,7 +44,7 @@ let test_dot_roundtrip_qcheck =
   Testutil.qtest ~count:40 "write_dot/parse_dot round-trips strict" Testutil.seed_gen (fun seed ->
       let g = sample_graph seed in
       let text = Topo_import.write_dot g in
-      let imported = ok_exn (Topo_import.parse_dot ~mode:Topo_import.Strict text) in
+      let imported = ok_exn (Testutil.parse_dot ~mode:Topo_import.Strict text) in
       imported.Topo_import.diags = []
       && canonical imported.Topo_import.graph = canonical g)
 
@@ -52,18 +52,18 @@ let test_edge_list_roundtrip_qcheck =
   Testutil.qtest ~count:40 "write_edge_list/parse_edge_list round-trips the switch level"
     Testutil.seed_gen (fun seed ->
       let g = sample_graph seed in
-      let text = Topo_import.write_edge_list g in
+      let text = Testutil.write_edge_list g in
       let imported =
         ok_exn
-          (Topo_import.parse_edge_list ~mode:Topo_import.Strict ~terminals_per_switch:0 text)
+          (Testutil.parse_edge_list ~mode:Topo_import.Strict ~terminals_per_switch:0 text)
       in
-      Topo_import.write_edge_list imported.Topo_import.graph = text)
+      Testutil.write_edge_list imported.Topo_import.graph = text)
 
 let test_dot_mult_and_terminals () =
   let text =
     "graph g {\n  h0 [kind=terminal];\n  h1 [kind=terminal];\n  a -- b [mult=2];\n  b -- c;\n  c -- a;\n  h0 -- a;\n  h1 -- c;\n}\n"
   in
-  let imported = ok_exn (Topo_import.parse_dot ~mode:Topo_import.Strict text) in
+  let imported = ok_exn (Testutil.parse_dot ~mode:Topo_import.Strict text) in
   let g = imported.Topo_import.graph in
   check Alcotest.int "switches" 3 (Graph.num_switches g);
   check Alcotest.int "declared terminals kept" 2 (Graph.num_terminals g);
@@ -73,27 +73,27 @@ let test_dot_mult_and_terminals () =
 
 let test_digraph_pairing () =
   let text = "digraph g {\n  a -> b; b -> a;\n  b -> c; c -> b;\n  c -> a; a -> c;\n}\n" in
-  let imported = ok_exn (Topo_import.parse_dot ~mode:Topo_import.Strict text) in
+  let imported = ok_exn (Testutil.parse_dot ~mode:Topo_import.Strict text) in
   let g = imported.Topo_import.graph in
   check Alcotest.int "three cables plus terminals" (3 * 2 + 6) (Graph.num_channels g);
   check Alcotest.int "synthetic terminals" 3 (Graph.num_terminals g)
 
 let test_synthetic_terminals_only_when_none_declared () =
   let with_decl = "graph g {\n  t [kind=terminal];\n  a -- b;\n  t -- a;\n}\n" in
-  let imported = ok_exn (Topo_import.parse_dot with_decl) in
+  let imported = ok_exn (Testutil.parse_dot with_decl) in
   check Alcotest.int "no synthetic next to declared" 1
     (Graph.num_terminals imported.Topo_import.graph);
   let bare = "graph g { a -- b; }" in
-  let imported = ok_exn (Topo_import.parse_dot ~terminals_per_switch:2 bare) in
+  let imported = ok_exn (Testutil.parse_dot ~terminals_per_switch:2 bare) in
   check Alcotest.int "two synthetic per switch" 4 (Graph.num_terminals imported.Topo_import.graph)
 
 (* ------------------------------------------------------------------ *)
 (* Malformed-input rejection corpus                                     *)
 (* ------------------------------------------------------------------ *)
 
-let dot_strict text = Topo_import.parse_dot ~mode:Topo_import.Strict text
+let dot_strict text = Testutil.parse_dot ~mode:Topo_import.Strict text
 
-let edge_strict text = Topo_import.parse_edge_list ~mode:Topo_import.Strict text
+let edge_strict text = Testutil.parse_edge_list ~mode:Topo_import.Strict text
 
 let rejection_corpus =
   [
@@ -146,7 +146,7 @@ let test_lenient_repairs () =
     \  x -- y;\n\
      }\n"
   in
-  let imported = ok_exn (Topo_import.parse_dot ~mode:Topo_import.Lenient text) in
+  let imported = ok_exn (Testutil.parse_dot ~mode:Topo_import.Lenient text) in
   check Alcotest.int "three repairs" 3 (List.length imported.Topo_import.diags);
   check Alcotest.int "island dropped" 2 imported.Topo_import.dropped_nodes;
   let g = imported.Topo_import.graph in
@@ -165,13 +165,16 @@ let test_lenient_repairs () =
     imported.Topo_import.diags
 
 let test_sniff () =
-  check Alcotest.bool "dot by extension" true
-    (Topo_import.sniff ~path:"x.dot" "whatever" = Topo_import.Dot);
-  check Alcotest.bool "edges by extension" true
-    (Topo_import.sniff ~path:"x.edges" "graph {}" = Topo_import.Edge_list);
-  check Alcotest.bool "dot by content" true
-    (Topo_import.sniff "// c\ndigraph g {}" = Topo_import.Dot);
-  check Alcotest.bool "edge list by content" true (Topo_import.sniff "a b\n" = Topo_import.Edge_list)
+  (* [load] picks the format from the extension, else from the first
+     word; each file below parses under the format picked and would not
+     parse (or would parse differently) under the other *)
+  let switches ?suffix text =
+    Result.map (fun i -> Graph.num_switches i.Topo_import.graph) (Testutil.import ?suffix text)
+  in
+  check Alcotest.bool "dot by extension" true (Result.is_error (switches ~suffix:".dot" "a b\n"));
+  check Alcotest.(result int string) "edges by extension" (Ok 2) (switches ~suffix:".edges" "graph {}");
+  check Alcotest.(result int string) "dot by content" (Ok 2) (switches "// c\ndigraph g { a -> b; b -> a }");
+  check Alcotest.(result int string) "edge list by content" (Ok 2) (switches "a b\n")
 
 (* ------------------------------------------------------------------ *)
 (* Serial interop (imported graphs survive serialize/deserialize)       *)
@@ -181,7 +184,7 @@ let test_serial_interop_qcheck =
   Testutil.qtest ~count:25 "imported graphs survive Serial round-trips with identical CDG builds"
     Testutil.seed_gen (fun seed ->
       let g = sample_graph seed in
-      let imported = ok_exn (Topo_import.parse_dot (Topo_import.write_dot g)) in
+      let imported = ok_exn (Testutil.parse_dot (Topo_import.write_dot g)) in
       let g1 = imported.Topo_import.graph in
       let g2 = Result.get_ok (Serial.of_string (Serial.to_string g1)) in
       (* canonical form is stable across the round trip *)

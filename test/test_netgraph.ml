@@ -10,30 +10,33 @@ let qtest ?(count = 100) name gen prop = QCheck_alcotest.to_alcotest (QCheck2.Te
 (* Rng                                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The next draw over the generator's whole non-negative range. *)
+let draw rng = Rng.int rng max_int
+
 let test_rng_determinism () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    check Alcotest.int64 "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    check Alcotest.int "same stream" (draw a) (draw b)
   done
 
 let test_rng_seeds_differ () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Rng.bits64 a = Rng.bits64 b then incr same
+    if draw a = draw b then incr same
   done;
   Alcotest.(check bool) "streams differ" true (!same < 4)
 
 let test_rng_copy () =
   let a = Rng.create 7 in
-  let _ = Rng.bits64 a in
+  let _ = draw a in
   let b = Rng.copy a in
-  check Alcotest.int64 "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
+  check Alcotest.int "copy continues identically" (draw a) (draw b)
 
 let test_rng_split () =
   let a = Rng.create 7 in
   let b = Rng.split a in
-  let xa = Rng.bits64 a and xb = Rng.bits64 b in
+  let xa = draw a and xb = draw b in
   Alcotest.(check bool) "split stream differs" true (xa <> xb)
 
 let test_rng_int_bounds () =
@@ -96,13 +99,12 @@ let rng_qcheck =
 
 let test_heap_basic () =
   let h = Heap.create 10 in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
+  check Alcotest.int "empty" 0 (Heap.size h);
   Heap.insert h 3 30;
   Heap.insert h 1 10;
   Heap.insert h 2 20;
   check Alcotest.int "size" 3 (Heap.size h);
   Alcotest.(check bool) "mem" true (Heap.mem h 2);
-  check Alcotest.int "priority" 20 (Heap.priority h 2);
   check Alcotest.(option (pair int int)) "min" (Some (1, 10)) (Heap.pop_min h);
   check Alcotest.(option (pair int int)) "next" (Some (2, 20)) (Heap.pop_min h);
   check Alcotest.(option (pair int int)) "last" (Some (3, 30)) (Heap.pop_min h);
@@ -112,19 +114,19 @@ let test_heap_decrease () =
   let h = Heap.create 5 in
   Heap.insert h 0 100;
   Heap.insert h 1 50;
-  Heap.decrease h 0 10;
+  Heap.insert_or_decrease h 0 10;
   check Alcotest.(option (pair int int)) "decreased wins" (Some (0, 10)) (Heap.pop_min h);
-  Alcotest.check_raises "decrease absent" (Invalid_argument "Heap.decrease: absent") (fun () ->
-      Heap.decrease h 3 1);
-  Alcotest.check_raises "increase rejected" (Invalid_argument "Heap.decrease: priority increase")
-    (fun () -> Heap.decrease h 1 60)
+  Heap.insert_or_decrease h 1 60;
+  check Alcotest.(option (pair int int)) "increase ignored" (Some (1, 50)) (Heap.pop_min h);
+  Heap.insert_or_decrease h 3 1;
+  check Alcotest.(option (pair int int)) "absent inserted" (Some (3, 1)) (Heap.pop_min h)
 
 let test_heap_insert_or_decrease () =
   let h = Heap.create 4 in
   Heap.insert_or_decrease h 2 9;
   Heap.insert_or_decrease h 2 4;
   Heap.insert_or_decrease h 2 7 (* no-op *);
-  check Alcotest.int "kept lower" 4 (Heap.priority h 2)
+  check Alcotest.(option (pair int int)) "kept lower" (Some (2, 4)) (Heap.pop_min h)
 
 let test_heap_duplicate_insert () =
   let h = Heap.create 4 in
@@ -137,7 +139,7 @@ let test_heap_clear () =
   Heap.insert h 0 1;
   Heap.insert h 1 2;
   Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
+  check Alcotest.int "cleared" 0 (Heap.size h);
   Alcotest.(check bool) "not mem" false (Heap.mem h 0);
   Heap.insert h 0 3;
   check Alcotest.(option (pair int int)) "reusable" (Some (0, 3)) (Heap.pop_min h)
@@ -153,10 +155,9 @@ let test_heap_generation_clear () =
     Alcotest.(check bool) "mem in-generation" true (Heap.mem h 5);
     Heap.clear h;
     Alcotest.(check bool) "stale mem invalidated" false (Heap.mem h 5);
-    Alcotest.(check bool) "empty after clear" true (Heap.is_empty h)
+    check Alcotest.int "empty after clear" 0 (Heap.size h)
   done;
   Heap.insert h 5 7;
-  check Alcotest.int "fresh generation priority" 7 (Heap.priority h 5);
   check Alcotest.(option (pair int int)) "fresh pop" (Some (5, 7)) (Heap.pop_min h)
 
 let heap_sort_qcheck =
@@ -191,7 +192,7 @@ let heap_decrease_qcheck =
         let i = Rng.int rng n in
         if Heap.mem h i && current.(i) > 1 then begin
           let p = Rng.int rng current.(i) in
-          Heap.decrease h i p;
+          Heap.insert_or_decrease h i p;
           current.(i) <- p
         end
       done;
@@ -211,11 +212,11 @@ let test_dsu () =
   check Alcotest.int "initial count" 6 (Dsu.count d);
   Alcotest.(check bool) "fresh union" true (Dsu.union d 0 1);
   Alcotest.(check bool) "repeat union" false (Dsu.union d 1 0);
-  Alcotest.(check bool) "same" true (Dsu.same d 0 1);
-  Alcotest.(check bool) "not same" false (Dsu.same d 0 2);
+  Alcotest.(check bool) "same" true (Dsu.find d 0 = Dsu.find d 1);
+  Alcotest.(check bool) "not same" false (Dsu.find d 0 = Dsu.find d 2);
   ignore (Dsu.union d 2 3);
   ignore (Dsu.union d 1 3);
-  Alcotest.(check bool) "transitive" true (Dsu.same d 0 2);
+  Alcotest.(check bool) "transitive" true (Dsu.find d 0 = Dsu.find d 2);
   check Alcotest.int "count after unions" 3 (Dsu.count d)
 
 let dsu_qcheck =
@@ -279,8 +280,12 @@ let test_builder_link_count () =
   let s1 = Builder.add_switch b ~name:"s1" in
   ignore (Builder.add_link b s0 s1);
   ignore (Builder.add_link b s1 s0);
-  check Alcotest.int "parallel cables counted" 2 (Builder.link_count b s0 s1);
-  check Alcotest.int "order-insensitive" 2 (Builder.link_count b s1 s0)
+  let g = Builder.build b in
+  let cables a b' =
+    Array.fold_left (fun n c -> if (Graph.channel g c).Channel.dst = b' then n + 1 else n) 0 (Graph.out_channels g a)
+  in
+  check Alcotest.int "parallel cables counted" 2 (cables s0 s1);
+  check Alcotest.int "order-insensitive" 2 (cables s1 s0)
 
 let test_graph_validate_rejects () =
   (* terminal with two cables *)
@@ -356,7 +361,7 @@ let test_cluster_structure () =
     (Graph.channels d);
   check Alcotest.int "30 trunk cables" 30 !trunks;
   (* odin: 144-port director = 12 leaves + 6 spines *)
-  let o = (Clusters.odin ()).Clusters.graph in
+  let o = (Testutil.cluster "odin").Clusters.graph in
   check Alcotest.int "odin chips" 18 (Graph.num_switches o);
   check Alcotest.int "odin nodes" 128 (Graph.num_terminals o)
 
@@ -471,19 +476,19 @@ let test_path () =
   let inj = (Graph.out_channels g t0).(0) in
   let eject = (Graph.in_channels g t1).(0) in
   let p = [| inj; c01; eject |] in
-  Alcotest.(check bool) "consistent" true (Path.is_consistent g p);
-  Alcotest.(check bool) "simple" true (Path.is_simple g p);
-  check Alcotest.int "source" t0 (Path.source g p);
-  check Alcotest.int "target" t1 (Path.target g p);
+  Alcotest.(check bool) "consistent" true (Testutil.path_is_consistent g p);
+  Alcotest.(check bool) "simple" true (Testutil.path_is_simple g p);
+  check Alcotest.int "source" t0 (Testutil.path_source g p);
+  check Alcotest.int "target" t1 (Testutil.path_target g p);
   check Alcotest.int "length" 3 (Path.length p);
   check Alcotest.int "node count" 4 (Array.length (Path.node_sequence g p));
   check
     Alcotest.(list (pair int int))
     "dependencies"
     [ (inj, c01); (c01, eject) ]
-    (Path.dependencies p);
+    (Testutil.path_dependencies p);
   let bad = [| c01; inj |] in
-  Alcotest.(check bool) "inconsistent detected" false (Path.is_consistent g bad)
+  Alcotest.(check bool) "inconsistent detected" false (Testutil.path_is_consistent g bad)
 
 let test_path_simple_rejects_revisit () =
   let g = Topo_ring.make ~switches:3 ~terminals_per_switch:0 in
@@ -494,8 +499,8 @@ let test_path_simple_rejects_revisit () =
     !found
   in
   let p = [| chan 0 1; chan 1 2; chan 2 0 |] in
-  Alcotest.(check bool) "consistent loop" true (Path.is_consistent g p);
-  Alcotest.(check bool) "not simple" false (Path.is_simple g p)
+  Alcotest.(check bool) "consistent loop" true (Testutil.path_is_consistent g p);
+  Alcotest.(check bool) "not simple" false (Testutil.path_is_simple g p)
 
 (* ------------------------------------------------------------------ *)
 (* Coords                                                               *)
@@ -503,7 +508,7 @@ let test_path_simple_rejects_revisit () =
 
 let test_coords () =
   let c = Coords.make ~dims:[| 3; 4 |] ~wrap:[| true; false |] in
-  check Alcotest.int "dims" 2 (Coords.num_dims c);
+  check Alcotest.int "dims" 2 (Array.length (Coords.dims c));
   Coords.set c ~node:7 ~coord:[| 2; 3 |];
   check Alcotest.(array int) "get" [| 2; 3 |] (Coords.get c 7);
   check Alcotest.int "node_at" 7 (Coords.node_at c [| 2; 3 |]);
@@ -566,8 +571,8 @@ let test_hypercube () =
 
 let test_tree () =
   let g = Topo_tree.make ~k:4 ~n:3 () in
-  check Alcotest.int "switches" (Topo_tree.num_switches ~k:4 ~n:3) (Graph.num_switches g);
-  check Alcotest.int "switch count formula" 48 (Topo_tree.num_switches ~k:4 ~n:3);
+  check Alcotest.int "switches" (Testutil.tree_switches ~k:4 ~n:3) (Graph.num_switches g);
+  check Alcotest.int "switch count formula" 48 (Testutil.tree_switches ~k:4 ~n:3);
   check Alcotest.int "terminals" 64 (Graph.num_terminals g);
   Alcotest.(check bool) "valid" true (valid g);
   (* leaf switches carry k terminals each; top level has k down-links *)
@@ -578,7 +583,7 @@ let test_xgft () =
   let ms = [| 4; 3 |] and ws = [| 2; 2 |] in
   check Alcotest.int "leaves" 12 (Topo_xgft.num_leaves ~ms);
   (* level counts: l0 = 12, l1 = 3*2 = 6, l2 = 4 *)
-  check Alcotest.int "switches" 22 (Topo_xgft.num_switches ~ms ~ws);
+  check Alcotest.int "switches" 22 (Testutil.xgft_switches ~ms ~ws);
   let g = Topo_xgft.make ~ms ~ws ~endpoints:100 in
   check Alcotest.int "generated switches" 22 (Graph.num_switches g);
   check Alcotest.int "terminals" 100 (Graph.num_terminals g);
@@ -638,7 +643,7 @@ let test_dragonfly () =
   let g = Topo_dragonfly.make ~a:4 ~p:2 ~h:2 () in
   (* canonical group count a*h+1 = 9 *)
   check Alcotest.int "switches" 36 (Graph.num_switches g);
-  check Alcotest.int "num_switches helper" 36 (Topo_dragonfly.num_switches ~a:4 ~h:2 ());
+  check Alcotest.int "num_switches helper" 36 (Testutil.dragonfly_switches ~a:4 ~h:2 ());
   check Alcotest.int "terminals" 72 (Graph.num_terminals g);
   Alcotest.(check bool) "valid" true (valid g);
   (* every switch: (a-1) local + h global + p terminal cables *)
@@ -661,7 +666,7 @@ let test_hyperx () =
   check Alcotest.int "terminals" 24 (Graph.num_terminals g);
   (* cables: rows of dim0 (4 rows? dims [3;4]: dim0 rows = 4 columns each C(3,2)=3 -> 12;
      dim1 rows = 3 each C(4,2)=6 -> 18; total 30 *)
-  check Alcotest.int "cable count formula" 30 (Topo_hyperx.num_cables ~dims:[| 3; 4 |]);
+  check Alcotest.int "cable count formula" 30 (Testutil.hyperx_cables ~dims:[| 3; 4 |]);
   check Alcotest.int "channels" ((30 + 24) * 2) (Graph.num_channels g);
   Alcotest.(check bool) "valid" true (valid g);
   (* diameter of switch graph = #dims *)
@@ -677,7 +682,7 @@ let test_clusters () =
       Alcotest.(check bool) (s.Clusters.name ^ " valid") true (valid s.Clusters.graph))
     (Clusters.all ~scale:8 ());
   (* Odin and Deimos at full scale too (small enough) *)
-  Alcotest.(check bool) "odin full" true (valid (Clusters.odin ()).Clusters.graph);
+  Alcotest.(check bool) "odin full" true (valid (Testutil.cluster "odin").Clusters.graph);
   let deimos = Clusters.deimos () in
   Alcotest.(check bool) "deimos full" true (valid deimos.Clusters.graph);
   check Alcotest.int "deimos nodes" 724 (Graph.num_terminals deimos.Clusters.graph);
@@ -859,7 +864,7 @@ let test_serial_comments_and_blanks () =
    with the same nodes, switches, terminals and channels. *)
 let test_dot () =
   let g = Topo_ring.make ~switches:3 ~terminals_per_switch:1 in
-  match Topo_import.parse_dot (Topo_import.write_dot g) with
+  match Testutil.parse_dot (Topo_import.write_dot g) with
   | Error e -> Alcotest.failf "parse_dot: %s" e
   | Ok { Topo_import.graph = g'; _ } ->
     check Alcotest.int "nodes" (Graph.num_nodes g) (Graph.num_nodes g');

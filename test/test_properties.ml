@@ -49,7 +49,7 @@ let tree_invariants =
         let count l =
           Array.fold_left (fun acc sw -> if levels.(sw) = l then acc + 1 else acc) 0 (Graph.switches g)
         in
-        let per_level = Topo_tree.num_switches ~k ~n / n in
+        let per_level = Testutil.tree_switches ~k ~n / n in
         let rec all_levels l = l >= n || (count (n - 1 - l) = per_level && all_levels (l + 1)) in
         (* note: ftree levels count from the leaves; a k-ary n-tree has n
            switch levels of equal size *)
@@ -63,7 +63,7 @@ let xgft_invariants =
     (fun ((m1, m2), (w1, w2)) ->
       let ms = [| m1; m2 |] and ws = [| w1; w2 |] in
       let g = Topo_xgft.make ~ms ~ws ~endpoints:(Topo_xgft.num_leaves ~ms * 2) in
-      Graph.num_switches g = Topo_xgft.num_switches ~ms ~ws
+      Graph.num_switches g = Testutil.xgft_switches ~ms ~ws
       && Graph.num_switches g = (m1 * m2) + (m2 * w1) + (w1 * w2)
       && Graph.connected g)
 
@@ -92,7 +92,7 @@ let hyperx_invariants =
     (fun (a, b) ->
       let g, _ = Topo_hyperx.make ~dims:[| a; b |] ~terminals_per_switch:0 in
       Array.for_all (fun sw -> Graph.degree g sw = a - 1 + (b - 1)) (Graph.switches g)
-      && 2 * Topo_hyperx.num_cables ~dims:[| a; b |] = Graph.num_channels g)
+      && 2 * Testutil.hyperx_cables ~dims:[| a; b |] = Graph.num_channels g)
 
 let serial_roundtrip_random =
   qtest ~count:25 "serial: canonical text form is a fixpoint" seed_gen (fun seed ->
@@ -238,7 +238,7 @@ let acyclic_implies_drain =
           | Simulator.Netsim.Completed _ -> true
           | _ -> false
         in
-        drains Simulator.Netsim.packet_config 12 && drains Simulator.Netsim.default_config 16384)
+        drains Simulator.Netsim.packet_config 12 && drains Testutil.netsim_default 16384)
 
 (* ------------------------------------------------------------------ *)
 (* Cycle search vs Kahn on random dependency sets                       *)
@@ -283,7 +283,7 @@ let cycle_find_matches_oracle =
         done;
         paths := Array.of_list (List.rev !walk) :: !paths
       done;
-      let store = Deadlock.Route_store.of_paths g (Array.of_list !paths) in
+      let store = Testutil.of_paths g (Array.of_list !paths) in
       let cdg = Deadlock.Cdg.of_store store in
       let first =
         Oracles.Dfs_ref.Search.find_cycle
@@ -327,7 +327,7 @@ let cdg_matches_reference =
             if Oracles.Dfs_ref.Layer.num_edges layer <> Oracles.Cdg_ref.num_edges rc then ok := false;
             if Oracles.Dfs_ref.Layer.num_paths layer <> Oracles.Cdg_ref.num_paths rc then ok := false;
             Oracles.Cdg_ref.iter_edges rc (fun c1 c2 count ->
-                if Deadlock.Cdg.edge_count csr ~c1 ~c2 <> count then ok := false;
+                if Testutil.cdg_edge_count csr ~c1 ~c2 <> count then ok := false;
                 if Oracles.Dfs_ref.Layer.edge_count layer ~c1 ~c2 <> count then ok := false;
                 let pairs = List.sort compare (Oracles.Cdg_ref.edge_pairs rc ~c1 ~c2) in
                 if List.sort compare (Deadlock.Cdg.edge_pairs csr ~c1 ~c2) <> pairs then ok := false;
@@ -335,7 +335,7 @@ let cdg_matches_reference =
                   ok := false);
             for c = 0 to Graph.num_channels g - 1 do
               let succ = ref [] in
-              Deadlock.Cdg.iter_successors csr c (fun s -> succ := s :: !succ);
+              Testutil.cdg_iter_successors csr c (fun s -> succ := s :: !succ);
               if
                 List.sort compare !succ
                 <> List.sort compare (Array.to_list (Oracles.Cdg_ref.successors rc c))
@@ -391,7 +391,7 @@ let sl_dump_matches_layers =
       match Dfsssp.route ~max_layers:16 g with
       | Error _ -> false
       | Ok ft ->
-        let dump = Routing.Opensm.sl_dump ft in
+        let _, _, dump = Testutil.opensm_dumps ft in
         let rows =
           String.split_on_char '\n' dump |> List.filter (fun l -> l <> "" && l.[0] <> '#')
         in
@@ -424,7 +424,7 @@ let ftable_io_random =
       match Dfsssp.route ~max_layers:16 g with
       | Error _ -> false
       | Ok ft -> (
-        match Routing.Ftable_io.of_string (Routing.Ftable_io.to_string ft) with
+        match Testutil.ftable_of_string (Routing.Ftable_io.to_string ft) with
         | Error _ -> false
         | Ok ft' ->
           let g' = Routing.Ftable.graph ft' in
@@ -454,7 +454,7 @@ let ftable_io_random =
    count over random workloads is strong evidence the resumable
    bookkeeping (stack truncation, stale color reuse) is faithful. *)
 let naive_offline g ~paths ~max_layers =
-  let store = Deadlock.Route_store.of_paths g paths in
+  let store = Testutil.of_paths g paths in
   let layer_of_path = Array.make (Array.length paths) 0 in
   let exception Budget in
   let rec settle vl =
@@ -498,19 +498,19 @@ let resumable_matches_naive =
         let paths = Array.of_list (List.rev !paths) in
         let heuristic = Deadlock.Heuristic.Weakest in
         let sound_near naive_used (outcome : Deadlock.Layers.outcome) =
-          Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:outcome.layer_of_path
+          Testutil.layers_acyclic g ~paths ~layer_of_path:outcome.layer_of_path
             ~num_layers:outcome.layers_used
           (* the strategies must land within one layer of each other *)
           && abs (outcome.layers_used - naive_used) <= 1
         in
         (match
-           ( Deadlock.Layers.assign g ~paths ~max_layers:16 ~heuristic,
-             Oracles.Dfs_ref.assign_store (Deadlock.Route_store.of_paths g paths) ~max_layers:16
+           ( Deadlock.Layers.assign_store (Testutil.of_paths g paths) ~max_layers:16 ~heuristic,
+             Oracles.Dfs_ref.assign_store (Testutil.of_paths g paths) ~max_layers:16
                ~heuristic,
              naive_offline g ~paths ~max_layers:16 )
          with
         | Ok outcome, Ok dfs, Some (naive_layers, naive_used) ->
-          Oracles.Acyclic_ref.layers_acyclic g ~paths ~layer_of_path:naive_layers ~num_layers:naive_used
+          Testutil.layers_acyclic g ~paths ~layer_of_path:naive_layers ~num_layers:naive_used
           && sound_near naive_used outcome
           && sound_near naive_used dfs
         | Error _, Error _, None -> true
@@ -555,7 +555,7 @@ let fabric_manager_converges =
       match Fabric.Manager.create g with
       | Error _ -> false
       | Ok mgr ->
-        let _ = Fabric.Manager.run mgr schedule in
+        let _ = List.map (Fabric.Manager.apply mgr) schedule in
         Fabric.Manager.converged mgr && Oracles.Acyclic_ref.deadlock_free (Fabric.Manager.tables mgr))
 
 (* ------------------------------------------------------------------ *)
@@ -853,7 +853,7 @@ let multipath_sound =
       match Dfsssp.Multipath.route ~planes:3 ~max_layers:16 g with
       | Error _ -> false
       | Ok mp ->
-        Dfsssp.Multipath.deadlock_free mp
+        Testutil.multipath_deadlock_free mp
         && Array.for_all
              (fun ft ->
                match Routing.Ftable.validate ft with
@@ -863,7 +863,7 @@ let multipath_sound =
         &&
         let flows = Simulator.Patterns.all_to_all (Graph.terminals g) in
         let paths = Dfsssp.Multipath.spread_paths mp ~flows in
-        Array.for_all (fun p -> Array.length p = 0 || Path.is_consistent g p) paths)
+        Array.for_all (fun p -> Array.length p = 0 || Testutil.path_is_consistent g p) paths)
 
 let () =
   Alcotest.run "properties"

@@ -304,7 +304,7 @@ let test_updown_properties () =
       let s = stats (name ^ "/updown") ft in
       check Alcotest.int (name ^ " pairs") (pairs_of g) s.Ftable.pairs;
       (* legality: along every path, no up channel after a down channel *)
-      let root, up = expect "orientation" (Updown.orientation g) in
+      let root, up = expect "orientation" (Testutil.updown_orientation g) in
       ignore root;
       Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p ->
           let gone_down = ref false in
@@ -370,7 +370,7 @@ let test_dor_dimension_order () =
 
 let test_updown_orientation_dag () =
   let g = Lazy.force kautz23 in
-  let root, up = expect "orientation" (Updown.orientation g) in
+  let root, up = expect "orientation" (Testutil.updown_orientation g) in
   Alcotest.(check bool) "root is a switch" true (Graph.is_switch g root);
   (* up channels strictly decrease (rank, id): no up-cycle possible; check
      by Kahn over the up-subgraph *)
@@ -721,7 +721,7 @@ let test_ftable_io_roundtrip () =
   (* put some lanes in *)
   let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.assign_layers ft)) in
   let text = Ftable_io.to_string ft in
-  match Ftable_io.of_string text with
+  match Testutil.ftable_of_string text with
   | Error e -> Alcotest.fail e
   | Ok ft' ->
     let g' = Ftable.graph ft' in
@@ -752,7 +752,7 @@ let test_ftable_io_save_load () =
   let g = Topo_ring.make ~switches:4 ~terminals_per_switch:1 in
   let ft = expect "sssp" (Sssp.route g) in
   let path = Filename.temp_file "routing" ".txt" in
-  Ftable_io.save path ft;
+  Testutil.write_file path (Ftable_io.to_string ft);
   (match Ftable_io.load path with
   | Error e -> Alcotest.fail e
   | Ok ft' -> Alcotest.(check bool) "loaded validates" true (Result.is_ok (Ftable.validate ft')));
@@ -760,7 +760,7 @@ let test_ftable_io_save_load () =
 
 let test_ftable_io_errors () =
   let reject text fragment =
-    match Ftable_io.of_string text with
+    match Testutil.ftable_of_string text with
     | Ok _ -> Alcotest.failf "accepted %S" text
     | Error msg ->
       Alcotest.(check bool)
@@ -788,21 +788,34 @@ let test_ftable_io_errors () =
 (* ------------------------------------------------------------------ *)
 
 let test_opensm_identifiers () =
-  check Alcotest.int "lid" 6 (Opensm.lid_of_node 5);
-  Alcotest.(check bool) "guid distinct" true (Opensm.guid_of_node 1 <> Opensm.guid_of_node 2);
   let g = Lazy.force ring5 in
-  Array.iter
-    (fun (c : Channel.t) ->
-      let p = Opensm.port_of_channel g c.id in
-      Alcotest.(check bool) "port 1-based" true (p >= 1 && p <= Array.length (Graph.out_channels g c.src));
-      (* the port resolves back to the channel *)
-      check Alcotest.int "port resolves" c.id (Graph.out_channels g c.src).(p - 1))
-    (Graph.channels g)
+  let ft = expect "sssp" (Sssp.route g) in
+  let lfts, guids, _ = Testutil.opensm_dumps ft in
+  (* the inventory lists node i under LID i + 1 with a GUID of its own *)
+  let rows = List.tl (Testutil.lines guids) in
+  check Alcotest.string "lid" "0x0006" (List.hd (String.split_on_char ' ' (List.nth rows 5)));
+  let guid row = List.nth (List.filter (fun w -> w <> "") (String.split_on_char ' ' row)) 1 in
+  check Alcotest.int "guid distinct" (List.length rows) (List.length (List.sort_uniq compare (List.map guid rows)));
+  (* every LFT entry's port is the 1-based position of the table's
+     channel among the switch's outgoing channels *)
+  let sw = ref (-1) in
+  List.iter
+    (fun l ->
+      match List.filter (fun w -> w <> "") (String.split_on_char ' ' l) with
+      | "Unicast" :: "lids" :: _ :: "of" :: "switch" :: "lid" :: lid :: _ -> sw := int_of_string lid - 1
+      | lid :: port :: ":" :: _ ->
+        let dst = int_of_string lid - 1 and p = int_of_string port in
+        Alcotest.(check bool) "port 1-based" true (p >= 1 && p <= Array.length (Graph.out_channels g !sw));
+        check Alcotest.int "port resolves"
+          (Option.get (Routing.Ftable.next ft ~node:!sw ~dst))
+          (Graph.out_channels g !sw).(p - 1)
+      | _ -> ())
+    (Testutil.lines lfts)
 
 let test_opensm_lft_dump () =
   let g = Lazy.force ring5 in
   let ft = expect "sssp" (Sssp.route g) in
-  let dump = Opensm.lft_dump ft in
+  let dump, _, _ = Testutil.opensm_dumps ft in
   (* one block per switch, one entry line per (switch, terminal) pair *)
   let lines = String.split_on_char '\n' dump in
   let headers = List.filter (fun l -> Testutil.contains l "Unicast lids") lines in
@@ -812,14 +825,14 @@ let test_opensm_lft_dump () =
 
 let test_opensm_guid_table () =
   let g = Lazy.force ring5 in
-  let table = Opensm.guid_table g in
+  let _, table, _ = Testutil.opensm_dumps (expect "sssp" (Sssp.route g)) in
   let lines = String.split_on_char '\n' table |> List.filter (fun l -> l <> "") in
   check Alcotest.int "header + nodes" (1 + Graph.num_nodes g) (List.length lines)
 
 let test_opensm_sl_dump () =
   let g = Lazy.force ring5 in
   let ft = expect "lash" (Lash.route g) in
-  let dump = Opensm.sl_dump ft in
+  let _, _, dump = Testutil.opensm_dumps ft in
   let rows = String.split_on_char '\n' dump |> List.filter (fun l -> l <> "" && l.[0] <> '#') in
   check Alcotest.int "one row per source" (Graph.num_terminals g) (List.length rows);
   (* each row: lid prefix + one char per destination *)
@@ -829,25 +842,26 @@ let test_opensm_sl_dump () =
       check Alcotest.int "row width" (Graph.num_terminals g) (String.length payload))
     rows
 
+(* The manager's table diff (Ftable.diff) on entries, the per-pair layer
+   arrays on lanes. *)
 let test_opensm_diff () =
   let g = Lazy.force ring5 in
   let a = expect "sssp" (Sssp.route g) in
-  let same = Opensm.diff_tables a a in
-  check Alcotest.int "self diff entries" 0 same.Opensm.entries_changed;
-  check Alcotest.int "self diff lanes" 0 same.Opensm.lanes_changed;
-  Alcotest.(check bool) "compared > 0" true (same.Opensm.entries_compared > 0);
+  let same = Routing.Ftable.diff a a in
+  check Alcotest.int "self diff entries" 0 same.Routing.Ftable.entries_changed;
+  check Alcotest.int "self diff destinations" 0 same.Routing.Ftable.dsts_changed;
   let b = expect "updown" (Updown.route g) in
-  let d = Opensm.diff_tables a b in
-  Alcotest.(check bool) "different routings differ" true (d.Opensm.entries_changed > 0);
+  let d = Routing.Ftable.diff a b in
+  Alcotest.(check bool) "different routings differ" true (d.Routing.Ftable.entries_changed > 0);
   (* lanes: dfsssp vs sssp differ only in lanes, not entries *)
   let df = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
-  let d2 = Opensm.diff_tables a df in
-  check Alcotest.int "same routes" 0 d2.Opensm.entries_changed;
-  Alcotest.(check bool) "lanes moved" true (d2.Opensm.lanes_changed > 0);
+  let d2 = Routing.Ftable.diff a df in
+  check Alcotest.int "same routes" 0 d2.Routing.Ftable.entries_changed;
+  Alcotest.(check bool) "lanes moved" true (Routing.Ftable.pair_layers a <> Routing.Ftable.pair_layers df);
   let other = expect "sssp" (Sssp.route (Topo_ring.make ~switches:4 ~terminals_per_switch:1)) in
   Alcotest.(check bool) "different fabrics rejected" true
     (try
-       ignore (Opensm.diff_tables a other);
+       ignore (Routing.Ftable.diff a other);
        false
      with Invalid_argument _ -> true)
 

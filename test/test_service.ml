@@ -269,7 +269,7 @@ let test_backpressure_sheds_load () =
             let payload =
               Printf.sprintf {|{"op":"event","event":"down %d","id":%d}|} cable i
             in
-            Buffer.add_bytes burst (Service.Proto.frame payload)
+            Buffer.add_bytes burst (Testutil.frame payload)
           done;
           let b = Buffer.to_bytes burst in
           let written = Unix.write fd b 0 (Bytes.length b) in

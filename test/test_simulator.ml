@@ -73,7 +73,7 @@ let test_ring_shift () =
 
 let test_uniform_random () =
   let rng = Rng.create 3 in
-  let flows = Simulator.Patterns.uniform_random rng ~flows:50 (ranks 6) in
+  let flows = Testutil.uniform_random rng ~flows:50 (ranks 6) in
   check Alcotest.int "requested count" 50 (Array.length flows);
   Array.iter (fun (a, b) -> Alcotest.(check bool) "no self" true (a <> b)) flows
 
@@ -127,6 +127,7 @@ let test_nas_lu () =
       outdeg
 
 let test_adversarial_patterns () =
+  let pattern name = List.assoc name Simulator.Patterns.adversarial in
   (* permutations: every rank appears exactly once as src and once as dst,
      fixed points dropped *)
   let check_perm name flows n =
@@ -148,21 +149,21 @@ let test_adversarial_patterns () =
       | Ok flows -> check_perm name flows 16)
     Simulator.Patterns.adversarial;
   (* specific images *)
-  (match Simulator.Patterns.bit_complement (ranks 8) with
+  (match pattern "bit-complement" (ranks 8) with
   | Ok flows -> Alcotest.(check bool) "0 -> 7" true (Array.exists (fun f -> f = (100, 107)) flows)
   | Error e -> Alcotest.fail e);
-  (match Simulator.Patterns.bit_reverse (ranks 8) with
+  (match pattern "bit-reverse" (ranks 8) with
   | Ok flows -> Alcotest.(check bool) "1 -> 4" true (Array.exists (fun f -> f = (101, 104)) flows)
   | Error e -> Alcotest.fail e);
-  (match Simulator.Patterns.transpose (ranks 9) with
+  (match pattern "transpose" (ranks 9) with
   | Ok flows -> Alcotest.(check bool) "1 -> 3" true (Array.exists (fun f -> f = (101, 103)) flows)
   | Error e -> Alcotest.fail e);
   (match Simulator.Patterns.tornado (ranks 6) with
   | Ok flows -> Alcotest.(check bool) "0 -> 2" true (Array.exists (fun f -> f = (100, 102)) flows)
   | Error e -> Alcotest.fail e);
   (* constraint rejections *)
-  Alcotest.(check bool) "bit_complement non-pow2" true (Result.is_error (Simulator.Patterns.bit_complement (ranks 12)));
-  Alcotest.(check bool) "transpose non-square" true (Result.is_error (Simulator.Patterns.transpose (ranks 12)));
+  Alcotest.(check bool) "bit_complement non-pow2" true (Result.is_error (pattern "bit-complement" (ranks 12)));
+  Alcotest.(check bool) "transpose non-square" true (Result.is_error (pattern "transpose" (ranks 12)));
   Alcotest.(check bool) "tornado tiny" true (Result.is_error (Simulator.Patterns.tornado (ranks 2)))
 
 let test_nas_kernel_list () =
@@ -175,7 +176,7 @@ let test_nas_kernel_list () =
 let star_fixture () =
   (* one switch, four terminals: every route's bottleneck is an endpoint
      link, so any perfect matching has share 1.0 *)
-  let g = (Clusters.odin ~scale:32 ()).Clusters.graph in
+  let g = (Testutil.cluster ~scale:32 "odin").Clusters.graph in
   ignore g;
   let b = Builder.create () in
   let s = Builder.add_switch b ~name:"s" in
@@ -364,7 +365,7 @@ let test_quality_updown_worse_balance () =
 
 let test_eventq_ordering () =
   let q = Simulator.Eventq.create () in
-  Alcotest.(check bool) "empty" true (Simulator.Eventq.is_empty q);
+  check Alcotest.int "empty" 0 (Simulator.Eventq.size q);
   Simulator.Eventq.schedule q ~at:3.0 "c";
   Simulator.Eventq.schedule q ~at:1.0 "a";
   Simulator.Eventq.schedule q ~at:2.0 "b";
@@ -398,7 +399,7 @@ let test_netsim_single_flow_timing () =
   let ft = Result.get_ok (Result.map_error Dfsssp.error_to_string (Dfsssp.route g)) in
   let ts = Graph.terminals g in
   let config =
-    { Simulator.Netsim.default_config with bandwidth = 1e6; latency = 1e-5; mtu = 1000 }
+    { Testutil.netsim_default with bandwidth = 1e6; latency = 1e-5; mtu = 1000 }
   in
   (* 2500 bytes = 3 packets (1000/1000/500), path t->s->s'->t' has hops *)
   match Simulator.Netsim.run ~config ft ~flows:[| (ts.(0), ts.(1), 2500) |] with
@@ -436,7 +437,7 @@ let ring_flows g size =
 
 let test_netsim_deadlock_and_rescue () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
-  let config = { Simulator.Netsim.default_config with num_vls = 1 } in
+  let config = { Testutil.netsim_default with num_vls = 1 } in
   let config = { config with credits = 2 } in
   let sssp = Result.get_ok (Routing.Sssp.route g) in
   expect_deadlock ~config sssp ~flows:(ring_flows g (1 lsl 16));
@@ -463,7 +464,7 @@ let test_netsim_fair_sharing () =
   let g = Builder.build b in
   let ft = Result.get_ok (Routing.Minhop.route g) in
   let bytes = 1 lsl 20 in
-  let config = { Simulator.Netsim.default_config with bandwidth = 1e8 } in
+  let config = { Testutil.netsim_default with bandwidth = 1e8 } in
   match Simulator.Netsim.run ~config ft ~flows:[| (t0, t2, bytes); (t1, t2, bytes) |] with
   | Simulator.Netsim.Completed { flows = st; makespan; _ } ->
     (* both flows share t2's ejection wire: total time ~ 2 * bytes / bw *)

@@ -90,12 +90,12 @@ let test_zoo_manager_matches_registry () =
 
 let test_zoo_quirky_repairs () =
   let spec = "dot:" ^ Filename.concat (corpus_dir ()) "quirky.dot" in
-  match Harness.Zoo.check_spec spec with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
+  match Harness.Zoo.run ~specs:[ spec ] () with
+  | [ s ] ->
     check Alcotest.(list string) "quirky certifies despite repairs" [] s.Harness.Zoo.failures;
     check Alcotest.bool "repairs surface in the description" true
       (Testutil.contains s.Harness.Zoo.description "repair")
+  | subjects -> Alcotest.failf "expected one subject, got %d" (List.length subjects)
 
 let test_zoo_bad_spec () =
   let subjects = Harness.Zoo.run ~specs:[ "nonsense:1" ] () in
