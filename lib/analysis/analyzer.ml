@@ -46,6 +46,7 @@ let certify_routes ft =
     match Cert.of_routes ft routes with
     | Error e -> Error (Uncertifiable e)
     | Ok cert -> (
+      Parallel.pause ();
       match Cert.check_routes cert routes with
       | Ok () -> Ok (cert, cls)
       | Error msg -> Error (Refuted msg)))

@@ -171,6 +171,23 @@ module Pool = struct
     Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 end
 
+(* The pause hook: domain-local, so a [pause] on a pool worker (which
+   starts with no hook) never runs the installing domain's [serve]. *)
+let pause_hook : (unit -> unit) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let pause () =
+  match Domain.DLS.get pause_hook with
+  | None -> ()
+  | Some serve ->
+    (* uninstalled while it runs, so a [pause] made from [serve] is a no-op *)
+    Domain.DLS.set pause_hook None;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set pause_hook (Some serve)) serve
+
+let with_pause serve f =
+  let prev = Domain.DLS.get pause_hook in
+  Domain.DLS.set pause_hook (Some serve);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set pause_hook prev) f
+
 let init ?(domains = 1) n f =
   if n <= 0 then [||]
   else if domains <= 1 || n < 2 then Array.init n f

@@ -24,6 +24,23 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [init ~domains n f] is [Array.init n f], parallelised the same way. *)
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
 
+(** {1 Pause points}
+
+    A long computation on one domain can let that domain do other work
+    at its stage boundaries: the fabric daemon answers ready route reads
+    between the stages of an epoch swap (DESIGN.md §14). *)
+
+(** [pause ()] runs the hook installed on the calling domain by
+    {!with_pause}, and is a no-op when there is none, as on every pool
+    worker. The hook is uninstalled while it runs, so a [pause] made from
+    inside it does nothing. Call it only outside parallel regions. *)
+val pause : unit -> unit
+
+(** [with_pause serve f] runs [f ()] with [serve] as the calling
+    domain's pause hook, and restores the previous hook when [f] returns
+    or raises. *)
+val with_pause : (unit -> unit) -> (unit -> 'a) -> 'a
+
 (** Persistent worker pool with per-domain scratch state — the substrate
     of the domain-parallel routing pipeline (DESIGN.md section 12).
 

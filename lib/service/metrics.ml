@@ -4,6 +4,7 @@ type t = {
   disconnects : Obs.Counter.t;
   requests : Obs.Counter.t;
   route_queries : Obs.Counter.t;
+  reads_in_swap : Obs.Counter.t;
   route_errors : Obs.Counter.t;
   events_enqueued : Obs.Counter.t;
   events_applied : Obs.Counter.t;
@@ -16,6 +17,7 @@ type t = {
   queue_peak : Obs.Counter.t;
   route_s : Obs.Timer.t;
   apply_s : Obs.Timer.t;
+  swap_stretch_s : Obs.Timer.t;
 }
 
 let create () =
@@ -28,6 +30,8 @@ let create () =
     disconnects = counter ~desc:"client connections closed" "service.disconnects";
     requests = counter ~desc:"request frames handled" "service.requests";
     route_queries = counter ~desc:"route queries served" "service.route_queries";
+    reads_in_swap =
+      counter ~desc:"reads answered at an epoch swap's pause points" "service.reads_in_swap";
     route_errors = counter ~desc:"route queries refused" "service.route_errors";
     events_enqueued = counter ~desc:"topology events admitted" "service.events_enqueued";
     events_applied = counter ~desc:"topology events applied" "service.events_applied";
@@ -40,6 +44,9 @@ let create () =
     queue_peak = counter ~desc:"gauge: event queue high-water mark" "service.queue_peak";
     route_s = timer ~desc:"route query serve seconds" "service.route_s";
     apply_s = timer ~desc:"per-event manager step seconds" "service.apply_s";
+    swap_stretch_s =
+      timer ~desc:"per-event seconds of the longest stretch between pause points"
+        "service.swap_stretch_s";
   }
 
 let to_json t = Obs.Registry.to_json t.registry

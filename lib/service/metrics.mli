@@ -8,6 +8,9 @@ type t = {
   disconnects : Obs.Counter.t;
   requests : Obs.Counter.t;  (** complete frames handled *)
   route_queries : Obs.Counter.t;
+  reads_in_swap : Obs.Counter.t;
+      (** route, ping, stats, epoch and trace requests answered at the
+          pause points of a manager step, from the pre-swap epoch *)
   route_errors : Obs.Counter.t;  (** unroutable / bad ids *)
   events_enqueued : Obs.Counter.t;  (** admitted into the event queue *)
   events_applied : Obs.Counter.t;
@@ -20,6 +23,9 @@ type t = {
   queue_peak : Obs.Counter.t;  (** gauge: high-water mark of the queue *)
   route_s : Obs.Timer.t;  (** per-query serve time *)
   apply_s : Obs.Timer.t;  (** per-event manager step time *)
+  swap_stretch_s : Obs.Timer.t;
+      (** per-event longest stretch between pause points, from the step's
+          start to its end: the longest a read can wait behind it *)
 }
 
 val create : unit -> t

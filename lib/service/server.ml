@@ -1,8 +1,9 @@
 (* The controller daemon's event loop. One thread, one select: reads are
    served inline against the immutable epoch snapshot (zero-copy from
-   the route arena), mutations are admission-queued and drained in
-   batches between selects, writes are non-blocking with per-connection
-   output buffers. See server.mli / DESIGN.md §14 for the contract. *)
+   the route arena), also at the pause points of a running swap;
+   mutations are admission-queued and drained in batches between
+   selects; writes are non-blocking with per-connection output buffers.
+   See server.mli / DESIGN.md §14 for the contract. *)
 
 let log_src = Logs.Src.create "service.server" ~doc:"fabric controller daemon"
 
@@ -80,6 +81,7 @@ type conn = {
   mutable outpos : int;
   mutable closing : bool; (* close once the output buffer drains *)
   mutable dead : bool; (* remove at end of iteration *)
+  mutable parked : bool; (* an [analyze] frame met mid-swap waits for the main loop *)
 }
 
 let grow_out c needed =
@@ -273,7 +275,8 @@ let send_busy t conn ~id =
    from the epoch snapshot's route arena — no Path.t is materialized,
    no slice is copied. The snapshot is immutable, so the reply is
    internally consistent with exactly one certified epoch even if a
-   swap lands between two queries. *)
+   swap lands between two queries, and at a pause point of a running
+   swap it is still the pre-swap one. *)
 let handle_route t conn ~id ~src ~dst =
   Obs.Counter.incr t.metrics.Metrics.route_queries;
   Obs.Timer.time t.metrics.Metrics.route_s @@ fun () ->
@@ -388,79 +391,68 @@ let action_string = function
   | Fabric.Manager.Full _ | Fabric.Manager.Incremental _ -> "full"
   | Fabric.Manager.Noop -> "noop"
 
-(* Drain the whole admission queue in one go: every admitted event
-   becomes a manager step back-to-back — one "batch" — and the replies
-   land together at the batch boundary. Readers in the same iteration
-   saw the pre-batch snapshot; the next iteration serves the new epoch. *)
-let drain_events t =
-  if not (Queue.is_empty t.pending) then begin
-    let batch_size = Queue.length t.pending in
-    Obs.Counter.incr t.metrics.Metrics.event_batches;
-    while not (Queue.is_empty t.pending) do
-      let conn, ev, id = Queue.pop t.pending in
-      let o = Obs.Timer.time t.metrics.Metrics.apply_s (fun () -> Fabric.Manager.apply t.mgr ev) in
-      Obs.Counter.incr t.metrics.Metrics.events_applied;
-      if not conn.dead then
-        send_ok t conn ~id
-          [
-            ("event", Obs.Json.Str (Fabric.Event.to_string ev));
-            ("applied", Obs.Json.Bool o.Fabric.Manager.applied);
-            ("action", Obs.Json.Str (action_string o.Fabric.Manager.action));
-            ("fallback", Obs.Json.Bool o.Fabric.Manager.fallback);
-            ("epoch", Obs.Json.Num (float_of_int o.Fabric.Manager.epoch));
-            ("note", Obs.Json.Str o.Fabric.Manager.note);
-            ("elapsed_ms", Obs.Json.Num (1000.0 *. o.Fabric.Manager.elapsed_s));
-            ("batch_size", Obs.Json.Num (float_of_int batch_size));
-          ]
-    done;
-    Obs.Counter.set t.metrics.Metrics.queue_depth 0
-  end
+(* Answer one decoded request. [in_swap] marks a manager step's pause
+   point: every read here answers from the pre-swap epoch. *)
+let answer t conn ~in_swap ~id req =
+  (match req with
+  | (Proto.Route _ | Proto.Ping | Proto.Stats | Proto.Trace _ | Proto.Epoch_info) when in_swap ->
+    Obs.Counter.incr t.metrics.Metrics.reads_in_swap
+  | _ -> ());
+  match req with
+  | Proto.Ping ->
+    send_ok t conn ~id
+      [
+        ("server", Obs.Json.Str "fabric_service");
+        ("proto", Obs.Json.Num (float_of_int Proto.version));
+        ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr)));
+      ]
+  | _ when t.stopping ->
+    (* the drain phase serves nothing new; admitted work still
+       completes and flushes *)
+    send_error t conn ~id "shutting down"
+  | Proto.Route { src; dst } -> handle_route t conn ~id ~src ~dst
+  | Proto.Event ev ->
+    if Queue.length t.pending >= t.config.queue_depth then send_busy t conn ~id
+    else begin
+      Queue.push (conn, ev, id) t.pending;
+      Obs.Counter.incr t.metrics.Metrics.events_enqueued;
+      let depth = Queue.length t.pending in
+      Obs.Counter.set t.metrics.Metrics.queue_depth depth;
+      if depth > Obs.Counter.value t.metrics.Metrics.queue_peak then
+        Obs.Counter.set t.metrics.Metrics.queue_peak depth
+    end
+  | Proto.Stats -> handle_stats t conn ~id
+  | Proto.Trace limit -> handle_trace t conn ~id limit
+  | Proto.Analyze -> handle_analyze t conn ~id
+  | Proto.Epoch_info -> handle_epoch_info t conn ~id
+  | Proto.Shutdown ->
+    Log.info (fun m -> m "shutdown requested by client %d" conn.cid);
+    send_ok t conn ~id [ ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr))) ];
+    Atomic.set t.stop_flag true
 
-let handle_request t conn payload =
-  Obs.Counter.incr t.metrics.Metrics.requests;
-  Obs.Counter.incr ~n:(String.length payload) t.metrics.Metrics.bytes_in;
-  match Obs.Json.of_string payload with
-  | Error e ->
-    Obs.Counter.incr t.metrics.Metrics.bad_requests;
-    send_error t conn ~id:None ("bad JSON: " ^ e)
-  | Ok j -> (
-    let id = Proto.request_id j in
-    match Proto.request_of_json j with
-    | Error e ->
+(* Handle one request frame; [false] leaves an [analyze] frame met at a
+   pause point unanswered, for the main loop. *)
+let handle_request t conn ~in_swap payload =
+  let decoded =
+    match Obs.Json.of_string payload with
+    | Error e -> Error (None, "bad JSON: " ^ e)
+    | Ok j -> (
+      let id = Proto.request_id j in
+      match Proto.request_of_json j with
+      | Error e -> Error (id, e)
+      | Ok req -> Ok (id, req))
+  in
+  match decoded with
+  | Ok (_, Proto.Analyze) when in_swap -> false
+  | _ ->
+    Obs.Counter.incr t.metrics.Metrics.requests;
+    Obs.Counter.incr ~n:(String.length payload) t.metrics.Metrics.bytes_in;
+    (match decoded with
+    | Error (id, e) ->
       Obs.Counter.incr t.metrics.Metrics.bad_requests;
       send_error t conn ~id e
-    | Ok req -> (
-      match req with
-      | Proto.Ping ->
-        send_ok t conn ~id
-          [
-            ("server", Obs.Json.Str "fabric_service");
-            ("proto", Obs.Json.Num (float_of_int Proto.version));
-            ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr)));
-          ]
-      | _ when t.stopping ->
-        (* the drain phase serves nothing new; admitted work still
-           completes and flushes *)
-        send_error t conn ~id "shutting down"
-      | Proto.Route { src; dst } -> handle_route t conn ~id ~src ~dst
-      | Proto.Event ev ->
-        if Queue.length t.pending >= t.config.queue_depth then send_busy t conn ~id
-        else begin
-          Queue.push (conn, ev, id) t.pending;
-          Obs.Counter.incr t.metrics.Metrics.events_enqueued;
-          let depth = Queue.length t.pending in
-          Obs.Counter.set t.metrics.Metrics.queue_depth depth;
-          if depth > Obs.Counter.value t.metrics.Metrics.queue_peak then
-            Obs.Counter.set t.metrics.Metrics.queue_peak depth
-        end
-      | Proto.Stats -> handle_stats t conn ~id
-      | Proto.Trace limit -> handle_trace t conn ~id limit
-      | Proto.Analyze -> handle_analyze t conn ~id
-      | Proto.Epoch_info -> handle_epoch_info t conn ~id
-      | Proto.Shutdown ->
-        Log.info (fun m -> m "shutdown requested by client %d" conn.cid);
-        send_ok t conn ~id [ ("epoch", Obs.Json.Num (float_of_int (Fabric.Manager.epoch t.mgr))) ];
-        Atomic.set t.stop_flag true))
+    | Ok (id, req) -> answer t conn ~in_swap ~id req);
+    true
 
 (* ------------------------------------------------------------------ *)
 (* I/O                                                                 *)
@@ -468,10 +460,14 @@ let handle_request t conn payload =
 
 (* Extract every complete frame from the connection's input buffer. A
    frame that oversteps [max_frame] is a protocol violation: reply,
-   then close once the reply flushes (there is no way to resync). *)
-let parse_frames t conn =
+   then close once the reply flushes (there is no way to resync). At a
+   pause point the walk stops at the first [analyze] frame and parks the
+   connection: a certificate run does not fit between two stages of a
+   swap, and the connection's later frames must not overtake it. *)
+let parse_frames t conn ~in_swap =
   let pos = ref 0 in
-  let continue = ref true in
+  let continue = ref (not (in_swap && conn.parked)) in
+  if not in_swap then conn.parked <- false;
   while !continue && conn.inlen - !pos >= 4 do
     let len = Int32.to_int (Bytes.get_int32_be conn.inbuf !pos) in
     if len < 0 || len > t.config.max_frame then begin
@@ -485,11 +481,18 @@ let parse_frames t conn =
     end
     else if conn.inlen - !pos >= 4 + len then begin
       let payload = Bytes.sub_string conn.inbuf (!pos + 4) len in
-      pos := !pos + 4 + len;
-      (try handle_request t conn payload
-       with e ->
-         Obs.Counter.incr t.metrics.Metrics.bad_requests;
-         send_error t conn ~id:None ("internal error: " ^ Printexc.to_string e))
+      let handled =
+        try handle_request t conn ~in_swap payload
+        with e ->
+          Obs.Counter.incr t.metrics.Metrics.bad_requests;
+          send_error t conn ~id:None ("internal error: " ^ Printexc.to_string e);
+          true
+      in
+      if handled then pos := !pos + 4 + len
+      else begin
+        conn.parked <- true;
+        continue := false
+      end
     end
     else continue := false
   done;
@@ -498,7 +501,7 @@ let parse_frames t conn =
     conn.inlen <- conn.inlen - !pos
   end
 
-let handle_readable t conn =
+let handle_readable t conn ~in_swap =
   let keep_reading = ref true in
   while !keep_reading && not conn.dead do
     match Unix.read conn.fd t.read_chunk 0 (Bytes.length t.read_chunk) with
@@ -516,7 +519,7 @@ let handle_readable t conn =
       conn.dead <- true;
       keep_reading := false
   done;
-  if not conn.dead then parse_frames t conn
+  if not conn.dead then parse_frames t conn ~in_swap
 
 let handle_writable conn =
   let keep = ref true in
@@ -532,6 +535,74 @@ let handle_writable conn =
     conn.outpos <- 0;
     conn.outlen <- 0;
     if conn.closing then conn.dead <- true
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Epoch swaps                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The pause hook of a manager step: one zero-timeout select over the
+   live connections, their ready frames answered in order from the
+   pre-swap epoch (the swap installs its snapshot only after the last
+   pause point), events admitted or shed, output flushed. It never
+   accepts, culls or steps the manager, and raises nothing into the
+   step it interrupts: a failed poll serves nothing this time. *)
+let serve_ready t =
+  let reads = List.filter_map (fun c -> if c.dead then None else Some c.fd) t.conns in
+  (match Unix.select reads [] [] 0.0 with
+  | exception Unix.Unix_error _ -> ()
+  | readable, _, _ ->
+    List.iter
+      (fun c -> if (not c.dead) && List.mem c.fd readable then handle_readable t c ~in_swap:true)
+      t.conns);
+  List.iter (fun c -> if (not c.dead) && c.outlen > c.outpos then handle_writable c) t.conns
+
+(* One manager step under the pause hook. Returns the outcome; records
+   the step's longest stretch between pause points. *)
+let apply_serving t ev =
+  let last = ref (Unix.gettimeofday ()) and longest = ref 0.0 in
+  let stretch () = longest := Float.max !longest (Unix.gettimeofday () -. !last) in
+  let serve () =
+    stretch ();
+    serve_ready t;
+    last := Unix.gettimeofday ()
+  in
+  let o =
+    Obs.Timer.time t.metrics.Metrics.apply_s (fun () ->
+        Parallel.with_pause serve (fun () -> Fabric.Manager.apply t.mgr ev))
+  in
+  stretch ();
+  Obs.Timer.add t.metrics.Metrics.swap_stretch_s !longest;
+  o
+
+(* Drain the events queued when the drain starts, one manager step
+   each, back-to-back — one "batch". Events admitted at a step's pause
+   points wait for the next drain. Each event's reply is written as its
+   step returns, the moment the new epoch is published. *)
+let drain_events t =
+  if not (Queue.is_empty t.pending) then begin
+    let batch_size = Queue.length t.pending in
+    Obs.Counter.incr t.metrics.Metrics.event_batches;
+    for _ = 1 to batch_size do
+      let conn, ev, id = Queue.pop t.pending in
+      let o = apply_serving t ev in
+      Obs.Counter.incr t.metrics.Metrics.events_applied;
+      if not conn.dead then begin
+        send_ok t conn ~id
+          [
+            ("event", Obs.Json.Str (Fabric.Event.to_string ev));
+            ("applied", Obs.Json.Bool o.Fabric.Manager.applied);
+            ("action", Obs.Json.Str (action_string o.Fabric.Manager.action));
+            ("fallback", Obs.Json.Bool o.Fabric.Manager.fallback);
+            ("epoch", Obs.Json.Num (float_of_int o.Fabric.Manager.epoch));
+            ("note", Obs.Json.Str o.Fabric.Manager.note);
+            ("elapsed_ms", Obs.Json.Num (1000.0 *. o.Fabric.Manager.elapsed_s));
+            ("batch_size", Obs.Json.Num (float_of_int batch_size));
+          ];
+        handle_writable conn
+      end
+    done;
+    Obs.Counter.set t.metrics.Metrics.queue_depth (Queue.length t.pending)
   end
 
 let accept_clients t =
@@ -552,6 +623,7 @@ let accept_clients t =
           outpos = 0;
           closing = false;
           dead = false;
+          parked = false;
         }
       in
       t.next_cid <- t.next_cid + 1;
@@ -603,15 +675,20 @@ let serve t =
     let writes =
       List.filter_map (fun c -> if (not c.dead) && c.outlen > c.outpos then Some c.fd else None) t.conns
     in
-    (match Unix.select reads writes [] t.config.tick_s with
+    (* events admitted and frames parked at the last drain's pause
+       points are ready work: poll instead of sleeping a tick *)
+    let ready = (not (Queue.is_empty t.pending)) || List.exists (fun c -> c.parked) t.conns in
+    (match Unix.select reads writes [] (if ready then 0.0 else t.config.tick_s) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
       if List.mem t.listen_fd readable then accept_clients t;
       List.iter
-        (fun c -> if (not c.dead) && List.mem c.fd readable then handle_readable t c)
+        (fun c ->
+          if not c.dead then
+            if List.mem c.fd readable then handle_readable t c ~in_swap:false
+            else if c.parked then parse_frames t c ~in_swap:false)
         t.conns;
-      (* mutating requests admitted this iteration become one batched
-         manager step group, replies at the batch boundary *)
+      (* events admitted so far become one batch of manager steps *)
       drain_events t;
       List.iter
         (fun c ->
@@ -622,6 +699,7 @@ let serve t =
       (* even during drain, admitted events complete *)
       drain_events t;
       let pending_out = List.exists (fun c -> c.outlen > c.outpos) t.conns in
-      if (not pending_out) || Unix.gettimeofday () > t.drain_until then continue := false
+      if ((not pending_out) && Queue.is_empty t.pending) || Unix.gettimeofday () > t.drain_until then
+        continue := false
     end
   done

@@ -8,15 +8,22 @@
       against the current epoch's {!Fabric.Epoch.snapshot} — paths are
       emitted straight from the {!Route_store} arena into the reply
       buffer, no per-query path materialization. A snapshot is immutable,
-      so a reply under construction can never observe a half-swapped
-      table; readers of an old epoch drain gracefully because the swap
-      installs a new snapshot instead of mutating the exported one.
+      so each reply reflects exactly one certified epoch; readers of an
+      old epoch drain gracefully because the swap installs a new
+      snapshot instead of mutating the exported one.
+    - {b Reads do not wait out a swap.} Each manager step runs under
+      {!Netgraph.Parallel.with_pause}: at every stage boundary of the
+      step the loop polls its connections once, answers ready [route],
+      [ping], [stats], [epoch] and [trace] requests from the pre-swap
+      epoch, admits or sheds events, and leaves a connection's first
+      [analyze] (and what follows it) for after the step. It never
+      accepts, culls or steps the manager there.
     - {b Writes are admission-controlled and batched.} Topology events
       enter a bounded queue; when it is full the client gets an explicit
       [{"status":"busy"}] reply {e immediately} — load is shed visibly,
-      never by hanging or silent drops. The queue is drained in one step
-      per loop iteration: every admitted event becomes a manager step
-      back-to-back, replies are sent at the batch boundary.
+      never by hanging or silent drops. The events queued when a loop
+      iteration drains become manager steps back-to-back; each reply is
+      written as its step returns, the moment its epoch is published.
     - {b Shutdown is graceful everywhere.} A [shutdown] request, {!stop}
       (signal-handler safe) or an exception all funnel into the same
       teardown: drain pending replies (bounded by [drain_s]), close

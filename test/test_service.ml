@@ -1,9 +1,9 @@
 (* Tests for the fabric controller service (DESIGN.md §14): wire
    protocol roundtrips, framing against hostile input, explicit
-   backpressure under pipelined writes, and the acceptance soak — 64
-   concurrent clients querying routes while a writer churns the
-   topology, with every reply checked for internal consistency against
-   a single certified epoch. *)
+   backpressure under pipelined writes, a read answered in the middle of
+   a slow epoch swap, and the acceptance soak — 64 concurrent clients
+   querying routes while a writer churns the topology, with every reply
+   checked for internal consistency against a single certified epoch. *)
 
 let check = Alcotest.check
 
@@ -313,6 +313,69 @@ let test_backpressure_sheds_load () =
           | Error msg -> Alcotest.failf "retry: %s" msg)))
 
 (* ------------------------------------------------------------------ *)
+(* Reads during a swap                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let raw_connect addr =
+  let path = match addr with Service.Proto.Unix_path p -> p | _ -> assert false in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let read_reply fd =
+  match Service.Proto.read_frame fd with
+  | Ok (Some reply) -> Result.get_ok (Obs.Json.of_string reply)
+  | Ok None -> Alcotest.fail "server closed the connection"
+  | Error msg -> Alcotest.failf "read reply: %s" msg
+
+let reply_int field j =
+  match Option.bind (Obs.Json.member field j) Obs.Json.to_int with
+  | Some v -> v
+  | None -> Alcotest.failf "reply lacks %s: %s" field (Obs.Json.to_string j)
+
+(* On torus:12x12 Algorithm 2 runs out of layers and the recompute falls
+   back to the online placement, a swap of some 0.3 s. A route sent
+   50 ms into it is answered at one of the swap's pause points, from the
+   pre-swap epoch, before the event's reply; a route sent after that
+   reply reads the new epoch. An [analyze] sent mid-swap waits for the
+   swap, and the route pipelined behind it on its connection does too. *)
+let test_read_served_mid_swap () =
+  let g = torus [| 12; 12 |] in
+  with_server g (fun addr server ->
+      let ev_fd = raw_connect addr and q_fd = raw_connect addr and a_fd = raw_connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ ev_fd; q_fd; a_fd ])
+        (fun () ->
+          let terms = Graph.terminals g in
+          let route = Printf.sprintf {|{"op":"route","src":%d,"dst":%d}|} terms.(0) terms.(1) in
+          let cable = (Degrade.switch_cables g).(0) in
+          Service.Proto.write_frame ev_fd (Printf.sprintf {|{"op":"event","event":"down %d"}|} cable);
+          Thread.delay 0.05;
+          let pipelined = Bytes.cat (Testutil.frame {|{"op":"analyze"}|}) (Testutil.frame route) in
+          ignore (Unix.write a_fd pipelined 0 (Bytes.length pipelined));
+          Service.Proto.write_frame q_fd route;
+          (match Unix.select [ ev_fd; q_fd ] [] [] 60.0 with
+          | [ fd ], _, _ when fd = q_fd -> ()
+          | [], _, _ -> Alcotest.fail "no reply within 60 s"
+          | _ -> Alcotest.fail "the event's reply arrived before the route reply");
+          check Alcotest.int "mid-swap read serves the pre-swap epoch" 1
+            (reply_int "epoch" (read_reply q_fd));
+          let applied = read_reply ev_fd in
+          check Alcotest.int "the event published epoch 2" 2 (reply_int "epoch" applied);
+          let analyzed = read_reply a_fd in
+          check Alcotest.bool "analyze answered first" true (Obs.Json.member "certified" analyzed <> None);
+          check Alcotest.int "analyze waited for the swap" 2 (reply_int "epoch" analyzed);
+          check Alcotest.int "the route behind it did too" 2 (reply_int "epoch" (read_reply a_fd));
+          Service.Proto.write_frame q_fd route;
+          check Alcotest.int "a read after the reply serves the new epoch" 2
+            (reply_int "epoch" (read_reply q_fd));
+          check Alcotest.bool "counted as a read in a swap" true
+            (Obs.Counter.value (Service.Server.metrics server).Service.Metrics.reads_in_swap >= 1);
+          Service.Proto.write_frame q_fd {|{"op":"shutdown"}|};
+          ignore (read_reply q_fd)))
+
+(* ------------------------------------------------------------------ *)
 (* Soak: 64 concurrent clients under churn                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -345,6 +408,9 @@ let test_soak_64_clients_under_churn () =
          pair served from the same epoch must be identical, whichever
          thread received them — no reply may mix two epochs. *)
       let seen : (int * int * int, int * int * int array) Hashtbl.t = Hashtbl.create 4096 in
+      (* every epoch some reader was served, checked against the server's
+         history of certified swaps once the churn is over *)
+      let epochs_served : (int, unit) Hashtbl.t = Hashtbl.create 16 in
       let seen_mu = Mutex.create () in
       let failures = ref [] in
       let fail_mu = Mutex.create () in
@@ -360,6 +426,7 @@ let test_soak_64_clients_under_churn () =
         | Ok c ->
           Fun.protect ~finally:(fun () -> Service.Client.close c) (fun () ->
               let rng = Rng.create (0x50AC + tid) in
+              let last_epoch = ref 0 in
               for q = 1 to queries_per_client do
                 let src = terms.(Rng.int rng nt) in
                 let dst = ref terms.(Rng.int rng nt) in
@@ -374,6 +441,11 @@ let test_soak_64_clients_under_churn () =
                   Atomic.incr replies;
                   (try
                      if r.Service.Client.epoch < 1 then failwith "epoch < 1";
+                     if r.Service.Client.epoch < !last_epoch then
+                       failwith
+                         (Printf.sprintf "epoch went back from %d to %d" !last_epoch
+                            r.Service.Client.epoch);
+                     last_epoch := r.Service.Client.epoch;
                      if r.Service.Client.layer < 0 || r.Service.Client.layer >= r.Service.Client.layers
                      then failwith "layer out of range";
                      check_walk g ~src ~dst r.Service.Client.path;
@@ -382,6 +454,7 @@ let test_soak_64_clients_under_churn () =
                        (r.Service.Client.layers, r.Service.Client.layer, r.Service.Client.path)
                      in
                      Mutex.lock seen_mu;
+                     Hashtbl.replace epochs_served r.Service.Client.epoch ();
                      let prior = Hashtbl.find_opt seen key in
                      (match prior with
                      | None -> Hashtbl.add seen key entry
@@ -440,8 +513,19 @@ let test_soak_64_clients_under_churn () =
       let m = Service.Server.metrics server in
       check Alcotest.bool "route queries counted" true
         (Obs.Counter.value m.Service.Metrics.route_queries >= num_clients * queries_per_client);
+      (* Reads were answered at the swaps' pause points too. *)
+      check Alcotest.bool "reads served mid-swap" true
+        (Obs.Counter.value m.Service.Metrics.reads_in_swap > 0);
       let c = connect addr in
       Fun.protect ~finally:(fun () -> Service.Client.close c) (fun () ->
+          (* Every epoch a reader saw passed the certificate: the history
+             lists exactly the swaps the epoch gate published. *)
+          let published = List.map fst (ok (Service.Client.epoch_history c)) in
+          Hashtbl.iter
+            (fun e () ->
+              if not (List.mem e published) then
+                Alcotest.failf "a reader was served epoch %d, which the history lacks" e)
+            epochs_served;
           ok (Service.Client.shutdown c)));
   ()
 
@@ -467,4 +551,5 @@ let () =
         [ Alcotest.test_case "pipelined overflow shed as busy" `Quick test_backpressure_sheds_load ] );
       ( "soak",
         [ Alcotest.test_case "64 clients under churn" `Slow test_soak_64_clients_under_churn ] );
+      ("swap", [ Alcotest.test_case "a read is served during a slow swap" `Slow test_read_served_mid_swap ]);
     ]
