@@ -296,39 +296,30 @@ let analyze_cmd =
       if json then print_json (Analysis.Analyzer.to_json ~target report)
       else Format.printf "== %s ==@.%a@.@." target Analysis.Analyzer.pp report;
       let g = Routing.Ftable.graph ft in
-      let ex =
-        if existence || min_layers || witness_out <> None then Some (Analysis.Existence.analyze g)
-        else None
-      in
-      Option.iter
-        (fun ex ->
-          let open Analysis.Existence in
-          (* under --json the report and existence objects already carry
-             min_layers_lb; keep stdout pure JSON *)
-          if min_layers && not json then
-            Format.printf "%s: min layers >= %d, achieved %d (slack %d)@." target ex.min_layers_lb
-              (Routing.Ftable.num_layers ft)
-              (Routing.Ftable.num_layers ft - ex.min_layers_lb);
-          if existence then
-            if json then print_json (existence_json target ex)
-            else begin
-              (match ex.unreachable with
-              | Some (s, d) ->
-                Format.printf "%s: INFEASIBLE: terminal %d cannot reach terminal %d@." target s d
-              | None -> Format.printf "%s: feasible, min layers >= %d@." target ex.min_layers_lb);
-              List.iter
-                (fun c ->
-                  Format.printf "  core: %d channels, %d hosts, forces >= %d layer(s)@."
-                    (Array.length c.cycle) (Array.length c.hosts) c.bound)
-                ex.cores
-            end)
-        ex;
+      let ex = report.Analysis.Analyzer.existence in
+      (* under --json the report and existence objects already carry
+         min_layers_lb; keep stdout pure JSON *)
+      if min_layers && not json then
+        Format.printf "%s: min layers >= %d, achieved %d (slack %d)@." target ex.min_layers_lb
+          (Routing.Ftable.num_layers ft)
+          (Routing.Ftable.num_layers ft - ex.min_layers_lb);
+      if existence then
+        if json then print_json (existence_json target ex)
+        else begin
+          (match ex.unreachable with
+          | Some (s, d) -> Format.printf "%s: INFEASIBLE: terminal %d cannot reach terminal %d@." target s d
+          | None -> Format.printf "%s: feasible, min layers >= %d@." target ex.min_layers_lb);
+          List.iter
+            (fun (c : Analysis.Existence.core) ->
+              Format.printf "  core: %d channels, %d hosts, forces >= %d layer(s)@."
+                (Array.length c.cycle) (Array.length c.hosts) c.bound)
+            ex.cores
+        end;
       Option.iter
         (fun path ->
           let w =
             match ex with
-            | Some ({ min_layers_lb; cores = core :: _; _ } : Analysis.Existence.t)
-              when min_layers_lb > Routing.Ftable.num_layers ft ->
+            | { min_layers_lb; cores = core :: _; _ } when min_layers_lb > Routing.Ftable.num_layers ft ->
               Analysis.Witness.of_core g core
             | _ -> (
               match report.Analysis.Analyzer.verdict with

@@ -7,7 +7,7 @@ type report = {
   channels : int;
   terminals : int;
   num_layers : int;
-  min_layers_lb : int;
+  existence : Existence.t;
   findings : Diag.finding list;
   verdict : verdict;
 }
@@ -21,7 +21,18 @@ let c_certified = Obs.Registry.counter "analysis.certified" ~desc:"analyzer verd
 
 let c_rejected = Obs.Registry.counter "analysis.rejected" ~desc:"analyzer verdicts: rejected"
 
-let t_certify = Obs.Registry.timer "analysis.certify" ~desc:"seconds per certificate generate+check"
+let t_certify =
+  Obs.Registry.timer "analysis.certify" ~desc:"seconds per certificate walk+generate+check"
+
+let t_walk =
+  Obs.Registry.timer "analysis.certify_walk"
+    ~desc:"seconds per certifier walk of a table's route classes and their dependencies"
+
+let t_generate =
+  Obs.Registry.timer "analysis.certify_generate" ~desc:"seconds generating an untrusted witness"
+
+let t_check =
+  Obs.Registry.timer "analysis.certify_check" ~desc:"seconds checking a witness against the routes"
 
 let t_analyze = Obs.Registry.timer "analysis.analyze" ~desc:"seconds per full analyzer run"
 
@@ -37,17 +48,19 @@ let refusal_to_string = function
    checked against, the route classes this function derives from the
    table itself, with the table's per-pair layers. The generated witness
    is untrusted until the checker re-derives every dependency from those
-   classes and accepts it. *)
+   classes and accepts it. Walk, generation and check are timed stages
+   of their own; [analysis.certify] is their total. *)
 let certify_routes ft =
-  match Ftable.to_classes ft with
+  match
+    Obs.Timer.time t_walk (fun () ->
+        Result.map (fun cls -> (cls, Cert.Routes.of_classes ft cls)) (Ftable.to_classes ft))
+  with
   | Error msg -> Error (Uncertifiable (Cert.Incomplete msg))
-  | Ok cls -> (
-    let routes = Cert.Routes.of_classes ft cls in
-    match Cert.of_routes ft routes with
+  | Ok (cls, routes) -> (
+    match Obs.Timer.time t_generate (fun () -> Cert.of_routes ft routes) with
     | Error e -> Error (Uncertifiable e)
     | Ok cert -> (
-      Parallel.pause ();
-      match Cert.check_routes cert routes with
+      match Obs.Timer.time t_check (fun () -> Cert.check_routes cert routes) with
       | Ok () -> Ok (cert, cls)
       | Error msg -> Error (Refuted msg)))
 
@@ -114,7 +127,7 @@ let analyze_inner ?hop_budget ?graph ft =
     channels = Graph.num_channels g;
     terminals = Graph.num_terminals g;
     num_layers = Ftable.num_layers ft;
-    min_layers_lb = ex.Existence.min_layers_lb;
+    existence = ex;
     findings;
     verdict;
   }
@@ -148,7 +161,7 @@ let ok r =
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%s: %d terminals, %d channels, %d layer(s) (provable minimum %d)@,"
-    r.algorithm r.terminals r.channels r.num_layers r.min_layers_lb;
+    r.algorithm r.terminals r.channels r.num_layers r.existence.Existence.min_layers_lb;
   (match r.findings with
   | [] -> Format.fprintf ppf "lint: no findings@,"
   | fs ->
@@ -176,7 +189,7 @@ let to_json ?target r =
         ("terminals", num r.terminals);
         ("channels", num r.channels);
         ("num_layers", num r.num_layers);
-        ("min_layers_lb", num r.min_layers_lb);
+        ("min_layers_lb", num r.existence.Existence.min_layers_lb);
         ("errors", num (Diag.num_errors r.findings));
         ("warnings", num (Diag.num_warnings r.findings));
         ("findings", Obs.Json.List (List.map Diag.finding_to_json r.findings));

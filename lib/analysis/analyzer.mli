@@ -19,9 +19,10 @@ type report = {
   channels : int;
   terminals : int;
   num_layers : int;  (** the table's declared layer count *)
-  min_layers_lb : int;
-      (** the fabric's provable layer lower bound ({!Existence}); the
-          per-topology slack is [num_layers - min_layers_lb] *)
+  existence : Existence.t;
+      (** the existence analysis of the fabric the table is judged
+          against: its [min_layers_lb] is the provable layer lower bound,
+          and the per-topology slack is [num_layers - min_layers_lb] *)
   findings : Diag.finding list;
   verdict : verdict;
 }

@@ -225,7 +225,6 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
           [ ("layer", Obs.Trace.Int !vl); ("engine", Obs.Trace.Str "scc") ])
     in
     let scc = Obs.Timer.time t_condense (fun () -> Scc.of_cdg cdg) in
-    Parallel.pause ();
     let nontrivial = scc.Scc.nontrivial in
     let n_nontrivial = Array.length nontrivial in
     let largest = Array.fold_left (fun acc c -> max acc (Array.length c)) 0 nontrivial in
@@ -258,7 +257,6 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
             Array.iter (Array.iter (fun v -> local_of.(v) <- -1)) nontrivial;
             plans)
       in
-      Parallel.pause ();
       (* Merge sequentially in component order: plans are independent,
          so a pair evicted by two components moves once. *)
       let movers = ref [] in

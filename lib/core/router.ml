@@ -48,7 +48,6 @@ let place ~variant ~fallback ?engine ?domains ?(heuristic = Heuristic.Weakest) ?
     match Obs.Timer.time t_class_walk (fun () -> Routing.Ftable.to_classes ft) with
     | Error msg -> Error (Routing_failed msg)
     | Ok cls -> (
-      Parallel.pause ();
       let store = cls.Routing.Ftable.store in
       let online () =
         Result.map
@@ -115,7 +114,6 @@ let build ?(variant = Offline) ?heuristic ?max_layers ?balance ?batch ?domains ?
     match Routing.Sssp.route ?batch ?domains ?pool ?kernel g with
     | Error msg -> Error (Routing_failed msg)
     | Ok ft ->
-      Parallel.pause ();
       place ~variant ~fallback:true ?domains ?heuristic ?max_layers ?balance ft
   in
   (match result with

@@ -40,16 +40,15 @@ let t_expand =
 
 (* Existence, then the certificate, then statistics from the certified
    classes and their per-pair expansion: [Ok (store, report)] names the
-   store the snapshot will serve. Its [Parallel.pause] points all come
-   before [try_swap] installs the snapshot, so whatever a pause hook
-   reads is the previous epoch. *)
+   store the snapshot will serve. Every timed stage ends before
+   [try_swap] installs the snapshot, so whatever the daemon reads at a
+   stage end is the previous epoch. *)
 let vet candidate =
   (* The topology-level existence gate runs before anything touches the
      candidate's routes: a layer budget below the fabric's provable
      minimum (Analysis.Existence) cannot be certified by any table, so
      the candidate is refused without spending a certificate run on it. *)
   let ex = Analysis.Existence.analyze (Ftable.graph candidate) in
-  Parallel.pause ();
   if ex.Analysis.Existence.min_layers_lb > Ftable.num_layers candidate then
     Error
       (Printf.sprintf "existence: layer budget %d is below the provable minimum %d for this fabric"
@@ -68,7 +67,6 @@ let vet candidate =
       let report =
         Obs.Timer.time t_stats (fun () -> Dfsssp.Verify.of_classes candidate cls ~deadlock_free:true)
       in
-      Parallel.pause ();
       Ok (Obs.Timer.time t_expand (fun () -> Ftable.expand candidate cls), report)
 
 let try_swap t ~label candidate =

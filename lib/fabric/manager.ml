@@ -46,7 +46,7 @@ type t = {
   state : Fabstate.t;
   epochs : Epoch.t;
   metrics : Metrics.t;
-  mutable outcomes : outcome list; (* newest first *)
+  mutable unverified : int; (* applied, table-changing events that ended without a verified swap *)
   mutable pool : Sssp.pool option;
       (* persistent routing-domain pool ([domains > 1] only): scratch is
          epoch-stamped, so the same pool serves every full recompute even
@@ -130,7 +130,7 @@ let create ?(config = default_config) g =
         state = Fabstate.create g;
         epochs = Epoch.create ();
         metrics = Metrics.create ();
-        outcomes = [];
+        unverified = 0;
         pool = (if config.domains > 1 then Some (Sssp.create_pool ~domains:config.domains ()) else None);
         initial_fallback = None;
       }
@@ -154,7 +154,8 @@ let create ?(config = default_config) g =
   end
 
 let finish t outcome =
-  t.outcomes <- outcome :: t.outcomes;
+  if outcome.applied && outcome.action <> Noop && outcome.verify = None then
+    t.unverified <- t.unverified + 1;
   Log.info (fun m ->
       m "%s: %s%s epoch %d" (Event.to_string outcome.event)
         (match outcome.action with
@@ -299,12 +300,4 @@ let pp_summary ppf t =
   | Error _ -> Format.fprintf ppf "no active tables@]"
   | Ok s -> Format.fprintf ppf "active tables: %a@]" Dfsssp.Verify.pp_report s.Epoch.report
 
-let converged t =
-  List.for_all
-    (fun o ->
-      (not o.applied)
-      ||
-      match o.action with
-      | Noop -> true
-      | Incremental _ | Full _ -> o.verify <> None)
-    t.outcomes
+let converged t = t.unverified = 0

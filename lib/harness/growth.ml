@@ -3,32 +3,6 @@ type stage = {
   graph : Graph.t;
 }
 
-(* Rebuild [g] inside [builder], returning the switch remap. *)
-let import builder g =
-  let remap = Array.make (Graph.num_nodes g) (-1) in
-  Array.iter
-    (fun (nd : Node.t) ->
-      if Node.is_switch nd then remap.(nd.id) <- Builder.add_switch builder ~name:nd.name)
-    (Graph.nodes g);
-  Array.iter
-    (fun (nd : Node.t) ->
-      if Node.is_terminal nd then begin
-        let attach = (Graph.channel g (Graph.out_channels g nd.id).(0)).Channel.dst in
-        remap.(nd.id) <- Builder.add_terminal builder ~name:nd.name ~switch:remap.(attach)
-      end)
-    (Graph.nodes g);
-  Array.iter
-    (fun (c : Channel.t) ->
-      match Graph.reverse_channel g c.id with
-      | Some r when r < c.id -> ()
-      | _ ->
-        if Graph.is_switch g c.src && Graph.is_switch g c.dst then begin
-          let (_ : int * int) = Builder.add_link builder remap.(c.src) remap.(c.dst) in
-          ()
-        end)
-    (Graph.channels g);
-  remap
-
 let leaf_switches g =
   Array.of_list
     (List.filter
@@ -46,36 +20,10 @@ let stages () =
   let build_s2 () =
     let b = Builder.create () in
     let g1 = island () in
-    let r1 = import b g1 in
+    let r1 = Builder.add_graph b g1 in
     let g2 = island () in
-    (* rename second island to avoid clashes: rebuild with a prefix *)
-    let rename = Hashtbl.create 64 in
-    Array.iter
-      (fun (nd : Node.t) -> Hashtbl.replace rename nd.id ("b_" ^ nd.name))
-      (Graph.nodes g2);
-    let remap2 = Array.make (Graph.num_nodes g2) (-1) in
-    Array.iter
-      (fun (nd : Node.t) ->
-        if Node.is_switch nd then
-          remap2.(nd.id) <- Builder.add_switch b ~name:(Hashtbl.find rename nd.id))
-      (Graph.nodes g2);
-    Array.iter
-      (fun (nd : Node.t) ->
-        if Node.is_terminal nd then begin
-          let attach = (Graph.channel g2 (Graph.out_channels g2 nd.id).(0)).Channel.dst in
-          remap2.(nd.id) <- Builder.add_terminal b ~name:(Hashtbl.find rename nd.id) ~switch:remap2.(attach)
-        end)
-      (Graph.nodes g2);
-    Array.iter
-      (fun (c : Channel.t) ->
-        match Graph.reverse_channel g2 c.id with
-        | Some r when r < c.id -> ()
-        | _ ->
-          if Graph.is_switch g2 c.src && Graph.is_switch g2 c.dst then begin
-            let (_ : int * int) = Builder.add_link b remap2.(c.src) remap2.(c.dst) in
-            ()
-          end)
-      (Graph.channels g2);
+    (* the second island's names are prefixed to avoid clashes *)
+    let remap2 = Builder.add_graph b ~rename:(fun name -> "b_" ^ name) g2 in
     let leaves1 = leaf_switches g1 and leaves2 = leaf_switches g2 in
     let (_ : int * int) = Builder.add_link b r1.(leaves1.(0)) remap2.(leaves2.(0)) in
     let (_ : int * int) = Builder.add_link b r1.(leaves1.(1)) remap2.(leaves2.(1)) in

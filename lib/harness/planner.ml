@@ -15,28 +15,7 @@ let ebb_of ?ranks ft ~patterns ~seed =
 (* Copy [g] and lay one extra cable between the named switches. *)
 let with_cable g ~a ~b =
   let builder = Builder.create () in
-  let remap = Array.make (Graph.num_nodes g) (-1) in
-  Array.iter
-    (fun (nd : Node.t) ->
-      if Node.is_switch nd then remap.(nd.id) <- Builder.add_switch builder ~name:nd.name)
-    (Graph.nodes g);
-  Array.iter
-    (fun (nd : Node.t) ->
-      if Node.is_terminal nd then begin
-        let attach = (Graph.channel g (Graph.out_channels g nd.id).(0)).Channel.dst in
-        remap.(nd.id) <- Builder.add_terminal builder ~name:nd.name ~switch:remap.(attach)
-      end)
-    (Graph.nodes g);
-  Array.iter
-    (fun (c : Channel.t) ->
-      match Graph.reverse_channel g c.id with
-      | Some r when r < c.id -> ()
-      | _ ->
-        if Graph.is_switch g c.src && Graph.is_switch g c.dst then begin
-          let (_ : int * int) = Builder.add_link builder remap.(c.src) remap.(c.dst) in
-          ()
-        end)
-    (Graph.channels g);
+  let remap = Builder.add_graph builder g in
   let (_ : int * int) = Builder.add_link builder remap.(a) remap.(b) in
   Builder.build builder
 

@@ -54,6 +54,34 @@ let add_terminal t ~name ~switch =
   let (_ : int * int) = add_link t id switch in
   id
 
+let add_graph ?(rename = Fun.id) ?(keep_node = fun _ -> true) ?(keep_cable = fun _ -> true) t g =
+  let remap = Array.make (Graph.num_nodes g) (-1) in
+  Array.iter
+    (fun (nd : Node.t) ->
+      if keep_node nd.id && Node.is_switch nd then remap.(nd.id) <- add_switch t ~name:(rename nd.name))
+    (Graph.nodes g);
+  Array.iter
+    (fun (nd : Node.t) ->
+      if keep_node nd.id && Node.is_terminal nd then begin
+        let attach = (Graph.channel g (Graph.out_channels g nd.id).(0)).Channel.dst in
+        if remap.(attach) >= 0 then remap.(nd.id) <- add_terminal t ~name:(rename nd.name) ~switch:remap.(attach)
+      end)
+    (Graph.nodes g);
+  Array.iter
+    (fun (c : Channel.t) ->
+      match Graph.reverse_channel g c.id with
+      | Some r when r < c.id -> ()
+      | _ ->
+        if
+          Graph.is_switch g c.src && Graph.is_switch g c.dst && remap.(c.src) >= 0 && remap.(c.dst) >= 0
+          && Graph.channel_enabled g c.id && keep_cable c.id
+        then begin
+          let (_ : int * int) = add_link t remap.(c.src) remap.(c.dst) in
+          ()
+        end)
+    (Graph.channels g);
+  remap
+
 let build t =
   check_open t;
   t.built <- true;

@@ -18,6 +18,21 @@ val add_terminal : t -> name:string -> switch:int -> int
     @raise Invalid_argument on self links or unknown node ids. *)
 val add_link : t -> int -> int -> int * int
 
+(** [add_graph ?rename ?keep_node ?keep_cable t g] copies the enabled
+    fabric of [g] into [t] and returns the node remap ([-1] for a node
+    left out): the switches [keep_node] accepts, then the terminals it
+    accepts whose switch was copied, then the enabled switch-to-switch
+    cables between copied switches whose lower channel id [keep_cable]
+    accepts, each in id order. Names pass through [rename]. By default
+    every node and cable is copied under its own name. *)
+val add_graph :
+  ?rename:(string -> string) ->
+  ?keep_node:(int -> bool) ->
+  ?keep_cable:(int -> bool) ->
+  t ->
+  Graph.t ->
+  int array
+
 (** The most parallel cables a topology file may state between one node
     pair (255). No generator or corpus file comes near it; the parsers
     ({!Serial}, {!Topo_import}) refuse a larger count, with its line

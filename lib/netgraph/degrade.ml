@@ -1,34 +1,10 @@
-(* Rebuild a graph from a subset of its cables. [keep_cable] receives the
-   lower channel id of each bidirectional pair. Disabled channels are
-   dropped: the rebuilt graph materializes only the enabled fabric. *)
-let rebuild g ~keep_node ~keep_cable =
+(* Rebuild a graph from a subset of its nodes and cables. [keep_cable]
+   receives the lower channel id of each bidirectional pair. Disabled
+   channels are dropped: the rebuilt graph materializes only the enabled
+   fabric. *)
+let rebuild ?keep_node ?keep_cable g =
   let b = Builder.create () in
-  let remap = Array.make (Graph.num_nodes g) (-1) in
-  Array.iter
-    (fun (nd : Node.t) ->
-      if keep_node nd.id && Node.is_switch nd then remap.(nd.id) <- Builder.add_switch b ~name:nd.name)
-    (Graph.nodes g);
-  Array.iter
-    (fun (nd : Node.t) ->
-      if keep_node nd.id && Node.is_terminal nd then begin
-        let attach = (Graph.channel g (Graph.out_channels g nd.id).(0)).Channel.dst in
-        if remap.(attach) >= 0 then remap.(nd.id) <- Builder.add_terminal b ~name:nd.name ~switch:remap.(attach)
-      end)
-    (Graph.nodes g);
-  Array.iter
-    (fun (c : Channel.t) ->
-      match Graph.reverse_channel g c.id with
-      | Some r when r < c.id -> ()
-      | _ ->
-        let a = Graph.node g c.src and d = Graph.node g c.dst in
-        if
-          Node.is_switch a && Node.is_switch d && remap.(c.src) >= 0 && remap.(c.dst) >= 0
-          && Graph.channel_enabled g c.id && keep_cable c.id
-        then begin
-          let (_ : int * int) = Builder.add_link b remap.(c.src) remap.(c.dst) in
-          ()
-        end)
-    (Graph.channels g);
+  let (_ : int array) = Builder.add_graph ?keep_node ?keep_cable b g in
   Builder.build b
 
 let switch_cables g =
@@ -42,50 +18,6 @@ let switch_cables g =
           out := c.id :: !out)
     (Graph.channels g);
   Array.of_list (List.rev !out)
-
-let remove_cables g ~rng ~count =
-  let removed = Hashtbl.create 16 in
-  let connected_without extra =
-    (* BFS over switches only, skipping removed cables and [extra]. *)
-    let skip c =
-      Hashtbl.mem removed c
-      || (match Graph.reverse_channel g c with Some r -> Hashtbl.mem removed (min c r) | None -> false)
-      || c = extra
-      || (match Graph.reverse_channel g c with Some r -> min c r = extra | None -> false)
-    in
-    let switches = Graph.switches g in
-    if Array.length switches = 0 then true
-    else begin
-      let seen = Hashtbl.create 64 in
-      let queue = Queue.create () in
-      Hashtbl.replace seen switches.(0) ();
-      Queue.add switches.(0) queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.take queue in
-        Array.iter
-          (fun c ->
-            let v = (Graph.channel g c).Channel.dst in
-            if Graph.is_switch g v && (not (skip c)) && not (Hashtbl.mem seen v) then begin
-              Hashtbl.replace seen v ();
-              Queue.add v queue
-            end)
-          (Graph.out_channels g u)
-      done;
-      Hashtbl.length seen = Array.length switches
-    end
-  in
-  let candidates = switch_cables g in
-  Rng.shuffle rng candidates;
-  let taken = ref 0 in
-  Array.iter
-    (fun cable ->
-      if !taken < count && connected_without cable then begin
-        Hashtbl.replace removed cable ();
-        incr taken
-      end)
-    candidates;
-  let g' = rebuild g ~keep_node:(fun _ -> true) ~keep_cable:(fun c -> not (Hashtbl.mem removed c)) in
-  (g', !taken)
 
 let cable_channels g c =
   match Graph.reverse_channel g c with
@@ -117,6 +49,21 @@ let switch_connected_without g ~skip =
     done;
     Hashtbl.length seen = Array.length switches
   end
+
+let remove_cables g ~rng ~count =
+  let removed = ref [] (* channels of the removed cables *) in
+  let candidates = switch_cables g in
+  Rng.shuffle rng candidates;
+  let taken = ref 0 in
+  Array.iter
+    (fun cable ->
+      let chans = cable_channels g cable in
+      if !taken < count && switch_connected_without g ~skip:(chans @ !removed) then begin
+        removed := chans @ !removed;
+        incr taken
+      end)
+    candidates;
+  (rebuild g ~keep_cable:(fun c -> not (List.mem c !removed)), !taken)
 
 let check_cable g ~cable =
   if cable < 0 || cable >= Graph.num_channels g then Error "unknown channel id"
@@ -196,7 +143,7 @@ let remove_switch g ~switch =
       if Graph.is_terminal g v then (Graph.channel g (Graph.out_channels g v).(0)).Channel.dst <> switch
       else true
     in
-    let g' = rebuild g ~keep_node ~keep_cable:(fun _ -> true) in
+    let g' = rebuild g ~keep_node in
     if Graph.num_nodes g' > 0 && Graph.connected g' then Ok g'
     else Error "Degrade.remove_switch: remainder disconnected"
   end

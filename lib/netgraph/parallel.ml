@@ -92,8 +92,12 @@ module Pool = struct
     if slot < 0 || slot >= pool.size then invalid_arg "Pool.slot_scratch";
     pool.scratch.(slot)
 
+  (* The calling domain takes part as slot 0 with its stage hook
+     suspended, so no timed stage inside a parallel region is a pause
+     point (Obs.Timer.with_stage_hook). *)
   let run pool ~n ?grain f =
-    if n > 0 then begin
+    if n > 0 then
+      Obs.Timer.with_stage_hook None @@ fun () ->
       if pool.size = 1 || n = 1 then
         for i = 0 to n - 1 do
           f pool.scratch.(0) i
@@ -153,7 +157,6 @@ module Pool = struct
         | Some e -> raise e
         | None -> ()
       end
-    end
 
   let shutdown pool =
     Mutex.lock pool.lock;
@@ -170,23 +173,6 @@ module Pool = struct
     let pool = create ?domains scratch in
     Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 end
-
-(* The pause hook: domain-local, so a [pause] on a pool worker (which
-   starts with no hook) never runs the installing domain's [serve]. *)
-let pause_hook : (unit -> unit) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let pause () =
-  match Domain.DLS.get pause_hook with
-  | None -> ()
-  | Some serve ->
-    (* uninstalled while it runs, so a [pause] made from [serve] is a no-op *)
-    Domain.DLS.set pause_hook None;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set pause_hook (Some serve)) serve
-
-let with_pause serve f =
-  let prev = Domain.DLS.get pause_hook in
-  Domain.DLS.set pause_hook (Some serve);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set pause_hook prev) f
 
 let init ?(domains = 1) n f =
   if n <= 0 then [||]

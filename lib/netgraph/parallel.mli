@@ -3,7 +3,12 @@
     (independent random matchings) and per-component cycle breaking
     (independent strongly connected components). Work functions must be pure with respect
     to shared state: they may read the immutable fabric and routing
-    tables, and must not touch shared mutable structures. *)
+    tables, and must not touch shared mutable structures.
+
+    A parallel region is never a pause point: {!Pool.run} runs with the
+    calling domain's stage hook suspended ({!Obs.Timer.with_stage_hook}),
+    and spawned workers start without one, so a stage timed inside a
+    region ends without running the hook. *)
 
 (** [Domain.recommended_domain_count], capped at 8 — the fan-out sweet
     spot for the workloads here. *)
@@ -23,23 +28,6 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [init ~domains n f] is [Array.init n f], parallelised the same way. *)
 val init : ?domains:int -> int -> (int -> 'a) -> 'a array
-
-(** {1 Pause points}
-
-    A long computation on one domain can let that domain do other work
-    at its stage boundaries: the fabric daemon answers ready route reads
-    between the stages of an epoch swap (DESIGN.md §14). *)
-
-(** [pause ()] runs the hook installed on the calling domain by
-    {!with_pause}, and is a no-op when there is none, as on every pool
-    worker. The hook is uninstalled while it runs, so a [pause] made from
-    inside it does nothing. Call it only outside parallel regions. *)
-val pause : unit -> unit
-
-(** [with_pause serve f] runs [f ()] with [serve] as the calling
-    domain's pause hook, and restores the previous hook when [f] returns
-    or raises. *)
-val with_pause : (unit -> unit) -> (unit -> 'a) -> 'a
 
 (** Persistent worker pool with per-domain scratch state — the substrate
     of the domain-parallel routing pipeline (DESIGN.md section 12).
@@ -74,7 +62,8 @@ module Pool : sig
       [grain] (default [n / (4 * size)], at least 1) via a shared cursor.
       Blocks until every index is done; the first exception raised by any
       chunk is re-raised afterwards (remaining chunks of that worker are
-      abandoned, other workers drain normally).
+      abandoned, other workers drain normally). The calling domain's
+      stage hook is suspended for the whole run.
       @raise Invalid_argument on a pool that was {!shutdown}. *)
   val run : 's t -> n:int -> ?grain:int -> ('s -> int -> unit) -> unit
 

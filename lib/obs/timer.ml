@@ -42,9 +42,30 @@ let add ?(slot = 0) t seconds =
   c.ring_pos <- (c.ring_pos + 1) mod cap;
   if c.ring_len < cap then c.ring_len <- c.ring_len + 1
 
+(* The stage hook: domain-local, so a stage that ends on a domain the
+   hook was not installed on (a spawned pool worker starts with none)
+   never runs it. *)
+let stage_hook : (unit -> unit) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let with_stage_hook hook f =
+  let prev = Domain.DLS.get stage_hook in
+  Domain.DLS.set stage_hook hook;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set stage_hook prev) f
+
+let end_stage () =
+  match Domain.DLS.get stage_hook with
+  | None -> ()
+  | Some hook ->
+    (* uninstalled while it runs, so a stage timed inside [hook] ends
+       without re-entering it *)
+    Domain.DLS.set stage_hook None;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set stage_hook (Some hook)) hook
+
 let time ?slot t f =
   let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> add ?slot t (Unix.gettimeofday () -. t0)) f
+  let r = Fun.protect ~finally:(fun () -> add ?slot t (Unix.gettimeofday () -. t0)) f in
+  end_stage ();
+  r
 
 let count t = Array.fold_left (fun acc c -> acc + c.count) 0 t.cells
 

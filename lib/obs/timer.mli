@@ -14,8 +14,21 @@ val name : t -> string
     to the valid range). *)
 val add : ?slot:int -> t -> float -> unit
 
-(** Time [f] with [Unix.gettimeofday], recording even when it raises. *)
+(** Time [f] with [Unix.gettimeofday], recording even when it raises.
+    A timed stage that returns is a pause point: after recording, [time]
+    runs the calling domain's stage hook ({!with_stage_hook}), if any.
+    {!add} records a duration measured elsewhere and runs no hook. *)
 val time : ?slot:int -> t -> (unit -> 'a) -> 'a
+
+(** [with_stage_hook hook f] runs [f ()] with [hook] as the calling
+    domain's stage hook ([None]: no hook), and restores the previous
+    hook when [f] returns or raises. The hook is domain-local (a spawned
+    domain starts without one) and uninstalled while it runs, so a
+    {!time} inside it runs no hook. The fabric daemon answers ready
+    reads at the stage ends of an epoch swap this way (DESIGN.md §14);
+    [Netgraph.Parallel.Pool.run] suspends the hook with [None], so no
+    stage inside a parallel region pauses. *)
+val with_stage_hook : (unit -> unit) option -> (unit -> 'a) -> 'a
 
 val count : t -> int
 val sum_s : t -> float

@@ -1,6 +1,8 @@
 (** Operational telemetry of the controller daemon, on {!Obs} primitives
     in a per-server registry — what an operator scrapes to see whether
-    the service is keeping up or shedding load. *)
+    the service is keeping up or shedding load. A manager step's pause
+    points are the ends of its timed stages ({!Obs.Timer.time} under the
+    daemon's stage hook). *)
 
 type t = {
   registry : Obs.Registry.t;

@@ -15,7 +15,6 @@ type config = {
   max_frame : int;
   tick_s : float;
   trace_capacity : int;
-  drain_s : float;
   manager : Fabric.Manager.config;
 }
 
@@ -26,7 +25,6 @@ let default_config =
     max_frame = Proto.default_max_frame;
     tick_s = 0.02;
     trace_capacity = 512;
-    drain_s = 5.0;
     manager = Fabric.Manager.default_config;
   }
 
@@ -541,10 +539,10 @@ let handle_writable conn =
 (* Epoch swaps                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The pause hook of a manager step: one zero-timeout select over the
+(* The stage hook of a manager step: one zero-timeout select over the
    live connections, their ready frames answered in order from the
-   pre-swap epoch (the swap installs its snapshot only after the last
-   pause point), events admitted or shed, output flushed. It never
+   pre-swap epoch (the swap installs its snapshot only after its last
+   timed stage ends), events admitted or shed, output flushed. It never
    accepts, culls or steps the manager, and raises nothing into the
    step it interrupts: a failed poll serves nothing this time. *)
 let serve_ready t =
@@ -557,8 +555,9 @@ let serve_ready t =
       t.conns);
   List.iter (fun c -> if (not c.dead) && c.outlen > c.outpos then handle_writable c) t.conns
 
-(* One manager step under the pause hook. Returns the outcome; records
-   the step's longest stretch between pause points. *)
+(* One manager step under the stage hook: every timed stage that ends
+   on this domain is a pause point. Returns the outcome; records the
+   step's longest stretch between pause points. *)
 let apply_serving t ev =
   let last = ref (Unix.gettimeofday ()) and longest = ref 0.0 in
   let stretch () = longest := Float.max !longest (Unix.gettimeofday () -. !last) in
@@ -569,7 +568,7 @@ let apply_serving t ev =
   in
   let o =
     Obs.Timer.time t.metrics.Metrics.apply_s (fun () ->
-        Parallel.with_pause serve (fun () -> Fabric.Manager.apply t.mgr ev))
+        Obs.Timer.with_stage_hook (Some serve) (fun () -> Fabric.Manager.apply t.mgr ev))
   in
   stretch ();
   Obs.Timer.add t.metrics.Metrics.swap_stretch_s !longest;
@@ -657,6 +656,10 @@ let teardown t =
   Fabric.Manager.shutdown t.mgr;
   t.running <- false
 
+(* Seconds a stopping loop keeps flushing replies and draining admitted
+   events before it tears down anyway. *)
+let drain_s = 5.0
+
 let serve t =
   Fun.protect ~finally:(fun () -> teardown t)
   @@ fun () ->
@@ -666,7 +669,7 @@ let serve t =
        flips the loop into its bounded drain phase *)
     if Atomic.get t.stop_flag && not t.stopping then begin
       t.stopping <- true;
-      t.drain_until <- Unix.gettimeofday () +. t.config.drain_s
+      t.drain_until <- Unix.gettimeofday () +. drain_s
     end;
     let reads =
       (if t.stopping then [] else [ t.listen_fd ])

@@ -11,9 +11,11 @@
       so each reply reflects exactly one certified epoch; readers of an
       old epoch drain gracefully because the swap installs a new
       snapshot instead of mutating the exported one.
-    - {b Reads do not wait out a swap.} Each manager step runs under
-      {!Netgraph.Parallel.with_pause}: at every stage boundary of the
-      step the loop polls its connections once, answers ready [route],
+    - {b Reads do not wait out a swap.} Each manager step runs with a
+      stage hook installed ({!Obs.Timer.with_stage_hook}): at the end
+      of every timed stage of the step (SSSP, class walk, each condense
+      and evict, existence, the certifier's walk, generation and check,
+      statistics, ...) the loop polls its connections once, answers ready [route],
       [ping], [stats], [epoch] and [trace] requests from the pre-swap
       epoch, admits or sheds events, and leaves a connection's first
       [analyze] (and what follows it) for after the step. It never
@@ -26,7 +28,7 @@
       written as its step returns, the moment its epoch is published.
     - {b Shutdown is graceful everywhere.} A [shutdown] request, {!stop}
       (signal-handler safe) or an exception all funnel into the same
-      teardown: drain pending replies (bounded by [drain_s]), close
+      teardown: drain pending replies (for at most 5 s), close
       sockets, unlink the Unix socket path, and
       {!Fabric.Manager.shutdown} the manager so worker domains are
       released and trace sinks flushed. *)
@@ -39,12 +41,11 @@ type config = {
   trace_capacity : int;
       (** keep the most recent N trace spans in a ring served by the
           [trace] op; [0] leaves tracing untouched *)
-  drain_s : float;  (** max seconds to flush replies at shutdown *)
   manager : Fabric.Manager.config;
 }
 
 (** [fabric.sock] in the working directory, queue depth 64, 1 MiB
-    frames, 512-span ring, 20 ms tick, 5 s drain,
+    frames, 512-span ring, 20 ms tick,
     {!Fabric.Manager.default_config}. *)
 val default_config : config
 

@@ -204,7 +204,7 @@ let test_fresh_tables_clean () =
       check Alcotest.int (name ^ " findings") 1 (List.length fs);
       check Alcotest.bool (name ^ " slack info") true (has_rule fs "A010-layer-slack");
       check Alcotest.bool (name ^ " lb sound") true
-        (r.Analysis.Analyzer.min_layers_lb <= r.Analysis.Analyzer.num_layers);
+        (r.Analysis.Analyzer.existence.Analysis.Existence.min_layers_lb <= r.Analysis.Analyzer.num_layers);
       check Alcotest.bool (name ^ " ok") true (Analysis.Analyzer.ok r))
     [ "dfsssp"; "lash"; "updown" ]
 
@@ -635,7 +635,7 @@ let test_one_way_ring_routed_above_lb () =
   check Alcotest.bool "uses >= 4 layers" true (Routing.Ftable.num_layers ft >= 4);
   let r = Analysis.Analyzer.analyze ft in
   check Alcotest.bool "certified" true (Analysis.Analyzer.ok r);
-  check Alcotest.int "lb in report" 4 r.Analysis.Analyzer.min_layers_lb;
+  check Alcotest.int "lb in report" 4 r.Analysis.Analyzer.existence.Analysis.Existence.min_layers_lb;
   check Alcotest.bool "A010 slack info" true (has_rule r.Analysis.Analyzer.findings "A010-layer-slack")
 
 let test_a009_budget_infeasible () =

@@ -605,6 +605,88 @@ let test_stage_timers_per_create () =
         Alcotest.(check bool) "bring-up route time > 0" true (Obs.Timer.sum_s m.Fabric.Metrics.repair > 0.0)
       done)
 
+(* A timed stage is a pause point: one [Manager.apply] on a live
+   manager, under a stage hook that notes which timers ended since the
+   hook last ran, and the epoch the manager reads. The timers are
+   [stage_timers], the stages inside Algorithm 2 and the certifier's
+   sub-stages. A 4x4 torus needs two layers, so Algorithm 2 evicts (a
+   3x3 torus routes in one and never does). *)
+let pause_timers =
+  stage_timers
+  @ [
+      "layers.rebuild";
+      "layers.condense";
+      "layers.evict";
+      "analysis.certify_walk";
+      "analysis.certify_generate";
+      "analysis.certify_check";
+    ]
+
+type paused_apply = {
+  outcome : Fabric.Manager.outcome;
+  epoch_before : int;
+  ended : int list; (* per timer: samples the apply recorded *)
+  trailing : int list; (* per timer: samples after the last pause *)
+  pauses : string list list; (* per pause, in order: the timers that ended before it *)
+  hook_epochs : int list;
+}
+
+let paused_apply () =
+  let g = torus [| 4; 4 |] in
+  let mgr = Result.get_ok (Fabric.Manager.create g) in
+  let epoch_before = Fabric.Manager.epoch mgr in
+  let counts () = List.map timer_count pause_timers in
+  let start = counts () in
+  let last = ref start and pauses = ref [] and hook_epochs = ref [] in
+  let hook () =
+    let now = counts () in
+    pauses :=
+      List.concat
+        (List.map2 (fun name (b, a) -> List.init (a - b) (fun _ -> name)) pause_timers
+           (List.combine !last now))
+      :: !pauses;
+    last := now;
+    hook_epochs := Fabric.Manager.epoch mgr :: !hook_epochs
+  in
+  let outcome =
+    Obs.Timer.with_stage_hook (Some hook) (fun () ->
+        Fabric.Manager.apply mgr (Fabric.Event.Link_down (first_switch_cable g)))
+  in
+  let stop = counts () in
+  Fabric.Manager.shutdown mgr;
+  {
+    outcome;
+    epoch_before;
+    ended = List.map2 ( - ) stop start;
+    trailing = List.map2 ( - ) stop !last;
+    pauses = List.rev !pauses;
+    hook_epochs = List.rev !hook_epochs;
+  }
+
+let test_apply_pauses_at_stage_ends () =
+  let r = paused_apply () in
+  check Alcotest.bool "the event swapped in verified tables" true (r.outcome.Fabric.Manager.verify <> None);
+  List.iter2
+    (fun name n -> check Alcotest.bool (name ^ " ended during the apply") true (n > 0))
+    pause_timers r.ended;
+  (* each stage end is followed by a pause before the next one ends *)
+  List.iter
+    (fun ended ->
+      check Alcotest.bool
+        ("at most one stage ended between two pauses: " ^ String.concat ", " ended)
+        true
+        (List.length ended <= 1))
+    r.pauses;
+  List.iter2
+    (fun name n -> check Alcotest.int (name ^ ": no stage end after the last pause") 0 n)
+    pause_timers r.trailing
+
+let test_hook_reads_pre_swap_epoch () =
+  let r = paused_apply () in
+  check Alcotest.bool "the hook ran" true (r.hook_epochs <> []);
+  List.iter (fun e -> check Alcotest.int "epoch read inside the hook" r.epoch_before e) r.hook_epochs;
+  check Alcotest.int "the apply published the next epoch" (r.epoch_before + 1) r.outcome.Fabric.Manager.epoch
+
 (* Every pair's snapshot slice is the table walk. *)
 let check_snapshot_parity name g =
   let mgr = Result.get_ok (Fabric.Manager.create g) in
@@ -731,6 +813,8 @@ let () =
           Alcotest.test_case "snapshot is the certified store" `Quick test_snapshot_is_certified_store;
           Alcotest.test_case "snapshot slices equal table walks" `Quick test_snapshot_parity;
           Alcotest.test_case "one stage-timer sample per create" `Quick test_stage_timers_per_create;
+          Alcotest.test_case "an apply pauses at every stage end" `Quick test_apply_pauses_at_stage_ends;
+          Alcotest.test_case "the stage hook reads the pre-swap epoch" `Quick test_hook_reads_pre_swap_epoch;
           Alcotest.test_case "refused candidate keeps the snapshot" `Quick
             test_refused_candidate_keeps_snapshot;
         ] );

@@ -119,6 +119,114 @@ let timer_records_on_raise () =
   check Alcotest.int "raised call counted" 1 (Obs.Timer.count t)
 
 (* ------------------------------------------------------------------ *)
+(* The stage hook: a timed stage that ends is a pause point             *)
+(* ------------------------------------------------------------------ *)
+
+(* One stage: [Timer.time] on a throwaway timer. *)
+let stage = Obs.Timer.create "test.stage"
+
+let end_stage () = Obs.Timer.time stage ignore
+
+let pause_noop_without_hook () =
+  end_stage ();
+  let runs = ref 0 in
+  Obs.Timer.with_stage_hook (Some (fun () -> incr runs)) end_stage;
+  end_stage ();
+  Alcotest.(check int) "runs only while installed" 1 !runs
+
+let pause_time_not_add () =
+  let runs = ref 0 in
+  Obs.Timer.with_stage_hook
+    (Some (fun () -> incr runs))
+    (fun () ->
+      Obs.Timer.add stage 0.5;
+      Alcotest.(check int) "add runs no hook" 0 !runs;
+      check Alcotest.int "time returns the stage's value" 7 (Obs.Timer.time stage (fun () -> 7));
+      Alcotest.(check int) "time runs the hook" 1 !runs;
+      (try Obs.Timer.time stage (fun () -> failwith "boom") with Failure _ -> ());
+      Alcotest.(check int) "a stage that raises ends without a pause" 1 !runs)
+
+(* The calling domain is slot 0 of every pool, so only tasks on spawned
+   workers end stages; slot 0 holds its index until a worker has ended
+   one, so the check does not depend on scheduling. *)
+let pause_not_run_by_pool_workers () =
+  let main = Domain.self () in
+  let runs = Atomic.make 0 and worker_stages = Atomic.make 0 in
+  Obs.Timer.with_stage_hook
+    (Some (fun () -> Atomic.incr runs))
+    (fun () ->
+      Parallel.Pool.with_pool ~domains:2
+        (fun _ -> ())
+        (fun pool ->
+          Parallel.Pool.run pool ~n:2 ~grain:1 (fun () _ ->
+              if Domain.self () <> main then begin
+                end_stage ();
+                Atomic.incr worker_stages
+              end
+              else begin
+                let until = Unix.gettimeofday () +. 10.0 in
+                while Atomic.get worker_stages = 0 && Unix.gettimeofday () < until do
+                  Domain.cpu_relax ()
+                done
+              end)));
+  Alcotest.(check bool) "a worker ended a stage" true (Atomic.get worker_stages > 0);
+  Alcotest.(check int) "the installing domain's hook never ran" 0 (Atomic.get runs)
+
+(* Slot 0 is the installing domain itself: [Pool.run] suspends its hook
+   there, so a stage inside a parallel region never pauses — the inline
+   path of a one-domain pool included — and the hook is back afterwards. *)
+let pause_suspended_on_slot0 () =
+  let main = Domain.self () in
+  let runs = ref 0 and slot0_stages = ref 0 in
+  Obs.Timer.with_stage_hook
+    (Some (fun () -> incr runs))
+    (fun () ->
+      List.iter
+        (fun domains ->
+          Parallel.Pool.with_pool ~domains
+            (fun _ -> ())
+            (fun pool ->
+              Parallel.Pool.run pool ~n:4 ~grain:1 (fun () _ ->
+                  if Domain.self () = main then begin
+                    end_stage ();
+                    incr slot0_stages
+                  end)))
+        [ 2; 1 ];
+      Alcotest.(check bool) "slot 0 ended stages" true (!slot0_stages > 0);
+      Alcotest.(check int) "no pause inside a parallel region" 0 !runs;
+      end_stage ();
+      Alcotest.(check int) "the hook is restored after the run" 1 !runs)
+
+let pause_hook_restored () =
+  let log = ref [] in
+  let hook name = Some (fun () -> log := name :: !log) in
+  Obs.Timer.with_stage_hook (hook "outer") (fun () ->
+      Obs.Timer.with_stage_hook (hook "inner") end_stage;
+      end_stage ();
+      (match
+         Obs.Timer.with_stage_hook (hook "raising") (fun () ->
+             end_stage ();
+             failwith "boom")
+       with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Failure _ -> ());
+      end_stage ());
+  end_stage ();
+  Alcotest.(check (list string)) "hooks in order" [ "inner"; "outer"; "raising"; "outer" ] (List.rev !log)
+
+let pause_inside_hook_ignored () =
+  let runs = ref 0 in
+  Obs.Timer.with_stage_hook
+    (Some
+       (fun () ->
+         incr runs;
+         end_stage ()))
+    (fun () ->
+      end_stage ();
+      end_stage ());
+  Alcotest.(check int) "each outer stage ran the hook once" 2 !runs
+
+(* ------------------------------------------------------------------ *)
 (* JSON wire format                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -421,6 +529,16 @@ let () =
         [
           Alcotest.test_case "accumulate and summarize" `Quick timer_basic;
           Alcotest.test_case "records on raise" `Quick timer_records_on_raise;
+        ] );
+      ( "pause",
+        [
+          Alcotest.test_case "no-op without a hook" `Quick pause_noop_without_hook;
+          Alcotest.test_case "Timer.time runs the hook, Timer.add does not" `Quick pause_time_not_add;
+          Alcotest.test_case "pool workers never run the hook" `Quick pause_not_run_by_pool_workers;
+          Alcotest.test_case "no pause on slot 0 of a pool run" `Quick pause_suspended_on_slot0;
+          Alcotest.test_case "previous hook restored after nesting and exceptions" `Quick
+            pause_hook_restored;
+          Alcotest.test_case "a pause inside the hook is ignored" `Quick pause_inside_hook_ignored;
         ] );
       ( "json",
         [

@@ -244,69 +244,6 @@ let pool_over_limit () =
       true
       (Testutil.contains msg (string_of_int Parallel.max_domains))
 
-(* The pause hook (Parallel.pause / with_pause): domain-local, restored
-   on every exit, and not re-entered from its own body. *)
-let pause_noop_without_hook () =
-  Parallel.pause ();
-  let runs = ref 0 in
-  Parallel.with_pause (fun () -> incr runs) (fun () -> Parallel.pause ());
-  Parallel.pause ();
-  Alcotest.(check int) "runs only while installed" 1 !runs
-
-(* The calling domain is slot 0 of every pool, so only tasks on spawned
-   workers call [pause]; slot 0 holds its index until a worker has
-   paused, so the check does not depend on scheduling. *)
-let pause_not_run_by_pool_workers () =
-  let main = Domain.self () in
-  let runs = Atomic.make 0 and worker_pauses = Atomic.make 0 in
-  Parallel.with_pause
-    (fun () -> Atomic.incr runs)
-    (fun () ->
-      Parallel.Pool.with_pool ~domains:2
-        (fun _ -> ())
-        (fun pool ->
-          Parallel.Pool.run pool ~n:2 ~grain:1 (fun () _ ->
-              if Domain.self () <> main then begin
-                Parallel.pause ();
-                Atomic.incr worker_pauses
-              end
-              else begin
-                let until = Unix.gettimeofday () +. 10.0 in
-                while Atomic.get worker_pauses = 0 && Unix.gettimeofday () < until do
-                  Domain.cpu_relax ()
-                done
-              end)));
-  Alcotest.(check bool) "a worker paused" true (Atomic.get worker_pauses > 0);
-  Alcotest.(check int) "the installing domain's hook never ran" 0 (Atomic.get runs)
-
-let pause_hook_restored () =
-  let log = ref [] in
-  let hook name () = log := name :: !log in
-  Parallel.with_pause (hook "outer") (fun () ->
-      Parallel.with_pause (hook "inner") Parallel.pause;
-      Parallel.pause ();
-      (match
-         Parallel.with_pause (hook "raising") (fun () ->
-             Parallel.pause ();
-             failwith "boom")
-       with
-      | () -> Alcotest.fail "the exception was swallowed"
-      | exception Failure _ -> ());
-      Parallel.pause ());
-  Parallel.pause ();
-  Alcotest.(check (list string)) "hooks in order" [ "inner"; "outer"; "raising"; "outer" ] (List.rev !log)
-
-let pause_inside_hook_ignored () =
-  let runs = ref 0 in
-  Parallel.with_pause
-    (fun () ->
-      incr runs;
-      Parallel.pause ())
-    (fun () ->
-      Parallel.pause ();
-      Parallel.pause ());
-  Alcotest.(check int) "each outer pause ran the hook once" 2 !runs
-
 let () =
   Alcotest.run "parallel routing"
     [
@@ -323,12 +260,4 @@ let () =
       ("engines", [ minhop_contract; updown_contract; ftree_domains_invariant; dor_domains_invariant ]);
       ("registry", [ registry_domains_invariant ]);
       ("pool", [ Alcotest.test_case "over max_domains is refused before spawning" `Quick pool_over_limit ]);
-      ( "pause",
-        [
-          Alcotest.test_case "no-op without a hook" `Quick pause_noop_without_hook;
-          Alcotest.test_case "pool workers never run the hook" `Quick pause_not_run_by_pool_workers;
-          Alcotest.test_case "previous hook restored after nesting and exceptions" `Quick
-            pause_hook_restored;
-          Alcotest.test_case "a pause inside the hook is ignored" `Quick pause_inside_hook_ignored;
-        ] );
     ]
