@@ -5,9 +5,13 @@
    4096-endpoint XGFT (the paper-scale fabric of bench/cdg_bench.ml)
    plus a 1024-endpoint torus, with witness generation + trusted
    re-check timed on a 64-switch unidirectional ring where the bound is
-   nontrivial. Results land in bench_results/analysis.json; the [ratio]
-   gate fails if the analyzer exceeds 10% of the dfsssp route-build time
-   on the 4096-endpoint fabric. *)
+   nontrivial. Each topology row also times the routing certifier
+   (Analyzer.certify, best of three) on the table the row builds and
+   reports the megabytes one certification allocates (Gc counters
+   around the call); ROADMAP item 9 targets xgft-4096 under 2 s.
+   Results land in bench_results/analysis.json; the [ratio] gate fails
+   if the analyzer exceeds 10% of the dfsssp route-build time on the
+   4096-endpoint fabric. *)
 
 (* A unidirectional ring (only clockwise switch->switch channels), the
    fabric family where the lower bound is tight at ceil n/2 and the
@@ -34,6 +38,8 @@ type row = {
   channels : int;
   build_ms : float;
   analyze_ms : float;
+  certify_ms : float;
+  certify_alloc_mb : float;
   lb : int;
   layers : int;
   ratio : float;
@@ -53,12 +59,20 @@ let measure name g =
   in
   let build_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
   let analyze_ms, ex = Kit.time_best (fun () -> Analysis.Existence.analyze g) in
+  let minor0, promoted0, major0 = Gc.counters () in
+  let certified = Analysis.Analyzer.certify ft in
+  let minor1, promoted1, major1 = Gc.counters () in
+  if Result.is_error certified then failwith (Printf.sprintf "%s: the dfsssp table did not certify" name);
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let certify_ms, _ = Kit.time_best (fun () -> Analysis.Analyzer.certify ft) in
   {
     name;
     endpoints = Graph.num_terminals g;
     channels = Graph.num_channels g;
     build_ms;
     analyze_ms;
+    certify_ms;
+    certify_alloc_mb = words *. float_of_int (Sys.word_size / 8) /. 1048576.0;
     lb = ex.Analysis.Existence.min_layers_lb;
     layers = Routing.Ftable.num_layers ft;
     ratio = analyze_ms /. build_ms;
@@ -74,6 +88,8 @@ let json_row r =
       ("route_build_ms", Num r.build_ms);
       ("analyze_ms", Num r.analyze_ms);
       ("analyze_over_build", Num r.ratio);
+      ("certify_ms", Num r.certify_ms);
+      ("certify_alloc_mb", Num r.certify_alloc_mb);
       ("min_layers_lb", Kit.json_int r.lb);
       ("layers_achieved", Kit.json_int r.layers);
     ]
@@ -88,9 +104,10 @@ let () =
   List.iter
     (fun r ->
       Printf.printf
-        "%-12s %5d endpoints | route build %8.2f ms | existence %6.3f ms (%.2f%%) | lb %d, \
-         achieved %d\n"
-        r.name r.endpoints r.build_ms r.analyze_ms (100.0 *. r.ratio) r.lb r.layers)
+        "%-12s %5d endpoints | route build %8.2f ms | existence %6.3f ms (%.2f%%) | certify %8.2f \
+         ms, %.1f MB | lb %d, achieved %d\n"
+        r.name r.endpoints r.build_ms r.analyze_ms (100.0 *. r.ratio) r.certify_ms r.certify_alloc_mb
+        r.lb r.layers)
     rows;
   (* witness path: generate a budget-infeasibility counterexample on a
      64-switch one-way ring and run the trusted re-check on it *)

@@ -5,6 +5,12 @@
 open Cmdliner
 
 (* info *)
+
+(* [Graph.diameter] is a BFS from every node, O(n (n + m)): a few
+   milliseconds at this many nodes, minutes near [Builder.max_nodes].
+   Above it, info says the diameter was not computed. *)
+let diameter_max_nodes = 2000
+
 let info_cmd =
   let run (spec : Cli.spec) =
     let t = spec.Cli.topo in
@@ -23,8 +29,10 @@ let info_cmd =
         degrees.(Array.length degrees / 2)
         degrees.(Array.length degrees - 1)
     end;
-    if Netgraph.Graph.connected g && Netgraph.Graph.num_nodes g <= 2000 then
-      Format.printf "diameter: %d@." (Netgraph.Graph.diameter g);
+    let n = Netgraph.Graph.num_nodes g in
+    if Netgraph.Graph.connected g then
+      if n <= diameter_max_nodes then Format.printf "diameter: %d@." (Netgraph.Graph.diameter g)
+      else Format.printf "diameter: not computed (%d nodes)@." n;
     0
   in
   Cmd.v (Cmd.info "info" ~doc:"describe a fabric") Term.(const run $ Cli.spec)

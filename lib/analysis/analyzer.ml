@@ -26,7 +26,7 @@ let t_certify =
 
 let t_walk =
   Obs.Registry.timer "analysis.certify_walk"
-    ~desc:"seconds per certifier walk of a table's route classes and their dependencies"
+    ~desc:"seconds per certifier read of a table's destination trees into their dependencies"
 
 let t_generate =
   Obs.Registry.timer "analysis.certify_generate" ~desc:"seconds generating an untrusted witness"
@@ -44,30 +44,25 @@ let refusal_to_string = function
   | Uncertifiable e -> Cert.error_to_string e
   | Refuted msg -> Printf.sprintf "checker refuted the generated witness: %s" msg
 
-(* One class walk per run: the witness is generated from, and then
-   checked against, the route classes this function derives from the
-   table itself, with the table's per-pair layers. The generated witness
-   is untrusted until the checker re-derives every dependency from those
-   classes and accepts it. Walk, generation and check are timed stages
-   of their own; [analysis.certify] is their total. *)
+(* One read of the table per run: the witness is generated from, and
+   then checked against, the dependencies this function reads off the
+   table's destination trees itself, under the table's per-pair layers.
+   The generated witness is untrusted until the checker tests every one
+   of those dependencies against it. Walk, generation and check are
+   timed stages of their own; [analysis.certify] is their total. *)
 let certify_routes ft =
-  match
-    Obs.Timer.time t_walk (fun () ->
-        Result.map (fun cls -> (cls, Cert.Routes.of_classes ft cls)) (Ftable.to_classes ft))
-  with
+  match Obs.Timer.time t_walk (fun () -> Cert.Routes.of_table ft) with
   | Error msg -> Error (Uncertifiable (Cert.Incomplete msg))
-  | Ok (cls, routes) -> (
+  | Ok routes -> (
     match Obs.Timer.time t_generate (fun () -> Cert.of_routes ft routes) with
     | Error e -> Error (Uncertifiable e)
     | Ok cert -> (
       match Obs.Timer.time t_check (fun () -> Cert.check_routes cert routes) with
-      | Ok () -> Ok (cert, cls)
+      | Ok () -> Ok cert
       | Error msg -> Error (Refuted msg)))
 
-let certify_classes ft =
+let certify ft =
   Obs.Timer.time t_certify (fun () -> Result.map_error refusal_to_string (certify_routes ft))
-
-let certify ft = Result.map fst (certify_classes ft)
 
 (* Topology-level findings (A008/A009/A010): computed on the fabric the
    table is judged against, so a degraded [?graph] override is analyzed,
@@ -111,7 +106,7 @@ let analyze_inner ?hop_budget ?graph ft =
   let findings = findings @ existence_findings ex ~num_layers:(Ftable.num_layers ft) in
   let findings, verdict =
     match certify_routes ft with
-    | Ok (cert, _) -> (findings, Certified cert)
+    | Ok cert -> (findings, Certified cert)
     | Error (Uncertifiable (Cert.Cycle { layer; stuck }) as r) ->
       ( findings
         @ [

@@ -4,11 +4,11 @@
     touching the construction code in [lib/cdg] or [lib/core]. A table is
     {e certified} only when the checker accepts a topological witness for
     every virtual layer; lint errors independently veto installation
-    ({!ok}). Every certification walks the table's route classes exactly
-    once ({!Routing.Ftable.to_classes}), and neither it nor {!Cert} uses
-    [Deadlock.Cdg] or [Layers]. Every deadlock verdict the shipped code
-    gives ([Dfsssp.Verify.report], the epoch gate, the experiments) is
-    this checker's. *)
+    ({!ok}). Every certification reads the table's destination trees
+    once ({!Cert.Routes.of_table}); it walks no route classes, and
+    neither it nor {!Cert} uses [Deadlock.Cdg] or [Layers]. Every
+    deadlock verdict the shipped code gives ([Dfsssp.Verify.report], the
+    epoch gate, the experiments) is this checker's. *)
 
 type verdict =
   | Certified of Cert.t
@@ -38,20 +38,16 @@ type report = {
     feasible one the informational {!Diag.a010_layer_slack}. *)
 val analyze : ?hop_budget:Lint.hop_budget -> ?graph:Graph.t -> Ftable.t -> report
 
-(** [certify_classes ft] is the install gate used by {!Fabric.Epoch}: walk
-    [ft]'s route classes once ({!Routing.Ftable.to_classes}), generate a
-    certificate over them and the table's per-pair layers
-    ({!Cert.Routes.of_classes}), and have the trusted checker validate it
-    against the same classes. On success it also returns the classes, so
-    the caller can measure and serve ({!Routing.Ftable.expand}) exactly
-    the routes that were proven deadlock-free without walking the tables
-    again. The classes are always ones this function derived from [ft]
-    itself; none from construction code is ever accepted. One
-    [analysis.certify] timer sample per call. [Error] explains the
-    refusal. *)
-val certify_classes : Ftable.t -> (Cert.t * Ftable.classes, string) result
-
-(** [certify ft] is {!certify_classes} without the classes. *)
+(** [certify ft] is the install gate used by {!Fabric.Epoch}: read
+    [ft]'s dependencies off its destination trees and per-pair layers
+    ({!Cert.Routes.of_table}), generate a certificate over them, and
+    have the trusted checker validate it against the same dependencies.
+    Nothing built by construction code is read: only the table. It
+    allocates O(channels x layers) beyond the per-(entry node,
+    destination) notes of the first pass, and bumps no
+    [routing.class_walks]. One [analysis.certify] timer sample per call,
+    made of one [analysis.certify_walk], [_generate] and [_check] sample
+    each as far as the run gets. [Error] explains the refusal. *)
 val certify : Ftable.t -> (Cert.t, string) result
 
 (** [ok r] is [true] iff the verdict is [Certified] and no finding has

@@ -14,10 +14,9 @@
 
     The checker runs in one O(V+E) pass (V = channels, E = route
     dependencies); the generator is a per-layer Kahn sort, also
-    O(V+E). Over a table's route classes ({!Routes.of_classes}) E counts
-    each class's dependencies once per layer its pairs ride, plus one
-    injection hop per (entry channel, class first channel, layer): the
-    dependency set of the per-pair routes, at a fraction of the
+    O(V+E). Over a table ({!Routes.of_table}) E is the set of distinct
+    dependencies per layer, read off the table's destination trees: the
+    dependency set of the per-pair routes, without their
     multiplicity. *)
 
 type t = {
@@ -42,28 +41,38 @@ type error =
 
 val error_to_string : error -> string
 
-(** The dependencies a certificate speaks about, layer by layer: route
-    slices of a store, each riding one or more layers, plus single
-    dependencies. *)
+(** The dependencies a certificate speaks about, layer by layer: the
+    route slices of a per-pair store, or the distinct dependencies of a
+    table's destination trees. *)
 module Routes : sig
   type t
 
   (** [of_store store ~layer_of_path]: every present slice rides its
-      [layer_of_path] entry (indexed by pair id); no single
-      dependencies. Over {!Routing.Ftable.to_store} and
-      {!Routing.Ftable.pair_layers} these are a table's per-pair routes,
-      the dependencies {!of_classes} must reproduce. *)
+      [layer_of_path] entry (indexed by pair id). Over
+      {!Routing.Ftable.to_store} and {!Routing.Ftable.pair_layers} these
+      are a table's per-pair routes, the dependencies {!of_table} must
+      reproduce. *)
   val of_store : Route_store.t -> layer_of_path:int array -> t
 
-  (** [of_classes ft cls] reads [ft]'s per-pair layers through its route
-      classes ({!Routing.Ftable.to_classes}): a class rides every layer
-      one of its pairs rides, and each pair adds its injection hop
-      [(entry, first channel of its class)] to its own layer. The result
-      carries exactly the dependencies of {!Routing.Ftable.to_store}'s
+  (** [of_table ft] reads [ft]'s dependencies off its destination trees,
+      in two passes over the table and nothing else. Row by row, each
+      pair [(t, d)] adds its injection hop [(entry, next s d)], where [s]
+      is the node its entry channel enters, to its own layer, and notes
+      that [(s, d)] rides that layer. Then, per destination [d] and
+      layer [L] so noted, [d]'s tree is followed from every such [s],
+      stopping after the hop into the first node already walked for
+      [(d, L)], so each tree edge is derived once per [(d, L)]. Each
+      layer's dependencies are kept distinct (a bitset over the fabric's
+      turns) and stored in an exactly-sized array.
+
+      The result is the dependency set of {!Routing.Ftable.to_store}'s
       per-pair store under the table's layers, so verdicts and [stuck]
-      counts are the per-pair ones — also when one class's pairs ride
-      different layers. *)
-  val of_classes : Ftable.t -> Ftable.classes -> t
+      counts are the per-pair ones — also when the pairs entering one
+      node ride different layers. [Error] names the first pair in pair-id
+      order with no loop-free route (an unset entry, a dead end, a
+      forwarding loop, or a walk that enters a terminal other than its
+      destination), in {!Routing.Ftable.to_classes}' words. *)
+  val of_table : Ftable.t -> (t, string) result
 end
 
 (** [of_routes ft routes] builds one topological numbering per layer (a
@@ -75,11 +84,10 @@ val of_routes : Ftable.t -> Routes.t -> (t, error) result
 
 (** [check_routes cert routes] validates the certificate against the
     routes in one pass: shape (channel count, one complete numbering per
-    layer), every slice's layer within the certificate, and every
-    dependency of a slice in each layer it rides, then every single
+    layer), every route's layer within the certificate, and every
     dependency, strictly ascending in its layer's numbering. [Error]
-    names the first violation. Over route classes it runs once per
-    (class, layer) plus the injection hops. *)
+    names the first violation: over a per-pair store, in pair order.
+    Over a table's trees it tests each distinct dependency once. *)
 val check_routes : t -> Routes.t -> (unit, string) result
 
 (** {1 Artifacts}

@@ -17,6 +17,7 @@ type built = {
   table : Ftable.t;
   placement : placement;
   layers : int;
+  classes : Ftable.classes;
 }
 
 type error =
@@ -89,7 +90,7 @@ let place ~variant ~fallback ?engine ?domains ?(heuristic = Heuristic.Weakest) ?
           end
         in
         Routing.Ftable.set_num_layers ft used;
-        Ok { table = ft; placement; layers = layers_used })
+        Ok { table = ft; placement; layers = layers_used; classes = cls })
 
 let assign_layers ?(variant = Offline) ?engine ?domains ?heuristic ?max_layers ?balance ft =
   Result.map

@@ -39,6 +39,11 @@ type built = {
   layers : int;
       (** the layers the placement needed; [table] declares more when
           [balance] spread the routes *)
+  classes : Ftable.classes;
+      (** the route classes the layers were placed on, walked from
+          [table] as it stands: the epoch gate reads its statistics and
+          snapshot off them ({!Fabric.Epoch.try_swap}) instead of walking
+          the table again *)
 }
 
 type error =
@@ -54,7 +59,8 @@ val error_to_string : error -> string
     virtual layers. Under the default [Offline] variant Algorithm 2
     places them; when it runs out of layers, the online placement runs
     on the same class store and the result says [Online_fallback]. If
-    both fail, [Error (Layers_exhausted _)] names both failures.
+    both fail, [Error (Layers_exhausted _)] names both failures. The
+    result carries that class store.
 
     - [heuristic] (default {!Cdg.Heuristic.Weakest}) picks the cycle edge
       to evict (Algorithm 2 only).

@@ -13,13 +13,11 @@ let of_classes ft cls ~deadlock_free =
     deadlock_free;
   }
 
-(* A refusal is either an incomplete table (the class walk names the
-   pair) or a cyclic layer: the classes are walked again only then. *)
+(* The verdict is the checker's; the statistics come from one class
+   walk, whose failure names an incomplete table's first pair. *)
 let report ft =
-  match Analysis.Analyzer.certify_classes ft with
-  | Ok (_, cls) -> Ok (of_classes ft cls ~deadlock_free:true)
-  | Error _ ->
-    Result.map (fun cls -> of_classes ft cls ~deadlock_free:false) (Routing.Ftable.to_classes ft)
+  let deadlock_free = Result.is_ok (Analysis.Analyzer.certify ft) in
+  Result.map (fun cls -> of_classes ft cls ~deadlock_free) (Routing.Ftable.to_classes ft)
 
 let pp_report ppf r =
   Format.fprintf ppf "%a layers=%d (max used %d) deadlock_free=%b" Routing.Ftable.pp_stats r.stats

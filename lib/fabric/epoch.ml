@@ -32,18 +32,19 @@ let snapshot t =
   | None -> Error "no active epoch"
 
 let t_stats =
-  Obs.Registry.timer "epoch.swap_stats" ~desc:"seconds computing a swap's route statistics"
+  Obs.Registry.timer "epoch.swap_stats"
+    ~desc:"seconds computing a swap's route statistics (after a class walk if none was handed in)"
 
 let t_expand =
   Obs.Registry.timer "epoch.snapshot_expand"
-    ~desc:"seconds expanding a swap's certified route classes into the per-pair snapshot store"
+    ~desc:"seconds expanding a swap's route classes into the per-pair snapshot store"
 
-(* Existence, then the certificate, then statistics from the certified
-   classes and their per-pair expansion: [Ok (store, report)] names the
-   store the snapshot will serve. Every timed stage ends before
-   [try_swap] installs the snapshot, so whatever the daemon reads at a
-   stage end is the previous epoch. *)
-let vet candidate =
+(* Existence, then the certificate, then statistics from the
+   candidate's route classes and their per-pair expansion: [Ok (store,
+   report)] names the store the snapshot will serve. Every timed stage
+   ends before [try_swap] installs the snapshot, so whatever the daemon
+   reads at a stage end is the previous epoch. *)
+let vet ?classes candidate =
   (* The topology-level existence gate runs before anything touches the
      candidate's routes: a layer budget below the fabric's provable
      minimum (Analysis.Existence) cannot be certified by any table, so
@@ -55,26 +56,33 @@ let vet candidate =
          (Ftable.num_layers candidate) ex.Analysis.Existence.min_layers_lb)
   else
     (* The certificate is the one deadlock gate: the trusted checker in
-       lib/analysis walks the candidate's route classes itself and must
-       accept a topological witness for every layer over them. A table
-       the checker cannot certify never goes live, whatever the code that
-       built it believes. Completeness and path statistics then come from
-       those same classes, and the snapshot serves their per-pair
-       expansion — the daemon reads slices by pair id. *)
-    match Analysis.Analyzer.certify_classes candidate with
+       lib/analysis reads the candidate's destination trees itself and
+       must accept a topological witness for every layer over them. A
+       table the checker cannot certify never goes live, whatever the
+       code that built it believes. Completeness and path statistics
+       then come from the route classes the placement walked, which
+       [Ftable] refuses unless they were walked from the candidate as it
+       stands (a registry engine's table is walked here), and the
+       snapshot serves their per-pair expansion: the daemon reads slices
+       by pair id. The classes are dropped after the expansion. *)
+    match Analysis.Analyzer.certify candidate with
     | Error msg -> Error (Printf.sprintf "certificate: %s" msg)
-    | Ok (_cert, cls) ->
-      let report =
-        Obs.Timer.time t_stats (fun () -> Dfsssp.Verify.of_classes candidate cls ~deadlock_free:true)
-      in
-      Ok (Obs.Timer.time t_expand (fun () -> Ftable.expand candidate cls), report)
+    | Ok _cert -> (
+      match
+        Obs.Timer.time t_stats (fun () ->
+            Result.map
+              (fun cls -> (cls, Dfsssp.Verify.of_classes candidate cls ~deadlock_free:true))
+              (match classes with Some cls -> Ok cls | None -> Ftable.to_classes candidate))
+      with
+      | Error msg -> Error (Printf.sprintf "classes: %s" msg)
+      | Ok (cls, report) -> Ok (Obs.Timer.time t_expand (fun () -> Ftable.expand candidate cls), report))
 
-let try_swap t ~label candidate =
+let try_swap ?classes t ~label candidate =
   let span =
     Obs.Trace.begin_span "fabric.try_swap" ~attrs:(fun () -> [("label", Obs.Trace.Str label)])
   in
   let t0 = Unix.gettimeofday () in
-  let vetted = vet candidate in
+  let vetted = vet ?classes candidate in
   let verify_s = Unix.gettimeofday () -. t0 in
   let result =
     match vetted with

@@ -70,8 +70,10 @@ let initial_fallback t = t.initial_fallback
 
 (* Full recompute: fresh weight state, route everything, re-break all
    cycles. Under dfsssp, [Dfsssp.build] places the SSSP routes online
-   when Algorithm 2 runs out of layers; [Ok (ft, Some note)] says that
-   happened and why. An [Error] names every failed placement. *)
+   when Algorithm 2 runs out of layers; [Ok (ft, classes, Some note)]
+   says that happened and why, and [classes] is the store the layers
+   were placed on, for the epoch gate (a registry engine hands none, and
+   the gate walks its table). An [Error] names every failed placement. *)
 let full_route t =
   let g = Fabstate.graph t.state in
   Obs.Trace.with_span "fabric.full_route"
@@ -87,16 +89,19 @@ let full_route t =
         ?pool:t.pool ~kernel:t.config.kernel g
     with
     | Error e -> Error (Dfsssp.error_to_string e)
-    | Ok { Dfsssp.table; placement = Online_fallback { offline_reason }; _ } ->
-      Ok (table, Some ("offline layer assignment failed: " ^ offline_reason ^ "; placed online"))
-    | Ok { Dfsssp.table; _ } -> Ok (table, None)
+    | Ok { Dfsssp.table; classes; placement = Online_fallback { offline_reason }; _ } ->
+      Ok
+        ( table,
+          Some classes,
+          Some ("offline layer assignment failed: " ^ offline_reason ^ "; placed online") )
+    | Ok { Dfsssp.table; classes; _ } -> Ok (table, Some classes, None)
   else
     match
       Dfsssp.Registry.find ~max_layers:t.config.max_layers ~batch:t.config.batch
         ~domains:t.config.domains t.config.algorithm
     with
     | None -> Error (Printf.sprintf "unknown algorithm %S" t.config.algorithm)
-    | Some a -> Result.map (fun ft -> (ft, None)) (a.Dfsssp.Registry.run g)
+    | Some a -> Result.map (fun ft -> (ft, None, None)) (a.Dfsssp.Registry.run g)
 
 let release t =
   match t.pool with
@@ -139,9 +144,9 @@ let create ?(config = default_config) g =
     | Error msg ->
       release t;
       Error msg
-    | Ok (ft, online) -> (
+    | Ok (ft, classes, online) -> (
       t.initial_fallback <- online;
-      match Epoch.try_swap t.epochs ~label:"initial" ft with
+      match Epoch.try_swap ?classes t.epochs ~label:"initial" ft with
       | Error msg, verify_s ->
         Obs.Timer.add t.metrics.Metrics.verify verify_s;
         release t;
@@ -192,8 +197,8 @@ let reconverge t ~event ~t0 ~old_ft ~reason =
   in
   match candidate with
   | Error msg -> stale msg
-  | Ok (ft, online) -> (
-    match Epoch.try_swap t.epochs ~label:(Event.to_string event ^ " (full)") ft with
+  | Ok (ft, classes, online) -> (
+    match Epoch.try_swap ?classes t.epochs ~label:(Event.to_string event ^ " (full)") ft with
     | Error msg, verify_s ->
       Obs.Timer.add m.Metrics.verify verify_s;
       Obs.Counter.incr m.Metrics.verify_failures;

@@ -7,7 +7,15 @@ type t = {
   mutable layers : Bytes.t array option; (* terminal index -> terminal index -> layer *)
   mutable num_layers : int;
   index_of : int array; (* node id -> terminal index or -1 *)
+  mutable stamp : int;
+      (* unique to this table's current forwarding entries: drawn afresh
+         by [create], [set_next] and [set_tree], and carried by the route
+         classes walked from them *)
 }
+
+let stamps = Atomic.make 0
+
+let fresh_stamp () = Atomic.fetch_and_add stamps 1
 
 let create graph ~algorithm =
   let n = Graph.num_nodes graph in
@@ -15,7 +23,15 @@ let create graph ~algorithm =
   let nt = Array.length terminals in
   let index_of = Array.make n (-1) in
   Array.iteri (fun i tid -> index_of.(tid) <- i) terminals;
-  { graph; algorithm; next = Array.init n (fun _ -> Array.make nt (-1)); layers = None; num_layers = 1; index_of }
+  {
+    graph;
+    algorithm;
+    next = Array.init n (fun _ -> Array.make nt (-1));
+    layers = None;
+    num_layers = 1;
+    index_of;
+    stamp = fresh_stamp ();
+  }
 
 let graph t = t.graph
 
@@ -30,12 +46,14 @@ let not_leaving () = invalid_arg "Ftable.set_next: channel does not leave node"
 
 let set_next t ~node ~dst ~channel =
   if (Graph.tails t.graph).(channel) <> node then not_leaving ();
-  t.next.(node).(dst_index t dst) <- channel
+  t.next.(node).(dst_index t dst) <- channel;
+  t.stamp <- fresh_stamp ()
 
 let set_tree t ~dst via =
   let n = Graph.num_nodes t.graph in
   if Array.length via <> n then invalid_arg "Ftable.set_tree: via size";
   let di = dst_index t dst and tails = Graph.tails t.graph in
+  t.stamp <- fresh_stamp ();
   for u = 0 to n - 1 do
     let c = via.(u) in
     if u <> dst && c >= 0 then begin
@@ -47,6 +65,8 @@ let set_tree t ~dst via =
 let next t ~node ~dst =
   let c = t.next.(node).(dst_index t dst) in
   if c < 0 then None else Some c
+
+let row t ~node = t.next.(node)
 
 (* A loop-free walk visits distinct nodes, so it takes at most
    num_nodes - 1 hops; the destination test precedes the bound test, so a
@@ -130,7 +150,15 @@ let no_route t pair =
 type classes = {
   store : Route_store.t;
   class_of_pair : int array;
+  stamp : int;
 }
+
+(* A class store describes the entries it was walked from: another
+   table's, or this one's before a later [set_next], would hand out
+   routes the table does not take. *)
+let check_owner (t : t) (cls : classes) ~what =
+  if cls.stamp <> t.stamp then
+    invalid_arg (Printf.sprintf "Ftable.%s: classes were not walked from this table as it stands" what)
 
 let c_class_walks =
   Obs.Registry.counter "routing.class_walks" ~desc:"forwarding tables walked into a route-class store"
@@ -234,7 +262,12 @@ let walk_classes t =
         end
       done
     done;
-    Ok { store = Route_store.of_arena ~weight g ~buf ~off ~len ~num_paths:!present; class_of_pair }
+    Ok
+      {
+        store = Route_store.of_arena ~weight g ~buf ~off ~len ~num_paths:!present;
+        class_of_pair;
+        stamp = t.stamp;
+      }
   end
 
 let to_classes t =
@@ -247,8 +280,8 @@ let expand t cls =
   let g = t.graph in
   let terminals = Graph.terminals g in
   let nt = Array.length terminals in
+  check_owner t cls ~what:"expand";
   let class_of_pair = cls.class_of_pair in
-  if Array.length class_of_pair <> nt * nt then invalid_arg "Ftable.expand: classes do not match the table";
   let cbuf = Route_store.buffer cls.store
   and coff = Route_store.offsets cls.store
   and clen = Route_store.lengths cls.store in
@@ -313,6 +346,8 @@ let layer t ~src ~dst =
   | None -> 0
   | Some l -> Char.code (Bytes.get l.(dst_index t src) (dst_index t dst))
 
+let layer_row t ~src_index = Option.map (fun l -> l.(src_index)) t.layers
+
 let set_layer t ~src ~dst vl =
   if vl < 0 || vl > 255 then invalid_arg "Ftable.set_layer: layer out of range";
   let l = ensure_layers t in
@@ -346,9 +381,8 @@ let set_pair_layers t layer_of_pair =
 
 let set_class_layers t cls class_layer =
   let nt = Graph.num_terminals t.graph in
+  check_owner t cls ~what:"set_class_layers";
   let class_of_pair = cls.class_of_pair in
-  if Array.length class_of_pair <> nt * nt then
-    invalid_arg "Ftable.set_class_layers: classes do not match the table";
   if Array.length class_layer <> Route_store.capacity cls.store then
     invalid_arg "Ftable.set_class_layers: class_layer does not cover the classes";
   Array.iteri
@@ -525,9 +559,8 @@ let class_stats t cls =
   let g = t.graph in
   let terminals = Graph.terminals g in
   let nt = Array.length terminals in
+  check_owner t cls ~what:"class_stats";
   let class_of_pair = cls.class_of_pair in
-  if Array.length class_of_pair <> nt * nt then
-    invalid_arg "Ftable.class_stats: classes do not match the table";
   let buf = Route_store.buffer cls.store
   and off = Route_store.offsets cls.store
   and len = Route_store.lengths cls.store

@@ -38,6 +38,12 @@ val set_tree : t -> dst:int -> int array -> unit
 (** [next t ~node ~dst] is the forwarding entry, or [None] if unset. *)
 val next : t -> node:int -> dst:int -> int option
 
+(** [row t ~node] is [node]'s entries by destination terminal index
+    ({!dst_index}), [-1] where unset: [(row t ~node).(dst_index t dst)]
+    is {!next}'s channel. The allocation-free read of the table's
+    destination trees. Do not mutate. *)
+val row : t -> node:int -> int array
+
 (** [path t ~src ~dst] follows the table from terminal [src] to terminal
     [dst]. [None] if an entry is missing or a forwarding loop is hit
     (a loop-free walk takes at most [num_nodes - 1] hops; reaching that
@@ -68,7 +74,7 @@ val pair_of_id : t -> int -> int * int
     class slice replaces all of its pairs' slices in the CDG,
     Algorithm 2, the certifier and the statistics (DESIGN.md §10). *)
 
-type classes = {
+type classes = private {
   store : Deadlock.Route_store.t;
       (** slice [k] is class [k]'s walk from [s] to [d], ending in [d]'s
           ejection channel; {!Deadlock.Route_store.weight} is its number
@@ -80,6 +86,12 @@ type classes = {
           meets every switch-level dependency. *)
   class_of_pair : int array;
       (** pair id ({!pair_id}) -> class id; [-1] on the diagonal *)
+  stamp : int;
+      (** the table state the classes were walked from: {!create},
+          {!set_next} and {!set_tree} give a table a fresh stamp, so
+          {!expand}, {!class_stats} and {!set_class_layers} refuse a
+          store walked from another table, or from an earlier state of
+          this one *)
 }
 
 (** [to_classes t] walks every route class of [t] into a fresh arena:
@@ -99,7 +111,9 @@ val entry : t -> src_index:int -> dst_index:int -> int
 
 (** [expand t cls] is the per-pair store of [t] rebuilt from its
     classes: pair [(t, d)]'s slice is [entry t d] followed by its class's
-    slice. One exactly-sized arena, no table walk. *)
+    slice. One exactly-sized arena, no table walk.
+    @raise Invalid_argument if [cls] was not walked from [t] as it
+    stands. *)
 val expand : t -> classes -> Deadlock.Route_store.t
 
 (** [to_store t] is the per-pair store of [t]: capacity [num_terminals ^ 2],
@@ -127,6 +141,11 @@ val layer : t -> src:int -> dst:int -> int
 
 val set_layer : t -> src:int -> dst:int -> int -> unit
 
+(** [layer_row t ~src_index] is the layers of the pairs leaving terminal
+    index [src_index]: [Bytes.get row dst_index] is {!layer}'s layer as
+    a byte, and [None] means every pair rides layer 0. Do not mutate. *)
+val layer_row : t -> src_index:int -> Bytes.t option
+
 (** Layer ids are bytes: a table holds at most [max_layer_ids] (256)
     layers, ids [0 .. 255]. *)
 val max_layer_ids : int
@@ -150,9 +169,9 @@ val set_pair_layers : t -> int array -> unit
 (** [set_class_layers t cls class_layer] gives every pair of class [k]
     the layer [class_layer.(k)] (the per-pair expansion of a class-keyed
     assignment). Every layer is checked before any is written.
-    @raise Invalid_argument if [cls] does not span [num_terminals ^ 2] pairs,
-    [class_layer] does not cover [cls]'s store, or a layer is outside
-    [[0, 255]]. *)
+    @raise Invalid_argument if [cls] was not walked from [t] as it
+    stands, [class_layer] does not cover [cls]'s store, or a layer is
+    outside [[0, 255]]. *)
 val set_class_layers : t -> classes -> int array -> unit
 
 (** The highest layer any pair rides (0 for a table without layers). *)
@@ -190,8 +209,8 @@ type stats = {
     class's slice length, and minimality compares hop counts with reverse
     BFS distances over the enabled channels (one BFS per switch feeding
     destinations).
-    @raise Invalid_argument if [cls] does not span [num_terminals ^ 2] pairs or an
-    off-diagonal pair has no class. *)
+    @raise Invalid_argument if [cls] was not walked from [t] as it
+    stands. *)
 val class_stats : t -> classes -> stats
 
 (** Check that every ordered terminal pair has a loop-free path and collect

@@ -144,32 +144,106 @@ let test_certify_seeds () =
         | Error msg -> Alcotest.failf "%s: check: %s" name msg))
     (seeds ())
 
-(* certify_classes hands back the classes it certified: they expand to
-   a complete store of the table's own routes, and the checker accepts
-   the returned certificate against that per-pair store under the
-   table's layers; refusals read exactly like certify's. *)
-let test_certify_classes () =
+(* The certifier reads the table's destination trees: its certificate
+   checks against the per-pair store under the table's layers, and the
+   per-pair certificate checks against the tree dependencies. *)
+let test_certify_checks_pairs () =
   List.iter
     (fun (name, g) ->
       let ft = route "dfsssp" g in
-      match Analysis.Analyzer.certify_classes ft with
-      | Error msg -> Alcotest.failf "%s: %s" name msg
-      | Ok (cert, cls) ->
-        let store = Routing.Ftable.expand ft cls in
-        let nt = Graph.num_terminals g in
-        check Alcotest.int (name ^ " every pair stored") (nt * (nt - 1))
-          (Deadlock.Route_store.num_paths store);
-        Deadlock.Route_store.iter_pairs store (fun pair ->
-            let src, dst = Routing.Ftable.pair_of_id ft pair in
-            if Some (Deadlock.Route_store.to_path store ~pair) <> Routing.Ftable.path ft ~src ~dst then
-              Alcotest.failf "%s: pair %d is not the table's route" name pair);
+      let trees = Result.get_ok (Analysis.Cert.Routes.of_table ft) in
+      match (Analysis.Analyzer.certify ft, cert_of_table ft) with
+      | Ok cert, Ok pair_cert ->
         check Alcotest.bool (name ^ " certificate checks against the per-pair store") true
-          (Result.is_ok (check_store cert store ~layer_of_path:(Routing.Ftable.pair_layers ft))))
+          (Result.is_ok (check_table cert ft));
+        check Alcotest.bool (name ^ " per-pair certificate checks against the trees") true
+          (Result.is_ok (Analysis.Cert.check_routes pair_cert trees));
+        check Alcotest.int (name ^ " same layer count") (Analysis.Cert.num_layers pair_cert)
+          (Analysis.Cert.num_layers cert)
+      | Error msg, _ -> Alcotest.failf "%s: %s" name msg
+      | _, Error e -> Alcotest.failf "%s: per-pair: %s" name (Analysis.Cert.error_to_string e))
     (seeds ());
+  (* a cyclic layer: the same layer and stuck count as the per-pair form *)
   let bad = clockwise_ring ~switches:8 in
-  match (Analysis.Analyzer.certify_classes bad, Analysis.Analyzer.certify bad) with
-  | Error a, Error b -> check Alcotest.string "same refusal as certify" b a
+  match (Analysis.Analyzer.certify bad, cert_of_table bad) with
+  | Error a, Error e -> check Alcotest.string "per-pair refusal" (Analysis.Cert.error_to_string e) a
   | _ -> Alcotest.fail "clockwise ring must not certify"
+
+(* Refusals of incomplete tables name the first pair, in pair-id order,
+   without a loop-free route, in the class walk's words: an unset entry,
+   a forwarding loop, and a walk that enters a terminal other than its
+   destination. *)
+let test_incomplete_refusals () =
+  let g = Topo_ring.make ~switches:6 ~terminals_per_switch:2 in
+  let ft = route "dfsssp" g in
+  let terminals = Graph.terminals g and sws = Graph.switches g in
+  let dst = terminals.(3) in
+  let sw_of t = (Graph.channel g (Graph.out_channels g t).(0)).Channel.dst in
+  let towards s = (Graph.channel g (Option.get (Routing.Ftable.next ft ~node:s ~dst))).Channel.dst in
+  (* a switch two hops from [dst]'s switch, and the one between *)
+  let far = List.find (fun s -> s <> sw_of dst && towards s <> sw_of dst) (Array.to_list sws) in
+  let mid = towards far in
+  let refusal what ft =
+    let expected =
+      match Routing.Ftable.to_classes ft with
+      | Error msg -> "nothing to certify: " ^ msg
+      | Ok _ -> Alcotest.failf "%s: the class walk accepts the table" what
+    in
+    (match Analysis.Analyzer.certify ft with
+    | Error msg -> check Alcotest.string (what ^ ": certify") expected msg
+    | Ok _ -> Alcotest.failf "%s: certified" what);
+    (match Dfsssp.Verify.report ft with
+    | Error msg -> check Alcotest.string (what ^ ": report") expected ("nothing to certify: " ^ msg)
+    | Ok _ -> Alcotest.failf "%s: report accepted" what);
+    let r = Analysis.Analyzer.analyze ft in
+    match r.Analysis.Analyzer.verdict with
+    | Analysis.Analyzer.Rejected msg -> check Alcotest.string (what ^ ": analyze") expected msg
+    | Analysis.Analyzer.Certified _ -> Alcotest.failf "%s: analyze certified" what
+  in
+  refusal "dead entry" (copy_table ~drop:[ (mid, dst) ] ft);
+  refusal "dead first hop" (copy_table ~drop:[ (terminals.(0), dst) ] ft);
+  let looped = copy_table ft in
+  Routing.Ftable.set_next looped ~node:mid ~dst ~channel:(chan_between g mid far);
+  refusal "forwarding loop" looped;
+  let foreign = copy_table ft in
+  let other = List.find (fun t -> t <> dst && sw_of t = mid) (Array.to_list terminals) in
+  Routing.Ftable.set_next foreign ~node:mid ~dst ~channel:(chan_between g mid other);
+  refusal "foreign terminal" foreign
+
+(* Words allocated by [f ()], from the Gc counters around the call. *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* Certification reads the table's trees, not a class arena: on tree:8,3
+   it allocates fewer words than one class walk of the same table, and
+   it walks no route classes at all. *)
+let test_certify_allocation () =
+  let ft = route "dfsssp" (Topo_tree.make ~k:8 ~n:3 ()) in
+  let cls, walk_words = allocated_words (fun () -> Routing.Ftable.to_classes ft) in
+  check Alcotest.bool "the table walks" true (Result.is_ok cls);
+  let cert, certify_words = allocated_words (fun () -> Analysis.Analyzer.certify ft) in
+  check Alcotest.bool "certified" true (Result.is_ok cert);
+  if certify_words >= walk_words then
+    Alcotest.failf "certify allocated %.0f words, one class walk %.0f" certify_words walk_words
+
+let class_walks () =
+  match Obs.Registry.find_counter (Obs.Registry.default ()) "routing.class_walks" with
+  | Some c -> Obs.Counter.value c
+  | None -> Alcotest.fail "routing.class_walks not registered"
+
+let test_certify_walks_no_classes () =
+  let ft = route "dfsssp" (fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:2)) in
+  let terminals = Graph.terminals (Routing.Ftable.graph ft) in
+  let incomplete = copy_table ~drop:[ (terminals.(0), terminals.(1)) ] ft in
+  let before = class_walks () in
+  check Alcotest.bool "certified" true (Result.is_ok (Analysis.Analyzer.certify ft));
+  check Alcotest.bool "cyclic refused" true
+    (Result.is_error (Analysis.Analyzer.certify (clockwise_ring ~switches:8)));
+  check Alcotest.bool "incomplete refused" true (Result.is_error (Analysis.Analyzer.certify incomplete));
+  check Alcotest.int "routing.class_walks unchanged" before (class_walks ())
 
 (* The process registry (what the daemon's stats op reports under
    "process") carries analysis.certify as one timer, counting runs. *)
@@ -888,7 +962,10 @@ let () =
       ( "cert",
         [
           Alcotest.test_case "certifies dfsssp on the paper seeds" `Quick test_certify_seeds;
-          Alcotest.test_case "certify_classes returns its classes" `Quick test_certify_classes;
+          Alcotest.test_case "certify checks the per-pair routes" `Quick test_certify_checks_pairs;
+          Alcotest.test_case "incomplete tables: refusal names the pair" `Quick test_incomplete_refusals;
+          Alcotest.test_case "certify allocates less than a class walk" `Quick test_certify_allocation;
+          Alcotest.test_case "certify walks no route classes" `Quick test_certify_walks_no_classes;
           Alcotest.test_case "certify telemetry is one timer" `Quick test_certify_telemetry;
           Alcotest.test_case "fresh dfsssp/lash/updown tables are clean" `Quick test_fresh_tables_clean;
           Alcotest.test_case "checker rejects corrupted certificates" `Quick test_cert_rejects_corruption;

@@ -90,6 +90,20 @@ let test_oversized_specs () =
     (fun spec -> usage_error [ "info"; spec ] ~naming:(string_of_int Builder.max_nodes))
     [ "hypercube:63"; "hypercube:62"; "tree:2,62" ]
 
+(* info computes the diameter, a BFS from every node, only up to a fixed
+   node bound: torus:31x31 (1922 nodes) prints it, torus:32x32 (2048
+   nodes) says it was not computed, and answers at once. *)
+let test_info_diameter_bound () =
+  let below = succeeds [ "info"; "torus:31x31" ] in
+  let g = (Result.get_ok (Harness.Topospec.parse "torus:31x31")).Harness.Topospec.graph in
+  Alcotest.(check bool) "diameter printed" true
+    (Testutil.contains below (Printf.sprintf "diameter: %d\n" (Graph.diameter g)));
+  let t0 = Unix.gettimeofday () in
+  let above = succeeds [ "info"; "torus:32x32" ] in
+  Alcotest.(check bool) "diameter not computed" true
+    (Testutil.contains above "diameter: not computed (2048 nodes)");
+  Alcotest.(check bool) "answers quickly" true (Unix.gettimeofday () -. t0 < 10.0)
+
 let test_max_layers_256 () =
   let stdout = succeeds [ "route"; "ring:8"; "--balance"; "--max-layers"; "256" ] in
   Alcotest.(check bool) "deadlock-free" true (Testutil.contains stdout "deadlock_free=true")
@@ -250,5 +264,6 @@ let () =
           Alcotest.test_case "--domains never changes the served tables" `Quick test_domains_keep_tables;
           Alcotest.test_case "--domains past the domain limit is a usage error" `Quick test_domains_over_limit;
           Alcotest.test_case "oversized specs are usage errors naming the node bound" `Quick test_oversized_specs;
+          Alcotest.test_case "info states its diameter bound" `Quick test_info_diameter_bound;
         ] );
     ]

@@ -397,6 +397,52 @@ let test_route_classes () =
     | Error got -> check Alcotest.string "first failing pair" want got
     | Ok _ -> Alcotest.fail "a dead entry must fail the class walk")
 
+(* A class store describes the entries it was walked from. [expand],
+   [class_stats] and [set_class_layers] refuse one walked from another
+   table with the same entries, or from this table before an entry was
+   rewritten (even to the same channel); so does the epoch gate. The
+   store [Dfsssp.build] hands out is its table's own. *)
+let test_stale_classes_refused () =
+  let g = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:1) in
+  let built =
+    match Dfsssp.build g with
+    | Ok b -> b
+    | Error e -> Alcotest.fail (Dfsssp.error_to_string e)
+  in
+  let ft = built.Dfsssp.table and cls = built.Dfsssp.classes in
+  check Alcotest.int "the build's store expands" (9 * 8)
+    (Dfsssp.Route_store.num_paths (Routing.Ftable.expand ft cls));
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: a stale class store was accepted" what
+  in
+  let copy = Routing.Ftable.create g ~algorithm:"copy" in
+  Array.iter
+    (fun (nd : Node.t) ->
+      Array.iter
+        (fun d ->
+          Option.iter
+            (fun c -> Routing.Ftable.set_next copy ~node:nd.Node.id ~dst:d ~channel:c)
+            (Routing.Ftable.next ft ~node:nd.Node.id ~dst:d))
+        (Graph.terminals g))
+    (Graph.nodes g);
+  refused "expand, other table" (fun () -> ignore (Routing.Ftable.expand copy cls));
+  refused "class_stats, other table" (fun () -> ignore (Routing.Ftable.class_stats copy cls));
+  refused "set_class_layers, other table" (fun () ->
+      Routing.Ftable.set_class_layers copy cls
+        (Array.make (Dfsssp.Route_store.capacity cls.Routing.Ftable.store) 0));
+  let t0 = (Graph.terminals g).(0) and t1 = (Graph.terminals g).(1) in
+  let sw = (Graph.channel g (Graph.out_channels g t0).(0)).Channel.dst in
+  Routing.Ftable.set_next ft ~node:sw ~dst:t1 ~channel:(Option.get (Routing.Ftable.next ft ~node:sw ~dst:t1));
+  refused "expand, earlier state" (fun () -> ignore (Routing.Ftable.expand ft cls));
+  refused "class_stats, earlier state" (fun () -> ignore (Routing.Ftable.class_stats ft cls));
+  refused "try_swap, earlier state" (fun () ->
+      ignore (Fabric.Epoch.try_swap ~classes:cls (Fabric.Epoch.create ()) ~label:"stale" ft));
+  let fresh = Result.get_ok (Routing.Ftable.to_classes ft) in
+  check Alcotest.bool "a fresh walk is the table's own" true
+    (Oracles.Stats_ref.of_table ft = Ok (Routing.Ftable.class_stats ft fresh))
+
 let () =
   Alcotest.run "dfsssp"
     [
@@ -409,6 +455,7 @@ let () =
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
           Alcotest.test_case "budget over 256 refused" `Quick test_budget_over_256;
           Alcotest.test_case "route classes" `Quick test_route_classes;
+          Alcotest.test_case "stale class store refused" `Quick test_stale_classes_refused;
           Alcotest.test_case "fig 9/10 layer parity across engines" `Quick test_fig_layer_parity;
           Alcotest.test_case "variants and heuristics" `Quick test_variants_and_heuristics;
           Alcotest.test_case "balance spreads" `Quick test_balance_spreads;

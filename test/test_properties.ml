@@ -695,7 +695,7 @@ let classes_algorithm2_parity =
         [ `Scc; `Dfs ]
       && same "online" (online store) (online cls.Routing.Ftable.store))
 
-(* The certified classes stand in for the per-pair routes on the swap
+(* The build's classes stand in for the per-pair routes on the swap
    path: their expansion holds every pair's own table walk, slice for
    slice, and their statistics are the per-pair oracle's. *)
 let classes_expand_parity =
@@ -720,8 +720,10 @@ let classes_expand_parity =
 (* Random per-pair layerings — a DFSSSP layering with random pairs moved
    to a shadow copy of their layer (certifiable, and one class's pairs
    then ride two layers), or layers drawn at random (mostly cyclic): the
-   class certifier gives the per-pair verdict and [stuck] count, and every
-   certificate it generates checks against the per-pair store. *)
+   shipped certifier's tree form ({!Analysis.Cert.Routes.of_table}) and
+   the class-keyed oracle give the per-pair verdict and [stuck] count,
+   and each form's certificate checks against the per-pair routes, and
+   the per-pair certificate against the tree form's dependencies. *)
 let classes_certifier_parity =
   qtest ~count:20 "route classes: certifier verdicts equal the per-pair ones" seed_gen (fun seed ->
       let rng = Rng.create seed in
@@ -746,26 +748,28 @@ let classes_certifier_parity =
         Analysis.Cert.Routes.of_store (Result.get_ok (Routing.Ftable.to_store ft))
           ~layer_of_path:(Routing.Ftable.pair_layers ft)
       in
-      let per_pair =
-        match Analysis.Cert.of_routes ft pair_routes with
-        | Ok cert -> Result.map_error (fun m -> `Refuted m) (Analysis.Cert.check_routes cert pair_routes)
-        | Error e -> Error (`Cert e)
-      in
-      let routes = Analysis.Cert.Routes.of_classes ft (classes_of ft) in
-      let by_class =
+      (* a form's verdict: its certificate checks against its own routes
+         and against those of [others] *)
+      let verdict routes others =
         match Analysis.Cert.of_routes ft routes with
-        | Ok cert -> (
-          match Analysis.Cert.check_routes cert routes with
-          | Error m -> Error (`Refuted m)
-          | Ok () ->
-            (* the class certificate is a certificate of the per-pair routes *)
-            Result.map_error
-              (fun m -> `Refuted ("per-pair check: " ^ m))
-              (Analysis.Cert.check_routes cert pair_routes))
         | Error e -> Error (`Cert e)
+        | Ok cert ->
+          List.fold_left
+            (fun acc (name, other) ->
+              Result.bind acc (fun () ->
+                  Result.map_error
+                    (fun m -> `Refuted (name ^ ": " ^ m))
+                    (Analysis.Cert.check_routes cert other)))
+            (Ok ()) (("own", routes) :: others)
       in
-      (if shadow && Result.is_error by_class then QCheck2.Test.fail_report "shadow layering refused");
-      per_pair = by_class)
+      let tree_routes = Result.get_ok (Analysis.Cert.Routes.of_table ft) in
+      let per_pair = verdict pair_routes [ ("tree check", tree_routes) ] in
+      let by_class = verdict (Oracles.Classes_ref.routes ft (classes_of ft)) [ ("per-pair check", pair_routes) ] in
+      let by_tree = verdict tree_routes [ ("per-pair check", pair_routes) ] in
+      (if shadow && Result.is_error by_tree then QCheck2.Test.fail_report "shadow layering refused");
+      if not (per_pair = by_class && by_class = by_tree) then
+        QCheck2.Test.fail_report "per-pair, by-class and by-tree verdicts differ";
+      true)
 
 (* The three deadlock verdicts agree on every registry engine's tables,
    the cyclic sssp, minhop and dor included, and again after a random
