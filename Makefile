@@ -1,4 +1,4 @@
-.PHONY: all check test lint doc clean no-oracles api-audit figures figures-check bench-e2e bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke churn-smoke
+.PHONY: all check test lint doc clean no-oracles api-audit figures figures-check bench-e2e bench-ab bench-cdg bench-routing bench-analysis bench-break break-smoke analyze-examples kernel-equivalence bench-service smoke-service coverage zoo soak soak-smoke churn-smoke
 
 all:
 	dune build
@@ -152,6 +152,19 @@ bench-e2e:
 	    { echo "bench-e2e: $$w reported incorrect outputs"; exit 1; }; \
 	  echo "bench-e2e: $$w -> bench_results/e2e_$$w.json"; \
 	done
+
+# Parent-vs-change A/B of the end-to-end benchmark (bench/ab.pl):
+# BASE (any git revision) is extracted into a temporary directory, and
+# each of PAIRS (default 10) pairs runs a workload once in BASE and once
+# in the working tree, each through its own e2ebench/run.sh, at
+# BENCHMARK.json's run_seconds and seed 1, alternating which side goes
+# first. WORKLOADS (default: every BENCHMARK.json workload) is a
+# space-separated list. Writes bench_results/ab_<workload>.json with
+# both sides' medians and quartiles, the pairs the change won, and each
+# end-to-end metric's verdict against its bound ("regressed", "within
+# bound" or "gain"). About 20 runs of ~35 s per workload at the default.
+bench-ab:
+	@perl bench/ab.pl --base '$(BASE)' --workloads '$(WORKLOADS)' --pairs '$(PAIRS)'
 
 # The gated benches below share bench/kit.ml: each writes
 # bench_results/<name>.json with one "gates" object whose statuses are

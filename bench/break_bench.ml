@@ -61,12 +61,12 @@ let staged (engine, f) () =
    each engine's rounds add up to [race_floor_ms]; the stage split comes
    from each engine's winning round. *)
 let race_runs fs =
-  let best, rounds = Kit.time_race_floor ~min_rounds:3 ~floor_ms:race_floor_ms (Array.map staged fs) in
+  let race = Kit.time_race_floor ~min_rounds:3 ~floor_ms:race_floor_ms (Array.map staged fs) in
   ( Array.map
       (fun (wall_ms, (stages, outcome)) ->
         { wall_ms; stages; layers = outcome.Layers.layers_used; broken = outcome.Layers.cycles_broken })
-      best,
-    rounds )
+      race.Kit.best,
+    race.Kit.rounds )
 
 type workload = {
   name : string;

@@ -17,10 +17,19 @@ open Netgraph
    and more until every thunk's rounds add up to [floor_ms]: a 10 ms
    variant is then sampled for as long as a 1 s one is by [min_rounds],
    which a fixed round count cannot do. Returns, per thunk, the best
-   wall time in ms and that round's result, and the rounds run. *)
+   wall time in ms and that round's result, the rounds run, and the
+   race's own accounting: each thunk's summed and last round times, as
+   its clock measured them for the floor. *)
+type 'a race = {
+  best : (float * 'a) array;
+  rounds : int;
+  spent_ms : float array;
+  last_ms : float array;
+}
+
 let time_race_floor ?(min_rounds = 3) ?(compact = true) ~floor_ms thunks =
   let n = Array.length thunks in
-  let best = Array.make n None and spent = Array.make n 0.0 in
+  let best = Array.make n None and spent = Array.make n 0.0 and last = Array.make n 0.0 in
   let rounds = ref 0 in
   while !rounds < min_rounds || Array.exists (fun ms -> ms < floor_ms) spent do
     if compact then Gc.compact ();
@@ -30,15 +39,16 @@ let time_race_floor ?(min_rounds = 3) ?(compact = true) ~floor_ms thunks =
         let r = f () in
         let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
         spent.(i) <- spent.(i) +. ms;
+        last.(i) <- ms;
         match best.(i) with Some (b, _) when b <= ms -> () | _ -> best.(i) <- Some (ms, r))
       thunks;
     incr rounds
   done;
-  (Array.map Option.get best, !rounds)
+  { best = Array.map Option.get best; rounds = !rounds; spent_ms = spent; last_ms = last }
 
 (* The race for exactly [rounds] rounds. *)
 let time_race ?(rounds = 4) ?compact thunks =
-  fst (time_race_floor ~min_rounds:rounds ?compact ~floor_ms:0.0 thunks)
+  (time_race_floor ~min_rounds:rounds ?compact ~floor_ms:0.0 thunks).best
 
 (* Best of three runs of one thunk, in ms, with its result. *)
 let time_best ?(compact = false) f = (time_race ~rounds:3 ~compact [| f |]).(0)

@@ -122,27 +122,10 @@ module Routes = struct
     let head = Graph.heads g and tail = Graph.tails g in
     let tindex = Array.make n (-1) in
     Array.iteri (fun i v -> tindex.(v) <- i) terminals;
-    (* the channels leaving v, disabled ones included (a table may name
-       one), are [leaving.(lstart.(v) + j)], and [slot.(c)] is c's j;
-       turn (c1, c2) has id [base.(c1) + slot.(c2)] *)
-    let lstart = Array.make (n + 1) 0 and slot = Array.make m 0 in
-    for c = 0 to m - 1 do
-      let v = tail.(c) in
-      slot.(c) <- lstart.(v + 1);
-      lstart.(v + 1) <- lstart.(v + 1) + 1
-    done;
-    for v = 0 to n - 1 do
-      lstart.(v + 1) <- lstart.(v + 1) + lstart.(v)
-    done;
-    let leaving = Array.make m 0 in
-    for c = 0 to m - 1 do
-      leaving.(lstart.(tail.(c)) + slot.(c)) <- c
-    done;
-    let base = Array.make (m + 1) 0 in
-    for c = 0 to m - 1 do
-      let v = head.(c) in
-      base.(c + 1) <- base.(c) + lstart.(v + 1) - lstart.(v)
-    done;
+    (* turn (c1, c2) has id [base.(c1) + slot.(c2)] ({!Graph.turn_base});
+       the numbering covers disabled channels, which a table may name *)
+    let lstart = Graph.leaving_start g and leaving = Graph.leaving g in
+    let slot = Graph.turn_slot g and base = Graph.turn_base g in
     let bytes = (base.(m) lsr 3) + 1 in
     let bits = Array.make Ftable.max_layer_ids Bytes.empty
     and count = Array.make Ftable.max_layer_ids 0 in

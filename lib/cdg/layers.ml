@@ -42,26 +42,41 @@ type plan = {
   p_edges : int; (* edges evicted, one per cycle found *)
 }
 
+(* A planning domain's evicted set: [evicted.(pr) = stamp] marks pair
+   [pr] evicted by the component being planned. Every component takes a
+   fresh stamp, so one array over the store's pair ids serves every
+   component and layer the domain plans, and a mark made for one
+   component never counts in another. Allocated on the domain's first
+   component. *)
+type scratch = {
+  mutable evicted : int array;
+  mutable stamp : int;
+}
+
+let new_scratch _slot = { evicted = [||]; stamp = 0 }
+
 (* Plan evictions for the non-trivial component [members] of [cdg]
    (whose condensation produced [comp_of]); [local_of] maps each member
-   channel to its index in [members]. Reads [cdg] only, through its CSR
-   slots, so concurrent planning of disjoint components is safe.
+   channel to its index in [members]. Reads [cdg] and [store] only,
+   through the CDG's CSR slots and the store's arena, so concurrent
+   planning of disjoint components is safe; each domain marks evicted
+   pairs in its own [scratch].
 
    The component's internal edges are mirrored into a local CSR with an
-   exact live-inducer count per edge and a (c1, c2) -> edge map over
-   just the internal edges, so evicting a pair is a walk of its path
-   deps with O(1) count decrements, and the vast majority of pairs,
-   which never move, cost nothing. Cycles never leave their SCC (edges
-   removed from a digraph cannot merge SCCs), so a resumable cycle DFS
-   confined to the component — with the paper's search order and
-   on-cycle heuristic — finds and breaks every cycle the whole-layer,
-   one-cycle-at-a-time search would (the test oracle
-   [Oracles.Dfs_ref]). The plan never consults other components, so
-   results are deterministic under any domain count. *)
-let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
+   exact live-inducer count per edge. A row holds at most a radix of
+   edges, so an internal edge c1 -> c2 is found by scanning c1's row;
+   evicting a pair is a walk of its path deps with O(radix) count
+   decrements, and the vast majority of pairs, which never move, cost
+   nothing. Cycles never leave their SCC (edges removed from a digraph
+   cannot merge SCCs), so a resumable cycle DFS confined to the
+   component — with the paper's search order and on-cycle heuristic —
+   finds and breaks every cycle the whole-layer, one-cycle-at-a-time
+   search would (the test oracle [Oracles.Dfs_ref]). The plan never
+   consults other components, so results are deterministic under any
+   domain count. *)
+let plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~scratch members =
   let n = Array.length members in
   let mycomp = comp_of.(members.(0)) in
-  let m = Graph.num_channels (Cdg.graph cdg) in
   (* Local CSR over internal live edges: row [li] owns edges
      [deg.(li) .. deg.(li+1) - 1]. *)
   let deg = Array.make (n + 1) 0 in
@@ -79,7 +94,6 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
   let edst = Array.make ne 0 in
   let eslot = Array.make ne 0 in
   let elive = Array.make ne 0 in
-  let e_of = Hashtbl.create (2 * ne) in
   let pos = Array.sub deg 0 n in
   Array.iteri
     (fun li v ->
@@ -91,26 +105,43 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic members =
           pos.(li) <- e + 1;
           edst.(e) <- local_of.(w);
           eslot.(e) <- sl;
-          elive.(e) <- Cdg.slot_count cdg sl;
-          Hashtbl.replace e_of ((v * m) + w) e
+          elive.(e) <- Cdg.slot_count cdg sl
         end
       done)
     members;
-  let evicted = Hashtbl.create 64 in
+  (* the internal edge c1 -> c2, or -1 *)
+  let edge_of c1 c2 =
+    if comp_of.(c1) <> mycomp || comp_of.(c2) <> mycomp then -1
+    else begin
+      let w = local_of.(c2) and li = local_of.(c1) in
+      let e = ref deg.(li) and hi = deg.(li + 1) in
+      while !e < hi && edst.(!e) <> w do
+        incr e
+      done;
+      if !e < hi then !e else -1
+    end
+  in
+  if Array.length scratch.evicted = 0 then scratch.evicted <- Array.make (Route_store.capacity store) 0;
+  scratch.stamp <- scratch.stamp + 1;
+  let evicted = scratch.evicted and stamp = scratch.stamp in
+  let buf = Route_store.buffer store
+  and off = Route_store.offsets store
+  and len = Route_store.lengths store
+  and weights = Route_store.weights store in
   let ev_order = ref [] in
   let edges_evicted = ref 0 in
   (* Evict every still-live pair of edge [e]: replaying a pair's path
      deps decrements exactly the (weighted) counts its insertion bumped. *)
   let evict_pairs e =
     Cdg.iter_slot_pairs cdg eslot.(e) (fun pr ->
-        if not (Hashtbl.mem evicted pr) then begin
-          Hashtbl.add evicted pr ();
+        if evicted.(pr) <> stamp then begin
+          evicted.(pr) <- stamp;
           ev_order := pr :: !ev_order;
-          let w = Route_store.weight store ~pair:pr in
-          Route_store.iter_deps store ~pair:pr (fun c1 c2 ->
-              match Hashtbl.find_opt e_of ((c1 * m) + c2) with
-              | Some e' -> elive.(e') <- elive.(e') - w
-              | None -> ())
+          let w = match weights with None -> 1 | Some ws -> ws.(pr) in
+          for i = off.(pr) to off.(pr) + len.(pr) - 2 do
+            let e' = edge_of buf.(i) buf.(i + 1) in
+            if e' >= 0 then elive.(e') <- elive.(e') - w
+          done
         end)
   in
   (* Resumable cycle DFS over the local CSR, in {!Cycle}'s slot order,
@@ -213,7 +244,19 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
   let local_of = Array.make (Graph.num_channels g) (-1) in
   let error = ref None in
   let vl = ref 0 in
+  (* The planning domains, each with its scratch: made at the first layer
+     with a cycle, kept for the later layers. One domain plans inline. *)
+  let pool = ref None in
+  let planners () =
+    match !pool with
+    | Some p -> p
+    | None ->
+      let p = Parallel.Pool.create ~domains:(max 1 domains) new_scratch in
+      pool := Some p;
+      p
+  in
   let current = ref (Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store store))) in
+  Fun.protect ~finally:(fun () -> Option.iter Parallel.Pool.shutdown !pool) @@ fun () ->
   while !error = None && !current <> None do
     let cdg =
       match !current with
@@ -249,17 +292,15 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
         Obs.Timer.time t_evict (fun () ->
             Array.iter (Array.iteri (fun li v -> local_of.(v) <- li)) nontrivial;
             let comp_of = scc.Scc.comp_of in
-            let plans =
-              Parallel.map_array ~domains
-                (fun members -> plan_comp cdg ~store ~comp_of ~local_of ~heuristic members)
-                nontrivial
-            in
+            let plans = Array.make n_nontrivial { p_evicted = []; p_edges = 0 } in
+            Parallel.Pool.run (planners ()) ~n:n_nontrivial (fun scratch i ->
+                plans.(i) <- plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~scratch nontrivial.(i));
             Array.iter (Array.iter (fun v -> local_of.(v) <- -1)) nontrivial;
             plans)
       in
       (* Merge sequentially in component order: plans are independent,
          so a pair evicted by two components moves once. *)
-      let movers = ref [] in
+      let n_moved = ref 0 in
       let n_movers = ref 0 in
       let layer_edges = ref 0 in
       Array.iter
@@ -269,7 +310,7 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
             (fun pr ->
               if layer_of_path.(pr) = !vl then begin
                 layer_of_path.(pr) <- !vl + 1;
-                movers := pr :: !movers;
+                incr n_moved;
                 n_movers := !n_movers + Route_store.weight store ~pair:pr
               end)
             p.p_evicted)
@@ -288,10 +329,17 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
             ("evictions", Obs.Trace.Int !layer_edges);
             ("movers", Obs.Trace.Int !n_movers);
           ];
-      (* Stream the movers straight into layer k+1's CSR build — a scan
-         of just the moved pairs, not the store's full capacity. *)
-      let movers = Array.of_list !movers in
-      Array.sort compare movers;
+      (* Stream the movers straight into layer k+1's CSR build. No pair
+         sat on layer k+1 before this merge, so the pairs there now are
+         exactly the movers, and one scan finds them in id order. *)
+      let movers = Array.make !n_moved 0 and k = ref 0 in
+      Array.iteri
+        (fun pr l ->
+          if l = !vl + 1 then begin
+            movers.(!k) <- pr;
+            incr k
+          end)
+        layer_of_path;
       current := Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store ~pairs:movers store));
       incr vl
     end

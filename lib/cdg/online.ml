@@ -33,46 +33,57 @@ let refusal store ~pair ~max_layers =
    new — are inserted one by one; a rejected edge leaves the order
    untouched, and the fresh edges accepted before it are forgotten with
    the path: later reorderings stop respecting them, so a later path
-   reviving one must insert it anew. *)
+   reviving one must insert it anew. Dependencies are read from the
+   arena, and a path's fresh ones are collected into one int buffer. *)
 let place store ~max_layers =
+  let buf = Route_store.buffer store
+  and off = Route_store.offsets store
+  and len = Route_store.lengths store in
   let layer_of_path = Array.make (Route_store.capacity store) (-1) in
+  (* fresh dependency k is [fresh.(2k)] -> [fresh.(2k + 1)] *)
+  let fresh = Array.make (2 * Array.fold_left max 0 len) 0 in
   let pks = ref [||] in
   let checks = ref 0 in
   let error = ref None in
-  let rejects pk fresh =
-    let rec go = function
-      | [] -> false
-      | (a, b) :: rest ->
-        incr checks;
-        if Pk_order.insert pk ~c1:a ~c2:b then go rest else true
-    in
-    go fresh
-  in
-  Route_store.iter_pairs store (fun i ->
-      if !error = None then begin
-        let placed = ref false in
-        let vl = ref 0 in
-        while (not !placed) && !error = None do
-          if !vl >= Array.length !pks then
-            if Array.length !pks >= max_layers then error := Some (refusal store ~pair:i ~max_layers)
-            else pks := Array.append !pks [| Pk_order.create (Route_store.graph store) |];
-          if !error = None then begin
-            let pk = !pks.(!vl) in
-            let fresh = ref [] in
-            Route_store.iter_deps store ~pair:i (fun a b ->
-                if not (Pk_order.mem pk ~c1:a ~c2:b) then fresh := (a, b) :: !fresh);
-            let fresh = List.rev !fresh in
-            if rejects pk fresh then begin
-              List.iter (fun (a, b) -> Pk_order.forget pk ~c1:a ~c2:b) fresh;
-              incr vl
+  for i = 0 to Array.length len - 1 do
+    if len.(i) >= 0 && !error = None then begin
+      let placed = ref false in
+      let vl = ref 0 in
+      while (not !placed) && !error = None do
+        if !vl >= Array.length !pks then
+          if Array.length !pks >= max_layers then error := Some (refusal store ~pair:i ~max_layers)
+          else pks := Array.append !pks [| Pk_order.create (Route_store.graph store) |];
+        if !error = None then begin
+          let pk = !pks.(!vl) in
+          let nfresh = ref 0 in
+          for h = off.(i) to off.(i) + len.(i) - 2 do
+            let a = buf.(h) and b = buf.(h + 1) in
+            if not (Pk_order.mem pk ~c1:a ~c2:b) then begin
+              fresh.(2 * !nfresh) <- a;
+              fresh.((2 * !nfresh) + 1) <- b;
+              incr nfresh
             end
-            else begin
-              layer_of_path.(i) <- !vl;
-              placed := true
-            end
+          done;
+          let k = ref 0 and rejected = ref false in
+          while (not !rejected) && !k < !nfresh do
+            incr checks;
+            if Pk_order.insert pk ~c1:fresh.(2 * !k) ~c2:fresh.((2 * !k) + 1) then incr k
+            else rejected := true
+          done;
+          if !rejected then begin
+            for k = 0 to !nfresh - 1 do
+              Pk_order.forget pk ~c1:fresh.(2 * k) ~c2:fresh.((2 * k) + 1)
+            done;
+            incr vl
           end
-        done
-      end);
+          else begin
+            layer_of_path.(i) <- !vl;
+            placed := true
+          end
+        end
+      done
+    end
+  done;
   Obs.Counter.incr ~n:!checks c_checks;
   match !error with
   | Some msg -> Error msg

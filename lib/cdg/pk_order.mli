@@ -11,7 +11,13 @@
     is disturbed. Probes walk the fabric's enabled channel adjacency
     ({!Graph.out_channels} of the node a channel enters,
     {!Graph.in_channels} of the node it leaves) and cross accepted edges
-    only, so {!insert} refuses an edge they could not see. *)
+    only, so {!insert} refuses an edge they could not see.
+
+    Flat arrays throughout: the accepted edges are a bitset over the
+    fabric's turns ({!Graph.turn_base}), and the probes and the reorder
+    of the affected region run on int arrays made once by {!create}, so
+    a structure costs O(channels + turns) memory and an insertion
+    allocates nothing. *)
 
 type t
 
@@ -28,7 +34,7 @@ val create : Graph.t -> t
 val insert : t -> c1:int -> c2:int -> bool
 
 (** [mem t ~c1 ~c2] is [true] iff (c1, c2) was accepted and not
-    forgotten. *)
+    forgotten; [false] for a pair that is not a turn. *)
 val mem : t -> c1:int -> c2:int -> bool
 
 (** [forget t ~c1 ~c2] drops the dependency (c1, c2) from the accepted

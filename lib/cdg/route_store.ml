@@ -130,12 +130,6 @@ let iter t ~pair f =
     f t.buf.(i)
   done
 
-let iter_deps t ~pair f =
-  let off = offset t ~pair and len = t.len.(pair) in
-  for i = off to off + len - 2 do
-    f t.buf.(i) t.buf.(i + 1)
-  done
-
 let iter_pairs t f =
   for pair = 0 to Array.length t.off - 1 do
     if t.len.(pair) >= 0 then f pair

@@ -114,10 +114,6 @@ val to_path : t -> pair:int -> Path.t
 (** [iter t ~pair f] calls [f] on each channel of the pair's path. *)
 val iter : t -> pair:int -> (int -> unit) -> unit
 
-(** [iter_deps t ~pair f] calls [f c1 c2] on each consecutive channel pair
-    (the path's CDG dependencies). *)
-val iter_deps : t -> pair:int -> (int -> int -> unit) -> unit
-
 (** [iter_pairs t f] calls [f pair] for every present pair, in id order. *)
 val iter_pairs : t -> (int -> unit) -> unit
 

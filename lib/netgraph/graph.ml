@@ -10,6 +10,10 @@ type t = {
   heads : int array; (* channel id -> dst node *)
   tails : int array; (* channel id -> src node *)
   attached : int array; (* node id -> the one node a single-homed terminal is cabled to, or -1 *)
+  leaving_start : int array; (* node id -> first index into [leaving]; length n+1 *)
+  leaving : int array; (* the channels leaving each node, disabled ones included, in id order *)
+  turn_slot : int array; (* channel id -> its index among the channels leaving its source *)
+  turn_base : int array; (* channel id -> first id of the turns out of it; length m+1 *)
 }
 
 let num_nodes g = Array.length g.nodes
@@ -47,6 +51,39 @@ let heads g = g.heads
 let tails g = g.tails
 
 let attached g = g.attached
+
+let leaving_start g = g.leaving_start
+
+let leaving g = g.leaving
+
+let turn_slot g = g.turn_slot
+
+let turn_base g = g.turn_base
+
+(* Channels grouped by source node with a counting sort (so in id order
+   within a node), then turn ids: the turns out of c1 are one per channel
+   leaving the node c1 enters, numbered from [turn_base.(c1)]. *)
+let turns_of ~num_nodes:n ~heads ~tails =
+  let m = Array.length tails in
+  let lstart = Array.make (n + 1) 0 and slot = Array.make m 0 in
+  for c = 0 to m - 1 do
+    let v = tails.(c) in
+    slot.(c) <- lstart.(v + 1);
+    lstart.(v + 1) <- lstart.(v + 1) + 1
+  done;
+  for v = 0 to n - 1 do
+    lstart.(v + 1) <- lstart.(v + 1) + lstart.(v)
+  done;
+  let leaving = Array.make m 0 in
+  for c = 0 to m - 1 do
+    leaving.(lstart.(tails.(c)) + slot.(c)) <- c
+  done;
+  let base = Array.make (m + 1) 0 in
+  for c = 0 to m - 1 do
+    let v = heads.(c) in
+    base.(c + 1) <- base.(c) + lstart.(v + 1) - lstart.(v)
+  done;
+  (lstart, leaving, slot, base)
 
 let adjacency_of ~num_nodes:n ~channels ~enabled =
   (* the mask is indexed by array position (= id on well-formed graphs):
@@ -105,7 +142,24 @@ let make ~nodes ~channels ~reverse =
   let heads = Array.map (fun (c : Channel.t) -> c.dst) channels in
   let tails = Array.map (fun (c : Channel.t) -> c.src) channels in
   let attached = attached_of ~nodes ~heads ~tails ~out_channels ~in_channels in
-  { nodes; channels; out_channels; in_channels; switches; terminals; reverse; enabled; heads; tails; attached }
+  let leaving_start, leaving, turn_slot, turn_base = turns_of ~num_nodes:n ~heads ~tails in
+  {
+    nodes;
+    channels;
+    out_channels;
+    in_channels;
+    switches;
+    terminals;
+    reverse;
+    enabled;
+    heads;
+    tails;
+    attached;
+    leaving_start;
+    leaving;
+    turn_slot;
+    turn_base;
+  }
 
 let channel_enabled g c = g.enabled.(c)
 

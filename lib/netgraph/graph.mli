@@ -63,6 +63,34 @@ val tails : t -> int array
     attached. *)
 val attached : t -> int array
 
+(** {1 Turn numbering}
+
+    A turn is a pair of channels (c1, c2) where c2 leaves the node c1
+    enters: the only pairs a route can make a dependency of. Turns are
+    numbered densely over every channel, disabled ones included, so a
+    graph and its {!with_enabled} views share one numbering, which
+    {!with_enabled} keeps unchanged. Computed once per graph, for turn
+    bitsets (the certifier's per-layer dependencies, the online
+    placement's accepted edges). Do not mutate. *)
+
+(** [leaving_start g] has length [num_nodes g + 1]: the channels
+    leaving [v], disabled ones included, are [(leaving g).(i)] for
+    [leaving_start.(v) <= i < leaving_start.(v + 1)], in id order. *)
+val leaving_start : t -> int array
+
+(** The channels grouped by source node; see {!leaving_start}. *)
+val leaving : t -> int array
+
+(** [turn_slot g] maps channel [c] to its index among the channels
+    leaving its source: [(leaving g).((leaving_start g).(v) + slot.(c)) = c]
+    for [v = (tails g).(c)]. *)
+val turn_slot : t -> int array
+
+(** [turn_base g] has length [num_channels g + 1]: turn (c1, c2) has id
+    [turn_base.(c1) + (turn_slot g).(c2)], and [turn_base.(num_channels g)]
+    is the number of turns. *)
+val turn_base : t -> int array
+
 (** {1 Channel enablement}
 
     Every channel exists forever under its original id; a channel may
@@ -78,7 +106,7 @@ val channel_enabled : t -> int -> bool
 
 (** [with_enabled g ~enabled] is [g] with exactly the channels whose mask
     entry is [true] present in the adjacency arrays. Nodes, channels,
-    ids, {!heads} and {!tails} are shared unchanged; {!attached} is
+    ids, {!heads}, {!tails} and the turn numbering are shared unchanged; {!attached} is
     recomputed; the mask is copied.
     @raise Invalid_argument if the mask length differs from
     [num_channels g]. *)

@@ -16,7 +16,7 @@ val recommended_domains : unit -> int
 
 (** The most domains one pool may have (64): two full pools and the
     main domain fit the OCaml runtime's 128-domain limit, as when the
-    fabric manager's routing pool runs a nested {!init}. *)
+    fabric manager's routing pool runs a nested pool to break cycles. *)
 val max_domains : int
 
 (** [map_array ~domains f a] is [Array.map f a] computed on a throwaway

@@ -68,7 +68,9 @@ module Layer = struct
 
   let remove_pair t ~pair =
     let w = Route_store.weight t.store ~pair in
-    Route_store.iter_deps t.store ~pair (fun c1 c2 -> remove_edge t c1 c2 pair w);
+    for i = 0 to Route_store.length t.store ~pair - 2 do
+      remove_edge t (Route_store.get t.store ~pair i) (Route_store.get t.store ~pair (i + 1)) pair w
+    done;
     t.num_paths <- t.num_paths - 1
 
   let slot_live t sl = count t sl > 0

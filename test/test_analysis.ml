@@ -374,7 +374,7 @@ let test_cert_text_roundtrip () =
 let torus_table () = route "dfsssp" (fst (Topo_torus.torus ~dims:[| 4; 4 |] ~terminals_per_switch:1))
 
 (* Cert.check_routes scans the route arena directly; this reference walks the
-   same store pair by pair through Route_store.iter_deps and reports the
+   same store pair by pair through Testutil.iter_deps and reports the
    first violation in the same words. *)
 let reference_check (cert : Analysis.Cert.t) store ~layer_of_path =
   let k = Array.length cert.Analysis.Cert.layers in
@@ -386,7 +386,7 @@ let reference_check (cert : Analysis.Cert.t) store ~layer_of_path =
           first := Some (Printf.sprintf "pair %d rides layer %d outside the certificate's %d" pair l k)
         else
           let pos = cert.Analysis.Cert.layers.(l) in
-          Deadlock.Route_store.iter_deps store ~pair (fun c1 c2 ->
+          Testutil.iter_deps store ~pair (fun c1 c2 ->
               if !first = None && pos.(c1) >= pos.(c2) then
                 first :=
                   Some

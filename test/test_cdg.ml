@@ -109,7 +109,7 @@ let test_route_store_basics () =
   done;
   Alcotest.(check bool) "slices survive growth" true !ok;
   let deps = ref 0 in
-  Route_store.iter_deps store2 ~pair:0 (fun _ _ -> incr deps);
+  Testutil.iter_deps store2 ~pair:0 (fun _ _ -> incr deps);
   check Alcotest.int "dep count" (Array.length paths.(0) - 1) !deps
 
 let test_cdg_of_store_and_removal () =
@@ -351,6 +351,36 @@ let test_layers_balance () =
     let same, in_use' = Layers.balance outcome ~max_layers:outcome.Layers.layers_used in
     check Alcotest.int "tight budget unchanged" outcome.Layers.layers_used in_use';
     check Alcotest.(array int) "assignment unchanged" outcome.Layers.layer_of_path same
+
+(* Algorithm 2's exact placement, pinned: the MD5 of [layer_of_path]
+   (comma-joined) over the route-class store of each fabric's SSSP
+   table, with the weakest-edge rule and 16 layers, and its layer and
+   eviction counts, at one and at two planning domains. The oracle
+   tests only bound the layer count, so a changed eviction shows here
+   first. *)
+let test_layers_pinned () =
+  List.iter
+    (fun (spec, digest, layers, broken) ->
+      let g = (Result.get_ok (Harness.Topospec.parse spec)).Harness.Topospec.graph in
+      let ft = Result.get_ok (Routing.Sssp.route g) in
+      let store = (Result.get_ok (Routing.Ftable.to_classes ft)).Routing.Ftable.store in
+      List.iter
+        (fun domains ->
+          match Layers.assign_store ~domains store ~max_layers:16 ~heuristic:Heuristic.Weakest with
+          | Error e -> Alcotest.failf "%s: %s" spec e
+          | Ok o ->
+            let text = String.concat "," (Array.to_list (Array.map string_of_int o.Layers.layer_of_path)) in
+            let what = Printf.sprintf "%s, %d domain(s)" spec domains in
+            check Alcotest.string (what ^ ": layer_of_path digest") digest (Digest.to_hex (Digest.string text));
+            check Alcotest.int (what ^ ": layers") layers o.Layers.layers_used;
+            check Alcotest.int (what ^ ": cycles broken") broken o.Layers.cycles_broken)
+        [ 1; 2 ])
+    [
+      ("jellyfish:64,16,8:1", "f1044bb436b0c136da3811a04fb8cb1c", 5, 2343);
+      ("jellyfish:32,10,6:3", "4c8ee642ff236f901589d9a24bc30d5f", 3, 297);
+      ("torus:6x6", "90acc8f5b9120afd653fc399c914e79c", 4, 200);
+      ("hypercube:6", "7fc031814c2d414e20cf5ddb20a3ec11", 5, 1004);
+    ]
 
 let heuristics_all_sound_qcheck =
   qtest ~count:20 "offline assignment sound for every heuristic" QCheck2.Gen.(int_range 0 1000)
@@ -923,6 +953,103 @@ let app_reduction_qcheck =
       let gen = Testutil.app_of_coloring ~num_vertices:n ~edges in
       Testutil.app_chromatic_number_exact ~num_vertices:n ~edges ~max_k:n = App.min_cover_exact gen)
 
+(* Kahn's algorithm over an explicit edge list on [m] channels: the
+   model's own acyclicity verdict, independent of the library. *)
+let edges_acyclic m edges =
+  let indeg = Array.make m 0 and succ = Array.make m [] in
+  List.iter
+    (fun (a, b) ->
+      indeg.(b) <- indeg.(b) + 1;
+      succ.(a) <- b :: succ.(a))
+    edges;
+  let queue = Queue.create () and seen = ref 0 in
+  Array.iteri (fun c d -> if d = 0 then Queue.add c queue) indeg;
+  while not (Queue.is_empty queue) do
+    let c = Queue.pop queue in
+    incr seen;
+    List.iter
+      (fun s ->
+        indeg.(s) <- indeg.(s) - 1;
+        if indeg.(s) = 0 then Queue.add s queue)
+      succ.(c)
+  done;
+  !seen = m
+
+(* Model-based: random insert/forget/mem sequences against a reference
+   edge set on small tori and hypercubes, some channels disabled. A
+   pair is a turn (c2 among all channels leaving the node c1 enters,
+   disabled ones included) or an arbitrary, usually non-adjacent, pair.
+   [mem] agrees with the set; [insert] raises on a disabled channel,
+   then on a non-turn, and otherwise accepts iff the set plus the edge
+   stays acyclic; the order stays consistent. *)
+let pk_order_model_qcheck =
+  let op = QCheck2.Gen.(quad (int_range 0 2) nat nat bool) in
+  qtest ~count:60 "pk_order: insert/forget/mem agree with a reference edge set"
+    QCheck2.Gen.(triple (int_range 0 3) nat (list_size (int_range 1 120) op))
+    (fun (topo, mask_seed, ops) ->
+      let spec = [| "torus:3x3"; "torus:4x3"; "hypercube:3"; "hypercube:4" |].(topo) in
+      let g = (Result.get_ok (Harness.Topospec.parse spec)).Harness.Topospec.graph in
+      let m = Graph.num_channels g in
+      let rng = Rng.create mask_seed in
+      let enabled = Array.init m (fun _ -> Rng.int rng 10 > 0) in
+      let g = Graph.with_enabled g ~enabled in
+      let lstart = Graph.leaving_start g and leaving = Graph.leaving g and head = Graph.heads g in
+      let pk = Pk_order.create g in
+      let model = ref [] in
+      let in_model c1 c2 = List.mem (c1, c2) !model in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (kind, a, b, turn) ->
+          let c1 = a mod m in
+          let v = head.(c1) in
+          let c2 = if turn then leaving.(lstart.(v) + (b mod (lstart.(v + 1) - lstart.(v)))) else b mod m in
+          (match kind with
+          | 0 -> (
+            let verdict = try Ok (Pk_order.insert pk ~c1 ~c2) with Invalid_argument msg -> Error msg in
+            if c1 = c2 then expect (verdict = Ok false)
+            else if not (enabled.(c1) && enabled.(c2)) then
+              expect (verdict = Error "Pk_order.insert: disabled channel")
+            else if (Graph.tails g).(c2) <> v then expect (verdict = Error "Pk_order.insert: channels not adjacent")
+            else
+              let fits = edges_acyclic m ((c1, c2) :: !model) in
+              expect (verdict = Ok fits);
+              if fits && not (in_model c1 c2) then model := (c1, c2) :: !model)
+          | 1 ->
+            Pk_order.forget pk ~c1 ~c2;
+            model := List.filter (fun e -> e <> (c1, c2)) !model
+          | _ -> ());
+          expect (Pk_order.mem pk ~c1 ~c2 = in_model c1 c2);
+          expect (Pk_order.consistent pk))
+        ops;
+      (* every turn, at the end *)
+      for c1 = 0 to m - 1 do
+        let v = head.(c1) in
+        for i = lstart.(v) to lstart.(v + 1) - 1 do
+          expect (Pk_order.mem pk ~c1 ~c2:leaving.(i) = in_model c1 leaving.(i))
+        done
+      done;
+      !ok)
+
+(* The accepted edges are a bitset over turns: a structure on
+   torus:64x64 (24,576 channels) costs O(channels + turns) words, where
+   a channels-squared set would take 604M bits. *)
+let test_pk_create_footprint () =
+  let g = (Result.get_ok (Harness.Topospec.parse "torus:64x64")).Harness.Topospec.graph in
+  let m = Graph.num_channels g and turns = (Graph.turn_base g).(Graph.num_channels g) in
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  let pk = Pk_order.create g in
+  let spent = words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d channels and %d turns" spent m turns)
+    true
+    (spent <= float_of_int (8 * (m + turns)));
+  Alcotest.(check bool) "fresh structure is consistent" true (Pk_order.consistent pk)
+
 let () =
   Alcotest.run "cdg"
     [
@@ -954,6 +1081,7 @@ let () =
           Alcotest.test_case "acyclic input" `Quick test_layers_acyclic_input_stays_one_layer;
           Alcotest.test_case "empty input" `Quick test_layers_empty;
           Alcotest.test_case "balance" `Quick test_layers_balance;
+          Alcotest.test_case "placement pinned on four fabrics" `Quick test_layers_pinned;
           heuristics_all_sound_qcheck;
         ] );
       ( "scc",
@@ -984,6 +1112,8 @@ let () =
           Alcotest.test_case "torus 12x12 equals the Kahn reference" `Slow test_online_torus_matches_reference;
           online_matches_reference_qcheck;
           pk_order_invariant_qcheck;
+          pk_order_model_qcheck;
+          Alcotest.test_case "create allocates O(channels + turns)" `Quick test_pk_create_footprint;
         ] );
       ( "app",
         [

@@ -37,6 +37,13 @@ let of_paths g paths =
   Array.iteri (fun i p -> Deadlock.Route_store.set_path t ~pair:i p) paths;
   t
 
+(* [iter_deps store ~pair f] calls [f c1 c2] on each consecutive channel
+   pair of the pair's path: its CDG dependencies. *)
+let iter_deps store ~pair f =
+  for i = 0 to Deadlock.Route_store.length store ~pair - 2 do
+    f (Deadlock.Route_store.get store ~pair i) (Deadlock.Route_store.get store ~pair (i + 1))
+  done
+
 (* The CDG of [paths], path [i] under pair id [i]. *)
 let cdg_of_paths g paths = Deadlock.Cdg.of_store (of_paths g paths)
 
