@@ -162,7 +162,7 @@ bench-e2e:
 # space-separated list. Writes bench_results/ab_<workload>.json with
 # both sides' medians and quartiles, the pairs the change won, and each
 # end-to-end metric's verdict against its bound ("regressed", "within
-# bound" or "gain"). About 20 runs of ~35 s per workload at the default.
+# bound" or "gain"). About 20 runs of ~26 s per workload at the default.
 bench-ab:
 	@perl bench/ab.pl --base '$(BASE)' --workloads '$(WORKLOADS)' --pairs '$(PAIRS)'
 
