@@ -57,8 +57,9 @@ figures-check:
 # library (test/oracles/), linked by the test suites and benches alone.
 # Fails if a shipped dune file names that library, or if code under lib/
 # or bin/ (comments stripped, nested ones included) mentions Dijkstra,
-# Cdg_ref, Acyclic, Acyclic_ref, Sequential_ref or Dfs_ref, the oracles
-# and reference implementations that used to ship.
+# Cdg_ref, Acyclic, Acyclic_ref, Sequential_ref, Dfs_ref, Jellyfish_ref
+# or Random_ref, the oracles and reference implementations that used to
+# ship.
 no-oracles:
 	@if grep -lw oracles lib/*/dune bin/dune; then \
 	  echo "no-oracles: the dune files above link the test-only oracles library"; exit 1; fi
@@ -157,14 +158,17 @@ bench-e2e:
 # BASE (any git revision) is extracted into a temporary directory, and
 # each of PAIRS (default 10) pairs runs a workload once in BASE and once
 # in the working tree, each through its own e2ebench/run.sh, at
-# BENCHMARK.json's run_seconds and seed 1, alternating which side goes
-# first. WORKLOADS (default: every BENCHMARK.json workload) is a
-# space-separated list. Writes bench_results/ab_<workload>.json with
-# both sides' medians and quartiles, the pairs the change won, and each
-# end-to-end metric's verdict against its bound ("regressed", "within
-# bound" or "gain"). About 20 runs of ~26 s per workload at the default.
+# BENCHMARK.json's run_seconds and SEED (default 1), alternating which
+# side goes first. WORKLOADS (default: every BENCHMARK.json workload) is
+# a space-separated list. Writes bench_results/ab_<workload>.json
+# (ab_<workload>_seed<SEED>.json for another seed) with both sides'
+# medians and quartiles, the pairs the change won, and each end-to-end
+# metric's verdict against its bound ("regressed", "within bound" or
+# "gain"). TRACE=1 adds one traced run per side to each pair and each
+# per-layer metric's median and quartiles per side to the JSON. About
+# 20 runs of ~26 s per workload at the default, twice that traced.
 bench-ab:
-	@perl bench/ab.pl --base '$(BASE)' --workloads '$(WORKLOADS)' --pairs '$(PAIRS)'
+	@perl bench/ab.pl --base '$(BASE)' --workloads '$(WORKLOADS)' --pairs '$(PAIRS)' --seed '$(SEED)' --trace '$(TRACE)'
 
 # The gated benches below share bench/kit.ml: each writes
 # bench_results/<name>.json with one "gates" object whose statuses are

@@ -7,7 +7,14 @@
     non-adjacent switch pairs with free ports; when stuck, free ports by
     splicing an existing cable — followed by a degree-preserving
     edge-swap pass that guarantees connectivity. No self loops, no
-    parallel cables. Deterministic in [rng]. *)
+    parallel cables. Deterministic in [rng].
+
+    Cost: memory O(switches * net_ports), no switch-by-switch table.
+    Each phase-1 cable is one draw over the count of free unlinked pairs,
+    kept up to date, found by a Fenwick-tree descent (O(log switches)
+    plus O(log switches) per linked neighbour skipped); each splice
+    indexes the live cables the same way. doc/topology_ingestion.md
+    states the bounds and measured times. *)
 
 (** @raise Invalid_argument on [switches < 2], [net_ports < 2],
     [net_ports > ports], or [net_ports >= switches] (a simple graph

@@ -29,31 +29,39 @@ let make ~switches ~switch_radix ~terminals ~inter_links ~rng =
     ports_used.(bidx) <- ports_used.(bidx) + 1
   in
   (* Random spanning tree: random permutation; attach each switch to a
-     random already-placed switch with a free port. *)
+     random already-placed switch with a free port. [placed] marks the
+     positions of [order] already placed whose switch has a free port;
+     the draw indexes them from the latest placed down. *)
   let order = Array.init switches (fun i -> i) in
   Rng.shuffle rng order;
+  let placed = Fenwick.create switches in
+  if free order.(0) > 0 then Fenwick.add placed 0 1;
   for i = 1 to switches - 1 do
-    let candidates = ref [] in
-    for j = 0 to i - 1 do
-      if free order.(j) > 0 then candidates := order.(j) :: !candidates
-    done;
-    (match !candidates with
-    | [] -> invalid_arg "Topo_random.make: port budget exhausted during spanning tree"
-    | l ->
-      let arr = Array.of_list l in
-      connect order.(i) (Rng.pick rng arr))
+    let n = Fenwick.prefix placed i in
+    if n = 0 then invalid_arg "Topo_random.make: port budget exhausted during spanning tree";
+    let j = Fenwick.select placed (n - 1 - Rng.int rng n) in
+    connect order.(i) order.(j);
+    if free order.(j) <= 0 then Fenwick.add placed j (-1);
+    if free order.(i) > 0 then Fenwick.add placed i 1
   done;
   (* Extra links between uniformly random distinct switches with free
-     ports. *)
+     ports, drawn from those switches in index order. *)
+  let with_free = Fenwick.create switches in
+  for s = 0 to switches - 1 do
+    if free s > 0 then Fenwick.add with_free s 1
+  done;
   let remaining = inter_links - (switches - 1) in
   for _ = 1 to remaining do
-    let with_free = Array.of_list (List.filter (fun s -> free s > 0) (Array.to_list sw)) in
-    if Array.length with_free < 2 then invalid_arg "Topo_random.make: port budget exhausted";
-    let a = Rng.pick rng with_free in
+    let n = Fenwick.prefix with_free switches in
+    if n < 2 then invalid_arg "Topo_random.make: port budget exhausted";
+    let i = Rng.int rng n in
     let rec pick_other () =
-      let c = Rng.pick rng with_free in
-      if c = a then pick_other () else c
+      let k = Rng.int rng n in
+      if k = i then pick_other () else k
     in
-    connect a (pick_other ())
+    let a = Fenwick.select with_free i and c = Fenwick.select with_free (pick_other ()) in
+    connect a c;
+    if free a <= 0 then Fenwick.add with_free a (-1);
+    if free c <= 0 then Fenwick.add with_free c (-1)
   done;
   Builder.build b

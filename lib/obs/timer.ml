@@ -44,8 +44,12 @@ let add ?(slot = 0) t seconds =
 
 (* The stage hook: domain-local, so a stage that ends on a domain the
    hook was not installed on (a spawned pool worker starts with none)
-   never runs it. *)
+   never runs it. [started] notes that a timed stage began on the domain
+   since its hook last ran: nested stages that end together pause once,
+   at the innermost end. *)
 let stage_hook : (unit -> unit) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let started : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
 let with_stage_hook hook f =
   let prev = Domain.DLS.get stage_hook in
@@ -56,12 +60,20 @@ let end_stage () =
   match Domain.DLS.get stage_hook with
   | None -> ()
   | Some hook ->
-    (* uninstalled while it runs, so a stage timed inside [hook] ends
-       without re-entering it *)
-    Domain.DLS.set stage_hook None;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set stage_hook (Some hook)) hook
+    let started = Domain.DLS.get started in
+    if !started then begin
+      (* uninstalled while it runs, so a stage timed inside [hook] ends
+         without re-entering it, nor counts as a start *)
+      Domain.DLS.set stage_hook None;
+      Fun.protect
+        ~finally:(fun () ->
+          started := false;
+          Domain.DLS.set stage_hook (Some hook))
+        hook
+    end
 
 let time ?slot t f =
+  Domain.DLS.get started := true;
   let t0 = Unix.gettimeofday () in
   let r = Fun.protect ~finally:(fun () -> add ?slot t (Unix.gettimeofday () -. t0)) f in
   end_stage ();

@@ -16,8 +16,12 @@ val add : ?slot:int -> t -> float -> unit
 
 (** Time [f] with [Unix.gettimeofday], recording even when it raises.
     A timed stage that returns is a pause point: after recording, [time]
-    runs the calling domain's stage hook ({!with_stage_hook}), if any.
-    {!add} records a duration measured elsewhere and runs no hook. *)
+    runs the calling domain's stage hook ({!with_stage_hook}), if any,
+    provided a timed stage started on the domain since the hook last
+    ran. So nested stages that end together pause once, at the
+    innermost end, and no two pauses come without a stage started
+    between them. {!add} records a duration measured elsewhere and runs
+    no hook. *)
 val time : ?slot:int -> t -> (unit -> 'a) -> 'a
 
 (** [with_stage_hook hook f] runs [f ()] with [hook] as the calling

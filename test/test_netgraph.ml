@@ -872,6 +872,162 @@ let test_dot () =
     check Alcotest.int "terminals" (Graph.num_terminals g) (Graph.num_terminals g');
     check Alcotest.int "channels" (Graph.num_channels g) (Graph.num_channels g')
 
+(* ------------------------------------------------------------------ *)
+(* The seeded random generators against their first implementations    *)
+(* (Oracles.Jellyfish_ref, Oracles.Random_ref): the same Rng draws in  *)
+(* the same order, so the same Serial text and the same channel ids.   *)
+(* ------------------------------------------------------------------ *)
+
+(* Serial text plus every channel's id and ends: Serial sorts its links,
+   so the channel list is what pins the cable order. An Invalid_argument
+   is part of the outcome, message included. *)
+let generated make =
+  match make () with
+  | g ->
+    let b = Buffer.create 4096 in
+    Buffer.add_string b (Serial.to_string g);
+    Array.iter
+      (fun (c : Channel.t) -> Buffer.add_string b (Printf.sprintf "%d %d %d\n" c.id c.src c.dst))
+      (Graph.channels g);
+    Ok (Buffer.contents b)
+  | exception Invalid_argument msg -> Error msg
+
+let jellyfish_parity ~switches ~ports ~net_ports ~seed =
+  generated (fun () -> Topo_jellyfish.make ~switches ~ports ~net_ports ~rng:(Rng.create seed))
+  = generated (fun () -> Oracles.Jellyfish_ref.make ~switches ~ports ~net_ports ~rng:(Rng.create seed))
+
+let random_parity ~switches ~switch_radix ~terminals ~inter_links ~seed =
+  generated (fun () ->
+      Topo_random.make ~switches ~switch_radix ~terminals ~inter_links ~rng:(Rng.create seed))
+  = generated (fun () ->
+        Oracles.Random_ref.make ~switches ~switch_radix ~terminals ~inter_links ~rng:(Rng.create seed))
+
+(* Every (switches, net_ports) up to 24 switches, net_ports = switches - 1
+   and odd port sums included, on three seeds; the sweep must reach the
+   splice phase and the component repair, or it tests neither. *)
+let test_jellyfish_parity_sweep () =
+  let splices = ref 0 and repaired = ref 0 and odd = ref 0 in
+  for switches = 3 to 24 do
+    for net_ports = 2 to switches - 1 do
+      for seed = 1 to 3 do
+        let ports = net_ports + (seed mod 3) in
+        if not (jellyfish_parity ~switches ~ports ~net_ports ~seed) then
+          Alcotest.failf "jellyfish:%d,%d,%d:%d differs from the oracle" switches ports net_ports seed;
+        let _, ph = Oracles.Jellyfish_ref.make_phases ~switches ~ports ~net_ports ~rng:(Rng.create seed) in
+        if ph.Oracles.Jellyfish_ref.splices > 0 then incr splices;
+        if ph.Oracles.Jellyfish_ref.components > 1 then incr repaired;
+        if switches * net_ports mod 2 = 1 then incr odd
+      done
+    done
+  done;
+  Alcotest.(check bool) "some run spliced" true (!splices > 0);
+  Alcotest.(check bool) "some run repaired components" true (!repaired > 0);
+  Alcotest.(check bool) "some run had an odd port sum" true (!odd > 0)
+
+(* The specs of the zoo samples, the tests, the soak and the end-to-end
+   benchmark's bring-up and daemon fabrics, and a few rejected ones. *)
+let test_jellyfish_parity_named () =
+  List.iter
+    (fun (switches, ports, net_ports, seed) ->
+      if not (jellyfish_parity ~switches ~ports ~net_ports ~seed) then
+        Alcotest.failf "jellyfish:%d,%d,%d:%d differs from the oracle" switches ports net_ports seed)
+    [
+      (10, 6, 3, 3); (14, 8, 5, 7); (16, 8, 4, 2); (18, 8, 5, 3); (32, 10, 6, 3);
+      (64, 16, 8, 1); (64, 16, 8, 2); (64, 16, 8, 3); (1, 4, 2, 1); (8, 4, 1, 1); (8, 4, 5, 1);
+      (8, 8, 8, 1);
+    ]
+
+let jellyfish_parity_qcheck =
+  qtest ~count:40 "jellyfish: the oracle's fabric"
+    QCheck2.Gen.(
+      let* switches = int_range 3 48 in
+      let* net_ports = oneof [ pure 2; pure (switches - 1); int_range 2 (switches - 1) ] in
+      let* spare = int_range 0 3 in
+      let* seed = int_range 0 100_000 in
+      pure (switches, net_ports + spare, net_ports, seed))
+    (fun (switches, ports, net_ports, seed) -> jellyfish_parity ~switches ~ports ~net_ports ~seed)
+
+(* Up to 10 switches, every radix to 5, three terminal loads, and every
+   link count from one short of a spanning tree to two past the port
+   budget: both phases, their budget errors and the exact edge of the
+   budget. *)
+let test_random_parity_sweep () =
+  let edge = ref 0 in
+  for switches = 2 to 10 do
+    for switch_radix = 1 to 5 do
+      List.iter
+        (fun terminals ->
+          let budget = (switches * switch_radix) - terminals in
+          for inter_links = switches - 2 to (budget / 2) + 2 do
+            if budget = 2 * inter_links then incr edge;
+            let seed = switches + inter_links in
+            if not (random_parity ~switches ~switch_radix ~terminals ~inter_links ~seed) then
+              Alcotest.failf "random:%d,%d,%d,%d:%d differs from the oracle" switches switch_radix
+                terminals inter_links seed
+          done)
+        [ 0; switches; 2 * switches + 1 ]
+    done
+  done;
+  Alcotest.(check bool) "some run used the whole port budget" true (!edge > 0)
+
+(* The specs of the tests, the static-analysis examples, the ablations
+   and Fig. 9 / Section IV's drivers (at their default seeds). *)
+let test_random_parity_named () =
+  let fig9 =
+    List.concat_map
+      (fun links -> List.init 5 (fun t -> (32, 16, 256, links, (7 * 10007) + (t * 31) + links)))
+      [ 40; 54; 68; 82; 96; 110; 124 ]
+  in
+  List.iter
+    (fun (switches, switch_radix, terminals, inter_links, seed) ->
+      if not (random_parity ~switches ~switch_radix ~terminals ~inter_links ~seed) then
+        Alcotest.failf "random:%d,%d,%d,%d:%d differs from the oracle" switches switch_radix terminals
+          inter_links seed)
+    ([
+       (8, 10, 16, 14, 3); (8, 10, 16, 14, 7); (6, 8, 12, 10, 3); (10, 10, 20, 14, 1);
+       (12, 10, 24, 20, 5); (32, 16, 64, 80, 2); (24, 24, 288, 48, 7919 * 11);
+       (24, 24, 288, 48, (7919 * 11) + 4); (4096, 64, 65536, 4200, 1);
+     ]
+    @ fig9)
+
+let random_parity_qcheck =
+  qtest ~count:40 "random: the oracle's fabric"
+    QCheck2.Gen.(
+      let* switches = int_range 2 64 in
+      let* switch_radix = int_range 1 12 in
+      let* terminals = int_range 0 (switches * switch_radix) in
+      let budget = (switches * switch_radix) - terminals in
+      let* inter_links =
+        oneof [ pure (budget / 2); int_range (switches - 1) (max (switches - 1) (budget / 2)) ]
+      in
+      let* seed = int_range 0 100_000 in
+      pure (switches, switch_radix, terminals, inter_links, seed))
+    (fun (switches, switch_radix, terminals, inter_links, seed) ->
+      random_parity ~switches ~switch_radix ~terminals ~inter_links ~seed)
+
+(* doc/topology_ingestion.md states each random family's generation
+   time; these two sizes took minutes (jellyfish, O(switches^2) per
+   cable) and seconds (random, O(switches) per link) while the
+   generators rebuilt their candidates for every draw. *)
+let generation_bound_s = 10.0
+
+let check_generation_bound name make =
+  let t0 = Unix.gettimeofday () in
+  let g = make () in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (name ^ " is connected") true (Graph.connected g);
+  if dt > generation_bound_s then
+    Alcotest.failf "%s took %.2f s to generate (bound %.0f s)" name dt generation_bound_s
+
+let test_jellyfish_generation_bound () =
+  check_generation_bound "jellyfish:1024,32,16:1" (fun () ->
+      Topo_jellyfish.make ~switches:1024 ~ports:32 ~net_ports:16 ~rng:(Rng.create 1))
+
+let test_random_generation_bound () =
+  check_generation_bound "random:4096,64,65536,90000:1" (fun () ->
+      Topo_random.make ~switches:4096 ~switch_radix:64 ~terminals:65536 ~inter_links:90000
+        ~rng:(Rng.create 1))
+
 let () =
   Alcotest.run "netgraph"
     [
@@ -934,6 +1090,17 @@ let () =
           Alcotest.test_case "dragonfly" `Quick test_dragonfly;
           Alcotest.test_case "hyperx" `Quick test_hyperx;
           Alcotest.test_case "clusters" `Slow test_clusters;
+        ] );
+      ( "generators",
+        [
+          Alcotest.test_case "jellyfish: oracle parity sweep" `Quick test_jellyfish_parity_sweep;
+          Alcotest.test_case "jellyfish: oracle parity, named" `Quick test_jellyfish_parity_named;
+          jellyfish_parity_qcheck;
+          Alcotest.test_case "random: oracle parity sweep" `Quick test_random_parity_sweep;
+          Alcotest.test_case "random: oracle parity, named" `Quick test_random_parity_named;
+          random_parity_qcheck;
+          Alcotest.test_case "jellyfish: 1024 switches in 10 s" `Quick test_jellyfish_generation_bound;
+          Alcotest.test_case "random: 4096 switches in 10 s" `Quick test_random_generation_bound;
         ] );
       ( "parallel",
         [

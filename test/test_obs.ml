@@ -226,6 +226,26 @@ let pause_inside_hook_ignored () =
       end_stage ());
   Alcotest.(check int) "each outer stage ran the hook once" 2 !runs
 
+(* No two pauses without a stage started between them: an outer stage
+   that ends right after its last inner one does not pause again, and a
+   stage timed inside the hook is not a start. *)
+let pause_once_for_nested_ends () =
+  let runs = ref 0 in
+  Obs.Timer.with_stage_hook
+    (Some
+       (fun () ->
+         incr runs;
+         end_stage ()))
+    (fun () ->
+      Obs.Timer.time stage (fun () -> Obs.Timer.time stage end_stage);
+      Alcotest.(check int) "three nested ends pause once" 1 !runs;
+      Obs.Timer.time stage (fun () ->
+          end_stage ();
+          end_stage ());
+      Alcotest.(check int) "each started inner stage pauses, the outer one not" 3 !runs;
+      end_stage ();
+      Alcotest.(check int) "a fresh stage pauses" 4 !runs)
+
 (* ------------------------------------------------------------------ *)
 (* JSON wire format                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -539,6 +559,7 @@ let () =
           Alcotest.test_case "previous hook restored after nesting and exceptions" `Quick
             pause_hook_restored;
           Alcotest.test_case "a pause inside the hook is ignored" `Quick pause_inside_hook_ignored;
+          Alcotest.test_case "nested stage ends pause once" `Quick pause_once_for_nested_ends;
         ] );
       ( "json",
         [
