@@ -970,13 +970,24 @@ let test_random_parity_sweep () =
   done;
   Alcotest.(check bool) "some run used the whole port budget" true (!edge > 0)
 
-(* The specs of the tests, the static-analysis examples, the ablations
-   and Fig. 9 / Section IV's drivers (at their default seeds). *)
+(* The fabrics of the test suites (20 seeds each), the specs of the
+   static-analysis examples and the ablations, and Fig. 9 / Section IV's
+   drivers (at their default seeds). *)
 let test_random_parity_named () =
   let fig9 =
     List.concat_map
       (fun links -> List.init 5 (fun t -> (32, 16, 256, links, (7 * 10007) + (t * 31) + links)))
       [ 40; 54; 68; 82; 96; 110; 124 ]
+  in
+  let suites =
+    List.concat_map
+      (fun (switches, switch_radix, terminals, inter_links) ->
+        List.init 20 (fun seed -> (switches, switch_radix, terminals, inter_links, seed)))
+      [
+        (6, 8, 12, 9); (6, 8, 12, 10); (7, 8, 14, 11); (8, 8, 12, 12); (8, 8, 16, 12); (8, 10, 10, 14);
+        (8, 10, 16, 14); (10, 8, 0, 5); (10, 8, 20, 15); (10, 10, 20, 14); (10, 10, 20, 16);
+        (12, 10, 24, 20); (12, 12, 24, 20); (32, 16, 64, 80);
+      ]
   in
   List.iter
     (fun (switches, switch_radix, terminals, inter_links, seed) ->
@@ -988,7 +999,7 @@ let test_random_parity_named () =
        (12, 10, 24, 20, 5); (32, 16, 64, 80, 2); (24, 24, 288, 48, 7919 * 11);
        (24, 24, 288, 48, (7919 * 11) + 4); (4096, 64, 65536, 4200, 1);
      ]
-    @ fig9)
+    @ fig9 @ suites)
 
 let random_parity_qcheck =
   qtest ~count:40 "random: the oracle's fabric"
