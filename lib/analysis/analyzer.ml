@@ -12,8 +12,8 @@ type report = {
   verdict : verdict;
 }
 
-(* Certifier telemetry: one counter/timer sample per run, a span per
-   analyze — the per-engine "performance counters" the InfiniBand
+(* Certifier telemetry: one counter/timer sample (a span while tracing)
+   per run — the per-engine "performance counters" the InfiniBand
    controller literature exports for its routing engines. *)
 let c_analyses = Obs.Registry.counter "analysis.analyses" ~desc:"full analyzer runs"
 
@@ -129,26 +129,22 @@ let analyze_inner ?hop_budget ?graph ft =
 
 let analyze ?hop_budget ?graph ft =
   Obs.Counter.incr c_analyses;
-  let span =
-    Obs.Trace.begin_span "analysis.analyze" ~attrs:(fun () ->
+  let report =
+    Obs.Timer.time t_analyze
+      ~attrs:(fun report ->
         [
-          ("algorithm", Obs.Trace.Str (Ftable.algorithm ft));
-          ("terminals", Obs.Trace.Int (Graph.num_terminals (Ftable.graph ft)));
+          ("algorithm", Obs.Trace.Str report.algorithm);
+          ("terminals", Obs.Trace.Int report.terminals);
+          ( "verdict",
+            Obs.Trace.Str (match report.verdict with Certified _ -> "certified" | Rejected _ -> "rejected") );
+          ("errors", Obs.Trace.Int (Diag.num_errors report.findings));
+          ("warnings", Obs.Trace.Int (Diag.num_warnings report.findings));
         ])
+      (fun () -> analyze_inner ?hop_budget ?graph ft)
   in
-  let report = Obs.Timer.time t_analyze (fun () -> analyze_inner ?hop_budget ?graph ft) in
   (match report.verdict with
   | Certified _ -> Obs.Counter.incr c_certified
   | Rejected _ -> Obs.Counter.incr c_rejected);
-  Obs.Trace.end_span span
-    ~attrs:
-      [
-        ( "verdict",
-          Obs.Trace.Str (match report.verdict with Certified _ -> "certified" | Rejected _ -> "rejected")
-        );
-        ("errors", Obs.Trace.Int (Diag.num_errors report.findings));
-        ("warnings", Obs.Trace.Int (Diag.num_warnings report.findings));
-      ];
   report
 
 let ok r =

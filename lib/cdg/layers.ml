@@ -263,76 +263,64 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
       | Some c -> c
       | None -> assert false
     in
-    let span =
-      Obs.Trace.begin_span "layers.layer" ~attrs:(fun () ->
-          [ ("layer", Obs.Trace.Int !vl); ("engine", Obs.Trace.Str "scc") ])
+    let scc =
+      Obs.Timer.time t_condense
+        ~attrs:(fun scc ->
+          [
+            ("layer", Obs.Trace.Int !vl);
+            ("sccs", Obs.Trace.Int scc.Scc.num_comps);
+            ("nontrivial", Obs.Trace.Int (Array.length scc.Scc.nontrivial));
+          ])
+        (fun () -> Scc.of_cdg cdg)
     in
-    let scc = Obs.Timer.time t_condense (fun () -> Scc.of_cdg cdg) in
     let nontrivial = scc.Scc.nontrivial in
     let n_nontrivial = Array.length nontrivial in
-    let largest = Array.fold_left (fun acc c -> max acc (Array.length c)) 0 nontrivial in
-    if n_nontrivial = 0 then begin
-      Obs.Trace.end_span span
-        ~attrs:
-          [
-            ("sccs", Obs.Trace.Int scc.Scc.num_comps);
-            ("nontrivial", Obs.Trace.Int 0);
-            ("evictions", Obs.Trace.Int 0);
-            ("movers", Obs.Trace.Int 0);
-          ];
-      current := None
-    end
-    else if !vl + 1 >= max_layers then begin
-      Obs.Trace.end_span span
-        ~attrs:[ ("error", Obs.Trace.Str "layer budget exhausted") ];
-      error := Some (budget_error !vl max_layers)
-    end
+    if n_nontrivial = 0 then current := None
+    else if !vl + 1 >= max_layers then error := Some (budget_error !vl max_layers)
     else begin
-      let plans =
-        Obs.Timer.time t_evict (fun () ->
+      (* Plan per component in parallel, then merge sequentially in
+         component order: plans are independent, so a pair evicted by
+         two components moves once. *)
+      let n_moved, n_movers, layer_edges =
+        Obs.Timer.time t_evict
+          ~attrs:(fun (_, n_movers, layer_edges) ->
+            [
+              ("layer", Obs.Trace.Int !vl);
+              ("largest", Obs.Trace.Int (Array.fold_left (fun acc c -> max acc (Array.length c)) 0 nontrivial));
+              ("evictions", Obs.Trace.Int layer_edges);
+              ("movers", Obs.Trace.Int n_movers);
+            ])
+          (fun () ->
             Array.iter (Array.iteri (fun li v -> local_of.(v) <- li)) nontrivial;
             let comp_of = scc.Scc.comp_of in
             let plans = Array.make n_nontrivial { p_evicted = []; p_edges = 0 } in
             Parallel.Pool.run (planners ()) ~n:n_nontrivial (fun scratch i ->
                 plans.(i) <- plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~scratch nontrivial.(i));
             Array.iter (Array.iter (fun v -> local_of.(v) <- -1)) nontrivial;
-            plans)
+            let n_moved = ref 0 and n_movers = ref 0 and layer_edges = ref 0 in
+            Array.iter
+              (fun p ->
+                layer_edges := !layer_edges + p.p_edges;
+                List.iter
+                  (fun pr ->
+                    if layer_of_path.(pr) = !vl then begin
+                      layer_of_path.(pr) <- !vl + 1;
+                      incr n_moved;
+                      n_movers := !n_movers + Route_store.weight store ~pair:pr
+                    end)
+                  p.p_evicted)
+              plans;
+            (!n_moved, !n_movers, !layer_edges))
       in
-      (* Merge sequentially in component order: plans are independent,
-         so a pair evicted by two components moves once. *)
-      let n_moved = ref 0 in
-      let n_movers = ref 0 in
-      let layer_edges = ref 0 in
-      Array.iter
-        (fun p ->
-          layer_edges := !layer_edges + p.p_edges;
-          List.iter
-            (fun pr ->
-              if layer_of_path.(pr) = !vl then begin
-                layer_of_path.(pr) <- !vl + 1;
-                incr n_moved;
-                n_movers := !n_movers + Route_store.weight store ~pair:pr
-              end)
-            p.p_evicted)
-        plans;
-      cycles_broken := !cycles_broken + !layer_edges;
-      Obs.Counter.incr ~n:!layer_edges c_evictions;
+      cycles_broken := !cycles_broken + layer_edges;
+      Obs.Counter.incr ~n:layer_edges c_evictions;
       Log.debug (fun m ->
-          m "layer %d: %d non-trivial SCC(s) (largest %d); evicted %d edge(s), moving %d route(s)"
-            !vl n_nontrivial largest !layer_edges !n_movers);
-      Obs.Trace.end_span span
-        ~attrs:
-          [
-            ("sccs", Obs.Trace.Int scc.Scc.num_comps);
-            ("nontrivial", Obs.Trace.Int n_nontrivial);
-            ("largest", Obs.Trace.Int largest);
-            ("evictions", Obs.Trace.Int !layer_edges);
-            ("movers", Obs.Trace.Int !n_movers);
-          ];
+          m "layer %d: %d non-trivial SCC(s); evicted %d edge(s), moving %d route(s)" !vl n_nontrivial
+            layer_edges n_movers);
       (* Stream the movers straight into layer k+1's CSR build. No pair
          sat on layer k+1 before this merge, so the pairs there now are
          exactly the movers, and one scan finds them in id order. *)
-      let movers = Array.make !n_moved 0 and k = ref 0 in
+      let movers = Array.make n_moved 0 and k = ref 0 in
       Array.iteri
         (fun pr l ->
           if l = !vl + 1 then begin
@@ -353,31 +341,29 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
 let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
   if max_layers < 1 then invalid_arg "Layers.assign_store: max_layers < 1";
   Obs.Counter.incr c_assignments;
-  let span =
-    Obs.Trace.begin_span "layers.assign" ~attrs:(fun () ->
-        [
-          ("paths", Obs.Trace.Int (Route_store.num_paths store));
-          ("max_layers", Obs.Trace.Int max_layers);
-          ("engine", Obs.Trace.Str "scc");
-        ])
-  in
+  let paths = Route_store.num_paths store in
   let result =
-    Obs.Timer.time t_assign (fun () ->
-        match engine with `Scc -> assign_store_scc store ~max_layers ~heuristic ~domains)
+    Obs.Timer.time t_assign
+      ~attrs:(fun result ->
+        ("paths", Obs.Trace.Int paths)
+        :: ("max_layers", Obs.Trace.Int max_layers)
+        ::
+        (match result with
+        | Ok o ->
+          [
+            ("layers_used", Obs.Trace.Int o.layers_used);
+            ("cycles_broken", Obs.Trace.Int o.cycles_broken);
+          ]
+        | Error msg -> [ ("error", Obs.Trace.Str msg) ]))
+      (fun () -> match engine with `Scc -> assign_store_scc store ~max_layers ~heuristic ~domains)
   in
-  (match result with
-  | Ok o ->
-    Obs.Counter.incr ~n:o.cycles_broken c_cycles;
-    Log.info (fun m ->
-        m "assigned %d routes over %d layer(s), breaking %d cycle(s)" (Route_store.num_paths store)
-          o.layers_used o.cycles_broken);
-    Obs.Trace.end_span span
-      ~attrs:
-        [
-          ("layers_used", Obs.Trace.Int o.layers_used);
-          ("cycles_broken", Obs.Trace.Int o.cycles_broken);
-        ]
-  | Error msg -> Obs.Trace.end_span span ~attrs:[ ("error", Obs.Trace.Str msg) ]);
+  Result.iter
+    (fun o ->
+      Obs.Counter.incr ~n:o.cycles_broken c_cycles;
+      Log.info (fun m ->
+          m "assigned %d routes over %d layer(s), breaking %d cycle(s)" paths o.layers_used
+            o.cycles_broken))
+    result;
   result
 
 let balance outcome ~max_layers =

@@ -103,32 +103,17 @@ let placement_to_string : placement -> string = function
   | Online_fallback _ -> "online fallback"
 
 let build ?(variant = Offline) ?heuristic ?max_layers ?balance ?batch ?domains ?pool ?kernel g =
-  let span =
-    Obs.Trace.begin_span "dfsssp.route" ~attrs:(fun () ->
-        [
-          ("terminals", Obs.Trace.Int (Graph.num_terminals g));
-          ("channels", Obs.Trace.Int (Graph.num_channels g));
-          ("variant", Obs.Trace.Str (match variant with Online -> "online" | Offline -> "offline"));
-        ])
-  in
   let result =
     match Routing.Sssp.route ?batch ?domains ?pool ?kernel g with
     | Error msg -> Error (Routing_failed msg)
-    | Ok ft ->
-      place ~variant ~fallback:true ?domains ?heuristic ?max_layers ?balance ft
+    | Ok ft -> place ~variant ~fallback:true ?domains ?heuristic ?max_layers ?balance ft
   in
-  (match result with
-  | Ok b ->
-    Log.info (fun m ->
-        m "routed %d terminals over %d channels: %d virtual layer(s), placed %s" (Graph.num_terminals g)
-          (Graph.num_channels g) b.layers (placement_to_string b.placement));
-    Obs.Trace.end_span span
-      ~attrs:
-        [
-          ("layers", Obs.Trace.Int (Routing.Ftable.num_layers b.table));
-          ("placement", Obs.Trace.Str (placement_to_string b.placement));
-        ]
-  | Error e -> Obs.Trace.end_span span ~attrs:[ ("error", Obs.Trace.Str (error_to_string e)) ]);
+  Result.iter
+    (fun b ->
+      Log.info (fun m ->
+          m "routed %d terminals over %d channels: %d virtual layer(s), placed %s" (Graph.num_terminals g)
+            (Graph.num_channels g) b.layers (placement_to_string b.placement)))
+    result;
   result
 
 (* The paper's DFSSSP: a table Algorithm 2 could not place is refused,

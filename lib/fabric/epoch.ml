@@ -78,29 +78,21 @@ let vet ?classes candidate =
       | Ok (cls, report) -> Ok (Obs.Timer.time t_expand (fun () -> Ftable.expand candidate cls), report))
 
 let try_swap ?classes t ~label candidate =
-  let span =
-    Obs.Trace.begin_span "fabric.try_swap" ~attrs:(fun () -> [("label", Obs.Trace.Str label)])
-  in
   let t0 = Unix.gettimeofday () in
   let vetted = vet ?classes candidate in
   let verify_s = Unix.gettimeofday () -. t0 in
-  let result =
-    match vetted with
-    | Error msg -> Error msg
-    | Ok (store, report) ->
-      t.epoch <- t.epoch + 1;
-      t.snap <-
-        Some
-          {
-            snap_epoch = t.epoch;
-            tables = candidate;
-            store;
-            num_layers = Ftable.num_layers candidate;
-            report;
-          };
-      t.entries <- { epoch = t.epoch; label; verify_s } :: t.entries;
-      Ok report
-  in
-  Obs.Trace.end_span span
-    ~attrs:[("ok", Obs.Trace.Bool (Result.is_ok result)); ("epoch", Obs.Trace.Int t.epoch)];
-  (result, verify_s)
+  match vetted with
+  | Error msg -> Error msg
+  | Ok (store, report) ->
+    t.epoch <- t.epoch + 1;
+    t.snap <-
+      Some
+        {
+          snap_epoch = t.epoch;
+          tables = candidate;
+          store;
+          num_layers = Ftable.num_layers candidate;
+          report;
+        };
+    t.entries <- { epoch = t.epoch; label; verify_s } :: t.entries;
+    Ok report

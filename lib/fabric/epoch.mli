@@ -74,10 +74,11 @@ val snapshot : t -> (snapshot, string) result
     and, on success, installs it as the next epoch, whose snapshot
     serves the certified tables' routes. [classes] are [candidate]'s
     route classes ({!Dfsssp.built}'s [classes]); without them the gate
-    walks them after the certificate accepts. Always returns the gate's
-    wall time. [Error] names the refusal — a certificate refusal is
-    prefixed ["certificate:"], an existence refusal ["existence:"] — and
-    means the active tables and snapshot were kept.
+    walks them after the certificate accepts. The new epoch's history
+    entry records the gate's wall time. [Error] names the refusal — a
+    certificate refusal is prefixed ["certificate:"], an existence
+    refusal ["existence:"] — and means the active tables and snapshot
+    were kept.
     @raise Invalid_argument if [classes] were not walked from
     [candidate] as it stands. *)
 val try_swap :
@@ -85,4 +86,4 @@ val try_swap :
   t ->
   label:string ->
   Ftable.t ->
-  (Dfsssp.Verify.report, string) result * float
+  (Dfsssp.Verify.report, string) result

@@ -68,20 +68,25 @@ let epoch_history t = Epoch.history t.epochs
 
 let initial_fallback t = t.initial_fallback
 
-(* Full recompute: fresh weight state, route everything, re-break all
-   cycles. Under dfsssp, [Dfsssp.build] places the SSSP routes online
-   when Algorithm 2 runs out of layers; [Ok (ft, classes, Some note)]
-   says that happened and why, and [classes] is the store the layers
-   were placed on, for the epoch gate (a registry engine hands none, and
-   the gate walks its table). An [Error] names every failed placement. *)
+(* Full recompute, timed as [fabric.repair]: fresh weight state, route
+   everything, re-break all cycles. Under dfsssp, [Dfsssp.build] places
+   the SSSP routes online when Algorithm 2 runs out of layers;
+   [Ok (ft, classes, Some note)] says that happened and why, and
+   [classes] is the store the layers were placed on, for the epoch gate
+   (a registry engine hands none, and the gate walks its table). An
+   [Error] names every failed placement. *)
 let full_route t =
   let g = Fabstate.graph t.state in
-  Obs.Trace.with_span "fabric.full_route"
-    ~attrs:(fun () ->
-      [
-        ("algorithm", Obs.Trace.Str t.config.algorithm);
-        ("terminals", Obs.Trace.Int (Graph.num_terminals g));
-      ])
+  Obs.Timer.time t.metrics.Metrics.repair
+    ~attrs:(fun result ->
+      ("algorithm", Obs.Trace.Str t.config.algorithm)
+      :: ("terminals", Obs.Trace.Int (Graph.num_terminals g))
+      :: ("channels", Obs.Trace.Int (Graph.num_channels g))
+      ::
+      (match result with
+      | Ok (ft, _, online) ->
+        [ ("layers", Obs.Trace.Int (Ftable.num_layers ft)); ("fallback", Obs.Trace.Bool (online <> None)) ]
+      | Error msg -> [ ("error", Obs.Trace.Str msg) ]))
   @@ fun () ->
   if t.config.algorithm = "dfsssp" then
     match
@@ -102,6 +107,17 @@ let full_route t =
     with
     | None -> Error (Printf.sprintf "unknown algorithm %S" t.config.algorithm)
     | Some a -> Result.map (fun ft -> (ft, None, None)) (a.Dfsssp.Registry.run g)
+
+(* The epoch gate, timed as [fabric.verify]. *)
+let swap ?classes t ~label ft =
+  Obs.Timer.time t.metrics.Metrics.verify
+    ~attrs:(fun result ->
+      [
+        ("label", Obs.Trace.Str label);
+        ("ok", Obs.Trace.Bool (Result.is_ok result));
+        ("epoch", Obs.Trace.Int (Epoch.epoch t.epochs));
+      ])
+    (fun () -> Epoch.try_swap ?classes t.epochs ~label ft)
 
 let release t =
   match t.pool with
@@ -140,19 +156,17 @@ let create ?(config = default_config) g =
         initial_fallback = None;
       }
     in
-    match Obs.Timer.time t.metrics.Metrics.repair (fun () -> full_route t) with
+    match full_route t with
     | Error msg ->
       release t;
       Error msg
     | Ok (ft, classes, online) -> (
       t.initial_fallback <- online;
-      match Epoch.try_swap ?classes t.epochs ~label:"initial" ft with
-      | Error msg, verify_s ->
-        Obs.Timer.add t.metrics.Metrics.verify verify_s;
+      match swap ?classes t ~label:"initial" ft with
+      | Error msg ->
         release t;
         Error (Printf.sprintf "initial tables rejected: %s" msg)
-      | Ok _, verify_s ->
-        Obs.Timer.add t.metrics.Metrics.verify verify_s;
+      | Ok _ ->
         Obs.Counter.set t.metrics.Metrics.swap_epochs (Epoch.epoch t.epochs);
         if online <> None then Obs.Counter.incr t.metrics.Metrics.fallbacks;
         Ok t)
@@ -174,9 +188,7 @@ let finish t outcome =
    result to the epoch gate; a failure leaves the active tables in place. *)
 let reconverge t ~event ~t0 ~old_ft ~reason =
   let m = t.metrics in
-  let tr0 = Unix.gettimeofday () in
   let candidate = full_route t in
-  Obs.Timer.add m.Metrics.repair (Unix.gettimeofday () -. tr0);
   let outcome ~fallback ~verify ~table_diff ~note =
     finish t
       {
@@ -198,13 +210,11 @@ let reconverge t ~event ~t0 ~old_ft ~reason =
   match candidate with
   | Error msg -> stale msg
   | Ok (ft, classes, online) -> (
-    match Epoch.try_swap ?classes t.epochs ~label:(Event.to_string event ^ " (full)") ft with
-    | Error msg, verify_s ->
-      Obs.Timer.add m.Metrics.verify verify_s;
+    match swap ?classes t ~label:(Event.to_string event ^ " (full)") ft with
+    | Error msg ->
       Obs.Counter.incr m.Metrics.verify_failures;
       stale ("tables rejected: " ^ msg)
-    | Ok r, verify_s ->
-      Obs.Timer.add m.Metrics.verify verify_s;
+    | Ok r ->
       Obs.Counter.set m.Metrics.swap_epochs (Epoch.epoch t.epochs);
       Obs.Counter.incr m.Metrics.full_recomputes;
       if online <> None then Obs.Counter.incr m.Metrics.fallbacks;
@@ -262,24 +272,15 @@ let apply_inner t event =
         ~reason:(Printf.sprintf "%d channel(s) restored" (List.length chans)))
 
 let apply t event =
-  let span =
-    Obs.Trace.begin_span "fabric.apply" ~attrs:(fun () ->
-        [("event", Obs.Trace.Str (Event.to_string event))])
-  in
-  let o = apply_inner t event in
-  Obs.Trace.end_span span
-    ~attrs:
+  Obs.Timer.time t.metrics.Metrics.apply
+    ~attrs:(fun o ->
       [
-        ( "action",
-          Obs.Trace.Str
-            (match o.action with
-            | Full _ | Incremental _ -> "full"
-            | Noop -> "noop") );
+        ("event", Obs.Trace.Str (Event.to_string event));
+        ("action", Obs.Trace.Str (match o.action with Full _ | Incremental _ -> "full" | Noop -> "noop"));
         ("applied", Obs.Trace.Bool o.applied);
         ("epoch", Obs.Trace.Int o.epoch);
-      ];
-  o
-
+      ])
+    (fun () -> apply_inner t event)
 
 let pp_action ppf = function
   | Full reason -> Format.fprintf ppf "full recompute (%s)" reason

@@ -13,6 +13,7 @@ type t = {
   fallbacks : Obs.Counter.t;
   swap_epochs : Obs.Counter.t;
   verify_failures : Obs.Counter.t;
+  apply : Obs.Timer.t;
   repair : Obs.Timer.t;
   verify : Obs.Timer.t;
 }
@@ -30,6 +31,7 @@ let create () =
     fallbacks = counter "fabric.fallbacks" "bring-ups and full recomputes placed online after Algorithm 2 ran out of layers";
     swap_epochs = counter "fabric.swap_epochs" "epoch counter after the latest swap";
     verify_failures = counter "fabric.verify_failures" "candidate tables rejected by the verifier";
+    apply = timer "fabric.apply" "seconds per event the manager steps through";
     repair = timer "fabric.repair" "seconds computing routes/layers";
     verify = timer "fabric.verify" "seconds in certificate + verifier gates";
   }

@@ -16,6 +16,7 @@ type t = {
           [full_recomputes]; a bring-up does not) *)
   swap_epochs : Obs.Counter.t;  (** gauge: epoch counter after the latest swap *)
   verify_failures : Obs.Counter.t;  (** candidate tables rejected by the verifier *)
+  apply : Obs.Timer.t;  (** seconds per [Manager.apply]: the outer stage of every event *)
   repair : Obs.Timer.t;  (** seconds spent computing routes/layers, at bring-up and per full recompute *)
   verify : Obs.Timer.t;  (** seconds spent in the certificate + verifier gates *)
 }

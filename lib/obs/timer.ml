@@ -72,10 +72,50 @@ let end_stage () =
         hook
     end
 
-let time ?slot t f =
-  Domain.DLS.get started := true;
+(* Span ids are process-wide; each domain keeps the ids of its open
+   spans, so a span's parent is the stage it runs inside on its domain
+   (a spawned pool worker's stages are roots). *)
+let next_id = Atomic.make 1
+
+let open_spans : int list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+(* A timed stage while a sink is live: the span's start and duration are
+   the timer's own clock pair, so its [dur_s] is the sample [add]
+   records. The attributes are computed after the clock stops. *)
+let traced ?slot ?attrs t f =
+  let stack = Domain.DLS.get open_spans in
+  let outer = !stack in
+  let id = Atomic.fetch_and_add next_id 1 in
+  stack := id :: outer;
   let t0 = Unix.gettimeofday () in
-  let r = Fun.protect ~finally:(fun () -> add ?slot t (Unix.gettimeofday () -. t0)) f in
+  let finish attrs =
+    let dur_s = Unix.gettimeofday () -. t0 in
+    add ?slot t dur_s;
+    stack := outer;
+    match Trace.live () with
+    | None -> ()
+    | Some sink ->
+      let parent = match outer with [] -> None | p :: _ -> Some p in
+      sink.emit { id; parent; name = t.name; start_s = t0; dur_s; attrs = attrs () }
+  in
+  match f () with
+  | r ->
+    finish (fun () -> match attrs with None -> [] | Some a -> a r);
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    finish (fun () -> [ ("error", Trace.Str (Printexc.to_string e)) ]);
+    Printexc.raise_with_backtrace e bt
+
+let time ?slot ?attrs t f =
+  Domain.DLS.get started := true;
+  let r =
+    match Trace.live () with
+    | None ->
+      let t0 = Unix.gettimeofday () in
+      Fun.protect ~finally:(fun () -> add ?slot t (Unix.gettimeofday () -. t0)) f
+    | Some _ -> traced ?slot ?attrs t f
+  in
   end_stage ();
   r
 

@@ -15,14 +15,23 @@ val name : t -> string
 val add : ?slot:int -> t -> float -> unit
 
 (** Time [f] with [Unix.gettimeofday], recording even when it raises.
+
+    A timed stage is a trace span: while a sink is live
+    ({!Trace.live}), [time] emits one span named after [t], whose
+    duration is the sample recorded, nested under the stage it runs
+    inside on the calling domain. [attrs] is applied to [f]'s result
+    and runs only while a sink is live; a stage that raises gets an
+    ["error"] attribute instead. With no sink, tracing costs one load
+    and a branch.
+
     A timed stage that returns is a pause point: after recording, [time]
     runs the calling domain's stage hook ({!with_stage_hook}), if any,
     provided a timed stage started on the domain since the hook last
     ran. So nested stages that end together pause once, at the
     innermost end, and no two pauses come without a stage started
-    between them. {!add} records a duration measured elsewhere and runs
-    no hook. *)
-val time : ?slot:int -> t -> (unit -> 'a) -> 'a
+    between them. {!add} records a duration measured elsewhere, and
+    emits no span and runs no hook. *)
+val time : ?slot:int -> ?attrs:('a -> Trace.attrs) -> t -> (unit -> 'a) -> 'a
 
 (** [with_stage_hook hook f] runs [f ()] with [hook] as the calling
     domain's stage hook ([None]: no hook), and restores the previous

@@ -1,9 +1,8 @@
 (* Structured trace spans with a pluggable sink. A span is emitted once,
-   at its end, as a flat record: id, parent (per-domain nesting tracked
-   through domain-local state), name, start time, duration and typed
-   attributes. The default sink is none at all: with no sink installed
-   or with {!Control} disabled, [with_span] is one load and a branch
-   around the traced function, and attribute thunks are never forced. *)
+   at its end, as a flat record: id, parent, name, start time, duration
+   and typed attributes. {!Timer.time} is the one producer: it emits a
+   span per timed stage while {!live} returns a sink. The default sink
+   is none at all. *)
 
 type value =
   | Bool of bool
@@ -87,12 +86,12 @@ let flush () =
   | Some s -> s.flush ()
   | None -> ()
 
-let enabled () =
-  Control.enabled ()
-  &&
+(* The sink spans go to: the installed one while {!Control} is on. The
+   sink is read first, so with none installed this is one load. *)
+let live () =
   match Atomic.get current with
-  | Some _ -> true
-  | None -> false
+  | Some _ as s when Control.enabled () -> s
+  | _ -> None
 
 let with_sink s f =
   let prev = Atomic.get current in
@@ -102,77 +101,3 @@ let with_sink s f =
       s.flush ();
       Atomic.set current prev)
     f
-
-(* ------------------------------------------------------------------ *)
-(* Span lifecycle                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let next_id = Atomic.make 1
-
-(* per-domain stack of open span ids, for parent attribution *)
-let open_spans : int list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-type handle =
-  | No_span
-  | Active of {
-      id : int;
-      parent : int option;
-      name : string;
-      start_s : float;
-      start_attrs : attrs;
-    }
-
-let begin_span ?attrs name =
-  if not (enabled ()) then No_span
-  else begin
-    let stack = Domain.DLS.get open_spans in
-    let parent = match !stack with [] -> None | p :: _ -> Some p in
-    let id = Atomic.fetch_and_add next_id 1 in
-    stack := id :: !stack;
-    Active
-      {
-        id;
-        parent;
-        name;
-        start_s = Unix.gettimeofday ();
-        start_attrs = (match attrs with None -> [] | Some f -> f ());
-      }
-  end
-
-let end_span ?(attrs = []) handle =
-  match handle with
-  | No_span -> ()
-  | Active { id; parent; name; start_s; start_attrs } ->
-    let stack = Domain.DLS.get open_spans in
-    (* pop through any spans an exception left open below us *)
-    let rec pop = function
-      | x :: rest when x <> id -> pop rest
-      | x :: rest when x = id -> rest
-      | rest -> rest
-    in
-    stack := pop !stack;
-    (match Atomic.get current with
-    | None -> ()
-    | Some sink ->
-      sink.emit
-        {
-          id;
-          parent;
-          name;
-          start_s;
-          dur_s = Unix.gettimeofday () -. start_s;
-          attrs = start_attrs @ attrs;
-        })
-
-let with_span ?attrs name f =
-  if not (enabled ()) then f ()
-  else begin
-    let h = begin_span ?attrs name in
-    match f () with
-    | result ->
-      end_span h;
-      result
-    | exception e ->
-      end_span ~attrs:[ ("error", Str (Printexc.to_string e)) ] h;
-      raise e
-  end

@@ -2,9 +2,11 @@
 
     A span is emitted once, when it ends, as a flat record: id, parent
     (nesting is tracked per domain), name, start timestamp, duration and
-    typed attributes. With no sink installed — the default — or with
-    {!Control} disabled, tracing reduces to one atomic load and a branch
-    per call site, and attribute thunks are never forced. *)
+    typed attributes. {!Timer.time} is the one producer: every timed
+    stage is a span named after its timer, emitted while a sink is
+    installed and {!Control} is on. With no sink — the default — a timed
+    stage pays one atomic load and a branch for tracing, and its
+    attribute function never runs. *)
 
 type value =
   | Bool of bool
@@ -50,15 +52,6 @@ val flush : unit -> unit
 (** Run [f] with [sink] installed, restoring (and flushing) on exit. *)
 val with_sink : sink -> (unit -> 'a) -> 'a
 
-(** [with_span ?attrs name f] traces [f]. [attrs] is a thunk, evaluated
-    only when tracing is live. If [f] raises, the span is emitted with
-    an ["error"] attribute and the exception rethrown. *)
-val with_span : ?attrs:(unit -> attrs) -> string -> (unit -> 'a) -> 'a
-
-(** Explicit lifecycle for spans whose ending attributes depend on the
-    computed result. [begin_span] is a no-op token when tracing is off;
-    [end_span] appends [attrs] to the ones captured at the start. *)
-type handle
-
-val begin_span : ?attrs:(unit -> attrs) -> string -> handle
-val end_span : ?attrs:attrs -> handle -> unit
+(** The installed sink while {!Control} is on, else [None]: what
+    {!Timer.time} emits its span to. *)
+val live : unit -> sink option

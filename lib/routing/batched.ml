@@ -10,8 +10,7 @@
 
 (* One counter bump per batch: the batch count is the telemetry that
    explains a plane's parallel shape (destinations / batches = average
-   fan-out width). A span per batch of more than one destination, or
-   per fan-out batch, appears only while tracing is live. *)
+   fan-out width). *)
 let c_snapshots =
   Obs.Registry.counter "batched.snapshots" ~desc:"balancing-state snapshots frozen by the batched driver"
 
@@ -124,49 +123,45 @@ let run ?snapshot_timer ~cost ~pool ~batch ~state ~dsts dest =
     Obs.Counter.incr c_snapshots;
     if workers <= 1 && hi - base = 1 then begin
       (* One destination inline adds straight into the state: that is
-         the sequential recurrence, with no copy, delta, merge or span. *)
+         the sequential recurrence, with no copy, delta or merge. *)
       match dest s0.scratch { reads = state; add = in_place; top = !top } dsts.(base) with
       | Ok () -> ()
       | Error msg -> error := Some msg
     end
-    else
-      Obs.Trace.with_span "batched.batch"
-        ~attrs:(fun () -> [ ("base", Obs.Trace.Int base); ("size", Obs.Trace.Int (hi - base)) ])
-        (fun () ->
-          if workers <= 1 then begin
-            (* Inline on the caller, in destination order, so the first
-               error met is the lowest-index one. The destinations read
-               the live state and add into slot 0's delta, which is
-               merged at the batch end. *)
-            let view = { reads = state; add = defer s0; top = !top } in
-            for k = base to hi - 1 do
-              match dest s0.scratch view dsts.(k) with
-              | Ok () -> ()
-              | Error msg -> if !error = None then error := Some msg
-            done;
-            merge s0
-          end
-          else begin
-            (match snapshot_timer with
-            | Some t -> Obs.Timer.time t (fun () -> Array.blit state 0 snapshot 0 m)
-            | None -> Array.blit state 0 snapshot 0 m);
-            Parallel.Pool.iter_scratch pool (fun sl ->
-                sl.view <- { reads = snapshot; add = defer sl; top = !top });
-            (* Per-slot error cells: the error reported is the one of the
-               lowest destination index, exactly as a sequential scan
-               would find it. *)
-            let errs = Array.make (hi - base) None in
-            Parallel.Pool.run pool ~n:(hi - base) ~grain:1 (fun sl k ->
-                match dest sl.scratch sl.view dsts.(base + k) with
-                | Ok () -> ()
-                | Error msg -> errs.(k) <- Some msg);
-            (* Merge per-slot contributions in slot order. The merged
-               state is a sum of per-destination contributions, so any
-               merge order yields identical state; slot order just makes
-               the walk deterministic. *)
-            Parallel.Pool.iter_scratch pool merge;
-            Array.iter (fun e -> if !error = None then error := e) errs
-          end);
+    else if workers <= 1 then begin
+      (* Inline on the caller, in destination order, so the first
+         error met is the lowest-index one. The destinations read
+         the live state and add into slot 0's delta, which is
+         merged at the batch end. *)
+      let view = { reads = state; add = defer s0; top = !top } in
+      for k = base to hi - 1 do
+        match dest s0.scratch view dsts.(k) with
+        | Ok () -> ()
+        | Error msg -> if !error = None then error := Some msg
+      done;
+      merge s0
+    end
+    else begin
+      (match snapshot_timer with
+      | Some t -> Obs.Timer.time t (fun () -> Array.blit state 0 snapshot 0 m)
+      | None -> Array.blit state 0 snapshot 0 m);
+      Parallel.Pool.iter_scratch pool (fun sl ->
+          sl.view <- { reads = snapshot; add = defer sl; top = !top });
+      (* Per-slot error cells: the error reported is the one of the
+         lowest destination index, exactly as a sequential scan
+         would find it. *)
+      let errs = Array.make (hi - base) None in
+      Parallel.Pool.run pool ~n:(hi - base) ~grain:1 (fun sl k ->
+          match dest sl.scratch sl.view dsts.(base + k) with
+          | Ok () -> ()
+          | Error msg -> errs.(k) <- Some msg);
+      (* Merge per-slot contributions in slot order. The merged
+         state is a sum of per-destination contributions, so any
+         merge order yields identical state; slot order just makes
+         the walk deterministic. *)
+      Parallel.Pool.iter_scratch pool merge;
+      Array.iter (fun e -> if !error = None then error := e) errs
+    end;
     lo := hi
   done;
   match !error with

@@ -5,9 +5,10 @@ let initial_weights g =
 let recommended_batch = 32
 
 (* Plane-level telemetry (doc/observability.md): one counter bump per
-   destination tree, one timer sample + span per route_destinations
-   call, one snapshot-timer sample per weight copy a fan-out batch
-   takes. Nothing inside the kernel or tree-walk loops is touched. *)
+   destination tree, one timer sample (a span while tracing) per
+   route_destinations call, one snapshot-timer sample per weight copy a
+   fan-out batch takes. Nothing inside the kernel or tree-walk loops is
+   touched. *)
 let c_dsts = Obs.Registry.counter "sssp.destinations" ~desc:"destination trees routed"
 
 let c_planes = Obs.Registry.counter "sssp.planes" ~desc:"route_destinations invocations"
@@ -98,22 +99,21 @@ let route_destinations ?(batch = 1) ?(domains = 1) ?pool ?(kernel = Spf.Bucket) 
   if Array.length weights <> Graph.num_channels g then
     invalid_arg "Sssp.route_destinations: weights size";
   Obs.Counter.incr c_planes;
-  Obs.Timer.time t_plane (fun () ->
-      Obs.Trace.with_span "sssp.route_destinations"
-        ~attrs:(fun () ->
-          [
-            ("destinations", Obs.Trace.Int (Array.length dsts));
-            ("batch", Obs.Trace.Int batch);
-            ("domains", Obs.Trace.Int (match pool with Some p -> Parallel.Pool.size p | None -> domains));
-            ("pooled", Obs.Trace.Bool (pool <> None));
-            ("kernel", Obs.Trace.Str (Spf.kind_to_string kernel));
-          ])
-        (fun () ->
-          match pool with
-          | Some pool -> route_destinations_inner ~kernel pool ~batch g ~weights ~ft ~dsts
-          | None ->
-            Batched.with_pool ~domains fresh_scratch (fun pool ->
-                route_destinations_inner ~kernel pool ~batch g ~weights ~ft ~dsts)))
+  Obs.Timer.time t_plane
+    ~attrs:(fun _ ->
+      [
+        ("destinations", Obs.Trace.Int (Array.length dsts));
+        ("batch", Obs.Trace.Int batch);
+        ("domains", Obs.Trace.Int (match pool with Some p -> Parallel.Pool.size p | None -> domains));
+        ("pooled", Obs.Trace.Bool (pool <> None));
+        ("kernel", Obs.Trace.Str (Spf.kind_to_string kernel));
+      ])
+    (fun () ->
+      match pool with
+      | Some pool -> route_destinations_inner ~kernel pool ~batch g ~weights ~ft ~dsts
+      | None ->
+        Batched.with_pool ~domains fresh_scratch (fun pool ->
+            route_destinations_inner ~kernel pool ~batch g ~weights ~ft ~dsts))
 
 let route_plane ?batch ?domains ?pool ?kernel g ~weights =
   if Array.length weights <> Graph.num_channels g then invalid_arg "Sssp.route_plane: weights size";

@@ -274,10 +274,14 @@ let send_busy t conn ~id =
    no slice is copied. The snapshot is immutable, so the reply is
    internally consistent with exactly one certified epoch even if a
    swap lands between two queries, and at a pause point of a running
-   swap it is still the pre-swap one. *)
+   swap it is still the pre-swap one. A read is not a stage: [route_s]
+   records with [Timer.add], so reads emit no span (at 1000 reads/s
+   they would flush a swap's spans out of the ring) and never pause. *)
 let handle_route t conn ~id ~src ~dst =
   Obs.Counter.incr t.metrics.Metrics.route_queries;
-  Obs.Timer.time t.metrics.Metrics.route_s @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  Fun.protect ~finally:(fun () -> Obs.Timer.add t.metrics.Metrics.route_s (Unix.gettimeofday () -. t0))
+  @@ fun () ->
   match Fabric.Manager.snapshot t.mgr with
   | Error e ->
     Obs.Counter.incr t.metrics.Metrics.route_errors;

@@ -616,16 +616,16 @@ let test_epoch_gate_refuses_uncertified () =
   let epochs = Fabric.Epoch.create () in
   let bad = clockwise_ring ~switches:8 in
   (match Fabric.Epoch.try_swap epochs ~label:"bad" bad with
-  | Ok _, _ -> Alcotest.fail "cyclic table must not swap in"
-  | Error msg, _ ->
+  | Ok _ -> Alcotest.fail "cyclic table must not swap in"
+  | Error msg ->
     check Alcotest.bool (Printf.sprintf "refusal names the certificate: %S" msg) true
       (String.length msg >= 11 && String.sub msg 0 11 = "certificate"));
   check Alcotest.int "epoch unchanged" 0 (Fabric.Epoch.epoch epochs);
   check Alcotest.bool "no active tables" true (Fabric.Epoch.active epochs = None);
   let good = route "dfsssp" (Topo_ring.make ~switches:8 ~terminals_per_switch:1) in
   (match Fabric.Epoch.try_swap epochs ~label:"good" good with
-  | Ok _, _ -> ()
-  | Error msg, _ -> Alcotest.failf "certified table refused: %s" msg);
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "certified table refused: %s" msg);
   check Alcotest.int "epoch advanced" 1 (Fabric.Epoch.epoch epochs)
 
 (* ------------------------------------------------------------------ *)
@@ -733,15 +733,15 @@ let test_epoch_gate_existence () =
   let undersized = copy_table ft in
   Routing.Ftable.set_num_layers undersized 3;
   (match Fabric.Epoch.try_swap epochs ~label:"undersized" undersized with
-  | Ok _, _ -> Alcotest.fail "budget below the provable minimum must not swap in"
-  | Error msg, _ ->
+  | Ok _ -> Alcotest.fail "budget below the provable minimum must not swap in"
+  | Error msg ->
     check Alcotest.bool (Printf.sprintf "refusal names existence: %S" msg) true
       (String.length msg >= 9 && String.sub msg 0 9 = "existence"));
   check Alcotest.int "epoch unchanged" 0 (Fabric.Epoch.epoch epochs);
   (* the honestly-layered table passes the same gate *)
   (match Fabric.Epoch.try_swap epochs ~label:"good" ft with
-  | Ok _, _ -> ()
-  | Error msg, _ -> Alcotest.failf "feasible table refused: %s" msg);
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "feasible table refused: %s" msg);
   check Alcotest.int "epoch advanced" 1 (Fabric.Epoch.epoch epochs)
 
 (* ------------------------------------------------------------------ *)

@@ -218,7 +218,7 @@ let test_manage_trace () =
       | Error msg -> Alcotest.failf "span line does not parse (%s): %s" msg line)
     lines;
   Alcotest.(check bool) "initial routing traced" true
-    (List.exists (fun l -> Testutil.contains l "\"fabric.full_route\"") lines);
+    (List.exists (fun l -> Testutil.contains l "\"fabric.repair\"") lines);
   usage_error [ "trace"; "torus:4x4" ] ~naming:"unknown command 'trace'";
   usage_error [ "route"; "torus:4x4"; "--max-vls"; "4" ] ~naming:"unknown option '--max-vls'"
 

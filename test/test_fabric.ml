@@ -555,7 +555,7 @@ let test_snapshot_is_certified_store () =
   in
   let ft = built.Dfsssp.table in
   let epochs = Fabric.Epoch.create () in
-  let (swapped, _), n =
+  let swapped, n =
     materialisations (fun () -> Fabric.Epoch.try_swap ~classes:built.Dfsssp.classes epochs ~label:"first" ft)
   in
   let gate_report =
@@ -711,6 +711,9 @@ let paused_apply () =
 let test_apply_pauses_at_stage_ends () =
   let r = paused_apply () in
   check Alcotest.bool "the event swapped in verified tables" true (r.outcome.Fabric.Manager.verify <> None);
+  (* fabric.apply, fabric.repair and fabric.verify wrap the stages
+     below and end right after them, so they add no pause *)
+  check Alcotest.int "pauses per apply" 13 (List.length r.pauses);
   List.iter2
     (fun name n -> check Alcotest.bool (name ^ " ended during the apply") true (n > 0))
     pause_timers r.ended;
@@ -767,13 +770,13 @@ let test_refused_candidate_keeps_snapshot () =
   let g = Topo_ring.make ~switches:5 ~terminals_per_switch:1 in
   let epochs = Fabric.Epoch.create () in
   (match Fabric.Epoch.try_swap epochs ~label:"good" (route_dfsssp g) with
-  | Ok _, _ -> ()
-  | Error msg, _ -> Alcotest.failf "dfsssp refused: %s" msg);
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "dfsssp refused: %s" msg);
   let before = Result.get_ok (Fabric.Epoch.snapshot epochs) in
   (* plain SSSP in one layer: cyclic on the ring, so no certificate *)
   let bad = Result.get_ok (Routing.Sssp.route g) in
   check Alcotest.bool "oracle: candidate is cyclic" false (Oracles.Acyclic_ref.deadlock_free bad);
-  let (result, _), n = materialisations (fun () -> Fabric.Epoch.try_swap epochs ~label:"bad" bad) in
+  let result, n = materialisations (fun () -> Fabric.Epoch.try_swap epochs ~label:"bad" bad) in
   (match result with
   | Ok _ -> Alcotest.fail "cyclic candidate installed"
   | Error msg ->

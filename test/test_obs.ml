@@ -360,53 +360,63 @@ let parse_lines buf =
          | Ok j -> j
          | Error msg -> Alcotest.failf "bad span line %S: %s" l msg)
 
+(* A timed stage is its span: [Timer.time] on local timers, with no
+   span-opening call anywhere. *)
 let trace_nesting () =
   let buf = Buffer.create 512 in
-  Obs.Control.with_enabled true (fun () ->
-      Obs.Trace.with_sink (Obs.Trace.buffer_sink buf) (fun () ->
-          Obs.Trace.with_span "outer" (fun () ->
-              Obs.Trace.with_span "inner"
-                ~attrs:(fun () -> [ ("k", Obs.Trace.Int 7) ])
-                (fun () -> ()))));
+  let outer = Obs.Timer.create "outer" and inner = Obs.Timer.create "inner" in
+  let r =
+    Obs.Control.with_enabled true (fun () ->
+        Obs.Trace.with_sink (Obs.Trace.buffer_sink buf) (fun () ->
+            Obs.Timer.time outer (fun () ->
+                Obs.Timer.time inner ~attrs:(fun k -> [ ("k", Obs.Trace.Int k) ]) (fun () -> 7))))
+  in
+  check Alcotest.int "time returns the stage's value" 7 r;
+  check Alcotest.int "outer recorded" 1 (Obs.Timer.count outer);
+  check Alcotest.int "inner recorded" 1 (Obs.Timer.count inner);
   match parse_lines buf with
-  | [ inner; outer ] ->
+  | [ inner_j; outer_j ] ->
     (* innermost ends (and is emitted) first *)
     check (Alcotest.option Alcotest.string) "inner name" (Some "inner")
-      Obs.Json.(member "name" inner |> Option.get |> to_str);
+      Obs.Json.(member "name" inner_j |> Option.get |> to_str);
     check (Alcotest.option Alcotest.string) "outer name" (Some "outer")
-      Obs.Json.(member "name" outer |> Option.get |> to_str);
+      Obs.Json.(member "name" outer_j |> Option.get |> to_str);
     let id j = Obs.Json.(member "id" j |> Option.get |> to_int) in
-    check (Alcotest.option Alcotest.int) "parent link" (id outer)
-      Obs.Json.(member "parent" inner |> Option.get |> to_int);
-    check Alcotest.bool "outer is a root" true (Obs.Json.member "parent" outer = Some Obs.Json.Null);
-    check (Alcotest.option Alcotest.int) "attr" (Some 7)
-      Obs.Json.(member "attrs" inner |> Option.get |> member "k" |> Option.get |> to_int)
+    check (Alcotest.option Alcotest.int) "parent link" (id outer_j)
+      Obs.Json.(member "parent" inner_j |> Option.get |> to_int);
+    check Alcotest.bool "outer is a root" true (Obs.Json.member "parent" outer_j = Some Obs.Json.Null);
+    check (Alcotest.option Alcotest.int) "attr from the result" (Some 7)
+      Obs.Json.(member "attrs" inner_j |> Option.get |> member "k" |> Option.get |> to_int);
+    let dur_ms j = Obs.Json.(member "dur_ms" j |> Option.get |> to_float |> Option.get) in
+    check (Alcotest.float 1e-9) "the span's duration is the timer's sample"
+      (1000.0 *. (Obs.Timer.samples inner).(0)) (dur_ms inner_j)
   | lines -> Alcotest.failf "expected 2 spans, got %d" (List.length lines)
 
 let trace_disabled_is_silent () =
   let buf = Buffer.create 64 in
+  let quiet = Obs.Timer.create "quiet" in
   (* a sink without the switch: nothing may be emitted, and attribute
-     thunks may never run *)
+     functions may never run *)
   Obs.Control.with_enabled false (fun () ->
       Obs.Trace.with_sink (Obs.Trace.buffer_sink buf) (fun () ->
-          Obs.Trace.with_span "quiet"
-            ~attrs:(fun () -> Alcotest.fail "attrs forced while disabled")
-            (fun () -> ())));
+          Obs.Timer.time quiet ~attrs:(fun () -> Alcotest.fail "attrs forced while disabled") ignore));
   check Alcotest.string "no output" "" (Buffer.contents buf);
   (* and the switch without a sink is equally silent *)
-  Obs.Control.with_enabled true (fun () -> Obs.Trace.with_span "no sink" (fun () -> ()));
   Obs.Control.with_enabled true (fun () ->
-      Obs.Trace.with_span "no sink either"
-        ~attrs:(fun () -> Alcotest.fail "attrs forced without a sink")
-        (fun () -> ()))
+      Obs.Timer.time quiet ~attrs:(fun () -> Alcotest.fail "attrs forced without a sink") ignore);
+  check Alcotest.int "the timer still records" 2 (Obs.Timer.count quiet)
 
 let trace_error_attr () =
   let buf = Buffer.create 256 in
+  let doomed = Obs.Timer.create "doomed" in
   (try
      Obs.Control.with_enabled true (fun () ->
          Obs.Trace.with_sink (Obs.Trace.buffer_sink buf) (fun () ->
-             Obs.Trace.with_span "doomed" (fun () -> failwith "expected")))
+             Obs.Timer.time doomed
+               ~attrs:(fun () -> Alcotest.fail "attrs of a stage that raised")
+               (fun () -> failwith "expected")))
    with Failure _ -> ());
+  check Alcotest.int "a stage that raised is recorded" 1 (Obs.Timer.count doomed);
   match parse_lines buf with
   | [ span ] ->
     check Alcotest.bool "error attr present" true
@@ -479,17 +489,45 @@ let registry_kinds_disjoint () =
 (* Acceptance: tracing the fabric manage path                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Timer counts of a registry snapshot, by name. *)
+let timer_counts registry =
+  match Obs.Registry.to_json registry with
+  | Obs.Json.Obj items ->
+    List.filter_map
+      (fun (name, j) ->
+        match (Obs.Json.member "kind" j, Option.bind (Obs.Json.member "count" j) Obs.Json.to_int) with
+        | Some (Obs.Json.Str "timer"), Some n -> Some (name, n)
+        | _ -> None)
+      items
+  | _ -> []
+
 (* Enabled tracing on a full fabric-manager run must emit valid
    JSON-lines spans covering the repair/verify/swap pipeline, with the
-   routing and layer spans nested under manager spans. *)
+   routing and layer spans nested under manager spans. Every span is a
+   timed stage: its name is a registry timer, its duration a sample that
+   timer recorded, and each timer that ended a stage emitted one span
+   per sample. *)
 let fabric_manage_path_traced () =
   let g = fst (Topo_torus.torus ~dims:[| 3; 3 |] ~terminals_per_switch:2) in
   let rng = Rng.create 7 in
   let schedule = Fabric.Schedule.generate g ~rng ~events:5 ~switch_removals:1 ~drains:1 () in
   let buf = Buffer.create 8192 in
+  let json_sink = Obs.Trace.buffer_sink buf in
+  let records = ref [] in
+  let sink =
+    {
+      Obs.Trace.emit =
+        (fun sp ->
+          records := sp :: !records;
+          json_sink.Obs.Trace.emit sp);
+      flush = json_sink.Obs.Trace.flush;
+    }
+  in
+  let default = Obs.Registry.default () in
+  let before = timer_counts default in
   let mgr_metrics =
     Obs.Control.with_enabled true (fun () ->
-        Obs.Trace.with_sink (Obs.Trace.buffer_sink buf) (fun () ->
+        Obs.Trace.with_sink sink (fun () ->
             match Fabric.Manager.create g with
             | Error msg -> Alcotest.failf "manager refused: %s" msg
             | Ok mgr ->
@@ -505,13 +543,13 @@ let fabric_manage_path_traced () =
   List.iter
     (fun expected ->
       check Alcotest.bool (expected ^ " span present") true (List.mem expected names))
-    [ "fabric.apply"; "fabric.full_route"; "fabric.try_swap"; "sssp.route_destinations"; "layers.assign" ];
+    [ "fabric.apply"; "fabric.repair"; "fabric.verify"; "sssp.route_destinations"; "layers.assign" ];
   (* every span carries the flat record shape the sink promises *)
   List.iter
     (fun j ->
       List.iter
         (fun field -> check Alcotest.bool ("field " ^ field) true (Obs.Json.member field j <> None))
-        [ "id"; "parent"; "name"; "ts"; "dur_ms"; "attrs" ])
+        [ "id"; "parent"; "name"; "ts"; "dur_ms" ])
     spans;
   (* parent links resolve within the emitted set *)
   let ids = List.filter_map (fun j -> Obs.Json.(member "id" j |> Option.get |> to_int)) spans in
@@ -524,6 +562,65 @@ let fabric_manage_path_traced () =
         | Some pid -> check Alcotest.bool "parent resolves" true (List.mem pid ids)
         | None -> Alcotest.fail "non-integer parent"))
     spans;
+  (* A span is a timer: its name is registered, its duration is a
+     sample the timer recorded, and the timers that ended stages during
+     the run emitted one span per sample. *)
+  let records = List.rev !records in
+  let timer_of name =
+    match Obs.Registry.find_timer mgr_metrics.Fabric.Metrics.registry name with
+    | Some t -> Some t
+    | None -> Obs.Registry.find_timer default name
+  in
+  List.iter
+    (fun (sp : Obs.Trace.span) ->
+      match timer_of sp.name with
+      | None -> Alcotest.failf "span %s is not a registry timer" sp.name
+      | Some t ->
+        check Alcotest.bool (sp.name ^ ": duration is a recorded sample") true
+          (Array.exists (fun x -> x = sp.dur_s) (Obs.Timer.samples t)))
+    records;
+  let spans_named name = List.length (List.filter (fun (sp : Obs.Trace.span) -> sp.name = name) records) in
+  List.iter
+    (fun (name, n) ->
+      let n0 = Option.value ~default:0 (List.assoc_opt name before) in
+      (* pool.slot_busy is added per slot by the pool, not timed *)
+      if name <> "pool.slot_busy" then
+        check Alcotest.int (name ^ ": one span per stage end") (n - n0) (spans_named name))
+    (timer_counts default @ timer_counts mgr_metrics.Fabric.Metrics.registry);
+  (* children sum to no more than their parent (1 us slack) *)
+  List.iter
+    (fun (sp : Obs.Trace.span) ->
+      let children =
+        List.fold_left
+          (fun acc (c : Obs.Trace.span) -> if c.parent = Some sp.id then acc +. c.dur_s else acc)
+          0.0 records
+      in
+      check Alcotest.bool (sp.name ^ ": children within the span") true (children <= sp.dur_s +. 1e-6))
+    records;
+  (* the swap's stages nest under the event's fabric.apply *)
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun (sp : Obs.Trace.span) -> Hashtbl.replace by_id sp.id sp) records;
+  let rec under_apply (sp : Obs.Trace.span) =
+    match Option.bind sp.parent (Hashtbl.find_opt by_id) with
+    | None -> false
+    | Some p -> p.name = "fabric.apply" || under_apply p
+  in
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " nested under fabric.apply") true
+        (List.exists (fun (sp : Obs.Trace.span) -> sp.name = name && under_apply sp) records))
+    [
+      "fabric.repair";
+      "fabric.verify";
+      "dfsssp.class_walk";
+      "analysis.existence";
+      "analysis.certify";
+      "analysis.certify_walk";
+      "analysis.certify_generate";
+      "analysis.certify_check";
+      "epoch.swap_stats";
+      "epoch.snapshot_expand";
+    ];
   (* the migrated manager metrics saw the same run the spans did *)
   check Alcotest.bool "events counted" true (Fabric.Metrics.events_seen mgr_metrics = 5);
   check Alcotest.bool "verify timed" true (Obs.Timer.sum_s mgr_metrics.Fabric.Metrics.verify > 0.0);

@@ -246,6 +246,33 @@ let test_server_rejects_bad_requests () =
           (* the connection survived four refusals *)
           check Alcotest.int "still serving" 1 (ok (Service.Client.ping c))))
 
+(* Route reads are not stages: more reads than the span ring holds,
+   after one event, leave that event's spans in the ring. *)
+let test_route_reads_leave_no_spans () =
+  let g = torus [| 4; 4 |] in
+  with_server g (fun addr _server ->
+      let c = connect addr in
+      Fun.protect ~finally:(fun () -> Service.Client.close c) (fun () ->
+          let cable = (Degrade.switch_cables g).(0) in
+          (match ok (Service.Client.event c (Fabric.Event.Link_down cable)) with
+          | Service.Client.Applied { applied; _ } -> check Alcotest.bool "applied" true applied
+          | Service.Client.Busy _ -> Alcotest.fail "unloaded server claimed busy");
+          let terms = Graph.terminals g in
+          let queries = 2 * (config "unused").Service.Server.trace_capacity in
+          for i = 1 to queries do
+            let src = terms.(i mod Array.length terms) and dst = terms.((i + 1) mod Array.length terms) in
+            ignore (ok (Service.Client.route c ~src ~dst))
+          done;
+          let names =
+            List.filter_map
+              (fun j -> Option.bind (Obs.Json.member "name" j) Obs.Json.to_str)
+              (ok (Service.Client.trace c))
+          in
+          check Alcotest.bool "the event's fabric.apply span survives the reads" true
+            (List.mem "fabric.apply" names);
+          check Alcotest.bool "no read left a span" false (List.mem "service.route_s" names);
+          ok (Service.Client.shutdown c)))
+
 (* ------------------------------------------------------------------ *)
 (* Backpressure: pipelined events against a tiny admission queue        *)
 (* ------------------------------------------------------------------ *)
@@ -546,6 +573,8 @@ let () =
           Alcotest.test_case "every op end to end" `Quick test_server_end_to_end;
           Alcotest.test_case "existing socket path refused" `Quick test_server_refuses_existing_socket;
           Alcotest.test_case "bad requests answered, not fatal" `Quick test_server_rejects_bad_requests;
+          Alcotest.test_case "route reads leave the trace ring to the swaps" `Quick
+            test_route_reads_leave_no_spans;
         ] );
       ( "backpressure",
         [ Alcotest.test_case "pipelined overflow shed as busy" `Quick test_backpressure_sheds_load ] );
