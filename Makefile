@@ -189,14 +189,12 @@ bench-analysis:
 	dune exec --profile release bench/analysis_bench.exe
 
 # Cycle-break engine benchmark (DESIGN.md §17): SCC condensation vs the
-# one-cycle-at-a-time DFS oracle (the test-only Oracles.Dfs_ref),
-# sequential and across domains, with per-stage condense/evict/rebuild
-# splits. Writes
+# one-cycle-at-a-time DFS oracle (the test-only Oracles.Dfs_ref), with
+# per-stage condense/evict/rebuild splits. Writes
 # bench_results/cycle_break.json; gates: SCC >= 2x DFS on the torus
-# workloads (scc_2x), layer counts within oracle+1 (layers_within_1),
-# parallel planning >= 0.9x sequential (par_not_slower, skipped below 2
-# hardware domains). Each workload races until every engine has run for
-# 1.5 s (at least 3 rounds); the round count is in the JSON.
+# workloads (scc_2x), layer counts within oracle+1 (layers_within_1).
+# Each workload races until every engine has run for 1.5 s (at least 3
+# rounds); the round count is in the JSON.
 bench-break:
 	dune exec --profile release bench/break_bench.exe
 
@@ -216,9 +214,10 @@ break-smoke:
 # fastest kernel (bucket_kernel), the >= 2x
 # pipeline speedup (pipeline_2x, skipped below 4 hardware domains), and
 # in bench_results/obs_overhead.json the disabled-instrumentation
-# tripwire against the previous run, scaled by the two runs' host
+# tripwire against the previous run, scaled by the two runs' CPU
 # reference times (obs_disabled_overhead; skipped when the carried
-# file records no reference time, and this run becomes the baseline).
+# file records no CPU reference time, and this run becomes the
+# baseline).
 bench-routing:
 	dune exec --profile release bench/routing_bench.exe
 

@@ -1,21 +1,18 @@
 (* Benchmark gate for the cycle-break engine (DESIGN.md section 17):
    the shipped SCC-condensation engine vs the one-cycle-at-a-time DFS
-   oracle ({!Oracles.Dfs_ref}), sequentially and across domains, with
-   the per-stage condense/evict/rebuild split read from the always-on
-   [layers.*] timers (the oracle's own [dfs_ref.*] timers for the DFS
-   runs). Destinations are sampled at an even stride across the
-   terminal range — contiguous blocks on a big torus produce acyclic
-   CDGs, which would make break time a measure of nothing.
+   oracle ({!Oracles.Dfs_ref}), with the per-stage
+   condense/evict/rebuild split read from the always-on [layers.*]
+   timers (the oracle's own [dfs_ref.*] timers for the DFS runs).
+   Destinations are sampled at an even stride across the terminal
+   range — contiguous blocks on a big torus produce acyclic CDGs, which
+   would make break time a measure of nothing.
 
    Writes bench_results/cycle_break.json. Gates:
 
    - [scc_2x]: SCC engine >= 2x the DFS oracle on break time for
      torus-16x16 and torus-64x64;
    - [layers_within_1]: layers_used within +1 of the oracle on every
-     workload;
-   - [par_not_slower]: parallel SCC planning >= 0.9x sequential
-     everywhere (a 10% noise allowance); skipped below 2 hardware
-     domains, where both runs are the same sequential code.
+     workload.
 
    [--quick] runs a seconds-long single-workload engine-parity smoke
    instead (wired into `make check`): the engine and the oracle must
@@ -35,16 +32,16 @@ type run = {
 }
 
 (* Each engine races for at least this long on every workload (at
-   least 3 rounds): xgft-1024 breaks in ~10 ms, and a best-of-3 on a
-   10 ms run cannot resolve par_not_slower's 10% band. *)
+   least 3 rounds): xgft-1024 breaks in ~10 ms, where a best-of-3 is
+   mostly noise. *)
 let race_floor_ms = 1500.0
 
 (* The engine under test and the timer prefix its stages fire. *)
 type engine =
   | Dfs
-  | Scc of int (* domains *)
+  | Scc
 
-let stage_prefix = function Dfs -> "dfs_ref" | Scc _ -> "layers"
+let stage_prefix = function Dfs -> "dfs_ref" | Scc -> "layers"
 
 (* One assignment, with its condense/evict/rebuild split read from the
    engine's stage timers. *)
@@ -95,7 +92,7 @@ let assign w engine () =
   match
     match engine with
     | Dfs -> Oracles.Dfs_ref.assign_store w.store ~max_layers ~heuristic
-    | Scc domains -> Layers.assign_store ~domains w.store ~max_layers ~heuristic
+    | Scc -> Layers.assign_store w.store ~max_layers ~heuristic
   with
   | Ok o -> o
   | Error msg -> failwith (Printf.sprintf "%s: cycle breaking failed: %s" w.name msg)
@@ -104,23 +101,20 @@ type row = {
   w : workload;
   rounds : int; (* race rounds run to reach race_floor_ms *)
   dfs : run;
-  scc_seq : run;
-  scc_par : run;
+  scc : run;
 }
 
-let scc_vs_dfs r = r.dfs.wall_ms /. r.scc_seq.wall_ms
-
-let par_vs_seq r = r.scc_seq.wall_ms /. r.scc_par.wall_ms
+let scc_vs_dfs r = r.dfs.wall_ms /. r.scc.wall_ms
 
 (* [build] runs here so each workload's store is dead before the next
    one allocates: keeping every store alive at once puts the major heap
    in a regime where the CDG builds pay seconds of GC instead of
    milliseconds. *)
-let measure ~domains build =
+let measure build =
   let w = build () in
   Printf.eprintf "measuring %s (%d pairs, %d CDG edges)...\n%!" w.name w.pairs w.cdg_edges;
-  let runs, rounds = race_runs (Array.map (fun e -> (e, assign w e)) [| Dfs; Scc 1; Scc domains |]) in
-  { w; rounds; dfs = runs.(0); scc_seq = runs.(1); scc_par = runs.(2) }
+  let runs, rounds = race_runs (Array.map (fun e -> (e, assign w e)) [| Dfs; Scc |]) in
+  { w; rounds; dfs = runs.(0); scc = runs.(1) }
 
 let json_run r =
   let open Obs.Json in
@@ -147,11 +141,9 @@ let json_row r =
       ("cdg_edges", Kit.json_int r.w.cdg_edges);
       ("rounds", Kit.json_int r.rounds);
       ("dfs", json_run r.dfs);
-      ("scc_sequential", json_run r.scc_seq);
-      ("scc_parallel", json_run r.scc_par);
+      ("scc", json_run r.scc);
       ("scc_vs_dfs", Num (scc_vs_dfs r));
-      ("par_vs_seq", Num (par_vs_seq r));
-      ("layers_delta", Kit.json_int (r.scc_seq.layers - r.dfs.layers));
+      ("layers_delta", Kit.json_int (r.scc.layers - r.dfs.layers));
     ]
 
 let run_quick () =
@@ -162,7 +154,7 @@ let run_quick () =
       ~num_dsts:64 ~gated_2x:false
   in
   let dfs = assign w Dfs () in
-  let scc = assign w (Scc 1) () in
+  let scc = assign w Scc () in
   Printf.printf "break smoke %-10s dfs %d layer(s) / %d broken, scc %d layer(s) / %d evicted\n" w.name
     dfs.Layers.layers_used dfs.Layers.cycles_broken scc.Layers.layers_used scc.Layers.cycles_broken;
   Kit.finish
@@ -173,8 +165,6 @@ let run_quick () =
 
 let () =
   if Array.exists (( = ) "--quick") Sys.argv then run_quick ();
-  let available = Domain.recommended_domain_count () in
-  let domains = max 1 (min available 4) in
   let workloads =
     [
       (fun () ->
@@ -191,33 +181,28 @@ let () =
           ~num_dsts:32 ~gated_2x:true);
     ]
   in
-  let rows = List.map (measure ~domains) workloads in
+  let rows = List.map measure workloads in
   List.iter
     (fun r ->
       Printf.printf
         "%-12s %7d pairs %3d rounds | dfs %8.2f ms (%d layers, %d broken) | scc %8.2f ms (%d \
-         layers, %d evicted) %.2fx | par %8.2f ms %.2fx\n"
-        r.w.name r.w.pairs r.rounds r.dfs.wall_ms r.dfs.layers r.dfs.broken r.scc_seq.wall_ms
-        r.scc_seq.layers r.scc_seq.broken (scc_vs_dfs r) r.scc_par.wall_ms (par_vs_seq r);
+         layers, %d evicted) %.2fx\n"
+        r.w.name r.w.pairs r.rounds r.dfs.wall_ms r.dfs.layers r.dfs.broken r.scc.wall_ms r.scc.layers
+        r.scc.broken (scc_vs_dfs r);
       Printf.printf "             stages dfs c/e/r %.1f/%.1f/%.1f | scc %.1f/%.1f/%.1f\n"
         r.dfs.stages.condense_ms r.dfs.stages.evict_ms r.dfs.stages.rebuild_ms
-        r.scc_seq.stages.condense_ms r.scc_seq.stages.evict_ms r.scc_seq.stages.rebuild_ms)
+        r.scc.stages.condense_ms r.scc.stages.evict_ms r.scc.stages.rebuild_ms)
     rows;
   let gates =
     [
       Kit.gate "scc_2x" ~target:"scc >= 2x dfs break time on the torus workloads"
         (List.for_all (fun r -> (not r.w.gated_2x) || scc_vs_dfs r >= 2.0) rows);
       Kit.gate "layers_within_1" ~target:"scc layers_used <= dfs + 1 on every workload"
-        (List.for_all (fun r -> r.scc_seq.layers <= r.dfs.layers + 1) rows);
-      Kit.parallel_gate "par_not_slower" ~target:"parallel scc >= 0.9x sequential on every workload"
-        ~available ~min:2
-        (List.for_all (fun r -> par_vs_seq r >= 0.9) rows);
+        (List.for_all (fun r -> r.scc.layers <= r.dfs.layers + 1) rows);
     ]
   in
   Kit.write_json ~benchmark:"cycle_break"
     [
-      ("domains_available", Kit.json_int available);
-      ("domains_used", Kit.json_int domains);
       ("race_floor_ms", Obs.Json.Num race_floor_ms);
       ("workloads", Obs.Json.List (List.map json_row rows));
     ]

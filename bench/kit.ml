@@ -106,11 +106,32 @@ let host_ref_once () =
   Unix.close b;
   ms
 
-(* The median of [samples] runs of the reference kernel, in ms. *)
-let host_ref_ms ?(samples = 7) () =
-  let xs = Array.init samples (fun _ -> host_ref_once ()) in
+let median_of ~samples once =
+  let xs = Array.init samples (fun _ -> once ()) in
   Array.sort Float.compare xs;
   xs.(samples / 2)
+
+(* The median of [samples] runs of the reference kernel, in ms. *)
+let host_ref_ms ?(samples = 7) () = median_of ~samples host_ref_once
+
+(* CPU speed, for gates on CPU-bound stages: the answering side's
+   [ref_trips] chases alone, with no socket and no second thread. Over
+   four runs the socket kernel above read 7.2-16.1 ms while a sequential
+   SSSP sum held at 32-36 ms: thread wake-ups swing far more between
+   runs than the compute a shortest-path sweep waits on. *)
+let cpu_ref_once () =
+  let t = Lazy.force ref_table in
+  let t0 = Unix.gettimeofday () in
+  let j = ref 0 in
+  for _ = 1 to ref_trips do
+    j := chase t !j
+  done;
+  let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+  ignore (Sys.opaque_identity !j);
+  ms
+
+(* The median of [samples] runs of the CPU reference kernel, in ms. *)
+let cpu_ref_ms ?(samples = 7) () = median_of ~samples cpu_ref_once
 
 (* [baseline] (a rate, higher is better) recorded on a host whose
    reference took [baseline_ref_ms], as expected on a host whose

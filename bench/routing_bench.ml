@@ -6,7 +6,11 @@
      per-destination recurrence) and through the batched-snapshot
      driver, with the parallel run decomposed into its snapshot-freeze
      and tree-compute stages via the always-on [sssp.snapshot] /
-     [sssp.route_destinations] timers;
+     [sssp.route_destinations] timers. Cycle breaking runs on the
+     calling domain either way: the two break times break two different
+     tables, the batch-1 table and the batched one, so [break_ms] names
+     its columns by table and [pipeline_ms.speedup] is the batched
+     pipeline against the sequential one, not a parallel break;
    - each kernel in isolation — binary-heap oracle and bucket queue —
      over one frozen weight plane;
 
@@ -24,11 +28,12 @@
      skipped below 4 hardware domains.
    - [obs_disabled_overhead] (in bench_results/obs_overhead.json): obs
      compiled in but disabled keeps the sequential SSSP stage within 50%
-     of the previous run's, scaled by the ratio of the two runs' host
-     reference times (Kit.host_ref_ms, recorded as [ref_ms]) — a coarse
-     tripwire for instrumentation accidentally becoming unconditional;
-     skipped without a previous run or when the previous run recorded no
-     reference time (this run then becomes the baseline).
+     of the previous run's, scaled by the ratio of the two runs' CPU
+     reference times (Kit.cpu_ref_ms, recorded as [cpu_ref_ms]) — a
+     coarse tripwire for instrumentation accidentally becoming
+     unconditional; skipped without a previous run or when the previous
+     run recorded no CPU reference time (this run then becomes the
+     baseline).
 
    [--equivalence] runs a sub-second cross-kernel table-equality check
    instead (wired into `make check`): the bucket kernel must produce the
@@ -72,9 +77,9 @@ let sssp_stage ?batch ?domains ?pool ?kernel w () =
   | Error msg -> failwith (Printf.sprintf "%s: routing failed: %s" w.name msg));
   ft
 
-let break_stage ?domains w ft () =
+let break_stage w ft () =
   match
-    Layers.assign_store ?domains (Kit.pair_store ~name:w.name ft ~dsts:w.dsts) ~max_layers:64
+    Layers.assign_store (Kit.pair_store ~name:w.name ft ~dsts:w.dsts) ~max_layers:64
       ~heuristic:Heuristic.Weakest
   with
   | Ok o -> o.Layers.layers_used
@@ -100,9 +105,9 @@ type row = {
   endpoints : int;
   num_dsts : int;
   seq_sssp_ms : float;
-  seq_break_ms : float;
+  seq_break_ms : float; (* breaks the batch-1 table *)
   par_sssp_ms : float;
-  par_break_ms : float;
+  par_break_ms : float; (* breaks the batched table *)
   par_snapshot_ms : float; (* snapshot-freeze share of one parallel run *)
   par_compute_ms : float; (* the rest of that run *)
   kernel_ms : (Spf.kind * float) list; (* isolated sweeps, one per kernel *)
@@ -120,7 +125,7 @@ let default_kernel = Spf.Bucket
 
 let kernel_time r k = List.assoc k r.kernel_ms
 
-let measure ~batch ~domains ~pool w =
+let measure ~batch ~pool w =
   Printf.eprintf "measuring %s...\n%!" w.name;
   let n = Graph.num_nodes w.graph in
   let weights = Sssp.initial_weights w.graph in
@@ -163,7 +168,7 @@ let measure ~batch ~domains ~pool w =
      batched ones; break each so the pipeline totals stay comparable. *)
   route ft_seq ();
   let seq_break_ms, seq_layers = Kit.time_best ~compact:true (break_stage w ft_seq) in
-  let par_break_ms, par_layers = Kit.time_best ~compact:true (break_stage ~domains w ft_par) in
+  let par_break_ms, par_layers = Kit.time_best ~compact:true (break_stage w ft_par) in
   let kernel_thunks =
     List.map
       (fun k ->
@@ -187,7 +192,7 @@ let measure ~batch ~domains ~pool w =
     layers = max seq_layers par_layers;
   }
 
-let json_row r =
+let json_row ~batch r =
   let open Obs.Json in
   let seq_par seq par = [ ("sequential", Num seq); ("parallel", Num par) ] in
   Obj
@@ -202,18 +207,26 @@ let json_row r =
         Obj
           (List.map (fun (k, ms) -> (Spf.kind_to_string k, Num ms)) r.kernel_ms
           @ [ ("default", Str (Spf.kind_to_string default_kernel)) ]) );
-      ("break_ms", Obj (seq_par r.seq_break_ms r.par_break_ms));
+      ( "break_ms",
+        Obj
+          [
+            ("batch_1_table", Num r.seq_break_ms);
+            (Printf.sprintf "batch_%d_table" batch, Num r.par_break_ms);
+          ] );
       ( "pipeline_ms",
         Obj
-          (seq_par (r.seq_sssp_ms +. r.seq_break_ms) (r.par_sssp_ms +. r.par_break_ms)
-          @ [ ("speedup", Num (pipeline_speedup r)) ]) );
+          [
+            ("sequential", Num (r.seq_sssp_ms +. r.seq_break_ms));
+            ("batched", Num (r.par_sssp_ms +. r.par_break_ms));
+            ("speedup", Num (pipeline_speedup r));
+          ] );
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead (DESIGN.md section 13): the sequential SSSP
    stage with obs compiled in but disabled must stay within 50% of the
    previous run's times (read from routing_parallel.json before this
-   run overwrites it), scaled by the ratio of this run's host reference
+   run overwrites it), scaled by the ratio of this run's CPU reference
    time to the previous run's, and the cost of enabled tracing is
    recorded informationally. 50% is a noise ceiling for this
    cross-process wall-clock comparison on a shared box, not the
@@ -230,14 +243,14 @@ let baseline_sssp doc =
   in
   match List.filter_map entry (Option.value ~default:[] (Option.bind (member "topologies" doc) to_list)) with
   | [] -> None
-  | entries -> Some (entries, Option.bind (member "ref_ms" doc) to_float)
+  | entries -> Some (entries, Option.bind (member "cpu_ref_ms" doc) to_float)
 
 (* This run's sequential SSSP times against the previous run's. *)
 type disabled_cmp = {
   matched : (string * float * float) list; (* name, baseline ms, current ms *)
   bsum : float; (* baseline ms, summed over [matched] *)
-  baseline_ref_ms : float; (* the previous run's host reference time *)
-  scaled : float; (* [bsum] scaled to this run's host reference time *)
+  baseline_cpu_ref_ms : float; (* the previous run's CPU reference time *)
+  scaled : float; (* [bsum] scaled to this run's CPU reference time *)
   csum : float; (* current ms, summed over [matched] *)
   delta : float; (* (csum - scaled) / scaled *)
 }
@@ -325,11 +338,11 @@ let () =
   let rows =
     Fun.protect
       ~finally:(fun () -> Sssp.destroy_pool pool)
-      (fun () -> List.map (measure ~batch ~domains ~pool) workloads)
+      (fun () -> List.map (measure ~batch ~pool) workloads)
   in
-  (* Once the timed routing is done, so the reference kernel's thread
-     and 8 MB table stay out of the timed runs. *)
-  let ref_ms = Kit.host_ref_ms () in
+  (* Once the timed routing is done, so the reference kernel's 8 MB
+     table stays out of the timed runs. *)
+  let cpu_ref_ms = Kit.cpu_ref_ms () in
   List.iter
     (fun r ->
       Printf.printf
@@ -365,8 +378,8 @@ let () =
       ("domains_used", Kit.json_int domains);
       ("batch", Kit.json_int batch);
       ("default_kernel", Obs.Json.Str (Spf.kind_to_string default_kernel));
-      ("ref_ms", Obs.Json.Num ref_ms);
-      ("topologies", Obs.Json.List (List.map json_row rows));
+      ("cpu_ref_ms", Obs.Json.Num cpu_ref_ms);
+      ("topologies", Obs.Json.List (List.map (json_row ~batch) rows));
     ]
     gates;
   (* ---- observability overhead ---- *)
@@ -375,9 +388,9 @@ let () =
     | None -> Error "no baseline"
     | Some (_, None) ->
       Error
-        "carried routing_parallel.json has no reference time; this run's times and reference time become \
-         the baseline"
-    | Some (base, Some baseline_ref_ms) ->
+        "carried routing_parallel.json has no CPU reference time; this run's times and CPU reference time \
+         become the baseline"
+    | Some (base, Some baseline_cpu_ref_ms) ->
       let matched =
         List.filter_map
           (fun r -> Option.map (fun b -> (r.wname, b, r.seq_sssp_ms)) (List.assoc_opt r.wname base))
@@ -387,8 +400,8 @@ let () =
       else
         let bsum = List.fold_left (fun a (_, b, _) -> a +. b) 0.0 matched in
         let csum = List.fold_left (fun a (_, _, c) -> a +. c) 0.0 matched in
-        let scaled = Kit.scale_time bsum ~baseline_ref_ms ~ref_ms in
-        Ok { matched; bsum; baseline_ref_ms; scaled; csum; delta = (csum -. scaled) /. scaled }
+        let scaled = Kit.scale_time bsum ~baseline_ref_ms:baseline_cpu_ref_ms ~ref_ms:cpu_ref_ms in
+        Ok { matched; bsum; baseline_cpu_ref_ms; scaled; csum; delta = (csum -. scaled) /. scaled }
   in
   (* The gate compares the sequential SSSP stage only — the path the
      sssp.*/spf.* instrumentation actually sits on. The cycle-breaking
@@ -401,7 +414,7 @@ let () =
      number — same-process enabled vs disabled tracing — is recorded
      alongside, informationally. *)
   let obs_target =
-    "sequential SSSP stage with obs compiled in but disabled within 50% of the previous run, scaled by host \
+    "sequential SSSP stage with obs compiled in but disabled within 50% of the previous run, scaled by CPU \
      reference time"
   in
   let obs_gate =
@@ -420,12 +433,12 @@ let () =
         ( "disabled",
           Obj
             (match disabled_cmp with
-            | Error _ -> [ ("ref_ms", Num ref_ms) ]
-            | Ok { matched; bsum; baseline_ref_ms; scaled; csum; delta } ->
+            | Error _ -> [ ("cpu_ref_ms", Num cpu_ref_ms) ]
+            | Ok { matched; bsum; baseline_cpu_ref_ms; scaled; csum; delta } ->
               [
                 ("baseline_sssp_ms", Num bsum);
-                ("baseline_ref_ms", Num baseline_ref_ms);
-                ("ref_ms", Num ref_ms);
+                ("baseline_cpu_ref_ms", Num baseline_cpu_ref_ms);
+                ("cpu_ref_ms", Num cpu_ref_ms);
                 ("scaled_baseline_sssp_ms", Num scaled);
                 ("current_sssp_ms", Num csum);
                 ("overhead_fraction", Num delta);
@@ -447,11 +460,11 @@ let () =
       ]
     [ obs_gate ];
   Result.iter
-    (fun { bsum; baseline_ref_ms; scaled; csum; delta; _ } ->
+    (fun { bsum; baseline_cpu_ref_ms; scaled; csum; delta; _ } ->
       Printf.printf
-        "disabled obs: sequential sssp %.1f ms at reference %.2f ms, scaled %.1f -> %.1f ms at reference \
-         %.2f ms (%+.2f%%)\n"
-        bsum baseline_ref_ms scaled csum ref_ms (100.0 *. delta))
+        "disabled obs: sequential sssp %.1f ms at CPU reference %.2f ms, scaled %.1f -> %.1f ms at CPU \
+         reference %.2f ms (%+.2f%%)\n"
+        bsum baseline_cpu_ref_ms scaled csum cpu_ref_ms (100.0 *. delta))
     disabled_cmp;
   Printf.printf "enabled tracing on %s: %.2f -> %.2f ms (%d spans, %+.2f%%)\n" en_name en_off en_on
     en_spans

@@ -51,7 +51,8 @@ let test_scale_rate () =
   Alcotest.(check (float 1e-9)) "same host" 100.0 (Kit.scale_rate 100.0 ~baseline_ref_ms:10.0 ~ref_ms:10.0);
   Alcotest.(check (float 1e-9)) "host twice as slow" 50.0 (Kit.scale_rate 100.0 ~baseline_ref_ms:10.0 ~ref_ms:20.0);
   Alcotest.(check (float 1e-9)) "host twice as fast" 200.0 (Kit.scale_rate 100.0 ~baseline_ref_ms:10.0 ~ref_ms:5.0);
-  Alcotest.(check bool) "reference time is positive" true (Kit.host_ref_ms ~samples:3 () > 0.0)
+  Alcotest.(check bool) "reference time is positive" true (Kit.host_ref_ms ~samples:3 () > 0.0);
+  Alcotest.(check bool) "CPU reference time is positive" true (Kit.cpu_ref_ms ~samples:3 () > 0.0)
 
 let test_scale_time () =
   Alcotest.(check (float 1e-9)) "same host" 40.0 (Kit.scale_time 40.0 ~baseline_ref_ms:10.0 ~ref_ms:10.0);

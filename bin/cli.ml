@@ -94,8 +94,12 @@ let manager_config =
       value & opt domain_count 1
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            (Printf.sprintf "Routing domains for full recomputes, 1..%d (a persistent worker pool when > 1)."
-               Netgraph.Parallel.max_domains))
+            (Printf.sprintf
+               "Routing domains for full recomputes, 1..%d (a persistent worker pool when > 1). A \
+                recompute uses them only in SSSP's batched fan-out: with --batch > 1, and only on \
+                fabrics where a batch carries enough work (batch x channels >= %d); smaller batches \
+                run inline, and layer placement always runs on one domain."
+               Netgraph.Parallel.max_domains Routing.Batched.inline_threshold))
   in
   Term.(const make $ algorithm $ max_layers $ batch $ domains)
 

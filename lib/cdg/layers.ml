@@ -35,46 +35,30 @@ let budget_error vl max_layers =
 (* SCC engine: condense once per layer, plan evictions per component.  *)
 (* ------------------------------------------------------------------ *)
 
-(* The eviction plan of one non-trivial SCC: which pairs leave this
-   layer, computed without mutating the shared CDG. *)
-type plan = {
-  p_evicted : int list; (* in eviction order *)
-  p_edges : int; (* edges evicted, one per cycle found *)
-}
-
-(* A planning domain's evicted set: [evicted.(pr) = stamp] marks pair
-   [pr] evicted by the component being planned. Every component takes a
-   fresh stamp, so one array over the store's pair ids serves every
-   component and layer the domain plans, and a mark made for one
-   component never counts in another. Allocated on the domain's first
-   component. *)
-type scratch = {
-  mutable evicted : int array;
-  mutable stamp : int;
-}
-
-let new_scratch _slot = { evicted = [||]; stamp = 0 }
-
 (* Plan evictions for the non-trivial component [members] of [cdg]
    (whose condensation produced [comp_of]); [local_of] maps each member
    channel to its index in [members]. Reads [cdg] and [store] only,
-   through the CDG's CSR slots and the store's arena, so concurrent
-   planning of disjoint components is safe; each domain marks evicted
-   pairs in its own [scratch].
+   through the CDG's CSR slots and the store's arena, never the layer
+   assignment, so planning a component before or after moving another
+   component's evictions gives the same plan. [evicted.(pr) = stamp]
+   marks pair [pr] evicted by this component; every component takes a
+   fresh stamp, so one array over the store's pair ids serves every
+   component and layer, and a mark made for one component never counts
+   in another. Calls [move pr] on each pair it evicts, in eviction
+   order, and returns the number of edges evicted, one per cycle found.
 
    The component's internal edges are mirrored into a local CSR with an
-   exact live-inducer count per edge. A row holds at most a radix of
-   edges, so an internal edge c1 -> c2 is found by scanning c1's row;
-   evicting a pair is a walk of its path deps with O(radix) count
-   decrements, and the vast majority of pairs, which never move, cost
-   nothing. Cycles never leave their SCC (edges removed from a digraph
+   exact live-inducer count per edge, for speed: the DFS then runs over
+   small dense arrays instead of the layer CDG's slots. A row holds at
+   most a radix of edges, so an internal edge c1 -> c2 is found by
+   scanning c1's row; evicting a pair is a walk of its path deps with
+   O(radix) count decrements, and the vast majority of pairs, which
+   never move, cost nothing. Cycles never leave their SCC (edges removed from a digraph
    cannot merge SCCs), so a resumable cycle DFS confined to the
    component — with the paper's search order and on-cycle heuristic —
    finds and breaks every cycle the whole-layer, one-cycle-at-a-time
-   search would (the test oracle [Oracles.Dfs_ref]). The plan never
-   consults other components, so results are deterministic under any
-   domain count. *)
-let plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~scratch members =
+   search would (the test oracle [Oracles.Dfs_ref]). *)
+let plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~evicted ~stamp ~move members =
   let n = Array.length members in
   let mycomp = comp_of.(members.(0)) in
   (* Local CSR over internal live edges: row [li] owns edges
@@ -121,14 +105,10 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~scratch members =
       if !e < hi then !e else -1
     end
   in
-  if Array.length scratch.evicted = 0 then scratch.evicted <- Array.make (Route_store.capacity store) 0;
-  scratch.stamp <- scratch.stamp + 1;
-  let evicted = scratch.evicted and stamp = scratch.stamp in
   let buf = Route_store.buffer store
   and off = Route_store.offsets store
   and len = Route_store.lengths store
   and weights = Route_store.weights store in
-  let ev_order = ref [] in
   let edges_evicted = ref 0 in
   (* Evict every still-live pair of edge [e]: replaying a pair's path
      deps decrements exactly the (weighted) counts its insertion bumped. *)
@@ -136,7 +116,7 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~scratch members =
     Cdg.iter_slot_pairs cdg eslot.(e) (fun pr ->
         if evicted.(pr) <> stamp then begin
           evicted.(pr) <- stamp;
-          ev_order := pr :: !ev_order;
+          move pr;
           let w = match weights with None -> 1 | Some ws -> ws.(pr) in
           for i = off.(pr) to off.(pr) + len.(pr) - 2 do
             let e' = edge_of buf.(i) buf.(i + 1) in
@@ -234,9 +214,9 @@ let plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~scratch members =
       end
     end
   done;
-  { p_evicted = List.rev !ev_order; p_edges = !edges_evicted }
+  !edges_evicted
 
-let assign_store_scc store ~max_layers ~heuristic ~domains =
+let assign_store_scc store ~max_layers ~heuristic =
   let g = Route_store.graph store in
   let layer_of_path = Array.make (Route_store.capacity store) (-1) in
   Route_store.iter_pairs store (fun pr -> layer_of_path.(pr) <- 0);
@@ -244,19 +224,10 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
   let local_of = Array.make (Graph.num_channels g) (-1) in
   let error = ref None in
   let vl = ref 0 in
-  (* The planning domains, each with its scratch: made at the first layer
-     with a cycle, kept for the later layers. One domain plans inline. *)
-  let pool = ref None in
-  let planners () =
-    match !pool with
-    | Some p -> p
-    | None ->
-      let p = Parallel.Pool.create ~domains:(max 1 domains) new_scratch in
-      pool := Some p;
-      p
-  in
+  (* The evicted-stamp array of {!plan_comp}, made at the first layer
+     with a cycle and kept for the later layers. *)
+  let evicted = ref [||] and stamp = ref 0 in
   let current = ref (Some (Obs.Timer.time t_rebuild (fun () -> Cdg.of_store store))) in
-  Fun.protect ~finally:(fun () -> Option.iter Parallel.Pool.shutdown !pool) @@ fun () ->
   while !error = None && !current <> None do
     let cdg =
       match !current with
@@ -278,9 +249,8 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
     if n_nontrivial = 0 then current := None
     else if !vl + 1 >= max_layers then error := Some (budget_error !vl max_layers)
     else begin
-      (* Plan per component in parallel, then merge sequentially in
-         component order: plans are independent, so a pair evicted by
-         two components moves once. *)
+      (* Plan the components in order, each moving its evicted pairs
+         up as it goes: a pair evicted by two components moves once. *)
       let n_moved, n_movers, layer_edges =
         Obs.Timer.time t_evict
           ~attrs:(fun (_, n_movers, layer_edges) ->
@@ -291,25 +261,26 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
               ("movers", Obs.Trace.Int n_movers);
             ])
           (fun () ->
-            Array.iter (Array.iteri (fun li v -> local_of.(v) <- li)) nontrivial;
+            if Array.length !evicted = 0 then evicted := Array.make (Route_store.capacity store) 0;
             let comp_of = scc.Scc.comp_of in
-            let plans = Array.make n_nontrivial { p_evicted = []; p_edges = 0 } in
-            Parallel.Pool.run (planners ()) ~n:n_nontrivial (fun scratch i ->
-                plans.(i) <- plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~scratch nontrivial.(i));
-            Array.iter (Array.iter (fun v -> local_of.(v) <- -1)) nontrivial;
             let n_moved = ref 0 and n_movers = ref 0 and layer_edges = ref 0 in
+            let move pr =
+              if layer_of_path.(pr) = !vl then begin
+                layer_of_path.(pr) <- !vl + 1;
+                incr n_moved;
+                n_movers := !n_movers + Route_store.weight store ~pair:pr
+              end
+            in
+            Array.iter (Array.iteri (fun li v -> local_of.(v) <- li)) nontrivial;
             Array.iter
-              (fun p ->
-                layer_edges := !layer_edges + p.p_edges;
-                List.iter
-                  (fun pr ->
-                    if layer_of_path.(pr) = !vl then begin
-                      layer_of_path.(pr) <- !vl + 1;
-                      incr n_moved;
-                      n_movers := !n_movers + Route_store.weight store ~pair:pr
-                    end)
-                  p.p_evicted)
-              plans;
+              (fun members ->
+                incr stamp;
+                layer_edges :=
+                  !layer_edges
+                  + plan_comp cdg ~store ~comp_of ~local_of ~heuristic ~evicted:!evicted ~stamp:!stamp ~move
+                      members)
+              nontrivial;
+            Array.iter (Array.iter (fun v -> local_of.(v) <- -1)) nontrivial;
             (!n_moved, !n_movers, !layer_edges))
       in
       cycles_broken := !cycles_broken + layer_edges;
@@ -318,8 +289,9 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
           m "layer %d: %d non-trivial SCC(s); evicted %d edge(s), moving %d route(s)" !vl n_nontrivial
             layer_edges n_movers);
       (* Stream the movers straight into layer k+1's CSR build. No pair
-         sat on layer k+1 before this merge, so the pairs there now are
-         exactly the movers, and one scan finds them in id order. *)
+         sat on layer k+1 before this layer's evictions, so the pairs
+         there now are exactly the movers, and one scan finds them in id
+         order. *)
       let movers = Array.make n_moved 0 and k = ref 0 in
       Array.iteri
         (fun pr l ->
@@ -338,7 +310,7 @@ let assign_store_scc store ~max_layers ~heuristic ~domains =
     let layers_used = 1 + Array.fold_left max 0 layer_of_path in
     Ok { layer_of_path; layers_used; cycles_broken = !cycles_broken }
 
-let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
+let assign_store ?(engine = `Scc) ?domains:_ store ~max_layers ~heuristic =
   if max_layers < 1 then invalid_arg "Layers.assign_store: max_layers < 1";
   Obs.Counter.incr c_assignments;
   let paths = Route_store.num_paths store in
@@ -355,7 +327,7 @@ let assign_store ?(engine = `Scc) ?(domains = 1) store ~max_layers ~heuristic =
             ("cycles_broken", Obs.Trace.Int o.cycles_broken);
           ]
         | Error msg -> [ ("error", Obs.Trace.Str msg) ]))
-      (fun () -> match engine with `Scc -> assign_store_scc store ~max_layers ~heuristic ~domains)
+      (fun () -> match engine with `Scc -> assign_store_scc store ~max_layers ~heuristic)
   in
   Result.iter
     (fun o ->

@@ -9,10 +9,10 @@
     skips every singleton component — already acyclic, the vast
     majority — and breaks only inside the non-trivial SCCs: a resumable
     cycle search per component evicts one heuristically chosen edge per
-    cycle it finds. Components are independent, so planning fans out
-    over [domains] OCaml domains; results are identical for any domain
-    count. The paper's one-cycle-at-a-time search over the whole layer
-    is the test oracle the engine is validated against.
+    cycle it finds. Components are planned one after another on the
+    calling domain, in component order. The paper's one-cycle-at-a-time
+    search over the whole layer is the test oracle the engine is
+    validated against.
 
     The engine reads edge weights through {!Cdg}, which counts every
     slice {!Route_store.weight} times, and moves slices whole. Over a
@@ -39,10 +39,12 @@ type outcome = {
     ({!Cdg.of_store}); each next layer is likewise built in one pass over
     just the pairs moved into it, once the layer below is done.
     [layer_of_path] is indexed by pair id over the store's full capacity,
-    with [-1] marking absent pairs. [domains] (default 1) parallelises
-    planning across components. Returns [Error] if a cycle survives in
-    the last allowed layer (the fabric then cannot be routed
-    deadlock-free with this budget — the paper's failed configurations). *)
+    with [-1] marking absent pairs. [domains] is ignored: placement runs
+    on the calling domain. Like [?engine], it stays only because the
+    bring-up benchmark passes it (ROADMAP item 1). Returns [Error] if a
+    cycle survives in the last allowed layer (the fabric then cannot be
+    routed deadlock-free with this budget — the paper's failed
+    configurations). *)
 val assign_store :
   ?engine:engine ->
   ?domains:int ->

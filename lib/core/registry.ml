@@ -11,11 +11,10 @@ let dfsssp_run ?variant ~max_layers ?batch ?domains g =
 
 (* Harden an arbitrary base routing with the offline layer assignment —
    the APP machinery is routing-agnostic (DESIGN.md: ablations). *)
-let hardened ?domains base ~max_layers g =
+let hardened base ~max_layers g =
   match base g with
   | Error _ as e -> e
-  | Ok ft ->
-    Result.map_error Router.error_to_string (Router.assign_layers ?domains ~max_layers ft)
+  | Ok ft -> Result.map_error Router.error_to_string (Router.assign_layers ~max_layers ft)
 
 let all ?coords ?(max_layers = 8) ?batch ?domains () =
   [
@@ -62,7 +61,7 @@ let all ?coords ?(max_layers = 8) ?batch ?domains () =
     {
       name = "dfminhop";
       deadlock_free_by_design = true;
-      run = (fun g -> hardened ?domains (Routing.Minhop.route ?batch ?domains) ~max_layers g);
+      run = (fun g -> hardened (Routing.Minhop.route ?batch ?domains) ~max_layers g);
     };
     {
       name = "dfdor";
@@ -71,7 +70,7 @@ let all ?coords ?(max_layers = 8) ?batch ?domains () =
         (fun g ->
           match coords with
           | None -> Error "dfdor: no grid coordinates available for this fabric"
-          | Some c -> hardened ?domains (fun g -> Routing.Dor.route ?domains g c) ~max_layers g);
+          | Some c -> hardened (fun g -> Routing.Dor.route ?domains g c) ~max_layers g);
     };
   ]
 

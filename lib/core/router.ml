@@ -42,7 +42,7 @@ let t_class_walk =
    store, so when Algorithm 2 runs out of layers and [fallback] is set,
    the online placement runs on the same store: one class walk either
    way. [balance] then spreads the expanded per-pair assignment. *)
-let place ~variant ~fallback ?engine ?domains ?(heuristic = Heuristic.Weakest) ?(max_layers = 8)
+let place ~variant ~fallback ?engine ?(heuristic = Heuristic.Weakest) ?(max_layers = 8)
     ?(balance = false) ft =
   if max_layers > Routing.Ftable.max_layer_ids then Error (Bad_budget max_layers)
   else
@@ -59,7 +59,7 @@ let place ~variant ~fallback ?engine ?domains ?(heuristic = Heuristic.Weakest) ?
         match variant with
         | Online -> Result.map (fun a -> (a, (Online : placement))) (online ())
         | Offline -> (
-          match Layers.assign_store ?engine ?domains store ~max_layers ~heuristic with
+          match Layers.assign_store ?engine store ~max_layers ~heuristic with
           | Ok o -> Ok ((o.Layers.layer_of_path, o.Layers.layers_used, o.Layers.cycles_broken), Offline)
           | Error offline when fallback -> (
             match online () with
@@ -92,10 +92,8 @@ let place ~variant ~fallback ?engine ?domains ?(heuristic = Heuristic.Weakest) ?
         Routing.Ftable.set_num_layers ft used;
         Ok { table = ft; placement; layers = layers_used; classes = cls })
 
-let assign_layers ?(variant = Offline) ?engine ?domains ?heuristic ?max_layers ?balance ft =
-  Result.map
-    (fun b -> b.table)
-    (place ~variant ~fallback:false ?engine ?domains ?heuristic ?max_layers ?balance ft)
+let assign_layers ?(variant = Offline) ?engine ?domains:_ ?heuristic ?max_layers ?balance ft =
+  Result.map (fun b -> b.table) (place ~variant ~fallback:false ?engine ?heuristic ?max_layers ?balance ft)
 
 let placement_to_string : placement -> string = function
   | Offline -> "offline"
@@ -106,7 +104,7 @@ let build ?(variant = Offline) ?heuristic ?max_layers ?balance ?batch ?domains ?
   let result =
     match Routing.Sssp.route ?batch ?domains ?pool ?kernel g with
     | Error msg -> Error (Routing_failed msg)
-    | Ok ft -> place ~variant ~fallback:true ?domains ?heuristic ?max_layers ?balance ft
+    | Ok ft -> place ~variant ~fallback:true ?heuristic ?max_layers ?balance ft
   in
   Result.iter
     (fun b ->

@@ -74,8 +74,8 @@ val error_to_string : error -> string
       number {e required}.
     - [batch]/[domains]/[pool]/[kernel] go to {!Routing.Sssp.route}
       (defaults reproduce the sequential recurrence; see DESIGN.md
-      section 12). [domains] also fans Algorithm 2's break planning out
-      across components. Only [batch] changes the table.
+      section 12) and nowhere else: layer placement runs on the calling
+      domain. Only [batch] changes the table.
 
     The trusted checker ({!Analysis.Analyzer.certify}) accepts every
     successful result. *)
@@ -115,8 +115,9 @@ val route :
     routing-agnostic. Overwrites [ft]'s layer table in place and returns
     it. It never falls back: [variant] picks the one placement that
     runs. [engine] has the one value [`Scc] ({!Layers.engine}) and stays
-    only because the bring-up benchmark passes it (ROADMAP item 1).
-    [domains] fans the offline break planning out across components.
+    only because the bring-up benchmark passes it (ROADMAP item 1), and
+    so does [domains], which is ignored: placement runs on the calling
+    domain.
 
     The assignment runs once per route class ({!Routing.Ftable.to_classes},
     timed by the [dfsssp.class_walk] timer), not once per pair; the

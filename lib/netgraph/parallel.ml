@@ -3,9 +3,8 @@ let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 (* The OCaml 5.1 runtime runs at most 128 domains at once (Max_domains
    in caml/domain.h), and [Domain.spawn] past that fails half-way
    through a pool. A pool of [max_domains] spawns [max_domains - 1]
-   workers; the fabric manager holds one such pool while a nested pool
-   (per-component cycle breaking) spawns another, and the two
-   plus the main domain stay below the runtime's limit. *)
+   workers, so one full pool, the main domain and a second full pool
+   alive at the same time still stay below the runtime's limit. *)
 let max_domains = 64
 
 (* Pool telemetry (process-wide, in the default Obs registry). Counters

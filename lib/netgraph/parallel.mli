@@ -1,7 +1,7 @@
 (** Fork-join helpers over OCaml 5 domains for the embarrassingly parallel
     parts of the pipeline — effective-bisection-bandwidth sampling
-    (independent random matchings) and per-component cycle breaking
-    (independent strongly connected components). Work functions must be pure with respect
+    (independent random matchings) and the batched routing fills
+    (DESIGN.md section 12). Work functions must be pure with respect
     to shared state: they may read the immutable fabric and routing
     tables, and must not touch shared mutable structures.
 
@@ -14,9 +14,8 @@
     spot for the workloads here. *)
 val recommended_domains : unit -> int
 
-(** The most domains one pool may have (64): two full pools and the
-    main domain fit the OCaml runtime's 128-domain limit, as when the
-    fabric manager's routing pool runs a nested pool to break cycles. *)
+(** The most domains one pool may have (64): two full pools alive at
+    once and the main domain fit the OCaml runtime's 128-domain limit. *)
 val max_domains : int
 
 (** [map_array ~domains f a] is [Array.map f a] computed on a throwaway

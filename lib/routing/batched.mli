@@ -29,6 +29,11 @@
     fan-out path even on single-domain machines. Default: enabled. *)
 val set_auto_sizing : bool -> unit
 
+(** The least work, in batch destinations times the engine's per-item
+    cost (the channel count for the routing engines), that pool-aware
+    sizing fans out: a smaller batch runs inline on the caller (16384). *)
+val inline_threshold : int
+
 (** How one destination sees the balancing state. A destination must
     never read an entry it has already added to: an inline batch of one
     destination adds into [reads] itself, the other modes do not, and

@@ -355,32 +355,31 @@ let test_layers_balance () =
 (* Algorithm 2's exact placement, pinned: the MD5 of [layer_of_path]
    (comma-joined) over the route-class store of each fabric's SSSP
    table, with the weakest-edge rule and 16 layers, and its layer and
-   eviction counts, at one and at two planning domains. The oracle
-   tests only bound the layer count, so a changed eviction shows here
-   first. *)
-let test_layers_pinned () =
-  List.iter
-    (fun (spec, digest, layers, broken) ->
-      let g = (Result.get_ok (Harness.Topospec.parse spec)).Harness.Topospec.graph in
-      let ft = Result.get_ok (Routing.Sssp.route g) in
-      let store = (Result.get_ok (Routing.Ftable.to_classes ft)).Routing.Ftable.store in
-      List.iter
-        (fun domains ->
-          match Layers.assign_store ~domains store ~max_layers:16 ~heuristic:Heuristic.Weakest with
-          | Error e -> Alcotest.failf "%s: %s" spec e
-          | Ok o ->
-            let text = String.concat "," (Array.to_list (Array.map string_of_int o.Layers.layer_of_path)) in
-            let what = Printf.sprintf "%s, %d domain(s)" spec domains in
-            check Alcotest.string (what ^ ": layer_of_path digest") digest (Digest.to_hex (Digest.string text));
-            check Alcotest.int (what ^ ": layers") layers o.Layers.layers_used;
-            check Alcotest.int (what ^ ": cycles broken") broken o.Layers.cycles_broken)
-        [ 1; 2 ])
-    [
-      ("jellyfish:64,16,8:1", "f1044bb436b0c136da3811a04fb8cb1c", 5, 2343);
-      ("jellyfish:32,10,6:3", "4c8ee642ff236f901589d9a24bc30d5f", 3, 297);
-      ("torus:6x6", "90acc8f5b9120afd653fc399c914e79c", 4, 200);
-      ("hypercube:6", "7fc031814c2d414e20cf5ddb20a3ec11", 5, 1004);
-    ]
+   eviction counts. The oracle tests only bound the layer count, so a
+   changed eviction shows here first. *)
+let pinned_placements =
+  [
+    ("jellyfish:64,16,8:1", "f1044bb436b0c136da3811a04fb8cb1c", 5, 2343);
+    ("jellyfish:32,10,6:3", "4c8ee642ff236f901589d9a24bc30d5f", 3, 297);
+    ("torus:6x6", "90acc8f5b9120afd653fc399c914e79c", 4, 200);
+    ("hypercube:6", "7fc031814c2d414e20cf5ddb20a3ec11", 5, 1004);
+  ]
+
+let class_store spec =
+  let g = (Result.get_ok (Harness.Topospec.parse spec)).Harness.Topospec.graph in
+  let ft = Result.get_ok (Routing.Sssp.route g) in
+  (Result.get_ok (Routing.Ftable.to_classes ft)).Routing.Ftable.store
+
+let check_pinned ?domains (spec, digest, layers, broken) =
+  match Layers.assign_store ?domains (class_store spec) ~max_layers:16 ~heuristic:Heuristic.Weakest with
+  | Error e -> Alcotest.failf "%s: %s" spec e
+  | Ok o ->
+    let text = String.concat "," (Array.to_list (Array.map string_of_int o.Layers.layer_of_path)) in
+    check Alcotest.string (spec ^ ": layer_of_path digest") digest (Digest.to_hex (Digest.string text));
+    check Alcotest.int (spec ^ ": layers") layers o.Layers.layers_used;
+    check Alcotest.int (spec ^ ": cycles broken") broken o.Layers.cycles_broken
+
+let test_layers_pinned () = List.iter (fun fabric -> check_pinned fabric) pinned_placements
 
 let heuristics_all_sound_qcheck =
   qtest ~count:20 "offline assignment sound for every heuristic" QCheck2.Gen.(int_range 0 1000)
@@ -494,24 +493,19 @@ let test_scc_acyclic_input () =
     check Alcotest.int "one layer" 1 outcome.Layers.layers_used;
     check Alcotest.int "no evictions" 0 outcome.Layers.cycles_broken
 
-let test_scc_domains_deterministic () =
-  let rng = Rng.create 11 in
-  let g = Topo_random.make ~switches:8 ~switch_radix:8 ~terminals:16 ~inter_links:12 ~rng in
-  match Routing.Sssp.route g with
-  | Error e -> Alcotest.fail e
-  | Ok ft -> (
-    let paths = ref [] in
-    Routing.Ftable.iter_pairs ft (fun ~src:_ ~dst:_ p -> paths := p :: !paths);
-    let paths = Array.of_list !paths in
-    let run domains =
-      match Layers.assign_store ~domains (Testutil.of_paths g paths) ~max_layers:16 ~heuristic:Heuristic.Weakest with
-      | Error e -> Alcotest.fail e
-      | Ok o -> o
-    in
-    let seq = run 1 and par = run 3 in
-    check Alcotest.(array int) "identical assignment" seq.Layers.layer_of_path par.Layers.layer_of_path;
-    check Alcotest.int "identical layer count" seq.Layers.layers_used par.Layers.layers_used;
-    check Alcotest.int "identical evictions" seq.Layers.cycles_broken par.Layers.cycles_broken)
+(* Placement runs on the calling domain whatever [~domains] says: on
+   the fabric whose layer 3 has three non-trivial components, four
+   domains give the pinned placement and dispatch no pool fan-out. *)
+let test_scc_no_pool () =
+  let runs () =
+    match Obs.Registry.find_counter (Obs.Registry.default ()) "pool.runs" with
+    | Some c -> Obs.Counter.value c
+    | None -> Alcotest.fail "no pool.runs counter in the default registry"
+  in
+  let fabric = List.hd pinned_placements in
+  let before = runs () in
+  check_pinned ~domains:4 fabric;
+  check Alcotest.int "pool.runs unchanged" before (runs ())
 
 let engines_agree_qcheck =
   qtest ~count:20 "scc engine sound and within one layer of the dfs oracle"
@@ -1092,7 +1086,7 @@ let () =
           Alcotest.test_case "ring needs 2 (both engines)" `Quick test_layers_ring_both_engines;
           Alcotest.test_case "budget exhausted (both engines)" `Quick test_layers_budget_both_engines;
           Alcotest.test_case "acyclic input" `Quick test_scc_acyclic_input;
-          Alcotest.test_case "domains deterministic" `Quick test_scc_domains_deterministic;
+          Alcotest.test_case "placement runs on one domain" `Quick test_scc_no_pool;
           engines_agree_qcheck;
         ] );
       ( "online",
